@@ -4,13 +4,15 @@ Each class here is a :class:`~repro.tensor.ops.TensorOp` over (H, W, C)
 feature tensors (or flat vectors for dense layers). Convolution uses
 im2col + matmul; everything is plain numpy, single precision.
 
-Every layer also implements the batched NHWC contract
-(``apply_batch`` over an (N, H, W, C) stack): convolution does one
-batch-wide im2col and a single large GEMM, pooling takes 5-d strided
-windows over the batch axis, and the pointwise ops broadcast. Batching
-amortizes per-image kernel overheads — the SystemML-style batched
-matrix formulation of conv layers — and is what the partition-level
-executor path runs on.
+Every layer implements the batched NHWC contract (``apply_batch`` over
+an (N, H, W, C) stack), and for conv, pooling and the bottleneck block
+that is the only kernel — one image runs as a stack of one.
+Convolution does one batch-wide im2col (a plain reshape for 1x1) and a
+single large GEMM, then adds bias and applies ReLU in place on the GEMM
+output; pooling and LRN reduce shifted slices so that every ufunc loop
+runs a long contiguous stretch. Batching amortizes per-image kernel
+overheads — the SystemML-style batched matrix formulation of conv
+layers — and is what the partition-level executor path runs on.
 
 The ResNet bottleneck block is a *composite* TensorOp so that the CNN
 as a whole remains an indexed chain (Def. 3.4) even though internally
@@ -26,47 +28,29 @@ from repro.tensor.ops import TensorOp
 from repro.cnn.shapes import conv_output_hw
 
 
-def _pad_hw(tensor, padding, value=0.0):
-    if padding == 0:
-        return tensor
-    return np.pad(
-        tensor, ((padding, padding), (padding, padding), (0, 0)),
-        mode="constant", constant_values=value,
-    )
-
-
 def _pad_hw_batch(batch, padding, value=0.0):
+    """An (N, H, W, C) batch as float32 with ``padding`` cells of
+    ``value`` on each spatial side (a view of the batch when it already
+    is float32 and there are none to add)."""
+    batch = batch.astype(np.float32, copy=False)
     if padding == 0:
         return batch
-    return np.pad(
-        batch, ((0, 0), (padding, padding), (padding, padding), (0, 0)),
-        mode="constant", constant_values=value,
+    n, h, w, c = batch.shape
+    padded = np.full(
+        (n, h + 2 * padding, w + 2 * padding, c), value, dtype=np.float32
     )
-
-
-def _im2col(tensor, kernel, stride, out_h, out_w):
-    """Extract (out_h*out_w, kernel*kernel*C) patches from (H, W, C)."""
-    h, w, c = tensor.shape
-    strides = tensor.strides
-    windows = np.lib.stride_tricks.as_strided(
-        tensor,
-        shape=(out_h, out_w, kernel, kernel, c),
-        strides=(
-            strides[0] * stride,
-            strides[1] * stride,
-            strides[0],
-            strides[1],
-            strides[2],
-        ),
-        writeable=False,
-    )
-    return windows.reshape(out_h * out_w, kernel * kernel * c)
+    padded[:, padding:padding + h, padding:padding + w] = batch
+    return padded
 
 
 def _im2col_batch(batch, kernel, stride, out_h, out_w):
     """Extract (N*out_h*out_w, kernel*kernel*C) patches from a whole
     (N, H, W, C) batch at once."""
     n, h, w, c = batch.shape
+    if kernel == 1:
+        # A 1x1 patch is the pixel itself: a reshape (of a strided
+        # slice for the ResNet shortcut), no window gather.
+        return batch[:, ::stride, ::stride].reshape(n * out_h * out_w, c)
     strides = batch.strides
     windows = np.lib.stride_tricks.as_strided(
         batch,
@@ -84,11 +68,24 @@ def _im2col_batch(batch, kernel, stride, out_h, out_w):
     return windows.reshape(n * out_h * out_w, kernel * kernel * c)
 
 
-class Conv2D(TensorOp):
-    """2-d convolution with bias. Weights shape: (K, K, Cin, Cout)."""
+class _BatchKernelOp(TensorOp):
+    """A TensorOp whose one kernel is the batched one: a single image
+    runs as a stack of length 1.
+
+    Kernels never write into their input — stored feature blocks reach
+    them as zero-copy views — only into arrays they allocated.
+    """
+
+    def apply(self, tensor):
+        return self.apply_batch(tensor[None])[0]
+
+
+class Conv2D(_BatchKernelOp):
+    """2-d convolution with bias and optional ReLU fused in. Weights
+    shape: (K, K, Cin, Cout)."""
 
     def __init__(self, input_shape, filters, kernel, stride=1, padding=0,
-                 weights=None, bias=None, name="conv"):
+                 weights=None, bias=None, relu=False, name="conv"):
         h, w, cin = input_shape
         out_h, out_w = conv_output_hw(h, w, kernel, stride, padding)
         super().__init__(input_shape, (out_h, out_w, filters), name=name)
@@ -102,27 +99,24 @@ class Conv2D(TensorOp):
             bias = np.zeros(filters, dtype=np.float32)
         self.weights = np.asarray(weights, dtype=np.float32)
         self.bias = np.asarray(bias, dtype=np.float32)
+        self.relu = relu
         self._wmat = self.weights.reshape(kernel * kernel * cin, filters)
-
-    def apply(self, tensor):
-        out_h, out_w, _ = self.output_shape
-        padded = _pad_hw(tensor.astype(np.float32, copy=False), self.padding)
-        cols = _im2col(padded, self.kernel, self.stride, out_h, out_w)
-        out = cols @ self._wmat + self.bias
-        return out.reshape(out_h, out_w, self.filters)
 
     def apply_batch(self, batch):
         out_h, out_w, _ = self.output_shape
         n = batch.shape[0]
-        padded = _pad_hw_batch(
-            batch.astype(np.float32, copy=False), self.padding
-        )
+        padded = _pad_hw_batch(batch, self.padding)
         cols = _im2col_batch(padded, self.kernel, self.stride, out_h, out_w)
-        out = cols @ self._wmat + self.bias
+        out = (cols @ self._wmat).reshape(n, out_h * out_w * self.filters)
+        # One image's worth of bias, so the add runs rows of
+        # oh*ow*F floats instead of F at a time.
+        out += np.tile(self.bias, out_h * out_w)
+        if self.relu:
+            np.maximum(out, 0.0, out=out)
         return out.reshape(n, out_h, out_w, self.filters)
 
 
-class _Pool2D(TensorOp):
+class _Pool2D(_BatchKernelOp):
     #: Constant used to fill spatial padding before windowing.
     pad_value = 0.0
 
@@ -135,62 +129,58 @@ class _Pool2D(TensorOp):
         self.stride = stride
         self.padding = padding
 
-    def _windows(self, tensor):
-        out_h, out_w, c = self.output_shape
-        padded = _pad_hw(tensor, self.padding, self.pad_value)
-        strides = padded.strides
-        return np.lib.stride_tricks.as_strided(
-            padded,
-            shape=(out_h, out_w, self.kernel, self.kernel, c),
-            strides=(
-                strides[0] * self.stride,
-                strides[1] * self.stride,
-                strides[0],
-                strides[1],
-                strides[2],
-            ),
-            writeable=False,
-        )
-
-    def _windows_batch(self, batch):
-        out_h, out_w, c = self.output_shape
-        padded = _pad_hw_batch(batch, self.padding, self.pad_value)
-        strides = padded.strides
-        return np.lib.stride_tricks.as_strided(
-            padded,
-            shape=(batch.shape[0], out_h, out_w, self.kernel, self.kernel, c),
-            strides=(
-                strides[0],
-                strides[1] * self.stride,
-                strides[2] * self.stride,
-                strides[1],
-                strides[2],
-                strides[3],
-            ),
-            writeable=False,
-        )
+    def _shifted(self, array, axis, shift):
+        """The slice of ``array`` holding element ``shift`` of every
+        window along ``axis`` (1: rows, 2: columns)."""
+        span = self.stride * (self.output_shape[axis - 1] - 1) + 1
+        index = [slice(None)] * 4
+        index[axis] = slice(shift, shift + span, self.stride)
+        return array[tuple(index)]
 
 
 class MaxPool2D(_Pool2D):
-    """Max pooling. Padding uses -inf so pads never win the max."""
+    """Max pooling. Padding uses -inf so pads never win the max.
+
+    Separable: the max over row-shifted slices (contiguous runs of W*C
+    floats), then over column-shifted slices of that.
+    """
 
     pad_value = -np.inf
 
-    def apply(self, tensor):
-        return self._windows(tensor).max(axis=(2, 3))
-
     def apply_batch(self, batch):
-        return self._windows_batch(batch).max(axis=(3, 4))
+        out = _pad_hw_batch(batch, self.padding, self.pad_value)
+        for axis in (1, 2):
+            # kernel 1 reads shift 0 twice: max(x, x) is the copy
+            reduced = np.maximum(
+                self._shifted(out, axis, 0),
+                self._shifted(out, axis, min(1, self.kernel - 1)),
+            )
+            for shift in range(2, self.kernel):
+                np.maximum(
+                    reduced, self._shifted(out, axis, shift), out=reduced
+                )
+            out = reduced
+        return out
 
 
 class AvgPool2D(_Pool2D):
-    """Average pooling (zero-padded)."""
+    """Average pooling (zero-padded).
 
-    def apply(self, tensor):
-        return self._windows(tensor).mean(axis=(2, 3), dtype=np.float32)
+    Float addition is not associative, so the window is summed in its
+    row-major order rather than separably.
+    """
 
     def apply_batch(self, batch):
-        return self._windows_batch(batch).mean(axis=(3, 4), dtype=np.float32)
+        padded = _pad_hw_batch(batch, self.padding, self.pad_value)
+        total = np.zeros(
+            (batch.shape[0],) + self.output_shape, dtype=np.float32
+        )
+        for row in range(self.kernel):
+            rows = self._shifted(padded, 1, row)
+            for col in range(self.kernel):
+                total += self._shifted(rows, 2, col)
+        total /= self.kernel * self.kernel
+        return total
 
 
 class GlobalAvgPool(TensorOp):
@@ -224,11 +214,13 @@ class ReLU(TensorOp):
 class LocalResponseNorm(TensorOp):
     """AlexNet-style local response normalization across channels.
 
-    The cross-channel sum-of-squares is a sliding-window sum over the
-    (last) channel axis, so the same vectorized kernel serves both the
-    per-image and the batched path. Out-of-range channels contribute
-    exact zeros, which keeps results identical to the windowed-slice
-    formulation.
+    The cross-channel sum-of-squares is a window sum over the (last)
+    channel axis, whatever the leading axes, so one kernel serves the
+    per-image and the batched path. Squares go into a buffer with
+    ``depth_radius`` zero channels on both sides of every pixel; over
+    its flat view the window sum is ``2 * depth_radius`` shifted adds
+    of one long run each, accumulated left to right, and no window of
+    a real channel crosses into the next pixel.
     """
 
     def __init__(self, shape, depth_radius=2, bias=2.0, alpha=1e-4, beta=0.75,
@@ -240,19 +232,24 @@ class LocalResponseNorm(TensorOp):
         self.beta = beta
 
     def _normalize(self, tensor):
-        squared = np.square(tensor)
+        tensor = tensor.astype(np.float32, copy=False)
         channels = tensor.shape[-1]
         radius = self.depth_radius
-        padded = np.zeros(
-            tensor.shape[:-1] + (channels + 2 * radius,), dtype=squared.dtype
-        )
-        padded[..., radius:radius + channels] = squared
-        windows = np.lib.stride_tricks.sliding_window_view(
-            padded, 2 * radius + 1, axis=-1
-        )
-        scale = windows.sum(axis=-1)
-        denom = np.power(self.bias + self.alpha * scale, self.beta)
-        return (tensor / denom).astype(np.float32)
+        width = channels + 2 * radius
+        squares = np.zeros(tensor.shape[:-1] + (width,), dtype=np.float32)
+        np.square(tensor, out=squares[..., radius:radius + channels])
+        flat = squares.reshape(-1)
+        # One slot per padded channel so the result views back as
+        # (..., width); the last 2 * radius slots are never read.
+        denom = np.empty(flat.size, dtype=np.float32)
+        scale = denom[:flat.size - 2 * radius]
+        scale[...] = flat[:scale.size]
+        for shift in range(1, 2 * radius + 1):
+            scale += flat[shift:shift + scale.size]
+        scale *= self.alpha
+        scale += self.bias
+        np.power(scale, self.beta, out=scale)
+        return tensor / denom.reshape(squares.shape)[..., :channels]
 
     def apply(self, tensor):
         return self._normalize(tensor)
@@ -303,7 +300,7 @@ class Dense(TensorOp):
         return out
 
 
-class BottleneckBlock(TensorOp):
+class BottleneckBlock(_BatchKernelOp):
     """ResNet bottleneck residual block as one composite TensorOp.
 
     1x1 reduce -> 3x3 (strided) -> 1x1 expand, plus an identity or
@@ -324,11 +321,12 @@ class BottleneckBlock(TensorOp):
 
         self.reduce = Conv2D(
             input_shape, filters, 1,
-            weights=he((1, 1, cin, filters), cin), name=f"{name}/reduce",
+            weights=he((1, 1, cin, filters), cin), relu=True,
+            name=f"{name}/reduce",
         )
         self.conv3 = Conv2D(
             self.reduce.output_shape, filters, 3, stride=stride, padding=1,
-            weights=he((3, 3, filters, filters), 9 * filters),
+            weights=he((3, 3, filters, filters), 9 * filters), relu=True,
             name=f"{name}/conv3",
         )
         self.expand = Conv2D(
@@ -343,21 +341,14 @@ class BottleneckBlock(TensorOp):
         else:
             self.shortcut = None
 
-    def apply(self, tensor):
-        branch = np.maximum(self.reduce(tensor), 0.0)
-        branch = np.maximum(self.conv3(branch), 0.0)
-        branch = self.expand(branch)
-        identity = self.shortcut(tensor) if self.shortcut else tensor
-        return np.maximum(branch + identity, 0.0)
-
     def apply_batch(self, batch):
-        branch = np.maximum(self.reduce.apply_batch(batch), 0.0)
-        branch = np.maximum(self.conv3.apply_batch(branch), 0.0)
-        branch = self.expand.apply_batch(branch)
-        identity = (
-            self.shortcut.apply_batch(batch) if self.shortcut else batch
+        batch = batch.astype(np.float32, copy=False)
+        out = self.expand.apply_batch(
+            self.conv3.apply_batch(self.reduce.apply_batch(batch))
         )
-        return np.maximum(branch + identity, 0.0)
+        out += self.shortcut.apply_batch(batch) if self.shortcut else batch
+        np.maximum(out, 0.0, out=out)
+        return out
 
     def param_count(self):
         count = self.reduce.weights.size + self.reduce.bias.size

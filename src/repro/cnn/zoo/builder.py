@@ -7,8 +7,6 @@ TensorOps with deterministic "pretrained" weights.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.cnn import layers as L
 from repro.cnn.network import CNN
 from repro.cnn.shapes import profile_network
@@ -25,13 +23,11 @@ def _build_layer(spec, input_shape, rng):
         filters = p["filters"]
         fan_in = k * k * cin
         weights = he_normal(rng, (k, k, cin, filters), fan_in)
-        op = L.Conv2D(
+        return L.Conv2D(
             input_shape, filters, k, stride=p.get("stride", 1),
-            padding=p.get("padding", 0), weights=weights, name=spec.name,
+            padding=p.get("padding", 0), weights=weights,
+            relu=p.get("relu", True), name=spec.name,
         )
-        if p.get("relu", True):
-            return _FusedReLUConv(op)
-        return op
     if kind == "maxpool":
         return L.MaxPool2D(
             input_shape, p["kernel"], stride=p.get("stride", p["kernel"]),
@@ -64,31 +60,6 @@ def _build_layer(spec, input_shape, rng):
             name=spec.name,
         )
     raise ShapeError(f"unknown layer kind: {kind}")
-
-
-class _FusedReLUConv(L.Conv2D):
-    """Conv2D with a ReLU fused in, keeping the chain one-op-per-layer.
-
-    Built by wrapping an initialized Conv2D rather than re-deriving
-    weights, so the builder stays the single initialization point.
-    """
-
-    def __init__(self, conv):
-        super().__init__(
-            conv.input_shape, conv.filters, conv.kernel, stride=conv.stride,
-            padding=conv.padding, weights=conv.weights, bias=conv.bias,
-            name=conv.name,
-        )
-
-    def apply(self, tensor):
-        out = super().apply(tensor)
-        np.maximum(out, 0.0, out=out)
-        return out
-
-    def apply_batch(self, batch):
-        out = super().apply_batch(batch)
-        np.maximum(out, 0.0, out=out)
-        return out
 
 
 def build_from_specs(name, specs, input_shape, feature_layers, seed=0):

@@ -1,27 +1,19 @@
-"""Unit tests for the executable CNN layer TensorOps, checked against
-naive reference implementations."""
+"""Unit tests for the executable CNN layer TensorOps.
+
+Two kinds of reference live here. The *oracles* are direct-loop float64
+implementations written from the layer definitions, independent of the
+kernels; the float32 kernels must agree with them within a rounding
+budget derived per output element. The *retired formulations* are the
+kernels this repository ran before the shifted-slice ones replaced
+them; the replacements must reproduce their float32 bits exactly.
+"""
 
 import numpy as np
 import pytest
 
 from repro.cnn import layers as L
 
-
-def naive_conv(tensor, weights, bias, stride, padding):
-    k = weights.shape[0]
-    padded = np.pad(
-        tensor, ((padding, padding), (padding, padding), (0, 0))
-    )
-    h = (padded.shape[0] - k) // stride + 1
-    w = (padded.shape[1] - k) // stride + 1
-    cout = weights.shape[3]
-    out = np.zeros((h, w, cout), dtype=np.float32)
-    for i in range(h):
-        for j in range(w):
-            patch = padded[i * stride:i * stride + k, j * stride:j * stride + k]
-            for c in range(cout):
-                out[i, j, c] = (patch * weights[..., c]).sum() + bias[c]
-    return out
+EPS = float(np.finfo(np.float32).eps)
 
 
 @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (1, 1)])
@@ -32,8 +24,9 @@ def test_conv2d_matches_naive(stride, padding):
     bias = rng.normal(size=4).astype(np.float32)
     conv = L.Conv2D((6, 6, 3), 4, 3, stride=stride, padding=padding,
                     weights=weights, bias=bias)
-    expected = naive_conv(tensor, weights, bias, stride, padding)
-    np.testing.assert_allclose(conv(tensor), expected, rtol=1e-4, atol=1e-5)
+    expected, _ = oracle_conv(tensor[None], weights, bias, stride, padding,
+                              relu=False)
+    np.testing.assert_allclose(conv(tensor), expected[0], rtol=1e-4, atol=1e-5)
 
 
 def test_conv2d_output_shape():
@@ -152,3 +145,280 @@ def test_bottleneck_param_count_matches_profile():
         (8, 8, 8),
     )[0]
     assert block.param_count() == profile.param_count
+
+
+# ---------------------------------------------------------------------
+# Independent float64 oracles and the retired float32 formulations
+# ---------------------------------------------------------------------
+
+#: (kernel, stride, padding), overlapping windows included.
+GEOMETRIES = [
+    (2, 2, 0), (3, 2, 0), (3, 2, 1), (3, 1, 1), (3, 3, 0), (1, 1, 0),
+    (1, 2, 0), (5, 2, 2),
+]
+#: (batch, height, width, channels, sliced): batch of 1, odd sizes, a
+#: single channel, and inputs that are non-contiguous views.
+INPUTS = [
+    (1, 9, 9, 5, False), (3, 8, 10, 4, False), (2, 7, 7, 1, False),
+    (1, 9, 9, 5, True), (3, 8, 10, 4, True),
+]
+
+
+def make_input(batch, h, w, c, sliced, seed=0):
+    rng = np.random.default_rng([seed, batch, h, w, c])
+    if not sliced:
+        return (rng.normal(size=(batch, h, w, c)) * 4).astype(np.float32)
+    parent = (rng.normal(size=(batch, h, 2 * w, c + 3)) * 4).astype(
+        np.float32
+    )
+    view = parent[:, :, ::2, 1:1 + c]
+    assert not view.flags.c_contiguous
+    return view
+
+
+def padded_windows(batch, kernel, stride, padding, pad_value):
+    """The float64 padded batch, its pooled/convolved (out_h, out_w),
+    and a function giving window (i, j) of image n."""
+    n, h, w, c = batch.shape
+    padded = np.full((n, h + 2 * padding, w + 2 * padding, c), pad_value)
+    padded[:, padding:padding + h, padding:padding + w] = batch
+    out_h = (h + 2 * padding - kernel) // stride + 1
+    out_w = (w + 2 * padding - kernel) // stride + 1
+
+    def window(image, i, j):
+        return padded[image, i * stride:i * stride + kernel,
+                      j * stride:j * stride + kernel]
+
+    return out_h, out_w, window
+
+
+def oracle_conv(batch, weights, bias, stride, padding, relu):
+    """Direct-loop float64 convolution. Also returns, per output, the
+    sum of absolute terms that bounds float32 accumulation error."""
+    kernel, _, _, filters = weights.shape
+    w64, b64 = weights.astype(np.float64), bias.astype(np.float64)
+    out_h, out_w, window = padded_windows(batch, kernel, stride, padding, 0.0)
+    out = np.empty((len(batch), out_h, out_w, filters))
+    magnitude = np.empty_like(out)
+    for index in np.ndindex(*out.shape):
+        image, i, j, f = index
+        terms = window(image, i, j) * w64[..., f]
+        out[index] = terms.sum() + b64[f]
+        magnitude[index] = np.abs(terms).sum() + abs(b64[f])
+    return (np.maximum(out, 0.0) if relu else out), magnitude
+
+
+def oracle_pool(batch, kernel, stride, padding, mode):
+    """Direct-loop float64 max / average pooling, with the per-output
+    sum of absolute inputs for the average's error bound."""
+    out_h, out_w, window = padded_windows(
+        batch, kernel, stride, padding, -np.inf if mode == "max" else 0.0
+    )
+    out = np.empty((len(batch), out_h, out_w, batch.shape[3]))
+    magnitude = np.empty_like(out)
+    for index in np.ndindex(*out.shape):
+        image, i, j, ch = index
+        values = window(image, i, j)[:, :, ch]
+        out[index] = values.max() if mode == "max" else values.mean()
+        magnitude[index] = np.abs(values).sum()
+    return out, magnitude
+
+
+def oracle_lrn(batch, radius, bias, alpha, beta):
+    """Direct-loop float64 local response normalization."""
+    x = batch.astype(np.float64)
+    out = np.empty_like(x)
+    channels = x.shape[-1]
+    for ch in range(channels):
+        lo, hi = max(0, ch - radius), min(channels, ch + radius + 1)
+        scale = (x[..., lo:hi] ** 2).sum(axis=-1)
+        out[..., ch] = x[..., ch] / (bias + alpha * scale) ** beta
+    return out
+
+
+def retired_windows(batch, kernel, stride, padding, pad_value):
+    """The 6-d strided window view the pooling and conv kernels used."""
+    padded = np.pad(
+        batch, ((0, 0), (padding, padding), (padding, padding), (0, 0)),
+        mode="constant", constant_values=pad_value,
+    )
+    n, h, w, c = padded.shape
+    out_h = (h - kernel) // stride + 1
+    out_w = (w - kernel) // stride + 1
+    strides = padded.strides
+    return np.lib.stride_tricks.as_strided(
+        padded,
+        shape=(n, out_h, out_w, kernel, kernel, c),
+        strides=(strides[0], strides[1] * stride, strides[2] * stride,
+                 strides[1], strides[2], strides[3]),
+        writeable=False,
+    )
+
+
+def retired_conv(batch, weights, bias, stride, padding, relu):
+    kernel, _, cin, filters = weights.shape
+    windows = retired_windows(batch, kernel, stride, padding, 0.0)
+    n, out_h, out_w = windows.shape[:3]
+    cols = windows.reshape(n * out_h * out_w, kernel * kernel * cin)
+    out = cols @ weights.reshape(kernel * kernel * cin, filters) + bias
+    out = out.reshape(n, out_h, out_w, filters)
+    return np.maximum(out, 0.0) if relu else out
+
+
+def retired_lrn(batch, radius, bias, alpha, beta):
+    squared = np.square(batch)
+    channels = batch.shape[-1]
+    padded = np.zeros(
+        batch.shape[:-1] + (channels + 2 * radius,), dtype=squared.dtype
+    )
+    padded[..., radius:radius + channels] = squared
+    scale = np.lib.stride_tricks.sliding_window_view(
+        padded, 2 * radius + 1, axis=-1
+    ).sum(axis=-1)
+    return (batch / np.power(bias + alpha * scale, beta)).astype(np.float32)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype == np.float32
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def same_as_retired(op, batch, retired):
+    """Run ``op`` over ``batch`` and over each image alone, assert both
+    carry the bits of ``retired`` (batch -> array) and return the
+    batched result. The per-image GEMM has other dimensions than the
+    batched one, so each is held to the retired call of its own shape."""
+    out = op.call_batch(batch)
+    assert_same_bits(out, retired(batch))
+    for image in batch:
+        assert_same_bits(op(image), retired(image[None])[0])
+    return out
+
+
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("kernel,stride,padding", GEOMETRIES + [(1, 1, 1)])
+@pytest.mark.parametrize("n,h,w,c,sliced", INPUTS)
+def test_conv2d_against_oracle_and_retired(n, h, w, c, sliced, kernel,
+                                           stride, padding, relu):
+    batch = make_input(n, h, w, c, sliced)
+    rng = np.random.default_rng(kernel * 100 + stride * 10 + padding)
+    weights = rng.normal(size=(kernel, kernel, c, 6)).astype(np.float32)
+    bias = rng.normal(size=6).astype(np.float32)
+    conv = L.Conv2D((h, w, c), 6, kernel, stride=stride, padding=padding,
+                    weights=weights, bias=bias, relu=relu)
+    got = same_as_retired(
+        conv, batch,
+        lambda x: retired_conv(x, weights, bias, stride, padding, relu),
+    )
+    want, magnitude = oracle_conv(batch, weights, bias, stride, padding, relu)
+    # Budget: the K-term dot product plus bias accumulates, in any
+    # summation order, at most (K + 1) * eps/2 of sum|x*w| + |b|;
+    # doubled for slack.
+    terms = kernel * kernel * c + 1
+    assert (np.abs(got - want) <= terms * EPS * magnitude).all()
+
+
+@pytest.mark.parametrize("kernel,stride,padding", GEOMETRIES)
+@pytest.mark.parametrize("n,h,w,c,sliced", INPUTS)
+def test_maxpool_against_oracle_and_retired(n, h, w, c, sliced, kernel,
+                                            stride, padding):
+    batch = make_input(n, h, w, c, sliced)
+    pool = L.MaxPool2D((h, w, c), kernel, stride=stride, padding=padding)
+    got = same_as_retired(
+        pool, batch,
+        lambda x: retired_windows(
+            x, kernel, stride, padding, -np.inf
+        ).max(axis=(3, 4)),
+    )
+    want, _ = oracle_pool(batch, kernel, stride, padding, "max")
+    # max rounds nothing: the float64 oracle must match exactly
+    assert np.array_equal(got.astype(np.float64), want)
+
+
+@pytest.mark.parametrize("kernel,stride,padding", GEOMETRIES)
+@pytest.mark.parametrize("n,h,w,c,sliced", INPUTS)
+def test_avgpool_against_oracle_and_retired(n, h, w, c, sliced, kernel,
+                                            stride, padding):
+    batch = make_input(n, h, w, c, sliced)
+    pool = L.AvgPool2D((h, w, c), kernel, stride=stride, padding=padding)
+    got = pool.call_batch(batch)
+    if c > 1:
+        # With a single channel numpy coalesces the channel axis into
+        # the window's column axis and the retired reduction sums each
+        # window row first; for every real channel count it sums the
+        # window in row-major order, which is the order the kernel keeps.
+        same_as_retired(
+            pool, batch,
+            lambda x: retired_windows(
+                x, kernel, stride, padding, 0.0
+            ).mean(axis=(3, 4), dtype=np.float32),
+        )
+    want, magnitude = oracle_pool(batch, kernel, stride, padding, "avg")
+    # k*k - 1 adds, each rounding at most eps/2 of the window's
+    # sum|x|, then the divide by k*k and its own rounding: at most
+    # (eps/2) * sum|x| in all, doubled for slack.
+    budget = EPS * magnitude
+    assert (np.abs(got - want) <= budget).all()
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+@pytest.mark.parametrize("n,h,w,c,sliced", INPUTS + [(2, 4, 4, 16, False)])
+def test_lrn_against_oracle_and_retired(n, h, w, c, sliced, radius):
+    """Covers C < 2r + 1 (1, 4 and 5 channels against windows up to 7)."""
+    batch = make_input(n, h, w, c, sliced)
+    lrn = L.LocalResponseNorm((h, w, c), depth_radius=radius)
+    got = same_as_retired(
+        lrn, batch,
+        lambda x: retired_lrn(x, radius, lrn.bias, lrn.alpha, lrn.beta),
+    )
+    want = oracle_lrn(batch, radius, lrn.bias, lrn.alpha, lrn.beta)
+    # Relative budget, counting roundings of at most eps/2: a square
+    # per window term and 2r adds reach the scale (under 2r + 2),
+    # alpha, bias and powf add about three, the divide one; beta < 1
+    # only shrinks what the base carries. A whole eps per rounding
+    # leaves a factor of two for powf's last ulp.
+    np.testing.assert_allclose(got, want, rtol=(2 * radius + 6) * EPS, atol=0)
+
+
+def test_ops_called_with_float64_compute_in_float32():
+    """Regression: an op called directly with float64 used to compute
+    LRN in float64 and round at the end, so ``op(x)`` and
+    ``CNN.forward(x)`` (which casts first) disagreed in the last bits."""
+    batch64 = make_input(2, 8, 8, 6, False).astype(np.float64) + 1e-9
+    batch32 = batch64.astype(np.float32)
+    ops = [
+        L.LocalResponseNorm((8, 8, 6)),
+        L.MaxPool2D((8, 8, 6), 3, stride=2, padding=1),
+        L.AvgPool2D((8, 8, 6), 3, stride=2, padding=1),
+        L.Conv2D((8, 8, 6), 4, 3, padding=1,
+                 weights=np.ones((3, 3, 6, 4), dtype=np.float32)),
+        L.BottleneckBlock((8, 8, 6), 2, rng=np.random.default_rng(0)),
+    ]
+    for op in ops:
+        assert_same_bits(op.call_batch(batch64), op.call_batch(batch32))
+        assert_same_bits(op(batch64[0]), op(batch32[0]))
+
+
+def test_kernels_leave_their_input_alone():
+    """In-place epilogues may only touch arrays the kernel allocated."""
+    batch = make_input(2, 8, 8, 8, False)
+    batch.flags.writeable = False
+    before = batch.tobytes()
+    rng = np.random.default_rng(0)
+    ops = [
+        L.Conv2D((8, 8, 8), 4, 1, relu=True,
+                 weights=rng.normal(size=(1, 1, 8, 4)).astype(np.float32)),
+        L.Conv2D((8, 8, 8), 4, 3, padding=1, relu=True,
+                 weights=rng.normal(size=(3, 3, 8, 4)).astype(np.float32)),
+        L.MaxPool2D((8, 8, 8), 1),
+        L.MaxPool2D((8, 8, 8), 2),
+        L.AvgPool2D((8, 8, 8), 2),
+        L.LocalResponseNorm((8, 8, 8)),
+        L.BottleneckBlock((8, 8, 8), 2, rng=rng),  # identity shortcut
+    ]
+    for op in ops:
+        out = op.call_batch(batch)
+        assert not np.shares_memory(out, batch), op.name
+        op(batch[0])
+    assert batch.tobytes() == before

@@ -109,3 +109,51 @@ def test_mini_models_execute_and_are_small():
 def test_profiles_attached_to_built_models():
     model = build_model("resnet50", profile="mini")
     assert len(model.profiles) == model.num_layers
+
+
+def _frozen(array):
+    array = np.array(array, dtype=np.float32)
+    array.flags.writeable = False
+    return array
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_ROSTER))
+def test_chain_inference_never_writes_its_input(name):
+    """Stored feature blocks reach the kernels as zero-copy views of a
+    cached partition, so a kernel that finished its arithmetic in place
+    on its *input* would corrupt the cache. A read-only array makes any
+    such write raise; the bytes are compared as well."""
+    model = build_model(name, profile="mini")
+    rng = np.random.default_rng(3)
+    images = _frozen(rng.normal(size=(3,) + model.input_shape))
+    before = images.tobytes()
+    top = model.feature_layers[-1]
+    direct = model.forward_batch(images, upto=top)
+    model.forward(images[0])
+    for layer in model.feature_layers:
+        stored = _frozen(model.forward_batch(images, upto=layer))
+        stored_before = stored.tobytes()
+        resumed = model.partial_forward_batch(stored, layer, top)
+        assert np.array_equal(resumed, direct)
+        model.partial_forward(stored[0], layer, top)
+        assert stored.tobytes() == stored_before
+    assert images.tobytes() == before
+
+
+def test_dag_inference_never_writes_its_input():
+    from repro.cnn.dag import build_demo_dag
+    from repro.cnn.zoo.densenet import build_densenet_mini
+
+    for dag in (build_densenet_mini(), build_demo_dag()):
+        shape = next(iter(dag.nodes.values())).op.input_shape
+        image = _frozen(np.random.default_rng(4).normal(size=shape))
+        before = image.tobytes()
+        direct = dag.forward(image)
+        # resume above a materialized, read-only cut
+        cut = dag.feature_nodes[0]
+        held = {cut: _frozen(direct[cut])}
+        held_before = held[cut].tobytes()
+        for target, tensor in dag.forward(image, materialized=held).items():
+            assert np.array_equal(tensor, direct[target])
+        assert held[cut].tobytes() == held_before
+        assert image.tobytes() == before
