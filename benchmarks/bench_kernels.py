@@ -32,7 +32,16 @@ import os
 import sys
 import time
 
-import numpy as np
+if __name__ == "__main__":
+    # One BLAS thread, as benchmarks/e2e/run.py pins its children, set
+    # before numpy loads the library: the overhead benches divide CPU
+    # time by CPU time, and an unpinned OpenBLAS spin-waits its idle
+    # threads into one side of the ratio.
+    for _variable in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                      "MKL_NUM_THREADS"):
+        os.environ[_variable] = "1"
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -164,10 +173,10 @@ def bench_metrics_overhead(pairs=48):
 
     # Shared dataset: generation cost stays out of the timings. The
     # registry's cost is per task/stage, not per record, so the record
-    # count sets the signal-to-noise of the measured *fraction* — 320
+    # count sets the signal-to-noise of the measured *fraction* — 640
     # records makes one run long enough that the fixed instrument cost
     # is well inside the budget and scheduler spikes average out.
-    dataset = foods_dataset(num_records=320)
+    dataset = foods_dataset(num_records=640)
 
     def make_vista():
         return Vista(
@@ -221,7 +230,7 @@ def bench_ledger_overhead(pairs=24):
     # Larger than the metrics bench workload on purpose: ledger cost is
     # per *event* (partition/span bound), not per record, so more
     # records grow the denominator without growing the event stream.
-    dataset = foods_dataset(num_records=640)
+    dataset = foods_dataset(num_records=1280)
 
     def make_vista():
         return Vista(

@@ -151,7 +151,6 @@ COMMITTED_BENCHES = {
     "kernels": "BENCH_kernels.json",
     "recovery": "BENCH_recovery.json",
     "calibration": "BENCH_calibration.json",
-    "dataflow": "BENCH_dataflow.json",
     "parallel": "BENCH_parallel.json",
     "observe": "BENCH_observe.json",
 }

@@ -37,12 +37,6 @@ from repro.tensor.tensorlist import TensorList
 from repro.trace import NULL_TRACER
 
 
-def _stackable(values):
-    """True iff a partition's column can be stacked into one (N, ...)
-    batch: plain same-shape tensors, no TensorList members."""
-    return not any(isinstance(value, TensorList) for value in values)
-
-
 def estimate_model_mem_bytes(cnn, blowup=3.0):
     """Runtime footprint estimate of an executable CNN: parameter bytes
     times a blowup factor (serialized formats underestimate in-memory
@@ -393,20 +387,12 @@ class FeatureTransferExecutor:
         all_layers = self.layers
         # Sniff the first *non-empty* partition: partition 0 may be
         # empty (skewed keys, tiny tables) and an all-empty table has
-        # nothing to reject. Columnar partitions answer from the block
-        # without materializing row views.
+        # nothing to reject.
         for partition in source.partitions:
-            if len(partition) == 0:
-                continue
             block = partition.block()
-            if block is not None:
-                sample = (
-                    block.column(source_field)[0]
-                    if block.has_column(source_field) else None
-                )
-            else:
-                sample = partition.rows()[0].get(source_field)
-            if isinstance(sample, TensorList):
+            if block.num_rows == 0:
+                continue
+            if isinstance(block.column(source_field)[0], TensorList):
                 raise NotImplementedError(
                     "Eager materialization with multiple images per record "
                     "is not supported (it would need nested TensorLists); "
@@ -414,21 +400,9 @@ class FeatureTransferExecutor:
                 )
             break
 
-        def run_all_layers(current, num_rows):
-            """All-layer inference over one (N, ...) source stack;
-            returns one TensorList of layer outputs per row."""
-            per_row = [[] for _ in range(num_rows)]
-            previous = source_layer
-            for layer in all_layers:
-                current = self.cnn.partial_forward_batch(
-                    current, previous or 0, layer
-                )
-                for tensors, member in zip(per_row, current):
-                    tensors.append(member)
-                previous = layer
-            return [TensorList(tensors) for tensors in per_row]
-
         def materialize_block(block):
+            """All-layer inference over the block's source column; one
+            ``tensor:<layer>`` array column per layer."""
             if block.num_rows == 0:
                 return ColumnarBlock.empty()
             columns = {"id": block.column("id")}
@@ -442,27 +416,14 @@ class FeatureTransferExecutor:
                     np.asarray(v, dtype=np.float32)
                     for v in block.column(source_field)
                 ])
-            columns["tensors"] = run_all_layers(current, block.num_rows)
+            previous = source_layer
+            for layer in all_layers:
+                current = self.cnn.partial_forward_batch(
+                    current, previous or 0, layer
+                )
+                columns[f"tensor:{layer}"] = current
+                previous = layer
             return ColumnarBlock(columns, block.num_rows)
-
-        def materialize_rows(rows):
-            if not rows:
-                return []
-            out_rows = []
-            for row in rows:
-                out = {"id": row["id"]}
-                for field in ("features", "label"):
-                    if field in row:
-                        out[field] = row[field]
-                out_rows.append(out)
-            current = np.stack(
-                [np.asarray(row[source_field], dtype=np.float32)
-                 for row in rows]
-            )
-            tensor_lists = run_all_layers(current, len(rows))
-            for out, tensors in zip(out_rows, tensor_lists):
-                out["tensors"] = tensors
-            return out_rows
 
         base = source
         if plan.join_placement is JoinPlacement.AFTER_JOIN:
@@ -476,8 +437,8 @@ class FeatureTransferExecutor:
             )
             try:
                 eager_table = base.map_blocks(
-                    materialize_block, row_fn=materialize_rows,
-                    name="t_eager", user_alpha=self.user_alpha,
+                    materialize_block, name="t_eager",
+                    user_alpha=self.user_alpha,
                     checkpoint=self._ckpt(
                         f"eager:{source_layer or 'image'}->{all_layers[-1]}"
                         + ("+aj" if plan.join_placement
@@ -500,9 +461,9 @@ class FeatureTransferExecutor:
         eager_table.cache(self.config.persistence)
         results = {}
         try:
-            for position, layer in enumerate(all_layers):
+            for layer in all_layers:
 
-                def project_block(block, p=position):
+                def project_block(block, layer=layer):
                     if block.num_rows == 0:
                         return ColumnarBlock.empty()
                     return ColumnarBlock(
@@ -510,29 +471,13 @@ class FeatureTransferExecutor:
                             "id": block.column("id"),
                             "features": block.column("features"),
                             "label": block.column("label"),
-                            # Same-shape members stack back into one
-                            # (N, ...) tensor column for batched
-                            # pooling downstream.
-                            "tensor": pack_column([
-                                tensors[p]
-                                for tensors in block.column("tensors")
-                            ]),
+                            "tensor": block.column(f"tensor:{layer}"),
                         },
                         block.num_rows,
                     )
 
                 projected = eager_table.map_blocks(
-                    project_block,
-                    row_fn=lambda rows, p=position: [
-                        {
-                            "id": row["id"],
-                            "features": row["features"],
-                            "label": row["label"],
-                            "tensor": row["tensors"][p],
-                        }
-                        for row in rows
-                    ],
-                    user_alpha=self.user_alpha,
+                    project_block, user_alpha=self.user_alpha,
                 )
                 results[layer] = self._train(projected, layer)
         finally:
@@ -578,21 +523,19 @@ class FeatureTransferExecutor:
         reused — the cross-session workflow Appendix B motivates —
         and fresh materializations are persisted for next time.
         """
-        from repro.dataflow.table import DistributedTable
-
         with self.tracer.span(f"prematerialize:{layer}", layer=layer) as sp:
             if self.feature_store is not None:
                 from repro.features.store import dataset_fingerprint
 
                 fingerprint = dataset_fingerprint(self.dataset)
-                rows = self.feature_store.get(
+                block = self.feature_store.get(
                     self.cnn.name, layer, fingerprint
                 )
-                if rows is not None:
+                if block is not None:
                     self.metrics["premat_store_hit"] = True
                     sp.set("store_hit", True)
-                    return DistributedTable.from_rows(
-                        self.context, rows, self.config.num_partitions,
+                    return DistributedTable.from_block(
+                        self.context, block, self.config.num_partitions,
                         name=f"t_premat_{layer}",
                     )
             table = self._inference_map(self.timg, "image", None, layer)
@@ -668,12 +611,11 @@ class FeatureTransferExecutor:
         """Partial CNN inference ``f̂_{from→to}`` as a block-level
         batched UDF, with DL replica charges held for the duration.
 
-        Columnar partitions feed their stored ``(N, H, W, C)`` image
-        column straight into the batched kernels — zero-copy, no
-        per-stage stack/split. Object columns (ragged tensors,
+        An array column — the stored ``(N, H, W, C)`` images or the
+        previous stage's ``(N, ...)`` tensors — feeds straight into the
+        batched kernels, zero-copy. Object columns (ragged tensors,
         TensorLists) batch by exact shape group via
-        :meth:`_infer_ragged`. Legacy row partitions keep the old
-        stack-then-batch path.
+        :meth:`_infer_ragged`.
         """
         def infer_block(block):
             if block.num_rows == 0:
@@ -692,29 +634,6 @@ class FeatureTransferExecutor:
                 ))
             return ColumnarBlock(columns, block.num_rows)
 
-        def infer_rows(rows):
-            if not rows:
-                return []
-            values = [row[field] for row in rows]
-            if _stackable(values):
-                batch = np.stack(
-                    [np.asarray(v, dtype=np.float32) for v in values]
-                )
-                tensors = list(self.cnn.partial_forward_batch(
-                    batch, from_layer or 0, to_layer
-                ))
-            else:
-                tensors = self._infer_ragged(values, from_layer, to_layer)
-            out_rows = []
-            for row, tensor in zip(rows, tensors):
-                out = {"id": row["id"]}
-                for extra in keep:
-                    if extra in row:
-                        out[extra] = row[extra]
-                out["tensor"] = tensor
-                out_rows.append(out)
-            return out_rows
-
         stage_id = (
             f"infer:{from_layer or 'image'}->{to_layer}"
             + ("+aj" if keep else "")
@@ -726,7 +645,7 @@ class FeatureTransferExecutor:
             release = charge_model_replicas(self.context, self.model_mem_bytes)
             try:
                 result = table.map_blocks(
-                    infer_block, row_fn=infer_rows, name=f"t_{to_layer}",
+                    infer_block, name=f"t_{to_layer}",
                     user_alpha=self.user_alpha,
                     checkpoint=self._ckpt(stage_id),
                 )
@@ -795,22 +714,11 @@ class FeatureTransferExecutor:
                     block.column("tensor"), grid=grid
                 )
             else:
-                pooled = pack_column(pool_values(block.column("tensor")))
-            feats = block.column("features")
-            if isinstance(pooled, np.ndarray) \
-                    and block.is_array("features"):
-                vectors = np.concatenate(
-                    [feats.astype(np.float32, copy=False),
-                     np.asarray(pooled, dtype=np.float32)], axis=1,
-                )
-            else:
-                vectors = [
-                    np.concatenate(
-                        [np.asarray(f, dtype=np.float32),
-                         np.asarray(v, dtype=np.float32)]
-                    )
-                    for f, v in zip(feats, pooled)
-                ]
+                pooled = pool_values(block.column("tensor"))
+            vectors = np.concatenate(
+                [np.asarray(block.column("features"), dtype=np.float32),
+                 np.asarray(pooled, dtype=np.float32)], axis=1,
+            )
             return ColumnarBlock(
                 {
                     "id": block.column("id"),
@@ -820,31 +728,8 @@ class FeatureTransferExecutor:
                 block.num_rows,
             )
 
-        def vectorize_rows(rows):
-            if not rows:
-                return []
-            tensors = [row["tensor"] for row in rows]
-            if _stackable(tensors):
-                batch = np.stack(
-                    [np.asarray(t, dtype=np.float32) for t in tensors]
-                )
-                pooled = pool_feature_tensor_batch(batch, grid=grid)
-            else:
-                pooled = pool_values(tensors)
-            return [
-                {
-                    "id": row["id"],
-                    "label": row["label"],
-                    "x": np.concatenate(
-                        [np.asarray(row["features"], dtype=np.float32), vec]
-                    ),
-                }
-                for row, vec in zip(rows, pooled)
-            ]
-
         vectors = table.map_blocks(
-            vectorize_block, row_fn=vectorize_rows,
-            user_alpha=self.user_alpha,
+            vectorize_block, user_alpha=self.user_alpha,
             checkpoint=self._ckpt(f"train:{layer}"),
         )
         features, labels = self._collect_train_matrix(vectors)
@@ -857,49 +742,15 @@ class FeatureTransferExecutor:
 
     def _collect_train_matrix(self, vectors):
         """Gather the vectorized table at the driver as ``(features,
-        labels)`` ordered by id. All-columnar tables assemble the
-        matrix with one concatenate + argsort over the stored blocks;
-        legacy tables fall back to row collect + sort. Driver memory is
-        charged exactly as :meth:`DistributedTable.collect` does —
-        crash scenario (4) accounting is unchanged."""
-        blocks = []
-        for partition in vectors.partitions:
-            block = partition.block()
-            if block is None or (
-                block.num_rows and not (
-                    block.is_array("id") and block.is_array("label")
-                    and block.is_array("x")
-                )
-            ):
-                blocks = None
-                break
-            if block.num_rows:
-                blocks.append(block)
-        if blocks is None:
-            rows = vectors.collect()
-            rows.sort(key=lambda row: row["id"])
-            features = np.stack([row["x"] for row in rows])
-            labels = np.array(
-                [row["label"] for row in rows], dtype=np.int64
-            )
-            return features, labels
-        nbytes = vectors.memory_bytes()
-        self.tracer.add("collect_bytes", nbytes)
-        self.context.driver.charge(
-            Region.DRIVER, nbytes, what=f"collect of {vectors.name}"
-        )
-        try:
-            ids = np.concatenate([b.column("id") for b in blocks])
-            order = np.argsort(ids, kind="stable")
-            features = np.concatenate(
-                [b.column("x") for b in blocks]
-            )[order]
-            labels = np.concatenate(
-                [b.column("label") for b in blocks]
-            )[order].astype(np.int64, copy=False)
-            return features, labels
-        finally:
-            self.context.driver.release(Region.DRIVER, nbytes)
+        labels)`` ordered by id (Driver memory is charged by
+        :meth:`DistributedTable.collect_block` — crash scenario (4))."""
+        block = vectors.collect_block()
+        if block.num_rows == 0:
+            raise ValueError(f"no rows to train on in {vectors.name}")
+        order = np.argsort(block.column("id"), kind="stable")
+        features = block.column("x")[order]
+        labels = block.column("label")[order].astype(np.int64, copy=False)
+        return features, labels
 
     def _finalize_metrics(self):
         context = self.context

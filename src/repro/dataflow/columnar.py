@@ -1,11 +1,10 @@
 """Columnar, tensor-native partition payloads.
 
-The engine's partitions originally stored per-row ``dict`` records;
-every batched stage then re-packed N rows into one ``(N, H, W, C)``
-block and split the result back into rows — paying a pack/unpack tax
-on every stage and N pickles on every serialization. This module
-stores a partition the way the kernels want it (TQP/SystemML-style
-tensor-native blocks):
+:class:`ColumnarBlock` is the one in-engine representation of a
+partition (TQP/SystemML-style tensor-native blocks): every operator
+reads blocks and builds blocks, so batched stages never pack rows into
+a batch or split a batch back into rows, and serialization is one
+buffer instead of N pickles.
 
 - one contiguous numpy array per column, with the row axis first —
   numeric scalar columns as ``(N,)`` arrays, tensor columns as one
@@ -13,9 +12,11 @@ tensor-native blocks):
 - an *object* column (a plain list) only where values cannot form one
   block: ragged tensors, :class:`~repro.tensor.tensorlist.TensorList`
   members, strings, Nones;
-- lazy row-view materialization (:meth:`ColumnarBlock.to_rows`) so
-  legacy per-row UDFs keep working — scalar cells come back as Python
-  scalars and tensor cells as zero-copy row views into the block.
+- row dicts exist only as views at the user boundary
+  (:meth:`ColumnarBlock.from_rows` in, :meth:`ColumnarBlock.to_rows`
+  out) — scalar cells come back as Python scalars and tensor cells as
+  zero-copy row views into the block. Rows that do not share one
+  schema are rejected with :class:`NotColumnar`.
 
 The zero-copy contract consumers rely on:
 
@@ -29,11 +30,11 @@ Consumers must therefore never mutate a column or a row view in
 place; every engine operator builds fresh output blocks instead.
 
 Sizing is exact: :attr:`ColumnarBlock.nbytes` sums the real buffer
-sizes (object columns fall back to the Appendix A per-value
-estimator), replacing the Tungsten per-record heuristic for columnar
-payloads. The wire format (:meth:`to_buffer`) is a single buffer —
-one JSON header plus the raw column buffers back to back — instead of
-N pickles, which is what shrinks spill and shuffle bytes.
+sizes (object-column members use the Appendix A per-value estimator).
+The wire format (:meth:`to_buffer`) is a single buffer — one JSON
+header plus the raw column buffers back to back — deterministic and
+pickle-free for array-only blocks, which is every block a
+single-image workload produces.
 """
 
 from __future__ import annotations
@@ -47,35 +48,6 @@ from repro.dataflow.record import _VAR_HEADER, estimate_value_bytes
 
 #: Wire-format magic for a single-buffer columnar blob (version 1).
 MAGIC = b"VCB1"
-
-_enabled = True
-
-
-def columnar_enabled():
-    """Whether new partitions pack their rows into columnar blocks."""
-    return _enabled
-
-
-def set_columnar_enabled(flag):
-    """Globally enable/disable columnar packing (benchmarks use this
-    to run the legacy row layout as a baseline). Returns the previous
-    setting."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(flag)
-    return previous
-
-
-class row_layout:
-    """Context manager forcing the legacy row-list layout."""
-
-    def __enter__(self):
-        self._previous = set_columnar_enabled(False)
-        return self
-
-    def __exit__(self, *exc):
-        set_columnar_enabled(self._previous)
-        return False
 
 
 class NotColumnar(TypeError):
@@ -132,7 +104,7 @@ class ColumnarBlock:
 
     ``columns`` maps field name to either a numpy array whose first
     axis is the row axis, or a list (an object column). Column
-    insertion order is the record field order legacy row views see.
+    insertion order is the field order row views see.
     """
 
     __slots__ = ("_columns", "_num_rows", "_nbytes")
@@ -159,8 +131,8 @@ class ColumnarBlock:
     def from_rows(cls, rows):
         """Pack uniform-schema row dicts into one block.
 
-        Raises :class:`NotColumnar` when the rows do not share one
-        field set (legacy payloads keep the row-list layout).
+        Raises :class:`NotColumnar` when the rows are not dicts
+        sharing one field set.
         """
         rows = list(rows)
         if not rows:
@@ -208,7 +180,8 @@ class ColumnarBlock:
         return isinstance(self._columns[name], np.ndarray)
 
     def to_rows(self):
-        """Materialize legacy row dicts (lazily used by per-row UDFs).
+        """Materialize row dicts (the view per-row UDFs and
+        ``collect`` see).
 
         Scalar columns come back as Python scalars (``tolist``);
         tensor columns come back as zero-copy row views.

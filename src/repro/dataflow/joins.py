@@ -13,25 +13,23 @@ Two distributed key-key equi-join implementations:
   with no shuffle. Faster when the small side fits (Figure 10), but
   crashes as the structured side grows (Figure 10(3,4)).
 
-On columnar partitions both operators run vectorized: key matching is
-one stable argsort + ``searchsorted`` over the build side's key
-column, and the joined output is assembled with one fancy-index gather
-per column — no per-row Python loop, and the gathered tensor columns
-come straight from the stored blocks (zero-copy reads). Legacy row
-partitions (or non-integer keys) fall back to the per-row hash join.
+Both operators run the same local hash join over columnar blocks: key
+matching yields ``(probe_idx, build_idx)`` index arrays — one stable
+argsort + ``searchsorted`` over integer key columns, a dict lookup for
+any other key type — and the joined output is assembled with one
+fancy-index gather per column, the gathered tensor columns coming
+straight from the stored blocks (zero-copy reads).
 
-Join output merges the two records; on a field-name clash the left
-(probe) side wins except for the key, which is identical by
-definition.
+Join output merges the two records; on a field-name clash the probe
+side wins except for the key, which is identical by definition.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.dataflow.columnar import ColumnarBlock, NotColumnar
+from repro.dataflow.columnar import ColumnarBlock
 from repro.dataflow.partition import Partition
-from repro.dataflow.record import estimate_rows_bytes
 from repro.dataflow.executor import run_partition_tasks
 from repro.memory.model import Region
 from repro.metrics import NULL_METRICS
@@ -41,83 +39,56 @@ SHUFFLE = "shuffle"
 BROADCAST = "broadcast"
 
 
-def _merge(left_row, right_row):
-    merged = dict(right_row)
-    merged.update(left_row)
-    return merged
+def _match_keys(probe_keys, build_keys):
+    """``(probe_idx, build_idx)``: the positions of the probe keys that
+    have a build-side match and the matching build positions, in probe
+    order. Duplicate build keys resolve to the last occurrence
+    (dict-insert semantics) on both branches."""
+    if all(
+        isinstance(keys, np.ndarray) and np.issubdtype(keys.dtype, np.integer)
+        for keys in (probe_keys, build_keys)
+    ):
+        order = np.argsort(build_keys, kind="stable")
+        sorted_keys = build_keys[order]
+        # side="right" - 1 lands on the *last* duplicate.
+        pos = np.searchsorted(sorted_keys, probe_keys, side="right") - 1
+        safe = np.maximum(pos, 0)
+        matched = (pos >= 0) & (sorted_keys[safe] == probe_keys)
+        return np.nonzero(matched)[0], order[safe[matched]]
+    last = {key: position for position, key in enumerate(build_keys)}
+    pairs = np.array(
+        [(position, last[key])
+         for position, key in enumerate(probe_keys) if key in last],
+        dtype=np.intp,
+    ).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
 
 
-def _join_key_column(block, key):
-    """The key column when it supports vectorized matching (an integer
-    array), else None."""
-    if block is None or not block.has_column(key) \
-            or not block.is_array(key):
-        return None
-    keys = block.column(key)
-    if not np.issubdtype(keys.dtype, np.integer):
-        return None
-    return keys
-
-
-def _columnar_hash_join(probe_block, probe_key, build_block, build_key):
-    """Vectorized local hash join: match the probe block's key column
-    against the build block's and gather the merged output one column
-    at a time. Output row order follows the probe block (as the row
-    path's probe loop does); duplicate build keys resolve to the last
-    occurrence (dict-insert semantics). Returns None when either side
-    cannot be matched vectorized.
-    """
-    if probe_block is None or build_block is None:
-        return None
+def _hash_join(probe_block, probe_key, build_block, build_key):
+    """Local hash join of two blocks: match the probe block's key
+    column against the build block's and gather the merged output one
+    column at a time. Output row order follows the probe block."""
     if probe_block.num_rows == 0 or build_block.num_rows == 0:
         return ColumnarBlock.empty()
-    probe_keys = _join_key_column(probe_block, probe_key)
-    build_keys = _join_key_column(build_block, build_key)
-    if probe_keys is None or build_keys is None:
-        return None
-    order = np.argsort(build_keys, kind="stable")
-    sorted_keys = build_keys[order]
-    # side="right" - 1 lands on the *last* duplicate, matching the
-    # row path's dict overwrite semantics.
-    pos = np.searchsorted(sorted_keys, probe_keys, side="right") - 1
-    safe = np.maximum(pos, 0)
-    matched = (pos >= 0) & (sorted_keys[safe] == probe_keys)
-    probe_idx = np.nonzero(matched)[0]
-    build_idx = order[safe[matched]]
+    probe_idx, build_idx = _match_keys(
+        probe_block.column(probe_key), build_block.column(build_key)
+    )
     if len(probe_idx) == 0:
         return ColumnarBlock.empty()
-
-    def gather(block, name, indices):
-        column = block.column(name)
-        if isinstance(column, np.ndarray):
-            return column[indices]
-        return [column[i] for i in indices]
-
-    # Merged field order mirrors _merge(probe, build): build columns
-    # first (probe values win on a clash), then probe-only columns.
+    probe_out = probe_block.take(probe_idx)
+    build_out = build_block.select([
+        name for name in build_block.column_names
+        if not probe_block.has_column(name)
+    ]).take(build_idx)
+    # Merged field order: build columns first (probe values win on a
+    # clash), then probe-only columns.
     columns = {}
     for name in build_block.column_names:
-        if probe_block.has_column(name):
-            columns[name] = gather(probe_block, name, probe_idx)
-        else:
-            columns[name] = gather(build_block, name, build_idx)
+        source = probe_out if probe_block.has_column(name) else build_out
+        columns[name] = source.column(name)
     for name in probe_block.column_names:
-        if name not in columns:
-            columns[name] = gather(probe_block, name, probe_idx)
+        columns.setdefault(name, probe_out.column(name))
     return ColumnarBlock(columns, len(probe_idx))
-
-
-def _rows_hash_join(probe_rows, probe_key, build_rows, build_key):
-    """Legacy per-row local hash join."""
-    table = {}
-    for row in build_rows:
-        table[row[build_key]] = row
-    joined = []
-    for row in probe_rows:
-        match = table.get(row[probe_key])
-        if match is not None:
-            joined.append(_merge(row, match))
-    return joined
 
 
 def shuffle_hash_join(left, right, num_partitions=None, name=None,
@@ -152,15 +123,9 @@ def shuffle_hash_join(left, right, num_partitions=None, name=None,
             build_partition = build_parts.get(probe_partition.index)
             if build_partition is None:
                 return ColumnarBlock.empty()
-            joined = _columnar_hash_join(
+            return _hash_join(
                 probe_partition.block(), probe.key,
                 build_partition.block(), build.key,
-            )
-            if joined is not None:
-                return joined
-            return _rows_hash_join(
-                probe_partition.rows(), probe.key,
-                build_partition.rows(), build.key,
             )
 
         build_size_hist = getattr(
@@ -182,8 +147,6 @@ def shuffle_hash_join(left, right, num_partitions=None, name=None,
         )
         partitions = [
             Partition.from_block(p.index, out)
-            if isinstance(out, ColumnarBlock)
-            else Partition.from_rows(p.index, out)
             for p, out in zip(probe.partitions, outputs)
         ]
         result = DistributedTable(
@@ -210,17 +173,9 @@ def broadcast_join(small, big, name=None):
     with tracer.span("join:broadcast", small=small.name, big=big.name,
                      strategy=BROADCAST) as sp:
         small_bytes = small.memory_bytes()
-        small_rows = small.collect()  # charges Driver memory
-        # One columnar copy of the broadcast table serves every
-        # partition's vectorized probe; legacy fallback keeps a dict.
-        try:
-            small_block = ColumnarBlock.from_rows(small_rows)
-        except NotColumnar:
-            small_block = None
-        lookup = None
-        if _join_key_column(small_block, small.key) is None:
-            small_block = None
-            lookup = {row[small.key]: row for row in small_rows}
+        # One block of the broadcast table serves every partition's
+        # probe.
+        small_block = small.collect_block()  # charges Driver memory
         sp.add("broadcast_bytes", small_bytes)
         metrics = getattr(context, "metrics", NULL_METRICS)
         metrics.counter("broadcast_bytes_total").inc(small_bytes)
@@ -239,31 +194,12 @@ def broadcast_join(small, big, name=None):
                 charged.append(worker)
 
             def task(partition):
-                if small_block is not None:
-                    joined = _columnar_hash_join(
-                        partition.block(), big.key,
-                        small_block, small.key,
-                    )
-                    if joined is not None:
-                        return joined
-                rows = (
-                    small_rows if lookup is None else None
+                return _hash_join(
+                    partition.block(), big.key, small_block, small.key
                 )
-                table = (
-                    lookup if lookup is not None
-                    else {row[small.key]: row for row in rows}
-                )
-                joined = []
-                for row in partition.rows():
-                    match = table.get(row[big.key])
-                    if match is not None:
-                        joined.append(_merge(row, match))
-                return joined
 
             def charge(partition, out):
-                if isinstance(out, ColumnarBlock):
-                    return out.nbytes
-                return estimate_rows_bytes(out)
+                return out.nbytes
 
             outputs = run_partition_tasks(
                 context, big.partitions, task, region=Region.USER,
@@ -274,8 +210,6 @@ def broadcast_join(small, big, name=None):
                 worker.accountant.release(Region.USER, small_bytes)
         partitions = [
             Partition.from_block(p.index, out)
-            if isinstance(out, ColumnarBlock)
-            else Partition.from_rows(p.index, out)
             for p, out in zip(big.partitions, outputs)
         ]
         result = DistributedTable(

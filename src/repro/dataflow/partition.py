@@ -6,34 +6,20 @@ is either *deserialized* (live objects; fast, large) or *serialized*
 both, report their size under each, and count how many times they were
 converted so benchmarks can attribute serialization overhead.
 
-The deserialized payload is columnar by default: a
-:class:`~repro.dataflow.columnar.ColumnarBlock` holding one contiguous
-array per column, which batched inference, pooling, and vectorized
-joins consume zero-copy, and whose ``memory_bytes`` is *exact* (real
-buffer sizes). Legacy row-list payloads remain supported — rows that
-cannot pack into one block (non-uniform schemas) keep the old layout
-and the Appendix A per-record size heuristic. ``rows()`` always
-returns live row dicts, materializing a lazy row view of the block
-when needed, so per-row UDFs never notice the difference.
-
-Serialization follows the layout: a columnar partition encodes as one
-compressed single-buffer blob (one header + raw column buffers) instead
-of N pickles; row partitions keep the pickle blob. Deserialization
-sniffs the wire magic, so either blob kind round-trips.
+The deserialized payload is a
+:class:`~repro.dataflow.columnar.ColumnarBlock` — one contiguous array
+per column, which batched inference, pooling, and vectorized joins
+consume zero-copy, and whose ``memory_bytes`` is *exact* (real buffer
+sizes). The serialized payload is that block's single-buffer VCB1
+encoding, zlib-compressed. ``rows()`` is the row-dict view per-row UDFs
+and ``collect`` read.
 """
 
 from __future__ import annotations
 
-import pickle
 import zlib
 
-from repro.dataflow.columnar import (
-    ColumnarBlock,
-    NotColumnar,
-    columnar_enabled,
-    is_columnar_buffer,
-)
-from repro.dataflow.record import estimate_rows_bytes
+from repro.dataflow.columnar import ColumnarBlock
 
 DESERIALIZED = "deserialized"
 SERIALIZED = "serialized"
@@ -42,94 +28,54 @@ SERIALIZED = "serialized"
 class Partition:
     """One partition of a distributed table.
 
-    Holds a columnar block, live rows, a compressed blob, or any mix
-    (a blob with a decoded cache). ``rows()`` always returns live
-    rows, converting if needed; ``block()`` returns the columnar
-    payload (or None for legacy row partitions).
+    Holds a columnar block, its compressed VCB1 blob, or both (a blob
+    with a decoded cache). ``block()`` returns the block, decoding the
+    blob if that is all we hold; ``rows()`` materializes row views of
+    it.
     """
 
-    def __init__(self, index, rows=None, blob=None, block=None):
-        if rows is None and blob is None and block is None:
-            raise ValueError("a partition needs rows, a block, or a blob")
+    def __init__(self, index, block=None, blob=None):
+        if block is None and blob is None:
+            raise ValueError("a partition needs a block or a blob")
         self.index = index
-        self._rows = list(rows) if rows is not None else None
         self._block = block
         self._blob = blob
-        self._deser_bytes = None
         self.serialize_count = 0
         self.deserialize_count = 0
 
     @classmethod
     def from_rows(cls, index, rows):
-        """Build from row dicts; packs them into a columnar block when
-        the layout is enabled and the rows share one schema."""
-        rows = list(rows)
-        if columnar_enabled():
-            try:
-                return cls(index, block=ColumnarBlock.from_rows(rows))
-            except NotColumnar:
-                pass
-        return cls(index, rows=rows)
+        """Pack row dicts into a columnar partition; raises
+        :class:`~repro.dataflow.columnar.NotColumnar` when they do not
+        share one schema."""
+        return cls(index, block=ColumnarBlock.from_rows(rows))
 
     @classmethod
     def from_block(cls, index, block):
         return cls(index, block=block)
 
     def __len__(self):
-        if self._block is not None:
-            return self._block.num_rows
-        if self._rows is not None:
-            return len(self._rows)
-        block = self.block()  # decodes the blob; avoids row views
-        if block is not None:
-            return block.num_rows
-        return len(self.rows())
-
-    @property
-    def is_columnar(self):
-        """True when a columnar payload is available (decoding the
-        blob if that is all we hold)."""
-        return self.block() is not None
+        return self.block().num_rows
 
     def block(self):
-        """The columnar payload, or None for legacy row partitions.
-        Decodes a columnar blob on demand (counted as one
-        deserialization)."""
-        if self._block is None and self._rows is None \
-                and self._blob is not None:
-            self._decode()
+        """The columnar payload. Decodes the blob on demand (counted
+        as one deserialization)."""
+        if self._block is None:
+            self._block = ColumnarBlock.from_buffer(
+                zlib.decompress(self._blob)
+            )
+            self.deserialize_count += 1
         return self._block
 
     def rows(self):
-        """Live row dicts — a lazy row view of the columnar block, or
-        the stored rows for legacy payloads."""
-        if self._rows is None:
-            if self._block is None:
-                self._decode()
-            if self._block is not None:
-                self._rows = self._block.to_rows()
-        return self._rows
-
-    def _decode(self):
-        raw = zlib.decompress(self._blob)
-        if is_columnar_buffer(raw):
-            self._block = ColumnarBlock.from_buffer(raw)
-        else:
-            self._rows = pickle.loads(raw)
-        self.deserialize_count += 1
+        """Row dicts — a fresh row view of the block per call."""
+        return self.block().to_rows()
 
     def serialized_blob(self):
-        """The compressed wire form: a single-buffer columnar encode
-        (one header + raw column buffers) for columnar payloads, a
-        pickle of the row list for legacy ones."""
+        """The compressed wire form: the block's single-buffer VCB1
+        encoding (one header + raw column buffers)."""
         if self._blob is None:
-            if self._block is not None:
-                raw = self._block.to_buffer()
-            else:
-                raw = pickle.dumps(
-                    self._rows, protocol=pickle.HIGHEST_PROTOCOL
-                )
-            self._blob = zlib.compress(raw, 1)
+            self._blob = zlib.compress(self._block.to_buffer(), 1)
             self.serialize_count += 1
         return self._blob
 
@@ -137,42 +83,26 @@ class Partition:
         """Keep only the serialized representation (after ensuring it
         exists); models storing a partition in serialized format."""
         self.serialized_blob()
-        self._rows = None
         self._block = None
-        self._deser_bytes = None
 
     def drop_blob(self):
         """Keep only the deserialized payload."""
-        self.rows()
+        self.block()
         self._blob = None
 
     def memory_bytes(self, persistence=DESERIALIZED):
-        """In-memory footprint under a persistence format.
-
-        Serialized is the compressed blob length. Deserialized is
-        *exact* for columnar payloads (real buffer sizes via
-        :attr:`ColumnarBlock.nbytes`); legacy row payloads keep the
-        Appendix A Tungsten-style per-record estimate.
+        """In-memory footprint under a persistence format: the
+        compressed blob length when serialized, the block's exact
+        buffer bytes (:attr:`ColumnarBlock.nbytes`) when deserialized.
         """
         if persistence == SERIALIZED:
             return len(self.serialized_blob())
-        if self._deser_bytes is None:
-            block = self.block()
-            if block is not None:
-                self._deser_bytes = block.nbytes
-            else:
-                self._deser_bytes = estimate_rows_bytes(self.rows())
-        return self._deser_bytes
-
-    def invalidate_size(self):
-        self._deser_bytes = None
+        return self.block().nbytes
 
     def __repr__(self):
         state = []
         if self._block is not None:
-            state.append(f"{self._block.num_rows} rows (columnar)")
-        elif self._rows is not None:
-            state.append(f"{len(self._rows)} rows")
+            state.append(f"{self._block.num_rows} rows")
         if self._blob is not None:
             state.append(f"{len(self._blob)}B blob")
         return f"<Partition {self.index}: {', '.join(state)}>"

@@ -1,14 +1,19 @@
 """Record layout and size estimation (Appendix A, Figure 14).
 
-Rows are plain dicts from field name to value. The estimator mirrors
+Rows are plain dicts from field name to value — the view the engine
+hands to user code; inside the engine a partition is a
+:class:`~repro.dataflow.columnar.ColumnarBlock`. The estimator mirrors
 Spark's Tungsten binary record format: a fixed 8-byte slot per field
 (null-tracking bitmap folded into the first slot), with variable-length
 fields (numpy arrays, TensorLists, strings, raw image bytes) storing an
 8-byte offset+length header in their slot and the payload at the end
 of the record.
 
-Vista uses this arithmetic (Eq. 16) to bound intermediate table sizes,
-and the storage manager uses it to account deserialized cache usage.
+Vista uses this arithmetic (Eq. 16, Figure 15) to bound intermediate
+table sizes ahead of a run. The engine does not charge memory with it:
+partitions are charged their block's exact buffer bytes, and only the
+members of an object column (ragged tensors, TensorLists, strings) are
+priced with :func:`estimate_value_bytes`.
 """
 
 from __future__ import annotations

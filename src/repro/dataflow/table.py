@@ -12,7 +12,6 @@ import numpy as np
 
 from repro.dataflow.columnar import ColumnarBlock
 from repro.dataflow.partition import DESERIALIZED, Partition
-from repro.dataflow.record import estimate_record_bytes, estimate_rows_bytes
 from repro.dataflow.executor import run_partition_tasks
 from repro.memory.model import Region
 from repro.metrics import NULL_METRICS
@@ -20,7 +19,10 @@ from repro.trace import NULL_TRACER
 
 
 class DistributedTable:
-    """A partitioned table of dict records with a designated key field.
+    """A partitioned table with a designated key field. Partitions
+    hold columnar blocks; row dicts appear only at the user boundary —
+    :meth:`from_rows` in, :meth:`map_partitions` / :meth:`map_rows` /
+    :meth:`collect` / :meth:`to_rows_sorted` out.
 
     ``lineage`` records how the table was derived — ``(op, *parent
     table names)`` — mirroring RDD lineage: because operators are
@@ -57,6 +59,21 @@ class DistributedTable:
         ]
         return cls(context, partitions, name=name, key=key)
 
+    @classmethod
+    def from_block(cls, context, block, num_partitions, name=None,
+                   key="id"):
+        """Build a table from one block, dealing row ``i`` to
+        partition ``i % num_partitions`` as :meth:`from_rows` does."""
+        n = block.num_rows
+        num_partitions = max(1, min(int(num_partitions), max(1, n)))
+        partitions = [
+            Partition.from_block(
+                index, block.take(np.arange(index, n, num_partitions))
+            )
+            for index in range(num_partitions)
+        ]
+        return cls(context, partitions, name=name, key=key)
+
     # ------------------------------------------------------------------
     # properties
     # ------------------------------------------------------------------
@@ -79,12 +96,7 @@ class DistributedTable:
     # operators
     # ------------------------------------------------------------------
     def map_rows(self, fn, name=None, user_alpha=1.0):
-        """Apply ``fn(row) -> row`` per record (a per-row UDF).
-
-        Output rows of each concurrently running task are charged to
-        the worker's User Memory (times ``user_alpha``, the paper's
-        JVM-object fudge factor) for the duration of the task wave.
-        """
+        """Apply ``fn(row) -> row`` per record (a per-row UDF)."""
         return self.map_partitions(
             lambda rows: [fn(row) for row in rows], name=name,
             user_alpha=user_alpha,
@@ -92,46 +104,24 @@ class DistributedTable:
 
     def map_partitions(self, fn, name=None, user_alpha=1.0):
         """Apply ``fn(rows) -> rows`` per partition (a MapPartitions
-        UDF), with wave-based User Memory accounting."""
-        def task(partition):
-            return list(fn(partition.rows()))
+        UDF): :meth:`map_blocks` with row views on the way in and the
+        returned rows packed into a block on the way out."""
+        return self.map_blocks(
+            lambda block: ColumnarBlock.from_rows(fn(block.to_rows())),
+            name=name, user_alpha=user_alpha,
+        )
 
-        def charge(partition, out_rows):
-            return int(user_alpha * estimate_rows_bytes(out_rows))
-
-        tracer = getattr(self.context, "tracer", NULL_TRACER)
-        with tracer.span(f"map:{name or self.name}", table=self.name) as sp:
-            outputs = run_partition_tasks(
-                self.context, self.partitions, task, region=Region.USER,
-                charge_fn=charge, what=f"map over {self.name}",
-            )
-            partitions = [
-                Partition.from_rows(p.index, rows)
-                for p, rows in zip(self.partitions, outputs)
-            ]
-            result = DistributedTable(
-                self.context, partitions, name=name, key=self.key,
-                lineage=("map", self.name),
-            )
-            if tracer.enabled:
-                sp.set("out_table", result.name)
-                sp.add("rows_in", self.num_rows())
-                sp.add("rows_out", result.num_rows())
-                sp.add("bytes_out", result.memory_bytes())
-        return result
-
-    def map_blocks(self, block_fn, row_fn=None, name=None, user_alpha=1.0,
+    def map_blocks(self, block_fn, name=None, user_alpha=1.0,
                    checkpoint=None):
-        """Apply ``block_fn(block) -> block`` per columnar partition —
-        the zero-copy batched path: the UDF reads the stored column
-        arrays in place and returns a new
+        """Apply ``block_fn(block) -> block`` per partition — the
+        zero-copy batched path: the UDF reads the stored column arrays
+        in place and returns a new
         :class:`~repro.dataflow.columnar.ColumnarBlock`.
 
-        Legacy row partitions route through ``row_fn(rows) -> rows``
-        when given (otherwise their rows are packed into a block
-        first). Wave-based User Memory accounting matches
-        :meth:`map_partitions`, but columnar outputs are charged their
-        *exact* buffer bytes instead of the per-record estimate.
+        The output block of each concurrently running task is charged
+        to the worker's User Memory — its exact buffer bytes times
+        ``user_alpha``, the paper's JVM-object fudge factor — for the
+        duration of the task wave.
 
         ``checkpoint=(store, stage_id)`` makes the stage durable:
         checksum-valid partitions already in the
@@ -143,22 +133,10 @@ class DistributedTable:
         store, stage_id = checkpoint if checkpoint is not None else (None, None)
 
         def task(partition):
-            block = partition.block()
-            if block is not None:
-                return block_fn(block)
-            if row_fn is not None:
-                return list(row_fn(partition.rows()))
-            return block_fn(ColumnarBlock.from_rows(partition.rows()))
+            return block_fn(partition.block())
 
         def charge(partition, out):
-            if isinstance(out, ColumnarBlock):
-                return int(user_alpha * out.nbytes)
-            return int(user_alpha * estimate_rows_bytes(out))
-
-        def to_partition(index, out):
-            if isinstance(out, ColumnarBlock):
-                return Partition.from_block(index, out)
-            return Partition.from_rows(index, out)
+            return int(user_alpha * out.nbytes)
 
         recovery = getattr(self.context, "recovery_log", None)
         tracer = getattr(self.context, "tracer", NULL_TRACER)
@@ -184,7 +162,7 @@ class DistributedTable:
                     # future backend from ever double-writing a
                     # checkpoint partition.
                     return
-                part = to_partition(partition.index, out)
+                part = Partition.from_block(partition.index, out)
                 committed[partition.index] = part
                 store.put_partition(stage_id, part)
 
@@ -194,7 +172,8 @@ class DistributedTable:
                 on_commit=on_commit if store is not None else None,
             )
             computed = {
-                p.index: committed.get(p.index) or to_partition(p.index, out)
+                p.index: committed.get(p.index)
+                or Partition.from_block(p.index, out)
                 for p, out in zip(pending, outputs)
             }
             partitions = [
@@ -232,22 +211,31 @@ class DistributedTable:
 
     def repartition_by_key(self, num_partitions, name=None):
         """Hash-partition rows on the key into ``num_partitions``
-        shuffle blocks, metering the shuffled bytes on the context."""
+        shuffle blocks — one bucket assignment over each partition's
+        key column and one fancy-index gather per bucket — metering
+        the shuffled bytes on the context."""
         num_partitions = max(1, int(num_partitions))
         tracer = getattr(self.context, "tracer", NULL_TRACER)
         with tracer.span(f"shuffle:{self.name}", table=self.name) as sp:
-            from repro.dataflow.columnar import NotColumnar
-
-            try:
-                partitions, shuffled, num_rows = self._shuffle_columnar(
-                    num_partitions
+            per_bucket = [[] for _ in range(num_partitions)]
+            shuffled = 0
+            num_rows = 0
+            for partition in self.partitions:
+                block = partition.block()
+                if block.num_rows == 0:
+                    continue
+                buckets = _shuffle_buckets(
+                    block.column(self.key), num_partitions
                 )
-            except NotColumnar:   # mixed schemas across partitions
-                partitions = None
-            if partitions is None:
-                partitions, shuffled, num_rows = self._shuffle_rows(
-                    num_partitions
-                )
+                shuffled += block.nbytes
+                num_rows += block.num_rows
+                for bucket in np.unique(buckets):
+                    indices = np.nonzero(buckets == bucket)[0]
+                    per_bucket[int(bucket)].append(block.take(indices))
+            partitions = [
+                Partition.from_block(index, ColumnarBlock.concat(blocks))
+                for index, blocks in enumerate(per_bucket)
+            ]
             _meter_shuffle(self.context, shuffled)
             sp.add("rows", num_rows)
             sp.add("shuffle_bytes", shuffled)
@@ -256,56 +244,6 @@ class DistributedTable:
                 self.context, partitions, name=name, key=self.key,
                 lineage=("shuffle", self.name),
             )
-
-    def _shuffle_columnar(self, num_partitions):
-        """Vectorized hash partitioning: one modulo over each
-        partition's key column and one fancy-index gather per bucket.
-        Returns ``(None, 0, 0)`` when any partition is legacy rows or
-        the key column is not integer-typed (``hash(i) == i`` for the
-        non-negative integer keys this engine uses, so the bucket
-        assignment is bit-identical to the row path's)."""
-        per_bucket = [[] for _ in range(num_partitions)]
-        shuffled = 0
-        num_rows = 0
-        for partition in self.partitions:
-            block = partition.block()
-            if block is None:
-                return None, 0, 0
-            if block.num_rows == 0:
-                continue
-            if not block.has_column(self.key) \
-                    or not block.is_array(self.key):
-                return None, 0, 0
-            keys = block.column(self.key)
-            if not np.issubdtype(keys.dtype, np.integer) \
-                    or (keys.size and int(keys.min()) < 0):
-                return None, 0, 0
-            buckets = keys % num_partitions
-            shuffled += block.nbytes
-            num_rows += block.num_rows
-            for bucket in np.unique(buckets):
-                indices = np.nonzero(buckets == bucket)[0]
-                per_bucket[int(bucket)].append(block.take(indices))
-        partitions = [
-            Partition.from_block(index, ColumnarBlock.concat(blocks))
-            for index, blocks in enumerate(per_bucket)
-        ]
-        return partitions, shuffled, num_rows
-
-    def _shuffle_rows(self, num_partitions):
-        """Legacy per-row hash partitioning."""
-        buckets = [[] for _ in range(num_partitions)]
-        shuffled = 0
-        for partition in self.partitions:
-            for row in partition.rows():
-                bucket = hash(row[self.key]) % num_partitions
-                buckets[bucket].append(row)
-                shuffled += estimate_record_bytes(row)
-        partitions = [
-            Partition.from_rows(index, bucket)
-            for index, bucket in enumerate(buckets)
-        ]
-        return partitions, shuffled, sum(len(b) for b in buckets)
 
     def cache(self, persistence=DESERIALIZED):
         """Persist every partition in its worker's Storage region."""
@@ -332,9 +270,9 @@ class DistributedTable:
             worker.storage.evict((self.name, partition.index))
         return self
 
-    def collect(self):
-        """Gather all rows at the driver (charged to Driver memory —
-        crash scenario (4) of Section 4.1)."""
+    def collect_block(self):
+        """Gather all partitions at the driver as one block (charged
+        to Driver memory — crash scenario (4) of Section 4.1)."""
         nbytes = self.memory_bytes()
         tracer = getattr(self.context, "tracer", NULL_TRACER)
         tracer.add("collect_bytes", nbytes)
@@ -342,12 +280,15 @@ class DistributedTable:
             Region.DRIVER, nbytes, what=f"collect of {self.name}"
         )
         try:
-            rows = []
-            for partition in self.partitions:
-                rows.extend(partition.rows())
-            return rows
+            return ColumnarBlock.concat(
+                [partition.block() for partition in self.partitions]
+            )
         finally:
             self.context.driver.release(Region.DRIVER, nbytes)
+
+    def collect(self):
+        """Row views of :meth:`collect_block`."""
+        return self.collect_block().to_rows()
 
     def to_rows_sorted(self):
         """All rows ordered by key — handy for deterministic asserts."""
@@ -358,6 +299,20 @@ class DistributedTable:
             f"<DistributedTable {self.name}: {self.num_rows()} rows in "
             f"{self.num_partitions} partitions>"
         )
+
+
+def _shuffle_buckets(keys, num_partitions):
+    """Shuffle bucket of every key, ``hash(key) % num_partitions``.
+    A non-negative integer key column takes it as one vectorized modulo
+    (``hash(i) == i`` there); any other key column hashes per key."""
+    if isinstance(keys, np.ndarray) \
+            and np.issubdtype(keys.dtype, np.integer) \
+            and int(keys.min()) >= 0:
+        return keys % num_partitions
+    return np.fromiter(
+        (hash(key) % num_partitions for key in keys),
+        dtype=np.intp, count=len(keys),
+    )
 
 
 def _meter_shuffle(context, nbytes):

@@ -218,13 +218,10 @@ def predict_workload_peaks(cnn, dataset, layers, config, plan,
         for layer in layers
     }
     sum_flat = sum(flat.values())
-    num_layers = len(layers)
 
     # Columnar-exact row bytes (see repro.dataflow.columnar): scalar
     # int columns are int64 (8 B/row), tensor columns their raw float32
-    # buffers — no per-field slots or null bitmap. Only the eager
-    # TensorList column is an object column, priced at the Appendix A
-    # per-value estimate plus its 8-byte variable-length header.
+    # buffers — no per-field slots or null bitmap.
     row_tstr = 16 + 4 * n_str                      # {id, features, label}
     row_timg = 8 + image_bytes                     # {id, image}
     row_base = 16 + 4 * n_str + image_bytes        # joined tstr x timg
@@ -234,12 +231,10 @@ def predict_workload_peaks(cnn, dataset, layers, config, plan,
             return 16 + 4 * (n_str + flat[layer])
         return 8 + 4 * flat[layer]                 # {id, tensor}
 
-    def row_eager(keep):
-        # object column: header + member tensors + per-member headers
-        payload = 8 + 4 * sum_flat + 8 * num_layers
-        if keep:   # {id, features, label, tensors}
-            return 16 + 4 * n_str + payload
-        return 8 + payload                         # {id, tensors}
+    def row_eager(keep):   # one tensor:<layer> column per layer
+        if keep:   # {id, features, label, tensor:<layer>, ...}
+            return 16 + 4 * (n_str + sum_flat)
+        return 8 + 4 * sum_flat                    # {id, tensor:<layer>, ...}
 
     def row_joined(layer):
         return 16 + 4 * (n_str + flat[layer])

@@ -7,19 +7,21 @@ disk keyed by (model, layer, dataset fingerprint), so a later session
 exploring higher layers starts from the stored base instead of raw
 images.
 
-Entries are pickled row lists with a JSON metadata sidecar; the
-fingerprint hashes record ids plus a sample of image bytes, so a
-changed dataset never silently reuses stale features.
+Entries are zlib-compressed VCB1 buffers (one
+:class:`~repro.dataflow.columnar.ColumnarBlock` per table) with a JSON
+metadata sidecar; the fingerprint hashes record ids plus a sample of
+image bytes, so a changed dataset never silently reuses stale features.
 """
 
 from __future__ import annotations
 
 import json
-import pickle
 import zlib
 from pathlib import Path
 
 import numpy as np
+
+from repro.dataflow.columnar import ColumnarBlock
 
 
 def dataset_fingerprint(dataset, sample_size=16):
@@ -44,7 +46,7 @@ class FeatureStore:
 
     def _paths(self, model_name, layer, fingerprint):
         stem = f"{model_name}__{layer}__{fingerprint}"
-        return self.root / f"{stem}.pkl.z", self.root / f"{stem}.json"
+        return self.root / f"{stem}.vcb.z", self.root / f"{stem}.json"
 
     def contains(self, model_name, layer, fingerprint):
         data_path, _ = self._paths(model_name, layer, fingerprint)
@@ -56,27 +58,29 @@ class FeatureStore:
         Returns the stored payload size in bytes.
         """
         data_path, meta_path = self._paths(model_name, layer, fingerprint)
-        blob = zlib.compress(
-            pickle.dumps(list(rows), protocol=pickle.HIGHEST_PROTOCOL), 1
-        )
+        block = ColumnarBlock.from_rows(rows)
+        blob = zlib.compress(block.to_buffer(), 1)
         data_path.write_bytes(blob)
         meta_path.write_text(json.dumps({
             "model": model_name,
             "layer": layer,
             "fingerprint": fingerprint,
-            "num_rows": len(rows),
+            "num_rows": block.num_rows,
             "stored_bytes": len(blob),
         }))
         return len(blob)
 
     def get(self, model_name, layer, fingerprint):
-        """Load a stored feature table, or None on a miss."""
+        """Load a stored feature table as one block, or None on a
+        miss. A file that is not a complete VCB1 buffer raises."""
         data_path, _ = self._paths(model_name, layer, fingerprint)
         if not data_path.exists():
             self.misses += 1
             return None
         self.hits += 1
-        return pickle.loads(zlib.decompress(data_path.read_bytes()))
+        return ColumnarBlock.from_buffer(
+            zlib.decompress(data_path.read_bytes())
+        )
 
     def metadata(self, model_name, layer, fingerprint):
         _, meta_path = self._paths(model_name, layer, fingerprint)
@@ -98,7 +102,7 @@ class FeatureStore:
 
     def total_bytes(self):
         return sum(
-            path.stat().st_size for path in self.root.glob("*.pkl.z")
+            path.stat().st_size for path in self.root.glob("*.vcb.z")
         )
 
     def __repr__(self):

@@ -42,7 +42,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import re
 
 from repro.dataflow.columnar import ColumnarBlock, is_columnar_buffer
@@ -123,27 +122,19 @@ def run_fingerprint(model_name, model_seed, layers, dataset_fp, plan_label,
 
 
 def encode_partition(partition):
-    """A partition's durable payload: the deterministic VCB1
-    single-buffer encoding for columnar partitions, a pickle of the
-    row list for legacy ones. Returns ``(kind, payload_bytes)``."""
-    block = partition.block()
-    if block is not None:
-        return "vcb1", block.to_buffer()
-    return "rows", pickle.dumps(
-        partition.rows(), protocol=pickle.HIGHEST_PROTOCOL
-    )
+    """A partition's durable payload: its block's deterministic VCB1
+    single-buffer encoding."""
+    return partition.block().to_buffer()
 
 
-def decode_partition(index, kind, payload):
+def decode_partition(index, payload):
     """Rebuild a :class:`Partition` from a verified payload."""
-    if kind == "vcb1":
-        if not is_columnar_buffer(payload):
-            raise CheckpointIntegrityError(
-                f"partition {index}: payload is not a VCB1 buffer",
-                partition=index,
-            )
-        return Partition.from_block(index, ColumnarBlock.from_buffer(payload))
-    return Partition(index, rows=pickle.loads(payload))
+    if not is_columnar_buffer(payload):
+        raise CheckpointIntegrityError(
+            f"partition {index}: payload is not a VCB1 buffer",
+            partition=index,
+        )
+    return Partition.from_block(index, ColumnarBlock.from_buffer(payload))
 
 
 class CheckpointStore:
@@ -271,7 +262,7 @@ class CheckpointStore:
         rewrite — partition-granular durability, so a crash one wave
         later still finds this partition restorable."""
         self._require_bound()
-        kind, payload = encode_partition(partition)
+        payload = encode_partition(partition)
         digest = sha256_hex(payload)
         filename = f"{_safe(stage_id)}__p{partition.index}.ckpt"
         path = os.path.join(self._run_dir, filename)
@@ -288,7 +279,6 @@ class CheckpointStore:
             "sha256": digest,
             "nbytes": len(payload),
             "num_rows": len(partition),
-            "kind": kind,
             "wave": wave,
         }
         self._write_manifest()
@@ -400,7 +390,7 @@ class CheckpointStore:
                 stage=str(stage_id), partition=index,
             )
         try:
-            partition = decode_partition(index, entry["kind"], payload)
+            partition = decode_partition(index, payload)
         except CheckpointIntegrityError:
             raise
         except Exception as cause:

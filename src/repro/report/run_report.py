@@ -407,12 +407,9 @@ def render_report(source, width=60, height=8):
 #: Gauge names compared for *equality*: any flip is a regression.
 #: ``plan_choice`` encodes the optimizer's chosen cpu/np/join/
 #: persistence, so a gate catches plan-choice flips that numeric
-#: drift gates would miss. ``serialized_bytes_per_row`` pins the
-#: columnar single-buffer wire format: the uncompressed encode of a
-#: fixed mini-table is deterministic, so any byte of drift in the
-#: layout flips the gate. Checked before SKIP_FIELDS ("cpu",
+#: drift gates would miss. Checked before SKIP_FIELDS ("cpu",
 #: "partitions" are skip substrings).
-EXACT_FIELDS = ("plan_choice", "serialized_bytes_per_row")
+EXACT_FIELDS = ("plan_choice",)
 
 
 def _direction(key):

@@ -17,10 +17,8 @@ from repro.dataflow.columnar import (
     MAGIC,
     ColumnarBlock,
     NotColumnar,
-    columnar_enabled,
     is_columnar_buffer,
     pack_column,
-    row_layout,
 )
 from repro.dataflow.partition import DESERIALIZED, SERIALIZED, Partition
 from repro.tensor.tensorlist import TensorList
@@ -138,20 +136,36 @@ def test_tensorlist_column_roundtrips_through_partition():
     rows = [{"id": i, "tensors": TensorList(list(members))}
             for i in range(3)]
     part = Partition.from_rows(0, rows)
-    assert part.is_columnar
+    assert not part.block().is_array("tensors")
     restored = Partition(0, blob=part.serialized_blob())
     _assert_rows_equal(restored.rows(), rows)
 
 
-def test_mixed_schema_rows_fall_back_to_legacy_layout():
+def test_mixed_schema_rows_are_rejected():
+    """One layout: rows that do not share a schema are refused at
+    every row-dict entry point, never silently stored another way."""
+    from repro.dataflow.context import local_context
+    from repro.dataflow.table import DistributedTable
+
     rows = [{"id": 0, "a": 1}, {"id": 1, "b": 2}]
     with pytest.raises(NotColumnar):
         ColumnarBlock.from_rows(rows)
-    part = Partition.from_rows(0, rows)
-    assert not part.is_columnar
-    assert part.rows() == rows
-    restored = Partition(0, blob=part.serialized_blob())
-    assert restored.rows() == rows
+    with pytest.raises(NotColumnar):
+        Partition.from_rows(0, rows)
+    ctx = local_context(num_nodes=1, cores_per_node=2, cpu=1)
+    with pytest.raises(NotColumnar):
+        DistributedTable.from_rows(ctx, rows, num_partitions=1)
+    with pytest.raises(NotColumnar):
+        ColumnarBlock.from_rows([("id", 0)])
+
+
+def test_partition_blob_must_be_vcb1():
+    import pickle
+    import zlib
+
+    blob = zlib.compress(pickle.dumps([{"id": 0}]))
+    with pytest.raises(ValueError, match="bad magic"):
+        Partition(0, blob=blob).block()
 
 
 # ----------------------------------------------------------------------
@@ -207,6 +221,39 @@ def test_wire_format_is_deterministic_for_array_blocks():
     assert encode() == encode()
 
 
+def test_wire_format_golden_bytes():
+    """The VCB1 encoding pinned byte for byte (the gate the retired
+    ``bench_dataflow.py`` carried as ``serialized_bytes_per_row``): one
+    fixed block with an int, a float, a tensor and an object column.
+    Values come from integer ranges and one IEEE division, and the
+    object column holds short strings, so the bytes depend on no RNG
+    stream and no numpy pickle layout."""
+    import hashlib
+
+    n = 5
+    block = ColumnarBlock(
+        {
+            "id": np.arange(n, dtype=np.int64) * 3 - 4,
+            "score": np.arange(n, dtype=np.float64) / 7.0,
+            "tensor": (
+                np.arange(n * 2 * 3, dtype=np.float32) / 11.0
+            ).reshape(n, 2, 3),
+            "tag": [f"r{i}" for i in range(n)],
+        },
+        n,
+    )
+    data = block.to_buffer()
+    assert len(data) == 509
+    assert hashlib.sha256(data).hexdigest() == (
+        "0483118b42dec08b78a712d661f9eb7e8dc4c0143260490bfd74ddce0db7da29"
+    )
+    restored = ColumnarBlock.from_buffer(data)
+    assert restored.column("tag") == block.column("tag")
+    np.testing.assert_array_equal(
+        restored.column("tensor"), block.column("tensor")
+    )
+
+
 def test_single_buffer_encode_smaller_than_n_pickles():
     import pickle
 
@@ -224,7 +271,7 @@ def test_single_buffer_encode_smaller_than_n_pickles():
 
 
 # ----------------------------------------------------------------------
-# sizing + layout flag
+# sizing
 # ----------------------------------------------------------------------
 def test_nbytes_is_exact_buffer_sum():
     rows = [
@@ -243,15 +290,6 @@ def test_serialized_vs_deserialized_partition_sizes():
     ]
     part = Partition.from_rows(0, rows)
     assert part.memory_bytes(SERIALIZED) < part.memory_bytes(DESERIALIZED)
-
-
-def test_row_layout_context_manager_restores_flag():
-    assert columnar_enabled()
-    with row_layout():
-        assert not columnar_enabled()
-        part = Partition.from_rows(0, [{"id": 1}])
-        assert not part.is_columnar
-    assert columnar_enabled()
 
 
 def test_pack_column_classification():

@@ -58,6 +58,42 @@ def test_broadcast_equals_shuffle(ctx):
     assert shuffle_rows == broadcast_rows
 
 
+@pytest.mark.parametrize("keys", [
+    [f"user-{i:02d}" for i in range(23)],   # object key column
+    [i - 11 for i in range(23)],            # int column, some negative
+], ids=["string", "negative-int"])
+def test_joins_on_keys_that_are_not_non_negative_ints(ctx, keys):
+    """Keys outside the vectorized non-negative-int branch bucket by
+    per-key ``hash`` and (for non-integer columns) match through the
+    dict index builder — same gather, same answer from both operators.
+    The right side misses three keys and repeats one; it is a single
+    partition so that "last duplicate wins" is defined by row order."""
+    left = DistributedTable.from_rows(
+        ctx, [{"id": key, "x": float(n)} for n, key in enumerate(keys)],
+        4, name="left",
+    )
+    right_rows = [
+        {"id": key, "y": float(-n)} for n, key in enumerate(keys[:-3])
+    ]
+    right_rows.append({"id": keys[5], "y": 99.0})
+    right = DistributedTable.from_rows(ctx, right_rows, 1, name="right")
+    expected = sorted(
+        (
+            {"id": key, "y": 99.0 if n == 5 else float(-n), "x": float(n)}
+            for n, key in enumerate(keys[:-3])
+        ),
+        key=lambda row: row["id"],
+    )
+    shuffle_rows = shuffle_hash_join(
+        left, right, num_partitions=5
+    ).to_rows_sorted()
+    broadcast_rows = broadcast_join(right, left).to_rows_sorted()
+    assert shuffle_rows == broadcast_rows == expected
+    for partition in left.repartition_by_key(5).partitions:
+        for key in partition.block().column("id"):
+            assert hash(key) % 5 == partition.index
+
+
 def test_join_dispatcher(ctx):
     left, right = _tables(ctx, n=12)
     for how in ("shuffle", "broadcast"):

@@ -55,20 +55,8 @@ def test_drop_blob():
 def test_memory_bytes_deserialized_exact_for_columnar():
     rows = _rows(4)
     part = Partition.from_rows(0, rows)
-    assert part.is_columnar
     # Exact buffer bytes: 4 int64 ids + 4 x (50,) float32 vectors.
     assert part.memory_bytes(DESERIALIZED) == 4 * 8 + 4 * 50 * 4
-
-
-def test_memory_bytes_deserialized_heuristic_for_legacy_rows():
-    from repro.dataflow.columnar import row_layout
-    from repro.dataflow.record import estimate_rows_bytes
-
-    rows = _rows(4)
-    with row_layout():
-        part = Partition.from_rows(0, rows)
-    assert not part.is_columnar
-    assert part.memory_bytes(DESERIALIZED) == estimate_rows_bytes(rows)
 
 
 def test_exact_vs_heuristic_agreement_band():
@@ -78,7 +66,6 @@ def test_exact_vs_heuristic_agreement_band():
     header per tensor field that the columnar layout does not pay, so
     the heuristic over-reports by 16 bytes/row on an (id, tensor) row
     and never under-reports."""
-    from repro.dataflow.columnar import row_layout
     from repro.dataflow.record import estimate_rows_bytes
 
     for n in (1, 4, 64):

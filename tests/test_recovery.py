@@ -46,12 +46,6 @@ def _array_partition(index, n=6, seed=0):
     ))
 
 
-def _rows_partition(index):
-    # Mixed-schema rows cannot pack into one columnar block, so this
-    # partition exercises the pickle payload kind.
-    return Partition(index, rows=[{"id": 0, "a": 1}, {"id": 1, "b": 2}])
-
-
 def _bound_store(tmp_path, fingerprint="run-a"):
     return CheckpointStore(str(tmp_path)).bind_run(fingerprint)
 
@@ -102,19 +96,55 @@ def test_bind_run_reclaims_stray_tmp(tmp_path):
 # ---------------------------------------------------------------------
 def test_encode_decode_columnar_round_trip():
     part = _array_partition(3)
-    kind, payload = encode_partition(part)
-    assert kind == "vcb1"
-    restored = decode_partition(3, kind, payload)
+    payload = encode_partition(part)
+    assert payload == part.block().to_buffer()
+    restored = decode_partition(3, payload)
     assert np.array_equal(restored.block().column("x"),
                           part.block().column("x"))
 
 
 def test_encode_decode_rows_round_trip():
-    part = _rows_partition(1)
-    kind, payload = encode_partition(part)
-    assert kind == "rows"
-    restored = decode_partition(1, kind, payload)
-    assert restored.rows() == part.rows()
+    rows = [{"id": 0, "a": 1, "tag": "x"}, {"id": 1, "a": 2, "tag": "y"}]
+    part = Partition.from_rows(1, rows)
+    restored = decode_partition(1, encode_partition(part))
+    assert restored.rows() == rows
+
+
+def _pickled_rows():
+    # What the retired "rows" payload kind wrote for a partition of
+    # mixed-schema rows.
+    import pickle
+
+    return pickle.dumps([{"id": 0, "a": 1}, {"id": 1, "b": 2}])
+
+
+def test_decode_rejects_non_vcb1_payload():
+    with pytest.raises(CheckpointIntegrityError, match="not a VCB1"):
+        decode_partition(1, _pickled_rows())
+
+
+def test_restore_drops_digest_valid_non_vcb1_payload(tmp_path):
+    """A payload whose digest and length verify but which is not a
+    VCB1 buffer is dropped as corrupt, never unpickled."""
+    import hashlib
+    import json
+
+    store = _bound_store(tmp_path)
+    store.put_partition("stage", _array_partition(0))
+    run_dir = tmp_path / "run-a"
+    payload = _pickled_rows()
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    entry = manifest["stages"]["stage"]["partitions"]["0"]
+    (run_dir / entry["file"]).write_bytes(payload)
+    entry.update(sha256=hashlib.sha256(payload).hexdigest(),
+                 nbytes=len(payload), num_rows=2)
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+
+    reopened = _bound_store(tmp_path)
+    log = RecoveryLog()
+    assert reopened.restore_stage("stage", recovery_log=log) == {}
+    assert reopened.corrupt_total == 1
+    assert "not a VCB1" in log.of("checkpoint_invalid")[0]["error"]
 
 
 # ---------------------------------------------------------------------
