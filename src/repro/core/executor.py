@@ -1,11 +1,13 @@
 """Plan executor: runs any logical plan on the dataflow + CNN engines.
 
 This is Vista's runtime. Given a cluster context, an executable CNN,
-the two data tables, and a :class:`VistaConfig`, it executes a
-:class:`LogicalPlan` end to end — (partial) CNN inference as
-MapPartitions UDFs, the Tstr-Timg key-key join with the configured
-physical operator, intermediate caching under the configured
-persistence format, and downstream training per feature layer — while
+the two data tables, and a :class:`VistaConfig`, it interprets a
+:class:`LogicalPlan`'s compiled step list
+(:func:`~repro.core.plans.compile_plan`) end to end — (partial) CNN
+inference as MapPartitions UDFs, the Tstr-Timg key-key join with the
+configured physical operator, intermediate caching under the
+configured persistence format, and downstream training per feature
+layer — while
 metering FLOPs, shuffles, spills, and region peaks, and surfacing the
 Section 4.1 crash scenarios as exceptions.
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.plans import JoinPlacement, Materialization
+from repro.core.plans import SOURCE, Op, compile_plan, infer_step
 from repro.dataflow.columnar import ColumnarBlock, pack_column
 from repro.dataflow.executor import charge_model_replicas
 from repro.dataflow.joins import join as physical_join
@@ -217,19 +219,11 @@ class FeatureTransferExecutor:
                 num_partitions=config.num_partitions,
                 cpu=self.context.cpu,
             ) as span:
-                source_table, source_layer = self.timg, None
-                source_field = "image"
+                source = self.timg
                 if premat_layer is not None:
-                    source_table = self._prematerialize(premat_layer)
-                    source_layer = premat_layer
-                    source_field = "tensor"
-                runner = {
-                    Materialization.LAZY: self._run_lazy,
-                    Materialization.EAGER: self._run_eager,
-                    Materialization.STAGED: self._run_staged,
-                }[plan.materialization]
-                layer_results = runner(
-                    plan, source_table, source_field, source_layer
+                    source = self._prematerialize(premat_layer)
+                layer_results = self._execute(
+                    compile_plan(plan, self.layers, premat_layer), source
                 )
                 if self.tracer.enabled:
                     span.set("sizing", self._sizing_comparison())
@@ -366,149 +360,40 @@ class FeatureTransferExecutor:
         }
 
     # ------------------------------------------------------------------
-    # plan implementations
+    # plan interpreter
     # ------------------------------------------------------------------
-    def _run_lazy(self, plan, source, source_field, source_layer):
-        results = {}
-        after_join = plan.join_placement is JoinPlacement.AFTER_JOIN
-        base = self._join(self.tstr, source) if after_join else source
-        for layer in self.layers:
-            features = self._inference_map(
-                base, source_field, source_layer, layer,
-                keep=("features", "label") if after_join else (),
-            )
-            train_table = (
-                features if after_join else self._join(self.tstr, features)
-            )
-            results[layer] = self._train(train_table, layer)
-        return results
-
-    def _run_eager(self, plan, source, source_field, source_layer):
-        all_layers = self.layers
-        # Sniff the first *non-empty* partition: partition 0 may be
-        # empty (skewed keys, tiny tables) and an all-empty table has
-        # nothing to reject.
-        for partition in source.partitions:
-            block = partition.block()
-            if block.num_rows == 0:
-                continue
-            if isinstance(block.column(source_field)[0], TensorList):
-                raise NotImplementedError(
-                    "Eager materialization with multiple images per record "
-                    "is not supported (it would need nested TensorLists); "
-                    "use the Lazy or Staged plans"
-                )
-            break
-
-        def materialize_block(block):
-            """All-layer inference over the block's source column; one
-            ``tensor:<layer>`` array column per layer."""
-            if block.num_rows == 0:
-                return ColumnarBlock.empty()
-            columns = {"id": block.column("id")}
-            for field in ("features", "label"):
-                if block.has_column(field):
-                    columns[field] = block.column(field)
-            if block.is_array(source_field):
-                current = block.column(source_field)
-            else:
-                current = np.stack([
-                    np.asarray(v, dtype=np.float32)
-                    for v in block.column(source_field)
-                ])
-            previous = source_layer
-            for layer in all_layers:
-                current = self.cnn.partial_forward_batch(
-                    current, previous or 0, layer
-                )
-                columns[f"tensor:{layer}"] = current
-                previous = layer
-            return ColumnarBlock(columns, block.num_rows)
-
-        base = source
-        if plan.join_placement is JoinPlacement.AFTER_JOIN:
-            base = self._join(self.tstr, source)
-        with self.tracer.span(
-            "inference:eager", from_layer=source_layer or "image",
-            to_layer=all_layers[-1], layers=list(all_layers),
-        ) as sp:
-            release = charge_model_replicas(
-                self.context, self.model_mem_bytes
-            )
-            try:
-                eager_table = base.map_blocks(
-                    materialize_block, name="t_eager",
-                    user_alpha=self.user_alpha,
-                    checkpoint=self._ckpt(
-                        f"eager:{source_layer or 'image'}->{all_layers[-1]}"
-                        + ("+aj" if plan.join_placement
-                           is JoinPlacement.AFTER_JOIN else "")
-                    ),
-                )
-            finally:
-                release()
-            flops = self._meter_inference(
-                base.num_rows(), source_layer, all_layers[-1]
-            )
-            if self.tracer.enabled:
-                sp.add("rows", base.num_rows())
-                sp.add("flops", flops)
-                sp.add("bytes_out", eager_table.memory_bytes())
-        if plan.join_placement is JoinPlacement.BEFORE_JOIN:
-            eager_table = self._join(self.tstr, eager_table)
-        # The all-layers table must persist across |L| training runs —
-        # this cache is where Eager crashes (Ignite) or spills (Spark).
-        eager_table.cache(self.config.persistence)
+    def _execute(self, steps, source):
+        """Run a compiled plan (:func:`~repro.core.plans.compile_plan`)
+        over named table slots; returns ``{layer: LayerResult}``."""
+        tables = {SOURCE: source}
+        last_read = {step.reads: index for index, step in enumerate(steps)}
+        cached = []
         results = {}
         try:
-            for layer in all_layers:
-
-                def project_block(block, layer=layer):
-                    if block.num_rows == 0:
-                        return ColumnarBlock.empty()
-                    return ColumnarBlock(
-                        {
-                            "id": block.column("id"),
-                            "features": block.column("features"),
-                            "label": block.column("label"),
-                            "tensor": block.column(f"tensor:{layer}"),
-                        },
-                        block.num_rows,
-                    )
-
-                projected = eager_table.map_blocks(
-                    project_block, user_alpha=self.user_alpha,
-                )
-                results[layer] = self._train(projected, layer)
+            for index, step in enumerate(steps):
+                table = tables[step.reads]
+                if step.op is Op.JOIN:
+                    tables[step.writes] = self._join(self.tstr, table)
+                elif step.op is Op.INFER:
+                    tables[step.writes] = self._inference_map(table, step)
+                elif step.op is Op.CACHE:
+                    # Registered first: a cache() that raises midway
+                    # (Storage exceeded) has admitted partitions too.
+                    cached.append(table)
+                    table.cache(self.config.persistence)
+                elif step.op is Op.UNPERSIST:
+                    table.unpersist()
+                    cached.remove(table)
+                elif step.op is Op.PROJECT:
+                    tables[step.writes] = self._project(table, step.layer)
+                else:
+                    results[step.layer] = self._train(table, step)
+                if last_read[step.reads] == index:
+                    # Nothing reads the slot again: let its blocks go.
+                    del tables[step.reads]
         finally:
-            eager_table.unpersist()
-        return results
-
-    def _run_staged(self, plan, source, source_field, source_layer):
-        results = {}
-        after_join = plan.join_placement is JoinPlacement.AFTER_JOIN
-        current = self._join(self.tstr, source) if after_join else source
-        current_field = source_field
-        previous_layer = source_layer
-        previous_table = None
-        for layer in self.layers:
-            current = self._inference_map(
-                current, current_field, previous_layer, layer,
-                keep=("features", "label") if after_join else (),
-            )
-            current.cache(self.config.persistence)
-            if previous_table is not None:
-                previous_table.unpersist()
-            if after_join:
-                train_table = current
-            else:
-                train_table = self._join(self.tstr, current)
-            results[layer] = self._train(train_table, layer)
-            previous_table = current
-            current_field = "tensor"
-            previous_layer = layer
-        if previous_table is not None:
-            previous_table.unpersist()
+            for table in cached:
+                table.unpersist()
         return results
 
     # ------------------------------------------------------------------
@@ -538,7 +423,9 @@ class FeatureTransferExecutor:
                         self.context, block, self.config.num_partitions,
                         name=f"t_premat_{layer}",
                     )
-            table = self._inference_map(self.timg, "image", None, layer)
+            table = self._inference_map(
+                self.timg, infer_step(SOURCE, None, layer)
+            )
             flops = self.cnn.flops_between(0, layer) * self.timg.num_rows()
             self.metrics["premat_flops"] += flops
             self.metrics["inference_flops"] -= flops
@@ -607,52 +494,58 @@ class FeatureTransferExecutor:
             per_row[position] = TensorList(collected)
         return per_row
 
-    def _inference_map(self, table, field, from_layer, to_layer, keep=()):
-        """Partial CNN inference ``f̂_{from→to}`` as a block-level
-        batched UDF, with DL replica charges held for the duration.
+    def _inference_map(self, table, step):
+        """An ``INFER`` step — partial CNN inference from
+        ``step.from_layer`` through every layer of ``step.outputs`` —
+        as a block-level batched UDF, with DL replica charges held for
+        the duration.
 
         An array column — the stored ``(N, H, W, C)`` images or the
-        previous stage's ``(N, ...)`` tensors — feeds straight into the
+        previous layer's ``(N, ...)`` tensors — feeds straight into the
         batched kernels, zero-copy. Object columns (ragged tensors,
         TensorLists) batch by exact shape group via
         :meth:`_infer_ragged`.
         """
+        field = "tensor" if step.from_layer else "image"
+        to_layer = step.outputs[-1][0]
+
         def infer_block(block):
             if block.num_rows == 0:
                 return ColumnarBlock.empty()
             columns = {"id": block.column("id")}
-            for extra in keep:
+            for extra in step.keep:
                 if block.has_column(extra):
                     columns[extra] = block.column(extra)
-            if block.is_array(field):
-                columns["tensor"] = self.cnn.partial_forward_batch(
-                    block.column(field), from_layer or 0, to_layer
-                )
-            else:
-                columns["tensor"] = pack_column(self._infer_ragged(
-                    block.column(field), from_layer, to_layer
-                ))
+            current, previous = block.column(field), step.from_layer
+            for layer, column in step.outputs:
+                if isinstance(current, np.ndarray):
+                    current = self.cnn.partial_forward_batch(
+                        current, previous or 0, layer
+                    )
+                else:
+                    current = pack_column(self._infer_ragged(
+                        current, previous, layer
+                    ))
+                columns[column] = current
+                previous = layer
             return ColumnarBlock(columns, block.num_rows)
 
-        stage_id = (
-            f"infer:{from_layer or 'image'}->{to_layer}"
-            + ("+aj" if keep else "")
-        )
-        with self.tracer.span(
-            f"inference:{to_layer}", from_layer=from_layer or "image",
-            to_layer=to_layer,
-        ) as sp:
+        attrs = {"from_layer": step.from_layer or "image",
+                 "to_layer": to_layer}
+        if step.layer is None:
+            attrs["layers"] = [layer for layer, _ in step.outputs]
+        with self.tracer.span(step.span_name, **attrs) as sp:
             release = charge_model_replicas(self.context, self.model_mem_bytes)
             try:
                 result = table.map_blocks(
-                    infer_block, name=f"t_{to_layer}",
+                    infer_block, name=step.writes,
                     user_alpha=self.user_alpha,
-                    checkpoint=self._ckpt(stage_id),
+                    checkpoint=self._ckpt(step.stage_id),
                 )
             finally:
                 release()
             flops = self._meter_inference(
-                table.num_rows(), from_layer, to_layer
+                table.num_rows(), step.from_layer, to_layer
             )
             if self.tracer.enabled:
                 sp.add("rows", table.num_rows())
@@ -673,22 +566,30 @@ class FeatureTransferExecutor:
             num_partitions=self.config.num_partitions,
         )
 
-    def _train(self, table, layer):
-        """Concatenate structured + pooled image features and hand the
-        matrix to the downstream routine at the driver."""
-        with self.tracer.span(f"train:{layer}", layer=layer) as sp:
-            result = self._train_inner(table, layer, sp)
-        return result
+    def _project(self, table, layer):
+        """``layer``'s ``tensor:<layer>`` column of the Eager all-layers
+        table, as the ``{id, features, label, tensor}`` train table."""
+        def project_block(block):
+            if block.num_rows == 0:
+                return ColumnarBlock.empty()
+            return ColumnarBlock(
+                {
+                    "id": block.column("id"),
+                    "features": block.column("features"),
+                    "label": block.column("label"),
+                    "tensor": block.column(f"tensor:{layer}"),
+                },
+                block.num_rows,
+            )
 
-    def _train_inner(self, table, layer, sp):
+        return table.map_blocks(project_block, user_alpha=self.user_alpha)
+
+    def _train(self, table, step):
+        """A ``TRAIN`` step: concatenate structured + pooled image
+        features and hand the matrix to the downstream routine at the
+        driver."""
+        layer = step.layer
         grid = self.pool_grid
-        if self.tracer.enabled:
-            # The joined train table is the run's measured counterpart
-            # of Eq. 16's |T_i| estimate (see _sizing_comparison).
-            measured = table.memory_bytes()
-            self._measured_table_bytes[layer] = measured
-            sp.add("rows", table.num_rows())
-            sp.add("bytes_in", measured)
 
         def pool_one(tensor):
             if isinstance(tensor, TensorList):
@@ -728,16 +629,25 @@ class FeatureTransferExecutor:
                 block.num_rows,
             )
 
-        vectors = table.map_blocks(
-            vectorize_block, user_alpha=self.user_alpha,
-            checkpoint=self._ckpt(f"train:{layer}"),
-        )
-        features, labels = self._collect_train_matrix(vectors)
-        with self.tracer.span(f"downstream:{layer}") as down:
-            outcome = self.downstream_fn(features, labels)
-            down.add("rows", features.shape[0])
-            down.add("feature_dim", features.shape[1])
-        sp.set("feature_dim", int(features.shape[1]))
+        with self.tracer.span(step.span_name, layer=layer) as sp:
+            if self.tracer.enabled:
+                # The joined train table is the run's measured
+                # counterpart of Eq. 16's |T_i| estimate (see
+                # _sizing_comparison).
+                measured = table.memory_bytes()
+                self._measured_table_bytes[layer] = measured
+                sp.add("rows", table.num_rows())
+                sp.add("bytes_in", measured)
+            vectors = table.map_blocks(
+                vectorize_block, user_alpha=self.user_alpha,
+                checkpoint=self._ckpt(step.stage_id),
+            )
+            features, labels = self._collect_train_matrix(vectors)
+            with self.tracer.span(f"downstream:{layer}") as down:
+                outcome = self.downstream_fn(features, labels)
+                down.add("rows", features.shape[0])
+                down.add("feature_dim", features.shape[1])
+            sp.set("feature_dim", int(features.shape[1]))
         return LayerResult(layer, features.shape[1], outcome)
 
     def _collect_train_matrix(self, vectors):

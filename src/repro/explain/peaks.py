@@ -9,9 +9,10 @@ columns plus raw float32 tensor buffers, matching
 :attr:`repro.dataflow.columnar.ColumnarBlock.nbytes`),
 round-robin/hash partition placement,
 ``index % num_nodes`` worker assignment, and per-wave concurrent
-charges of ``cpu`` tasks — walked through the same stage sequence the
-:class:`~repro.core.executor.FeatureTransferExecutor` runs for each of
-the six logical plans.
+charges of ``cpu`` tasks — walked through the
+:func:`~repro.core.plans.compile_plan` step list the
+:class:`~repro.core.executor.FeatureTransferExecutor` interprets for
+each of the six logical plans.
 
 Predictions are exact-or-over by construction (degenerate layouts
 resolve exactly; persistence is priced deserialized, which upper-
@@ -22,7 +23,7 @@ documented band :data:`repro.costmodel.params.PEAK_PREDICTION_BAND`
 
 from __future__ import annotations
 
-from repro.core.plans import JoinPlacement, Materialization
+from repro.core.plans import SOURCE, Op, compile_plan
 from repro.dataflow.joins import BROADCAST
 
 
@@ -107,8 +108,8 @@ class _VirtualTable:
 
 
 class _PlanSimulator:
-    """Walks a plan's stage sequence, accumulating the same charges
-    the engine would make, and keeps the running per-region maxima."""
+    """Accumulates the charges the engine would make for each step of
+    a compiled plan, and keeps the running per-region maxima."""
 
     def __init__(self, num_nodes, cpu, num_partitions, join,
                  user_alpha):
@@ -217,30 +218,12 @@ def predict_workload_peaks(cnn, dataset, layers, config, plan,
         layer: _pooled_dim(cnn.output_shape_of(layer), pool_grid)
         for layer in layers
     }
-    sum_flat = sum(flat.values())
 
     # Columnar-exact row bytes (see repro.dataflow.columnar): scalar
     # int columns are int64 (8 B/row), tensor columns their raw float32
     # buffers — no per-field slots or null bitmap.
     row_tstr = 16 + 4 * n_str                      # {id, features, label}
     row_timg = 8 + image_bytes                     # {id, image}
-    row_base = 16 + 4 * n_str + image_bytes        # joined tstr x timg
-
-    def row_feature(layer, keep):
-        if keep:   # {id, features, label, tensor}
-            return 16 + 4 * (n_str + flat[layer])
-        return 8 + 4 * flat[layer]                 # {id, tensor}
-
-    def row_eager(keep):   # one tensor:<layer> column per layer
-        if keep:   # {id, features, label, tensor:<layer>, ...}
-            return 16 + 4 * (n_str + sum_flat)
-        return 8 + 4 * sum_flat                    # {id, tensor:<layer>, ...}
-
-    def row_joined(layer):
-        return 16 + 4 * (n_str + flat[layer])
-
-    def row_vector(layer):                         # {id, label, x}
-        return 16 + 4 * (n_str + pooled[layer])
 
     sim = _PlanSimulator(
         num_nodes=num_nodes, cpu=cpu,
@@ -249,41 +232,32 @@ def predict_workload_peaks(cnn, dataset, layers, config, plan,
     )
     counts = _source_counts(num_rows, config.num_partitions)
     tstr = _VirtualTable(counts, row_tstr)
-    timg = _VirtualTable(counts, row_timg)
-    after_join = plan.join_placement is JoinPlacement.AFTER_JOIN
-
-    if plan.materialization is Materialization.LAZY:
-        base = sim.join(tstr, timg, row_base) if after_join else timg
-        for layer in layers:
-            features = sim.map(base, row_feature(layer, keep=after_join))
-            train = (
-                features if after_join
-                else sim.join(tstr, features, row_joined(layer))
+    tables = {SOURCE: _VirtualTable(counts, row_timg)}
+    resident = []  # tables held in Storage at once, in CACHE order
+    for step in compile_plan(plan, layers):
+        table = tables[step.reads]
+        if step.op is Op.JOIN:
+            # The right operand's row plus T_str's features + label.
+            tables[step.writes] = sim.join(
+                tstr, table, table.row_bytes + row_tstr - 8
             )
-            sim.train(train, row_vector(layer))
-    elif plan.materialization is Materialization.STAGED:
-        current = sim.join(tstr, timg, row_base) if after_join else timg
-        previous = None
-        for layer in layers:
-            current = sim.map(current, row_feature(layer, keep=after_join))
-            # cache(current) runs before unpersist(previous): two
-            # consecutive staged tables coexist in Storage.
-            sim.cache(*(t for t in (previous, current) if t is not None))
-            train = (
-                current if after_join
-                else sim.join(tstr, current, row_joined(layer))
+        elif step.op is Op.INFER:
+            # {id[, features, label], one tensor column per output}
+            tables[step.writes] = sim.map(
+                table, (row_tstr if step.keep else 8)
+                + 4 * sum(flat[layer] for layer, _ in step.outputs),
             )
-            sim.train(train, row_vector(layer))
-            previous = current
-    else:  # EAGER
-        base = sim.join(tstr, timg, row_base) if after_join else timg
-        eager = sim.map(base, row_eager(keep=after_join))
-        if not after_join:
-            eager = sim.join(tstr, eager, row_eager(keep=True))
-        sim.cache(eager)
-        for layer in layers:
-            projected = sim.map(eager, row_joined(layer))
-            sim.train(projected, row_vector(layer))
+        elif step.op is Op.CACHE:
+            resident.append(table)
+            sim.cache(*resident)
+        elif step.op is Op.UNPERSIST:
+            resident.remove(table)
+        elif step.op is Op.PROJECT:  # {id, features, label, tensor}
+            tables[step.writes] = sim.map(
+                table, row_tstr + 4 * flat[step.layer]
+            )
+        else:                        # vectors: {id, label, x}
+            sim.train(table, 16 + 4 * (n_str + pooled[step.layer]))
 
     return {
         "user": int(sim.user),

@@ -4,7 +4,9 @@ Vista's whole pitch is pricing a run *before* it executes (Algorithm 1
 over the Eq. 9–16 cost model). This module closes the loop while the
 run is in flight: :func:`predict_stage_plan` turns the cost model's
 runtime breakdown into an ordered list of stages the executor will
-emit — each with predicted seconds — and :class:`ProgressState`
+emit — the span names of the plan's
+:func:`~repro.core.plans.compile_plan` steps, each with predicted
+seconds — and :class:`ProgressState`
 consumes the run ledger's events live, marking stages done as their
 spans close and estimating time-to-completion.
 
@@ -25,7 +27,7 @@ half-way point).
 
 from __future__ import annotations
 
-from repro.core.plans import JoinPlacement, Materialization
+from repro.core.plans import Op, compile_plan
 
 
 class Stage:
@@ -87,38 +89,18 @@ class StagePlan:
 
 
 def _stage_sequence(plan, layers):
-    """The ordered ``(key, matcher, weight_bucket)`` triples the
-    executor's span stream will produce for a logical plan.
-    ``weight_bucket`` names the cost-model breakdown bucket the stage
-    draws its predicted seconds from."""
-    after_join = plan.join_placement is JoinPlacement.AFTER_JOIN
-    sequence = [("read", "read", "read")]
-    if plan.materialization is Materialization.EAGER:
-        if after_join:
-            sequence.append(("join", "join", "join"))
-            sequence.append(
-                ("inference", "inference:eager", "inference:all")
-            )
-        else:
-            sequence.append(
-                ("inference", "inference:eager", "inference:all")
-            )
-            sequence.append(("join", "join", "join"))
-        for layer in layers:
-            sequence.append((f"train:{layer}", f"train:{layer}", "train"))
-        return sequence
-    # Lazy and Staged share the stage order; only the per-layer
-    # inference weights differ (full path vs incremental hop).
-    if after_join:
-        sequence.append(("join", "join", "join"))
-    for layer in layers:
-        sequence.append(
-            (f"inference:{layer}", f"inference:{layer}",
-             f"inference:{layer}")
-        )
-        if not after_join:
-            sequence.append((f"join:{layer}", "join", "join"))
-        sequence.append((f"train:{layer}", f"train:{layer}", "train"))
+    """The ordered ``(key, matcher, step)`` triples the executor's span
+    stream will produce for a logical plan: ``read``, then every
+    compiled step that opens a span (``step`` is None for ``read``)."""
+    sequence = [("read", "read", None)]
+    for step in compile_plan(plan, layers):
+        name = step.span_name
+        if name is None:
+            continue
+        # Keyed by stage kind plus the one layer the step serves.
+        kind = name.split(":")[0]
+        key = f"{kind}:{step.layer}" if step.layer else kind
+        sequence.append((key, name, step))
     return sequence
 
 
@@ -156,22 +138,20 @@ def predict_stage_plan(model_stats, layers, dataset_stats, plan, config,
         breakdown = {"read": 0.05, "join": 0.05, "train": 0.25,
                      "inference": inference_total}
     sequence = _stage_sequence(plan, layers)
-    join_stages = sum(1 for _, _, b in sequence if b == "join") or 1
-    train_stages = sum(1 for _, _, b in sequence if b == "train") or 1
+    ops = [step.op if step else None for _, _, step in sequence]
     inference_total = breakdown.get("inference", 0.0)
     weights = []
-    for key, matcher, bucket in sequence:
-        if bucket == "read":
+    for _, _, step in sequence:
+        if step is None:
             weight = breakdown.get("read", 0.0)
-        elif bucket == "join":
-            weight = breakdown.get("join", 0.0) / join_stages
-        elif bucket == "train":
-            weight = breakdown.get("train", 0.0) / train_stages
-        elif bucket == "inference:all":
-            weight = inference_total
-        else:  # inference:<layer>
-            layer = bucket.split(":", 1)[1]
-            weight = inference_total * flops.get(layer, 0.0) / total_flops
+        elif step.op is Op.JOIN:
+            weight = breakdown.get("join", 0.0) / ops.count(Op.JOIN)
+        elif step.op is Op.TRAIN:
+            weight = breakdown.get("train", 0.0) / ops.count(Op.TRAIN)
+        else:  # INFER: its layers' share of the inference FLOPs
+            weight = inference_total * sum(
+                flops.get(layer, 0.0) for layer, _ in step.outputs
+            ) / total_flops
         weights.append(weight)
     # Spill/serde/overhead seconds have no span of their own: spread
     # them proportionally so stage weights sum to the predicted total.

@@ -8,7 +8,7 @@ import pytest
 from repro.cnn import build_model
 from repro.core.config import VistaConfig
 from repro.core.executor import FeatureTransferExecutor
-from repro.core.plans import EAGER, LAZY, STAGED
+from repro.core.plans import EAGER, EAGER_REORDERED, LAZY, STAGED
 from repro.data.synthetic import generate_dataset
 from repro.dataflow.context import local_context
 from repro.tensor.tensorlist import TensorList
@@ -88,9 +88,17 @@ def test_per_image_features_match_independent_inference(multi_dataset):
     np.testing.assert_allclose(matrix[0], expected, rtol=1e-3, atol=1e-4)
 
 
-def test_eager_rejects_multiple_images_clearly(multi_dataset):
-    with pytest.raises(NotImplementedError):
-        _executor(multi_dataset).run(EAGER)
+def test_eager_matches_staged_with_multiple_images(multi_dataset):
+    """Eager's ``tensor:<layer>`` columns are plain TensorList object
+    columns: same inference UDF, same bits as Staged."""
+    staged = _executor(multi_dataset).run(STAGED)
+    for plan in (EAGER, EAGER_REORDERED):
+        eager = _executor(multi_dataset).run(plan)
+        for layer in ("fc7", "fc8"):
+            assert np.array_equal(
+                staged.layer_results[layer].downstream["matrix"],
+                eager.layer_results[layer].downstream["matrix"],
+            ), f"{plan} diverged on {layer}"
 
 
 def test_eager_still_fine_with_single_image(single_dataset):

@@ -10,7 +10,13 @@ import pytest
 from repro.cnn import build_model
 from repro.core.config import VistaConfig
 from repro.core.executor import FeatureTransferExecutor
-from repro.core.plans import ALL_PLANS, EAGER, LAZY, STAGED
+from repro.core.plans import (
+    ALL_PLANS,
+    EAGER,
+    EAGER_REORDERED,
+    LAZY,
+    STAGED,
+)
 from repro.data import foods_dataset
 from repro.dataflow.context import local_context
 
@@ -166,10 +172,56 @@ def test_metrics_populated(setup):
     assert result.metrics["tasks_run"] > 0
 
 
-def test_eager_sniff_skips_empty_first_partition(setup):
-    """The Eager TensorList rejection must look at the first *non-empty*
-    partition — an empty partition 0 used to slip multi-image tables
-    past the guard."""
+def _assert_storage_empty(ctx):
+    for worker in ctx.workers:
+        assert worker.storage.used_bytes == 0
+        assert worker.storage.cached_keys() == []
+
+
+@pytest.mark.parametrize("name", sorted(ALL_PLANS))
+def test_failed_run_leaves_no_cached_partitions(setup, name):
+    """A train step that raises must not strand the plan's cached
+    tables in Storage (Staged used to: only Eager had a ``finally``)."""
+    dataset, model, config = setup
+    ctx = local_context(num_nodes=2, cores_per_node=4, cpu=config.cpu)
+
+    def downstream(features, labels):
+        raise RuntimeError("downstream failed")
+
+    executor = FeatureTransferExecutor(
+        ctx, model, dataset, ["fc7", "fc8"], config,
+        downstream_fn=downstream,
+    )
+    with pytest.raises(RuntimeError, match="downstream failed"):
+        executor.run(ALL_PLANS[name])
+    _assert_storage_empty(ctx)
+
+
+@pytest.mark.parametrize(
+    "name", ["eager", "eager-reordered", "staged", "staged-bj"]
+)
+def test_failed_cache_leaves_no_cached_partitions(setup, name):
+    """A ``cache()`` that exceeds Storage midway (Ignite: ~3 KB here
+    admits some partitions, then raises) is released as well."""
+    from repro.exceptions import StorageMemoryExceeded
+
+    dataset, model, config = setup
+    ctx = local_context(
+        num_nodes=2, cores_per_node=4, cpu=config.cpu, backend="ignite",
+        storage_gb=3e-6,
+    )
+    executor = FeatureTransferExecutor(
+        ctx, model, dataset, ["fc7", "fc8"], config,
+        downstream_fn=lambda f, l: {},
+    )
+    with pytest.raises(StorageMemoryExceeded):
+        executor.run(ALL_PLANS[name])
+    _assert_storage_empty(ctx)
+
+
+def _tensorlist_matrix(setup, plan):
+    """Train matrix of ``plan`` over single-member TensorList images
+    held in a table whose partition 0 is empty."""
     from repro.dataflow.partition import Partition
     from repro.dataflow.table import DistributedTable
     from repro.tensor.tensorlist import TensorList
@@ -188,12 +240,20 @@ def test_eager_sniff_skips_empty_first_partition(setup):
         ctx, [Partition.from_rows(0, []), Partition.from_rows(1, tl_rows)],
         name="t_img",
     )
-    with pytest.raises(NotImplementedError):
-        executor.run(EAGER)
+    return executor.run(plan).layer_results["fc7"].downstream["matrix"]
+
+
+def test_eager_tensorlists_with_empty_first_partition(setup):
+    """Eager needs no TensorList special case (it used to sniff the
+    first non-empty partition and reject): an empty partition 0 next to
+    multi-image rows trains the same matrix Staged does."""
+    staged = _tensorlist_matrix(setup, STAGED)
+    for plan in (EAGER, EAGER_REORDERED):
+        assert np.array_equal(_tensorlist_matrix(setup, plan), staged), plan
 
 
 def test_eager_sniff_tolerates_all_empty_table(setup):
-    """A table with no rows anywhere must not trip the sniff itself
+    """A table with no rows anywhere runs through inference untouched
     (the run fails later, at training, for want of data)."""
     from repro.dataflow.partition import Partition
     from repro.dataflow.table import DistributedTable
