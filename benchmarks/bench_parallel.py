@@ -75,7 +75,7 @@ FLOOR_MIN_CORES = 4
 
 def build_workload(records):
     """Staged-plan workload sized so per-task inference dominates fork
-    + shm-transfer overhead on a multi-core host."""
+    + pipe-transfer overhead on a multi-core host."""
     cnn = build_model("alexnet", profile="mini")
     dataset = foods_dataset(num_records=records)
     config = VistaConfig(

@@ -822,8 +822,8 @@ def build_parser():
         sub_parser.add_argument(
             "--backend", default="serial", choices=["serial", "process"],
             help="physical wave executor: 'serial' (deterministic "
-                 "in-process default) or 'process' (one forked OS "
-                 "process per wave task, results via shared memory)",
+                 "in-process default) or 'process' (up to cpu "
+                 "forked workers resident per stage, results over pipes)",
         )
 
     run = sub.add_parser("run", help="mini-scale end-to-end execution")

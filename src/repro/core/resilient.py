@@ -196,10 +196,11 @@ class ResilientRunner:
                         result = executor.run(plan, premat_layer=premat_layer)
                 finally:
                     # Every attempt abandons its context on the way
-                    # out: sweep the backend so a crashed parallel
-                    # attempt cannot leak shared memory (a no-op for
-                    # the serial backend and for clean exits, which
-                    # unlink per wave).
+                    # out: kill and reap any worker process the
+                    # backend still holds (a no-op for the serial
+                    # backend, and for the process backend unless a
+                    # stage bracket was somehow skipped — stages reap
+                    # their own workers on every exit path).
                     context.exec_backend.close()
             except WorkloadCrash as crash:
                 if attempt >= self.max_attempts:

@@ -7,63 +7,66 @@ which partitions form a wave, who retries, who gets blacklisted. A
 - :class:`SerialBackend` (the default) runs the wave's tasks
   sequentially in-process, exactly as the engine always has. Memory is
   still *accounted* as if ``cpu`` tasks run concurrently.
-- :class:`ProcessPoolBackend` runs each wave task in its own forked OS
-  process, so a wave of ``cpu`` tasks genuinely occupies ``cpu`` cores
-  and the ``cpu`` knob (the one Algorithm 1 exists to pick) finally
-  moves wall-clock time. Results travel back through POSIX shared
-  memory as VCB1 single-buffer encodings
+- :class:`ProcessPoolBackend` keeps up to ``cpu`` forked worker
+  processes resident for the duration of a stage (one
+  ``run_partition_tasks`` call — §4.1's "each execution thread holds
+  its replica for the stage"), so a wave of ``cpu`` tasks genuinely
+  occupies ``cpu`` cores and the ``cpu`` knob (the one Algorithm 1
+  exists to pick) moves wall-clock time. A result travels back over a
+  pipe as one length-prefixed frame whose payload is the VCB1
+  single-buffer encoding
   (:meth:`~repro.dataflow.columnar.ColumnarBlock.to_buffer`), so image
-  tensors are never pickled; a dead child — real ``SIGKILL`` included —
-  surfaces as a genuine :class:`~repro.exceptions.WorkerLost` and flows
-  through the existing lineage/retry/blacklist machinery unchanged.
+  tensors are never pickled; a dead worker — real ``SIGKILL``
+  included — is a short read on its pipe and surfaces as a genuine
+  :class:`~repro.exceptions.WorkerLost` that flows through the
+  existing lineage/retry/blacklist machinery unchanged. Workers hold
+  two pipe ends and nothing named, and are killed and reaped when the
+  stage exits on every path, so there is nothing to orphan; a worker
+  whose driver dies reads EOF on its command pipe and exits.
 
-Both backends expose one hook, :meth:`Backend.run_wave`, with the
-scheduler's full wave context; everything above the wave (regrouping,
-failover, commit barriers) is backend-agnostic.
+Backends expose two hooks: :meth:`Backend.stage` brackets one stage
+and :meth:`Backend.run_wave` executes one wave with the scheduler's
+full wave context; everything above the wave (regrouping, failover,
+commit barriers) is backend-agnostic.
 
 Fault-injection semantics are preserved exactly: the process backend
 screens ``injector.on_task_start`` in the *parent*, in wave order,
-before forking — injected crashes, OOMs, stragglers, and simulated
+before dispatching — injected crashes, OOMs, stragglers, and simulated
 worker losses fire at the same points with the same seeded RNG draws
 as the serial engine, which is what keeps recovered outputs
 bit-identical across backends. The one genuinely new fault kind,
 ``worker-kill`` (:func:`repro.faults.plan.FaultPlan.worker_kill`),
-SIGKILLs the real child process — at fork (``phase="start"``) or after
-it created its shared-memory segment but before the payload transfer
-completed (``phase="transfer"``), the crash-mid-transfer case the
-leak tests cover.
-
-Shared-memory lifecycle: every segment name is drawn from a
-per-backend prefix (``vista<pid>x<seq>``) assigned by the parent
-*before* forking, so the parent can always unlink a segment whose
-child died at any point. Segments are unlinked as each result is
-copied out, and a wave-level cleanup sweep runs on every exit path;
-:meth:`ProcessPoolBackend.close` and :func:`orphaned_segments` exist
-so tests can assert nothing leaked.
+SIGKILLs the real worker process — before its task is sent
+(``phase="start"``) or after it announced its result frame but before
+the frame was transferred (``phase="transfer"``).
 """
 
 from __future__ import annotations
 
+import fcntl
 import os
 import pickle
 import signal
 import struct
+from contextlib import contextmanager, nullcontext
+from time import perf_counter
 
 from repro.dataflow.columnar import ColumnarBlock
 from repro.exceptions import TaskFailure, WorkerLost, WorkloadCrash
 from repro.metrics import NULL_METRICS
 from repro.trace import NULL_TRACER
 
-#: Directory POSIX shared memory appears under on Linux; the leak
-#: tests scan it for orphaned ``vista*`` segments.
-SHM_DIR = "/dev/shm"
-
-_META_KILLED = "transfer-kill"
+#: Worker -> parent frame header: pickled-meta length, payload length.
+_FRAME_HEADER = struct.Struct("<II")
+#: Parent -> worker command: the task's position in the stage's
+#: partition list.
+_COMMAND = struct.Struct("<I")
 
 
 class Backend:
-    """Protocol for one wave's physical execution.
+    """Protocol for physical task execution.
 
+    ``stage`` brackets every wave of one ``run_partition_tasks`` call;
     ``run_wave`` receives the scheduler's full wave context and returns
     the ``(position, result)`` pairs that succeeded; transient failures
     go on ``retry_next`` via :func:`_handle_task_failure` and
@@ -72,6 +75,12 @@ class Backend:
     """
 
     name = "abstract"
+
+    def stage(self, context, partitions, task_fn):
+        """Context manager held for one stage; ``wave`` positions
+        passed to :meth:`run_wave` inside it index ``partitions``. A
+        no-op unless the backend keeps per-stage resources."""
+        return nullcontext()
 
     def run_wave(self, context, worker, wave, task_fn, region, charge_fn,
                  what, attempts, retry_next, policy, injector, recovery,
@@ -139,90 +148,96 @@ class SerialBackend(Backend):
         return wave_results
 
 
-class _Child:
-    """Parent-side bookkeeping for one forked wave task."""
+class _Stage:
+    """What a stage's workers inherit by fork, plus their slots."""
 
-    __slots__ = ("position", "partition", "attempt", "pid", "read_fd",
-                 "shm_name", "kill_phase", "reaped")
+    __slots__ = ("context", "partitions", "task_fn", "slots")
 
-    def __init__(self, position, partition, attempt, pid, read_fd,
-                 shm_name, kill_phase):
-        self.position = position
-        self.partition = partition
-        self.attempt = attempt
+    def __init__(self, context, partitions, task_fn):
+        self.context = context
+        self.partitions = partitions
+        self.task_fn = task_fn
+        self.slots = {}     # lane -> _Slot of its live worker
+
+
+class _Slot:
+    """Parent-side handle on one resident worker process."""
+
+    __slots__ = ("lane", "pid", "command_w", "result_r", "busy")
+
+    def __init__(self, lane, pid, command_w, result_r):
+        self.lane = lane
         self.pid = pid
-        self.read_fd = read_fd
-        self.shm_name = shm_name
-        self.kill_phase = kill_phase
-        self.reaped = False
+        self.command_w = command_w
+        self.result_r = result_r
+        self.busy = False   # a command was sent, its frame not yet read
 
 
 class ProcessPoolBackend(Backend):
-    """One forked OS process per wave task, results via shared memory.
+    """Up to ``cpu`` stage-resident forked workers, results over pipes.
 
-    Protocol per task (parent assigns the segment name pre-fork):
+    Inside :meth:`stage`, the i-th surviving task of a wave goes to
+    lane i; a lane's worker is forked the first time the lane is used
+    (and again after it was killed), binds itself to the lane's share
+    of the driver's cores and serves one task per wave until the stage
+    exits. It inherits ``task_fn`` and the stage's partition list by
+    fork — no closure pickling, ever — so it sees parent state as of
+    its fork: ``task_fn`` must not depend on parent mutations made
+    mid-stage (engine tasks never do).
+
+    Protocol per task:
 
     1. parent screens fault injection (wave order, parent RNG), then
-       forks; the child inherits ``task_fn`` and its partition — no
-       closure pickling, ever;
-    2. child runs the task, encodes the result (``ColumnarBlock`` →
-       VCB1 single buffer, anything else → pickle), creates the
-       named ``SharedMemory`` segment, sends a 1-byte handshake,
-       waits for the parent's ack, copies the payload in, then ships
-       a small pickled meta frame (segment size, encoding kind,
-       metric counter deltas, per-op timer samples) down its pipe and
-       ``os._exit(0)``s — no atexit, no inherited test harness;
-    3. parent collects in wave order: a child that died (killed,
-       crashed, torn pipe) raises :class:`WorkerLost` for the wave;
-       shipped task exceptions re-enter the normal retry path; results
-       are copied out of the segment (then unlinked immediately) and
-       charged to the worker's region exactly as the serial engine
-       charges them.
-
-    Counter deltas and op-timer samples recorded by the child merge
-    back into the *driver's* registries at collect time, so metrics
-    and traces look the same whichever backend ran the wave.
+       writes the task's 4-byte position down the lane's command pipe;
+    2. worker runs the task, encodes the result (``ColumnarBlock`` →
+       VCB1 single buffer, anything else → pickle), writes an 8-byte
+       frame header (meta length, payload length), waits for a 1-byte
+       go-ahead on the command pipe, then writes the pickled meta
+       (status, shippable exception, metric counter deltas, per-op
+       timer samples, ``compute_s``) and the payload;
+    3. parent collects in wave order: a short read (worker killed,
+       crashed, torn pipe) reaps the worker and raises
+       :class:`WorkerLost` for the wave; shipped task exceptions
+       re-enter the normal retry path; results are decoded as views
+       over the buffer the frame was read into and charged to the
+       worker's region exactly as the serial engine charges them.
     """
 
     name = "process"
 
     def __init__(self):
-        self._seq = 0
-        self.prefix = f"vista{os.getpid()}x"
-        self._live_segments = set()
-        self._tracker_ready = False
+        self._stage = None
 
-    # ------------------------------------------------------------------
-    def _next_name(self):
-        self._seq += 1
-        return f"{self.prefix}{self._seq}"
-
-    def _ensure_tracker(self):
-        """Start the resource tracker before the first fork so every
-        child shares the parent's tracker process (their segment
-        registrations collapse into one set entry the parent's unlink
-        later clears — no leak warnings at shutdown)."""
-        if not self._tracker_ready:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
-            self._tracker_ready = True
-
-    def live_segments(self):
-        """Names of segments this backend may still own (normally
-        empty between waves)."""
-        return set(self._live_segments)
+    @contextmanager
+    def stage(self, context, partitions, task_fn):
+        outer = self._stage
+        self._stage = _Stage(context, partitions, task_fn)
+        try:
+            yield
+        finally:
+            self.close()
+            self._stage = outer
 
     def close(self):
-        """Unlink any segment still tracked (idempotent sweep)."""
-        for name in list(self._live_segments):
-            self._unlink_segment(name)
+        """Kill and reap any live worker (idempotent)."""
+        stage = self._stage
+        if stage is None:
+            return
+        live = list(stage.slots.values())
+        stage.slots.clear()
+        # signal all first so the exits overlap, then reap
+        for slot in live:
+            _hang_up(slot)
+        for slot in live:
+            os.waitpid(slot.pid, 0)
 
     # ------------------------------------------------------------------
     def run_wave(self, context, worker, wave, task_fn, region, charge_fn,
                  what, attempts, retry_next, policy, injector, recovery,
                  clock):
-        self._ensure_tracker()
+        stage = self._stage
+        if stage is None:
+            raise RuntimeError("run_wave called outside Backend.stage()")
         charged = 0
         wave_results = []
         tracer = getattr(context, "tracer", NULL_TRACER)
@@ -232,10 +247,16 @@ class ProcessPoolBackend(Backend):
         tasks_counter = metrics.counter(
             "tasks_total", worker=f"w{worker.node_id}"
         )
-        children = []
+        dispatched = []
+
+        def emit_collect(slot, partition, status, stats):
+            if ledger_on:
+                ledger.emit("task_collect", pid=slot.pid,
+                            partition=partition.index, status=status, **stats)
+
         try:
-            # Phase 1 — screen injection and fork, in wave order. All
-            # surviving tasks run concurrently once forked.
+            # Phase 1 — screen injection and dispatch, in wave order.
+            # All surviving tasks run concurrently once dispatched.
             for position, partition in wave:
                 attempt = attempts[partition.index] = (
                     attempts[partition.index] + 1
@@ -260,212 +281,161 @@ class ProcessPoolBackend(Backend):
                         what=what, partition_index=partition.index,
                         worker_id=worker.node_id, attempt=attempt,
                     )
-                child = self._fork_task(
-                    context, position, partition, attempt, task_fn,
-                    kill_phase,
+                # the i-th surviving task of a wave runs on lane i
+                slot, spawn_s = self._slot(stage, len(dispatched))
+                slot.busy = True
+                if kill_phase == "start":
+                    os.kill(slot.pid, signal.SIGKILL)
+                else:
+                    _send(slot, _COMMAND.pack(position))
+                dispatched.append(
+                    (slot, position, partition, attempt, kill_phase)
                 )
-                children.append(child)
                 if ledger_on:
-                    # The parent emits on the child's behalf: the
+                    # The parent emits on the worker's behalf: the
                     # forked process inherits the ledger fd but its
                     # emit() is an owner-pid-guarded no-op.
-                    ledger.emit("task_fork", pid=child.pid,
+                    ledger.emit("task_fork", pid=slot.pid,
                                 partition=partition.index,
-                                attempt=attempt, what=what)
+                                attempt=attempt, what=what,
+                                spawn_s=round(spawn_s, 6))
             # Phase 2 — collect in wave order; charges mirror the
             # serial engine's and are released when the wave ends.
-            for child in children:
+            for slot, position, partition, attempt, kill_phase in dispatched:
+                stats = {"compute_s": 0.0, "transfer_bytes": 0, "wait_s": 0.0}
                 try:
-                    result = self._collect(context, child, worker)
+                    result = self._collect(
+                        stage, slot, partition, kill_phase, worker, stats
+                    )
                     worker.tasks_run += 1
                     tracer.add("tasks")
                     tasks_counter.inc()
                     if charge_fn is not None:
-                        nbytes = charge_fn(child.partition, result)
+                        nbytes = charge_fn(partition, result)
                         charged += nbytes
                         tracer.add("charged_bytes", nbytes)
                         worker.accountant.charge(region, nbytes, what=what)
                 except WorkerLost:
-                    if ledger_on:
-                        ledger.emit("task_collect", pid=child.pid,
-                                    partition=child.partition.index,
-                                    status="worker-lost")
+                    emit_collect(slot, partition, "worker-lost", stats)
                     raise
                 except Exception as exc:
-                    if ledger_on:
-                        ledger.emit("task_collect", pid=child.pid,
-                                    partition=child.partition.index,
-                                    status=f"error:{type(exc).__name__}")
+                    emit_collect(slot, partition,
+                                 f"error:{type(exc).__name__}", stats)
                     _handle_task_failure(
-                        context, worker, child.position, child.partition,
-                        child.attempt, exc, retry_next, policy, recovery,
-                        clock, what,
+                        context, worker, position, partition, attempt, exc,
+                        retry_next, policy, recovery, clock, what,
                     )
                 else:
-                    if ledger_on:
-                        ledger.emit("task_collect", pid=child.pid,
-                                    partition=child.partition.index,
-                                    status="ok")
-                    wave_results.append((child.position, result))
+                    emit_collect(slot, partition, "ok", stats)
+                    wave_results.append((position, result))
         finally:
             worker.accountant.release(region, charged)
-            self._cleanup_wave(children)
+            # A wave that ended early (WorkerLost, TaskFailure, crash)
+            # leaves lanes with an unread frame: their pipes are out of
+            # step, so those workers go; the lane re-forks on next use.
+            for slot, *_ in dispatched:
+                if slot.busy:
+                    self._reap(stage, slot)
         return wave_results
 
     # ------------------------------------------------------------------
-    # fork side
+    # worker lifecycle
     # ------------------------------------------------------------------
-    def _fork_task(self, context, position, partition, attempt, task_fn,
-                   kill_phase):
-        shm_name = self._next_name()
-        meta_r, meta_w = os.pipe()
-        ack_r, ack_w = os.pipe()
-        self._live_segments.add(shm_name)
+    def _slot(self, stage, lane):
+        """The lane's resident worker and the seconds spent forking it
+        (0.0 when it was already resident)."""
+        slots = stage.slots
+        if lane in slots:
+            return slots[lane], 0.0
+        started = perf_counter()
+        command_r, command_w = os.pipe()
+        result_r, result_w = os.pipe()
+        _widen(result_w)
         pid = os.fork()
         if pid == 0:
-            # Child: never returns. os._exit keeps pytest/atexit
+            # Worker: never returns. os._exit keeps pytest/atexit
             # machinery inherited over fork from ever running here.
             code = 1
             try:
-                os.close(meta_r)
-                os.close(ack_w)
-                _child_main(meta_w, ack_r, shm_name, task_fn, partition,
-                            context)
+                os.close(command_w)
+                os.close(result_r)
+                # Siblings' parent-side ends came along with the fork;
+                # holding them would keep a sibling from ever seeing
+                # EOF when the driver dies.
+                for sibling in slots.values():
+                    os.close(sibling.command_w)
+                    os.close(sibling.result_r)
+                _claim_cores(lane, stage.context.cpu)
+                _worker_main(command_r, result_w, stage)
                 code = 0
             except BaseException:
                 pass
             finally:
                 os._exit(code)
-        os.close(meta_w)
-        os.close(ack_r)
-        if kill_phase == "start":
-            os.kill(pid, signal.SIGKILL)
-            os.close(ack_w)
-        elif kill_phase == "transfer":
-            # The ack is withheld: the child parks after creating its
-            # segment and dies there — deterministically mid-transfer.
-            pass
-        else:
-            os.write(ack_w, b"g")
-            os.close(ack_w)
-            ack_w = -1
-        return _Child(position, partition, attempt, pid, meta_r, shm_name,
-                      "ack:%d" % ack_w if kill_phase == "transfer"
-                      else kill_phase)
+        os.close(command_r)
+        os.close(result_w)
+        slot = slots[lane] = _Slot(lane, pid, command_w, result_r)
+        return slot, perf_counter() - started
+
+    def _reap(self, stage, slot):
+        """Kill the worker (a no-op on one already dead), free its
+        lane, and return its exit code."""
+        stage.slots.pop(slot.lane, None)
+        slot.busy = False
+        _hang_up(slot)
+        _, status = os.waitpid(slot.pid, 0)
+        return os.waitstatus_to_exitcode(status)
 
     # ------------------------------------------------------------------
     # collect side
     # ------------------------------------------------------------------
-    def _collect(self, context, child, worker):
-        handshake = _read_exact(child.read_fd, 1)
-        if child.kill_phase and child.kill_phase.startswith("ack:"):
-            # crash-mid-transfer: the segment exists (handshake b"S"),
-            # the payload never lands; the withheld ack fd is closed
-            # after the kill so nothing dangles.
-            os.kill(child.pid, signal.SIGKILL)
-            os.close(int(child.kill_phase.split(":", 1)[1]))
-        meta = None
-        if handshake in (b"S", b"E"):
-            frame = _read_exact(child.read_fd, 4)
-            if len(frame) == 4:
-                (length,) = struct.unpack("<I", frame)
-                payload = _read_exact(child.read_fd, length)
-                if len(payload) == length:
-                    try:
-                        meta = pickle.loads(payload)
-                    except Exception:
-                        meta = None
-        os.close(child.read_fd)
-        child.read_fd = -1
-        _, status = os.waitpid(child.pid, 0)
-        child.reaped = True
-        code = os.waitstatus_to_exitcode(status)
-        if meta is None or code != 0:
-            self._unlink_segment(child.shm_name)
+    def _collect(self, stage, slot, partition, kill_phase, worker, stats):
+        """Read one worker's frame; fills ``stats`` (the ledger's
+        ``task_collect`` fields) with what is known when it returns or
+        raises."""
+        started = perf_counter()
+        header = bytearray(_FRAME_HEADER.size)
+        announced = _read_into(slot.result_r, header) == len(header)
+        stats["wait_s"] = round(perf_counter() - started, 6)
+        body = None
+        # crash-mid-transfer: the frame is announced, the go-ahead is
+        # withheld, and the worker dies parked before its body.
+        if announced and kill_phase != "transfer":
+            meta_len, payload_len = _FRAME_HEADER.unpack(header)
+            _send(slot, b"g")
+            body = bytearray(meta_len + payload_len)
+            if _read_into(slot.result_r, body) != len(body):
+                body = None
+        if body is None:
+            code = self._reap(stage, slot)
             raise WorkerLost(
-                f"worker process {child.pid} died "
+                f"worker process {slot.pid} died "
                 f"({_describe_exit(code)}) running partition "
-                f"{child.partition.index}",
+                f"{partition.index}",
                 worker_id=worker.node_id,
             )
-        self._merge_child_state(context, meta)
+        slot.busy = False
+        # read-only, like the arrays every other VCB1 decode hands out
+        frame = memoryview(body).toreadonly()
+        meta = pickle.loads(frame[:meta_len])
+        stats["compute_s"] = meta["compute_s"]
+        stats["transfer_bytes"] = len(body)
+        self._merge_worker_state(stage.context, meta)
         if meta["status"] == "error":
-            self._unlink_segment(child.shm_name)
             raise meta["exception"]
-        data = self._read_segment(child.shm_name, meta["size"])
         if meta["kind"] == "block":
-            return ColumnarBlock.from_buffer(data)
-        return pickle.loads(data)
-
-    def _read_segment(self, name, size):
-        """Copy a child's payload out of its segment, then unlink it.
-        The copy (``bytes``) is what zero-copy ``from_buffer`` views
-        point into, so decoded arrays outlive the segment."""
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(name=name)
-        try:
-            data = bytes(shm.buf[:size])
-        finally:
-            shm.close()
-        self._unlink_segment(name)
-        return data
-
-    def _unlink_segment(self, name):
-        """Best-effort unlink; tolerates a segment the child never got
-        to create (killed pre-creation)."""
-        from multiprocessing import shared_memory
-
-        self._live_segments.discard(name)
-        try:
-            shm = shared_memory.SharedMemory(name=name)
-        except FileNotFoundError:
-            return
-        shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:
-            pass
-
-    def _cleanup_wave(self, children):
-        """Exit-path sweep: kill and reap any child not yet collected,
-        unlink every segment the wave assigned. Runs on success too
-        (no-op by then) so no path can leak."""
-        for child in children:
-            if not child.reaped:
-                try:
-                    os.kill(child.pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-                try:
-                    os.waitpid(child.pid, 0)
-                except ChildProcessError:
-                    pass
-                child.reaped = True
-            if child.read_fd >= 0:
-                try:
-                    os.close(child.read_fd)
-                except OSError:
-                    pass
-                child.read_fd = -1
-            if child.kill_phase and child.kill_phase.startswith("ack:"):
-                try:
-                    os.close(int(child.kill_phase.split(":", 1)[1]))
-                except OSError:
-                    pass
-                child.kill_phase = "transfer"
-            self._unlink_segment(child.shm_name)
+            return ColumnarBlock.from_buffer(frame[meta_len:])
+        return pickle.loads(frame[meta_len:])
 
     # ------------------------------------------------------------------
-    # child-state merge
+    # worker-state merge
     # ------------------------------------------------------------------
-    def _merge_child_state(self, context, meta):
-        """Fold the child's observability deltas into the driver's
-        registries: counter totals advance by the child's increments,
-        per-op timer samples extend the executor's deferred-flush dict
-        (and replay onto the tracer's current span when tracing), and
-        engine-level task counters (batched fallbacks) accumulate on
-        the context."""
+    def _merge_worker_state(self, context, meta):
+        """Fold the worker's deltas into the driver's registries, so
+        metrics and traces read the same whichever backend ran the
+        wave: counters advance by the worker's increments, per-op timer
+        samples extend the executor's deferred-flush dict (and replay
+        onto the current span when tracing), task counters accumulate."""
         metrics = getattr(context, "metrics", NULL_METRICS)
         if getattr(metrics, "enabled", False):
             for (name, label_pairs), delta in meta.get("counters", ()):
@@ -486,27 +456,36 @@ class ProcessPoolBackend(Backend):
 
 
 # ----------------------------------------------------------------------
-# child process body
+# worker process body
 # ----------------------------------------------------------------------
-def _counter_snapshot(metrics):
-    """``{(name, label_pairs): total}`` for every counter in a live
-    registry (empty for NULL_METRICS)."""
-    if not getattr(metrics, "enabled", False):
-        return {}
-    return metrics.counter_totals()
+def _worker_main(command_r, result_w, stage):
+    """Serve tasks until the command pipe reaches EOF (the stage closed
+    it, or the driver died)."""
+    command = bytearray(_COMMAND.size)
+    go_ahead = bytearray(1)
+    while _read_into(command_r, command) == len(command):
+        (position,) = _COMMAND.unpack(command)
+        meta, payload = _run_task(
+            stage.context, stage.task_fn, stage.partitions[position]
+        )
+        frame = pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL)
+        _write_all(result_w, _FRAME_HEADER.pack(len(frame), len(payload)))
+        if not _read_into(command_r, go_ahead):
+            return  # parked here when the parent withholds
+        _write_all(result_w, frame)
+        _write_all(result_w, payload)
 
 
-def _child_main(meta_w, ack_r, shm_name, task_fn, partition, context):
-    """Run one task inside the forked child and ship the outcome.
+def _run_task(context, task_fn, partition):
+    """Run one task inside the worker; returns ``(meta, payload)``.
 
-    The child inherits the whole driver state by fork; it snapshots the
-    mutable observability surfaces first, runs ``task_fn``, and ships
+    The worker inherited the whole driver state by fork; it snapshots
+    the mutable observability surfaces around ``task_fn`` and ships
     only the *deltas* — parent-side state is never written from here.
     """
-    from multiprocessing import shared_memory
-
     metrics = getattr(context, "metrics", NULL_METRICS)
-    before_counters = _counter_snapshot(metrics)
+    live = getattr(metrics, "enabled", False)   # NULL_METRICS: no totals
+    before_counters = metrics.counter_totals() if live else {}
     op_samples = getattr(context, "_op_samples", None)
     before_ops = (
         {name: len(vals) for name, vals in op_samples.items()}
@@ -515,8 +494,9 @@ def _child_main(meta_w, ack_r, shm_name, task_fn, partition, context):
     task_counters = getattr(context, "task_counters", None)
     before_tasks = dict(task_counters) if task_counters is not None else {}
 
-    meta = {"status": "ok", "size": 0, "kind": "pickle"}
+    meta = {"status": "ok", "kind": "pickle"}
     payload = b""
+    started = perf_counter()
     try:
         result = task_fn(partition)
         if isinstance(result, ColumnarBlock):
@@ -524,17 +504,16 @@ def _child_main(meta_w, ack_r, shm_name, task_fn, partition, context):
             meta["kind"] = "block"
         else:
             payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        meta["size"] = len(payload)
     except BaseException as exc:
         meta = {"status": "error", "exception": _shippable(exc)}
+    meta["compute_s"] = round(perf_counter() - started, 6)
 
-    after_counters = _counter_snapshot(metrics)
-    deltas = []
-    for key, total in after_counters.items():
-        delta = total - before_counters.get(key, 0)
-        if delta:
-            deltas.append((key, delta))
-    meta["counters"] = deltas
+    after_counters = metrics.counter_totals() if live else {}
+    meta["counters"] = [
+        (key, total - before_counters.get(key, 0))
+        for key, total in after_counters.items()
+        if total != before_counters.get(key, 0)
+    ]
     if op_samples is not None:
         meta["ops"] = {
             name: vals[before_ops.get(name, 0):]
@@ -547,22 +526,7 @@ def _child_main(meta_w, ack_r, shm_name, task_fn, partition, context):
             for key, value in task_counters.items()
             if value != before_tasks.get(key, 0)
         }
-
-    if meta["status"] == "ok" and payload:
-        shm = shared_memory.SharedMemory(
-            create=True, size=max(1, len(payload)), name=shm_name
-        )
-        os.write(meta_w, b"S")
-        _read_exact(ack_r, 1)  # parked here when the parent withholds
-        shm.buf[:len(payload)] = payload
-        shm.close()
-    else:
-        os.write(meta_w, b"E" if meta["status"] == "error" else b"S")
-        _read_exact(ack_r, 1)
-    frame = pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL)
-    os.write(meta_w, struct.pack("<I", len(frame)))
-    os.write(meta_w, frame)
-    os.close(meta_w)
+    return meta, payload
 
 
 def _shippable(exc):
@@ -575,18 +539,66 @@ def _shippable(exc):
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def _read_exact(fd, length):
-    """Read exactly ``length`` bytes; short data (EOF — the writer
-    died) returns what arrived."""
-    chunks = []
-    remaining = length
-    while remaining:
-        chunk = os.read(fd, remaining)
-        if not chunk:
+# ----------------------------------------------------------------------
+# pipe helpers
+# ----------------------------------------------------------------------
+def _read_into(fd, buffer):
+    """Fill ``buffer`` from ``fd``; returns the bytes that arrived —
+    fewer than ``len(buffer)`` means EOF: the writer died or hung up."""
+    view = memoryview(buffer)
+    got = 0
+    while got < len(view):
+        count = os.readv(fd, [view[got:]])
+        if not count:
             break
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+        got += count
+    return got
+
+
+def _write_all(fd, data):
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _send(slot, data):
+    """Write to a worker's command pipe. A worker that already died is
+    discovered by the short read that follows, not here."""
+    try:
+        _write_all(slot.command_w, data)
+    except BrokenPipeError:
+        pass
+
+
+def _widen(fd):
+    """Grow a result pipe to 1 MB (Linux's default ceiling) where the
+    platform allows: a frame is then one write and one read instead of
+    a block/wake round trip per 64 KB. Best effort."""
+    try:
+        fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, 1 << 20)
+    except (AttributeError, OSError):
+        pass
+
+
+def _claim_cores(lane, lanes):
+    """Bind the calling worker to lane ``lane``'s share of the cores
+    the driver may use (every ``lanes``-th, wrapping when lanes exceed
+    cores): tasks last milliseconds, too short for the scheduler to
+    pull apart two fresh forks it stacked on one core."""
+    if hasattr(os, "sched_setaffinity"):
+        cores = sorted(os.sched_getaffinity(0))
+        width = min(lanes, len(cores))
+        os.sched_setaffinity(0, cores[lane % width::width])
+
+
+def _hang_up(slot):
+    """SIGKILL the worker and close the parent's pipe ends; the caller
+    reaps. Safe on a worker that is already dead but not yet reaped.
+    The kill goes first: a parked worker that saw EOF before the signal
+    would exit 0 and the loss would not read as a kill."""
+    os.kill(slot.pid, signal.SIGKILL)
+    os.close(slot.command_w)
+    os.close(slot.result_r)
 
 
 def _describe_exit(code):
@@ -688,15 +700,3 @@ def resolve_backend(backend):
             f"instance, got {backend!r}"
         ) from None
     return SERIAL_BACKEND if cls is SerialBackend else cls()
-
-
-def orphaned_segments(prefix):
-    """Shared-memory segment names under ``prefix`` still present in
-    :data:`SHM_DIR` — the leak tests assert this is empty after
-    success, crash, and resume alike. Returns [] on platforms without
-    a /dev/shm."""
-    if not os.path.isdir(SHM_DIR):
-        return []
-    return sorted(
-        name for name in os.listdir(SHM_DIR) if name.startswith(prefix)
-    )

@@ -312,12 +312,13 @@ class ColumnarBlock:
 
     @classmethod
     def from_buffer(cls, data):
-        """Decode :meth:`to_buffer` output. Array columns are
-        ``np.frombuffer`` views over ``data`` (read-only, zero-copy)."""
+        """Decode :meth:`to_buffer` output from any bytes-like
+        ``data``. Array columns are zero-copy ``np.frombuffer`` views
+        over it, writable only if ``data`` is."""
         if data[:4] != MAGIC:
             raise ValueError("not a columnar buffer (bad magic)")
         header_len = int.from_bytes(data[4:8], "little")
-        header = json.loads(data[8:8 + header_len].decode("utf-8"))
+        header = json.loads(bytes(data[8:8 + header_len]))
         offset = 8 + header_len
         view = memoryview(data)
         columns = {}

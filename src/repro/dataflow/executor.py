@@ -10,8 +10,10 @@ paper's "higher parallelism -> bigger footprint -> crash" behaviour.
 :class:`~repro.dataflow.backend.Backend`: the default
 :class:`~repro.dataflow.backend.SerialBackend` runs them sequentially
 in-process (deterministic, accounted as if ``cpu`` ran concurrently),
-while :class:`~repro.dataflow.backend.ProcessPoolBackend` forks one OS
-process per wave task so ``cpu`` genuinely parallelizes the wave.
+while :class:`~repro.dataflow.backend.ProcessPoolBackend` keeps up to
+``cpu`` forked workers resident for the stage — ``run_partition_tasks``
+brackets its waves in :meth:`~repro.dataflow.backend.Backend.stage` —
+so ``cpu`` genuinely parallelizes each wave.
 Scheduling — regrouping, retries, blacklisting, failover, commit
 barriers — stays here and is identical across backends.
 
@@ -113,20 +115,28 @@ def run_partition_tasks(context, partitions, task_fn, region=Region.USER,
         ledger.emit("stage_tasks", what=what, partitions=len(partitions))
     pending = list(enumerate(partitions))
     committed = set()
-    while pending:
-        retry_next = []
-        # Regrouping each round is what reassigns a blacklisted
-        # worker's partitions: worker_for skips excluded nodes.
-        for worker, items in _group_pairs(context, pending).items():
-            _run_worker_share(
-                context, worker, items, task_fn, region, charge_fn, what,
-                results, attempts, retry_next, policy, injector, recovery,
-                clock, on_commit, committed,
-            )
-        # A partition already committed must never run again: a wave
-        # discarded *after* an earlier wave committed (worker lost
-        # between waves) reschedules only genuinely uncommitted work.
-        pending = [pair for pair in retry_next if pair[0] not in committed]
+    backend = getattr(context, "exec_backend", None) or SERIAL_BACKEND
+    # The stage bracket is what lets a backend keep per-stage resources
+    # (the process backend's resident workers) and release them on
+    # every exit path; wave positions index ``partitions``.
+    with backend.stage(context, partitions, task_fn):
+        while pending:
+            retry_next = []
+            # Regrouping each round is what reassigns a blacklisted
+            # worker's partitions: worker_for skips excluded nodes.
+            for worker, items in _group_pairs(context, pending).items():
+                _run_worker_share(
+                    context, worker, items, task_fn, region, charge_fn,
+                    what, results, attempts, retry_next, policy, injector,
+                    recovery, clock, on_commit, committed,
+                )
+            # A partition already committed must never run again: a
+            # wave discarded *after* an earlier wave committed (worker
+            # lost between waves) reschedules only genuinely
+            # uncommitted work.
+            pending = [
+                pair for pair in retry_next if pair[0] not in committed
+            ]
     return results
 
 

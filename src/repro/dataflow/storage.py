@@ -80,10 +80,11 @@ class StorageManager:
         to the in-memory retained copy (the spill stays metered).
 
         The file name carries the writing process's pid: under the
-        process execution backend a forked child inherits this manager,
-        and pid-scoping keeps a child's spill (discarded with the
-        child) from ever clobbering — or being trusted as — the
-        driver's copy of the same key."""
+        process execution backend every stage-resident worker inherits
+        this manager by fork, and pid-scoping keeps a worker's spill
+        (its copy of the manager dies with it at stage exit) from ever
+        clobbering — or being trusted as — the driver's copy of the
+        same key."""
         if self.spill_dir is None:
             return
         from repro.recovery.store import atomic_write_bytes

@@ -380,7 +380,7 @@ def calibrate_parallel(cnn, dataset, layers, config, budget, num_nodes=2,
     not wall time).
 
     For each ``cpu`` the serial baseline runs once and the process
-    backend runs ``repeats`` times (best wall kept — forks and shm
+    backend runs ``repeats`` times (best wall kept — forks and pipe
     transfers add scheduling noise the cost model does not price).
     Returns a :class:`ParallelCalibrationReport` whose speedup column
     is serial/process on the *same* cpu value.

@@ -120,10 +120,10 @@ class FaultInjector:
                 )
 
     def on_task_fork(self, what, partition_index, worker_id, attempt):
-        """Called by the process backend just before it forks a child
-        for a task; returns the kill phase (``"start"`` /
+        """Called by the process backend just before it hands a task
+        to a worker process; returns the kill phase (``"start"`` /
         ``"transfer"``) if a worker-kill rule fires, else None. The
-        backend SIGKILLs the real child at that point — this is the
+        backend SIGKILLs the real worker at that point — this is the
         only hook that consumes a worker-kill rule's ``times`` budget,
         and the serial backend never calls it, so kill rules are inert
         there by construction."""

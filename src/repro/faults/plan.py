@@ -19,11 +19,11 @@ TASK_CRASH = "task-crash"
 TASK_OOM = "task-oom"
 WORKER_LOSS = "worker-loss"
 STRAGGLER = "straggler"
-#: Real process death: SIGKILL the forked child running the matching
+#: Real process death: SIGKILL the forked worker assigned the matching
 #: task (process backend only; inert on the serial backend, which has
-#: no child to kill). ``phase`` picks the kill point — ``"start"``
-#: right after the fork, ``"transfer"`` after the child created its
-#: shared-memory segment but before the payload landed.
+#: no worker process to kill). ``phase`` picks the kill point —
+#: ``"start"`` before the task is sent to it, ``"transfer"`` after it
+#: announced its result frame but before the frame was transferred.
 WORKER_KILL = "worker-kill"
 #: Checkpoint-hostility kinds: prove recovery against a store that
 #: lies, not just one that is empty. ``table`` matches the stage id.
@@ -158,10 +158,10 @@ class FaultPlan:
 
     def worker_kill(self, worker=None, partition=None, attempt=None,
                     table=None, phase="start", probability=1.0, times=1):
-        """SIGKILL the real child process running the matching task
-        (process backend). ``phase="transfer"`` kills it after its
-        shared-memory segment exists but before the result payload is
-        in — the crash-mid-transfer case the leak tests cover."""
+        """SIGKILL the real worker process assigned the matching task
+        (process backend). ``phase="transfer"`` kills it after it
+        announced its result frame but before the frame is in — the
+        crash-mid-transfer case the leak tests cover."""
         return self.add(FaultRule(
             WORKER_KILL, worker=worker, partition=partition,
             attempt=attempt, table=table, phase=phase,

@@ -338,8 +338,8 @@ class MetricsRegistry:
         ``label_pairs`` is the sorted label tuple (base labels already
         merged), so re-incrementing through ``counter(name,
         **dict(label_pairs))`` addresses the same series. The process
-        backend snapshots this in the forked child before and after the
-        task and ships only the deltas back to the driver registry.
+        backend snapshots this in the forked worker before and after
+        each task and ships only the deltas back to the driver registry.
         """
         return {
             (name, label_key): instrument.total

@@ -11,7 +11,7 @@ Where :mod:`repro.trace` and :mod:`repro.metrics` answer questions
   run leaves a readable ledger up to the kill point.
 - :mod:`repro.observe.perfetto` — Chrome trace-event / Perfetto
   export: the merged span tree (driver + forked process-backend
-  children on pid/tid tracks) as a standard ``trace.json`` loadable in
+  workers on pid/tid tracks) as a standard ``trace.json`` loadable in
   ``ui.perfetto.dev``.
 - :mod:`repro.observe.progress` — the live progress monitor behind
   ``repro run --progress`` and ``repro top``: per-stage completion and

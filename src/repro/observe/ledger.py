@@ -28,11 +28,13 @@ overhead budget ``bench_kernels.py`` gates — matching the store's
 
 Fork safety
 -----------
-The process backend forks mid-run and children inherit the ledger fd.
-``emit`` records the opening process's pid and becomes a no-op in any
-other process, so child writes can never interleave with the parent's:
-children ship their observability deltas through the existing
-shm/pipe channel and the *parent* emits ``task_fork``/``task_collect``
+The process backend forks its stage-resident workers mid-run and they
+inherit the ledger fd. ``emit`` records the opening process's pid and
+becomes a no-op in any other process, so worker writes can never
+interleave with the parent's: workers ship their observability deltas
+in their result frames and the *parent* emits ``task_fork`` (task
+handed to a worker; ``spawn_s`` > 0 when that forked it) and
+``task_collect`` (``compute_s``, ``wait_s``, ``transfer_bytes``)
 events on their behalf.
 """
 
@@ -73,8 +75,8 @@ EVENT_KINDS = frozenset({
     "wave_start",         # scheduler: a wave dispatched to a worker
     "wave_end",           # scheduler: a wave's results committed
     "task_commit",        # exactly-once commit of one partition
-    "task_fork",          # process backend: child forked (pid)
-    "task_collect",       # process backend: child collected (status)
+    "task_fork",          # process backend: task sent to worker (pid)
+    "task_collect",       # process backend: its frame collected (status)
     "recovery",           # RecoveryLog entry (retry/blacklist/degrade/…)
     "run_end",            # run returned (status ok/crash)
 })

@@ -12,10 +12,12 @@ Track mapping (DESIGN.md §4k):
   (complete) events, point events as ``i`` instants;
 - the **wave scheduler** gets tid 2 on the driver pid: one ``X`` event
   per dispatched wave (args: worker, size, stage);
-- every forked :class:`~repro.dataflow.backend.ProcessPoolBackend`
-  child is its own pid track, one ``X`` event per task from its
+- every :class:`~repro.dataflow.backend.ProcessPoolBackend` worker is
+  its own pid track. A worker is resident for a stage, so its track
+  holds one ``X`` event per task it served, each from a
   ``task_fork``/``task_collect`` ledger pair (args: partition,
-  attempt, stage, status) — a child SIGKILLed mid-task renders with
+  attempt, stage, status, ``spawn_s``, ``compute_s``, ``wait_s``,
+  ``transfer_bytes``) — a worker SIGKILLed mid-task renders with
   status ``worker-lost``, closed at the collect that discovered it;
 - throttled ``metric`` events become ``C`` counter tracks;
 - recovery events, optimizer decisions, and run start/end become
@@ -95,7 +97,7 @@ def _events_from_trace(trace, pid):
 # ----------------------------------------------------------------------
 def _events_from_ledger(ledger_events, pid):
     """Events for an ``obs/v1`` ledger: driver spans (reconstructed
-    from start/end pairs), wave track, child-pid task tracks, counter
+    from start/end pairs), wave track, worker-pid task tracks, counter
     samples, and instants."""
     events = []
     span_stack = []
@@ -172,6 +174,10 @@ def _events_from_ledger(ledger_events, pid):
                     "attempt": fork_event.get("attempt"),
                     "stage": fork_event.get("what"),
                     "status": event.get("status", "ok"),
+                    "spawn_s": fork_event.get("spawn_s"),
+                    "compute_s": event.get("compute_s"),
+                    "wait_s": event.get("wait_s"),
+                    "transfer_bytes": event.get("transfer_bytes"),
                 },
             })
         elif kind == "metric":

@@ -1,15 +1,21 @@
-"""The multiprocess execution backend: real forked workers, shared-
-memory result transport, real SIGKILL chaos, and the exactly-once
+"""The multiprocess execution backend: stage-resident forked workers,
+pipe-frame result transport, real SIGKILL chaos, and the exactly-once
 commit barrier.
 
 Everything the serial fault suite asserts about *simulated* failures
 (`test_faults.py`) must hold when the failure is a real dead OS
 process: lineage recompute + blacklist produce bit-identical output, a
-``WorkerLost`` recovery event lands in the log, and — new with real
-transport — every ``SharedMemory`` segment is unlinked on success,
-crash, and resume alike (the shm analogue of the ``*.tmp`` reclaim
-tests in ``test_recovery.py``).
+``WorkerLost`` recovery event lands in the log, and — checked after
+every test here, pass or fail — no worker process, pipe end or
+``/dev/shm`` entry outlives the run (the process analogue of the
+``*.tmp`` reclaim tests in ``test_recovery.py``).
 """
+
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -18,7 +24,6 @@ from repro.dataflow.backend import (
     ProcessPoolBackend,
     SERIAL_BACKEND,
     SerialBackend,
-    orphaned_segments,
     resolve_backend,
 )
 from repro.dataflow.context import local_context
@@ -34,6 +39,30 @@ from repro.faults import (
     equip_context,
 )
 from repro.metrics import MetricsRegistry
+
+
+def _open_fds():
+    listing = os.open("/proc/self/fd", os.O_RDONLY)
+    try:
+        return set(os.listdir(listing)) - {str(listing)}
+    finally:
+        os.close(listing)
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_workers():
+    """After every test: no child process left (live or zombie), the
+    same open fds as before, nothing of ours in /dev/shm."""
+    fds_before = _open_fds()
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds_before
+    if os.path.isdir("/dev/shm"):
+        assert not [
+            name for name in os.listdir("/dev/shm")
+            if name.startswith("vista")
+        ]
 
 
 def _ctx(plan=None, seed=0, policy=None, num_nodes=2, cpu=4,
@@ -85,7 +114,7 @@ def test_context_resolves_backend_names():
     )
     ctx = local_context(exec_backend="process")
     assert isinstance(ctx.exec_backend, ProcessPoolBackend)
-    # Two process contexts never share a segment namespace sequence.
+    # Two process contexts never share workers.
     other = local_context(exec_backend="process")
     assert ctx.exec_backend is not other.exec_backend
 
@@ -100,6 +129,33 @@ def test_map_partitions_bit_identical_to_serial():
     process = _mapped_rows(ctx)
     _assert_bit_identical(serial, process)
     assert [w.tasks_run for w in ctx.workers] == [4, 4]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="no CPU affinity on this platform")
+def test_lanes_split_the_drivers_cores():
+    """Each lane's worker is bound to its own share of the cores the
+    driver may use (so two fresh forks never stack on one core); the
+    driver's own mask is left alone."""
+    allowed = os.sched_getaffinity(0)
+    cpu = 2
+    ctx = local_context(num_nodes=1, cores_per_node=4, cpu=cpu,
+                        exec_backend="process")
+    partitions = [
+        Partition.from_rows(i, [{"id": i}]) for i in range(2 * cpu)
+    ]
+    masks = run_partition_tasks(
+        ctx, partitions,
+        lambda partition: (os.getpid(), sorted(os.sched_getaffinity(0))),
+    )
+    by_worker = dict(masks)
+    assert len(by_worker) == cpu    # one resident worker per lane
+    shares = [set(mask) for mask in by_worker.values()]
+    assert all(share and share <= allowed for share in shares)
+    if len(allowed) >= cpu:
+        assert not set.intersection(*shares)
+        assert set.union(*shares) == allowed
+    assert os.sched_getaffinity(0) == allowed
 
 
 def test_metrics_counters_match_serial():
@@ -131,7 +187,6 @@ def test_child_exception_ships_as_task_failure():
     TaskFailure with the original exception as cause — not a dead
     worker."""
     ctx = _ctx(policy=RetryPolicy())
-    prefix = ctx.exec_backend.prefix
 
     def task(partition):
         if partition.index == 2:
@@ -143,18 +198,17 @@ def test_child_exception_ships_as_task_failure():
                                   for i in range(4)], task)
     assert info.value.partition_index == 2
     assert isinstance(info.value.cause, ValueError)
-    assert orphaned_segments(prefix) == []
     failures = ctx.recovery_log.of("task_failure")
     assert failures and failures[0]["cause"] == "ValueError"
 
 
 def test_transient_failure_in_child_is_retried_from_lineage(tmp_path):
-    """Transient errors raised *inside* a child retry exactly like
-    serial ones. Retry state cannot live in a closure (each attempt is
-    a fresh fork), so the task keys off a marker file."""
+    """Transient errors raised *inside* a worker retry exactly like
+    serial ones. Retry state cannot live in a closure (the retry may
+    land on another worker process), so the task keys off a marker
+    file."""
     marker = tmp_path / "fired"
     ctx = _ctx(policy=RetryPolicy(backoff_base_s=1.0))
-    prefix = ctx.exec_backend.prefix
 
     def task(partition):
         if partition.index == 1 and not marker.exists():
@@ -171,7 +225,6 @@ def test_transient_failure_in_child_is_retried_from_lineage(tmp_path):
     retries = ctx.recovery_log.of("task_retry")
     assert len(retries) == 1 and retries[0]["partition"] == 1
     assert retries[0]["fault"] == "TransientTaskOOM"
-    assert orphaned_segments(prefix) == []
 
 
 # ---------------------------------------------------------------------
@@ -182,11 +235,10 @@ def test_worker_kill_recovers_bit_identical(phase):
     """Mirror of the simulated worker-loss assertions in
     ``test_faults.py``, with a real SIGKILLed child: the wave dies, the
     worker is blacklisted, lineage recompute fails the work over, and
-    the output is bit-identical — with no orphaned shm segments."""
+    the output is bit-identical."""
     clean = _mapped_rows(local_context(num_nodes=2, cores_per_node=4))
     plan = FaultPlan().worker_kill(partition=5, phase=phase)
     ctx = _ctx(plan, cpu=2)
-    prefix = ctx.exec_backend.prefix
     recovered = _mapped_rows(ctx)
     _assert_bit_identical(clean, recovered)
     assert ctx.excluded_workers == {1}
@@ -204,7 +256,20 @@ def test_worker_kill_recovers_bit_identical(phase):
         "sim_time_s": 0.0,
     }]
     assert ctx.fault_injector.injected[WORKER_KILL] == 1
-    assert orphaned_segments(prefix) == []
+
+
+@pytest.mark.parametrize("phase", ["start", "transfer"])
+def test_worker_kill_repeated(phase):
+    """The PR 11 flake (1 failure in 8, one orphaned segment) had
+    nowhere to hide in a single run: 25 kills in one process, each
+    recovered run bit-identical to the clean one."""
+    clean = _mapped_rows(local_context(num_nodes=2, cores_per_node=4))
+    for _ in range(25):
+        plan = FaultPlan().worker_kill(partition=5, phase=phase)
+        ctx = _ctx(plan, cpu=2)
+        _assert_bit_identical(clean, _mapped_rows(ctx))
+        assert ctx.excluded_workers == {1}
+        assert ctx.fault_injector.injected[WORKER_KILL] == 1
 
 
 def test_worker_kill_discards_in_flight_wave_peers():
@@ -236,35 +301,25 @@ def test_worker_kill_rules_are_inert_on_serial_backend():
 
 
 # ---------------------------------------------------------------------
-# shared-memory lifecycle (satellite): the shm analogue of the *.tmp
-# reclaim tests in test_recovery.py
+# worker lifecycle (satellite): the process analogue of the *.tmp
+# reclaim tests in test_recovery.py — the autouse fixture does the
+# asserting
 # ---------------------------------------------------------------------
-def test_no_orphaned_segments_after_success():
-    ctx = _ctx()
-    prefix = ctx.exec_backend.prefix
-    _mapped_rows(ctx)
-    assert ctx.exec_backend.live_segments() == set()
-    assert orphaned_segments(prefix) == []
+def test_no_leaked_workers_after_success():
+    _mapped_rows(_ctx())
 
 
-def test_no_orphaned_segments_after_crash_mid_transfer():
-    """The hardest leak case: the child died *between* creating its
-    segment and writing the payload. The parent owns the name (it
-    assigned it pre-fork) and must unlink it."""
+def test_no_leaked_workers_after_crash_mid_transfer():
+    """The hardest leak case: the worker died *between* announcing its
+    frame and transferring it, with a wave peer's frame still unread."""
     plan = FaultPlan().worker_kill(partition=3, phase="transfer")
-    ctx = _ctx(plan, cpu=2)
-    prefix = ctx.exec_backend.prefix
-    _mapped_rows(ctx)
-    assert ctx.exec_backend.live_segments() == set()
-    assert orphaned_segments(prefix) == []
+    _mapped_rows(_ctx(plan, cpu=2))
 
 
-def test_no_orphaned_segments_after_workload_crash():
-    """A WorkloadCrash aborts the run between waves; the wave-level
-    cleanup sweep plus the supervisor's backend close must leave
-    nothing in /dev/shm."""
+def test_no_leaked_workers_after_workload_crash():
+    """A WorkloadCrash aborts the run mid-stage; the stage bracket must
+    have reaped every worker by the time it propagates."""
     ctx = _ctx()
-    prefix = ctx.exec_backend.prefix
 
     def task(partition):
         if partition.index == 3:
@@ -276,15 +331,13 @@ def test_no_orphaned_segments_after_workload_crash():
             ctx, [Partition.from_rows(i, [{"id": i}]) for i in range(6)],
             task,
         )
-    ctx.exec_backend.close()
-    assert orphaned_segments(prefix) == []
 
 
-def test_no_orphaned_segments_after_resume(tmp_path):
-    """Crash a checkpointed process-backend run after materialization,
-    resume it on a fresh process-backend context: outputs bit-identical
-    to an uninterrupted serial run, checkpoints restored, and neither
-    attempt leaked a segment."""
+def test_no_leaked_workers_after_resume(tmp_path):
+    """Crash a checkpointed process-backend run after materialization
+    (an exception from ``downstream_fn``), resume it on a fresh
+    process-backend context: outputs bit-identical to an uninterrupted
+    serial run, checkpoints restored, and neither attempt leaked."""
     from repro.cnn import build_model
     from repro.core.config import VistaConfig
     from repro.core.executor import FeatureTransferExecutor
@@ -307,18 +360,11 @@ def test_no_orphaned_segments_after_resume(tmp_path):
     def run(downstream_fn, store=None, backend="process"):
         ctx = local_context(num_nodes=2, cores_per_node=4, cpu=config.cpu,
                             exec_backend=backend)
-        prefix = getattr(ctx.exec_backend, "prefix", None)
         executor = FeatureTransferExecutor(
             ctx, model, dataset, layers, config,
             downstream_fn=downstream_fn, checkpoint_store=store,
         )
-        try:
-            result = executor.run(ALL_PLANS["staged"])
-        finally:
-            ctx.exec_backend.close()
-            if prefix is not None:
-                assert orphaned_segments(prefix) == []
-        return result
+        return executor.run(ALL_PLANS["staged"])
 
     reference = run(downstream, backend="serial")
 
@@ -339,22 +385,97 @@ def test_no_orphaned_segments_after_resume(tmp_path):
         )
 
 
-def test_close_sweeps_tracked_segments():
-    """close() is the abandon-path backstop: any segment the backend
-    still tracks (e.g. the run aborted between assign and collect) is
-    unlinked, and close is idempotent."""
-    from multiprocessing import shared_memory
+def test_close_kills_and_reaps_live_workers():
+    """close() is the abandon-path backstop: called while a stage's
+    workers are resident (here from a commit barrier) it kills and
+    reaps them, the stage re-forks what it still needs, and close is
+    idempotent."""
+    ctx = _ctx(cpu=2, num_nodes=1)
+    backend = ctx.exec_backend
+    pids = []
 
-    backend = ProcessPoolBackend()
-    name = backend._next_name()
-    backend._live_segments.add(name)
-    shm = shared_memory.SharedMemory(create=True, size=64, name=name)
-    shm.close()
-    assert orphaned_segments(backend.prefix) == [name]
+    def on_commit(partition, result):
+        pids.append(result)
+        backend.close()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        backend.close()  # idempotent
+
+    results = run_partition_tasks(
+        ctx, [Partition.from_rows(i, [{"id": i}]) for i in range(4)],
+        lambda partition: os.getpid(), on_commit=on_commit,
+    )
+    assert results == pids
+    # each wave's workers were killed at its first commit: 2 waves x 2
+    assert len(set(pids)) == 4 and os.getpid() not in pids
     backend.close()
-    assert orphaned_segments(backend.prefix) == []
-    assert backend.live_segments() == set()
-    backend.close()  # idempotent
+
+
+_DRIVER = """
+import os, sys, time
+from repro.dataflow.context import local_context
+from repro.dataflow.executor import run_partition_tasks
+from repro.dataflow.partition import Partition
+
+def task(partition):
+    lane = partition.index % 2      # cpu=2 on one node: waves are pairs
+    open(os.path.join(sys.argv[1], f"{lane}-{os.getpid()}"), "w").close()
+    time.sleep(3.0 if lane else 0.05)
+    return partition.index
+
+ctx = local_context(num_nodes=1, cores_per_node=4, cpu=2,
+                    exec_backend="process")
+run_partition_tasks(
+    ctx, [Partition.from_rows(i, [{"id": i}]) for i in range(8)], task)
+"""
+
+
+def _running(pid):
+    """False once ``pid`` exited, reaped or not (its new parent may be
+    a container init that never reaps)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rpartition(")")[2].split()[0] != "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+
+
+def _gone_within(pid, seconds):
+    deadline = time.monotonic() + seconds
+    while _running(pid):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def test_workers_exit_when_driver_is_killed(tmp_path):
+    """SIGKILL the driver mid-stage. The worker waiting for its next
+    command reads EOF and is gone within 2 s *while its sibling is
+    still busy* — which needs the sibling to have closed the pipe ends
+    it inherited — and the busy one exits when its task ends and its
+    result has nowhere to go."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    driver = subprocess.Popen(
+        [sys.executable, "-c", _DRIVER, str(tmp_path)], env=env)
+    try:
+        deadline = time.monotonic() + 30
+        while len(os.listdir(tmp_path)) < 2:
+            assert driver.poll() is None, "driver exited early"
+            assert time.monotonic() < deadline, "workers never started"
+            time.sleep(0.01)
+    finally:
+        driver.kill()
+        driver.wait(timeout=10)
+    workers = dict(name.split("-") for name in os.listdir(tmp_path))
+    waiting, busy = int(workers["0"]), int(workers["1"])
+    try:
+        assert _gone_within(waiting, 2.0)
+        assert _gone_within(busy, 5.0)
+    finally:
+        for pid in (waiting, busy):
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 # ---------------------------------------------------------------------
@@ -417,5 +538,3 @@ def test_checkpoint_partitions_written_exactly_once(backend, tmp_path):
         name="t_out", checkpoint=(store, "stage-a"),
     )
     assert store.checkpoint_partitions_total == 8
-    if hasattr(ctx.exec_backend, "prefix"):
-        assert orphaned_segments(ctx.exec_backend.prefix) == []

@@ -262,6 +262,25 @@ def test_run_ledger_end_to_end(tmp_path, backend):
         collects = [e for e in parsed if e["kind"] == "task_collect"]
         assert len(forks) == len(collects)
         assert all(e["pid"] != os.getpid() for e in forks)
+        assert all(
+            {"compute_s", "transfer_bytes", "wait_s"} <= set(e)
+            for e in collects
+        )
+        # Workers are resident for a stage: at most ``cpu`` pids serve
+        # it, each forked once (spawn_s > 0) and reused after (== 0).
+        cpu = next(
+            e["cpu"] for e in parsed if e["kind"] == "optimizer_decision")
+        stage_forks = []
+        for event in parsed:
+            if event["kind"] == "stage_tasks":
+                stage_forks.append([])
+            elif event["kind"] == "task_fork":
+                stage_forks[-1].append(event)
+        assert any(len(in_stage) > cpu for in_stage in stage_forks)
+        for in_stage in stage_forks:
+            pids = {e["pid"] for e in in_stage}
+            assert len(pids) <= cpu
+            assert sum(e["spawn_s"] > 0 for e in in_stage) == len(pids)
     # Wave accounting: starts and ends pair up per worker/stage.
     starts = [e for e in parsed if e["kind"] == "wave_start"]
     ends = [e for e in parsed if e["kind"] == "wave_end"]
@@ -309,8 +328,8 @@ def test_chrome_trace_from_tracer_only():
 @pytest.mark.parametrize("backend", ["serial", "process"])
 def test_chrome_trace_from_run_ledger(tmp_path, backend):
     """Satellite: the Perfetto export of a ProcessPoolBackend run has
-    one track per forked child pid, and those tracks match the
-    driver's wave ledger exactly."""
+    one track per resident worker pid, one slice per task it served,
+    and those tracks match the driver's wave ledger exactly."""
     path, events, tracer, _ = _ledgered_run(tmp_path, backend=backend)
     doc = chrome_trace(trace=tracer.export(), ledger_events=events)
     assert validate_chrome_trace(doc) == []
@@ -319,10 +338,12 @@ def test_chrome_trace_from_run_ledger(tmp_path, backend):
     pids = {e["pid"] for e in trace_events}
     forks = [e for e in events if e["kind"] == "task_fork"]
     if backend == "process":
-        # One Perfetto track (pid) per distinct forked child, each
-        # holding exactly the task slices the wave ledger forked on it.
+        # One Perfetto track (pid) per distinct worker, each holding
+        # exactly the task slices the wave ledger dispatched to it —
+        # more than one on a worker that stayed resident.
         child_pids = {e["pid"] for e in forks}
         assert child_pids and child_pids <= pids
+        assert len(child_pids) < len(forks)
         for child in child_pids:
             slices = [
                 e for e in trace_events
