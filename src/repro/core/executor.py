@@ -264,13 +264,6 @@ class FeatureTransferExecutor:
             self.config,
         ))
 
-    def _ckpt(self, stage_id):
-        """``checkpoint=`` argument for a durable ``map_blocks`` stage
-        (None when no store is attached)."""
-        if self.checkpoint_store is None:
-            return None
-        return (self.checkpoint_store, stage_id)
-
     @property
     def _batched_fallbacks(self):
         """Singleton-group fallbacks this run (read-only view over the
@@ -536,11 +529,14 @@ class FeatureTransferExecutor:
             attrs["layers"] = [layer for layer, _ in step.outputs]
         with self.tracer.span(step.span_name, **attrs) as sp:
             release = charge_model_replicas(self.context, self.model_mem_bytes)
+            store = self.checkpoint_store
             try:
                 result = table.map_blocks(
                     infer_block, name=step.writes,
                     user_alpha=self.user_alpha,
-                    checkpoint=self._ckpt(step.stage_id),
+                    checkpoint=(
+                        (store, step.stage_id) if store is not None else None
+                    ),
                 )
             finally:
                 release()
@@ -640,7 +636,6 @@ class FeatureTransferExecutor:
                 sp.add("bytes_in", measured)
             vectors = table.map_blocks(
                 vectorize_block, user_alpha=self.user_alpha,
-                checkpoint=self._ckpt(step.stage_id),
             )
             features, labels = self._collect_train_matrix(vectors)
             with self.tracer.span(f"downstream:{layer}") as down:

@@ -137,9 +137,9 @@ class Step:
     @property
     def stage_id(self):
         """Checkpoint stage id of the step's durable ``map_blocks``
-        stage; None for steps that have none."""
-        if self.op is Op.TRAIN:
-            return f"train:{self.layer}"
+        stage; None for steps that have none. Only ``INFER`` outputs
+        are stored: the vectorized train table is a pool + concat of
+        one, cheaper to rebuild on resume than to persist."""
         if self.op is Op.INFER:
             return (
                 f"{'infer' if self.layer else 'eager'}:"

@@ -91,14 +91,15 @@ def run_partition_tasks(context, partitions, task_fn, region=Region.USER,
 
     ``charge_fn(partition, result) -> bytes`` gives the per-task memory
     footprint charged to ``region`` on that partition's worker for the
-    duration of its wave. ``on_commit(partition, result)`` — if given —
-    fires as each wave's results are committed (after the wave survived
-    its memory charges and any injected faults), which is the hook the
-    checkpoint layer uses for wave-granular durability: a partition
-    lost with a mid-wave ``WorkerLost`` is never reported committed,
-    and the committed-position set guarantees the barrier fires
-    **exactly once per partition** even when retry rounds or a
-    parallel backend complete waves out of partition order.
+    duration of its wave. ``on_commit(pairs)`` — if given — fires once
+    per committed wave with that wave's ``(partition, result)`` pairs
+    (after the wave survived its memory charges and any injected
+    faults), which is the hook the checkpoint layer uses for
+    wave-granular durability: a partition lost with a mid-wave
+    ``WorkerLost`` is never reported committed, and the
+    committed-position set guarantees the barrier reports each
+    partition **exactly once** even when retry rounds or a parallel
+    backend complete waves out of partition order.
     Results are returned in partition order; transient failures are
     retried from lineage as described in the module docstring.
     """
@@ -192,6 +193,7 @@ def _run_worker_share(context, worker, items, task_fn, region, charge_fn,
             ledger.emit("wave_end", worker=worker.node_id,
                         results=len(wave_results), what=what, status="ok")
         by_position = dict(wave)
+        fresh = []
         for position, result in wave_results:
             if position in committed:
                 continue  # the exactly-once commit barrier
@@ -200,8 +202,9 @@ def _run_worker_share(context, worker, items, task_fn, region, charge_fn,
             if ledger_on:
                 ledger.emit("task_commit", what=what,
                             partition=by_position[position].index)
-            if on_commit is not None:
-                on_commit(by_position[position], result)
+            fresh.append((by_position[position], result))
+        if on_commit is not None and fresh:
+            on_commit(fresh)
         if worker.node_id in context.excluded_workers:
             # Blacklisted mid-wave by the failure threshold: committed
             # waves stand, the rest of the share is reassigned.

@@ -24,6 +24,7 @@ import os
 import re
 from collections import OrderedDict
 
+from repro.atomic_io import atomic_write_bytes, reclaim_tmp_files
 from repro.dataflow.partition import DESERIALIZED
 from repro.exceptions import StorageMemoryExceeded
 from repro.metrics import NULL_METRICS
@@ -67,8 +68,6 @@ class StorageManager:
         self.miss_count = 0
         self.reclaimed_tmp_count = 0
         if self.spill_dir is not None:
-            from repro.recovery.store import reclaim_tmp_files
-
             os.makedirs(self.spill_dir, exist_ok=True)
             # Stray *.tmp files are the residue of a crash mid-spill;
             # only complete (renamed) spill files are ever trusted.
@@ -87,8 +86,6 @@ class StorageManager:
         same key."""
         if self.spill_dir is None:
             return
-        from repro.recovery.store import atomic_write_bytes
-
         name = _UNSAFE_KEY.sub("-", str(key)).strip("-") or "partition"
         path = os.path.join(self.spill_dir, f"{name}.p{os.getpid()}.spill")
         try:

@@ -155,16 +155,19 @@ class DistributedTable:
             ]
             committed = {}
 
-            def on_commit(partition, out):
-                if partition.index in committed:
-                    # The engine's commit barrier already guarantees
-                    # exactly-once; this belt-and-braces guard keeps a
-                    # future backend from ever double-writing a
-                    # checkpoint partition.
-                    return
-                part = Partition.from_block(partition.index, out)
-                committed[partition.index] = part
-                store.put_partition(stage_id, part)
+            def on_commit(pairs):
+                # The engine's commit barrier already guarantees
+                # exactly-once; this belt-and-braces filter keeps a
+                # future backend from ever double-writing a
+                # checkpoint partition.
+                wave = [
+                    Partition.from_block(partition.index, out)
+                    for partition, out in pairs
+                    if partition.index not in committed
+                ]
+                committed.update((part.index, part) for part in wave)
+                if wave:
+                    store.put_partition(stage_id, wave)
 
             outputs = run_partition_tasks(
                 self.context, pending, task, region=Region.USER,

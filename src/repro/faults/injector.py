@@ -146,12 +146,15 @@ class FaultInjector:
             return rule.phase or "start"
         return None
 
-    def on_checkpoint_write(self, stage_id, partition_index, path):
-        """Called by the checkpoint store after a partition payload
-        lands durably. Corruption rules flip one seeded byte in the
-        file; missing-file rules delete it. Either way the manifest
-        already carries the *true* digest, so restore must detect the
-        damage instead of ingesting it."""
+    def on_checkpoint_write(self, stage_id, partition_index, path, offset,
+                            nbytes):
+        """Called by the checkpoint store for each partition of a wave
+        file that just landed durably; the partition's payload is
+        ``[offset, offset + nbytes)`` of ``path``. Corruption rules
+        flip one seeded byte inside that range; missing-file rules
+        delete the wave file, so every partition in it reads as
+        missing. Either way the manifest carries the *true* digest, so
+        restore must detect the damage instead of ingesting it."""
         for rule in self.plan:
             if rule.kind not in (CHECKPOINT_CORRUPT, CHECKPOINT_MISSING):
                 continue
@@ -161,10 +164,11 @@ class FaultInjector:
                 continue
             self.injected[rule.kind] += 1
             if rule.kind == CHECKPOINT_MISSING:
-                os.remove(path)
+                if os.path.exists(path):  # a wave-mate may have fired first
+                    os.remove(path)
                 detail = "deleted"
             else:
-                detail = self._flip_byte(path)
+                detail = self._flip_byte(path, offset, nbytes)
             if self.recovery_log is not None:
                 self.recovery_log.record(
                     "checkpoint_fault", kind=rule.kind, stage=str(stage_id),
@@ -194,11 +198,11 @@ class FaultInjector:
                     sim_time_s=self.clock.now,
                 )
 
-    def _flip_byte(self, path):
-        """Flip one byte at a seeded offset — a single-bit-rot stand-in
-        that a SHA-256 check must catch."""
-        size = os.path.getsize(path)
-        offset = self.rng.randrange(size)
+    def _flip_byte(self, path, start, nbytes):
+        """Flip one byte at a seeded offset of ``[start, start +
+        nbytes)`` — a single-bit-rot stand-in that a SHA-256 check must
+        catch."""
+        offset = start + self.rng.randrange(nbytes)
         with open(path, "rb+") as handle:
             handle.seek(offset)
             original = handle.read(1)[0]

@@ -15,7 +15,7 @@ Store layout and durability
 ---------------------------
 ``<store>/runs/<run_id>.json`` holds one record per run, written with
 the same tmp + fsync + ``os.replace`` discipline as the checkpoint
-store (:func:`repro.recovery.store.atomic_write_bytes`), so a torn
+store (:func:`repro.atomic_io.atomic_write_bytes`), so a torn
 write can never masquerade as a record. ``<store>/index.jsonl`` is the
 append-only ingest order — one JSON line per run, appended with a
 single ``O_APPEND`` write and read with the same one-torn-tail
@@ -54,6 +54,7 @@ from dataclasses import dataclass
 
 import fnmatch
 
+from repro.atomic_io import atomic_write_bytes, reclaim_tmp_files
 from repro.metrics import METRICS_SCHEMA
 from repro.observe.ledger import LEDGER_SCHEMA, read_ledger
 
@@ -609,8 +610,6 @@ class HistoryStore:
 
     # ------------------------------------------------------------------
     def _ensure_dirs(self):
-        from repro.recovery.store import reclaim_tmp_files
-
         os.makedirs(self.runs_dir, exist_ok=True)
         reclaim_tmp_files(self.runs_dir)
 
@@ -671,8 +670,6 @@ class HistoryStore:
         known = self.run_ids()
         record["run_id"] = run_id
         record["ingested_seq"] = len(known) + 1
-        from repro.recovery.store import atomic_write_bytes
-
         atomic_write_bytes(record_path, json.dumps(
             record, indent=2, sort_keys=True, default=str
         ).encode("utf-8"))

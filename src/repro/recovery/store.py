@@ -1,7 +1,8 @@
 """Durable checkpoint store for long materialization runs.
 
 A feature-transfer run is a sequence of materialized stages (partial
-CNN inference tables, ``f̂_l`` prefixes, vectorized train tables).
+CNN inference tables, ``f̂_l`` prefixes). The vectorized train tables
+are a pool + concat of those and are rebuilt on resume, not stored.
 Losing the cluster mid-run used to mean recomputing the whole epoch
 from the source table; this module makes stage outputs *durable
 artifacts* instead (DeepLens's materialized-view stance, SystemML's
@@ -13,12 +14,16 @@ verify and recomputes only the missing or corrupt ones.
 
 Durability discipline
 ---------------------
-Every file — partition payloads and the manifest — is written with
-the tmp + fsync + rename protocol: bytes go to ``<final>.tmp`` in the
-same directory, are flushed and fsynced, then atomically ``os.replace``d
-over the final name. A crash mid-write therefore leaves either the old
-complete file or a stray ``*.tmp`` (reclaimed on the next
-:meth:`CheckpointStore.bind_run`), never a half-written final file.
+The unit of durability is the committed task wave. A wave's payloads
+are concatenated into one file, ``<stage>__<seq>.ckpt``, whose name is
+never reused (``seq`` lives in the manifest); the manifest then records
+``{file, offset, nbytes, sha256, num_rows}`` per partition. Both files
+are written with :func:`repro.atomic_io.atomic_write_bytes` (tmp +
+fsync + rename), payload first: the manifest rename is the only commit
+point, and every payload is durable before the manifest that names it.
+A crash before that rename leaves the old manifest plus a stray
+``*.tmp`` or an unreferenced ``*.ckpt``, both reclaimed on the next
+:meth:`CheckpointStore.bind_run`.
 Torn manifests (truncated after a simulated fsync lie, or a seeded
 ``checkpoint-torn`` fault) are *detected* at bind time — the JSON no
 longer parses or fails structural checks — and the run directory is
@@ -28,9 +33,10 @@ state.
 
 Integrity discipline
 --------------------
-Restore never trusts a file: the payload's SHA-256 is recomputed and
-compared against the manifest digest, its length against the recorded
-length, and its decoded row count against the recorded row count. Any
+Restore never trusts a file: each partition's ``[offset, offset +
+nbytes)`` range is read back, its SHA-256 recomputed and compared
+against the manifest digest, its length against the recorded length,
+and its decoded row count against the recorded row count. Any
 mismatch counts on ``corrupt_total`` (surfaced as the
 ``checkpoint_corrupt_total`` metric) and the partition is recomputed
 from lineage — an injected bit flip can cost recompute time but can
@@ -44,13 +50,14 @@ import json
 import os
 import re
 
+from repro.atomic_io import atomic_write_bytes, reclaim_tmp_files
 from repro.dataflow.columnar import ColumnarBlock, is_columnar_buffer
 from repro.dataflow.partition import Partition
 from repro.exceptions import CheckpointIntegrityError
 from repro.metrics import NULL_METRICS
 
 #: Manifest schema tag.
-MANIFEST_SCHEMA = "ckpt/v1"
+MANIFEST_SCHEMA = "ckpt/v2"
 MANIFEST_NAME = "manifest.json"
 
 _UNSAFE = re.compile(r"[^A-Za-z0-9_.-]+")
@@ -64,37 +71,6 @@ def _safe(name):
 
 def sha256_hex(data):
     return hashlib.sha256(data).hexdigest()
-
-
-def atomic_write_bytes(path, data, fsync=True):
-    """Write ``data`` to ``path`` via tmp + fsync + rename so a torn
-    write can never masquerade as a complete file."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            if fsync:
-                os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-    return len(data)
-
-
-def reclaim_tmp_files(directory):
-    """Remove stray ``*.tmp`` files left by a mid-write crash; returns
-    the reclaimed paths (resume reports them, tests assert none leak)."""
-    reclaimed = []
-    if not os.path.isdir(directory):
-        return reclaimed
-    for entry in sorted(os.listdir(directory)):
-        if entry.endswith(".tmp"):
-            path = os.path.join(directory, entry)
-            os.remove(path)
-            reclaimed.append(path)
-    return reclaimed
 
 
 def run_fingerprint(model_name, model_seed, layers, dataset_fp, plan_label,
@@ -143,7 +119,7 @@ class CheckpointStore:
 
     One store serves many runs: each run fingerprint gets its own
     subdirectory holding a manifest plus one payload file per
-    ``(stage, partition)``. Bind the store to a run with
+    committed wave. Bind the store to a run with
     :meth:`bind_run` before using the stage API; the resilient
     supervisor and the executor share one store object so the
     restore/recompute counters accumulate across resume attempts.
@@ -158,7 +134,12 @@ class CheckpointStore:
     - ``corrupt_total``: checksum/length/row-count mismatches detected;
     - ``missing_total``: manifested payload files that disappeared;
     - ``torn_manifest_total``: unreadable manifests quarantined.
+
+    ``io`` is the syscall shim every durable write goes through
+    (:mod:`repro.atomic_io`); tests replace it on an instance.
     """
+
+    io = os
 
     def __init__(self, root, metrics=None, fault_injector=None, fsync=True):
         self.root = str(root)
@@ -187,19 +168,32 @@ class CheckpointStore:
     # ------------------------------------------------------------------
     def bind_run(self, fingerprint):
         """Open (or create) the checkpoint namespace for one run
-        fingerprint: reclaim stray tmp files from a mid-write crash,
-        load the manifest, and quarantine the whole namespace if the
+        fingerprint: reclaim what a mid-write crash left behind —
+        stray tmp files and wave files no manifest entry names — load
+        the manifest, and quarantine the whole namespace if the
         manifest is torn. Returns self."""
         self.fingerprint = str(fingerprint)
         self._run_dir = os.path.join(self.root, self.fingerprint)
         os.makedirs(self._run_dir, exist_ok=True)
-        reclaimed = reclaim_tmp_files(self._run_dir)
+        reclaimed = reclaim_tmp_files(self._run_dir, io=self.io)
         self.reclaimed_tmp_total += len(reclaimed)
         try:
             self._manifest = self._load_manifest()
         except CheckpointIntegrityError:
             self._quarantine()
+        referenced = {
+            entry["file"]
+            for stage in self._manifest["stages"].values()
+            for entry in stage["partitions"].values()
+        }
+        for name in self.io.listdir(self._run_dir):
+            if name.endswith(".ckpt") and name not in referenced:
+                self.io.remove(os.path.join(self._run_dir, name))
         return self
+
+    def _empty_manifest(self):
+        return {"schema": MANIFEST_SCHEMA, "fingerprint": self.fingerprint,
+                "seq": 0, "stages": {}}
 
     def _manifest_path(self):
         return os.path.join(self._run_dir, MANIFEST_NAME)
@@ -207,8 +201,7 @@ class CheckpointStore:
     def _load_manifest(self):
         path = self._manifest_path()
         if not os.path.exists(path):
-            return {"schema": MANIFEST_SCHEMA,
-                    "fingerprint": self.fingerprint, "stages": {}}
+            return self._empty_manifest()
         try:
             with open(path, "rb") as handle:
                 manifest = json.loads(handle.read().decode("utf-8"))
@@ -218,6 +211,7 @@ class CheckpointStore:
             ) from cause
         if (manifest.get("schema") != MANIFEST_SCHEMA
                 or manifest.get("fingerprint") != self.fingerprint
+                or not isinstance(manifest.get("seq"), int)
                 or not isinstance(manifest.get("stages"), dict)):
             raise CheckpointIntegrityError(
                 f"manifest at {path} failed structural checks "
@@ -232,10 +226,9 @@ class CheckpointStore:
         falls back to recompute, never to unverifiable restores."""
         self.torn_manifest_total += 1
         self.metrics.counter("checkpoint_torn_manifest_total").inc()
-        for entry in os.listdir(self._run_dir):
-            os.remove(os.path.join(self._run_dir, entry))
-        self._manifest = {"schema": MANIFEST_SCHEMA,
-                          "fingerprint": self.fingerprint, "stages": {}}
+        for entry in self.io.listdir(self._run_dir):
+            self.io.remove(os.path.join(self._run_dir, entry))
+        self._manifest = self._empty_manifest()
 
     def _require_bound(self):
         if self._manifest is None:
@@ -248,59 +241,70 @@ class CheckpointStore:
             self._manifest, sort_keys=True, separators=(",", ":"),
         ).encode("utf-8")
         path = self._manifest_path()
-        atomic_write_bytes(path, payload, fsync=self.fsync)
+        atomic_write_bytes(path, payload, fsync=self.fsync, io=self.io)
         injector = self.fault_injector
         if injector is not None:
             injector.on_manifest_commit(path)
 
+    def _stage(self, stage_id):
+        return self._manifest["stages"].setdefault(
+            str(stage_id),
+            {"partitions": {}, "complete": False, "lineage": None},
+        )
+
     # ------------------------------------------------------------------
     # stage API
     # ------------------------------------------------------------------
-    def put_partition(self, stage_id, partition, wave=None):
-        """Durably persist one committed partition: atomic payload
-        write, SHA-256 digest into the manifest, atomic manifest
-        rewrite — partition-granular durability, so a crash one wave
-        later still finds this partition restorable."""
+    def put_partition(self, stage_id, partitions):
+        """Durably persist one committed wave of a stage: the
+        partitions' payloads land in one new wave file, then one
+        manifest rewrite names them all. The manifest rename is the
+        commit point — a crash before it leaves the wave unrecorded
+        (its file is reclaimed on the next bind), a crash after it
+        finds every partition of the wave restorable."""
         self._require_bound()
-        payload = encode_partition(partition)
-        digest = sha256_hex(payload)
-        filename = f"{_safe(stage_id)}__p{partition.index}.ckpt"
+        self._manifest["seq"] += 1
+        filename = f"{_safe(stage_id)}__{self._manifest['seq']}.ckpt"
         path = os.path.join(self._run_dir, filename)
-        atomic_write_bytes(path, payload, fsync=self.fsync)
-        injector = self.fault_injector
-        if injector is not None:
-            injector.on_checkpoint_write(stage_id, partition.index, path)
-        stage = self._manifest["stages"].setdefault(
-            str(stage_id),
-            {"partitions": {}, "complete": False, "lineage": None},
+        payloads = [encode_partition(partition) for partition in partitions]
+        nbytes = atomic_write_bytes(
+            path, b"".join(payloads), fsync=self.fsync, io=self.io
         )
-        stage["partitions"][str(partition.index)] = {
-            "file": filename,
-            "sha256": digest,
-            "nbytes": len(payload),
-            "num_rows": len(partition),
-            "wave": wave,
-        }
+        entries = self._stage(stage_id)["partitions"]
+        injector = self.fault_injector
+        offset = 0
+        for partition, payload in zip(partitions, payloads):
+            entries[str(partition.index)] = {
+                "file": filename,
+                "offset": offset,
+                "nbytes": len(payload),
+                "sha256": sha256_hex(payload),
+                "num_rows": len(partition),
+            }
+            if injector is not None:
+                injector.on_checkpoint_write(
+                    stage_id, partition.index, path, offset, len(payload)
+                )
+            offset += len(payload)
         self._write_manifest()
-        self.checkpoint_bytes += len(payload)
-        self.checkpoint_partitions_total += 1
-        self.recompute_total += 1
-        self.metrics.counter("checkpoint_bytes_total").inc(len(payload))
-        self.metrics.counter("checkpoint_partitions_total").inc()
-        self.metrics.counter("recompute_total").inc()
-        return digest
+        self.checkpoint_bytes += nbytes
+        self.checkpoint_partitions_total += len(payloads)
+        self.recompute_total += len(payloads)
+        self.metrics.counter("checkpoint_bytes_total").inc(nbytes)
+        self.metrics.counter("checkpoint_partitions_total").inc(len(payloads))
+        self.metrics.counter("recompute_total").inc(len(payloads))
 
     def commit_stage(self, stage_id, lineage=None):
         """Mark a stage's checkpoint complete (every partition
-        committed) and record its lineage tuple."""
+        committed) and record its lineage tuple. A stage restored in
+        full is already marked: nothing changed, nothing is written."""
         self._require_bound()
-        stage = self._manifest["stages"].setdefault(
-            str(stage_id),
-            {"partitions": {}, "complete": False, "lineage": None},
-        )
+        stage = self._stage(stage_id)
+        lineage = list(lineage) if lineage is not None else stage["lineage"]
+        if stage["complete"] and stage["lineage"] == lineage:
+            return
         stage["complete"] = True
-        if lineage is not None:
-            stage["lineage"] = list(lineage)
+        stage["lineage"] = lineage
         self._write_manifest()
 
     def stage_entries(self, stage_id):
@@ -368,7 +372,8 @@ class CheckpointStore:
         path = os.path.join(self._run_dir, entry["file"])
         try:
             with open(path, "rb") as handle:
-                payload = handle.read()
+                handle.seek(entry["offset"])
+                payload = handle.read(entry["nbytes"])
         except FileNotFoundError as cause:
             raise CheckpointIntegrityError(
                 f"stage {stage_id!r} partition {index}: payload file "

@@ -1,5 +1,7 @@
 """Shared fixtures: mini models, small datasets, and local contexts."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,37 @@ from repro.core.config import DatasetStats, Resources
 from repro.data import amazon_dataset, foods_dataset
 from repro.dataflow.context import local_context
 from repro.memory.model import GB
+
+
+def _open_fds():
+    listing = os.open("/proc/self/fd", os.O_RDONLY)
+    try:
+        return set(os.listdir(listing)) - {str(listing)}
+    finally:
+        os.close(listing)
+
+
+@pytest.fixture(autouse=True)
+def no_leaks(tmp_path):
+    """After every test, pass or fail: no child process left (live or
+    zombie), the same open fds as before, nothing of ours in /dev/shm,
+    and no ``*.tmp`` from an unfinished atomic write under the test's
+    own ``tmp_path``."""
+    fds_before = _open_fds()
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds_before
+    if os.path.isdir("/dev/shm"):
+        assert not [
+            name for name in os.listdir("/dev/shm")
+            if name.startswith("vista")
+        ]
+    assert not [
+        os.path.join(folder, name)
+        for folder, _, names in os.walk(tmp_path)
+        for name in names if name.endswith(".tmp")
+    ]
 
 
 @pytest.fixture(scope="session")

@@ -6,9 +6,10 @@ Everything the serial fault suite asserts about *simulated* failures
 (`test_faults.py`) must hold when the failure is a real dead OS
 process: lineage recompute + blacklist produce bit-identical output, a
 ``WorkerLost`` recovery event lands in the log, and — checked after
-every test here, pass or fail — no worker process, pipe end or
-``/dev/shm`` entry outlives the run (the process analogue of the
-``*.tmp`` reclaim tests in ``test_recovery.py``).
+every test by the autouse leak fixture in ``conftest.py``, pass or
+fail — no worker process, pipe end or ``/dev/shm`` entry outlives the
+run (the process analogue of the ``*.tmp`` reclaim tests in
+``test_recovery.py``).
 """
 
 import os
@@ -39,30 +40,6 @@ from repro.faults import (
     equip_context,
 )
 from repro.metrics import MetricsRegistry
-
-
-def _open_fds():
-    listing = os.open("/proc/self/fd", os.O_RDONLY)
-    try:
-        return set(os.listdir(listing)) - {str(listing)}
-    finally:
-        os.close(listing)
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_workers():
-    """After every test: no child process left (live or zombie), the
-    same open fds as before, nothing of ours in /dev/shm."""
-    fds_before = _open_fds()
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert _open_fds() == fds_before
-    if os.path.isdir("/dev/shm"):
-        assert not [
-            name for name in os.listdir("/dev/shm")
-            if name.startswith("vista")
-        ]
 
 
 def _ctx(plan=None, seed=0, policy=None, num_nodes=2, cpu=4,
@@ -394,8 +371,8 @@ def test_close_kills_and_reaps_live_workers():
     backend = ctx.exec_backend
     pids = []
 
-    def on_commit(partition, result):
-        pids.append(result)
+    def on_commit(pairs):
+        pids.extend(result for _, result in pairs)
         backend.close()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -406,7 +383,7 @@ def test_close_kills_and_reaps_live_workers():
         lambda partition: os.getpid(), on_commit=on_commit,
     )
     assert results == pids
-    # each wave's workers were killed at its first commit: 2 waves x 2
+    # each wave's workers were killed at its commit: 2 waves x 2
     assert len(set(pids)) == 4 and os.getpid() not in pids
     backend.close()
 
@@ -486,8 +463,8 @@ def test_on_commit_fires_exactly_once_out_of_order(backend):
     """Out-of-order commit schedule: partition 0 fails transiently (so
     it commits a full retry round *after* its peers) while a worker
     dies between waves (so a discarded wave reschedules wholesale).
-    Every partition's commit barrier must still fire exactly once,
-    with the result it committed."""
+    The commit barrier must still report every partition exactly
+    once, with the result it committed, and fire once per wave."""
     plan = (
         FaultPlan()
         .task_crash(partition=0, attempt=1)
@@ -495,9 +472,12 @@ def test_on_commit_fires_exactly_once_out_of_order(backend):
     )
     ctx = _ctx(plan, cpu=2, exec_backend=backend)
     commits = {}
+    waves = []
 
-    def on_commit(partition, result):
-        commits.setdefault(partition.index, []).append(result)
+    def on_commit(pairs):
+        waves.append(len(pairs))
+        for partition, result in pairs:
+            commits.setdefault(partition.index, []).append(result)
 
     results = run_partition_tasks(
         ctx, [Partition.from_rows(i, [{"id": i}]) for i in range(8)],
@@ -509,6 +489,8 @@ def test_on_commit_fires_exactly_once_out_of_order(backend):
         k: len(v) for k, v in commits.items() if len(v) != 1
     }
     assert all(commits[i] == [i * 10] for i in range(8))
+    assert all(1 <= size <= ctx.cpu for size in waves)
+    assert len(waves) < 8  # per wave, not per partition
 
 
 @pytest.mark.parametrize("backend", ["serial", "process"])

@@ -45,20 +45,20 @@ GOLDEN = {
         "infer source -> t_fc7 [image: fc7=tensor] "
         "span=inference:fc7 ckpt=infer:image->fc7",
         "join t_fc7 -> joined [fc7] span=join",
-        "train joined [fc7] span=train:fc7 ckpt=train:fc7",
+        "train joined [fc7] span=train:fc7",
         "infer source -> t_fc8 [image: fc8=tensor] "
         "span=inference:fc8 ckpt=infer:image->fc8",
         "join t_fc8 -> joined [fc8] span=join",
-        "train joined [fc8] span=train:fc8 ckpt=train:fc8",
+        "train joined [fc8] span=train:fc8",
     ],
     "lazy-reordered": [
         "join source -> joined span=join",
         f"infer joined -> t_fc7 [image: fc7=tensor] {KEEP} "
         "span=inference:fc7 ckpt=infer:image->fc7+aj",
-        "train t_fc7 [fc7] span=train:fc7 ckpt=train:fc7",
+        "train t_fc7 [fc7] span=train:fc7",
         f"infer joined -> t_fc8 [image: fc8=tensor] {KEEP} "
         "span=inference:fc8 ckpt=infer:image->fc8+aj",
-        "train t_fc8 [fc8] span=train:fc8 ckpt=train:fc8",
+        "train t_fc8 [fc8] span=train:fc8",
     ],
     "eager": [
         "infer source -> t_eager [image: fc7=tensor:fc7 fc8=tensor:fc8] "
@@ -66,9 +66,9 @@ GOLDEN = {
         "join t_eager -> joined span=join",
         "cache joined",
         "project joined -> projected [fc7]",
-        "train projected [fc7] span=train:fc7 ckpt=train:fc7",
+        "train projected [fc7] span=train:fc7",
         "project joined -> projected [fc8]",
-        "train projected [fc8] span=train:fc8 ckpt=train:fc8",
+        "train projected [fc8] span=train:fc8",
         "unpersist joined",
     ],
     "eager-reordered": [
@@ -77,9 +77,9 @@ GOLDEN = {
         f"{KEEP} span=inference:eager ckpt=eager:image->fc8+aj",
         "cache t_eager",
         "project t_eager -> projected [fc7]",
-        "train projected [fc7] span=train:fc7 ckpt=train:fc7",
+        "train projected [fc7] span=train:fc7",
         "project t_eager -> projected [fc8]",
-        "train projected [fc8] span=train:fc8 ckpt=train:fc8",
+        "train projected [fc8] span=train:fc8",
         "unpersist t_eager",
     ],
     "staged": [
@@ -87,12 +87,12 @@ GOLDEN = {
         f"infer joined -> t_fc7 [image: fc7=tensor] {KEEP} "
         "span=inference:fc7 ckpt=infer:image->fc7+aj",
         "cache t_fc7",
-        "train t_fc7 [fc7] span=train:fc7 ckpt=train:fc7",
+        "train t_fc7 [fc7] span=train:fc7",
         f"infer t_fc7 -> t_fc8 [fc7: fc8=tensor] {KEEP} "
         "span=inference:fc8 ckpt=infer:fc7->fc8+aj",
         "cache t_fc8",
         "unpersist t_fc7",
-        "train t_fc8 [fc8] span=train:fc8 ckpt=train:fc8",
+        "train t_fc8 [fc8] span=train:fc8",
         "unpersist t_fc8",
     ],
     "staged-bj": [
@@ -100,13 +100,13 @@ GOLDEN = {
         "span=inference:fc7 ckpt=infer:image->fc7",
         "cache t_fc7",
         "join t_fc7 -> joined [fc7] span=join",
-        "train joined [fc7] span=train:fc7 ckpt=train:fc7",
+        "train joined [fc7] span=train:fc7",
         "infer t_fc7 -> t_fc8 [fc7: fc8=tensor] "
         "span=inference:fc8 ckpt=infer:fc7->fc8",
         "cache t_fc8",
         "unpersist t_fc7",
         "join t_fc8 -> joined [fc8] span=join",
-        "train joined [fc8] span=train:fc8 ckpt=train:fc8",
+        "train joined [fc8] span=train:fc8",
         "unpersist t_fc8",
     ],
 }

@@ -130,7 +130,7 @@ def test_restore_drops_digest_valid_non_vcb1_payload(tmp_path):
     import json
 
     store = _bound_store(tmp_path)
-    store.put_partition("stage", _array_partition(0))
+    store.put_partition("stage", [_array_partition(0)])
     run_dir = tmp_path / "run-a"
     payload = _pickled_rows()
     manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -153,12 +153,23 @@ def test_restore_drops_digest_valid_non_vcb1_payload(tmp_path):
 def test_put_restore_round_trip(tmp_path):
     store = _bound_store(tmp_path)
     parts = [_array_partition(i) for i in range(3)]
-    for part in parts:
-        store.put_partition("infer:image->conv5", part)
+    store.put_partition("infer:image->conv5", parts[:2])
+    store.put_partition("infer:image->conv5", parts[2:])
     store.commit_stage("infer:image->conv5", lineage=("map", "t_img"))
     assert store.stage_complete("infer:image->conv5")
     assert store.valid_partition_count() == 3
     assert store.checkpoint_bytes > 0
+    # One never-reused file per wave; the manifest locates each
+    # partition inside it.
+    run_dir = tmp_path / "run-a"
+    entries = store.stage_entries("infer:image->conv5")
+    assert sorted(n for n in os.listdir(run_dir) if n.endswith(".ckpt")) \
+        == sorted({entries["0"]["file"], entries["2"]["file"]})
+    assert entries["0"]["file"].endswith("__1.ckpt")
+    assert entries["2"]["file"].endswith("__2.ckpt")
+    assert entries["1"]["file"] == entries["0"]["file"]
+    assert entries["1"]["offset"] == entries["0"]["nbytes"]
+    assert entries["2"]["offset"] == 0
 
     reopened = _bound_store(tmp_path)
     restored = reopened.restore_stage("infer:image->conv5")
@@ -172,12 +183,12 @@ def test_put_restore_round_trip(tmp_path):
 def test_unbound_store_refuses_stage_api(tmp_path):
     store = CheckpointStore(str(tmp_path))
     with pytest.raises(RuntimeError, match="bind_run"):
-        store.put_partition("s", _array_partition(0))
+        store.put_partition("s", [_array_partition(0)])
 
 
 def test_different_fingerprints_are_isolated(tmp_path):
     store = _bound_store(tmp_path, "run-a")
-    store.put_partition("stage", _array_partition(0))
+    store.put_partition("stage", [_array_partition(0)])
     other = CheckpointStore(str(tmp_path)).bind_run("run-b")
     assert other.valid_partition_count() == 0
     assert other.restore_stage("stage") == {}
@@ -206,7 +217,7 @@ def test_run_fingerprint_covers_plan_and_config():
 # ---------------------------------------------------------------------
 # integrity: corruption, missing files, torn manifests
 # ---------------------------------------------------------------------
-def _corrupt_file(path, offset=20):
+def _corrupt_file(path, offset):
     with open(path, "rb+") as handle:
         handle.seek(offset)
         byte = handle.read(1)[0]
@@ -216,13 +227,10 @@ def _corrupt_file(path, offset=20):
 
 def test_corrupt_payload_is_detected_and_dropped(tmp_path):
     store = _bound_store(tmp_path)
-    for i in range(3):
-        store.put_partition("stage", _array_partition(i))
+    store.put_partition("stage", [_array_partition(i) for i in range(3)])
     run_dir = tmp_path / "run-a"
-    victim = next(
-        n for n in sorted(os.listdir(run_dir)) if n.endswith("__p1.ckpt")
-    )
-    _corrupt_file(str(run_dir / victim))
+    victim = store.stage_entries("stage")["1"]
+    _corrupt_file(str(run_dir / victim["file"]), victim["offset"] + 20)
 
     reopened = _bound_store(tmp_path)
     log = RecoveryLog()
@@ -240,12 +248,9 @@ def test_corrupt_payload_is_detected_and_dropped(tmp_path):
 
 def test_missing_payload_detected_with_cause_chain(tmp_path):
     store = _bound_store(tmp_path)
-    store.put_partition("stage", _array_partition(0))
+    store.put_partition("stage", [_array_partition(0)])
     run_dir = tmp_path / "run-a"
-    victim = next(
-        n for n in os.listdir(run_dir) if n.endswith("__p0.ckpt")
-    )
-    os.remove(run_dir / victim)
+    os.remove(run_dir / store.stage_entries("stage")["0"]["file"])
 
     reopened = _bound_store(tmp_path)
     with pytest.raises(CheckpointIntegrityError) as excinfo:
@@ -265,22 +270,22 @@ def test_missing_payload_detected_with_cause_chain(tmp_path):
 
 def test_truncated_payload_is_torn_write(tmp_path):
     store = _bound_store(tmp_path)
-    store.put_partition("stage", _array_partition(0))
+    store.put_partition("stage", [_array_partition(0), _array_partition(1)])
     run_dir = tmp_path / "run-a"
-    victim = next(
-        n for n in os.listdir(run_dir) if n.endswith("__p0.ckpt")
-    )
-    size = os.path.getsize(run_dir / victim)
-    with open(run_dir / victim, "rb+") as handle:
-        handle.truncate(size // 2)
+    victim = run_dir / store.stage_entries("stage")["1"]["file"]
+    size = os.path.getsize(victim)
+    with open(victim, "rb+") as handle:
+        handle.truncate(size - 1)
     reopened = _bound_store(tmp_path)
-    assert reopened.restore_stage("stage") == {}
+    # The tear cut the tail of the wave file: the partition before it
+    # still verifies, the one it cut does not.
+    assert sorted(reopened.restore_stage("stage")) == [0]
     assert reopened.corrupt_total == 1
 
 
 def test_torn_manifest_quarantines_run(tmp_path):
     store = _bound_store(tmp_path)
-    store.put_partition("stage", _array_partition(0))
+    store.put_partition("stage", [_array_partition(0)])
     manifest = tmp_path / "run-a" / "manifest.json"
     size = os.path.getsize(manifest)
     with open(manifest, "rb+") as handle:
@@ -299,28 +304,65 @@ def test_wrong_fingerprint_manifest_is_structural_tear(tmp_path):
     run_dir = tmp_path / "run-a"
     run_dir.mkdir()
     (run_dir / "manifest.json").write_text(json.dumps(
-        {"schema": "ckpt/v1", "fingerprint": "other", "stages": {}}
+        {"schema": "ckpt/v2", "fingerprint": "other", "seq": 0,
+         "stages": {}}
     ))
     store = _bound_store(tmp_path)
     assert store.torn_manifest_total == 1
+
+
+def test_v1_directory_is_quarantined(tmp_path):
+    """A directory written by the per-partition ``ckpt/v1`` layout
+    fails the structural check: nothing in it is read, all of it goes."""
+    run_dir = tmp_path / "run-a"
+    run_dir.mkdir()
+    (run_dir / "stage__p0.ckpt").write_bytes(b"VCB1 something")
+    (run_dir / "manifest.json").write_text(json.dumps({
+        "schema": "ckpt/v1", "fingerprint": "run-a",
+        "stages": {"stage": {"complete": True, "lineage": None,
+                             "partitions": {"0": {
+                                 "file": "stage__p0.ckpt", "sha256": "0" * 64,
+                                 "nbytes": 14, "num_rows": 1, "wave": None,
+                             }}}},
+    }))
+    store = _bound_store(tmp_path)
+    assert store.torn_manifest_total == 1
+    assert store.valid_partition_count() == 0
+    assert os.listdir(run_dir) == []
+
+
+def test_bind_run_reclaims_orphan_wave_files(tmp_path):
+    """A wave file whose manifest commit never happened is invisible to
+    restore and removed at the next bind; referenced files stay."""
+    store = _bound_store(tmp_path)
+    store.put_partition("stage", [_array_partition(0)])
+    run_dir = tmp_path / "run-a"
+    (run_dir / "stage__2.ckpt").write_bytes(b"payload without a commit")
+    reopened = _bound_store(tmp_path)
+    assert sorted(os.listdir(run_dir)) == ["manifest.json", "stage__1.ckpt"]
+    assert sorted(reopened.restore_stage("stage")) == [0]
+    # The next wave takes a fresh sequence number.
+    reopened.put_partition("stage", [_array_partition(1)])
+    assert reopened.stage_entries("stage")["1"]["file"] == "stage__2.ckpt"
 
 
 # ---------------------------------------------------------------------
 # injected checkpoint faults (hostile store)
 # ---------------------------------------------------------------------
 def test_injected_corruption_fault_detected_on_restore(tmp_path):
-    plan = FaultPlan().checkpoint_corrupt(stage="stage", partition=0)
+    """The seeded flip lands inside the targeted partition's range of
+    the wave file: its wave-mates on either side still verify."""
+    plan = FaultPlan().checkpoint_corrupt(stage="stage", partition=1)
     injector = FaultInjector(plan, seed=3, recovery_log=RecoveryLog())
     store = CheckpointStore(str(tmp_path), fault_injector=injector)
     store.bind_run("run-a")
-    store.put_partition("stage", _array_partition(0))
-    store.put_partition("stage", _array_partition(1))
+    store.put_partition("stage", [_array_partition(i) for i in range(3)])
     assert injector.injected["checkpoint-corrupt"] == 1
     assert injector.recovery_log.of("checkpoint_fault")
 
     reopened = _bound_store(tmp_path)
     restored = reopened.restore_stage("stage")
-    assert sorted(restored) == [1]
+    assert sorted(restored) == [0, 2]
     assert reopened.corrupt_total == 1
 
 
@@ -329,12 +371,14 @@ def test_injected_missing_fault(tmp_path):
     injector = FaultInjector(plan, seed=3)
     store = CheckpointStore(str(tmp_path), fault_injector=injector)
     store.bind_run("run-a")
-    for i in range(2):
-        store.put_partition("stage", _array_partition(i))
+    store.put_partition("stage", [_array_partition(0), _array_partition(1)])
+    store.put_partition("stage", [_array_partition(2)])
     reopened = _bound_store(tmp_path)
     restored = reopened.restore_stage("stage")
-    assert sorted(restored) == [0]
-    assert reopened.missing_total == 1
+    # The rule deleted partition 1's wave file: its wave-mate is
+    # missing with it, the other wave is intact.
+    assert sorted(restored) == [2]
+    assert reopened.missing_total == 2
 
 
 def test_injected_torn_manifest_fault(tmp_path):
@@ -342,7 +386,7 @@ def test_injected_torn_manifest_fault(tmp_path):
     injector = FaultInjector(plan, seed=3)
     store = CheckpointStore(str(tmp_path), fault_injector=injector)
     store.bind_run("run-a")
-    store.put_partition("stage", _array_partition(0))
+    store.put_partition("stage", [_array_partition(0)])
     reopened = _bound_store(tmp_path)
     assert reopened.torn_manifest_total == 1
     assert reopened.valid_partition_count() == 0
@@ -462,7 +506,15 @@ def test_corrupted_checkpoint_recovered_by_recompute(tmp_path, baseline):
         if e["event"] == "checkpoint_invalid"
     ]
     assert invalid and invalid[0]["kind"] == "corrupt"
-    assert store.restore_total > 0
+    # The flip sat inside partition 0's range of its wave file: only
+    # that partition is recomputed, its wave-mates restore.
+    assert [e["partition"] for e in invalid] == [0]
+    restores = [
+        e for e in result.metrics["recovery_log"]
+        if e["event"] == "checkpoint_restore"
+    ]
+    assert restores[0]["partitions"] == list(range(1, 14))
+    assert store.restore_total == 13
 
 
 def test_resume_stalls_fall_back_to_degradation_ladder(tmp_path):
@@ -476,8 +528,8 @@ def test_resume_stalls_fall_back_to_degradation_ladder(tmp_path):
     store = CheckpointStore(str(tmp_path)).bind_run("run-a")
     runner = ResilientRunner(_make_vista(), checkpoint_store=store)
     assert runner._should_resume() is False  # empty store: no progress
-    store.put_partition("stage", _array_partition(0))
+    store.put_partition("stage", [_array_partition(0)])
     assert runner._should_resume() is True   # grew: resume
     assert runner._should_resume() is False  # stalled: degrade
-    store.put_partition("stage", _array_partition(1))
+    store.put_partition("stage", [_array_partition(1)])
     assert runner._should_resume() is True   # grew again: resume again
