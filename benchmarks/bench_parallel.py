@@ -18,9 +18,14 @@ Wall-clock speedups are hardware-dependent, so the envelope records
 ``cores_available`` honestly and ``--check`` compares it exactly: a
 baseline committed from a 1-core container never silently gates a
 multi-core CI run (capacity drift is only gated when the core counts
-match). Independently of any baseline, the run **asserts the >=1.5x
-speedup floor at cpu=4 on the staged plan whenever the host actually
-has >= 4 cores** — on smaller hosts the floor is reported as skipped,
+match). Next to it sits the *measured* ``parallel_capacity`` — how
+many cores' worth of throughput that many concurrent processes really
+get (a 2-vCPU VM can read 2 and 1.0); ``--check`` treats a baseline
+that predates the field as "capacity unknown", and one that disagrees
+by half a core or more as other hardware. Independently of any
+baseline, the run **asserts the >=1.5x speedup floor at cpu=4 on the
+staged plan whenever the host actually delivers >= 4 cores** — on
+smaller or oversubscribed hosts the floor is reported as skipped,
 because forking cannot beat serial without parallel hardware.
 
 Usage::
@@ -67,7 +72,7 @@ CPUS = (1, 2, 4)
 
 #: The acceptance floor: process must beat serial by this factor on
 #: the staged plan's feature stage at cpu=4 — asserted only on hosts
-#: that actually have >= 4 cores to parallelize across.
+#: that actually deliver >= 4 cores to parallelize across.
 SPEEDUP_FLOOR = 1.5
 FLOOR_CPU = 4
 FLOOR_MIN_CORES = 4
@@ -116,6 +121,18 @@ def check_drift(report, baseline_path):
             "not comparable across core counts"
         )
         return 0
+    # A record older than the field says nothing about its capacity:
+    # unknown, not a mismatch.
+    old_capacity = old_results.get("parallel_capacity")
+    new_capacity = new_results["parallel_capacity"]
+    if old_capacity is not None and abs(old_capacity - new_capacity) >= 0.5:
+        print(
+            f"parallel gate SKIP vs {baseline_path}: baseline measured "
+            f"parallel_capacity={old_capacity}, this host measures "
+            f"{new_capacity}; the same core count delivers different "
+            "throughput"
+        )
+        return 0
     failures = 0
     drift = drift_violations(old_results, new_results)
     for key, (old, new) in sorted(drift.items()):
@@ -153,7 +170,8 @@ def main(argv=None):
     print_table(
         f"Process-backend speedup ({report.model} x {LAYERS}, "
         f"{report.num_records} records, plan {report.plan}, "
-        f"{report.cores_available} core(s) available)",
+        f"{report.cores_available} core(s) available, "
+        f"parallel_capacity {report.parallel_capacity})",
         ["cpu", "serial feat s", "process feat s", "speedup",
          "serial total s", "process total s", "predicted feat s"],
         [
@@ -187,8 +205,7 @@ def main(argv=None):
     # exists. --quick skips it too (its workload is too small for
     # compute to dominate fork overhead).
     floor_rows = [row for row in report.rows if row.cpu == FLOOR_CPU]
-    if (floor_rows and not args.quick
-            and report.cores_available >= FLOOR_MIN_CORES):
+    if floor_rows and not args.quick and report.delivers(FLOOR_MIN_CORES):
         speedup = floor_rows[0].speedup
         assert speedup >= SPEEDUP_FLOOR, (
             f"process backend speedup at cpu={FLOOR_CPU} is "
@@ -199,8 +216,9 @@ def main(argv=None):
               f"{SPEEDUP_FLOOR}x at cpu={FLOOR_CPU}")
     else:
         print(f"\nspeedup floor SKIPPED "
-              f"(cores_available={report.cores_available} < "
-              f"{FLOOR_MIN_CORES}, or --quick)")
+              f"(cores_available={report.cores_available}, "
+              f"parallel_capacity={report.parallel_capacity}: under "
+              f"{FLOOR_MIN_CORES} delivered cores, or --quick)")
 
     if args.check:
         failures = check_drift(report, args.check)
@@ -213,18 +231,19 @@ def main(argv=None):
     # measured on real parallel hardware is worth committing as the
     # baseline — a sub-4-core host's speedup curve is fork-overhead-
     # bound and would poison every future multi-core comparison.
-    refresh_eligible = report.cores_available >= FLOOR_MIN_CORES
+    refresh_eligible = report.delivers(FLOOR_MIN_CORES)
     baseline_refresh = {
         "cores_available": report.cores_available,
+        "parallel_capacity": report.parallel_capacity,
         "eligible": refresh_eligible,
         "reason": (
-            f"host has {report.cores_available} cores >= "
-            f"{FLOOR_MIN_CORES}: a real multi-core record, safe to "
-            f"commit as the new baseline"
+            f"host has {report.cores_available} cores delivering "
+            f"{report.parallel_capacity} >= {FLOOR_MIN_CORES}: a real "
+            f"multi-core record, safe to commit as the new baseline"
             if refresh_eligible else
-            f"host has {report.cores_available} core(s) < "
-            f"{FLOOR_MIN_CORES}: speedups are fork-overhead-bound, "
-            f"keep the committed baseline"
+            f"host has {report.cores_available} core(s) delivering "
+            f"{report.parallel_capacity} < {FLOOR_MIN_CORES}: speedups "
+            f"are fork-overhead-bound, keep the committed baseline"
         ),
     }
     print(f"baseline refresh {'ELIGIBLE' if refresh_eligible else 'SKIP'}: "

@@ -14,6 +14,13 @@ runs a long contiguous stretch. Batching amortizes per-image kernel
 overheads — the SystemML-style batched matrix formulation of conv
 layers — and is what the partition-level executor path runs on.
 
+Conv is the only compute-bound kernel; the others are priced in bytes
+moved, so their buffers are no wider than the arithmetic needs. LRN is
+the case in point: its window sums run over a buffer with *one* gap of
+``depth_radius`` zeros between consecutive pixels (the gap after a
+pixel is the gap before the next), and every pass after them over
+exactly the tensor's own elements — see :class:`LocalResponseNorm`.
+
 The ResNet bottleneck block is a *composite* TensorOp so that the CNN
 as a whole remains an indexed chain (Def. 3.4) even though internally
 the block is a small DAG — exactly the simplification the paper's
@@ -216,11 +223,22 @@ class LocalResponseNorm(TensorOp):
 
     The cross-channel sum-of-squares is a window sum over the (last)
     channel axis, whatever the leading axes, so one kernel serves the
-    per-image and the batched path. Squares go into a buffer with
-    ``depth_radius`` zero channels on both sides of every pixel; over
-    its flat view the window sum is ``2 * depth_radius`` shifted adds
-    of one long run each, accumulated left to right, and no window of
-    a real channel crosses into the next pixel.
+    per-image and the batched path. With ``r = depth_radius``, squares
+    go into one flat buffer laid out as ``r`` zeros, then per pixel its
+    ``C`` squares and ``r`` zeros (and ``r`` more zeros to close, so
+    every slot has a full window)::
+
+        0 0 | a a a a a a 0 0 | b b b b b b 0 0 | 0 0      C = 6, r = 2
+
+    A window reaches ``r`` slots past either end of a pixel, never
+    further, so the gap after one pixel is also the gap before the
+    next: the buffer is ``C + r`` wide per pixel, not ``C + 2r``. The
+    window sum over it is ``2r`` shifted adds of one long run each,
+    accumulated left to right (zeros included, so every channel sees
+    the same ``2r + 1`` terms in the same order whatever ``C`` is).
+    The ``* alpha`` pass then reads only the real channels and writes
+    them contiguously, so bias, power and the divide touch exactly the
+    tensor's own element count.
     """
 
     def __init__(self, shape, depth_radius=2, bias=2.0, alpha=1e-4, beta=0.75,
@@ -235,21 +253,23 @@ class LocalResponseNorm(TensorOp):
         tensor = tensor.astype(np.float32, copy=False)
         channels = tensor.shape[-1]
         radius = self.depth_radius
-        width = channels + 2 * radius
-        squares = np.zeros(tensor.shape[:-1] + (width,), dtype=np.float32)
-        np.square(tensor, out=squares[..., radius:radius + channels])
-        flat = squares.reshape(-1)
-        # One slot per padded channel so the result views back as
-        # (..., width); the last 2 * radius slots are never read.
-        denom = np.empty(flat.size, dtype=np.float32)
-        scale = denom[:flat.size - 2 * radius]
-        scale[...] = flat[:scale.size]
+        pitch = channels + radius
+        slots = tensor.size // channels * pitch
+        flat = np.zeros(slots + 2 * radius, dtype=np.float32)
+        squares = flat[radius:radius + slots].reshape(
+            tensor.shape[:-1] + (pitch,)
+        )
+        np.square(tensor, out=squares[..., :channels])
+        # sums[i] = flat[i] + ... + flat[i + 2r]: slot c of a pixel is
+        # channel c's window. The first add allocates the sums, the
+        # rest accumulate into them.
+        sums, out = flat[:slots], None
         for shift in range(1, 2 * radius + 1):
-            scale += flat[shift:shift + scale.size]
-        scale *= self.alpha
-        scale += self.bias
-        np.power(scale, self.beta, out=scale)
-        return tensor / denom.reshape(squares.shape)[..., :channels]
+            sums = out = np.add(sums, flat[shift:shift + slots], out=out)
+        denom = sums.reshape(-1, pitch)[:, :channels] * self.alpha
+        denom += self.bias
+        np.power(denom, self.beta, out=denom)
+        return tensor / denom.reshape(tensor.shape)
 
     def apply(self, tensor):
         return self._normalize(tensor)

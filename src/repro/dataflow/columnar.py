@@ -28,6 +28,11 @@ The zero-copy contract consumers rely on:
 
 Consumers must therefore never mutate a column or a row view in
 place; every engine operator builds fresh output blocks instead.
+Blocks are immutable values, which is what lets an operator that only
+passes a column along (``select``, the probe side of a fully matched
+join) hand the *same* memory to its output block — as a read-only
+view where the source array is writable, so a stray write raises
+rather than reaching the source table.
 
 Sizing is exact: :attr:`ColumnarBlock.nbytes` sums the real buffer
 sizes (object-column members use the Appendix A per-value estimator).
@@ -229,7 +234,15 @@ class ColumnarBlock:
     # ------------------------------------------------------------------
     def take(self, indices):
         """Gather rows by position into a new block (one fancy-index
-        per column — no per-row Python loop for array columns)."""
+        per column — no per-row Python loop for array columns).
+
+        Always a copy: fancy indexing never aliases, whatever the
+        indices are, so a caller that knows its gather is the identity
+        should share the columns instead (blocks are immutable — the
+        local hash join does, see ``dataflow/joins.py``). Blocks built
+        by :meth:`select`, by that join and by :meth:`from_buffer`
+        alias other blocks' or a blob's memory; ``take`` and
+        :meth:`concat` never do."""
         indices = np.asarray(indices, dtype=np.intp)
         columns = {}
         for name, column in self._columns.items():

@@ -16,9 +16,12 @@ Two distributed key-key equi-join implementations:
 Both operators run the same local hash join over columnar blocks: key
 matching yields ``(probe_idx, build_idx)`` index arrays — one stable
 argsort + ``searchsorted`` over integer key columns, a dict lookup for
-any other key type — and the joined output is assembled with one
-fancy-index gather per column, the gathered tensor columns coming
-straight from the stored blocks (zero-copy reads).
+any other key type — and the joined output is assembled one column at
+a time: the build side with one fancy-index gather per column, the
+probe side the same way on a partial match and *shared, not copied*
+when every probe row matched (read-only views of the probe block's own
+arrays). The probe side is the big one — the image table — so a full
+key-key match moves only the structured columns.
 
 Join output merges the two records; on a field-name clash the probe
 side wins except for the key, which is identical by definition.
@@ -64,10 +67,39 @@ def _match_keys(probe_keys, build_keys):
     return pairs[:, 0], pairs[:, 1]
 
 
+def _alias(block):
+    """``block``'s columns under a new block without moving a byte:
+    array columns as read-only views (what
+    :meth:`ColumnarBlock.from_buffer` hands the engine anyway), object
+    columns as shallow list copies."""
+    columns = {}
+    for name in block.column_names:
+        column = block.column(name)
+        if block.is_array(name):
+            column = column.view()
+            column.flags.writeable = False
+        else:
+            column = list(column)
+        columns[name] = column
+    return ColumnarBlock(columns, block.num_rows)
+
+
 def _hash_join(probe_block, probe_key, build_block, build_key):
     """Local hash join of two blocks: match the probe block's key
-    column against the build block's and gather the merged output one
-    column at a time. Output row order follows the probe block."""
+    column against the build block's and assemble the merged output one
+    column at a time. Output row order follows the probe block.
+
+    When every probe row matched — every key-key join Vista issues:
+    each image has its structured row — the output *aliases* the probe
+    block's columns (see :func:`_alias`) instead of gathering them, so
+    the image column rides through the join without being copied.
+    ``_match_keys`` returns strictly increasing probe positions, hence
+    "all of them" is the identity and the length test is the identity
+    test. Blocks are immutable, so sharing is unobservable except
+    through ``np.shares_memory``; a write through the joined table's
+    column raises. A partial match gathers as before, and the build
+    side is always gathered (its order is the probe's, not its own).
+    """
     if probe_block.num_rows == 0 or build_block.num_rows == 0:
         return ColumnarBlock.empty()
     probe_idx, build_idx = _match_keys(
@@ -75,7 +107,10 @@ def _hash_join(probe_block, probe_key, build_block, build_key):
     )
     if len(probe_idx) == 0:
         return ColumnarBlock.empty()
-    probe_out = probe_block.take(probe_idx)
+    if len(probe_idx) == probe_block.num_rows:
+        probe_out = _alias(probe_block)
+    else:
+        probe_out = probe_block.take(probe_idx)
     build_out = build_block.select([
         name for name in build_block.column_names
         if not probe_block.has_column(name)

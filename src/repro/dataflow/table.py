@@ -266,11 +266,16 @@ class DistributedTable:
         return self
 
     def unpersist(self):
+        """Drop every partition from whichever worker's Storage region
+        holds it. Not ``worker_for``: a worker blacklisted since
+        ``cache()`` no longer owns the partition's index (and with all
+        of them gone ``worker_for`` raises), yet its region still
+        carries the charge."""
         tracer = getattr(self.context, "tracer", NULL_TRACER)
         tracer.event("unpersist", table=self.name)
         for partition in self.partitions:
-            worker = self.context.worker_for(partition.index)
-            worker.storage.evict((self.name, partition.index))
+            for worker in self.context.workers:
+                worker.storage.evict((self.name, partition.index))
         return self
 
     def collect_block(self):

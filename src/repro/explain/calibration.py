@@ -24,7 +24,10 @@ ratio between runs, not its absolute value.
 
 from __future__ import annotations
 
+import os
+import struct
 from dataclasses import dataclass, field
+from time import perf_counter
 
 from repro.core.executor import FeatureTransferExecutor
 from repro.core.plans import ALL_PLANS
@@ -333,13 +336,28 @@ class ParallelCalibrationRow:
 
 @dataclass
 class ParallelCalibrationReport:
-    """Speedup curve + predicted-vs-actual parallel feature walls."""
+    """Speedup curve + predicted-vs-actual parallel feature walls.
+
+    ``cores_available`` is what the scheduler lets the process run on;
+    ``parallel_capacity`` is what :func:`measure_parallel_capacity`
+    found those cores to deliver (a 2-vCPU VM on one shared host core
+    reads 2 and 1.0)."""
 
     model: str
     num_records: int
     plan: str
     cores_available: int
+    parallel_capacity: float
     rows: list
+
+    def delivers(self, cores):
+        """Whether a claim that needs ``cores`` cores can be measured
+        here: that many are exposed *and* their measured throughput is
+        within half a core of it."""
+        return (
+            self.cores_available >= cores
+            and self.parallel_capacity >= cores - 0.5
+        )
 
     def to_dict(self):
         return {
@@ -347,6 +365,7 @@ class ParallelCalibrationReport:
             "num_records": self.num_records,
             "plan": self.plan,
             "cores_available": self.cores_available,
+            "parallel_capacity": self.parallel_capacity,
             "rows": [row.to_dict() for row in self.rows],
         }
 
@@ -356,8 +375,12 @@ class ParallelCalibrationReport:
         dependent; :func:`drift_violations` owns their comparison),
         while ``cores_available`` is compared exactly — a speedup
         recorded on a single-core host must never silently gate a
-        multi-core run's curve."""
-        flat = {"cores_available": self.cores_available}
+        multi-core run's curve. ``parallel_capacity`` is a measured
+        host property, informational to ``report --compare``."""
+        flat = {
+            "cores_available": self.cores_available,
+            "parallel_capacity": self.parallel_capacity,
+        }
         for row in self.rows:
             flat[f"speedup_capacity:cpu{row.cpu}"] = row.speedup
             flat[f"process_feature_s_capacity:cpu{row.cpu}"] = (
@@ -368,6 +391,82 @@ class ParallelCalibrationReport:
                     row.parallel_ratio
                 )
         return flat
+
+
+#: Iterations of the capacity probe's kernel: ~50 ms of interpreter
+#: byte code, long against a fork and short against a bench run.
+_SPIN_ITERATIONS = 1_000_000
+_PROBE_REPEATS = 3
+
+
+def _spin():
+    """The probe's fixed CPU kernel: no memory traffic, no syscalls."""
+    total = 0
+    for value in range(_SPIN_ITERATIONS):
+        total += value * value
+    return total
+
+
+def _slowest_of_concurrent_spins(count):
+    """Fork ``count`` children, release them together, and return the
+    longest time any of them took over one :func:`_spin` (each child
+    times itself, so fork latency is not in it). Every child is reaped
+    and every pipe end closed on every path."""
+    release_r, release_w = os.pipe()
+    children = []
+    try:
+        try:
+            for _ in range(count):
+                result_r, result_w = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    status = 1
+                    try:
+                        os.close(release_w)
+                        os.read(release_r, 1)  # EOF once the parent lets go
+                        start = perf_counter()
+                        _spin()
+                        os.write(
+                            result_w,
+                            struct.pack("d", perf_counter() - start),
+                        )
+                        status = 0
+                    finally:
+                        os._exit(status)
+                os.close(result_w)
+                children.append((pid, result_r))
+        finally:
+            os.close(release_w)  # the starting gun, or the way out
+        reports = [os.read(result_r, 8) for _, result_r in children]
+        if any(len(report) != 8 for report in reports):
+            raise RuntimeError(
+                "parallel-capacity probe: a child exited before reporting"
+            )
+        return max(struct.unpack("d", report)[0] for report in reports)
+    finally:
+        os.close(release_r)
+        for pid, result_r in children:
+            os.close(result_r)
+            os.waitpid(pid, 0)
+
+
+def measure_parallel_capacity(cores):
+    """How many cores' worth of throughput ``cores`` concurrent
+    processes really get: ``cores * t1 / tn``, with ``t1`` one forked
+    child's time over a fixed CPU kernel and ``tn`` the slowest of
+    ``cores`` children running it at once (best of
+    :data:`_PROBE_REPEATS` each). Near ``cores`` on dedicated
+    hardware, well under it when the "cores" are hyperthreads, and
+    1.0 when they are vCPUs time-sliced onto one host core."""
+    if cores < 2:
+        return 1.0
+    alone = min(
+        _slowest_of_concurrent_spins(1) for _ in range(_PROBE_REPEATS)
+    )
+    together = min(
+        _slowest_of_concurrent_spins(cores) for _ in range(_PROBE_REPEATS)
+    )
+    return round(cores * alone / together, 2)
 
 
 def calibrate_parallel(cnn, dataset, layers, config, budget, num_nodes=2,
@@ -385,8 +484,6 @@ def calibrate_parallel(cnn, dataset, layers, config, budget, num_nodes=2,
     Returns a :class:`ParallelCalibrationReport` whose speedup column
     is serial/process on the *same* cpu value.
     """
-    import os as _os
-
     from dataclasses import replace as _replace
 
     layers = list(layers)
@@ -456,11 +553,15 @@ def calibrate_parallel(cnn, dataset, layers, config, budget, num_nodes=2,
                     predicted_feature / row.process_feature_s, 4
                 )
         rows.append(row)
+    cores_available = (
+        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else (os.cpu_count() or 1)
+    )
     return ParallelCalibrationReport(
         model=cnn.name,
         num_records=len(dataset),
         plan=plan_label,
-        cores_available=len(_os.sched_getaffinity(0))
-        if hasattr(_os, "sched_getaffinity") else (_os.cpu_count() or 1),
+        cores_available=cores_available,
+        parallel_capacity=measure_parallel_capacity(cores_available),
         rows=rows,
     )

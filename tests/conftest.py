@@ -7,6 +7,7 @@ import pytest
 
 from repro.cnn import build_model, get_model_stats
 from repro.core.config import DatasetStats, Resources
+from repro.core.executor import FeatureTransferExecutor
 from repro.data import amazon_dataset, foods_dataset
 from repro.dataflow.context import local_context
 from repro.memory.model import GB
@@ -21,13 +22,31 @@ def _open_fds():
 
 
 @pytest.fixture(autouse=True)
-def no_leaks(tmp_path):
+def no_leaks(tmp_path, monkeypatch):
     """After every test, pass or fail: no child process left (live or
     zombie), the same open fds as before, nothing of ours in /dev/shm,
-    and no ``*.tmp`` from an unfinished atomic write under the test's
-    own ``tmp_path``."""
+    no ``*.tmp`` from an unfinished atomic write under the test's own
+    ``tmp_path``, and no partition still charged to a worker's Storage
+    region once a ``FeatureTransferExecutor.run`` has returned or
+    raised."""
     fds_before = _open_fds()
+    still_cached = []
+    run = FeatureTransferExecutor.run
+
+    def checked_run(self, *args, **kwargs):
+        try:
+            return run(self, *args, **kwargs)
+        finally:
+            still_cached.extend(
+                (worker.node_id, worker.storage.used_bytes,
+                 worker.storage.cached_keys())
+                for worker in self.context.workers
+                if worker.storage.used_bytes
+            )
+
+    monkeypatch.setattr(FeatureTransferExecutor, "run", checked_run)
     yield
+    assert not still_cached
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert _open_fds() == fds_before

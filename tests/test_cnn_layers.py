@@ -278,6 +278,28 @@ def retired_lrn(batch, radius, bias, alpha, beta):
     return (batch / np.power(bias + alpha * scale, beta)).astype(np.float32)
 
 
+def retired_lrn_padded(tensor, radius, bias, alpha, beta):
+    """The shifted-add kernel over a buffer with ``radius`` zero
+    channels on *both* sides of every pixel (``C + 2r`` wide): seed
+    copy, ``2r`` in-place adds, then alpha, bias, power and the divide
+    over the padded width."""
+    tensor = tensor.astype(np.float32, copy=False)
+    channels = tensor.shape[-1]
+    width = channels + 2 * radius
+    squares = np.zeros(tensor.shape[:-1] + (width,), dtype=np.float32)
+    np.square(tensor, out=squares[..., radius:radius + channels])
+    flat = squares.reshape(-1)
+    denom = np.empty(flat.size, dtype=np.float32)
+    scale = denom[:flat.size - 2 * radius]
+    scale[...] = flat[:scale.size]
+    for shift in range(1, 2 * radius + 1):
+        scale += flat[shift:shift + scale.size]
+    scale *= alpha
+    scale += bias
+    np.power(scale, beta, out=scale)
+    return tensor / denom.reshape(squares.shape)[..., :channels]
+
+
 def assert_same_bits(got, want):
     assert got.dtype == want.dtype == np.float32
     assert got.shape == want.shape
@@ -381,6 +403,30 @@ def test_lrn_against_oracle_and_retired(n, h, w, c, sliced, radius):
     np.testing.assert_allclose(got, want, rtol=(2 * radius + 6) * EPS, atol=0)
 
 
+@pytest.mark.parametrize("layout", ["contiguous", "sliced", "read-only"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("c", [1, 2, 3, 7, 8, 16])
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+def test_lrn_shared_gap_buffer_keeps_the_padded_kernels_bits(radius, c, n,
+                                                             layout):
+    """One gap of ``r`` zeros between pixels instead of ``r`` on each
+    side changes where the values sit, not which are added in which
+    order: batched, per image and on a bare channel vector."""
+    batch = make_input(n, 3, 5, c, layout == "sliced", seed=radius)
+    if layout == "read-only":
+        batch.flags.writeable = False
+    lrn = L.LocalResponseNorm((3, 5, c), depth_radius=radius)
+
+    def retired(x):
+        return retired_lrn_padded(x, radius, lrn.bias, lrn.alpha, lrn.beta)
+
+    same_as_retired(lrn, batch, retired)
+    assert_same_bits(lrn.apply_batch(batch), retired(batch))
+    pixel = batch[0, 1, 2]
+    assert_same_bits(lrn.apply(pixel), retired(pixel))
+    assert_same_bits(lrn.apply_batch(batch[:0]), retired(batch[:0]))
+
+
 def test_ops_called_with_float64_compute_in_float32():
     """Regression: an op called directly with float64 used to compute
     LRN in float64 and round at the end, so ``op(x)`` and
@@ -415,6 +461,8 @@ def test_kernels_leave_their_input_alone():
         L.MaxPool2D((8, 8, 8), 2),
         L.AvgPool2D((8, 8, 8), 2),
         L.LocalResponseNorm((8, 8, 8)),
+        # radius 0: the window sums are the squares buffer itself
+        L.LocalResponseNorm((8, 8, 8), depth_radius=0),
         L.BottleneckBlock((8, 8, 8), 2, rng=rng),  # identity shortcut
     ]
     for op in ops:

@@ -9,6 +9,7 @@ for all six plans; and the calibration report's ratios gate cleanly
 against themselves."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.data import foods_dataset
 from repro.dataflow.context import ClusterContext
 from repro.explain import (
     calibrate,
+    calibration,
     drift_violations,
     explain,
     peak_ratios,
@@ -274,6 +276,38 @@ class TestCalibration:
         assert "memory_ratio_capacity:staged:user" in violations
         # runtime moved only 1.5x: inside the loose runtime gate
         assert "runtime_ratio_capacity:staged:train" not in violations
+
+    @pytest.mark.parametrize("capacity", [1.0, 4.0])
+    def test_parallel_report_carries_the_measured_capacity(
+            self, monkeypatch, capacity):
+        """``cores_available`` is what the scheduler grants; whether a
+        scaling claim may be asserted hangs on what the probe measured
+        those cores to deliver."""
+        monkeypatch.setattr(
+            calibration, "measure_parallel_capacity", lambda cores: capacity
+        )
+        cnn, dataset, config, budget = _mini_workload()
+        report = calibration.calibrate_parallel(
+            cnn, dataset, ["fc7"], config, budget, cpus=(1,)
+        )
+        assert report.parallel_capacity == capacity
+        assert report.to_dict()["parallel_capacity"] == capacity
+        assert report.results()["parallel_capacity"] == capacity
+        assert report.results()["cores_available"] == report.cores_available
+        four_cores = replace(report, cores_available=4)
+        assert four_cores.delivers(4) is (capacity == 4.0)
+        # capacity alone is not enough either: the cores must be granted
+        assert not replace(report, cores_available=2).delivers(4)
+
+    def test_capacity_probe_measures_and_leaves_no_child(self, monkeypatch):
+        assert calibration.measure_parallel_capacity(1) == 1.0
+        monkeypatch.setattr(calibration, "_SPIN_ITERATIONS", 50_000)
+        assert calibration.measure_parallel_capacity(2) > 0.0
+        # a child that dies mid-kernel is reported and still reaped
+        # (the no_leaks fixture checks for survivors and stray fds)
+        monkeypatch.setattr(calibration, "_spin", lambda: 1 / 0)
+        with pytest.raises(RuntimeError, match="exited before reporting"):
+            calibration.measure_parallel_capacity(2)
 
     def test_op_seconds_histogram_recorded(self):
         cnn, dataset, config, budget = _mini_workload()

@@ -1,10 +1,23 @@
 """Unit tests for the physical join operators (Section 4.2.3)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.cnn import build_model
+from repro.core.config import VistaConfig
+from repro.core.executor import FeatureTransferExecutor
+from repro.core.plans import STAGED
+from repro.data import foods_dataset
+from repro.dataflow.columnar import ColumnarBlock
 from repro.dataflow.context import local_context
-from repro.dataflow.joins import broadcast_join, join, shuffle_hash_join
+from repro.dataflow.joins import (
+    _hash_join,
+    broadcast_join,
+    join,
+    shuffle_hash_join,
+)
 from repro.dataflow.table import DistributedTable
 
 
@@ -164,3 +177,203 @@ def test_shuffle_join_charges_core(ctx):
     assert any(
         w.accountant.peak(Region.CORE) > 0 for w in ctx.workers
     )
+
+
+# ---------------------------------------------------------------------
+# Zero-copy probe side: a full match shares the probe block's columns
+# ---------------------------------------------------------------------
+
+INT_KEYS = [i - 5 for i in range(24)]
+STR_KEYS = [f"user-{i:02d}" for i in range(24)]
+
+
+def _image_tables(ctx, keys):
+    """A big image table and a small structured one over ``keys``."""
+    images = DistributedTable.from_rows(
+        ctx,
+        [
+            {"id": key, "image": np.full((4, 4, 3), n, dtype=np.float32),
+             "caption": f"image {n}"}
+            for n, key in enumerate(keys)
+        ],
+        4, name="images",
+    )
+    structured = DistributedTable.from_rows(
+        ctx, [{"id": key, "y": float(-n)} for n, key in enumerate(keys)],
+        3, name="structured",
+    )
+    return images, structured
+
+
+def _assert_aliases(joined, probe):
+    """Every column of ``probe`` reaches ``joined`` without a copy:
+    arrays as read-only views of the same memory, object columns as
+    equal lists (never the list itself)."""
+    assert joined.num_rows == probe.num_rows
+    for name in probe.column_names:
+        got, source = joined.column(name), probe.column(name)
+        if probe.is_array(name):
+            assert np.shares_memory(got, source), name
+            assert not got.flags.writeable, name
+            with pytest.raises(ValueError):
+                got[0] = got[0]
+        else:
+            assert got == source and got is not source, name
+
+
+@pytest.mark.parametrize("keys", [INT_KEYS, STR_KEYS], ids=["int", "general"])
+def test_broadcast_full_match_shares_the_probe_columns(ctx, keys):
+    images, structured = _image_tables(ctx, keys)
+    out = broadcast_join(structured, images)
+    assert out.num_rows() == len(keys)
+    for joined, probe in zip(out.partitions, images.partitions):
+        _assert_aliases(joined.block(), probe.block())
+        assert joined.memory_bytes() == (
+            probe.memory_bytes() + 8 * len(probe)
+        )
+
+
+@pytest.mark.parametrize("keys", [INT_KEYS, STR_KEYS], ids=["int", "general"])
+def test_shuffle_full_match_shares_the_probe_columns(ctx, keys, monkeypatch):
+    shuffled = {}
+    repartition = DistributedTable.repartition_by_key
+
+    def spy(self, *args, **kwargs):
+        shuffled[self.name] = repartition(self, *args, **kwargs)
+        return shuffled[self.name]
+
+    monkeypatch.setattr(DistributedTable, "repartition_by_key", spy)
+    images, structured = _image_tables(ctx, keys)
+    out = shuffle_hash_join(images, structured, num_partitions=5)
+    assert out.num_rows() == len(keys)
+    probed = 0
+    for joined, probe in zip(out.partitions, shuffled["images"].partitions):
+        if len(probe):
+            _assert_aliases(joined.block(), probe.block())
+            probed += len(probe)
+    assert probed == len(keys)
+
+
+def _block(keys, prefix):
+    return ColumnarBlock.from_rows([
+        {"id": key, f"{prefix}_vec": np.full(3, n, dtype=np.float32),
+         f"{prefix}_name": f"{prefix}{n}", "side": prefix}
+        for n, key in enumerate(keys)
+    ])
+
+
+def _reference_join(probe, build):
+    """What ``_hash_join`` must return, from gathers spelled out here:
+    the last build row per key, build fields first, probe wins a
+    clash. Also the matched probe positions."""
+    last = {key: n for n, key in enumerate(build.column("id"))} \
+        if build.num_rows else {}
+    pairs = [
+        (n, last[key]) for n, key in enumerate(probe.column("id"))
+        if key in last
+    ] if probe.num_rows else []
+    probe_rows = probe.take([p for p, _ in pairs]).to_rows()
+    build_rows = build.take([b for _, b in pairs]).to_rows()
+    return [
+        {**built, **probed} for probed, built in zip(probe_rows, build_rows)
+    ], [p for p, _ in pairs]
+
+
+def _same_rows(got, want):
+    assert len(got) == len(want)
+    for got_row, want_row in zip(got, want):
+        assert list(got_row) == list(want_row)
+        for name, value in want_row.items():
+            np.testing.assert_array_equal(got_row[name], value)
+
+
+JOIN_CASES = {
+    # probe keys, build keys
+    "partial": ([1, 2, 3, 4, 5, 6], [2, 4, 6]),
+    "first-probe-row-unmatched": ([9, 1, 2, 3], [1, 2, 3]),
+    "last-probe-row-unmatched": ([1, 2, 3, 9], [1, 2, 3]),
+    "nothing-matches": ([1, 2, 3], [7, 8]),
+    "duplicate-build-keys": ([1, 2, 3], [3, 1, 2, 1, 3]),
+    "reordered-build": ([1, 2, 3, 4], [4, 2, 3, 1]),
+    "reordered-general-keys": (["a", "b", "c"], ["c", "a", "b", "z"]),
+    "partial-general-keys": (["a", "b", "c"], ["c", "a"]),
+    "empty-probe": ([], [1, 2]),
+    "empty-build": ([1, 2], []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JOIN_CASES))
+def test_hash_join_equals_reference_gather(case):
+    """Row for row what gathering both sides gives; the probe columns
+    alias exactly when every probe row matched, the build columns
+    never."""
+    probe_keys, build_keys = JOIN_CASES[case]
+    probe, build = _block(probe_keys, "p"), _block(build_keys, "b")
+    out = _hash_join(probe, "id", build, "id")
+    want, matched = _reference_join(probe, build)
+    _same_rows(out.to_rows(), want)
+    if not want:
+        assert out.num_rows == 0
+        return
+    assert all(row["side"] == "p" for row in out.to_rows())
+    assert not np.shares_memory(out.column("b_vec"), build.column("b_vec"))
+    if len(matched) == probe.num_rows:
+        _assert_aliases(out.select(probe.column_names), probe)
+    else:
+        gathered = out.column("p_vec")
+        assert not np.shares_memory(gathered, probe.column("p_vec"))
+        assert gathered.flags.writeable
+
+
+def test_write_through_a_joined_image_column_raises(ctx):
+    images, structured = _image_tables(ctx, INT_KEYS)
+    before = [p.block().column("image").copy() for p in images.partitions]
+    out = join(structured, images, how="broadcast")
+    for partition in out.partitions:
+        with pytest.raises(ValueError, match="read-only"):
+            partition.block().column("image")[...] = -1.0
+    for partition, image in zip(images.partitions, before):
+        assert partition.block().column("image").flags.writeable
+        np.testing.assert_array_equal(partition.block().column("image"), image)
+
+
+def test_join_stage_of_a_staged_run_does_not_copy_the_images(monkeypatch):
+    """The After-Join placement carries the image column through the
+    join. An exact allocation count (numpy reports its buffers to
+    tracemalloc) keeps the per-run copy of ``t_img`` from coming back:
+    what the join may allocate is the structured side, far under a
+    tenth of the images."""
+    dataset = foods_dataset(num_records=256)
+    config = VistaConfig(
+        cpu=2, num_partitions=8, mem_storage_bytes=10**9,
+        mem_user_bytes=10**9, mem_dl_bytes=10**9, join="broadcast",
+        persistence="deserialized",
+    )
+    executor = FeatureTransferExecutor(
+        local_context(num_nodes=1, cores_per_node=4, cpu=2),
+        build_model("alexnet", profile="mini"), dataset, ["fc7", "fc8"],
+        config, downstream_fn=lambda features, labels: {},
+    )
+    allocated = []
+    plain_join = FeatureTransferExecutor._join
+
+    def traced_join(self, left, right):
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            joined = plain_join(self, left, right)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        allocated.append(peak - before)
+        return joined
+
+    monkeypatch.setattr(FeatureTransferExecutor, "_join", traced_join)
+    assert STAGED.label == "staged/aj"
+    executor.run(STAGED)
+    image_bytes = sum(
+        p.block().column("image").nbytes for p in executor.timg.partitions
+    )
+    assert image_bytes == 256 * 32 * 32 * 3 * 4
+    assert len(allocated) == 1
+    assert allocated[0] < 0.10 * image_bytes, allocated

@@ -106,6 +106,19 @@ def test_unpersist(ctx):
     assert all(w.storage.used_bytes == 0 for w in ctx.workers)
 
 
+@pytest.mark.parametrize("lost", [[0], [0, 1]], ids=["one", "all"])
+def test_unpersist_after_worker_loss_releases_the_lost_workers_share(
+        ctx, lost):
+    """A worker blacklisted after ``cache()`` no longer owns its
+    partition indices (``worker_for`` fails over, or raises once every
+    worker is gone); the charge must come off the region that took it."""
+    table = _table(ctx).cache()
+    for node_id in lost:
+        ctx.blacklist_worker(node_id)
+    table.unpersist()
+    assert all(w.storage.used_bytes == 0 for w in ctx.workers)
+
+
 def test_collect_returns_all_rows(ctx):
     table = _table(ctx)
     assert len(table.collect()) == 40
