@@ -9,15 +9,9 @@ crash, where crossovers fall.
 from __future__ import annotations
 
 import json
-import time
-from contextlib import contextmanager
 
 from repro.cnn import get_model_stats
 from repro.core.config import DatasetStats
-# Metric-series lookups, mirroring find_span/span_seconds for the
-# trace/v2 metrics block: benches resolve a committed envelope's
-# series and read its peak/total back out.
-from repro.metrics import find_series, series_peak  # noqa: F401
 
 #: The paper's workload grid: CNN -> number of layers explored.
 PAPER_LAYER_COUNTS = {"alexnet": 4, "vgg16": 3, "resnet50": 5}
@@ -70,38 +64,6 @@ def fmt_minutes(report):
     return report.cell()
 
 
-class Timing:
-    """Mutable wall-clock result filled in when a time_block exits."""
-
-    def __init__(self, label=None):
-        self.label = label
-        self.seconds = None
-
-    def __repr__(self):
-        if self.seconds is None:
-            return f"<Timing {self.label}: running>"
-        return f"<Timing {self.label}: {self.seconds:.4f}s>"
-
-
-@contextmanager
-def time_block(label=None, sink=None):
-    """Time a block of code; yields a :class:`Timing` whose ``seconds``
-    is set when the block exits.
-
-    With ``sink`` (a dict), the elapsed seconds are also recorded under
-    ``label`` so benches can accumulate wall-clock numbers alongside
-    their paper-shape assertions.
-    """
-    timing = Timing(label)
-    start = time.perf_counter()
-    try:
-        yield timing
-    finally:
-        timing.seconds = time.perf_counter() - start
-        if sink is not None:
-            sink[label] = timing.seconds
-
-
 def write_results(path, payload):
     """Write one bench's JSON result file (sorted keys, trailing
     newline) so successive runs diff cleanly."""
@@ -111,59 +73,24 @@ def write_results(path, payload):
     return path
 
 
-#: Version tag of the shared trace-derived BENCH_*.json layout.
-#: ``trace/v2`` extends v1 with a ``metrics`` block — the time-series
-#: export of a :class:`~repro.metrics.MetricsRegistry` — next to the
-#: span tree.
+#: Version tag of the BENCH_*.json layout (the same ``trace/v2``
+#: envelope ``repro run --metrics-json`` writes).
 TRACE_SCHEMA = "trace/v2"
 
 
-def trace_payload(bench, results, trace=None, metrics=None, **params):
-    """The shared BENCH_*.json layout: every bench commits the same
-    envelope — a schema tag, the bench name, its parameters, the
-    result rows, the span tree the rows were derived from, and the
-    metrics block — so downstream tooling reads one format.
-
-    ``trace`` is a :class:`~repro.trace.Tracer`, a Span, or an already
-    exported dict (None for benches run with tracing off). ``metrics``
-    is a :class:`~repro.metrics.MetricsRegistry`, an already exported
-    metrics dict (e.g. from ``merge_exports``), or None.
-    """
-    if trace is not None and hasattr(trace, "export"):
-        trace = trace.export()
-    elif trace is not None and hasattr(trace, "to_dict"):
-        trace = trace.to_dict()
-    if metrics is not None and hasattr(metrics, "export"):
-        metrics = metrics.export()
+def trace_payload(bench, results, **params):
+    """The BENCH_*.json envelope: a schema tag, the bench name, its
+    parameters and the result rows. ``trace`` and ``metrics`` are the
+    layout's span-tree and metrics blocks, null for a bench that
+    records neither (``bench_parallel``)."""
     return {
         "schema": TRACE_SCHEMA,
         "bench": bench,
         "params": dict(params),
         "results": results,
-        "trace": trace,
-        "metrics": metrics,
+        "trace": None,
+        "metrics": None,
     }
-
-
-#: Committed ``trace/v2`` envelopes tracked at the repo root — the
-#: perf/calibration records successive PRs gate against.
-COMMITTED_BENCHES = {
-    "kernels": "BENCH_kernels.json",
-    "recovery": "BENCH_recovery.json",
-    "calibration": "BENCH_calibration.json",
-    "parallel": "BENCH_parallel.json",
-    "observe": "BENCH_observe.json",
-}
-
-
-def committed_bench_path(bench):
-    """Absolute path of a committed BENCH_*.json envelope."""
-    import os
-
-    return os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        COMMITTED_BENCHES[bench],
-    )
 
 
 def load_envelope(path, bench=None):
@@ -181,22 +108,3 @@ def load_envelope(path, bench=None):
             f"{path}: bench {payload.get('bench')!r}, expected {bench!r}"
         )
     return payload
-
-
-def find_span(trace_root, name):
-    """First node matching ``name`` (prefix match) in an exported
-    trace dict; raises KeyError if absent."""
-    stack = [trace_root]
-    while stack:
-        node = stack.pop(0)
-        if node["name"] == name or node["name"].startswith(name):
-            return node
-        stack.extend(node.get("children", ()))
-    raise KeyError(f"no span matching {name!r} in trace")
-
-
-def span_seconds(trace_root, name):
-    """Wall seconds of the first span matching ``name`` (prefix match)
-    in an exported trace dict — how benches read their timings back
-    out of the trace instead of keeping a parallel stopwatch."""
-    return find_span(trace_root, name)["wall_s"]

@@ -29,12 +29,12 @@ top
     or validate every ledger line against the schema.
 report
     Render a recorded metrics export (memory waterlines, crash
-    attribution), diff two exports against a regression gate, or
-    evaluate a declarative SLO ruleset (``--slo RULES TARGET``)
-    against an envelope or run ledger, exiting nonzero on breach.
+    attribution), or evaluate a declarative SLO ruleset (``--slo
+    RULES TARGET``) against a run ledger or envelope, exiting nonzero
+    on breach.
 history
-    The run-history warehouse: ``ingest`` obs/v1 ledgers and trace/v2
-    envelopes into an append-only store of ``runsum/v1`` summaries,
+    The run-history warehouse: ``ingest`` obs/v1 ledgers into an
+    append-only store of ``runsum/v1`` summaries,
     ``list``/``show`` them, ``diff`` two runs span-by-span
     (flamegraph-style, exiting nonzero on regressions), and ``trend``
     metric timelines with robust change-point detection (``--gate``
@@ -234,7 +234,8 @@ def _write_run_export(path, args, metrics_registry, tracer, result=None,
                       crash=None):
     """Write a ``trace/v2`` envelope for a metrics-enabled run: the
     summary metrics as ``results`` plus the trace and metrics blocks,
-    so ``repro report --compare`` can gate run against run."""
+    for ``repro report --metrics-json`` to render and ``repro report
+    --slo`` to gate (``--baseline`` for run against run)."""
     import json
 
     results = {}
@@ -618,12 +619,7 @@ def cmd_top(args):
 
 
 def cmd_report(args):
-    from repro.report import (
-        compare,
-        has_regression,
-        render_compare,
-        render_report,
-    )
+    from repro.report import metrics_block, render_report
 
     if getattr(args, "slo", None):
         if not args.target:
@@ -644,23 +640,27 @@ def cmd_report(args):
             print(f"report: bad ruleset {args.slo!r}: {exc}",
                   file=sys.stderr)
             return 2
-        verdicts = evaluate_slo(rules, args.target, baseline=args.baseline)
+        try:
+            verdicts = evaluate_slo(rules, args.target,
+                                    baseline=args.baseline)
+        except OSError as exc:
+            print(f"report: cannot read SLO target/baseline: {exc}",
+                  file=sys.stderr)
+            return 2
         print(render_slo(
             verdicts, title=f"SLO {args.slo} vs {args.target}"
         ))
         return 1 if has_breach(verdicts) else 0
-    if args.compare:
-        old_path, new_path = args.compare
-        rows = compare(old_path, new_path, gate=args.gate)
-        print(render_compare(rows, gate=args.gate))
-        if not rows:
-            print("no shared metrics to compare")
-            return 2
-        return 1 if has_regression(rows) else 0
     if args.metrics_json:
-        print(render_report(args.metrics_json, width=args.width))
+        try:
+            block = metrics_block(args.metrics_json)
+        except (OSError, ValueError) as exc:
+            print(f"report: cannot read {args.metrics_json!r}: {exc}",
+                  file=sys.stderr)
+            return 2
+        print(render_report(block, width=args.width))
         return 0
-    print("report: pass --metrics-json FILE or --compare OLD NEW",
+    print("report: pass --metrics-json FILE or --slo RULES TARGET",
           file=sys.stderr)
     return 2
 
@@ -912,8 +912,8 @@ def build_parser():
 
     report = sub.add_parser(
         "report",
-        help="render/diff recorded metrics exports, or evaluate an "
-             "SLO ruleset against an envelope or ledger",
+        help="render a recorded metrics export, or evaluate an SLO "
+             "ruleset against a ledger or envelope",
     )
     report.add_argument(
         "target", nargs="?", metavar="TARGET", default=None,
@@ -935,22 +935,13 @@ def build_parser():
         "--metrics-json", metavar="FILE", default=None,
         help="render the run report for a metrics/trace JSON export",
     )
-    report.add_argument(
-        "--compare", nargs=2, metavar=("OLD", "NEW"), default=None,
-        help="diff two exports; exit 1 if any metric regressed past "
-             "the gate",
-    )
-    report.add_argument(
-        "--gate", type=float, default=1.15,
-        help="regression gate factor (default 1.15 = 15%% slack)",
-    )
     report.add_argument("--width", type=int, default=60,
                         help="waterline chart width in columns")
 
     history = sub.add_parser(
         "history",
-        help="run-history warehouse: ingest obs/v1 ledgers / trace/v2 "
-             "envelopes, span-aligned profile diffs, drift timelines",
+        help="run-history warehouse: ingest obs/v1 ledgers, "
+             "span-aligned profile diffs, drift timelines",
     )
     history.add_argument(
         "--store", metavar="DIR", default="history",
@@ -963,7 +954,7 @@ def build_parser():
     )
     h_ingest.add_argument(
         "paths", nargs="+", metavar="PATH",
-        help="obs/v1 ledgers and/or trace/v2 envelopes",
+        help="obs/v1 ledgers (`repro run --ledger PATH`)",
     )
     h_ingest.add_argument(
         "--rules", metavar="FILE", default=None,

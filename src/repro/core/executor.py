@@ -284,8 +284,7 @@ class FeatureTransferExecutor:
         float append — observations land in the registry only when
         ``flush`` runs after the workload, keeping the histogram
         bookkeeping and its allocations out of the operators'
-        cache-hot path (``bench_kernels.py`` gates metrics overhead
-        at 5%)."""
+        cache-hot path (the metrics-overhead budget is 5%)."""
         tracer_record = (
             self.tracer.record_op if self.tracer.enabled else None
         )

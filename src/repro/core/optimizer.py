@@ -64,9 +64,9 @@ REJECT_HEADROOM = "memory-headroom"            # Eq. 12
 REJECT_IGNITE_STORAGE = "ignite-static-storage"
 
 #: Numeric encodings of the categorical plan knobs, published as
-#: ``plan_choice`` gauges so ``report --compare`` can gate on a plan
-#: flip between two runs (any change is a regression, see
-#: :func:`repro.report.run_report.compare`).
+#: ``plan_choice`` gauges so the ``exact-plan-choice`` SLO rule
+#: (``slo/default.yaml``, ``against: baseline-equal``) can gate on a
+#: plan flip between two runs — any change is a regression.
 JOIN_CODES = {SHUFFLE: 0, BROADCAST: 1}
 PERSISTENCE_CODES = {DESERIALIZED: 0, SERIALIZED: 1}
 

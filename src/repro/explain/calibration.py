@@ -104,9 +104,9 @@ class CalibrationReport:
 
     def results(self):
         """Flat scalar map for a trace/v2 ``results`` block. Keys carry
-        the ``capacity`` marker so ``repro report --compare`` treats
-        them as informational; the calibration drift gate
-        (:func:`drift_violations`) owns their comparison semantics."""
+        the ``capacity`` marker: host-dependent, so the calibration
+        drift gate (:func:`drift_violations`) owns their comparison
+        semantics."""
         flat = {}
         for row in self.rows:
             for region, ratio in row.memory_ratios.items():
@@ -376,7 +376,7 @@ class ParallelCalibrationReport:
         while ``cores_available`` is compared exactly — a speedup
         recorded on a single-core host must never silently gate a
         multi-core run's curve. ``parallel_capacity`` is a measured
-        host property, informational to ``report --compare``."""
+        host property, informational."""
         flat = {
             "cores_available": self.cores_available,
             "parallel_capacity": self.parallel_capacity,

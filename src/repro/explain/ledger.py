@@ -9,8 +9,8 @@ and "why is cpu=8 not considered?" have inspectable answers.
 
 The result renders as an ASCII table
 (:func:`repro.report.explain_ascii.render_explain`) and exports under
-the same ``trace/v2`` envelope the benches emit, so explain output can
-be diffed and gated like any other run artifact.
+the same ``trace/v2`` envelope ``repro run --metrics-json`` writes, so
+``repro report --slo`` can evaluate rules over it.
 """
 
 from __future__ import annotations
@@ -73,11 +73,9 @@ class ExplainResult:
         }
 
     def to_envelope(self, params=None, trace=None, metrics=None):
-        """The explain ledger under the benches' ``trace/v2`` envelope
-        so it can be compared/gated like any committed artifact. Built
-        inline (same layout as ``benchmarks.harness.trace_payload``)
-        because the benchmarks package is not importable from an
-        installed ``repro``."""
+        """The explain ledger under the ``trace/v2`` envelope (same
+        layout as ``repro run --metrics-json``), so SLO rules resolve
+        ``results.*`` paths over it."""
         if trace is not None and hasattr(trace, "export"):
             trace = trace.export()
         if metrics is not None and hasattr(metrics, "export"):

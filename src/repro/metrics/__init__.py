@@ -11,7 +11,6 @@ from repro.metrics.registry import (
     NULL_METRICS,
     NullMetrics,
     find_series,
-    merge_exports,
     series_last,
     series_peak,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "NULL_METRICS",
     "NullMetrics",
     "find_series",
-    "merge_exports",
     "series_last",
     "series_peak",
 ]

@@ -61,7 +61,8 @@ class _Instrument:
         # Hot path (every charge/release/inc lands here): the clock
         # read and tick bump are inlined rather than going through
         # _now()/_next_tick() — the call overhead alone is measurable
-        # against the 5% metrics-overhead budget bench_kernels gates.
+        # against the 5% metrics-overhead budget (read as
+        # staged_ledgered vs staged_alexnet wall_s in benchmarks/e2e).
         registry = self.registry
         clock = registry.clock
         registry._tick += 1
@@ -271,8 +272,7 @@ class MetricsRegistry:
         timestamps. Without one, sim timestamps stay 0 and the
         registry-global tick orders samples.
     base_labels:
-        Labels merged into every instrument created through this
-        registry (benchmarks use it to tag series per scenario).
+        Labels merged into every instrument this registry creates.
     """
 
     enabled = True
@@ -369,19 +369,6 @@ class MetricsRegistry:
             f"<MetricsRegistry {len(self._instruments)} series, "
             f"tick={self._tick}>"
         )
-
-
-def merge_exports(*exports):
-    """Concatenate several registry exports into one ``metrics`` block
-    (benchmarks export one registry per scenario, tagged via
-    ``base_labels``, and commit the merged block)."""
-    merged = {"schema": METRICS_SCHEMA, "ticks": 0, "series": []}
-    for export in exports:
-        if not export:
-            continue
-        merged["ticks"] = max(merged["ticks"], export.get("ticks", 0))
-        merged["series"].extend(export.get("series", ()))
-    return merged
 
 
 def find_series(source, name, **labels):

@@ -33,8 +33,6 @@ from repro.observe.history import (
     load_history_rules,
     run_fingerprint,
     spans_from_events,
-    spans_from_trace,
-    summarize_envelope,
     summarize_ledger,
     summarize_path,
     trend_has_breach,
@@ -96,8 +94,6 @@ __all__ = [
     "render_slo",
     "run_fingerprint",
     "spans_from_events",
-    "spans_from_trace",
-    "summarize_envelope",
     "summarize_ledger",
     "summarize_path",
     "trend_has_breach",

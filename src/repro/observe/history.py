@@ -1,15 +1,13 @@
 """The run-history warehouse: cross-run analytics over ``obs/v1``.
 
-Every observed run already leaves a complete record — an ``obs/v1``
-ledger or a ``trace/v2`` bench envelope — and until now the repo threw
-it away after `repro top`/SLO gating. This module keeps them: each
-source file is *summarized* into one compact ``runsum/v1`` record
-(workload identity and environment fingerprint, chosen plan knobs,
-per-stage wall/sim/self seconds, per-region memory peaks vs budgets,
-online-calibration ratios, recovery counts, metric-series peaks, SLO
-verdict counts) and appended to an on-disk :class:`HistoryStore`, so
-drift questions become queries over a timeline instead of a pair of
-ad-hoc files.
+Every run recorded with ``--ledger`` leaves a complete record — an
+``obs/v1`` ledger — and this module keeps them: each ledger file is
+*summarized* into one compact ``runsum/v1`` record (workload identity
+and environment fingerprint, chosen plan knobs, per-stage wall/sim/self
+seconds, per-region memory peaks vs budgets, online-calibration ratios,
+recovery counts, metric-series peaks, SLO verdict counts) and appended
+to an on-disk :class:`HistoryStore`, so drift questions become queries
+over a timeline instead of a pair of ad-hoc files.
 
 Store layout and durability
 ---------------------------
@@ -200,52 +198,6 @@ def spans_from_events(events):
     return spans
 
 
-def spans_from_trace(tree, skip_root=True):
-    """The same span-dict list, from an *exported* trace tree (the
-    ``trace`` block of a ``trace/v2`` envelope). ``skip_root`` drops
-    the tracer's implicit root span so envelope paths align with
-    ledger paths (the root never streams through the ledger sink)."""
-    if not tree:
-        return []
-    spans = []
-    seq = [0]
-
-    def walk(node, parent_path, depth, counts):
-        name = str(node.get("name") or "span")
-        seen = counts.get(name, 0)
-        counts[name] = seen + 1
-        label = name if seen == 0 else f"{name}@{seen + 1}"
-        path = f"{parent_path}/{label}" if parent_path else label
-        children = node.get("children") or []
-        wall_s = float(node.get("wall_s") or 0.0)
-        children_s = sum(float(c.get("wall_s") or 0.0) for c in children)
-        seq[0] += 1
-        spans.append({
-            "path": path,
-            "name": name,
-            "depth": depth,
-            "start_seq": seq[0],
-            "wall_s": round(max(0.0, wall_s), 9),
-            "sim_s": round(max(0.0, float(node.get("sim_end_s") or 0.0)
-                                - float(node.get("sim_start_s") or 0.0)), 9),
-            "self_s": round(max(0.0, wall_s - children_s), 9),
-            "status": str(node.get("status") or "ok"),
-        })
-        child_counts = {}
-        for child in children:
-            walk(child, path, depth + 1, child_counts)
-
-    if skip_root:
-        counts = {}
-        for child in tree.get("children") or []:
-            walk(child, "", 0, counts)
-        if not spans:
-            walk(tree, "", 0, {})
-    else:
-        walk(tree, "", 0, {})
-    return spans
-
-
 # ----------------------------------------------------------------------
 # summarization: one runsum/v1 record per run
 # ----------------------------------------------------------------------
@@ -257,7 +209,7 @@ def _payload(event):
 def _stages_from_spans(spans):
     """Per-stage seconds from the span list: depth-0 spans plus the
     direct children of ``workload`` (keyed without the ``workload/``
-    prefix, so ledger and envelope runs align on the same keys)."""
+    prefix)."""
     stages = {}
     for span in spans:
         if span["depth"] == 0:
@@ -465,126 +417,20 @@ def _ledger_source(events, problems):
     }
 
 
-def summarize_envelope(payload, source="", slo_rules=None):
-    """Summarize a ``trace/v2`` bench/run envelope into the same
-    ``runsum/v1`` shape, so benches and live runs share one store."""
-    from repro.metrics import series_peak
-
-    spans = spans_from_trace(payload.get("trace") or {})
-    stages = _stages_from_spans(spans)
-    meta = dict(payload.get("params") or {})
-    meta.setdefault("bench", payload.get("bench"))
-    fingerprint = run_fingerprint(meta)
-    knobs = {}
-    for node in _walk_trace(payload.get("trace") or {}):
-        if node.get("name") == "workload":
-            knobs = {
-                key: value
-                for key, value in (node.get("attrs") or {}).items()
-                if key in ("plan", "cpu", "join", "persistence",
-                           "num_partitions")
-            }
-            break
-    peaks = {}
-    metrics_block = payload.get("metrics") or {}
-    for series in metrics_block.get("series") or ():
-        key = _metric_key(series.get("name"),
-                          series.get("labels") or {})
-        peak = series_peak(series)
-        if peak is not None:
-            try:
-                peaks[key] = max(peaks.get(key, float(peak)), float(peak))
-            except (TypeError, ValueError):
-                continue
-    memory = {}
-    used = {}
-    budgets = {}
-    for series in metrics_block.get("series") or ():
-        name = series.get("name")
-        if name not in ("mem_used_bytes", "mem_capacity_bytes"):
-            continue
-        key = _region_key(series.get("labels") or {})
-        peak = series_peak(series)
-        if peak is None:
-            continue
-        if name == "mem_used_bytes":
-            used[key] = max(used.get(key, 0.0), float(peak))
-        else:
-            budgets[key] = float(peak)
-    for key in sorted(set(used) | set(budgets)):
-        peak = used.get(key)
-        budget = budgets.get(key)
-        memory[key] = {
-            "peak_bytes": peak,
-            "budget_bytes": budget,
-            "over_budget": bool(
-                peak is not None and budget and peak > budget
-            ),
-        }
-    record = {
-        "schema": RUNSUM_SCHEMA,
-        "kind": "envelope",
-        "source": str(source),
-        "status": "ok",
-        "meta": meta,
-        "fingerprint": fingerprint,
-        "knobs": knobs,
-        "stages": stages,
-        "spans": spans,
-        "calibration": None,
-        "memory": memory,
-        "metrics": peaks,
-        "recovery": {"total": 0},
-        "results": payload.get("results") or {},
-        "events": 0,
-        "events_by_kind": {},
-        "parse_problems": [],
-        "wall_s": round(float(
-            (payload.get("trace") or {}).get("wall_s") or 0.0
-        ), 9),
-        "sim_s": 0.0,
-    }
-    if slo_rules:
-        from repro.observe.slo import evaluate_slo
-
-        record["slo"] = _slo_block(evaluate_slo(slo_rules, payload))
-    else:
-        record["slo"] = None
-    return record
-
-
-def _walk_trace(node):
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if not isinstance(current, dict):
-            continue
-        yield current
-        stack.extend(reversed(current.get("children") or ()))
-
-
 def summarize_path(path, slo_rules=None):
-    """Summarize a source file — a ``trace/v2`` envelope or an
-    ``obs/v1`` ledger, sniffed from the content — into a ``runsum/v1``
-    record plus the raw bytes (for content addressing)."""
+    """Summarize an ``obs/v1`` ledger file into a ``runsum/v1`` record
+    plus the raw bytes (for content addressing). A file no ledger
+    event parses from is not a run: ``ValueError``, never a record."""
     with open(path, "rb") as handle:
         raw = handle.read()
-    try:
-        payload = json.loads(raw)
-        is_envelope = (
-            isinstance(payload, dict) and "trace" in payload
-            and payload.get("schema", "").startswith("trace/")
+    events, problems = read_ledger(path)
+    if not any(e.get("schema") == LEDGER_SCHEMA for e in events):
+        raise ValueError(
+            "not an obs/v1 ledger: no event parsed; record a run with "
+            "`--ledger`"
         )
-    except ValueError:
-        payload = None
-        is_envelope = False
-    if is_envelope:
-        record = summarize_envelope(payload, source=path,
-                                    slo_rules=slo_rules)
-    else:
-        events, problems = read_ledger(path)
-        record = summarize_ledger(events, problems, source=path,
-                                  slo_rules=slo_rules)
+    record = summarize_ledger(events, problems, source=path,
+                              slo_rules=slo_rules)
     return record, raw
 
 
@@ -661,8 +507,8 @@ class HistoryStore:
         ``run_id`` is content-addressed, so ingesting the same file
         twice is idempotent: the second call returns the stored record
         with ``created=False`` and writes nothing."""
-        self._ensure_dirs()
         record, raw = summarize_path(path, slo_rules=slo_rules)
+        self._ensure_dirs()
         run_id = hashlib.sha256(raw).hexdigest()[:16]
         record_path = self._record_path(run_id)
         if os.path.exists(record_path):
@@ -880,8 +726,7 @@ def _median(values):
 def trend_series(records, spec):
     """``{element_key: [(run_id, value), …]}`` in ingest order for one
     metric spec over a record list. Scalar specs land under the ``""``
-    key; records where the metric is absent are skipped (a bench
-    envelope does not break a ledger-metric timeline)."""
+    key; records where the metric is absent are skipped."""
     series = {}
     for record in records:
         resolved = resolve_trend_metric(record, spec)

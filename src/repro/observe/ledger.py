@@ -23,8 +23,9 @@ line of the final flush (kernel-interrupted write, i.e. power loss,
 not process death) — :func:`read_ledger` tolerates exactly that one
 torn tail. ``fsync`` runs only on barrier kinds (open, recovery
 actions, run end); per-event syscalls or syncs would blow the <5%
-overhead budget ``bench_kernels.py`` gates — matching the store's
-"durable at the moments that matter" stance.
+overhead budget (``staged_ledgered`` vs ``staged_alexnet`` ``wall_s``
+in ``benchmarks/e2e``) — matching the store's "durable at the moments
+that matter" stance.
 
 Fork safety
 -----------

@@ -21,8 +21,8 @@ already finished::
 
 which converges on the true remaining time as stages complete — the
 predicted-vs-observed progress bar doubles as an online calibration
-measurement (``BENCH_observe.json`` records how tight it is at the
-half-way point).
+measurement (``tests/test_observe.py`` holds the half-way ETA within
+2x of the wall time actually remaining).
 """
 
 from __future__ import annotations

@@ -1,18 +1,15 @@
 """The declarative SLO/gate engine.
 
-Until now every regression gate in the repo was bespoke code: the
-kernels bench asserts its 3.0× speedup floor inline, the calibration
-bench hard-codes its 1.05×/25× drift gates, ``report --compare`` keeps
-an ``EXACT_FIELDS`` tuple for bit-exact fields. This module turns all
-of them into *data*: a ruleset is a list of
+Run-health gates are *data*, not bespoke code: a ruleset is a list of
 
     {name, metric, comparator, threshold, severity, against, required}
 
-rules evaluated against any target — a ``trace/v2`` bench/run envelope
-or an ``obs/v1`` run ledger — optionally relative to a baseline of the
-same shape. The committed ``slo/default.yaml`` re-expresses the
-existing gates declaratively; ``repro report --slo RULES TARGET``
-evaluates and exits nonzero on breach.
+rules evaluated against any target — an ``obs/v1`` run ledger or a
+``trace/v2`` run envelope (``repro run --metrics-json``) — optionally
+relative to a baseline of the same shape. The committed
+``slo/default.yaml`` holds the repo's gates; ``repro report --slo
+RULES TARGET`` evaluates and exits nonzero on breach. Speed is not
+judged here: that is ``benchmarks/e2e/run.py --compare``.
 
 Rule grammar
 ------------
@@ -34,11 +31,11 @@ Rule grammar
 bound. ``against`` is ``value`` (default: compare the resolved value),
 ``baseline-ratio`` (compare ``target/baseline``, the drift-gate shape)
 or ``baseline-equal`` (compare the *count of mismatches* against the
-baseline — the EXACT_FIELDS shape, normally ``<= 0``). ``severity``
+baseline — the exact-match shape, normally ``<= 0``). ``severity``
 ``breach`` (default) fails the gate; ``warn`` only reports. A rule
 whose metric is absent in the target is *skipped*, not breached — one
-committed ruleset evaluates against envelopes of any bench — unless
-``required: true``.
+committed ruleset evaluates against ledgers and envelopes alike —
+unless ``required: true``.
 
 Rulesets load from JSON or from a small flat YAML subset (top-level
 ``rules:`` list of ``- key: value`` maps) parsed here directly, so the

@@ -1,7 +1,6 @@
 """Plain-text reporting: ASCII bar and line charts for the benchmark
 suite's figure reproductions, the flame-style trace renderer, and the
-metrics-driven run report (waterlines, crash attribution, regression
-gates)."""
+metrics-driven run report (waterlines, crash attribution)."""
 
 from repro.report.ascii import bar_chart, line_chart
 from repro.report.explain_ascii import render_explain
@@ -14,11 +13,8 @@ from repro.report.history_ascii import (
 from repro.report.run_report import (
     SCENARIOS,
     attribute_crash,
-    compare,
-    has_regression,
     metrics_block,
     predicted_vs_observed,
-    render_compare,
     render_crash_report,
     render_report,
     render_waterline,
@@ -30,12 +26,9 @@ __all__ = [
     "SCENARIOS",
     "attribute_crash",
     "bar_chart",
-    "compare",
-    "has_regression",
     "line_chart",
     "metrics_block",
     "predicted_vs_observed",
-    "render_compare",
     "render_crash_report",
     "render_explain",
     "render_history_diff",

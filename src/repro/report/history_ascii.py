@@ -45,7 +45,7 @@ def render_history_list(records, title="run history"):
     """One line per ingested run, ingest order."""
     lines = [f"### {title} — {len(records)} run(s)"]
     if not records:
-        lines.append("  (empty store — ingest a ledger or envelope "
+        lines.append("  (empty store — ingest a ledger "
                      "with `repro history ingest`)")
         return "\n".join(lines)
     lines.append(

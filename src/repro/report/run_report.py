@@ -1,8 +1,9 @@
-"""Run reports: memory waterlines, crash attribution, regression gates.
+"""Run reports: memory waterlines and crash attribution.
 
 Consumes the ``metrics/v1`` block produced by
-:class:`~repro.metrics.MetricsRegistry` (standalone, or embedded in a
-``trace/v2`` benchmark envelope) and renders three things:
+:class:`~repro.metrics.MetricsRegistry` (standalone, or embedded in
+the ``trace/v2`` envelope ``repro run --metrics-json`` writes) and
+renders two things:
 
 - **Waterlines** — per-region, per-worker occupancy timelines as ASCII
   charts with the Algorithm 1 budget (= crash threshold) and the
@@ -11,17 +12,17 @@ Consumes the ``metrics/v1`` block produced by
 - **Crash attribution** — when a run crashed, the ``crash_total``
   counters plus the offending region's last gauge sample name the
   Section 4.1 scenario, the worker, and the over-budget occupancy.
-- **Regression gates** — :func:`compare` diffs two exports (benchmark
-  envelopes or raw metrics JSON) field by field and flags any metric
-  that moved past a gate factor in its bad direction; the CLI turns
-  that into a nonzero exit for CI.
+
+Whether a run regressed is not judged here: speed is
+``benchmarks/e2e/run.py --compare`` (``BENCHMARK.json``), run health is
+``repro report --slo`` (:mod:`repro.observe.slo`).
 """
 
 from __future__ import annotations
 
 import json
 
-from repro.metrics import find_series, series_last, series_peak
+from repro.metrics import find_series, series_peak
 
 #: Section 4.1 crash scenarios, keyed by the exception class name the
 #: memory model (or the Ignite-style storage manager) raises.
@@ -63,23 +64,6 @@ SCENARIOS = {
                   "intermediates and cannot spill",
     },
 }
-
-#: Substrings marking a ``results`` field where *lower* is better.
-LOWER_IS_BETTER = (
-    "seconds", "_s", "bytes", "overhead", "retries", "attempts",
-    "degrades", "blacklists", "tasks_run", "tasks_total", "sim_",
-    "evictions", "misses", "spill",
-)
-
-#: Substrings marking a field where *higher* is better.
-HIGHER_IS_BETTER = ("speedup", "f1", "accuracy", "hits", "throughput")
-
-#: Substrings marking configuration/capacity fields that are not
-#: performance metrics and must never gate.
-SKIP_FIELDS = (
-    "capacity", "predicted", "budget", "cpu", "partitions", "nodes",
-    "seed", "records", "layers", "ticks", "schema", "gate",
-)
 
 
 def _human_bytes(value):
@@ -399,152 +383,3 @@ def render_report(source, width=60, height=8):
     lines.append("")
     lines.append(render_crash_report(block, width=width, height=height))
     return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# regression gates
-# ----------------------------------------------------------------------
-#: Gauge names compared for *equality*: any flip is a regression.
-#: ``plan_choice`` encodes the optimizer's chosen cpu/np/join/
-#: persistence, so a gate catches plan-choice flips that numeric
-#: drift gates would miss. Checked before SKIP_FIELDS ("cpu",
-#: "partitions" are skip substrings).
-EXACT_FIELDS = ("plan_choice",)
-
-
-def _direction(key):
-    lowered = key.lower()
-    if any(tag in lowered for tag in EXACT_FIELDS):
-        return "exact"
-    if any(tag in lowered for tag in SKIP_FIELDS):
-        return None
-    if any(tag in lowered for tag in HIGHER_IS_BETTER):
-        return "higher"
-    if any(tag in lowered for tag in LOWER_IS_BETTER):
-        return "lower"
-    return None
-
-
-def _flatten(payload, prefix=""):
-    items = {}
-    if isinstance(payload, dict):
-        for key, value in payload.items():
-            items.update(_flatten(value, f"{prefix}{key}."))
-    elif isinstance(payload, (list, tuple)):
-        for index, value in enumerate(payload):
-            items.update(_flatten(value, f"{prefix}{index}."))
-    elif isinstance(payload, (int, float)) and not isinstance(payload, bool):
-        items[prefix[:-1]] = float(payload)
-    return items
-
-
-def _series_key(series):
-    labels = series.get("labels", {})
-    label_text = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
-    return f"{series.get('name')}{{{label_text}}}"
-
-
-def comparable_items(source):
-    """Numeric metrics of an export, keyed for comparison.
-
-    A ``trace/v2`` envelope contributes its flattened ``results``
-    scalars; a metrics block (standalone or embedded) contributes each
-    counter's total, each histogram's sum, and the last value of every
-    :data:`EXACT_FIELDS` gauge (the optimizer's recorded plan choice).
-    """
-    if isinstance(source, str):
-        with open(source) as handle:
-            source = json.load(handle)
-    items = {}
-    if isinstance(source, dict) and "results" in source:
-        items.update(_flatten(source["results"], "results."))
-    block = metrics_block(source)
-    if block:
-        for series in block.get("series", ()):
-            kind = series.get("type")
-            if kind == "counter" and series.get("total") is not None:
-                items[_series_key(series)] = float(series["total"])
-            elif kind == "histogram" and series.get("sum") is not None:
-                items[_series_key(series)] = float(series["sum"])
-            elif (kind == "gauge"
-                  and any(tag in (series.get("name") or "")
-                          for tag in EXACT_FIELDS)
-                  and series_last(series) is not None):
-                items[_series_key(series)] = float(series_last(series))
-    return items
-
-
-def compare(old, new, gate=1.15, min_value=1e-9):
-    """Diff two exports; returns comparison rows, worst first.
-
-    A row regresses when the metric moved past ``gate`` in its bad
-    direction (``new > old * gate`` for lower-is-better fields, the
-    reciprocal for higher-is-better). Fields whose direction is
-    ambiguous, that exist on only one side, or where both sides are
-    ~zero are reported but never gate.
-    """
-    old_items = comparable_items(old)
-    new_items = comparable_items(new)
-    rows = []
-    for key in sorted(set(old_items) & set(new_items)):
-        old_value = old_items[key]
-        new_value = new_items[key]
-        direction = _direction(key)
-        regression = False
-        ratio = None
-        if direction == "exact":
-            regression = old_value != new_value
-            if old_value > min_value:
-                ratio = new_value / old_value
-        elif max(abs(old_value), abs(new_value)) > min_value:
-            if old_value > min_value:
-                ratio = new_value / old_value
-            if direction == "lower":
-                regression = new_value > old_value * gate and (
-                    new_value - old_value > min_value
-                )
-            elif direction == "higher":
-                regression = new_value * gate < old_value and (
-                    old_value - new_value > min_value
-                )
-        rows.append({
-            "key": key,
-            "old": old_value,
-            "new": new_value,
-            "ratio": ratio,
-            "direction": direction,
-            "regression": regression,
-        })
-    rows.sort(key=lambda row: (
-        not row["regression"],
-        -(row["ratio"] or 0.0),
-    ))
-    return rows
-
-
-def render_compare(rows, gate=1.15, max_rows=40):
-    """Text table of a :func:`compare` result; regressions first."""
-    regressions = [row for row in rows if row["regression"]]
-    lines = [
-        f"### compare — {len(rows)} shared metrics, gate x{gate:g}, "
-        f"{len(regressions)} regression(s)",
-    ]
-    shown = rows[:max_rows]
-    key_width = max((len(row["key"]) for row in shown), default=3)
-    for row in shown:
-        ratio = f"x{row['ratio']:.3f}" if row["ratio"] else "     -"
-        flag = " REGRESSION" if row["regression"] else ""
-        direction = {"lower": "v", "higher": "^", "exact": "=",
-                     None: " "}[row["direction"]]
-        lines.append(
-            f"  {direction} {row['key'].ljust(key_width)} "
-            f"{row['old']:>14.6g} -> {row['new']:>14.6g} {ratio:>8}"
-            f"{flag}"
-        )
-    if len(rows) > max_rows:
-        lines.append(f"  ... {len(rows) - max_rows} more unchanged")
-    return "\n".join(lines)
-
-
-def has_regression(rows):
-    return any(row["regression"] for row in rows)

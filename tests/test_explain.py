@@ -9,6 +9,7 @@ for all six plans; and the calibration report's ratios gate cleanly
 against themselves."""
 
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -38,8 +39,13 @@ from repro.explain.whatif import (
 )
 from repro.memory.model import GB, MemoryBudget
 from repro.metrics import MetricsRegistry, find_series, series_last
-from repro.report import compare, has_regression, render_explain
+from repro.observe import evaluate_slo, load_rules
+from repro.report import render_explain
 
+DEFAULT_RULES = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "slo", "default.yaml",
+)
 FOODS = DatasetStats(20_000, 130, 14 * 1024)
 AMAZON = DatasetStats(200_000, 200, 15 * 1024)
 
@@ -332,7 +338,10 @@ class TestCalibration:
 
 
 class TestPlanChoiceGate:
-    def _optimize_export(self, model):
+    """``slo/default.yaml::exact-plan-choice`` — the optimizer's
+    recorded choice must equal the baseline run's, knob by knob."""
+
+    def _optimize_envelope(self, model):
         stats, layers = _paper_workload(
             model, {"alexnet": 4, "vgg16": 3}[model]
         )
@@ -341,24 +350,27 @@ class TestPlanChoiceGate:
 
         optimize(stats, layers, FOODS, default_resources(),
                  metrics=registry)
-        return registry.export()
+        return {"metrics": registry.export()}
+
+    def _verdict(self, target, baseline):
+        (rule,) = [r for r in load_rules(DEFAULT_RULES)
+                   if r.name == "exact-plan-choice"]
+        (verdict,) = evaluate_slo([rule], target, baseline=baseline)
+        return verdict
 
     def test_identical_choices_do_not_gate(self):
-        export = self._optimize_export("alexnet")
-        rows = compare(export, export)
-        choice_rows = [r for r in rows if "plan_choice" in r["key"]]
-        assert choice_rows
-        assert not has_regression(choice_rows)
+        envelope = self._optimize_envelope("alexnet")
+        verdict = self._verdict(envelope, envelope)
+        assert verdict.status == "pass"
+        assert "over 4 shared element(s)" in verdict.note
 
     def test_flipped_choice_is_a_regression(self):
-        rows = compare(
-            self._optimize_export("alexnet"),
-            self._optimize_export("vgg16"),
+        verdict = self._verdict(
+            self._optimize_envelope("vgg16"),
+            self._optimize_envelope("alexnet"),
         )
-        flipped = [
-            r for r in rows if "plan_choice" in r["key"] and r["regression"]
-        ]
-        assert flipped, "plan-choice flip not flagged"
+        assert verdict.status == "breach", "plan-choice flip not flagged"
+        assert verdict.details  # names the knob(s) that flipped
 
 
 # ----------------------------------------------------------------------

@@ -3,10 +3,10 @@ content-addressed :class:`HistoryStore`, span-aligned profile diffs,
 and robust-z drift timelines.
 
 The contract under test is the CI ``history`` job's: any obs/v1 ledger
-or trace/v2 envelope — including a torn one a SIGKILLed driver left
-behind — summarizes into one ``runsum/v1`` record and joins the
-timeline; ingest is idempotent by construction (run ids are content
-hashes); twin runs diff with zero regressions while an injected
+— including a torn one a SIGKILLed driver left behind — summarizes
+into one ``runsum/v1`` record and joins the timeline, and a file that
+is not a ledger is refused, never stored; ingest is idempotent by
+construction (run ids are content hashes); twin runs diff with zero regressions while an injected
 straggler is flagged both by the span-aligned diff (deterministic
 sim-second growth) and by the ``trend --gate`` change-point detector.
 """
@@ -38,10 +38,7 @@ from repro.observe import (
     read_ledger,
     run_fingerprint,
     spans_from_events,
-    spans_from_trace,
-    summarize_envelope,
     summarize_ledger,
-    summarize_path,
     trend_has_breach,
 )
 from repro.observe.history import (
@@ -153,28 +150,8 @@ def test_spans_from_events_mismatched_end_pops_inner_as_torn():
     ) == []
 
 
-def test_spans_from_trace_matches_ledger_paths(tmp_path):
-    tree = {
-        "name": "bench", "wall_s": 5.0, "status": "ok",
-        "children": [
-            {"name": "workload", "wall_s": 4.0, "status": "ok",
-             "children": [
-                 {"name": "read", "wall_s": 1.0, "status": "ok"},
-                 {"name": "read", "wall_s": 0.5, "status": "ok"},
-             ]},
-        ],
-    }
-    spans = spans_from_trace(tree)
-    # Root skipped, repeated siblings disambiguated — same path grammar
-    # as the ledger reconstruction, so diff alignment works cross-kind.
-    assert [s["path"] for s in spans] == [
-        "workload", "workload/read", "workload/read@2",
-    ]
-    assert spans[0]["self_s"] == pytest.approx(2.5)
-
-
 # ---------------------------------------------------------------------
-# summarization: ledgers, torn ledgers, envelopes
+# summarization: ledgers, torn ledgers
 # ---------------------------------------------------------------------
 def test_summarize_ledger_full_record(tmp_path):
     path = _write_ledger(
@@ -238,46 +215,6 @@ def test_summarize_ledger_evaluates_slo_rules(tmp_path):
     assert slo["breach"] == 0 and slo["pass"] >= 3
     assert slo["failing"] == []
     assert _summarize_file(path)["slo"] is None
-
-
-def test_summarize_envelope(tmp_path):
-    payload = {
-        "schema": "trace/v2",
-        "bench": "mini",
-        "params": {"model": "alexnet", "records": 48},
-        "results": {"speedup": 2.0},
-        "trace": {
-            "name": "root", "wall_s": 5.0, "status": "ok",
-            "children": [{
-                "name": "workload", "wall_s": 4.0, "status": "ok",
-                "attrs": {"plan": "staged/aj", "cpu": 7,
-                          "join": "broadcast", "color": "ignored"},
-                "children": [
-                    {"name": "read", "wall_s": 1.0, "status": "ok"},
-                ],
-            }],
-        },
-        "metrics": {
-            "schema": "metrics/v1",
-            "series": [
-                {"name": "mem_used_bytes",
-                 "labels": {"worker": "w0", "region": "cache"},
-                 "kind": "gauge", "peak": 700.0,
-                 "samples": [[1, 0.0, 700.0]]},
-            ],
-        },
-    }
-    path = os.path.join(str(tmp_path), "env.json")
-    with open(path, "w") as handle:
-        json.dump(payload, handle)
-    record, raw = summarize_path(path)
-    assert record["kind"] == "envelope"
-    assert record["knobs"] == {"plan": "staged/aj", "cpu": 7,
-                               "join": "broadcast"}
-    assert set(record["stages"]) == {"workload", "read"}
-    assert record["memory"]["w0/cache"]["peak_bytes"] == 700.0
-    assert record["results"] == {"speedup": 2.0}
-    assert raw  # bytes come back for content addressing
 
 
 def test_sigkilled_driver_ledger_summarizes_as_torn(tmp_path):
@@ -347,6 +284,31 @@ def test_ingest_torn_tail_ledger_file(tmp_path):
     assert record["status"] == "ok"  # run_end landed before the tear
     assert len(record["parse_problems"]) == 1
     assert "torn tail" in record["parse_problems"][0]
+
+
+_RUN_ENVELOPE = {"schema": "trace/v2", "bench": "run", "params": {},
+                 "results": {}, "trace": None, "metrics": None}
+
+
+@pytest.mark.parametrize("content", [
+    "# not a run\n\nplain text, no JSON line in it\n",
+    json.dumps(_RUN_ENVELOPE, indent=2, sort_keys=True),
+    json.dumps(_RUN_ENVELOPE),  # one line: parses, but is no obs/v1 event
+    "",
+], ids=["text", "envelope-indented", "envelope-one-line", "empty"])
+def test_ingest_refuses_a_file_that_is_not_a_ledger(
+    content, tmp_path, capsys
+):
+    path = tmp_path / "stray"
+    path.write_text(content)
+    store = HistoryStore(str(tmp_path / "store"))
+    with pytest.raises(ValueError, match="not an obs/v1 ledger"):
+        store.ingest(str(path))
+    assert main(["history", "--store", store.root, "ingest",
+                 str(path)]) == 2
+    assert "not an obs/v1 ledger" in capsys.readouterr().err
+    assert len(store) == 0
+    assert not os.path.exists(store.root)
 
 
 def test_index_self_heals_orphan_records(tmp_path):

@@ -6,7 +6,6 @@ from repro.metrics import (
     NULL_METRICS,
     MetricsRegistry,
     find_series,
-    merge_exports,
     series_peak,
 )
 
@@ -121,17 +120,6 @@ def test_series_peak_fallback_order():
     assert series_peak({"samples": [[0, 1, 4], [0, 2, 9]]}) == 9
     assert series_peak({"samples": []}) is None
     assert series_peak(None) is None
-
-
-def test_merge_exports_concatenates_tagged_blocks():
-    first = MetricsRegistry(base_labels={"scenario": "a"})
-    second = MetricsRegistry(base_labels={"scenario": "b"})
-    first.counter("tasks_total").inc()
-    second.counter("tasks_total").inc(2)
-    merged = merge_exports(first.export(), second.export(), None)
-    assert len(merged["series"]) == 2
-    (b_side,) = find_series(merged, "tasks_total", scenario="b")
-    assert b_side["total"] == 2
 
 
 def test_null_metrics_is_inert():

@@ -719,26 +719,47 @@ def test_slo_baseline_ratio_and_equal():
     assert statuses == {"drift": "breach", "exact": "breach"}
 
 
-def test_default_ruleset_loads_and_self_gates():
+def test_default_ruleset_loads_and_self_gates(tmp_path):
     """The committed ruleset parses (flat-YAML, no PyYAML installed)
-    and re-expresses the repo's gates: the committed envelopes must
-    clear their own rules."""
+    and a live run clears it: the ledger-health rules on the run's
+    ledger, ``exact-plan-choice`` on its export against a twin's."""
     rules = load_rules(DEFAULT_RULES)
-    names = {r.name for r in rules}
-    assert {"kernels-batched-speedup-floor", "ledger-overhead-budget",
-            "calibration-memory-drift", "exact-plan-choice",
-            "ledger-no-parse-errors"} <= names
-    kernels = os.path.join(REPO_ROOT, "BENCH_kernels.json")
-    verdicts = evaluate_slo(rules, kernels)
-    assert not has_breach(verdicts)
-    statuses = {v.rule.name: v.status for v in verdicts}
-    assert statuses["kernels-batched-speedup-floor"] == "pass"
-    assert statuses["ledger-overhead-budget"] == "pass"
-    calibration = os.path.join(REPO_ROOT, "BENCH_calibration.json")
-    verdicts = evaluate_slo(rules, calibration, baseline=calibration)
-    assert not has_breach(verdicts)
-    statuses = {v.rule.name: v.status for v in verdicts}
-    assert statuses["calibration-memory-drift"] == "pass"
+    assert [r.name for r in rules] == [
+        "exact-plan-choice", "ledger-no-parse-errors",
+        "ledger-no-schema-problems", "ledger-run-completed",
+    ]
+    run_a, run_b, ledger = (
+        os.path.join(str(tmp_path), name)
+        for name in ("run_a.json", "run_b.json", "run_b.ledger.jsonl")
+    )
+    run = ("run", "--records", "48", "--nodes", "2", "--model", "alexnet",
+           "--layers", "2", "--metrics", "--metrics-json")
+    assert _cli(*run, run_a) == 0
+    assert _cli(*run, run_b, "--ledger", ledger) == 0
+
+    statuses = {v.rule.name: v.status for v in evaluate_slo(rules, ledger)}
+    assert statuses == {
+        "exact-plan-choice": "skip",  # a ledger carries no series block
+        "ledger-no-parse-errors": "pass",
+        "ledger-no-schema-problems": "pass",
+        "ledger-run-completed": "pass",
+    }
+
+    def plan_choice(target, baseline):
+        verdicts = evaluate_slo(rules, target, baseline=baseline)
+        (verdict,) = [v for v in verdicts
+                      if v.rule.name == "exact-plan-choice"]
+        return verdict.status
+
+    assert plan_choice(run_b, run_a) == "pass"
+    with open(run_a) as fh:
+        edited = json.load(fh)
+    (cpu_choice,) = [
+        s for s in edited["metrics"]["series"]
+        if s["name"] == "plan_choice" and s["labels"].get("knob") == "cpu"
+    ]
+    cpu_choice["last"] += 1
+    assert plan_choice(run_b, edited) == "breach"
 
 
 def test_load_rules_json_and_yaml_agree(tmp_path):

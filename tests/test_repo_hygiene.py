@@ -1,0 +1,68 @@
+"""Repo hygiene: CI and the docs only name files that exist.
+
+A deleted bench or test must leave with its CI step and its README
+command — a workflow step that runs a missing script is red on every
+push, and a documented command that cannot run is worse than none.
+"""
+
+import glob
+import os
+import re
+
+import pytest
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CI_WORKFLOW = ".github/workflows/ci.yml"
+
+#: Repo-relative paths a command line can name: bench/test scripts,
+#: SLO rulesets, committed bench envelopes.
+PATH_RE = re.compile(
+    r"(?<![\w/.-])("
+    r"(?:benchmarks|tests)/[\w/-]+\.py"
+    r"|slo/[\w-]+\.\w+"
+    r"|BENCH_\w+\.json"
+    r")"
+)
+FENCED_BLOCK_RE = re.compile(r"^[ \t]*```.*?^[ \t]*```", re.M | re.S)
+
+
+def _read(path):
+    with open(os.path.join(REPO_ROOT, path)) as handle:
+        return handle.read()
+
+
+@pytest.mark.parametrize("path, code_blocks_only", [
+    (CI_WORKFLOW, False),
+    (".claude/skills/verify/SKILL.md", True),
+    ("README.md", True),
+])
+def test_every_named_path_exists(path, code_blocks_only):
+    text = _read(path)
+    if code_blocks_only:
+        text = "\n".join(FENCED_BLOCK_RE.findall(text))
+    named = set(PATH_RE.findall(text))
+    assert named, f"{path}: the path pattern matched nothing"
+    missing = sorted(
+        name for name in named
+        if not os.path.exists(os.path.join(REPO_ROOT, name))
+    )
+    assert not missing, f"{path} names missing files: {missing}"
+
+
+def test_ci_workflow_is_valid_yaml():
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load(_read(CI_WORKFLOW))
+    assert workflow["jobs"]
+    for name, job in workflow["jobs"].items():
+        assert job["steps"], f"job {name} has no steps"
+
+
+def test_one_committed_bench_envelope():
+    """Speed is recorded by ``BENCHMARK.json`` + ``benchmarks/e2e``;
+    ``BENCH_parallel.json`` stays until a >= 4-core runner decides it
+    (ROADMAP item 3). A new ``BENCH_*.json`` is a second perf record."""
+    found = sorted(
+        os.path.basename(path)
+        for path in glob.glob(os.path.join(REPO_ROOT, "BENCH_*.json"))
+    )
+    assert found == ["BENCH_parallel.json"]

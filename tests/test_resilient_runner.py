@@ -13,6 +13,8 @@ from repro.core.resilient import ResilientRunner, degrade_once
 from repro.data import foods_dataset
 from repro.exceptions import ClusterExhausted, NoFeasiblePlan
 from repro.faults import FaultPlan
+from repro.recovery import CheckpointStore
+from repro.trace import Tracer
 
 
 def _make_vista():
@@ -88,6 +90,10 @@ def test_bit_identical_features_under_fault(fault_class, baseline):
     assert result.metrics["recovery_log"], (
         "injected faults must leave a recovery trace"
     )
+    # lineage-only recovery re-executes work, it never skips any
+    assert result.metrics["tasks_run"] >= baseline.metrics["tasks_run"]
+    if fault_class in ("straggler", "combined"):
+        assert result.metrics["sim_time_s"] >= 30.0
 
 
 def test_worker_loss_recovery_details(baseline):
@@ -216,6 +222,49 @@ def test_lazy_plan_recovers_too(baseline):
     result = _make_vista().run_resilient(plan=LAZY, fault_plan=plan, seed=0)
     _assert_bit_identical(result, baseline)
     assert result.metrics["recovery_log"]
+
+
+# ---------------------------------------------------------------------
+# the supervisor's span structure: two records of one recovery
+# ---------------------------------------------------------------------
+TRACED_RECOVERIES = {
+    # label: (fault plan, needs a checkpoint store, attempts, degrades)
+    "oom-degrade": (
+        lambda: FaultPlan().task_oom(partition=0, attempt=None, times=4),
+        False, 2, 1,
+    ),
+    # both workers die in the train stage, after the inference stage's
+    # checkpoints committed: the supervisor resumes instead of degrading
+    "ckpt-resume": (
+        lambda: (FaultPlan()
+                 .worker_loss(worker=None, wave=5)
+                 .worker_loss(worker=None, wave=6)),
+        True, 2, 0,
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(TRACED_RECOVERIES))
+def test_trace_attempts_and_degrades_match_recovery_log(
+    label, tmp_path, baseline
+):
+    make_plan, durable, attempts, degrades = TRACED_RECOVERIES[label]
+    tracer = Tracer()
+    result = _make_vista().run_resilient(
+        fault_plan=make_plan(), seed=7, tracer=tracer,
+        checkpoint_store=CheckpointStore(str(tmp_path)) if durable else None,
+    )
+    _assert_bit_identical(result, baseline)
+    log = [e["event"] for e in result.metrics["recovery_log"]]
+    assert (len(tracer.root.find_all("attempt:"))
+            == result.metrics["recovery_attempts"] == attempts)
+    degrade_events = [
+        event for span in tracer.root.walk() for event in span.events
+        if event["event"] == "degrade"
+    ]
+    assert len(degrade_events) == log.count("degrade") == degrades
+    if durable:
+        assert log.count("resume") >= 1
 
 
 # ---------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Run reports: waterlines, Section 4.1 crash attribution, and the
-regression-gate compare — including the CLI exit codes CI relies on."""
+CLI exit codes CI relies on."""
 
 import json
+import os
 
 import pytest
 
@@ -23,14 +24,14 @@ from repro.memory.model import GB, MemoryBudget
 from repro.metrics import MetricsRegistry, find_series, series_peak
 from repro.report import (
     attribute_crash,
-    compare,
-    has_regression,
-    render_compare,
     render_crash_report,
     render_report,
     render_waterline,
     render_waterlines,
 )
+
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _budget(user=1 * GB, core=1 * GB, storage=1 * GB, dl=1 * GB,
@@ -203,53 +204,6 @@ def test_observed_peaks_within_budget_across_plans(plan_name):
 
 
 # ----------------------------------------------------------------------
-# regression gates
-# ----------------------------------------------------------------------
-def _envelope(scale=1.0):
-    registry = MetricsRegistry()
-    registry.counter("tasks_total", worker="w0").inc(int(100 * scale))
-    registry.counter("storage_spill_bytes_total", worker="w0").inc(
-        int(1000 * scale)
-    )
-    return {
-        "schema": "trace/v2",
-        "bench": "run",
-        "params": {"records": 48},
-        "results": {
-            "wall_seconds": 2.0 * scale,
-            "speedup": 4.0 / scale,
-            "storage_peak_bytes": 5000,  # capacity-ish but lower-is-better
-        },
-        "trace": None,
-        "metrics": registry.export(),
-    }
-
-
-def test_compare_identical_has_no_regressions():
-    rows = compare(_envelope(), _envelope(), gate=1.15)
-    assert rows and not has_regression(rows)
-
-
-def test_compare_flags_synthetic_slowdown():
-    rows = compare(_envelope(), _envelope(scale=2.0), gate=1.15)
-    assert has_regression(rows)
-    regressed = {row["key"] for row in rows if row["regression"]}
-    assert "results.wall_seconds" in regressed
-    assert "results.speedup" in regressed  # halved, higher-is-better
-    assert any(key.startswith("tasks_total{") for key in regressed)
-    text = render_compare(rows, gate=1.15)
-    assert "REGRESSION" in text
-
-
-def test_compare_ignores_capacity_fields():
-    old, new = _envelope(), _envelope()
-    old["results"]["storage_capacity_bytes"] = 100
-    new["results"]["storage_capacity_bytes"] = 100_000
-    rows = compare(old, new, gate=1.15)
-    assert not has_regression(rows)
-
-
-# ----------------------------------------------------------------------
 # CLI exit codes
 # ----------------------------------------------------------------------
 def test_cli_report_requires_an_input(capsys):
@@ -258,19 +212,20 @@ def test_cli_report_requires_an_input(capsys):
     assert main(["report"]) == 2
 
 
-def test_cli_compare_exit_codes(tmp_path, capsys):
+@pytest.mark.parametrize("flags", [
+    ["--slo", os.path.join(REPO_ROOT, "slo", "default.yaml")],
+    ["--metrics-json"],
+], ids=["slo", "metrics-json"])
+def test_cli_report_missing_file_exits_2_without_traceback(
+    flags, tmp_path, capsys
+):
     from repro.cli import main
 
-    old = tmp_path / "old.json"
-    same = tmp_path / "same.json"
-    slow = tmp_path / "slow.json"
-    old.write_text(json.dumps(_envelope(), default=str))
-    same.write_text(json.dumps(_envelope(), default=str))
-    slow.write_text(json.dumps(_envelope(scale=2.0), default=str))
-    assert main(["report", "--compare", str(old), str(same)]) == 0
-    assert main(["report", "--compare", str(old), str(slow)]) == 1
-    out = capsys.readouterr().out
-    assert "REGRESSION" in out
+    assert main(["report", *flags, str(tmp_path / "missing.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("report: cannot read")
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_cli_run_writes_v2_envelope_and_report_renders_it(
@@ -290,7 +245,3 @@ def test_cli_run_writes_v2_envelope_and_report_renders_it(
     assert main(["report", "--metrics-json", str(export)]) == 0
     out = capsys.readouterr().out
     assert "predicted vs observed peak" in out
-    # a run compared against itself passes any gate
-    assert main([
-        "report", "--compare", str(export), str(export),
-    ]) == 0
