@@ -73,8 +73,9 @@ def write_results(path, payload):
     return path
 
 
-#: Version tag of the BENCH_*.json layout (the same ``trace/v2``
-#: envelope ``repro run --metrics-json`` writes).
+#: Version tag of the BENCH_*.json layout. Only ``bench_parallel``
+#: still writes it (ROADMAP item 3 decides that bench); nothing under
+#: ``src/`` reads or writes this envelope.
 TRACE_SCHEMA = "trace/v2"
 
 

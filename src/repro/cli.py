@@ -28,17 +28,16 @@ top
     per-stage predicted-vs-observed seconds and the calibrated ETA —
     or validate every ledger line against the schema.
 report
-    Render a recorded metrics export (memory waterlines, crash
+    Render a recorded ``metrics/v1`` export (memory waterlines, crash
     attribution), or evaluate a declarative SLO ruleset (``--slo
-    RULES TARGET``) against a run ledger or envelope, exiting nonzero
-    on breach.
+    RULES LEDGER``) against a run ledger, exiting nonzero on breach.
 history
     The run-history warehouse: ``ingest`` obs/v1 ledgers into an
     append-only store of ``runsum/v1`` summaries,
     ``list``/``show`` them, ``diff`` two runs span-by-span
-    (flamegraph-style, exiting nonzero on regressions), and ``trend``
-    metric timelines with robust change-point detection (``--gate``
-    exits nonzero on flagged drift).
+    (flamegraph-style, exiting nonzero on deterministic regressions),
+    and ``trend`` metric timelines with robust change-point detection
+    (``--gate`` exits nonzero on flagged drift).
 """
 
 from __future__ import annotations
@@ -84,7 +83,8 @@ def _add_observability_args(parser):
     )
     parser.add_argument(
         "--metrics-json", metavar="PATH", default=None,
-        help="write a trace/v2 envelope with the metrics block to PATH",
+        help="write the recorded metrics/v1 series as JSON to PATH "
+             "(render with `repro report --metrics-json PATH`)",
     )
     parser.add_argument(
         "--progress", action="store_true",
@@ -230,40 +230,15 @@ def cmd_estimate(args):
     return 0
 
 
-def _write_run_export(path, args, metrics_registry, tracer, result=None,
-                      crash=None):
-    """Write a ``trace/v2`` envelope for a metrics-enabled run: the
-    summary metrics as ``results`` plus the trace and metrics blocks,
-    for ``repro report --metrics-json`` to render and ``repro report
-    --slo`` to gate (``--baseline`` for run against run)."""
+def _write_run_export(path, metrics_registry):
+    """Write the run's ``metrics/v1`` block for ``repro report
+    --metrics-json`` to render (both the success and the crash path
+    run through here)."""
     import json
 
-    results = {}
-    if result is not None:
-        results = {
-            key: value for key, value in result.metrics.items()
-            if key != "recovery_log"
-        }
-    if crash is not None:
-        results["crashed"] = True
-        results["crash_exception"] = type(crash).__name__
-    envelope = {
-        "schema": "trace/v2",
-        "bench": "run",
-        "params": {
-            "model": args.model, "dataset": args.dataset,
-            "records": args.records, "nodes": args.nodes,
-            "layers": args.layers or 2,
-        },
-        "results": results,
-        "trace": tracer.export() if tracer is not None else None,
-        "metrics": (
-            metrics_registry.export()
-            if metrics_registry is not None else None
-        ),
-    }
     with open(path, "w") as handle:
-        json.dump(envelope, handle, indent=2, sort_keys=True, default=str)
+        json.dump(metrics_registry.export(), handle, indent=2,
+                  sort_keys=True, default=str)
     print(f"metrics export written to {path}")
 
 
@@ -283,7 +258,7 @@ def _make_ledger(args):
     return RunLedger(getattr(args, "ledger", None))
 
 
-def _finalize_ledger(args, ledger, tracer):
+def _finalize_ledger(args, ledger):
     """Close out the run's observability artifacts (both the success
     and the crash path run through here)."""
     if ledger is None:
@@ -291,11 +266,7 @@ def _finalize_ledger(args, ledger, tracer):
     if getattr(args, "perfetto", None):
         from repro.observe import write_chrome_trace
 
-        write_chrome_trace(
-            args.perfetto,
-            trace=tracer.export() if tracer is not None else None,
-            ledger=list(ledger.events),
-        )
+        write_chrome_trace(args.perfetto, ledger)
         print(f"perfetto trace written to {args.perfetto}")
     ledger.close()
     if ledger.path:
@@ -420,11 +391,8 @@ def cmd_run(args):
             print()
             print(render_crash_report(metrics_registry))
             if args.metrics_json:
-                _write_run_export(
-                    args.metrics_json, args, metrics_registry, tracer,
-                    crash=crash,
-                )
-        _finalize_ledger(args, ledger, tracer)
+                _write_run_export(args.metrics_json, metrics_registry)
+        _finalize_ledger(args, ledger)
         return 1
     if ledger is not None:
         ledger.emit("run_end", status="ok")
@@ -456,11 +424,8 @@ def cmd_run(args):
             print()
             print(render_report(metrics_registry))
         if args.metrics_json:
-            _write_run_export(
-                args.metrics_json, args, metrics_registry, tracer,
-                result=result,
-            )
-    _finalize_ledger(args, ledger, tracer)
+            _write_run_export(args.metrics_json, metrics_registry)
+    _finalize_ledger(args, ledger)
     return 0
 
 
@@ -527,54 +492,33 @@ def cmd_explain(args):
         import json
 
         with open(args.json, "w") as handle:
-            json.dump(result.to_envelope(), handle, indent=2,
+            json.dump(result.to_dict(), handle, indent=2,
                       sort_keys=True, default=str)
             handle.write("\n")
-        print(f"explain envelope written to {args.json}")
+        print(f"explain ledger written to {args.json}")
     else:
         print(render_explain(result))
     return 0 if result.feasible else 1
 
 
-def _progress_from_events(events):
-    """Rebuild the progress view a ledger recorded: the ``stage_plan``
-    event restores the cost-model predictions, then every event
-    replays through the same :class:`ProgressState` the live monitor
-    uses. None when the ledger carries no stage plan."""
-    from repro.observe import ProgressState, StagePlan
-
-    plan_event = next(
-        (e for e in events if e.get("kind") == "stage_plan"), None
-    )
-    if plan_event is None or not plan_event.get("stages"):
-        return None
-    state = ProgressState(StagePlan.from_list(
-        plan_event["stages"], plan_label=plan_event.get("plan")
-    ))
-    for event in events:
-        state.on_event(event)
-    return state
-
-
-def _render_ledger_summary(events, problems):
-    kinds = {}
-    for event in events:
-        kind = event.get("kind", "?")
-        kinds[kind] = kinds.get(kind, 0) + 1
-    last_wall = max(
-        (float(e.get("wall_s") or 0.0) for e in events), default=0.0
-    )
-    lines = [f"### ledger — {len(events)} events, "
-             f"{last_wall:.3f}s of run recorded"]
-    for kind in sorted(kinds):
-        lines.append(f"  {kind:<20s} {kinds[kind]:>6d}")
-    for problem in problems:
+def _render_ledger_summary(record):
+    lines = [f"### ledger — {record['events']} events, "
+             f"{record['wall_s']:.3f}s of run recorded"]
+    for kind, count in sorted(record["events_by_kind"].items()):
+        lines.append(f"  {kind:<20s} {count:>6d}")
+    for problem in record["parse_problems"]:
         lines.append(f"  parse problem: {problem}")
     return "\n".join(lines)
 
 
 def cmd_top(args):
-    from repro.observe import read_ledger, render_progress, validate_events
+    from repro.observe import (
+        read_ledger,
+        render_progress,
+        replay_progress,
+        summarize_ledger,
+        validate_events,
+    )
 
     def load():
         return read_ledger(args.ledger)
@@ -595,9 +539,11 @@ def cmd_top(args):
         return 1 if (problems or schema_problems) else 0
 
     def render(events, problems):
-        state = _progress_from_events(events)
+        state = replay_progress(events)
         if state is None:
-            print(_render_ledger_summary(events, problems))
+            print(_render_ledger_summary(
+                summarize_ledger(events, problems)
+            ))
             return state
         print(render_progress(state))
         return state
@@ -623,8 +569,7 @@ def cmd_report(args):
 
     if getattr(args, "slo", None):
         if not args.target:
-            print("report --slo RULES requires a TARGET "
-                  "(trace/v2 envelope or obs/v1 ledger)",
+            print("report --slo RULES requires a TARGET (obs/v1 ledger)",
                   file=sys.stderr)
             return 2
         from repro.observe import (
@@ -643,7 +588,7 @@ def cmd_report(args):
         try:
             verdicts = evaluate_slo(rules, args.target,
                                     baseline=args.baseline)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             print(f"report: cannot read SLO target/baseline: {exc}",
                   file=sys.stderr)
             return 2
@@ -742,9 +687,7 @@ def cmd_history(args):
         except (KeyError, ValueError, OSError) as exc:
             print(f"history diff: {exc}", file=sys.stderr)
             return 2
-        diff = diff_runs(base, target,
-                         wall_ratio_gate=args.wall_gate,
-                         wall_floor_s=args.wall_floor)
+        diff = diff_runs(base, target)
         print(render_history_diff(diff))
         return 1 if has_regressions(diff) else 0
     if command == "trend":
@@ -887,8 +830,8 @@ def build_parser():
     )
     explain.add_argument(
         "--json", metavar="PATH", default=None,
-        help="write the ledger as a trace/v2 envelope to PATH instead "
-             "of rendering",
+        help="write the candidate ledger as JSON to PATH instead of "
+             "rendering",
     )
 
     top = sub.add_parser(
@@ -913,12 +856,11 @@ def build_parser():
     report = sub.add_parser(
         "report",
         help="render a recorded metrics export, or evaluate an SLO "
-             "ruleset against a ledger or envelope",
+             "ruleset against a run ledger",
     )
     report.add_argument(
         "target", nargs="?", metavar="TARGET", default=None,
-        help="for --slo: the trace/v2 envelope or obs/v1 ledger to "
-             "evaluate",
+        help="for --slo: the obs/v1 ledger to evaluate",
     )
     report.add_argument(
         "--slo", metavar="RULES", default=None,
@@ -928,12 +870,12 @@ def build_parser():
     )
     report.add_argument(
         "--baseline", metavar="FILE", default=None,
-        help="baseline envelope for baseline-ratio / baseline-equal "
-             "SLO rules",
+        help="baseline run's ledger for baseline-ratio / "
+             "baseline-equal SLO rules",
     )
     report.add_argument(
         "--metrics-json", metavar="FILE", default=None,
-        help="render the run report for a metrics/trace JSON export",
+        help="render the run report for a `run --metrics-json` export",
     )
     report.add_argument("--width", type=int, default=60,
                         help="waterline chart width in columns")
@@ -972,21 +914,13 @@ def build_parser():
     )
     h_diff = hsub.add_parser(
         "diff", help="span-aligned flamegraph diff of two runs; exit "
-                     "1 on any regression",
+                     "1 on any deterministic regression (sim seconds, "
+                     "status, recovery count, memory over budget)",
     )
     h_diff.add_argument("run_a", metavar="RUN_A",
                         help="base run (id prefix or @N ordinal)")
     h_diff.add_argument("run_b", metavar="RUN_B",
                         help="target run (id prefix or @N ordinal)")
-    h_diff.add_argument(
-        "--wall-gate", type=float, default=2.0, metavar="RATIO",
-        help="wall-second regression ratio gate (default 2.0x)",
-    )
-    h_diff.add_argument(
-        "--wall-floor", type=float, default=0.5, metavar="SECONDS",
-        help="absolute wall-second floor a regression must also clear "
-             "(default 0.5s)",
-    )
     h_trend = hsub.add_parser(
         "trend", help="robust (median/MAD) change-point detection "
                       "over the run timeline",

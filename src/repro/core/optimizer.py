@@ -63,13 +63,6 @@ REJECT_GPU = "gpu-memory"                      # Eq. 15
 REJECT_HEADROOM = "memory-headroom"            # Eq. 12
 REJECT_IGNITE_STORAGE = "ignite-static-storage"
 
-#: Numeric encodings of the categorical plan knobs, published as
-#: ``plan_choice`` gauges so the ``exact-plan-choice`` SLO rule
-#: (``slo/default.yaml``, ``against: baseline-equal``) can gate on a
-#: plan flip between two runs — any change is a regression.
-JOIN_CODES = {SHUFFLE: 0, BROADCAST: 1}
-PERSISTENCE_CODES = {DESERIALIZED: 0, SERIALIZED: 1}
-
 
 def downstream_mem_bytes(model_stats, layers, num_structured_features):
     """Estimate |M|_mem for the default MLlib-style downstream model."""
@@ -341,10 +334,12 @@ def optimize(model_stats, layers, dataset_stats, resources,
 
     With a ``metrics`` registry, the chosen configuration's per-region
     requirements (Eqs. 10-11 and the storage working set) are published
-    as ``predicted_peak_bytes`` gauges, and the chosen knobs themselves
-    as ``plan_choice`` gauges, so a metrics-enabled run records the
-    optimizer's prediction next to the observed occupancy peaks and
-    both estimate error and plan flips become first-class metrics.
+    as ``predicted_peak_bytes`` gauges, so a metrics-enabled run
+    records the optimizer's prediction next to the observed occupancy
+    peaks and estimate error becomes a first-class metric. (The chosen
+    knobs travel as themselves: the ``optimize`` span's ``chosen`` attr
+    and the run ledger's ``optimizer_decision`` event, which the
+    ``exact-plan-choice`` SLO rule compares between twin runs.)
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     metrics = metrics if metrics is not None else NULL_METRICS
@@ -383,7 +378,6 @@ def optimize(model_stats, layers, dataset_stats, resources,
                 metrics, config, sizing, resources, defaults,
                 model_stats,
             )
-            _record_choice(metrics, config)
             return config
         raise NoFeasiblePlan(
             f"no cpu in [1, {max(1, upper)}] satisfies the memory "
@@ -414,23 +408,6 @@ def _record_predictions(metrics, config, sizing, resources, defaults,
         metrics.gauge("predicted_peak_bytes", region=region).set(
             int(nbytes)
         )
-
-
-def _record_choice(metrics, config):
-    """Publish the chosen knobs as ``plan_choice`` gauges (categorical
-    knobs numerically encoded via :data:`JOIN_CODES` /
-    :data:`PERSISTENCE_CODES`) so the regression gate can flag a plan
-    flip between two runs even when every timing metric improved."""
-    if not metrics.enabled:
-        return
-    choices = {
-        "cpu": config.cpu,
-        "num_partitions": config.num_partitions,
-        "join": JOIN_CODES.get(config.join, -1),
-        "persistence": PERSISTENCE_CODES.get(config.persistence, -1),
-    }
-    for knob, code in choices.items():
-        metrics.gauge("plan_choice", knob=knob).set(int(code))
 
 
 def _dl_memory(cpu, f_mem, downstream, m_mem):

@@ -121,13 +121,21 @@ class ClusterContext:
         open/close events into it, the metrics registry streams
         throttled samples, and the wave scheduler/backends emit
         stage/wave/task lifecycle. Attach *after* ``attach_tracer`` /
-        ``attach_metrics`` so the sinks land on the live instances."""
+        ``attach_metrics`` so the sinks land on the live instances.
+        Series sampled before the sink existed (the region budgets
+        ``attach_metrics`` publishes, the optimizer's predicted peaks)
+        enter the ledger here, once, at their current value."""
         self.ledger = ledger
         if ledger.enabled:
             if self.tracer.enabled:
                 self.tracer.sink = ledger
             if self.metrics.enabled:
                 self.metrics.sink = ledger
+                for series in self.metrics.instruments():
+                    if series.samples:
+                        ledger.emit("metric", metric=series.name,
+                                    labels=series.labels,
+                                    value=series.samples[-1][2])
             injector = getattr(self, "fault_injector", None)
             if injector is not None and ledger.clock is None:
                 ledger.clock = injector.clock

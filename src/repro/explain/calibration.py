@@ -103,7 +103,7 @@ class CalibrationReport:
         }
 
     def results(self):
-        """Flat scalar map for a trace/v2 ``results`` block. Keys carry
+        """Flat scalar map for a bench ``results`` block. Keys carry
         the ``capacity`` marker: host-dependent, so the calibration
         drift gate (:func:`drift_violations`) owns their comparison
         semantics."""
@@ -370,7 +370,8 @@ class ParallelCalibrationReport:
         }
 
     def results(self):
-        """Flat scalars for a trace/v2 ``results`` block. Wall-clock
+        """Flat scalars for ``BENCH_parallel.json``'s ``results``
+        block. Wall-clock
         fields and their ratios carry the ``capacity`` marker (host-
         dependent; :func:`drift_violations` owns their comparison),
         while ``cores_available`` is compared exactly — a speedup

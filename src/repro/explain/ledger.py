@@ -8,9 +8,9 @@ each infeasible candidate — so "why did the optimizer pick cpu=7?"
 and "why is cpu=8 not considered?" have inspectable answers.
 
 The result renders as an ASCII table
-(:func:`repro.report.explain_ascii.render_explain`) and exports under
-the same ``trace/v2`` envelope ``repro run --metrics-json`` writes, so
-``repro report --slo`` can evaluate rules over it.
+(:func:`repro.report.explain_ascii.render_explain`) and exports as a
+JSON-safe dict (:meth:`ExplainResult.to_dict`, what ``repro explain
+--json PATH`` writes).
 """
 
 from __future__ import annotations
@@ -70,24 +70,6 @@ class ExplainResult:
             "feasible": self.feasible,
             "message": None if self.feasible else NO_FEASIBLE_MESSAGE,
             "what_if": self.what_if.to_dict() if self.what_if else None,
-        }
-
-    def to_envelope(self, params=None, trace=None, metrics=None):
-        """The explain ledger under the ``trace/v2`` envelope (same
-        layout as ``repro run --metrics-json``), so SLO rules resolve
-        ``results.*`` paths over it."""
-        if trace is not None and hasattr(trace, "export"):
-            trace = trace.export()
-        if metrics is not None and hasattr(metrics, "export"):
-            metrics = metrics.export()
-        return {
-            "schema": "trace/v2",
-            "bench": "explain",
-            "params": dict(params or {}, model=self.model,
-                           layers=list(self.layers), backend=self.backend),
-            "results": self.to_dict(),
-            "trace": trace,
-            "metrics": metrics,
         }
 
 

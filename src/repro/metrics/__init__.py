@@ -11,7 +11,6 @@ from repro.metrics.registry import (
     NULL_METRICS,
     NullMetrics,
     find_series,
-    series_last,
     series_peak,
 )
 
@@ -24,6 +23,5 @@ __all__ = [
     "NULL_METRICS",
     "NullMetrics",
     "find_series",
-    "series_last",
     "series_peak",
 ]

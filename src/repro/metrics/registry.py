@@ -31,8 +31,6 @@ un-instrumented runs pay only an attribute lookup per sample point.
 
 from __future__ import annotations
 
-import json
-
 #: Version tag of the exported metrics block.
 METRICS_SCHEMA = "metrics/v1"
 
@@ -271,16 +269,12 @@ class MetricsRegistry:
         clock here, so samples carry deterministic simulated
         timestamps. Without one, sim timestamps stay 0 and the
         registry-global tick orders samples.
-    base_labels:
-        Labels merged into every instrument this registry creates.
     """
 
     enabled = True
 
-    def __init__(self, clock=None, base_labels=None,
-                 max_samples=MAX_SAMPLES):
+    def __init__(self, clock=None, max_samples=MAX_SAMPLES):
         self.clock = clock
-        self.base_labels = dict(base_labels) if base_labels else {}
         self.max_samples = int(max_samples)
         #: Optional :class:`~repro.observe.ledger.RunLedger`: when set
         #: (via ``ClusterContext.attach_ledger``), samples stream into
@@ -292,16 +286,7 @@ class MetricsRegistry:
         self._tick = 0
 
     # ------------------------------------------------------------------
-    def _now(self):
-        return self.clock.now if self.clock is not None else 0.0
-
-    def _next_tick(self):
-        self._tick += 1
-        return self._tick
-
     def _get(self, cls, name, labels, **extra):
-        if self.base_labels:
-            labels = {**self.base_labels, **labels}
         key = (cls.kind, name, _label_key(labels))
         instrument = self._instruments.get(key)
         if instrument is None:
@@ -335,11 +320,11 @@ class MetricsRegistry:
     def counter_totals(self):
         """``{(name, label_pairs): total}`` snapshot of every counter.
 
-        ``label_pairs`` is the sorted label tuple (base labels already
-        merged), so re-incrementing through ``counter(name,
-        **dict(label_pairs))`` addresses the same series. The process
-        backend snapshots this in the forked worker before and after
-        each task and ships only the deltas back to the driver registry.
+        ``label_pairs`` is the sorted label tuple, so re-incrementing
+        through ``counter(name, **dict(label_pairs))`` addresses the
+        same series. The process backend snapshots this in the forked
+        worker before and after each task and ships only the deltas
+        back to the driver registry.
         """
         return {
             (name, label_key): instrument.total
@@ -349,8 +334,9 @@ class MetricsRegistry:
         }
 
     def export(self):
-        """JSON-safe dict of every series, ready for the ``metrics``
-        block of a ``trace/v2`` envelope."""
+        """JSON-safe ``metrics/v1`` dict of every series — what
+        ``repro run --metrics-json`` writes and ``repro report
+        --metrics-json`` renders."""
         return {
             "schema": METRICS_SCHEMA,
             "ticks": self._tick,
@@ -359,10 +345,6 @@ class MetricsRegistry:
                 for instrument in self._instruments.values()
             ],
         }
-
-    def to_json(self, indent=2):
-        return json.dumps(self.export(), indent=indent, sort_keys=True,
-                          default=str)
 
     def __repr__(self):
         return (
@@ -374,15 +356,12 @@ class MetricsRegistry:
 def find_series(source, name, **labels):
     """Series dicts matching ``name`` and a label subset.
 
-    ``source`` is a registry, a registry export, or a full
-    ``trace/v2`` envelope (its ``metrics`` block is searched).
+    ``source`` is a registry or a registry export.
     """
     if hasattr(source, "export"):
         source = source.export()
     if source is None:
         return []
-    if "series" not in source and "metrics" in source:
-        source = source["metrics"] or {}
     matches = []
     for series in source.get("series", ()):
         if series.get("name") != name:
@@ -404,19 +383,6 @@ def series_peak(series):
             return series[key]
     samples = series.get("samples") or ()
     return max((sample[2] for sample in samples), default=None)
-
-
-def series_last(series):
-    """Final value of a series dict (gauges export it as ``last``,
-    counters as ``total``; otherwise the last sample). This is what
-    plan-choice gauges and other end-state levels are compared on."""
-    if series is None:
-        return None
-    for key in ("last", "total"):
-        if series.get(key) is not None:
-            return series[key]
-    samples = series.get("samples") or ()
-    return samples[-1][2] if samples else None
 
 
 class _NullInstrument:
@@ -464,7 +430,6 @@ class NullMetrics:
 
     enabled = False
     clock = None
-    base_labels = {}
     sink = None
 
     def counter(self, name, **labels):

@@ -9,18 +9,22 @@ Where :mod:`repro.trace` and :mod:`repro.metrics` answer questions
   tracer spans, metric samples, recovery events, optimizer decisions,
   and backend wave/fork lifecycle emit into as they happen. A SIGKILLed
   run leaves a readable ledger up to the kill point.
+- :mod:`repro.observe.history` — the one offline reader: a ledger
+  replays into one ``runsum/v1`` record (:func:`summarize_ledger`),
+  which ``repro report --slo``, ``repro history`` and ``repro top``
+  all read; the :class:`HistoryStore` keeps records across runs for
+  span-aligned diffs (:mod:`repro.observe.diff`) and drift timelines.
 - :mod:`repro.observe.perfetto` — Chrome trace-event / Perfetto
-  export: the merged span tree (driver + forked process-backend
-  workers on pid/tid tracks) as a standard ``trace.json`` loadable in
+  export of a ledger (driver spans + forked process-backend workers
+  on pid/tid tracks) as a standard ``trace.json`` loadable in
   ``ui.perfetto.dev``.
 - :mod:`repro.observe.progress` — the live progress monitor behind
   ``repro run --progress`` and ``repro top``: per-stage completion and
   an ETA computed from the cost model's predicted stage seconds
   against observed span progress (online calibration).
 - :mod:`repro.observe.slo` — the declarative SLO/gate engine: rules
-  (metric, comparator, threshold, severity) evaluated against any
-  ledger or trace/v2 envelope; ``repro report --slo`` exits nonzero on
-  breach.
+  (metric path, comparator, threshold, severity) evaluated against a
+  run's record; ``repro report --slo`` exits nonzero on breach.
 """
 
 from repro.observe.diff import diff_runs, has_regressions
@@ -55,6 +59,7 @@ from repro.observe.progress import (
     StagePlan,
     predict_stage_plan,
     render_progress,
+    replay_progress,
 )
 from repro.observe.slo import (
     SloRule,
@@ -62,7 +67,6 @@ from repro.observe.slo import (
     has_breach,
     load_rules,
     load_ruleset,
-    load_slo_source,
     render_slo,
 )
 
@@ -87,11 +91,11 @@ __all__ = [
     "load_history_rules",
     "load_rules",
     "load_ruleset",
-    "load_slo_source",
     "predict_stage_plan",
     "read_ledger",
     "render_progress",
     "render_slo",
+    "replay_progress",
     "run_fingerprint",
     "spans_from_events",
     "summarize_ledger",

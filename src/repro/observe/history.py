@@ -1,13 +1,17 @@
-"""The run-history warehouse: cross-run analytics over ``obs/v1``.
+"""The recorded-run reader and the run-history warehouse.
 
 Every run recorded with ``--ledger`` leaves a complete record — an
-``obs/v1`` ledger — and this module keeps them: each ledger file is
-*summarized* into one compact ``runsum/v1`` record (workload identity
-and environment fingerprint, chosen plan knobs, per-stage wall/sim/self
-seconds, per-region memory peaks vs budgets, online-calibration ratios,
-recovery counts, metric-series peaks, SLO verdict counts) and appended
-to an on-disk :class:`HistoryStore`, so drift questions become queries
-over a timeline instead of a pair of ad-hoc files.
+``obs/v1`` ledger — and :func:`summarize_ledger` is the one replay of
+it: the event stream becomes one compact ``runsum/v1`` record
+(workload identity and environment fingerprint, chosen plan knobs,
+per-stage wall/sim/self seconds, per-region memory peaks vs budgets,
+online-calibration ratios, recovery counts, metric-series peaks, event
+counts per kind, parse/schema problem counts, SLO verdict counts).
+Every offline view reads that record — ``repro report --slo``
+(:mod:`repro.observe.slo` resolves rule metrics against it), ``repro
+top``'s summary, and ``repro history``, which appends records to an
+on-disk :class:`HistoryStore` so drift questions become queries over a
+timeline instead of a pair of ad-hoc files.
 
 Store layout and durability
 ---------------------------
@@ -16,8 +20,8 @@ the same tmp + fsync + ``os.replace`` discipline as the checkpoint
 store (:func:`repro.atomic_io.atomic_write_bytes`), so a torn
 write can never masquerade as a record. ``<store>/index.jsonl`` is the
 append-only ingest order — one JSON line per run, appended with a
-single ``O_APPEND`` write and read with the same one-torn-tail
-tolerance as :func:`repro.observe.ledger.read_ledger`. The record file
+single ``O_APPEND`` write and read by the same one-torn-tail-tolerant
+:func:`repro.observe.ledger.parse_ledger`. The record file
 is written *before* the index line, and listing self-heals by scanning
 ``runs/`` for records a crash left unindexed, so the index can lag but
 never lie.
@@ -35,9 +39,10 @@ of mean/stddev so one outlier run cannot mask itself by inflating the
 spread; the 5%-of-median floor keeps near-constant series (wall
 seconds that jitter by microseconds) from flagging noise. Rules live
 in ``slo/default.yaml`` under the ``history:`` scope, reusing the SLO
-file format and the dotted-path + glob metric grammar — a trend metric
-is resolved against the ``runsum/v1`` record itself (e.g.
-``stages.*.sim_s``, ``recovery.total``, ``memory.*.peak_bytes``).
+file format and its metric grammar — a trend metric is resolved
+against the record by the same :func:`repro.observe.slo.resolve_path`
+(e.g. ``stages.*.sim_s``, ``recovery.total``,
+``memory.*.peak_bytes``).
 """
 
 from __future__ import annotations
@@ -50,11 +55,15 @@ import subprocess
 import sys
 from dataclasses import dataclass
 
-import fnmatch
-
 from repro.atomic_io import atomic_write_bytes, reclaim_tmp_files
 from repro.metrics import METRICS_SCHEMA
-from repro.observe.ledger import LEDGER_SCHEMA, read_ledger
+from repro.observe.ledger import (
+    LEDGER_SCHEMA,
+    parse_ledger,
+    validate_events,
+)
+from repro.observe.progress import replay_progress
+from repro.observe.slo import evaluate_slo, load_ruleset, resolve_path
 
 #: Version tag carried by every summary record.
 RUNSUM_SCHEMA = "runsum/v1"
@@ -64,7 +73,6 @@ RUNSUM_SCHEMA = "runsum/v1"
 #: ledger format never silently compares as the same environment.
 SCHEMA_VERSIONS = {
     "ledger": LEDGER_SCHEMA,
-    "envelope": "trace/v2",
     "metrics": METRICS_SCHEMA,
     "summary": RUNSUM_SCHEMA,
 }
@@ -121,16 +129,20 @@ def run_fingerprint(meta):
 # ----------------------------------------------------------------------
 def spans_from_events(events):
     """Rebuild the span tree a ledger's flat ``span_start``/``span_end``
-    stream recorded, as a list of span dicts in start order.
+    stream recorded, as a list of span dicts in start order — the one
+    start/end pairing (the run summary and the Perfetto export both
+    read it).
 
     Each span carries a ``path`` — ancestor names joined with ``/``,
     with an ``@N`` occurrence suffix for repeated siblings (the second
     ``join`` under ``workload`` is ``workload/join@2``) — which is the
     alignment key :func:`repro.observe.diff.diff_runs` joins on.
     ``self_s`` is wall seconds minus the direct children's wall
-    seconds, clamped at zero. Spans left open at the end of the stream
-    (a torn ledger) close with status ``"torn"`` and the last wall
-    offset the ledger reached.
+    seconds, clamped at zero. ``start_wall_s``/``end_wall_s`` are the
+    ledger offsets of the events that opened and closed it, ``attrs``
+    what it was opened with. A span closed by an outer span's end, or
+    left open at the end of the stream (a torn ledger), closes with
+    status ``"torn"`` at the wall offset the ledger had reached.
     """
     spans = []
     stack = []
@@ -139,7 +151,7 @@ def spans_from_events(events):
     last_sim = 0.0
     start_seq = 0
 
-    def close(frame, wall_s, sim_s, status):
+    def close(frame, end_wall, wall_s, sim_s, status):
         span = {
             "path": frame["path"],
             "name": frame["name"],
@@ -149,6 +161,9 @@ def spans_from_events(events):
             "sim_s": round(max(0.0, sim_s), 9),
             "self_s": round(max(0.0, wall_s - frame["children_s"]), 9),
             "status": status,
+            "start_wall_s": frame["wall_start"],
+            "end_wall_s": end_wall,
+            "attrs": frame["attrs"],
         }
         spans.append(span)
         if stack:
@@ -173,6 +188,7 @@ def spans_from_events(events):
                 "name": name, "path": path, "depth": len(stack),
                 "start_seq": start_seq, "wall_start": wall,
                 "sim_start": sim, "children_s": 0.0, "counts": {},
+                "attrs": event.get("attrs") or {},
             })
         elif kind == "span_end":
             name = str(event.get("name") or "span")
@@ -187,12 +203,13 @@ def spans_from_events(events):
                     wall_s = wall - frame["wall_start"]
                 status = (str(event.get("status") or "ok")
                           if matched else "torn")
-                close(frame, wall_s, sim - frame["sim_start"], status)
+                close(frame, wall, wall_s, sim - frame["sim_start"],
+                      status)
                 if matched:
                     break
     while stack:
         frame = stack.pop()
-        close(frame, last_wall - frame["wall_start"],
+        close(frame, last_wall, last_wall - frame["wall_start"],
               last_sim - frame["sim_start"], "torn")
     spans.sort(key=lambda span: span["start_seq"])
     return spans
@@ -227,7 +244,9 @@ def _stages_from_spans(spans):
     return stages
 
 
-def _metric_key(name, labels):
+def metric_key(name, labels):
+    """``name{k=v,…}`` — the flat key of one metric series (record
+    ``metrics`` block, Perfetto counter track)."""
     if not labels:
         return str(name)
     inner = ",".join(
@@ -280,7 +299,7 @@ def _metric_peaks_from_events(events):
     for event in events:
         if event.get("kind") != "metric":
             continue
-        key = _metric_key(event.get("metric"),
+        key = metric_key(event.get("metric"),
                           event.get("labels") or {})
         try:
             value = float(event.get("value") or 0.0)
@@ -291,21 +310,12 @@ def _metric_peaks_from_events(events):
 
 
 def _calibration_from_events(events):
-    """Replay the ledger through the live progress monitor to recover
-    the online calibration ratios (overall and per stage kind); None
-    when the run carried no ``stage_plan``."""
-    from repro.observe.progress import ProgressState, StagePlan
-
-    plan_event = next(
-        (e for e in events if e.get("kind") == "stage_plan"), None
-    )
-    if plan_event is None or not plan_event.get("stages"):
+    """The online calibration ratios (overall and per stage kind) the
+    ledger's progress replay ends on; None when the run carried no
+    ``stage_plan``."""
+    state = replay_progress(events)
+    if state is None:
         return None
-    state = ProgressState(StagePlan.from_list(
-        plan_event["stages"], plan_label=plan_event.get("plan")
-    ))
-    for event in events:
-        state.on_event(event)
     return {
         "overall": round(state.calibration_ratio(), 9),
         "buckets": {
@@ -327,34 +337,34 @@ def _slo_block(verdicts):
     return {**counts, "failing": sorted(failing)}
 
 
+#: What ``runsum/v1`` stores of each :func:`spans_from_events` span.
+_SPAN_FIELDS = ("path", "name", "depth", "start_seq", "wall_s", "sim_s",
+                "self_s", "status")
+
+
 def summarize_ledger(events, problems=(), source="", slo_rules=None):
     """Summarize a parsed ``obs/v1`` event stream into a ``runsum/v1``
-    record. A ledger without ``run_end`` (SIGKILLed driver, torn file)
-    is summarized with status ``"torn"`` — never rejected: the whole
-    point of the warehouse is that killed runs still join the
-    timeline."""
+    record — the one replay of a ledger every offline reader (``repro
+    report --slo``, ``history``, ``top``) reads. A ledger without
+    ``run_end`` (SIGKILLed driver, torn file) is summarized with status
+    ``"torn"`` — never rejected: the whole point of the warehouse is
+    that killed runs still join the timeline. ``slo_rules`` are
+    evaluated over the finished record and their verdict counts stored
+    on it."""
     spans = spans_from_events(events)
-    meta_event = next(
-        (e for e in events if e.get("kind") == "run_meta"), None
-    )
-    meta = _payload(meta_event) if meta_event else {}
-    fingerprint = meta.pop("fingerprint", None) or run_fingerprint(meta)
-    decision = next(
-        (e for e in events if e.get("kind") == "optimizer_decision"), None
-    )
-    end = next(
-        (e for e in events if e.get("kind") == "run_end"), None
-    )
-    recovery = {}
-    for event in events:
-        if event.get("kind") != "recovery":
-            continue
-        what = str(event.get("event") or "?")
-        recovery[what] = recovery.get(what, 0) + 1
+    first = {}
     kinds = {}
+    recovery = {}
     for event in events:
         kind = str(event.get("kind") or "?")
         kinds[kind] = kinds.get(kind, 0) + 1
+        first.setdefault(kind, event)
+        if kind == "recovery":
+            what = str(event.get("event") or "?")
+            recovery[what] = recovery.get(what, 0) + 1
+    meta = _payload(first.get("run_meta", {}))
+    fingerprint = meta.pop("fingerprint", None) or run_fingerprint(meta)
+    end = first.get("run_end")
     record = {
         "schema": RUNSUM_SCHEMA,
         "kind": "ledger",
@@ -362,9 +372,10 @@ def summarize_ledger(events, problems=(), source="", slo_rules=None):
         "status": (str(end.get("status") or "ok") if end else "torn"),
         "meta": meta,
         "fingerprint": fingerprint,
-        "knobs": _payload(decision) if decision else {},
+        "knobs": _payload(first.get("optimizer_decision", {})),
         "stages": _stages_from_spans(spans),
-        "spans": spans,
+        "spans": [{key: span[key] for key in _SPAN_FIELDS}
+                  for span in spans],
         "calibration": _calibration_from_events(events),
         "memory": _memory_from_events(events),
         "metrics": _metric_peaks_from_events(events),
@@ -372,6 +383,8 @@ def summarize_ledger(events, problems=(), source="", slo_rules=None):
         "events": len(events),
         "events_by_kind": kinds,
         "parse_problems": list(problems),
+        "problems": {"parse": len(problems),
+                     "schema": len(validate_events(events))},
         "wall_s": round(max(
             (float(e.get("wall_s") or 0.0) for e in events), default=0.0
         ), 9),
@@ -380,50 +393,21 @@ def summarize_ledger(events, problems=(), source="", slo_rules=None):
             default=0.0,
         ), 9),
     }
-    if slo_rules:
-        from repro.observe.slo import evaluate_slo
-
-        record["slo"] = _slo_block(
-            evaluate_slo(slo_rules, _ledger_source(events, problems))
-        )
-    else:
-        record["slo"] = None
+    record["slo"] = (
+        _slo_block(evaluate_slo(slo_rules, record)) if slo_rules else None
+    )
     return record
-
-
-def _ledger_source(events, problems):
-    """An already-normalized SLO source for a parsed event list (the
-    dict shape :func:`repro.observe.slo.load_slo_source` builds when
-    given a ledger path)."""
-    from repro.observe.ledger import validate_events
-
-    kinds = {}
-    for event in events:
-        kind = event.get("kind", "?")
-        kinds[kind] = kinds.get(kind, 0) + 1
-    return {
-        "kind": "ledger",
-        "results": {
-            "ledger_events": len(events),
-            "ledger_parse_errors": len(problems),
-            "ledger_schema_problems": len(validate_events(events)),
-            **{f"events_{kind}": count
-               for kind, count in sorted(kinds.items())},
-        },
-        "params": {},
-        "metrics": None,
-        "ledger": list(events),
-        "ledger_problems": list(problems),
-    }
 
 
 def summarize_path(path, slo_rules=None):
     """Summarize an ``obs/v1`` ledger file into a ``runsum/v1`` record
-    plus the raw bytes (for content addressing). A file no ledger
-    event parses from is not a run: ``ValueError``, never a record."""
+    plus the raw bytes it was parsed from (for content addressing: one
+    read, so the record always describes the bytes the run id hashes).
+    A file no ledger event parses from is not a run: ``ValueError``,
+    never a record."""
     with open(path, "rb") as handle:
         raw = handle.read()
-    events, problems = read_ledger(path)
+    events, problems = parse_ledger(raw)
     if not any(e.get("schema") == LEDGER_SCHEMA for e in events):
         raise ValueError(
             "not an obs/v1 ledger: no event parsed; record a run with "
@@ -463,29 +447,13 @@ class HistoryStore:
         return os.path.join(self.runs_dir, f"{run_id}.json")
 
     def _read_index(self):
-        """Index entries in ingest order, tolerating one torn tail
-        (the only tear a single-write append stream can suffer)."""
+        """Index entries in ingest order. A torn tail or a damaged
+        line is skipped, not fatal: the record files are the truth and
+        :meth:`run_ids` heals from them."""
         if not os.path.exists(self.index_path):
             return []
         with open(self.index_path, "rb") as handle:
-            raw = handle.read()
-        lines = raw.split(b"\n")
-        trailing = raw.endswith(b"\n")
-        if trailing:
-            lines = lines[:-1]
-        entries = []
-        for position, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line.decode("utf-8", errors="replace"))
-                if not isinstance(entry, dict):
-                    raise ValueError("index entry is not an object")
-            except ValueError:
-                if position == len(lines) - 1 and not trailing:
-                    continue  # torn tail: the record file is the truth
-                continue  # interior damage: skip, self-heal below
-            entries.append(entry)
+            entries, _ = parse_ledger(handle.read())
         return entries
 
     def _append_index(self, entry):
@@ -650,8 +618,6 @@ def load_history_rules(path):
     """Load the ``history:`` scope of a ruleset file into
     :class:`HistoryRule` values (empty list when the file carries no
     history scope)."""
-    from repro.observe.slo import load_ruleset
-
     rules = []
     for entry in load_ruleset(path).get("history", []):
         rules.append(HistoryRule(
@@ -663,43 +629,6 @@ def load_history_rules(path):
             severity=entry.get("severity", "breach"),
         ))
     return rules
-
-
-def _resolve_elements(value, segments, prefix=""):
-    """Recursive dotted-path traversal with glob fan-out at *any*
-    segment (the SLO resolver only globs at the tail): returns
-    ``{element_key: leaf_value}`` where the element key names the
-    concrete keys each glob matched (``stages.*.sim_s`` over a run
-    with a ``read`` stage yields ``{"read": …}``)."""
-    if value is None:
-        return {}
-    if not segments:
-        return {prefix: value}
-    segment, rest = segments[0], segments[1:]
-    if not isinstance(value, dict):
-        return {}
-    if "*" in segment or "?" in segment:
-        out = {}
-        for key in sorted(value):
-            if fnmatch.fnmatchcase(str(key), segment):
-                sub = f"{prefix}.{key}" if prefix else str(key)
-                out.update(_resolve_elements(value[key], rest, sub))
-        return out
-    return _resolve_elements(value.get(segment), rest, prefix)
-
-
-def resolve_trend_metric(record, spec):
-    """Resolve a trend metric spec against one ``runsum/v1`` record:
-    the SLO dotted-path + glob grammar rooted at the record itself
-    (``stages.*.sim_s``, ``recovery.total``, ``wall_s``, …), with
-    globs allowed mid-path. Returns a scalar (un-globbed spec), a
-    dict of matches, or None when absent."""
-    elements = _resolve_elements(record, spec.split("."))
-    if not elements:
-        return None
-    if list(elements) == [""]:
-        return elements[""]
-    return elements
 
 
 def robust_scale(values):
@@ -729,7 +658,7 @@ def trend_series(records, spec):
     key; records where the metric is absent are skipped."""
     series = {}
     for record in records:
-        resolved = resolve_trend_metric(record, spec)
+        resolved = resolve_path(record, spec)
         if resolved is None:
             continue
         items = (resolved.items() if isinstance(resolved, dict)

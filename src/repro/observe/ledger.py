@@ -249,20 +249,20 @@ NULL_LEDGER = NullLedger()
 # ----------------------------------------------------------------------
 # reading and validation
 # ----------------------------------------------------------------------
-def read_ledger(path):
-    """Parse a ledger file into ``(events, problems)``.
+def parse_ledger(raw):
+    """Parse the bytes of an append-only JSONL stream into ``(events,
+    problems)`` — the one tolerant line parser every reader of a
+    ledger (and of the history store's index) goes through.
 
-    Tolerates exactly one torn line at the very end of the file (the
-    only tear a single-write append stream can suffer); a torn tail is
-    reported as ``"torn tail: …"`` in ``problems`` but any *interior*
-    unparseable line is a real problem. Callers that only want the
-    events can ignore ``problems``; :func:`validate_events` layers the
-    schema checks on top.
+    Tolerates exactly one torn line at the very end (the only tear a
+    single-write append stream can suffer); a torn tail is reported as
+    ``"torn tail: …"`` in ``problems`` but any *interior* unparseable
+    line is a real problem. Callers that only want the events can
+    ignore ``problems``; :func:`validate_events` layers the schema
+    checks on top.
     """
     events = []
     problems = []
-    with open(path, "rb") as handle:
-        raw = handle.read()
     lines = raw.split(b"\n")
     trailing_newline = raw.endswith(b"\n")
     if trailing_newline:
@@ -281,6 +281,12 @@ def read_ledger(path):
             continue
         events.append(event)
     return events, problems
+
+
+def read_ledger(path):
+    """:func:`parse_ledger` over a ledger file's bytes."""
+    with open(path, "rb") as handle:
+        return parse_ledger(handle.read())
 
 
 def validate_events(events):

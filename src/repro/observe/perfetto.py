@@ -1,15 +1,16 @@
 """Chrome trace-event / Perfetto export.
 
-Renders a run — an exported :class:`~repro.trace.Tracer` span tree, an
-``obs/v1`` run ledger, or both — into the standard Chrome trace-event
+Renders a run's ``obs/v1`` ledger into the standard Chrome trace-event
 JSON (``{"traceEvents": [...]}``) that ``ui.perfetto.dev`` and
 ``chrome://tracing`` load directly.
 
 Track mapping (DESIGN.md §4k):
 
 - the **driver** process is one pid (from the ledger's ``ledger_open``
-  event when available); its span tree lands on tid 1 as nested ``X``
-  (complete) events, point events as ``i`` instants;
+  event); its span tree — the pairing
+  :func:`repro.observe.history.spans_from_events` rebuilds — lands on
+  tid 1 as nested ``X`` (complete) events, point events as ``i``
+  instants;
 - the **wave scheduler** gets tid 2 on the driver pid: one ``X`` event
   per dispatched wave (args: worker, size, stage);
 - every :class:`~repro.dataflow.backend.ProcessPoolBackend` worker is
@@ -23,16 +24,15 @@ Track mapping (DESIGN.md §4k):
 - recovery events, optimizer decisions, and run start/end become
   ``i`` instants on the driver track.
 
-Timestamps are microseconds. Span trees use their own epoch
-(``wall_offset_s`` of the root); ledgers use the ledger epoch — when
-both sources are given, spans are preferred *from the ledger* (one
-timebase) and the exported tree is only used if the ledger carries no
-span events (e.g. the run was ledgered without a tracer).
+Timestamps are microseconds on the ledger epoch.
 """
 
 from __future__ import annotations
 
 import json
+
+from repro.observe.history import metric_key, spans_from_events
+from repro.observe.ledger import read_ledger
 
 #: tid of the driver's span track / the wave-scheduler track.
 DRIVER_TID = 1
@@ -56,51 +56,21 @@ def _meta(pid, tid, name, kind="thread_name"):
     }
 
 
-# ----------------------------------------------------------------------
-# span-tree source
-# ----------------------------------------------------------------------
-def _events_from_trace(trace, pid):
-    """``X``/``i`` events for an exported span tree (dict form)."""
-    events = []
-
-    def walk(span):
-        args = {**span.get("attrs", {}), **span.get("counters", {})}
-        args["status"] = span.get("status", "ok")
-        events.append({
-            "name": span.get("name", "span"),
+def _events_from_ledger(ledger_events, pid):
+    """Events for an ``obs/v1`` ledger: driver spans, wave track,
+    worker-pid task tracks, counter samples, and instants."""
+    events = [
+        {
+            "name": span["name"],
             "ph": "X",
-            "ts": _us(span.get("wall_offset_s")),
-            "dur": _us(span.get("wall_s")),
+            "ts": _us(span["start_wall_s"]),
+            "dur": _us(span["end_wall_s"] - span["start_wall_s"]),
             "pid": pid,
             "tid": DRIVER_TID,
-            "args": args,
-        })
-        for point in span.get("events", ()):
-            events.append({
-                "name": point.get("event", "event"),
-                "ph": "i",
-                "s": "t",
-                "ts": _us(span.get("wall_offset_s")),
-                "pid": pid,
-                "tid": DRIVER_TID,
-                "args": {k: v for k, v in point.items() if k != "event"},
-            })
-        for child in span.get("children", ()):
-            walk(child)
-
-    walk(trace)
-    return events
-
-
-# ----------------------------------------------------------------------
-# ledger source
-# ----------------------------------------------------------------------
-def _events_from_ledger(ledger_events, pid):
-    """Events for an ``obs/v1`` ledger: driver spans (reconstructed
-    from start/end pairs), wave track, worker-pid task tracks, counter
-    samples, and instants."""
-    events = []
-    span_stack = []
+            "args": {**span["attrs"], "status": span["status"]},
+        }
+        for span in spans_from_events(ledger_events)
+    ]
     open_wave = None
     forks = {}
     child_pids = []
@@ -109,30 +79,7 @@ def _events_from_ledger(ledger_events, pid):
         wall = float(event.get("wall_s") or 0.0)
         last_wall = max(last_wall, wall)
         kind = event.get("kind")
-        if kind == "span_start":
-            span_stack.append((event.get("name", "span"), wall,
-                               event.get("attrs") or {}))
-        elif kind == "span_end":
-            name = event.get("name", "span")
-            while span_stack:
-                open_name, start, attrs = span_stack.pop()
-                closes = open_name == name
-                events.append({
-                    "name": open_name,
-                    "ph": "X",
-                    "ts": _us(start),
-                    "dur": _us(wall - start),
-                    "pid": pid,
-                    "tid": DRIVER_TID,
-                    "args": {
-                        **attrs,
-                        "status": (event.get("status", "ok")
-                                   if closes else "implicit-close"),
-                    },
-                })
-                if closes:
-                    break
-        elif kind == "wave_start":
+        if kind == "wave_start":
             open_wave = (event, wall)
         elif kind == "wave_end":
             if open_wave is not None:
@@ -182,7 +129,8 @@ def _events_from_ledger(ledger_events, pid):
             })
         elif kind == "metric":
             events.append({
-                "name": _counter_name(event),
+                "name": metric_key(event.get("metric", "metric"),
+                                   event.get("labels") or {}),
                 "ph": "C",
                 "ts": _us(wall),
                 "pid": pid,
@@ -206,16 +154,9 @@ def _events_from_ledger(ledger_events, pid):
                     if k not in ("schema", "seq", "wall_s", "kind")
                 },
             })
-    # A torn ledger (driver SIGKILLed) leaves spans, a wave, and forked
-    # tasks open: close them at the last observed timestamp so the
-    # export still loads and shows exactly how far the run got.
-    while span_stack:
-        open_name, start, attrs = span_stack.pop()
-        events.append({
-            "name": open_name, "ph": "X", "ts": _us(start),
-            "dur": _us(last_wall - start), "pid": pid, "tid": DRIVER_TID,
-            "args": {**attrs, "status": "torn"},
-        })
+    # A torn ledger (driver SIGKILLed) leaves a wave and forked tasks
+    # open: close them at the last observed timestamp so the export
+    # still loads and shows exactly how far the run got.
     if open_wave is not None:
         start_event, start = open_wave
         events.append({
@@ -238,48 +179,24 @@ def _events_from_ledger(ledger_events, pid):
     return events, child_pids
 
 
-def _counter_name(event):
-    labels = event.get("labels") or {}
-    if not labels:
-        return str(event.get("metric", "metric"))
-    rendered = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
-    return f"{event.get('metric', 'metric')}{{{rendered}}}"
-
-
 # ----------------------------------------------------------------------
 # public API
 # ----------------------------------------------------------------------
-def chrome_trace(trace=None, ledger_events=None):
-    """Build the Chrome trace-event payload from an exported span tree
-    and/or a parsed ledger event list. At least one must be given."""
-    if trace is None and ledger_events is None:
-        raise ValueError("chrome_trace needs a trace, a ledger, or both")
-    if trace is not None and hasattr(trace, "export"):
-        trace = trace.export()
-    elif trace is not None and hasattr(trace, "to_dict"):
-        trace = trace.to_dict()
+def chrome_trace(ledger_events):
+    """Build the Chrome trace-event payload from a parsed ledger
+    event list."""
     pid = 0
-    if ledger_events:
-        for event in ledger_events:
-            if event.get("kind") == "ledger_open" and event.get("pid"):
-                pid = int(event["pid"])
-                break
+    for event in ledger_events:
+        if event.get("kind") == "ledger_open" and event.get("pid"):
+            pid = int(event["pid"])
+            break
     events = [
         _meta(pid, DRIVER_TID, "vista driver", kind="process_name"),
         _meta(pid, DRIVER_TID, "driver spans"),
         _meta(pid, WAVES_TID, "wave scheduler"),
     ]
-    child_pids = []
-    ledger_has_spans = any(
-        e.get("kind") == "span_start" for e in ledger_events or ()
-    )
-    if ledger_events:
-        ledger_rendered, child_pids = _events_from_ledger(
-            ledger_events, pid
-        )
-        events.extend(ledger_rendered)
-    if trace is not None and not ledger_has_spans:
-        events.extend(_events_from_trace(trace, pid))
+    ledger_rendered, child_pids = _events_from_ledger(ledger_events, pid)
+    events.extend(ledger_rendered)
     for child in child_pids:
         events.append(_meta(child, 0, f"forked worker {child}",
                             kind="process_name"))
@@ -324,21 +241,17 @@ def validate_chrome_trace(payload):
     return problems
 
 
-def write_chrome_trace(path, trace=None, ledger=None):
+def write_chrome_trace(path, ledger):
     """Export to ``path``. ``ledger`` is a :class:`~repro.observe.
     ledger.RunLedger`, a parsed event list, or a ledger file path
     (read tolerantly, so exporting a killed run's ledger works)."""
-    ledger_events = None
-    if ledger is not None:
-        if isinstance(ledger, (list, tuple)):
-            ledger_events = list(ledger)
-        elif hasattr(ledger, "events"):
-            ledger_events = list(ledger.events)
-        else:
-            from repro.observe.ledger import read_ledger
-
-            ledger_events, _ = read_ledger(ledger)
-    payload = chrome_trace(trace=trace, ledger_events=ledger_events)
+    if isinstance(ledger, (list, tuple)):
+        ledger_events = list(ledger)
+    elif hasattr(ledger, "events"):
+        ledger_events = list(ledger.events)
+    else:
+        ledger_events, _ = read_ledger(ledger)
+    payload = chrome_trace(ledger_events)
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True, default=str)
         handle.write("\n")

@@ -388,6 +388,24 @@ class ProgressState:
                 f"stages, {self.fraction() * 100:.0f}%>")
 
 
+def replay_progress(events):
+    """Rebuild the progress view a ledger recorded: the ``stage_plan``
+    event restores the cost-model predictions, then every event
+    replays through the same :class:`ProgressState` the live monitor
+    uses. None when the ledger carries no stage plan."""
+    plan_event = next(
+        (e for e in events if e.get("kind") == "stage_plan"), None
+    )
+    if plan_event is None or not plan_event.get("stages"):
+        return None
+    state = ProgressState(StagePlan.from_list(
+        plan_event["stages"], plan_label=plan_event.get("plan")
+    ))
+    for event in events:
+        state.on_event(event)
+    return state
+
+
 class ProgressRenderer:
     """Ledger listener that prints a line as each stage completes —
     what ``repro run --progress`` attaches."""

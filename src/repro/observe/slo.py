@@ -4,28 +4,22 @@ Run-health gates are *data*, not bespoke code: a ruleset is a list of
 
     {name, metric, comparator, threshold, severity, against, required}
 
-rules evaluated against any target — an ``obs/v1`` run ledger or a
-``trace/v2`` run envelope (``repro run --metrics-json``) — optionally
-relative to a baseline of the same shape. The committed
-``slo/default.yaml`` holds the repo's gates; ``repro report --slo
-RULES TARGET`` evaluates and exits nonzero on breach. Speed is not
-judged here: that is ``benchmarks/e2e/run.py --compare``.
+rules evaluated against one recorded run — the ``runsum/v1`` record
+:func:`repro.observe.history.summarize_ledger` builds from an
+``obs/v1`` ledger — optionally relative to a baseline run. The
+committed ``slo/default.yaml`` holds the repo's gates; ``repro report
+--slo RULES LEDGER`` evaluates and exits nonzero on breach. Speed is
+not judged here: that is ``benchmarks/e2e/run.py --compare``.
 
 Rule grammar
 ------------
-``metric`` selects a value from the target:
-
-- ``results.<dotted.path>`` / ``params.<dotted.path>`` — traverse the
-  envelope's ``results``/``params`` block. A path segment applied to a
-  *list of rows* maps over the rows; the aggregators ``max``, ``min``,
-  ``sum``, ``mean``, ``count``, ``last`` reduce a list; a segment
-  containing ``*`` matches dict keys by glob and yields the sub-dict
-  of matches (compared elementwise).
-- ``series:<name>{label=value,…}.peak|last`` — resolve metric series
-  via :func:`repro.metrics.find_series`; multiple matching series
-  yield a dict keyed by their sorted labels (compared elementwise).
-- ``ledger.count`` / ``ledger.count:<kind>`` / ``ledger.parse_errors``
-  / ``ledger.schema_problems`` — ledger stream facts.
+``metric`` is a dotted path into the record (``status``,
+``problems.parse``, ``recovery.total``, ``memory.w0/user.peak_bytes``),
+resolved by :func:`resolve_path`. A segment containing ``*`` or ``?``
+matches dict keys by glob, at any depth, and the rule is then compared
+elementwise over the matches (``knobs.*``, ``stages.*.sim_s``). The
+``history:`` scope's trend rules (:mod:`repro.observe.history`) read
+the same records through the same resolver.
 
 ``comparator`` is one of ``<= < >= > == !=`` and ``threshold`` the
 bound. ``against`` is ``value`` (default: compare the resolved value),
@@ -33,8 +27,7 @@ bound. ``against`` is ``value`` (default: compare the resolved value),
 or ``baseline-equal`` (compare the *count of mismatches* against the
 baseline — the exact-match shape, normally ``<= 0``). ``severity``
 ``breach`` (default) fails the gate; ``warn`` only reports. A rule
-whose metric is absent in the target is *skipped*, not breached — one
-committed ruleset evaluates against ledgers and envelopes alike —
+whose metric is absent in the target is *skipped*, not breached,
 unless ``required: true``.
 
 Rulesets load from JSON or from a small flat YAML subset (top-level
@@ -47,10 +40,7 @@ from __future__ import annotations
 import fnmatch
 import json
 import operator
-import re
 from dataclasses import dataclass, field
-
-from repro.metrics import find_series, series_last, series_peak
 
 COMPARATORS = {
     "<=": operator.le,
@@ -60,22 +50,6 @@ COMPARATORS = {
     "==": operator.eq,
     "!=": operator.ne,
 }
-
-#: Aggregator segments usable at the end of a results/params path.
-AGGREGATORS = {
-    "max": lambda vs: max(vs),
-    "min": lambda vs: min(vs),
-    "sum": lambda vs: sum(vs),
-    "mean": lambda vs: sum(vs) / len(vs),
-    "count": lambda vs: len(vs),
-    "last": lambda vs: vs[-1],
-}
-
-_SERIES_RE = re.compile(
-    r"^series:(?P<name>[^{.]+)"
-    r"(?:\{(?P<labels>[^}]*)\})?"
-    r"\.(?P<reducer>peak|last)$"
-)
 
 
 @dataclass(frozen=True)
@@ -236,173 +210,69 @@ def _yaml_scalar(value):
 
 
 # ----------------------------------------------------------------------
-# target loading
-# ----------------------------------------------------------------------
-def load_slo_source(target):
-    """Normalize an SLO target into one evaluable source dict.
-
-    ``target`` is a path to a ``trace/v2`` envelope (JSON), a path to
-    an ``obs/v1`` ledger (JSONL), or an already-loaded dict. Ledgers
-    are summarized into a synthetic ``results`` block (event totals
-    per kind, parse/schema problem counts) so results-rules and
-    ``ledger.*`` selectors both work on them.
-    """
-    from repro.observe.ledger import read_ledger, validate_events
-
-    if isinstance(target, dict):
-        if "kind" in target and "ledger" in target:
-            return target  # already a normalized source — pass through
-        return {
-            "kind": "envelope",
-            "results": target.get("results") or {},
-            "params": target.get("params") or {},
-            "metrics": target.get("metrics"),
-            "ledger": None,
-            "ledger_problems": [],
-        }
-    try:
-        with open(target) as handle:
-            payload = json.load(handle)
-        if not isinstance(payload, dict):
-            raise ValueError("not an envelope")
-    except ValueError:
-        events, problems = read_ledger(target)
-        schema_problems = validate_events(events)
-        kinds = {}
-        for event in events:
-            kind = event.get("kind", "?")
-            kinds[kind] = kinds.get(kind, 0) + 1
-        return {
-            "kind": "ledger",
-            "results": {
-                "ledger_events": len(events),
-                "ledger_parse_errors": len(problems),
-                "ledger_schema_problems": len(schema_problems),
-                **{f"events_{kind}": count
-                   for kind, count in sorted(kinds.items())},
-            },
-            "params": {},
-            "metrics": None,
-            "ledger": events,
-            "ledger_problems": problems,
-        }
-    return load_slo_source(payload)
-
-
-# ----------------------------------------------------------------------
 # metric resolution
 # ----------------------------------------------------------------------
-def resolve_metric(spec, source):
-    """Resolve a metric spec against a normalized source; returns a
-    scalar, a dict (elementwise selections), or None when absent."""
-    if spec.startswith("series:"):
-        return _resolve_series(spec, source)
-    if spec == "ledger.count":
-        events = source.get("ledger")
-        return None if events is None else len(events)
-    if spec.startswith("ledger.count:"):
-        events = source.get("ledger")
-        if events is None:
-            return None
-        kind = spec.split(":", 1)[1]
-        return sum(1 for e in events if e.get("kind") == kind)
-    if spec == "ledger.parse_errors":
-        if source.get("ledger") is None:
-            return None
-        return len(source.get("ledger_problems") or ())
-    if spec == "ledger.schema_problems":
-        from repro.observe.ledger import validate_events
-
-        events = source.get("ledger")
-        return None if events is None else len(validate_events(events))
-    for block in ("results", "params"):
-        if spec == block or spec.startswith(block + "."):
-            path = spec[len(block) + 1:] if spec != block else ""
-            return _resolve_path(source.get(block), path)
-    return None
-
-
-def _resolve_series(spec, source):
-    match = _SERIES_RE.match(spec)
-    if match is None:
-        raise ValueError(f"bad series spec: {spec!r}")
-    metrics = source.get("metrics")
-    if not metrics:
-        return None
-    labels = {}
-    if match.group("labels"):
-        for pair in match.group("labels").split(","):
-            key, _, value = pair.partition("=")
-            labels[key.strip()] = value.strip()
-    series = find_series(metrics, match.group("name"), **labels)
-    if not series:
-        return None
-    reducer = series_peak if match.group("reducer") == "peak" else series_last
-    if len(series) == 1:
-        return reducer(series[0])
-    return {
-        json.dumps(entry.get("labels", {}), sort_keys=True): reducer(entry)
-        for entry in series
-    }
-
-
-def _resolve_path(value, path):
+def _resolve_elements(value, segments, prefix=""):
+    """Recursive dotted-path traversal with glob fan-out at any
+    segment: returns ``{element_key: leaf_value}`` where the element
+    key names the concrete keys each glob matched (``stages.*.sim_s``
+    over a run with a ``read`` stage yields ``{"read": …}``)."""
     if value is None:
+        return {}
+    if not segments:
+        return {prefix: value}
+    segment, rest = segments[0], segments[1:]
+    if not isinstance(value, dict):
+        return {}
+    if "*" in segment or "?" in segment:
+        out = {}
+        for key in sorted(value):
+            if fnmatch.fnmatchcase(str(key), segment):
+                sub = f"{prefix}.{key}" if prefix else str(key)
+                out.update(_resolve_elements(value[key], rest, sub))
+        return out
+    return _resolve_elements(value.get(segment), rest, prefix)
+
+
+def resolve_path(record, spec):
+    """Resolve a metric spec against one ``runsum/v1`` record (module
+    docstring, "Rule grammar"). Returns a scalar (un-globbed spec), a
+    dict of matches, or None when absent."""
+    elements = _resolve_elements(record, spec.split("."))
+    if not elements:
         return None
-    if not path:
-        return value
-    segments = path.split(".")
-    for position, segment in enumerate(segments):
-        if value is None:
-            return None
-        is_last = position == len(segments) - 1
-        if isinstance(value, list):
-            if is_last and segment in AGGREGATORS:
-                values = [v for v in value if v is not None]
-                return AGGREGATORS[segment](values) if values else None
-            mapped = [
-                item.get(segment) for item in value
-                if isinstance(item, dict) and segment in item
-            ]
-            value = mapped if mapped else None
-        elif isinstance(value, dict):
-            if "*" in segment or "?" in segment:
-                matches = {
-                    key: value[key] for key in sorted(value)
-                    if fnmatch.fnmatchcase(key, segment)
-                }
-                if not matches:
-                    return None
-                if is_last:
-                    return matches
-                value = matches
-            else:
-                value = value.get(segment)
-        else:
-            return None
-    return value
+    if list(elements) == [""]:
+        return elements[""]
+    return elements
 
 
 # ----------------------------------------------------------------------
 # evaluation
 # ----------------------------------------------------------------------
+def _as_record(target):
+    if isinstance(target, dict):
+        return target
+    # Deferred: history imports this module for the resolver.
+    from repro.observe.history import summarize_path
+
+    return summarize_path(target)[0]
+
+
 def evaluate_slo(rules, target, baseline=None):
     """Evaluate a ruleset; returns a list of :class:`Verdict`.
 
-    ``target`` / ``baseline`` are anything :func:`load_slo_source`
-    accepts. Baseline-relative rules are skipped when no baseline is
-    given (unless ``required``).
+    ``target`` / ``baseline`` are each a ``runsum/v1`` record or the
+    path of an ``obs/v1`` ledger to summarize into one (``ValueError``
+    for a file that is not a ledger). Baseline-relative rules are
+    skipped when no baseline is given (unless ``required``).
     """
-    source = load_slo_source(target)
-    base_source = load_slo_source(baseline) if baseline is not None else None
-    verdicts = []
-    for rule in rules:
-        verdicts.append(_evaluate_rule(rule, source, base_source))
-    return verdicts
+    record = _as_record(target)
+    base_record = _as_record(baseline) if baseline is not None else None
+    return [_evaluate_rule(rule, record, base_record) for rule in rules]
 
 
-def _evaluate_rule(rule, source, base_source):
-    value = resolve_metric(rule.metric, source)
+def _evaluate_rule(rule, record, base_record):
+    value = resolve_path(record, rule.metric)
     if value is None or (isinstance(value, dict) and not value):
         if rule.required:
             return Verdict(rule, ok=False,
@@ -410,12 +280,12 @@ def _evaluate_rule(rule, source, base_source):
         return Verdict(rule, ok=None, note="metric absent; skipped")
     if rule.against == "value":
         return _compare(rule, value)
-    if base_source is None:
+    if base_record is None:
         if rule.required:
             return Verdict(rule, ok=False,
                            note="baseline required but not given")
         return Verdict(rule, ok=None, note="no baseline; skipped")
-    base = resolve_metric(rule.metric, base_source)
+    base = resolve_path(base_record, rule.metric)
     if base is None or (isinstance(base, dict) and not base):
         if rule.required:
             return Verdict(rule, ok=False,

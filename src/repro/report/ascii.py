@@ -10,6 +10,20 @@ from __future__ import annotations
 import math
 
 
+def _human_bytes(value):
+    """``1536`` -> ``1.5KB``; None (nothing recorded) -> ``—``. The one
+    byte formatter of the run, trace and history reports."""
+    if value is None:
+        return "—"
+    value = float(value)
+    for unit in ("B", "KB", "MB", "GB", "TB"):
+        if abs(value) < 1024.0 or unit == "TB":
+            if unit == "B":
+                return f"{int(value)}B"
+            return f"{value:.1f}{unit}"
+        value /= 1024.0
+
+
 def _fmt(value):
     if value is None or (isinstance(value, float) and math.isinf(value)):
         return "X"

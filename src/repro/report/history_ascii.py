@@ -11,19 +11,9 @@ with flagged runs marked ``!``.
 
 from __future__ import annotations
 
+from repro.report.ascii import _human_bytes
+
 _SPARK = " .:-=+*#%@"
-
-
-def _fmt_bytes(value):
-    if value is None:
-        return "—"
-    value = float(value)
-    for unit in ("B", "KB", "MB", "GB", "TB"):
-        if abs(value) < 1024.0 or unit == "TB":
-            return (f"{value:.0f}{unit}" if unit == "B"
-                    else f"{value:.1f}{unit}")
-        value /= 1024.0
-    return f"{value:.1f}TB"
 
 
 def _fmt_seconds(value):
@@ -115,9 +105,11 @@ def render_history_show(record, width=40):
     for key in sorted(memory):
         region = memory[key]
         over = " OVER BUDGET" if region.get("over_budget") else ""
+        peak = _human_bytes(region.get("peak_bytes"))
+        budget = _human_bytes(region.get("budget_bytes"))
         lines.append(
-            f"  mem {key:<16.16s} peak {_fmt_bytes(region.get('peak_bytes')):>9s}"
-            f" / budget {_fmt_bytes(region.get('budget_bytes')):>9s}{over}"
+            f"  mem {key:<16.16s} peak {peak:>9s}"
+            f" / budget {budget:>9s}{over}"
         )
     calibration = record.get("calibration")
     if calibration:
@@ -241,8 +233,8 @@ def render_history_diff(diff, width=24, max_rows=None):
         )
     for key, change in sorted((diff.get("memory_deltas") or {}).items()):
         lines.append(
-            f"  mem {key}: peak {_fmt_bytes(change['base_peak_bytes'])} "
-            f"-> {_fmt_bytes(change['target_peak_bytes'])}"
+            f"  mem {key}: peak {_human_bytes(change['base_peak_bytes'])} "
+            f"-> {_human_bytes(change['target_peak_bytes'])}"
             + (" (newly over budget)"
                if change.get("target_over_budget")
                and not change.get("base_over_budget") else "")

@@ -1,9 +1,8 @@
 """Run reports: memory waterlines and crash attribution.
 
 Consumes the ``metrics/v1`` block produced by
-:class:`~repro.metrics.MetricsRegistry` (standalone, or embedded in
-the ``trace/v2`` envelope ``repro run --metrics-json`` writes) and
-renders two things:
+:class:`~repro.metrics.MetricsRegistry` (live, or the JSON export
+``repro run --metrics-json`` writes) and renders two things:
 
 - **Waterlines** — per-region, per-worker occupancy timelines as ASCII
   charts with the Algorithm 1 budget (= crash threshold) and the
@@ -23,6 +22,7 @@ from __future__ import annotations
 import json
 
 from repro.metrics import find_series, series_peak
+from repro.report.ascii import _human_bytes
 
 #: Section 4.1 crash scenarios, keyed by the exception class name the
 #: memory model (or the Ignite-style storage manager) raises.
@@ -66,29 +66,16 @@ SCENARIOS = {
 }
 
 
-def _human_bytes(value):
-    value = float(value)
-    for unit in ("B", "KB", "MB", "GB", "TB"):
-        if abs(value) < 1024.0 or unit == "TB":
-            if unit == "B":
-                return f"{int(value)}B"
-            return f"{value:.1f}{unit}"
-        value /= 1024.0
-
-
 def metrics_block(source):
-    """Extract the ``metrics/v1`` dict from a registry, a metrics
-    export, a ``trace/v2`` envelope, or a JSON file path."""
+    """The ``metrics/v1`` dict of a registry, a metrics export, or
+    the JSON file ``repro run --metrics-json`` wrote; None for
+    anything else."""
     if isinstance(source, str):
         with open(source) as handle:
             source = json.load(handle)
     if hasattr(source, "export"):
         source = source.export()
-    if source is None:
-        return None
-    if "series" not in source and "metrics" in source:
-        return source["metrics"]
-    if "series" in source:
+    if isinstance(source, dict) and "series" in source:
         return source
     return None
 

@@ -12,15 +12,7 @@ optimizer's ``chosen`` configuration) appear as indented detail lines.
 
 from __future__ import annotations
 
-
-def _human_bytes(value):
-    value = float(value)
-    for unit in ("B", "KB", "MB", "GB", "TB"):
-        if abs(value) < 1024.0 or unit == "TB":
-            if unit == "B":
-                return f"{int(value)}B"
-            return f"{value:.1f}{unit}"
-        value /= 1024.0
+from repro.report.ascii import _human_bytes
 
 
 def _human_duration(seconds):

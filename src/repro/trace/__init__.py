@@ -13,7 +13,6 @@ from repro.trace.tracer import (
     Span,
     Tracer,
     find_spans,
-    span_from_dict,
     spans_wall_seconds,
 )
 
@@ -23,6 +22,5 @@ __all__ = [
     "Span",
     "Tracer",
     "find_spans",
-    "span_from_dict",
     "spans_wall_seconds",
 ]

@@ -5,7 +5,7 @@ logical stage of a workload (read, inference per layer, join, cache,
 train, recovery attempt) — with wall-clock durations, simulated-clock
 timestamps, per-stage counters (rows, bytes, partitions, retries), and
 arbitrary attributes (join strategy, persistence format, optimizer
-decisions). The tree exports to JSON (``Span.to_dict``/``to_json``)
+decisions). The tree exports as a JSON-safe dict (``Span.to_dict``)
 and renders as a flame-style summary via
 :mod:`repro.report.trace_ascii`.
 
@@ -27,7 +27,6 @@ and a falsy check per instrumentation point.
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager
 
@@ -123,10 +122,6 @@ class Span:
             "children": [c.to_dict(_epoch=epoch) for c in self.children],
         }
 
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True,
-                          default=str)
-
     def __repr__(self):
         dur = "running" if self.wall_s is None else f"{self.wall_s:.4f}s"
         return (
@@ -213,23 +208,11 @@ class Tracer:
         if self.sink is not None:
             self.sink.emit("trace_point", name=name, **fields)
 
-    @contextmanager
-    def time_op(self, name):
-        """Accumulate a block's wall time into the current span's
-        ``op_s:<name>`` counter — the per-operator CNN timing hook."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self._stack[-1].add(
-                f"op_s:{name}", time.perf_counter() - start
-            )
-
     def record_op(self, name, seconds):
-        """Recorder form of :meth:`time_op`: add already-measured wall
-        seconds to the current span's ``op_s:<name>`` counter. The CNN
-        engine's ``op_timer`` hook uses this shape — the engine reads
-        the clock itself, so the per-op cost stays at one call."""
+        """Add already-measured wall seconds to the current span's
+        ``op_s:<name>`` counter. The CNN engine's ``op_timer`` hook
+        uses this shape — the engine reads the clock itself, so the
+        per-op cost stays at one call."""
         self._stack[-1].add(f"op_s:{name}", seconds)
 
     # ------------------------------------------------------------------
@@ -311,9 +294,6 @@ class NullTracer:
     def event(self, name, **fields):
         pass
 
-    def time_op(self, name):
-        return _NULL_SPAN
-
     def record_op(self, name, seconds):
         pass
 
@@ -329,28 +309,6 @@ class NullTracer:
 
 #: The process-wide disabled tracer every layer defaults to.
 NULL_TRACER = NullTracer()
-
-
-def span_from_dict(data):
-    """Reconstruct a :class:`Span` tree from its ``to_dict`` export —
-    the inverse of ``Tracer.export()``, lossless modulo the 9-decimal
-    rounding ``to_dict`` already applied. Reconstructed spans carry
-    ``wall_start`` equal to their exported offset (epoch 0), so
-    re-exporting yields the identical dict."""
-    span = Span.__new__(Span)
-    span.name = data.get("name", "span")
-    span.attrs = dict(data.get("attrs") or {})
-    span.counters = dict(data.get("counters") or {})
-    span.events = list(data.get("events") or ())
-    span.children = [
-        span_from_dict(child) for child in data.get("children") or ()
-    ]
-    span.wall_start = float(data.get("wall_offset_s") or 0.0)
-    span.wall_s = data.get("wall_s")
-    span.sim_start = float(data.get("sim_start_s") or 0.0)
-    span.sim_end = float(data.get("sim_end_s") or 0.0)
-    span.status = data.get("status", "ok")
-    return span
 
 
 def find_spans(trace, name):

@@ -38,8 +38,8 @@ from repro.explain.whatif import (
     VERDICT_USER_UNDER_REQUIREMENT,
 )
 from repro.memory.model import GB, MemoryBudget
-from repro.metrics import MetricsRegistry, find_series, series_last
-from repro.observe import evaluate_slo, load_rules
+from repro.metrics import MetricsRegistry
+from repro.observe import RunLedger, evaluate_slo, load_rules
 from repro.report import render_explain
 
 DEFAULT_RULES = os.path.join(
@@ -93,16 +93,16 @@ class TestLedger:
 
     def test_winner_matches_vista_run_config(self):
         """The ledger's CHOSEN row is the configuration ``run``
-        executes — cross-checked against the plan_choice gauges the
-        run's own optimizer invocation records."""
+        executes — cross-checked against the ``optimizer_decision``
+        the run itself records in its ledger."""
         vista = Vista(
             model_name="alexnet", num_layers=2,
             dataset=foods_dataset(num_records=24),
             resources=default_resources(num_nodes=2),
             downstream_fn=lambda f, l: {},
         )
-        registry = MetricsRegistry()
-        vista.run(metrics=registry)
+        ledger = RunLedger()
+        vista.run(ledger=ledger)
         chosen = vista.explain().chosen
         config = vista._config
         assert (chosen.cpu, chosen.num_partitions) == (
@@ -111,13 +111,13 @@ class TestLedger:
         assert (chosen.join, chosen.persistence) == (
             config.join, config.persistence
         )
-        export = registry.export()
-        (cpu_series,) = find_series(export, "plan_choice", knob="cpu")
-        assert series_last(cpu_series) == chosen.cpu
-        (np_series,) = find_series(
-            export, "plan_choice", knob="num_partitions"
+        (decision,) = ledger.of("optimizer_decision")
+        assert (decision["cpu"], decision["num_partitions"]) == (
+            chosen.cpu, chosen.num_partitions
         )
-        assert series_last(np_series) == chosen.num_partitions
+        assert (decision["join"], decision["persistence"]) == (
+            chosen.join, chosen.persistence
+        )
 
     def test_infeasible_workload_has_no_winner(self):
         result = _explain(
@@ -136,16 +136,6 @@ class TestLedger:
             assert f"\n{c.cpu}  " in "\n" + text or f"cpu={c.cpu}" in text
         assert "CHOSEN" in text
         assert "s_single" in text
-
-    def test_envelope_is_trace_v2(self):
-        envelope = _explain().to_envelope(params={"dataset": "foods"})
-        assert envelope["schema"] == "trace/v2"
-        assert envelope["bench"] == "explain"
-        assert envelope["params"]["dataset"] == "foods"
-        chosen = envelope["results"]["chosen"]
-        assert chosen["feasible"] and chosen["chosen"]
-        # round-trips through JSON
-        assert json.loads(json.dumps(envelope, default=str))
 
 
 # ----------------------------------------------------------------------
@@ -341,16 +331,20 @@ class TestPlanChoiceGate:
     """``slo/default.yaml::exact-plan-choice`` — the optimizer's
     recorded choice must equal the baseline run's, knob by knob."""
 
-    def _optimize_envelope(self, model):
+    def _optimize_record(self, model):
+        """The ``knobs`` block a run of this workload would record
+        (``Vista.run``'s ``optimizer_decision`` payload)."""
         stats, layers = _paper_workload(
             model, {"alexnet": 4, "vgg16": 3}[model]
         )
-        registry = MetricsRegistry()
         from repro.core.optimizer import optimize
 
-        optimize(stats, layers, FOODS, default_resources(),
-                 metrics=registry)
-        return {"metrics": registry.export()}
+        config = optimize(stats, layers, FOODS, default_resources())
+        return {"knobs": {
+            "cpu": config.cpu, "join": config.join,
+            "persistence": config.persistence,
+            "num_partitions": config.num_partitions,
+        }}
 
     def _verdict(self, target, baseline):
         (rule,) = [r for r in load_rules(DEFAULT_RULES)
@@ -359,15 +353,15 @@ class TestPlanChoiceGate:
         return verdict
 
     def test_identical_choices_do_not_gate(self):
-        envelope = self._optimize_envelope("alexnet")
-        verdict = self._verdict(envelope, envelope)
+        record = self._optimize_record("alexnet")
+        verdict = self._verdict(record, record)
         assert verdict.status == "pass"
         assert "over 4 shared element(s)" in verdict.note
 
     def test_flipped_choice_is_a_regression(self):
         verdict = self._verdict(
-            self._optimize_envelope("vgg16"),
-            self._optimize_envelope("alexnet"),
+            self._optimize_record("vgg16"),
+            self._optimize_record("alexnet"),
         )
         assert verdict.status == "breach", "plan-choice flip not flagged"
         assert verdict.details  # names the knob(s) that flipped
@@ -407,8 +401,8 @@ class TestCli:
         assert cli_main([
             "explain", "--model", "alexnet", "--json", str(path),
         ]) == 0
-        envelope = json.loads(path.read_text())
-        assert envelope["schema"] == "trace/v2"
-        assert envelope["bench"] == "explain"
-        assert envelope["results"]["chosen"]["cpu"] == \
-            envelope["results"]["candidates"][0]["cpu"]
+        exported = json.loads(path.read_text())  # ExplainResult.to_dict
+        assert exported["model"] == "alexnet" and exported["feasible"]
+        chosen = exported["chosen"]
+        assert chosen["feasible"] and chosen["chosen"]
+        assert chosen["cpu"] == exported["candidates"][0]["cpu"]

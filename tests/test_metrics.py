@@ -91,13 +91,6 @@ def test_simulated_clock_stamps_samples():
     assert [sample[0] for sample in gauge.samples] == [0.0, 2.5]
 
 
-def test_base_labels_merge_into_every_instrument():
-    registry = MetricsRegistry(base_labels={"scenario": "oom"})
-    registry.counter("tasks_total", worker="w0").inc()
-    (series,) = find_series(registry, "tasks_total")
-    assert series["labels"] == {"scenario": "oom", "worker": "w0"}
-
-
 def test_export_and_find_series_shapes():
     registry = MetricsRegistry()
     registry.counter("tasks_total", worker="w0").inc()
@@ -107,9 +100,8 @@ def test_export_and_find_series_shapes():
     assert len(find_series(exported, "tasks_total")) == 2
     (w1,) = find_series(exported, "tasks_total", worker="w1")
     assert w1["total"] == 2
-    # a trace/v2 envelope wrapping the block resolves the same way
-    envelope = {"schema": "trace/v2", "metrics": exported}
-    assert len(find_series(envelope, "tasks_total")) == 2
+    # the registry itself resolves the same way as its export
+    assert len(find_series(registry, "tasks_total")) == 2
     assert find_series(exported, "absent") == []
 
 

@@ -6,9 +6,8 @@ end to end: every observable fact of a run streams into an append-only
 ``obs/v1`` ledger *as it happens* (so a SIGKILLed driver still leaves
 a readable record to the kill point), the ledger replays losslessly
 into the live progress monitor and the Chrome trace-event exporter,
-and the repo's bespoke gates — speedup floors, overhead budgets,
-drift bands, exact-match fields — evaluate as declarative SLO rules
-against any envelope or ledger.
+and the repo's run-health gates evaluate as declarative SLO rules
+against the ``runsum/v1`` record any ledger summarizes to.
 """
 
 import json
@@ -42,12 +41,13 @@ from repro.observe import (
     read_ledger,
     render_progress,
     render_slo,
+    summarize_path,
     validate_chrome_trace,
     validate_events,
     write_chrome_trace,
 )
 from repro.observe.ledger import BARRIER_KINDS, EVENT_KINDS, FLUSH_KINDS
-from repro.trace import Tracer, span_from_dict
+from repro.trace import Tracer
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_RULES = os.path.join(REPO_ROOT, "slo", "default.yaml")
@@ -138,6 +138,41 @@ def test_ledger_torn_tail_is_tolerated_interior_is_not(tmp_path):
     assert problems and not problems[0].startswith("torn tail")
 
 
+def test_reader_contract_at_every_truncation(tmp_path):
+    """Cut a recorded ledger anywhere — every 97th byte, and around
+    every newline — and the reader still returns a prefix of the full
+    event list with at most one ``torn tail`` problem, schema-clean,
+    which summarizes as ``torn``/``ok`` or is refused with
+    ``ValueError`` when no event survived."""
+    path, _, _, _ = _ledgered_run(tmp_path, records=24)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    full, problems = read_ledger(path)
+    assert problems == [] and len(full) > 50
+    newlines = [i for i, byte in enumerate(raw) if byte == 0x0A]
+    offsets = set(range(0, len(raw), 97)) | {
+        cut for i in newlines for cut in (i - 1, i, i + 1)
+    }
+    cut_path = os.path.join(str(tmp_path), "cut.jsonl")
+    for offset in sorted(offsets):
+        with open(cut_path, "wb") as fh:
+            fh.write(raw[:offset])
+        events, problems = read_ledger(cut_path)
+        assert events == full[:len(events)], offset
+        assert len(problems) <= 1, (offset, problems)
+        assert all(p.startswith("torn tail") for p in problems)
+        assert validate_events(events) == [], offset
+        try:
+            record, hashed = summarize_path(cut_path)
+        except ValueError:
+            assert not events, offset
+        else:
+            assert hashed == raw[:offset]
+            assert record["events"] == len(events)
+            assert record["status"] == (
+                "ok" if len(events) == len(full) else "torn"), offset
+
+
 def test_ledger_fork_guard(tmp_path):
     """A forked child inheriting the ledger must not interleave writes
     with the parent: emit() in the child is a no-op."""
@@ -223,25 +258,6 @@ def test_metrics_sink_throttles_samples():
     assert all(e["metric"] == "ticks" for e in sampled)
 
 
-def test_tracer_export_json_round_trip_is_lossless():
-    """Satellite: Tracer.export() -> JSON -> span_from_dict rebuilds
-    the identical span tree."""
-    tracer = Tracer(name="rt")
-    with tracer.span("read") as sp:
-        sp.add("rows", 48)
-        with tracer.span("join"):
-            tracer.event("tick", n=1)
-    with tracer.span("train", layer="fc7"):
-        pass
-    exported = tracer.export()
-    wire = json.loads(json.dumps(exported, sort_keys=True, default=str))
-    rebuilt = span_from_dict(wire)
-    assert rebuilt.to_dict() == wire
-    # Structure survived, not just the dict: children are Spans.
-    names = [c.name for c in rebuilt.children]
-    assert "read" in names and "train" in names
-
-
 # ---------------------------------------------------------------------
 # end-to-end ledgers from both backends
 # ---------------------------------------------------------------------
@@ -314,24 +330,13 @@ def test_backends_emit_equivalent_wave_ledgers(tmp_path):
 # ---------------------------------------------------------------------
 # Perfetto / Chrome trace-event export
 # ---------------------------------------------------------------------
-def test_chrome_trace_from_tracer_only():
-    tracer = Tracer(name="t")
-    with tracer.span("read"):
-        with tracer.span("join"):
-            pass
-    doc = chrome_trace(trace=tracer.export())
-    assert validate_chrome_trace(doc) == []
-    slices = [e for e in doc["traceEvents"] if e["ph"] == "X"]
-    assert {"read", "join"} <= {e["name"] for e in slices}
-
-
 @pytest.mark.parametrize("backend", ["serial", "process"])
 def test_chrome_trace_from_run_ledger(tmp_path, backend):
     """Satellite: the Perfetto export of a ProcessPoolBackend run has
     one track per resident worker pid, one slice per task it served,
     and those tracks match the driver's wave ledger exactly."""
     path, events, tracer, _ = _ledgered_run(tmp_path, backend=backend)
-    doc = chrome_trace(trace=tracer.export(), ledger_events=events)
+    doc = chrome_trace(events)
     assert validate_chrome_trace(doc) == []
     trace_events = doc["traceEvents"]
     driver_pid = os.getpid()
@@ -388,9 +393,9 @@ def test_chrome_trace_closes_torn_ledger(tmp_path):
 
 
 def test_write_chrome_trace_accepts_path_and_ledger(tmp_path):
-    path, _, tracer, _ = _ledgered_run(tmp_path, name="w")
+    path, _, _, _ = _ledgered_run(tmp_path, name="w")
     out = os.path.join(str(tmp_path), "trace.json")
-    write_chrome_trace(out, trace=tracer.export(), ledger=path)
+    write_chrome_trace(out, path)
     doc = json.load(open(out))
     assert validate_chrome_trace(doc) == []
     assert doc["traceEvents"]
@@ -661,25 +666,25 @@ def test_slo_rule_validation():
                 threshold=1.0, against="delta")
 
 
-def test_slo_evaluation_against_envelope():
-    envelope = {
-        "schema": "trace/v2",
-        "params": {"overhead": {"fraction": 0.01}},
-        "results": [{"speedup": 3.2}, {"speedup": 5.1}],
+def test_slo_evaluation_against_record():
+    record = {
+        "schema": "runsum/v1",
+        "problems": {"parse": 0, "schema": 2},
+        "stages": {"read": {"wall_s": 3.2}, "join": {"wall_s": 5.1}},
     }
     rules = [
-        SloRule(name="floor", metric="results.speedup.max",
+        SloRule(name="floor", metric="stages.*.wall_s",
                 comparator=">=", threshold=3.0),
-        SloRule(name="budget", metric="params.overhead.fraction",
-                comparator="<=", threshold=0.05),
-        SloRule(name="absent", metric="params.nope",
+        SloRule(name="budget", metric="problems.parse",
+                comparator="<=", threshold=0),
+        SloRule(name="absent", metric="problems.nope",
                 comparator=">=", threshold=1.0),
-        SloRule(name="needed", metric="params.nope",
+        SloRule(name="needed", metric="problems.nope",
                 comparator=">=", threshold=1.0, required=True),
-        SloRule(name="soft", metric="results.speedup.min",
+        SloRule(name="soft", metric="stages.*.wall_s",
                 comparator=">=", threshold=100.0, severity="warn"),
     ]
-    verdicts = evaluate_slo(rules, envelope)
+    verdicts = evaluate_slo(rules, record)
     statuses = {v.rule.name: v.status for v in verdicts}
     assert statuses == {
         "floor": "pass", "budget": "pass", "absent": "skip",
@@ -692,24 +697,18 @@ def test_slo_evaluation_against_envelope():
 
 def test_slo_baseline_ratio_and_equal():
     baseline = {
-        "results": {"runtime_ratio_a": 2.0, "runtime_ratio_b": 4.0},
-        "metrics": {"series": [
-            {"name": "plan_choice", "labels": {},
-             "samples": [[0.0, 0.0, "staged"]]},
-        ]},
+        "stages": {"a": {"sim_s": 2.0}, "b": {"sim_s": 4.0}},
+        "knobs": {"plan": "staged/aj", "cpu": 7},
     }
     drifted = {
-        "results": {"runtime_ratio_a": 2.1, "runtime_ratio_b": 400.0},
-        "metrics": {"series": [
-            {"name": "plan_choice", "labels": {},
-             "samples": [[0.0, 0.0, "lazy-aj"]]},
-        ]},
+        "stages": {"a": {"sim_s": 2.1}, "b": {"sim_s": 400.0}},
+        "knobs": {"plan": "lazy/aj", "cpu": 7},
     }
     rules = [
-        SloRule(name="drift", metric="results.runtime_ratio_*",
+        SloRule(name="drift", metric="stages.*.sim_s",
                 comparator="<=", threshold=25.0,
                 against="baseline-ratio"),
-        SloRule(name="exact", metric="series:plan_choice.last",
+        SloRule(name="exact", metric="knobs.*",
                 comparator="<=", threshold=0, against="baseline-equal"),
     ]
     clean = evaluate_slo(rules, baseline, baseline=baseline)
@@ -717,49 +716,59 @@ def test_slo_baseline_ratio_and_equal():
     dirty = evaluate_slo(rules, drifted, baseline=baseline)
     statuses = {v.rule.name: v.status for v in dirty}
     assert statuses == {"drift": "breach", "exact": "breach"}
+    (exact,) = [v for v in dirty if v.rule.name == "exact"]
+    assert list(exact.details) == ["plan"]  # names the knob that flipped
 
 
 def test_default_ruleset_loads_and_self_gates(tmp_path):
     """The committed ruleset parses (flat-YAML, no PyYAML installed)
-    and a live run clears it: the ledger-health rules on the run's
-    ledger, ``exact-plan-choice`` on its export against a twin's."""
+    and one recorded file clears all of it: with a twin run's ledger
+    as the baseline no rule is skipped, and a baseline whose recorded
+    ``optimizer_decision`` differs breaches ``exact-plan-choice``."""
     rules = load_rules(DEFAULT_RULES)
     assert [r.name for r in rules] == [
         "exact-plan-choice", "ledger-no-parse-errors",
         "ledger-no-schema-problems", "ledger-run-completed",
     ]
-    run_a, run_b, ledger = (
-        os.path.join(str(tmp_path), name)
-        for name in ("run_a.json", "run_b.json", "run_b.ledger.jsonl")
-    )
-    run = ("run", "--records", "48", "--nodes", "2", "--model", "alexnet",
-           "--layers", "2", "--metrics", "--metrics-json")
-    assert _cli(*run, run_a) == 0
-    assert _cli(*run, run_b, "--ledger", ledger) == 0
+    run_a, run_b = (os.path.join(str(tmp_path), name)
+                    for name in ("twin_a.jsonl", "twin_b.jsonl"))
+    for ledger in (run_a, run_b):
+        assert _cli("run", "--records", "48", "--nodes", "2", "--model",
+                    "alexnet", "--layers", "2", "--ledger", ledger) == 0
 
-    statuses = {v.rule.name: v.status for v in evaluate_slo(rules, ledger)}
+    def statuses(baseline):
+        return {v.rule.name: v.status
+                for v in evaluate_slo(rules, run_b, baseline=baseline)}
+
+    assert set(statuses(run_a).values()) == {"pass"}
+    assert statuses(None)["exact-plan-choice"] == "skip"  # needs a twin
+    edited = os.path.join(str(tmp_path), "edited.jsonl")
+    events, _ = read_ledger(run_a)
+    with open(edited, "w") as fh:
+        for event in events:
+            if event["kind"] == "optimizer_decision":
+                event["cpu"] += 1
+            fh.write(json.dumps(event) + "\n")
+    assert statuses(edited) == {**statuses(run_a),
+                                "exact-plan-choice": "breach"}
+
+
+def test_one_line_ledger_is_judged_not_skipped(tmp_path):
+    """A driver killed right after ``ledger_open`` leaves one line —
+    itself one JSON object. It is a ledger, and the rule whose whole
+    point is that run must warn on it, not skip."""
+    path = os.path.join(str(tmp_path), "one.jsonl")
+    RunLedger(path).close()
+    with open(path) as fh:
+        assert len(fh.read().splitlines()) == 1
+    statuses = {v.rule.name: v.status
+                for v in evaluate_slo(load_rules(DEFAULT_RULES), path)}
     assert statuses == {
-        "exact-plan-choice": "skip",  # a ledger carries no series block
+        "exact-plan-choice": "skip",  # no baseline given
         "ledger-no-parse-errors": "pass",
         "ledger-no-schema-problems": "pass",
-        "ledger-run-completed": "pass",
+        "ledger-run-completed": "warn",
     }
-
-    def plan_choice(target, baseline):
-        verdicts = evaluate_slo(rules, target, baseline=baseline)
-        (verdict,) = [v for v in verdicts
-                      if v.rule.name == "exact-plan-choice"]
-        return verdict.status
-
-    assert plan_choice(run_b, run_a) == "pass"
-    with open(run_a) as fh:
-        edited = json.load(fh)
-    (cpu_choice,) = [
-        s for s in edited["metrics"]["series"]
-        if s["name"] == "plan_choice" and s["labels"].get("knob") == "cpu"
-    ]
-    cpu_choice["last"] += 1
-    assert plan_choice(run_b, edited) == "breach"
 
 
 def test_load_rules_json_and_yaml_agree(tmp_path):
@@ -848,12 +857,20 @@ def test_cli_report_slo_exit_codes(tmp_path, capsys):
     breaching = os.path.join(str(tmp_path), "strict.json")
     with open(breaching, "w") as fh:
         json.dump({"rules": [{
-            "name": "impossible", "metric": "ledger.count:run_end",
+            "name": "impossible", "metric": "events_by_kind.run_end",
             "comparator": ">=", "threshold": 99,
         }]}, fh)
     assert _cli("report", "--slo", breaching, ledger) == 1
     # --slo without a target is a usage error.
     assert _cli("report", "--slo", DEFAULT_RULES) == 2
+    # A target that is not a ledger: exit 2 and one line, no traceback.
+    capsys.readouterr()
+    readme = os.path.join(REPO_ROOT, "README.md")
+    assert _cli("report", "--slo", DEFAULT_RULES, readme) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "not an obs/v1 ledger" in captured.err
 
 
 def test_cli_resume_accepts_ledger(tmp_path):

@@ -66,3 +66,39 @@ def test_one_committed_bench_envelope():
         for path in glob.glob(os.path.join(REPO_ROOT, "BENCH_*.json"))
     )
     assert found == ["BENCH_parallel.json"]
+
+
+def test_envelope_schema_is_gone_from_src():
+    """A recorded run is an ``obs/v1`` ledger (plus, optionally, a
+    bare ``metrics/v1`` block); nothing under ``src/`` reads or writes
+    the old run envelope."""
+    hits = [
+        path for path in glob.glob(
+            os.path.join(REPO_ROOT, "src", "**", "*.py"), recursive=True)
+        if "trace/v2" in _read(path)
+    ]
+    assert not hits
+
+
+def test_every_committed_rule_metric_resolves_on_a_record(tmp_path):
+    """A rule whose path matches nothing is skipped, silently — so a
+    typo in ``slo/default.yaml`` would be a gate that never fires."""
+    from repro.observe import load_ruleset, read_ledger, summarize_ledger
+    from repro.observe.slo import resolve_path
+    from tests.test_history import _write_ledger
+
+    ledger = _write_ledger(str(tmp_path / "run.jsonl"), extra=[
+        ("stage_plan", {"plan": "staged/aj", "stages": [
+            {"key": "read", "matcher": "read", "predicted_s": 1.0}]}),
+        ("metric", {"metric": "mem_used_bytes", "value": 1.0,
+                    "labels": {"worker": "w0", "region": "user"}}),
+    ])
+    record = summarize_ledger(*read_ledger(ledger))
+    scopes = load_ruleset(os.path.join(REPO_ROOT, "slo", "default.yaml"))
+    assert set(scopes) == {"rules", "history"}
+    for scope, entries in scopes.items():
+        for entry in entries:
+            assert resolve_path(record, entry["metric"]) is not None, (
+                f"{scope}: {entry['name']}: {entry['metric']!r} "
+                "matches nothing"
+            )

@@ -238,9 +238,9 @@ def test_cli_run_writes_v2_envelope_and_report_renders_it(
         "run", "--model", "alexnet", "--layers", "2", "--records", "16",
         "--nodes", "2", "--metrics", "--metrics-json", str(export),
     ]) == 0
-    envelope = json.loads(export.read_text())
-    assert envelope["schema"] == "trace/v2"
-    assert envelope["metrics"]["series"]
+    block = json.loads(export.read_text())  # the bare metrics/v1 block
+    assert block["schema"] == "metrics/v1"
+    assert block["series"]
     capsys.readouterr()
     assert main(["report", "--metrics-json", str(export)]) == 0
     out = capsys.readouterr().out

@@ -72,19 +72,6 @@ def test_find_prefix_match_and_find_all():
     assert len(root.find_all("inference")) == 2
 
 
-def test_time_op_accumulates_per_operator():
-    tracer = Tracer()
-    with tracer.span("inf"):
-        for _ in range(3):
-            with tracer.time_op("conv1"):
-                pass
-        with tracer.time_op("fc6"):
-            pass
-    span = tracer.root.children[0]
-    assert span.counters["op_s:conv1"] >= 0.0
-    assert set(span.counters) == {"op_s:conv1", "op_s:fc6"}
-
-
 # ----------------------------------------------------------------------
 # simulated clock determinism
 # ----------------------------------------------------------------------
@@ -139,12 +126,6 @@ def test_export_round_trips_through_json():
     assert parsed["wall_offset_s"] == 0.0  # root is its own epoch
 
 
-def test_to_json_handles_non_serializable_attrs():
-    span = Span("s")
-    span.set("obj", object())
-    assert json.loads(span.to_json())  # default=str keeps it exportable
-
-
 # ----------------------------------------------------------------------
 # null tracer
 # ----------------------------------------------------------------------
@@ -157,8 +138,7 @@ def test_null_tracer_is_inert():
         NULL_TRACER.add("rows")
         NULL_TRACER.set("k", "v")
         NULL_TRACER.event("e")
-    with NULL_TRACER.time_op("conv1"):
-        pass
+    NULL_TRACER.record_op("conv1", 0.5)
     assert NULL_TRACER.export() is None
     assert span.counters == {}
     assert span.attrs == {}
@@ -180,8 +160,7 @@ def _sample_trace():
             tracer.add("bytes_images", 2 * 1024 * 1024)
         with tracer.span("inference:fc7"):
             tracer.add("rows", 40)
-            with tracer.time_op("conv1"):
-                pass
+            tracer.record_op("conv1", 0.002)
         tracer.set("sizing", {
             "fc7": {"estimated_bytes": 2048, "measured_bytes": 1024},
         })
