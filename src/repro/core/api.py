@@ -69,17 +69,11 @@ class Vista:
         self.model_profile = model_profile
         self.plan = plan
         self.defaults = defaults or SystemDefaults()
-        self.dataset_stats = dataset_stats or self._infer_dataset_stats()
+        self.dataset_stats = (
+            dataset_stats or DatasetStats.from_dataset(self.dataset)
+        )
         self.model_seed = model_seed
         self._config = None
-
-    def _infer_dataset_stats(self):
-        image = self.dataset.image_rows[0]["image"]
-        return DatasetStats(
-            num_records=len(self.dataset),
-            num_structured_features=self.dataset.num_structured_features,
-            avg_image_bytes=int(image.nbytes),
-        )
 
     # ------------------------------------------------------------------
     def optimize(self, tracer=None, metrics=None):

@@ -58,6 +58,17 @@ class DatasetStats:
     num_structured_features: int
     avg_image_bytes: int
 
+    @classmethod
+    def from_dataset(cls, dataset):
+        """Measured off a :class:`~repro.data.synthetic
+        .MultimodalDataset`: the first image's bytes stand for the
+        average (synthetic images share one shape)."""
+        return cls(
+            num_records=len(dataset),
+            num_structured_features=dataset.num_structured_features,
+            avg_image_bytes=int(dataset.image_rows[0]["image"].nbytes),
+        )
+
     def structured_table_bytes(self):
         """Tungsten-style |Tstr|: bitmap + id + features(header+payload)
         + label per record."""

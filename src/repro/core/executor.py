@@ -31,12 +31,9 @@ from repro.features.pooling import (
     pool_feature_tensors,
 )
 from repro.memory.model import Region
-from repro.metrics import NULL_METRICS
-from repro.observe.ledger import NULL_LEDGER
 from repro.ml.logistic import LogisticRegression
 from repro.ml.metrics import f1_score
 from repro.tensor.tensorlist import TensorList
-from repro.trace import NULL_TRACER
 
 
 def estimate_model_mem_bytes(cnn, blowup=3.0):
@@ -99,17 +96,6 @@ class WorkloadResult:
         self.trace = trace
         self.metrics_registry = metrics_registry
 
-    def trace_dict(self):
-        """JSON-safe dict of the trace tree (None when untraced)."""
-        return self.trace.to_dict() if self.trace is not None else None
-
-    def metrics_dict(self):
-        """JSON-safe export of the time-series registry (None when the
-        run was not metered)."""
-        if self.metrics_registry is None:
-            return None
-        return self.metrics_registry.export()
-
     def __repr__(self):
         return (
             f"<WorkloadResult {self.plan}: layers="
@@ -163,20 +149,16 @@ class FeatureTransferExecutor:
         self.checkpoint_store = checkpoint_store
         self.metrics = {}
         self._measured_table_bytes = {}
-        # Engine-level per-task counters live on the context so the
-        # process backend can diff them in a forked child and merge the
-        # deltas back; the serial backend mutates them in place.
-        context.task_counters = {}
+        # Attached in any order: the context wires sinks and clocks.
         if tracer is not None:
             context.attach_tracer(tracer)
-        self.tracer = getattr(context, "tracer", NULL_TRACER)
+        self.tracer = context.tracer
         if metrics is not None:
             context.attach_metrics(metrics)
-        self.metrics_registry = getattr(context, "metrics", NULL_METRICS)
+        self.metrics_registry = context.metrics
         if ledger is not None:
-            # After tracer/metrics so the ledger sinks land on them.
             context.attach_ledger(ledger)
-        self.ledger = getattr(context, "ledger", NULL_LEDGER)
+        self.ledger = context.ledger
         np_ = config.num_partitions
         with self.tracer.span("read") as sp:
             self.tstr = DistributedTable.from_rows(
@@ -203,9 +185,7 @@ class FeatureTransferExecutor:
             "premat_flops": 0,
         }
         self._measured_table_bytes = {}
-        self.context.task_counters = {}
         self.context.reset_metrics()
-        self.context.shuffle_bytes_total = 0
         config = self.config
         self._bind_checkpoints(plan)
         previous_timer = self.cnn.op_timer
@@ -255,8 +235,8 @@ class FeatureTransferExecutor:
         from repro.features.store import dataset_fingerprint
         from repro.recovery.store import run_fingerprint
 
-        store.fault_injector = getattr(self.context, "fault_injector", None)
-        store.attach_metrics(getattr(self.context, "metrics", NULL_METRICS))
+        store.fault_injector = self.context.fault_injector
+        store.attach_metrics(self.context.metrics)
         store.bind_run(run_fingerprint(
             getattr(self.cnn, "name", "cnn"),
             getattr(self.cnn, "seed", None),
@@ -290,14 +270,13 @@ class FeatureTransferExecutor:
         )
         registry = self.metrics_registry
         if tracer_record is None and not registry.enabled:
-            self.context._op_samples = None
             return None, None
-        # The samples dict hangs off the context so the process
-        # backend's forked children can diff it around a task and ship
-        # only the new samples back — the parent replays them into the
-        # tracer and the deferred histogram flush below.
-        samples = {}
-        self.context._op_samples = samples
+        # The run's samples dict (fresh from ``reset_metrics``) lives
+        # on the context so the process backend's forked children can
+        # diff it around a task and ship only the new samples back —
+        # the parent replays them into the tracer and the deferred
+        # histogram flush below.
+        samples = self.context.op_samples
 
         if tracer_record is None:
 
@@ -334,14 +313,9 @@ class FeatureTransferExecutor:
         from repro.core.config import DatasetStats
         from repro.core.sizing import estimate_sizes_from_cnn
 
-        image = self.dataset.image_rows[0]["image"]
-        stats = DatasetStats(
-            num_records=len(self.dataset),
-            num_structured_features=self.dataset.num_structured_features,
-            avg_image_bytes=int(image.nbytes),
-        )
         estimates = estimate_sizes_from_cnn(
-            self.cnn, self.layers, stats, alpha=self.user_alpha
+            self.cnn, self.layers, DatasetStats.from_dataset(self.dataset),
+            alpha=self.user_alpha,
         )
         return {
             layer: {
@@ -682,7 +656,7 @@ class FeatureTransferExecutor:
         self.metrics.update(
             {
                 "batched_fallback_total": self._batched_fallbacks,
-                "shuffle_bytes": getattr(context, "shuffle_bytes_total", 0),
+                "shuffle_bytes": context.shuffle_bytes_total,
                 "spilled_bytes": context.total_spilled_bytes(),
                 "spill_read_bytes": context.total_spill_read_bytes(),
                 "tasks_run": sum(w.tasks_run for w in context.workers),
@@ -699,10 +673,10 @@ class FeatureTransferExecutor:
             self.metrics["recomputation_saved_ratio"] = (
                 self.checkpoint_store.saved_ratio()
             )
-        recovery = getattr(context, "recovery_log", None)
+        recovery = context.recovery_log
         if recovery is not None:
             self.metrics["recovery_log"] = [dict(e) for e in recovery]
-        injector = getattr(context, "fault_injector", None)
+        injector = context.fault_injector
         if injector is not None:
             self.metrics["sim_time_s"] = injector.clock.now
             self.metrics["faults_injected"] = dict(injector.injected)

@@ -38,6 +38,7 @@ from repro.core.plans import LogicalPlan, Materialization
 from repro.dataflow.joins import BROADCAST, SHUFFLE
 from repro.dataflow.partition import DESERIALIZED, SERIALIZED
 from repro.exceptions import NoFeasiblePlan, WorkloadCrash
+from repro.faults import FaultInjector, equip_context
 from repro.faults.retry import RecoveryLog, RetryPolicy
 from repro.metrics import NULL_METRICS
 from repro.observe.ledger import NULL_LEDGER
@@ -114,8 +115,6 @@ class ResilientRunner:
                  tracer=None, metrics=None, checkpoint_store=None,
                  ledger=None):
         if injector is None and fault_plan is not None:
-            from repro.faults import FaultInjector
-
             injector = FaultInjector(fault_plan, seed=seed)
         self.vista = vista
         self.injector = injector
@@ -154,14 +153,6 @@ class ResilientRunner:
         recovery = self.recovery_log
         tracer = self.tracer
         metrics = self.metrics
-        if self.injector is not None and self.injector.recovery_log is None:
-            self.injector.recovery_log = recovery
-        if (self.injector is not None and tracer.enabled
-                and tracer.clock is None):
-            tracer.clock = self.injector.clock
-        if (self.injector is not None and metrics.enabled
-                and metrics.clock is None):
-            metrics.clock = self.injector.clock
         config = vista._config or vista.optimize(
             tracer=tracer if tracer.enabled else None,
             metrics=metrics if metrics.enabled else None,
@@ -174,11 +165,12 @@ class ResilientRunner:
         attempt = 0
         while True:
             attempt += 1
-            context = vista.build_context(config)
-            context.recovery_log = recovery
-            context.retry_policy = self.retry_policy
-            if self.injector is not None:
-                context.fault_injector = self.injector
+            # Equipped before the executor attaches the recorders, so
+            # they share the injector's clock and the log's sink.
+            context = equip_context(
+                vista.build_context(config), injector=self.injector,
+                policy=self.retry_policy, recovery_log=recovery,
+            )
             executor = FeatureTransferExecutor(
                 context, cnn, vista.dataset, vista.layers, config,
                 downstream_fn=vista.downstream_fn,

@@ -93,10 +93,6 @@ LARGE_NP_THRESHOLD = 2000
 #: Fixed per-stage overhead (driver scheduling, stage setup).
 STAGE_OVERHEAD_S = 2.0
 
-#: Decoded image tensor bytes (227 x 227 x 3 float32) — what a CNN
-#: input buffer holds per image regardless of the JPEG size.
-DECODED_IMAGE_BYTES = 227 * 227 * 3 * 4
-
 # ---------------------------------------------------------------------
 #: Acceptable predicted/observed band for per-region memory-peak
 #: predictions (``repro.explain.peaks``): predictions must bound the
@@ -104,13 +100,6 @@ DECODED_IMAGE_BYTES = 227 * 227 * 3 * 4
 #: 1.0-2.0x band DESIGN.md documents for Eq. 16 size estimates. Ratios
 #: are predicted / observed.
 PEAK_PREDICTION_BAND = (1.0, 2.0)
-
-#: Acceptable predicted/observed band for per-stage *runtime* ratios
-#: in calibration. Wall-clock predictions come from the paper-scale
-#: cost model applied to mini workloads on arbitrary CI hardware, so
-#: the band is intentionally loose: calibration gates on *drift* of
-#: these ratios between runs, not their absolute value.
-RUNTIME_PREDICTION_BAND = (1e-3, 1e3)
 
 
 def cpu_speedup(cpu):

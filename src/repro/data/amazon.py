@@ -16,7 +16,6 @@ from __future__ import annotations
 from repro.data.synthetic import generate_dataset
 
 PAPER_NUM_RECORDS = 200_000
-PAPER_SAMPLE_NUM_RECORDS = 20_000  # Section 5.2 uses a 20k sample
 PAPER_NUM_STRUCTURED_FEATURES = 200
 PAPER_RAW_SIZE_GB = 3.0
 

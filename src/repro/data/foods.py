@@ -17,7 +17,6 @@ from repro.data.synthetic import generate_dataset
 PAPER_NUM_RECORDS = 20_000
 PAPER_NUM_STRUCTURED_FEATURES = 130
 PAPER_RAW_SIZE_GB = 0.3
-PAPER_AVG_IMAGE_KB = 14.0  # the paper's ResNet50 example: 14 KB JPEG
 
 
 def foods_dataset(num_records=400, image_shape=(32, 32, 3), seed=7):

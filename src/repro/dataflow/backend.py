@@ -1,8 +1,10 @@
 """Physical execution backends for the wave-based task engine.
 
-The scheduler in :mod:`repro.dataflow.executor` decides *what* runs —
-which partitions form a wave, who retries, who gets blacklisted. A
-:class:`Backend` decides *how* one wave's tasks actually execute:
+The scheduler in :mod:`repro.dataflow.executor` decides *what* runs and
+what becomes of it — which partitions form a wave, the attempt count,
+fault screening, memory charges, who retries, who gets blacklisted. A
+:class:`Backend` only runs tasks: it decides *how* one wave's tasks
+physically execute.
 
 - :class:`SerialBackend` (the default) runs the wave's tasks
   sequentially in-process, exactly as the engine always has. Memory is
@@ -24,16 +26,22 @@ which partitions form a wave, who retries, who gets blacklisted. A
   stage exits on every path, so there is nothing to orphan; a worker
   whose driver dies reads EOF on its command pipe and exits.
 
-Backends expose two hooks: :meth:`Backend.stage` brackets one stage
-and :meth:`Backend.run_wave` executes one wave with the scheduler's
-full wave context; everything above the wave (regrouping, failover,
-commit barriers) is backend-agnostic.
+Backends expose two hooks, one argument each:
+:meth:`Backend.stage` brackets one stage and :meth:`Backend.run_wave`
+executes one wave. For every ``(position, partition)`` of
+``wave.tasks`` a backend calls ``wave.admit`` (None: injection failed
+the task, skip it), runs ``wave.task_fn(partition)`` wherever it likes,
+and hands the result or the exception to ``wave.settle``. Counting,
+charging, retry and failure routing happen inside those two calls;
+:class:`~repro.exceptions.WorkerLost` propagates out of either, and
+out of ``run_wave``, untouched. Everything above the wave (regrouping,
+failover, commit barriers) is backend-agnostic.
 
-Fault-injection semantics are preserved exactly: the process backend
-screens ``injector.on_task_start`` in the *parent*, in wave order,
-before dispatching — injected crashes, OOMs, stragglers, and simulated
-worker losses fire at the same points with the same seeded RNG draws
-as the serial engine, which is what keeps recovered outputs
+Fault-injection semantics are the serial engine's: the process backend
+calls ``wave.admit`` — which screens ``injector.on_task_start`` — in
+the *parent*, in wave order, before dispatching, so injected crashes,
+OOMs, stragglers, and simulated worker losses fire at the same points
+with the same seeded RNG draws, which is what keeps recovered outputs
 bit-identical across backends. The one genuinely new fault kind,
 ``worker-kill`` (:func:`repro.faults.plan.FaultPlan.worker_kill`),
 SIGKILLs the real worker process — before its task is sent
@@ -52,9 +60,7 @@ from contextlib import contextmanager, nullcontext
 from time import perf_counter
 
 from repro.dataflow.columnar import ColumnarBlock
-from repro.exceptions import TaskFailure, WorkerLost, WorkloadCrash
-from repro.metrics import NULL_METRICS
-from repro.trace import NULL_TRACER
+from repro.exceptions import WorkerLost
 
 #: Worker -> parent frame header: pickled-meta length, payload length.
 _FRAME_HEADER = struct.Struct("<II")
@@ -67,24 +73,22 @@ class Backend:
     """Protocol for physical task execution.
 
     ``stage`` brackets every wave of one ``run_partition_tasks`` call;
-    ``run_wave`` receives the scheduler's full wave context and returns
-    the ``(position, result)`` pairs that succeeded; transient failures
-    go on ``retry_next`` via :func:`_handle_task_failure` and
-    :class:`~repro.exceptions.WorkerLost` propagates to the caller,
-    which discards the wave.
+    ``run_wave`` runs one wave's tasks through the scheduler's
+    ``admit`` → ``task_fn`` → ``settle`` protocol (see the module
+    docstring) and returns nothing: results reach the scheduler through
+    ``settle`` only.
     """
 
     name = "abstract"
 
-    def stage(self, context, partitions, task_fn):
-        """Context manager held for one stage; ``wave`` positions
-        passed to :meth:`run_wave` inside it index ``partitions``. A
-        no-op unless the backend keeps per-stage resources."""
+    def stage(self, stage):
+        """Context manager held for one stage. ``stage`` carries
+        ``context``, ``partitions`` (which the positions of every
+        wave's ``tasks`` index), ``task_fn`` and ``what``. A no-op
+        unless the backend keeps per-stage resources."""
         return nullcontext()
 
-    def run_wave(self, context, worker, wave, task_fn, region, charge_fn,
-                 what, attempts, retry_next, policy, injector, recovery,
-                 clock):
+    def run_wave(self, wave):
         raise NotImplementedError
 
     def close(self):
@@ -100,64 +104,19 @@ class SerialBackend(Backend):
 
     name = "serial"
 
-    def run_wave(self, context, worker, wave, task_fn, region, charge_fn,
-                 what, attempts, retry_next, policy, injector, recovery,
-                 clock):
-        charged = 0
-        wave_results = []
-        tracer = getattr(context, "tracer", NULL_TRACER)
-        metrics = getattr(context, "metrics", NULL_METRICS)
-        # resolved once per wave: the per-task loop below is the hot path
-        tasks_counter = metrics.counter(
-            "tasks_total", worker=f"w{worker.node_id}"
-        )
-        try:
-            for position, partition in wave:
-                attempt = attempts[partition.index] = (
-                    attempts[partition.index] + 1
-                )
-                try:
-                    if injector is not None:
-                        injector.on_task_start(
-                            what=what, partition_index=partition.index,
-                            worker_id=worker.node_id, attempt=attempt,
-                        )
-                    result = task_fn(partition)
-                    worker.tasks_run += 1
-                    tracer.add("tasks")
-                    tasks_counter.inc()
-                    if charge_fn is not None:
-                        nbytes = charge_fn(partition, result)
-                        # count before charging: charge() increments used
-                        # before raising, so the finally block must
-                        # release it either way
-                        charged += nbytes
-                        tracer.add("charged_bytes", nbytes)
-                        worker.accountant.charge(region, nbytes, what=what)
-                except WorkerLost:
-                    raise
-                except Exception as exc:
-                    _handle_task_failure(
-                        context, worker, position, partition, attempt, exc,
-                        retry_next, policy, recovery, clock, what,
-                    )
-                else:
-                    wave_results.append((position, result))
-        finally:
-            worker.accountant.release(region, charged)
-        return wave_results
-
-
-class _Stage:
-    """What a stage's workers inherit by fork, plus their slots."""
-
-    __slots__ = ("context", "partitions", "task_fn", "slots")
-
-    def __init__(self, context, partitions, task_fn):
-        self.context = context
-        self.partitions = partitions
-        self.task_fn = task_fn
-        self.slots = {}     # lane -> _Slot of its live worker
+    def run_wave(self, wave):
+        for position, partition in wave.tasks:
+            attempt = wave.admit(position, partition)
+            if attempt is None:
+                continue
+            result = error = None
+            try:
+                result = wave.task_fn(partition)
+            except WorkerLost:
+                raise
+            except Exception as exc:
+                error = exc
+            wave.settle(position, partition, attempt, result, error)
 
 
 class _Slot:
@@ -187,8 +146,9 @@ class ProcessPoolBackend(Backend):
 
     Protocol per task:
 
-    1. parent screens fault injection (wave order, parent RNG), then
-       writes the task's 4-byte position down the lane's command pipe;
+    1. parent admits the task (fault injection screened in wave order
+       on the parent RNG), then writes its 4-byte position down the
+       lane's command pipe;
     2. worker runs the task, encodes the result (``ColumnarBlock`` →
        VCB1 single buffer, anything else → pickle), writes an 8-byte
        frame header (meta length, payload length), waits for a 1-byte
@@ -197,34 +157,32 @@ class ProcessPoolBackend(Backend):
        timer samples, ``compute_s``) and the payload;
     3. parent collects in wave order: a short read (worker killed,
        crashed, torn pipe) reaps the worker and raises
-       :class:`WorkerLost` for the wave; shipped task exceptions
-       re-enter the normal retry path; results are decoded as views
-       over the buffer the frame was read into and charged to the
-       worker's region exactly as the serial engine charges them.
+       :class:`WorkerLost` for the wave; a shipped task exception, or
+       the result decoded as views over the buffer the frame was read
+       into, is settled with the scheduler exactly as the serial
+       backend settles it.
     """
 
     name = "process"
 
     def __init__(self):
-        self._stage = None
+        self._stage = None  # the scheduler's stage, inside stage()
+        self._slots = {}    # lane -> _Slot of its live worker
 
     @contextmanager
-    def stage(self, context, partitions, task_fn):
-        outer = self._stage
-        self._stage = _Stage(context, partitions, task_fn)
+    def stage(self, stage):
+        outer = self._stage, self._slots
+        self._stage, self._slots = stage, {}
         try:
             yield
         finally:
             self.close()
-            self._stage = outer
+            self._stage, self._slots = outer
 
     def close(self):
         """Kill and reap any live worker (idempotent)."""
-        stage = self._stage
-        if stage is None:
-            return
-        live = list(stage.slots.values())
-        stage.slots.clear()
+        live = list(self._slots.values())
+        self._slots.clear()
         # signal all first so the exits overlap, then reap
         for slot in live:
             _hang_up(slot)
@@ -232,48 +190,20 @@ class ProcessPoolBackend(Backend):
             os.waitpid(slot.pid, 0)
 
     # ------------------------------------------------------------------
-    def run_wave(self, context, worker, wave, task_fn, region, charge_fn,
-                 what, attempts, retry_next, policy, injector, recovery,
-                 clock):
+    def run_wave(self, wave):
         stage = self._stage
         if stage is None:
             raise RuntimeError("run_wave called outside Backend.stage()")
-        charged = 0
-        wave_results = []
-        tracer = getattr(context, "tracer", NULL_TRACER)
-        metrics = getattr(context, "metrics", NULL_METRICS)
-        ledger = getattr(context, "ledger", None)
-        ledger_on = ledger is not None and ledger.enabled
-        tasks_counter = metrics.counter(
-            "tasks_total", worker=f"w{worker.node_id}"
-        )
+        what, worker = stage.what, wave.worker
+        injector = stage.context.fault_injector
+        ledger = stage.context.ledger
         dispatched = []
-
-        def emit_collect(slot, partition, status, stats):
-            if ledger_on:
-                ledger.emit("task_collect", pid=slot.pid,
-                            partition=partition.index, status=status, **stats)
-
         try:
-            # Phase 1 — screen injection and dispatch, in wave order.
-            # All surviving tasks run concurrently once dispatched.
-            for position, partition in wave:
-                attempt = attempts[partition.index] = (
-                    attempts[partition.index] + 1
-                )
-                try:
-                    if injector is not None:
-                        injector.on_task_start(
-                            what=what, partition_index=partition.index,
-                            worker_id=worker.node_id, attempt=attempt,
-                        )
-                except WorkerLost:
-                    raise
-                except Exception as exc:
-                    _handle_task_failure(
-                        context, worker, position, partition, attempt, exc,
-                        retry_next, policy, recovery, clock, what,
-                    )
+            # Phase 1 — admit and dispatch, in wave order. All
+            # surviving tasks run concurrently once dispatched.
+            for position, partition in wave.tasks:
+                attempt = wave.admit(position, partition)
+                if attempt is None:
                     continue
                 kill_phase = None
                 if injector is not None:
@@ -282,7 +212,7 @@ class ProcessPoolBackend(Backend):
                         worker_id=worker.node_id, attempt=attempt,
                     )
                 # the i-th surviving task of a wave runs on lane i
-                slot, spawn_s = self._slot(stage, len(dispatched))
+                slot, spawn_s = self._slot(len(dispatched))
                 slot.busy = True
                 if kill_phase == "start":
                     os.kill(slot.pid, signal.SIGKILL)
@@ -291,60 +221,46 @@ class ProcessPoolBackend(Backend):
                 dispatched.append(
                     (slot, position, partition, attempt, kill_phase)
                 )
-                if ledger_on:
-                    # The parent emits on the worker's behalf: the
-                    # forked process inherits the ledger fd but its
-                    # emit() is an owner-pid-guarded no-op.
-                    ledger.emit("task_fork", pid=slot.pid,
-                                partition=partition.index,
-                                attempt=attempt, what=what,
-                                spawn_s=round(spawn_s, 6))
-            # Phase 2 — collect in wave order; charges mirror the
-            # serial engine's and are released when the wave ends.
+                # The parent emits on the worker's behalf: the forked
+                # process inherits the ledger fd but its emit() is an
+                # owner-pid-guarded no-op.
+                ledger.emit("task_fork", pid=slot.pid,
+                            partition=partition.index, attempt=attempt,
+                            what=what, spawn_s=round(spawn_s, 6))
+            # Phase 2 — collect and settle in wave order.
             for slot, position, partition, attempt, kill_phase in dispatched:
                 stats = {"compute_s": 0.0, "transfer_bytes": 0, "wait_s": 0.0}
+                result = error = None
+                status = "ok"
                 try:
                     result = self._collect(
-                        stage, slot, partition, kill_phase, worker, stats
+                        slot, partition, kill_phase, worker, stats
                     )
-                    worker.tasks_run += 1
-                    tracer.add("tasks")
-                    tasks_counter.inc()
-                    if charge_fn is not None:
-                        nbytes = charge_fn(partition, result)
-                        charged += nbytes
-                        tracer.add("charged_bytes", nbytes)
-                        worker.accountant.charge(region, nbytes, what=what)
                 except WorkerLost:
-                    emit_collect(slot, partition, "worker-lost", stats)
+                    status = "worker-lost"
                     raise
                 except Exception as exc:
-                    emit_collect(slot, partition,
-                                 f"error:{type(exc).__name__}", stats)
-                    _handle_task_failure(
-                        context, worker, position, partition, attempt, exc,
-                        retry_next, policy, recovery, clock, what,
-                    )
-                else:
-                    emit_collect(slot, partition, "ok", stats)
-                    wave_results.append((position, result))
+                    error, status = exc, f"error:{type(exc).__name__}"
+                finally:
+                    ledger.emit("task_collect", pid=slot.pid,
+                                partition=partition.index, status=status,
+                                **stats)
+                wave.settle(position, partition, attempt, result, error)
         finally:
-            worker.accountant.release(region, charged)
             # A wave that ended early (WorkerLost, TaskFailure, crash)
             # leaves lanes with an unread frame: their pipes are out of
             # step, so those workers go; the lane re-forks on next use.
             for slot, *_ in dispatched:
                 if slot.busy:
-                    self._reap(stage, slot)
-        return wave_results
+                    self._reap(slot)
 
     # ------------------------------------------------------------------
     # worker lifecycle
     # ------------------------------------------------------------------
-    def _slot(self, stage, lane):
+    def _slot(self, lane):
         """The lane's resident worker and the seconds spent forking it
         (0.0 when it was already resident)."""
-        slots = stage.slots
+        stage, slots = self._stage, self._slots
         if lane in slots:
             return slots[lane], 0.0
         started = perf_counter()
@@ -377,10 +293,10 @@ class ProcessPoolBackend(Backend):
         slot = slots[lane] = _Slot(lane, pid, command_w, result_r)
         return slot, perf_counter() - started
 
-    def _reap(self, stage, slot):
+    def _reap(self, slot):
         """Kill the worker (a no-op on one already dead), free its
         lane, and return its exit code."""
-        stage.slots.pop(slot.lane, None)
+        self._slots.pop(slot.lane, None)
         slot.busy = False
         _hang_up(slot)
         _, status = os.waitpid(slot.pid, 0)
@@ -389,7 +305,7 @@ class ProcessPoolBackend(Backend):
     # ------------------------------------------------------------------
     # collect side
     # ------------------------------------------------------------------
-    def _collect(self, stage, slot, partition, kill_phase, worker, stats):
+    def _collect(self, slot, partition, kill_phase, worker, stats):
         """Read one worker's frame; fills ``stats`` (the ledger's
         ``task_collect`` fields) with what is known when it returns or
         raises."""
@@ -407,7 +323,7 @@ class ProcessPoolBackend(Backend):
             if _read_into(slot.result_r, body) != len(body):
                 body = None
         if body is None:
-            code = self._reap(stage, slot)
+            code = self._reap(slot)
             raise WorkerLost(
                 f"worker process {slot.pid} died "
                 f"({_describe_exit(code)}) running partition "
@@ -420,7 +336,7 @@ class ProcessPoolBackend(Backend):
         meta = pickle.loads(frame[:meta_len])
         stats["compute_s"] = meta["compute_s"]
         stats["transfer_bytes"] = len(body)
-        self._merge_worker_state(stage.context, meta)
+        self._merge_worker_state(self._stage.context, meta)
         if meta["status"] == "error":
             raise meta["exception"]
         if meta["kind"] == "block":
@@ -436,23 +352,21 @@ class ProcessPoolBackend(Backend):
         wave: counters advance by the worker's increments, per-op timer
         samples extend the executor's deferred-flush dict (and replay
         onto the current span when tracing), task counters accumulate."""
-        metrics = getattr(context, "metrics", NULL_METRICS)
-        if getattr(metrics, "enabled", False):
-            for (name, label_pairs), delta in meta.get("counters", ()):
+        metrics = context.metrics
+        if metrics.enabled:
+            for (name, label_pairs), delta in meta["counters"]:
                 if delta:
                     metrics.counter(name, **dict(label_pairs)).inc(delta)
-        tracer = getattr(context, "tracer", NULL_TRACER)
-        op_samples = getattr(context, "_op_samples", None)
-        for op_name, seconds_list in meta.get("ops", {}).items():
+        tracer = context.tracer
+        op_samples = context.op_samples
+        for op_name, seconds_list in meta["ops"].items():
             if tracer.enabled:
                 for seconds in seconds_list:
                     tracer.record_op(op_name, seconds)
-            if op_samples is not None:
-                op_samples.setdefault(op_name, []).extend(seconds_list)
-        task_counters = getattr(context, "task_counters", None)
-        if task_counters is not None:
-            for key, delta in meta.get("task_counters", {}).items():
-                task_counters[key] = task_counters.get(key, 0) + delta
+            op_samples.setdefault(op_name, []).extend(seconds_list)
+        task_counters = context.task_counters
+        for key, delta in meta["task_counters"].items():
+            task_counters[key] = task_counters.get(key, 0) + delta
 
 
 # ----------------------------------------------------------------------
@@ -483,16 +397,13 @@ def _run_task(context, task_fn, partition):
     the mutable observability surfaces around ``task_fn`` and ships
     only the *deltas* — parent-side state is never written from here.
     """
-    metrics = getattr(context, "metrics", NULL_METRICS)
-    live = getattr(metrics, "enabled", False)   # NULL_METRICS: no totals
+    metrics = context.metrics
+    live = metrics.enabled   # NULL_METRICS: no totals
     before_counters = metrics.counter_totals() if live else {}
-    op_samples = getattr(context, "_op_samples", None)
-    before_ops = (
-        {name: len(vals) for name, vals in op_samples.items()}
-        if op_samples is not None else {}
-    )
-    task_counters = getattr(context, "task_counters", None)
-    before_tasks = dict(task_counters) if task_counters is not None else {}
+    op_samples = context.op_samples
+    before_ops = {name: len(vals) for name, vals in op_samples.items()}
+    task_counters = context.task_counters
+    before_tasks = dict(task_counters)
 
     meta = {"status": "ok", "kind": "pickle"}
     payload = b""
@@ -514,18 +425,16 @@ def _run_task(context, task_fn, partition):
         for key, total in after_counters.items()
         if total != before_counters.get(key, 0)
     ]
-    if op_samples is not None:
-        meta["ops"] = {
-            name: vals[before_ops.get(name, 0):]
-            for name, vals in op_samples.items()
-            if len(vals) > before_ops.get(name, 0)
-        }
-    if task_counters is not None:
-        meta["task_counters"] = {
-            key: value - before_tasks.get(key, 0)
-            for key, value in task_counters.items()
-            if value != before_tasks.get(key, 0)
-        }
+    meta["ops"] = {
+        name: vals[before_ops.get(name, 0):]
+        for name, vals in op_samples.items()
+        if len(vals) > before_ops.get(name, 0)
+    }
+    meta["task_counters"] = {
+        key: value - before_tasks.get(key, 0)
+        for key, value in task_counters.items()
+        if value != before_tasks.get(key, 0)
+    }
     return meta, payload
 
 
@@ -608,71 +517,6 @@ def _describe_exit(code):
         except ValueError:
             return f"killed by signal {-code}"
     return f"exit status {code}"
-
-
-# ----------------------------------------------------------------------
-# shared failure handling (used by both backends and the scheduler)
-# ----------------------------------------------------------------------
-def _handle_task_failure(context, worker, position, partition, attempt, exc,
-                         retry_next, policy, recovery, clock, what):
-    """Decide a failed task's fate: retry from lineage, hand a
-    deterministic memory crash to the supervisor, or raise a
-    structured TaskFailure."""
-    if getattr(exc, "transient", False) and attempt < policy.max_task_attempts:
-        worker.task_failures += 1
-        # keyed jitter: same-wave retries of different partitions
-        # desynchronize instead of stampeding a shared store together
-        backoff = policy.backoff_s(attempt, key=partition.index)
-        clock.advance(backoff)
-        getattr(context, "tracer", NULL_TRACER).add("task_retries")
-        getattr(context, "metrics", NULL_METRICS).counter(
-            "task_retries_total", worker=f"w{worker.node_id}",
-            fault=type(exc).__name__,
-        ).inc()
-        _record(recovery, clock, "task_retry", table=what,
-                partition=partition.index, worker=worker.node_id,
-                attempt=attempt, fault=type(exc).__name__,
-                backoff_s=backoff)
-        if worker.task_failures == policy.max_failures_per_worker:
-            _maybe_blacklist(context, worker, recovery, clock)
-        retry_next.append((position, partition))
-        return
-    if isinstance(exc, WorkloadCrash):
-        # Structural memory overflow (or a transient one out of retry
-        # budget): typed for the degrade-and-retry supervisor.
-        raise exc
-    # ``from exc`` keeps the original traceback on __cause__; the log
-    # entry mirrors the chain so post-mortems see *what* failed, not
-    # just the structured wrapper.
-    _record(recovery, clock, "task_failure", table=what,
-            partition=partition.index, worker=worker.node_id,
-            attempt=attempt, cause=type(exc).__name__, error=str(exc))
-    raise TaskFailure(
-        partition_index=partition.index, worker_id=worker.node_id,
-        attempt=attempt, cause=exc,
-    ) from exc
-
-
-def _maybe_blacklist(context, worker, recovery, clock):
-    """Blacklist a repeatedly failing worker — unless it is the last
-    one standing, in which case the cluster limps on."""
-    if worker.node_id in context.excluded_workers:
-        return
-    survivors = [
-        w for w in context.live_workers() if w.node_id != worker.node_id
-    ]
-    if not survivors:
-        _record(recovery, clock, "blacklist_suppressed",
-                worker=worker.node_id, reason="last live worker")
-        return
-    context.blacklist_worker(worker.node_id)
-    _record(recovery, clock, "blacklist", worker=worker.node_id,
-            reason="max task failures")
-
-
-def _record(recovery, clock, event, **fields):
-    if recovery is not None:
-        recovery.record(event, sim_time_s=clock.now, **fields)
 
 
 #: The process-wide serial backend every context defaults to.

@@ -81,6 +81,18 @@ class ClusterContext:
         #: Streaming run ledger shared by every layer running on this
         #: context; NULL_LEDGER unless attach_ledger is called.
         self.ledger = NULL_LEDGER
+        #: Fault injection and recovery state the task scheduler reads;
+        #: None (no injection, default retry policy, nothing logged)
+        #: unless :func:`repro.faults.equip_context` assigns them.
+        self.fault_injector = None
+        self.retry_policy = None
+        self.recovery_log = None
+        #: Per-run engine state, reset by :meth:`reset_metrics`. It
+        #: lives here so a forked worker of the process backend can
+        #: diff it around a task and ship the deltas back.
+        self.task_counters = {}
+        self.op_samples = {}
+        self.shuffle_bytes_total = 0
 
     def attach_tracer(self, tracer):
         """Share a :class:`~repro.trace.Tracer` with the dataflow
@@ -89,9 +101,8 @@ class ClusterContext:
         self.tracer = tracer
         for worker in self.workers:
             worker.storage.tracer = tracer
-        injector = getattr(self, "fault_injector", None)
-        if injector is not None and tracer.enabled and tracer.clock is None:
-            tracer.clock = injector.clock
+        self._share_clock(tracer)
+        self._stream_into_ledger()
         return tracer
 
     def attach_metrics(self, metrics):
@@ -110,39 +121,51 @@ class ClusterContext:
                 metrics, owner=f"w{worker.node_id}"
             )
         self.driver.attach_metrics(metrics, owner="driver")
-        injector = getattr(self, "fault_injector", None)
-        if injector is not None and metrics.enabled and metrics.clock is None:
-            metrics.clock = injector.clock
+        self._share_clock(metrics)
+        self._stream_into_ledger(replay_metrics=True)
         return metrics
 
     def attach_ledger(self, ledger):
         """Share a :class:`~repro.observe.ledger.RunLedger` with every
         layer running on this context: the tracer streams span
         open/close events into it, the metrics registry streams
-        throttled samples, and the wave scheduler/backends emit
-        stage/wave/task lifecycle. Attach *after* ``attach_tracer`` /
-        ``attach_metrics`` so the sinks land on the live instances.
-        Series sampled before the sink existed (the region budgets
-        ``attach_metrics`` publishes, the optimizer's predicted peaks)
-        enter the ledger here, once, at their current value."""
+        throttled samples, the recovery log its actions, and the wave
+        scheduler/backends emit stage/wave/task lifecycle — in
+        whichever order the recorders are attached."""
         self.ledger = ledger
-        if ledger.enabled:
-            if self.tracer.enabled:
-                self.tracer.sink = ledger
-            if self.metrics.enabled:
-                self.metrics.sink = ledger
+        self._share_clock(ledger)
+        self._stream_into_ledger(replay_metrics=True)
+        return ledger
+
+    def _share_clock(self, recorder):
+        """A live recorder without a clock of its own reads simulated
+        time off the fault injector's."""
+        injector = self.fault_injector
+        if (injector is not None and recorder.enabled
+                and recorder.clock is None):
+            recorder.clock = injector.clock
+
+    def _stream_into_ledger(self, replay_metrics=False):
+        """Point every live recorder's sink at the ledger, once there
+        is one. ``replay_metrics`` — a registry or a ledger just
+        arrived — puts each series sampled before the sink existed (the
+        region budgets ``attach_metrics`` publishes, the optimizer's
+        predicted peaks) into the ledger once, at its current value."""
+        ledger = self.ledger
+        if not ledger.enabled:
+            return
+        if self.tracer.enabled:
+            self.tracer.sink = ledger
+        if self.metrics.enabled:
+            self.metrics.sink = ledger
+            if replay_metrics:
                 for series in self.metrics.instruments():
                     if series.samples:
                         ledger.emit("metric", metric=series.name,
                                     labels=series.labels,
                                     value=series.samples[-1][2])
-            injector = getattr(self, "fault_injector", None)
-            if injector is not None and ledger.clock is None:
-                ledger.clock = injector.clock
-            log = getattr(self, "recovery_log", None)
-            if log is not None:
-                log.sink = ledger
-        return ledger
+        if self.recovery_log is not None:
+            self.recovery_log.sink = ledger
 
     def worker_for(self, partition_index):
         if not self.excluded_workers:
@@ -199,6 +222,9 @@ class ClusterContext:
             worker.tasks_run = 0
             worker.task_failures = 0
             worker.accountant.reset_peaks()
+        self.task_counters = {}
+        self.op_samples = {}
+        self.shuffle_bytes_total = 0
 
     def __repr__(self):
         return (

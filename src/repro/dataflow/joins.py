@@ -33,10 +33,8 @@ import numpy as np
 
 from repro.dataflow.columnar import ColumnarBlock
 from repro.dataflow.partition import Partition
-from repro.dataflow.executor import run_partition_tasks
+from repro.dataflow.executor import hold_on_live_workers, run_partition_tasks
 from repro.memory.model import Region
-from repro.metrics import NULL_METRICS
-from repro.trace import NULL_TRACER
 
 SHUFFLE = "shuffle"
 BROADCAST = "broadcast"
@@ -141,7 +139,7 @@ def shuffle_hash_join(left, right, num_partitions=None, name=None,
         )
     if num_partitions is None:
         num_partitions = max(left.num_partitions, right.num_partitions)
-    tracer = getattr(left.context, "tracer", NULL_TRACER)
+    tracer = left.context.tracer
     with tracer.span("join:shuffle", left=left.name, right=right.name,
                      strategy=SHUFFLE) as sp:
         left_shuffled = left.repartition_by_key(num_partitions)
@@ -163,9 +161,9 @@ def shuffle_hash_join(left, right, num_partitions=None, name=None,
                 build_partition.block(), build.key,
             )
 
-        build_size_hist = getattr(
-            left.context, "metrics", NULL_METRICS
-        ).histogram("join_build_bytes", strategy=SHUFFLE)
+        build_size_hist = left.context.metrics.histogram(
+            "join_build_bytes", strategy=SHUFFLE
+        )
 
         def charge(probe_partition, joined):
             build_partition = build_parts.get(probe_partition.index)
@@ -204,7 +202,7 @@ def broadcast_join(small, big, name=None):
     if small.key != big.key:
         raise ValueError(f"key mismatch: {small.key!r} vs {big.key!r}")
     context = small.context
-    tracer = getattr(context, "tracer", NULL_TRACER)
+    tracer = context.tracer
     with tracer.span("join:broadcast", small=small.name, big=big.name,
                      strategy=BROADCAST) as sp:
         small_bytes = small.memory_bytes()
@@ -212,37 +210,28 @@ def broadcast_join(small, big, name=None):
         # probe.
         small_block = small.collect_block()  # charges Driver memory
         sp.add("broadcast_bytes", small_bytes)
-        metrics = getattr(context, "metrics", NULL_METRICS)
+        metrics = context.metrics
         metrics.counter("broadcast_bytes_total").inc(small_bytes)
         metrics.histogram(
             "join_build_bytes", strategy=BROADCAST
         ).observe(small_bytes)
 
-        # A full copy of the broadcast table lives in every worker's
-        # User Memory for the duration of the join.
-        charged = []
-        try:
-            for worker in context.workers:
-                worker.accountant.charge(
-                    Region.USER, small_bytes, what="broadcast table copy"
-                )
-                charged.append(worker)
+        def task(partition):
+            return _hash_join(
+                partition.block(), big.key, small_block, small.key
+            )
 
-            def task(partition):
-                return _hash_join(
-                    partition.block(), big.key, small_block, small.key
-                )
+        def charge(partition, out):
+            return out.nbytes
 
-            def charge(partition, out):
-                return out.nbytes
-
+        # A full copy of the broadcast table lives in every live
+        # worker's User Memory for the duration of the join.
+        with hold_on_live_workers(context, Region.USER, small_bytes,
+                                  "broadcast table copy"):
             outputs = run_partition_tasks(
                 context, big.partitions, task, region=Region.USER,
                 charge_fn=charge, what="broadcast join output",
             )
-        finally:
-            for worker in charged:
-                worker.accountant.release(Region.USER, small_bytes)
         partitions = [
             Partition.from_block(p.index, out)
             for p, out in zip(big.partitions, outputs)

@@ -14,8 +14,6 @@ from repro.dataflow.columnar import ColumnarBlock
 from repro.dataflow.partition import DESERIALIZED, Partition
 from repro.dataflow.executor import run_partition_tasks
 from repro.memory.model import Region
-from repro.metrics import NULL_METRICS
-from repro.trace import NULL_TRACER
 
 
 class DistributedTable:
@@ -138,8 +136,8 @@ class DistributedTable:
         def charge(partition, out):
             return int(user_alpha * out.nbytes)
 
-        recovery = getattr(self.context, "recovery_log", None)
-        tracer = getattr(self.context, "tracer", NULL_TRACER)
+        recovery = self.context.recovery_log
+        tracer = self.context.tracer
         with tracer.span(f"map:{name or self.name}", table=self.name) as sp:
             restored = {}
             if store is not None:
@@ -153,21 +151,12 @@ class DistributedTable:
             pending = [
                 p for p in self.partitions if p.index not in restored
             ]
-            committed = {}
 
             def on_commit(pairs):
-                # The engine's commit barrier already guarantees
-                # exactly-once; this belt-and-braces filter keeps a
-                # future backend from ever double-writing a
-                # checkpoint partition.
-                wave = [
+                store.put_partition(stage_id, [
                     Partition.from_block(partition.index, out)
                     for partition, out in pairs
-                    if partition.index not in committed
-                ]
-                committed.update((part.index, part) for part in wave)
-                if wave:
-                    store.put_partition(stage_id, wave)
+                ])
 
             outputs = run_partition_tasks(
                 self.context, pending, task, region=Region.USER,
@@ -175,8 +164,7 @@ class DistributedTable:
                 on_commit=on_commit if store is not None else None,
             )
             computed = {
-                p.index: committed.get(p.index)
-                or Partition.from_block(p.index, out)
+                p.index: Partition.from_block(p.index, out)
                 for p, out in zip(pending, outputs)
             }
             partitions = [
@@ -218,7 +206,7 @@ class DistributedTable:
         key column and one fancy-index gather per bucket — metering
         the shuffled bytes on the context."""
         num_partitions = max(1, int(num_partitions))
-        tracer = getattr(self.context, "tracer", NULL_TRACER)
+        tracer = self.context.tracer
         with tracer.span(f"shuffle:{self.name}", table=self.name) as sp:
             per_bucket = [[] for _ in range(num_partitions)]
             shuffled = 0
@@ -250,7 +238,7 @@ class DistributedTable:
 
     def cache(self, persistence=DESERIALIZED):
         """Persist every partition in its worker's Storage region."""
-        tracer = getattr(self.context, "tracer", NULL_TRACER)
+        tracer = self.context.tracer
         with tracer.span(f"cache:{self.name}", table=self.name,
                          persistence=persistence) as sp:
             for partition in self.partitions:
@@ -271,7 +259,7 @@ class DistributedTable:
         ``cache()`` no longer owns the partition's index (and with all
         of them gone ``worker_for`` raises), yet its region still
         carries the charge."""
-        tracer = getattr(self.context, "tracer", NULL_TRACER)
+        tracer = self.context.tracer
         tracer.event("unpersist", table=self.name)
         for partition in self.partitions:
             for worker in self.context.workers:
@@ -282,17 +270,13 @@ class DistributedTable:
         """Gather all partitions at the driver as one block (charged
         to Driver memory — crash scenario (4) of Section 4.1)."""
         nbytes = self.memory_bytes()
-        tracer = getattr(self.context, "tracer", NULL_TRACER)
-        tracer.add("collect_bytes", nbytes)
-        self.context.driver.charge(
+        self.context.tracer.add("collect_bytes", nbytes)
+        with self.context.driver.reserve(
             Region.DRIVER, nbytes, what=f"collect of {self.name}"
-        )
-        try:
+        ):
             return ColumnarBlock.concat(
                 [partition.block() for partition in self.partitions]
             )
-        finally:
-            self.context.driver.release(Region.DRIVER, nbytes)
 
     def collect(self):
         """Row views of :meth:`collect_block`."""
@@ -324,9 +308,5 @@ def _shuffle_buckets(keys, num_partitions):
 
 
 def _meter_shuffle(context, nbytes):
-    context.shuffle_bytes_total = getattr(
-        context, "shuffle_bytes_total", 0
-    ) + int(nbytes)
-    getattr(context, "metrics", NULL_METRICS).counter(
-        "shuffle_bytes_total"
-    ).inc(int(nbytes))
+    context.shuffle_bytes_total += int(nbytes)
+    context.metrics.counter("shuffle_bytes_total").inc(int(nbytes))

@@ -3,16 +3,14 @@
 The observability face of the optimizer and cost model: ``explain``
 exposes Algorithm 1's full candidate ledger, ``what_if`` prices pinned
 configurations, ``predict_workload_peaks`` predicts an executable
-run's per-region memory waterline peaks, and ``calibrate`` joins all
-of those predictions against measured spans and waterlines.
+run's per-region memory waterline peaks, and ``calibration`` measures
+the process backend's speedup curve against the cost model's
+prediction (``benchmarks/bench_parallel.py``).
 """
 
 from repro.explain.calibration import (
-    CalibrationReport,
-    CalibrationRow,
     MEMORY_DRIFT_GATE,
     RUNTIME_DRIFT_GATE,
-    calibrate,
     drift_violations,
 )
 from repro.explain.ledger import ExplainResult, explain
@@ -25,15 +23,12 @@ from repro.explain.whatif import (
 )
 
 __all__ = [
-    "CalibrationReport",
-    "CalibrationRow",
     "ExplainResult",
     "MEMORY_DRIFT_GATE",
     "PIN_KEYS",
     "RUNTIME_DRIFT_GATE",
     "VERDICT_FEASIBLE",
     "WhatIfReport",
-    "calibrate",
     "drift_violations",
     "explain",
     "peak_ratios",

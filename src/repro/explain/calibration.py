@@ -1,34 +1,31 @@
-"""Predicted-vs-observed cost-model calibration.
+"""Parallel-runtime calibration of the process backend.
 
-Runs executable workloads with tracing and metrics on, then joins the
-cost model's *predictions* against what actually happened:
+:func:`calibrate_parallel` runs the staged plan per ``cpu`` setting on
+both execution backends with tracing on and joins the cost model's
+predicted inference seconds (:func:`repro.costmodel.runtime
+.estimate_runtime` priced on the *executable* CNN via
+:func:`repro.costmodel.cnn_cost.executable_model_stats`) against the
+measured span-tree wall seconds of the feature stage;
+:func:`measure_parallel_capacity` reports how many cores' worth of
+throughput the host really delivers, so a scaling claim is only
+asserted where it can be measured. ``benchmarks/bench_parallel.py`` is
+the one caller; :func:`drift_violations` is its ``--check`` gate
+between two reports' :meth:`ParallelCalibrationReport.results` maps.
 
-- **memory**: :func:`repro.explain.peaks.predict_workload_peaks`
-  (engine-exact wave arithmetic) against the per-region occupancy
-  peaks the executor reports from its memory waterlines;
-- **runtime**: the per-stage breakdown of
-  :func:`repro.costmodel.runtime.estimate_runtime` priced on the
-  *executable* CNN via :func:`repro.costmodel.cnn_cost
-  .executable_model_stats`, against the measured span-tree wall
-  seconds of the matching stages;
-- **operators**: the ``op_seconds{op_type}`` histogram each run
-  records, so per-operator cost constants can be re-fit.
-
-Each joined pair becomes a predicted/observed ratio. Memory ratios are
-deterministic (exact charge arithmetic on deterministic synthetic
-data) and must sit inside
-:data:`repro.costmodel.params.PEAK_PREDICTION_BAND`; runtime ratios
-depend on the host, so the committed baseline gates on *drift* of the
-ratio between runs, not its absolute value.
+Memory-peak prediction is checked where it is exact
+(``tests/test_explain.py::TestPeakPrediction``) and runtime
+prediction where it is measured end to end
+(``costmodel.predicted_over_observed`` in ``benchmarks/e2e``).
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 
+from repro.core.config import DatasetStats
 from repro.core.executor import FeatureTransferExecutor
 from repro.core.plans import ALL_PLANS
 from repro.costmodel import params
@@ -36,9 +33,6 @@ from repro.costmodel.cnn_cost import executable_model_stats
 from repro.costmodel.crashes import ExecutionSetup
 from repro.costmodel.runtime import estimate_runtime
 from repro.dataflow.context import ClusterContext
-from repro.exceptions import WorkloadCrash
-from repro.explain.peaks import peak_ratios, predict_workload_peaks
-from repro.metrics import MetricsRegistry
 from repro.trace import Tracer, spans_wall_seconds
 
 #: Span names backing each runtime-breakdown stage we calibrate.
@@ -50,86 +44,6 @@ STAGE_SPANS = {
     "join": ("join",),
     "train": ("train",),
 }
-
-#: Regions whose mini-scale peaks we predict.
-REGIONS = ("user", "core", "dl", "storage", "driver")
-
-
-@dataclass
-class CalibrationRow:
-    """One plan's predicted-vs-observed join."""
-
-    plan: str
-    crashed: bool = False
-    crash_kind: str = None
-    predicted_peak_bytes: dict = field(default_factory=dict)
-    observed_peak_bytes: dict = field(default_factory=dict)
-    memory_ratios: dict = field(default_factory=dict)
-    predicted_stage_seconds: dict = field(default_factory=dict)
-    observed_stage_seconds: dict = field(default_factory=dict)
-    runtime_ratios: dict = field(default_factory=dict)
-    op_seconds: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "plan": self.plan,
-            "crashed": self.crashed,
-            "crash_kind": self.crash_kind,
-            "predicted_peak_bytes": dict(self.predicted_peak_bytes),
-            "observed_peak_bytes": dict(self.observed_peak_bytes),
-            "memory_ratios": dict(self.memory_ratios),
-            "predicted_stage_seconds": dict(self.predicted_stage_seconds),
-            "observed_stage_seconds": dict(self.observed_stage_seconds),
-            "runtime_ratios": dict(self.runtime_ratios),
-            "op_seconds": dict(self.op_seconds),
-        }
-
-
-@dataclass
-class CalibrationReport:
-    """All plans' rows plus the flattened gate-able summary."""
-
-    model: str
-    num_records: int
-    layers: list
-    rows: list
-
-    def to_dict(self):
-        return {
-            "model": self.model,
-            "num_records": self.num_records,
-            "layers": list(self.layers),
-            "rows": [row.to_dict() for row in self.rows],
-        }
-
-    def results(self):
-        """Flat scalar map for a bench ``results`` block. Keys carry
-        the ``capacity`` marker: host-dependent, so the calibration
-        drift gate (:func:`drift_violations`) owns their comparison
-        semantics."""
-        flat = {}
-        for row in self.rows:
-            for region, ratio in row.memory_ratios.items():
-                if ratio is not None:
-                    flat[f"memory_ratio_capacity:{row.plan}:{region}"] = ratio
-            for stage, ratio in row.runtime_ratios.items():
-                if ratio is not None:
-                    flat[f"runtime_ratio_capacity:{row.plan}:{stage}"] = ratio
-        flat["plans_run"] = len(self.rows)
-        flat["plans_crashed"] = sum(1 for row in self.rows if row.crashed)
-        return flat
-
-    def in_band(self, band=params.PEAK_PREDICTION_BAND):
-        """Memory ratios outside the documented band, as
-        ``{plan:region: ratio}`` — empty means fully calibrated."""
-        low, high = band
-        violations = {}
-        for row in self.rows:
-            for region, ratio in row.memory_ratios.items():
-                if ratio is not None and not (low <= ratio <= high):
-                    violations[f"{row.plan}:{region}"] = ratio
-        return violations
-
 
 #: Drift gates: memory ratios are deterministic, runtime ratios divide
 #: a deterministic prediction by measured spans whose wall-clock noise
@@ -147,9 +61,10 @@ RUNTIME_DRIFT_GATE = 25.0
 def drift_violations(old_results, new_results,
                      memory_gate=MEMORY_DRIFT_GATE,
                      runtime_gate=RUNTIME_DRIFT_GATE):
-    """Calibration drift between two :meth:`CalibrationReport.results`
-    maps: ``{key: (old, new)}`` for every shared ratio whose relative
-    change exceeds its gate. Empty dict means the cost model still
+    """Calibration drift between two
+    :meth:`ParallelCalibrationReport.results` maps: ``{key: (old,
+    new)}`` for every shared ratio whose relative change exceeds its
+    gate. Empty dict means the cost model still
     predicts like the committed baseline."""
     violations = {}
     for key, old in old_results.items():
@@ -172,27 +87,6 @@ def drift_violations(old_results, new_results,
     return violations
 
 
-def _observed_stages(trace):
-    observed = {}
-    for stage, span_names in STAGE_SPANS.items():
-        total = sum(
-            spans_wall_seconds(trace, name) for name in span_names
-        )
-        if total > 0:
-            observed[stage] = round(total, 6)
-    return observed
-
-
-def _op_totals(export):
-    totals = {}
-    for series in (export or {}).get("series", []):
-        if series.get("name") != "op_seconds":
-            continue
-        op_type = series.get("labels", {}).get("op_type", "?")
-        totals[op_type] = round(float(series.get("sum", 0.0)), 6)
-    return totals
-
-
 def _setup_from_budget(config, budget, label):
     """The :class:`ExecutionSetup` matching the budget the run actually
     executes under (not the paper-scale caps in ``config``)."""
@@ -209,99 +103,6 @@ def _setup_from_budget(config, budget, label):
         core_cap_bytes=int(budget.core_bytes),
         storage_cap_bytes=int(budget.storage_bytes),
         storage_spills=bool(budget.storage_elastic),
-    )
-
-
-def calibrate(cnn, dataset, layers, config, budget, num_nodes=2,
-              cores_per_node=4, plans=None, pool_grid=2,
-              user_alpha=2.0, downstream_fn=None):
-    """Run each plan with tracing + metrics and join predictions
-    against observations; returns a :class:`CalibrationReport`.
-
-    ``config`` is the :class:`~repro.core.config.VistaConfig` every
-    plan runs under and ``budget`` the executor's
-    :class:`~repro.memory.model.MemoryBudget`; each plan gets a fresh
-    :class:`~repro.dataflow.context.ClusterContext` so waterlines
-    don't bleed between runs. Crashed plans are kept as rows (crash
-    class recorded) with no ratios — a calibration run is also a
-    feasibility census.
-    """
-    layers = list(layers)
-    plan_items = list((plans or ALL_PLANS).items())
-    exec_stats = executable_model_stats(cnn)
-    dataset_stats = _dataset_stats(dataset)
-    cluster = params.ClusterSpec(
-        num_nodes=num_nodes,
-        cores_per_node=cores_per_node,
-        system_memory_bytes=budget.system_bytes,
-    )
-    rows = []
-    for name, plan in plan_items:
-        tracer = Tracer()
-        registry = MetricsRegistry()
-        context = ClusterContext(
-            budget, num_nodes=num_nodes, cores_per_node=cores_per_node,
-            cpu=config.cpu,
-        )
-        executor = FeatureTransferExecutor(
-            context, cnn, dataset, layers, config,
-            downstream_fn=downstream_fn or (lambda features, label: {}),
-            tracer=tracer, metrics=registry,
-        )
-        row = CalibrationRow(plan=name)
-        try:
-            result = executor.run(plan)
-        except WorkloadCrash as crash:
-            row.crashed = True
-            row.crash_kind = type(crash).__name__
-            rows.append(row)
-            continue
-        row.predicted_peak_bytes = predict_workload_peaks(
-            cnn, dataset, layers, config, plan, num_nodes,
-            pool_grid=pool_grid, user_alpha=user_alpha,
-        )
-        observed = result.metrics.get("region_peak_bytes", {})
-        row.observed_peak_bytes = {
-            region: int(observed.get(region, 0)) for region in REGIONS
-        }
-        row.memory_ratios = peak_ratios(
-            row.predicted_peak_bytes, row.observed_peak_bytes
-        )
-        predicted = estimate_runtime(
-            exec_stats, layers, dataset_stats, plan,
-            _setup_from_budget(config, budget, name), cluster,
-            alpha=user_alpha, label=name,
-        )
-        row.predicted_stage_seconds = {
-            stage: round(seconds, 6)
-            for stage, seconds in predicted.breakdown.items()
-            if stage in STAGE_SPANS and seconds > 0
-        }
-        row.observed_stage_seconds = _observed_stages(tracer.export())
-        row.runtime_ratios = {
-            stage: round(
-                row.predicted_stage_seconds.get(stage, 0.0) / seconds, 4
-            )
-            for stage, seconds in row.observed_stage_seconds.items()
-            if seconds > 0 and stage in row.predicted_stage_seconds
-        }
-        row.op_seconds = _op_totals(registry.export())
-        rows.append(row)
-    return CalibrationReport(
-        model=cnn.name,
-        num_records=len(dataset),
-        layers=layers,
-        rows=rows,
-    )
-
-
-def _dataset_stats(dataset):
-    from repro.core.config import DatasetStats
-
-    return DatasetStats(
-        num_records=len(dataset),
-        num_structured_features=dataset.num_structured_features,
-        avg_image_bytes=int(dataset.image_rows[0]["image"].nbytes),
     )
 
 
@@ -491,7 +292,7 @@ def calibrate_parallel(cnn, dataset, layers, config, budget, num_nodes=2,
     plan = plan if plan is not None else ALL_PLANS["staged"]
     plan_label = getattr(plan, "label", str(plan))
     exec_stats = executable_model_stats(cnn)
-    dataset_stats = _dataset_stats(dataset)
+    dataset_stats = DatasetStats.from_dataset(dataset)
     cluster = params.ClusterSpec(
         num_nodes=num_nodes,
         cores_per_node=cores_per_node,

@@ -26,12 +26,14 @@ from repro.faults.retry import RecoveryLog, RetryPolicy
 
 
 def equip_context(context, injector=None, policy=None, recovery_log=None):
-    """Wire fault-injection and recovery state onto a cluster context.
+    """Assign fault-injection and recovery state to a cluster context.
 
-    The dataflow engine looks these attributes up by name, so plain
-    contexts pay nothing. The injector (if any) shares the recovery
-    log so its straggler events land in the same ledger. Returns the
-    context for chaining.
+    ``ClusterContext`` declares the three fields (None by default, so
+    plain contexts pay nothing); the task scheduler reads them once per
+    stage. The injector (if any) shares the recovery log so its
+    straggler events land in the same ledger. Call it before the
+    recorders are attached: they pick up the injector's clock and the
+    log's sink as they arrive. Returns the context for chaining.
     """
     recovery_log = recovery_log if recovery_log is not None else RecoveryLog()
     if injector is not None:

@@ -27,6 +27,7 @@ scenario from the waterline alone.
 from __future__ import annotations
 
 import enum
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.exceptions import (
@@ -181,38 +182,49 @@ class MemoryAccountant:
     def capacity(self, region):
         return self._regions[region].capacity
 
-    def headroom_ratio(self, region):
-        """Peak occupancy over budget: <1 means the region held, >1
-        means the budget was (or would have been) breached."""
-        state = self._regions[region]
-        if state.capacity <= 0:
-            return float("inf") if state.peak else 0.0
-        return state.peak / state.capacity
-
     def available(self, region):
         state = self._regions[region]
         return max(0, state.capacity - state.used)
 
+    def holding(self, region):
+        """Context manager that owns "charge, then release on every
+        path" for ``region``: ``held.charge(nbytes, what=...)`` any
+        number of times inside the block, and on exit everything the
+        hold counted is released — including a charge that raised,
+        which :meth:`charge` had already added to ``used``."""
+        return _Hold(self, region)
+
+    @contextmanager
     def reserve(self, region, nbytes, what=""):
-        """Context manager: charge on enter, release on exit."""
-        return _Reservation(self, region, int(nbytes), what)
+        """A :meth:`holding` block with one charge made on entry."""
+        with self.holding(region) as held:
+            held.charge(nbytes, what=what)
+            yield held
 
     def reset_peaks(self):
         for state in self._regions.values():
             state.peak = state.used
 
 
-class _Reservation:
-    def __init__(self, accountant, region, nbytes, what):
+class _Hold:
+    """The bytes one ``with accountant.holding(region)`` block has
+    charged so far."""
+
+    def __init__(self, accountant, region):
         self._accountant = accountant
         self._region = region
-        self._nbytes = nbytes
-        self._what = what
+        self.nbytes = 0
+
+    def charge(self, nbytes, what=""):
+        nbytes = int(nbytes)
+        # Counted before charging: charge() increments ``used`` before
+        # it raises, so the exit must release this one either way.
+        self.nbytes += nbytes
+        self._accountant.charge(self._region, nbytes, what=what)
 
     def __enter__(self):
-        self._accountant.charge(self._region, self._nbytes, what=self._what)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        self._accountant.release(self._region, self._nbytes)
+        self._accountant.release(self._region, self.nbytes)
         return False

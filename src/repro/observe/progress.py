@@ -12,7 +12,8 @@ spans close and estimating time-to-completion.
 
 The ETA is *online-calibrated*: raw cost-model seconds are paper-scale
 absolutes that can drift far from a mini-scale container run (the
-calibration bench gates that drift at 25×), but the *relative* stage
+end-to-end benchmark reports ``costmodel.predicted_over_observed`` in
+the hundreds), but the *relative* stage
 weights track the workload shape. So the ETA scales the predicted
 remaining seconds by the observed/predicted ratio over the stages
 already finished::

@@ -10,7 +10,7 @@ from repro.core.config import DatasetStats, Resources
 from repro.core.executor import FeatureTransferExecutor
 from repro.data import amazon_dataset, foods_dataset
 from repro.dataflow.context import local_context
-from repro.memory.model import GB
+from repro.memory.model import GB, Region
 
 
 def _open_fds():
@@ -26,27 +26,40 @@ def no_leaks(tmp_path, monkeypatch):
     """After every test, pass or fail: no child process left (live or
     zombie), the same open fds as before, nothing of ours in /dev/shm,
     no ``*.tmp`` from an unfinished atomic write under the test's own
-    ``tmp_path``, and no partition still charged to a worker's Storage
-    region once a ``FeatureTransferExecutor.run`` has returned or
-    raised."""
+    ``tmp_path``, and — once a ``FeatureTransferExecutor.run`` has
+    returned or raised — no partition still charged to a worker's
+    Storage region and no byte still charged to any accountant region
+    of a worker or the driver."""
     fds_before = _open_fds()
     still_cached = []
+    still_charged = []
     run = FeatureTransferExecutor.run
 
     def checked_run(self, *args, **kwargs):
         try:
             return run(self, *args, **kwargs)
         finally:
+            context = self.context
             still_cached.extend(
                 (worker.node_id, worker.storage.used_bytes,
                  worker.storage.cached_keys())
-                for worker in self.context.workers
+                for worker in context.workers
                 if worker.storage.used_bytes
+            )
+            accountants = [("driver", context.driver)] + [
+                (f"w{worker.node_id}", worker.accountant)
+                for worker in context.workers
+            ]
+            still_charged.extend(
+                (owner, region.value, accountant.used(region))
+                for owner, accountant in accountants
+                for region in Region if accountant.used(region)
             )
 
     monkeypatch.setattr(FeatureTransferExecutor, "run", checked_run)
     yield
     assert not still_cached
+    assert not still_charged
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert _open_fds() == fds_before

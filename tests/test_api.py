@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Vista, default_resources
+from repro.core.config import DatasetStats
 from repro.core.plans import LAZY, STAGED
 from repro.data import foods_dataset
 from repro.exceptions import InvalidLayerError
@@ -41,6 +42,8 @@ def test_layers_counted_from_top(dataset, resources):
 
 def test_sizing_report(dataset, resources):
     vista = Vista("alexnet", 2, dataset, resources)
+    assert vista.dataset_stats == DatasetStats.from_dataset(dataset)
+    assert vista.dataset_stats.num_records == 40
     report = vista.sizing()
     assert set(report.intermediate_table_bytes) == {"fc7", "fc8"}
     assert report.s_single > 0

@@ -5,8 +5,8 @@ every Algorithm 1 candidate with its Eq. 9-15 terms and rejection
 reasons; the winner is the configuration ``Vista.run`` actually
 executes; a what-if pinned to the optimizer's choice predicts
 per-region peaks inside the documented band of the observed waterlines
-for all six plans; and the calibration report's ratios gate cleanly
-against themselves."""
+for all six plans; and the parallel calibration report carries the
+measured capacity its gate hangs on."""
 
 import json
 import os
@@ -24,7 +24,6 @@ from repro.costmodel.params import PEAK_PREDICTION_BAND
 from repro.data import foods_dataset
 from repro.dataflow.context import ClusterContext
 from repro.explain import (
-    calibrate,
     calibration,
     drift_violations,
     explain,
@@ -248,21 +247,6 @@ class TestPeakPrediction:
 
 
 class TestCalibration:
-    def test_report_gates_cleanly_against_itself(self):
-        cnn, dataset, config, budget = _mini_workload()
-        report = calibrate(cnn, dataset, ["fc7", "fc8"], config, budget)
-        assert len(report.rows) == len(ALL_PLANS)
-        assert not any(row.crashed for row in report.rows)
-        assert report.in_band() == {}
-        for row in report.rows:
-            assert row.memory_ratios
-            assert row.runtime_ratios
-            assert row.op_seconds, f"{row.plan}: no op_seconds totals"
-        results = report.results()
-        assert results["plans_run"] == len(ALL_PLANS)
-        assert results["plans_crashed"] == 0
-        assert drift_violations(results, results) == {}
-
     def test_drift_violations_flag_large_moves(self):
         old = {"memory_ratio_capacity:staged:user": 1.0,
                "runtime_ratio_capacity:staged:train": 100.0}

@@ -169,6 +169,26 @@ def test_broadcast_charges_driver_and_user(ctx):
     )
 
 
+def test_broadcast_crash_leaves_nothing_charged_anywhere():
+    """Crash scenario (3)'s broadcast half: the copy that does not fit
+    a worker's User Memory was already added to ``used`` when the
+    charge raised, so it must be released with the ones that fit."""
+    from repro.dataflow.context import ClusterContext
+    from repro.exceptions import UserMemoryExceeded
+    from repro.memory.model import GB, MemoryBudget, Region
+
+    budget = MemoryBudget(
+        system_bytes=8 * GB, os_reserved_bytes=0, user_bytes=100,
+        core_bytes=GB, storage_bytes=GB, dl_bytes=GB,
+    )
+    ctx = ClusterContext(budget, num_nodes=2, cores_per_node=4)
+    left, right = _tables(ctx)
+    with pytest.raises(UserMemoryExceeded):
+        broadcast_join(right, left)
+    for accountant in [ctx.driver, *(w.accountant for w in ctx.workers)]:
+        assert all(accountant.used(region) == 0 for region in Region)
+
+
 def test_shuffle_join_charges_core(ctx):
     from repro.memory.model import Region
 

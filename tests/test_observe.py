@@ -258,6 +258,46 @@ def test_metrics_sink_throttles_samples():
     assert all(e["metric"] == "ticks" for e in sampled)
 
 
+def _ledger_after_attaching(order):
+    """One ``map_blocks`` on a context whose recorders were attached in
+    ``order``; returns the ledger."""
+    ctx = equip_context(local_context(num_nodes=2, cores_per_node=4))
+    recorders = {"tracer": Tracer(), "metrics": MetricsRegistry(),
+                 "ledger": RunLedger()}
+    for name in order.split():
+        getattr(ctx, f"attach_{name}")(recorders[name])
+    rows = [{"id": i, "x": np.full(4, i, dtype=np.float32)}
+            for i in range(16)]
+    table = DistributedTable.from_rows(ctx, rows, 4, name="t_in")
+    table.map_blocks(lambda block: block, name="t_out")
+    assert ctx.recovery_log.sink is recorders["ledger"]
+    return recorders["ledger"]
+
+
+@pytest.mark.parametrize("order", ["ledger tracer metrics",
+                                   "metrics ledger tracer"])
+def test_recorders_stream_into_the_ledger_in_any_attach_order(order):
+    """Sinks land on the live recorders whichever is attached first,
+    and the region budgets ``attach_metrics`` publishes enter the
+    ledger exactly once either way."""
+    def shape(ledger):
+        return sorted(
+            (e["kind"], e.get("name") or e.get("metric"),
+             str(e.get("labels")))
+            for e in ledger.events
+        )
+
+    documented = _ledger_after_attaching("tracer metrics ledger")
+    ledger = _ledger_after_attaching(order)
+    assert ledger.count("span_start") == ledger.count("span_end") > 0
+    budgets = [e for e in ledger.of("metric")
+               if e["metric"] == "mem_capacity_bytes"]
+    # 2 workers + the driver, 5 regions each, once
+    assert len(budgets) == 15
+    assert len({str(e["labels"]) for e in budgets}) == 15
+    assert shape(ledger) == shape(documented)
+
+
 # ---------------------------------------------------------------------
 # end-to-end ledgers from both backends
 # ---------------------------------------------------------------------

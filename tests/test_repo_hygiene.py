@@ -5,6 +5,7 @@ command — a workflow step that runs a missing script is red on every
 push, and a documented command that cannot run is worse than none.
 """
 
+import ast
 import glob
 import os
 import re
@@ -102,3 +103,57 @@ def test_every_committed_rule_metric_resolves_on_a_record(tmp_path):
                 f"{scope}: {entry['name']}: {entry['metric']!r} "
                 "matches nothing"
             )
+
+
+# ---------------------------------------------------------------------
+# one owner per engine decision: the shape cannot drift back
+# ---------------------------------------------------------------------
+def _src_files(*parts):
+    return sorted(glob.glob(
+        os.path.join(REPO_ROOT, "src", "repro", *parts), recursive=True))
+
+
+def test_a_backend_takes_one_wave_and_one_stage():
+    """``benchmarks/e2e/tracing.py`` wraps each class's own
+    ``run_wave``; the scheduler hands it one object."""
+    import inspect
+
+    from repro.dataflow.backend import BACKENDS
+
+    for cls in BACKENDS.values():
+        run_wave = vars(cls)["run_wave"]  # defined here, not inherited
+        assert list(inspect.signature(run_wave).parameters) == [
+            "self", "wave"], cls
+        assert not inspect.isgeneratorfunction(run_wave), cls
+        assert list(inspect.signature(cls.stage).parameters) == [
+            "self", "stage"], cls
+
+
+def test_context_fields_are_read_not_probed():
+    """``ClusterContext.__init__`` declares every field the engine
+    shares; a ``getattr(context, ..., default)`` is a second owner."""
+    probe = re.compile(r"getattr\((self\.|left\.)?context,")
+    hits = [
+        f"{os.path.relpath(path, REPO_ROOT)}:{number}"
+        for path in _src_files("**", "*.py")
+        for number, line in enumerate(
+            _read(path).splitlines(), 1) if probe.search(line)
+    ]
+    assert not hits
+
+
+def test_a_backend_settles_nothing_itself():
+    """Attempts, retries, charges and releases belong to the scheduler
+    (``dataflow/executor.py``) and the accountant's hold."""
+    backend = _read("src/repro/dataflow/backend.py")
+    for owned in ("accountant.charge", "accountant.release",
+                  "attempts[", "retry_next"):
+        assert owned not in backend, owned
+    scheduler = ast.parse(_read("src/repro/dataflow/executor.py"))
+    private = [
+        alias.name for node in ast.walk(scheduler)
+        if isinstance(node, ast.ImportFrom)
+        and node.module == "repro.dataflow.backend"
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert not private

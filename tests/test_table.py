@@ -80,7 +80,7 @@ def test_repartition_coalesces_same_keys(ctx):
 
 def test_repartition_meters_shuffle_bytes(ctx):
     table = _table(ctx)
-    before = getattr(ctx, "shuffle_bytes_total", 0)
+    before = ctx.shuffle_bytes_total
     table.repartition_by_key(4)
     assert ctx.shuffle_bytes_total > before
 
@@ -139,6 +139,23 @@ def test_collect_charges_driver(ctx):
     table = _table(ctx2)
     with pytest.raises(DriverMemoryExceeded):
         table.collect()
+
+
+def test_collect_crash_leaves_nothing_charged_on_the_driver():
+    """Crash scenario (4): the charge that overflows was already added
+    to ``used`` when it raised, so it must be released too."""
+    from repro.dataflow.context import ClusterContext
+    from repro.exceptions import DriverMemoryExceeded
+    from repro.memory.model import GB, MemoryBudget, Region
+
+    budget = MemoryBudget(
+        system_bytes=8 * GB, os_reserved_bytes=0, user_bytes=GB,
+        core_bytes=GB, storage_bytes=GB, dl_bytes=GB, driver_bytes=1000,
+    )
+    ctx = ClusterContext(budget, num_nodes=2, cores_per_node=4)
+    with pytest.raises(DriverMemoryExceeded):
+        _table(ctx).collect_block()
+    assert ctx.driver.used(Region.DRIVER) == 0
 
 
 def test_max_partition_bytes(ctx):
