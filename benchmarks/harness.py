@@ -74,7 +74,7 @@ def write_results(path, payload):
 
 
 #: Version tag of the BENCH_*.json layout. Only ``bench_parallel``
-#: still writes it (ROADMAP item 3 decides that bench); nothing under
+#: still writes it (kept with the process backend); nothing under
 #: ``src/`` reads or writes this envelope.
 TRACE_SCHEMA = "trace/v2"
 

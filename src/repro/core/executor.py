@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.plans import SOURCE, Op, compile_plan, infer_step
+from repro.dataflow.backend import SERIAL_BACKEND
 from repro.dataflow.columnar import ColumnarBlock, pack_column
 from repro.dataflow.executor import charge_model_replicas
 from repro.dataflow.joins import join as physical_join
@@ -34,6 +35,28 @@ from repro.memory.model import Region
 from repro.ml.logistic import LogisticRegression
 from repro.ml.metrics import f1_score
 from repro.tensor.tensorlist import TensorList
+
+
+#: FLOPs an ``INFER`` step must spend per byte of tensor it returns to
+#: be worth a process boundary. A fixed stand-in for the cost model's
+#: measured compute-vs-transfer constants: on the mini zoo every step
+#: from the raw image reads 374-25,000 FLOP/B and every other step
+#: <= 58.5, so any value in between places alike.
+DISPATCH_FLOPS_PER_BYTE = 128
+
+
+def dispatches(cnn, step):
+    """Stage placement, decided here for every plan: whether ``step``'s
+    stage goes to the context's backend or runs in the driver, where its
+    table already is. Per row: every dataset size places alike."""
+    if step.op is not Op.INFER:
+        return False
+    out_bytes = sum(
+        4 * int(np.prod(cnn.output_shape_of(layer)))  # float32 tensors
+        for layer, _ in step.outputs
+    )
+    flops = cnn.flops_between(step.from_layer or 0, step.outputs[-1][0])
+    return flops >= DISPATCH_FLOPS_PER_BYTE * out_bytes
 
 
 def estimate_model_mem_bytes(cnn, blowup=3.0):
@@ -351,7 +374,7 @@ class FeatureTransferExecutor:
                     table.unpersist()
                     cached.remove(table)
                 elif step.op is Op.PROJECT:
-                    tables[step.writes] = self._project(table, step.layer)
+                    tables[step.writes] = self._project(table, step)
                 else:
                     results[step.layer] = self._train(table, step)
                 if last_read[step.reads] == index:
@@ -361,6 +384,12 @@ class FeatureTransferExecutor:
             for table in cached:
                 table.unpersist()
         return results
+
+    def _backend_for(self, step):
+        """The backend ``step``'s ``map_blocks`` stage is placed on."""
+        if dispatches(self.cnn, step):
+            return self.context.exec_backend
+        return SERIAL_BACKEND
 
     # ------------------------------------------------------------------
     # building blocks
@@ -510,6 +539,7 @@ class FeatureTransferExecutor:
                     checkpoint=(
                         (store, step.stage_id) if store is not None else None
                     ),
+                    backend=self._backend_for(step),
                 )
             finally:
                 release()
@@ -535,8 +565,8 @@ class FeatureTransferExecutor:
             num_partitions=self.config.num_partitions,
         )
 
-    def _project(self, table, layer):
-        """``layer``'s ``tensor:<layer>`` column of the Eager all-layers
+    def _project(self, table, step):
+        """``step.layer``'s ``tensor:<layer>`` column of the Eager all-layers
         table, as the ``{id, features, label, tensor}`` train table."""
         def project_block(block):
             if block.num_rows == 0:
@@ -546,12 +576,13 @@ class FeatureTransferExecutor:
                     "id": block.column("id"),
                     "features": block.column("features"),
                     "label": block.column("label"),
-                    "tensor": block.column(f"tensor:{layer}"),
+                    "tensor": block.column(f"tensor:{step.layer}"),
                 },
                 block.num_rows,
             )
 
-        return table.map_blocks(project_block, user_alpha=self.user_alpha)
+        return table.map_blocks(project_block, user_alpha=self.user_alpha,
+                                backend=self._backend_for(step))
 
     def _train(self, table, step):
         """A ``TRAIN`` step: concatenate structured + pooled image
@@ -609,6 +640,7 @@ class FeatureTransferExecutor:
                 sp.add("bytes_in", measured)
             vectors = table.map_blocks(
                 vectorize_block, user_alpha=self.user_alpha,
+                backend=self._backend_for(step),
             )
             features, labels = self._collect_train_matrix(vectors)
             with self.tracer.span(f"downstream:{layer}") as down:

@@ -4,49 +4,45 @@ The scheduler in :mod:`repro.dataflow.executor` decides *what* runs and
 what becomes of it — which partitions form a wave, the attempt count,
 fault screening, memory charges, who retries, who gets blacklisted. A
 :class:`Backend` only runs tasks: it decides *how* one wave's tasks
-physically execute.
+physically execute. *Where* a stage runs is its caller's choice, per
+stage (``run_partition_tasks(..., backend=)``; the context's
+``exec_backend`` is the default): the plan interpreter sends only
+compute-dense ``INFER`` steps there
+(:func:`repro.core.executor.dispatches`) and runs every other stage on
+:data:`SERIAL_BACKEND`, in the driver, where its table already is.
 
-- :class:`SerialBackend` (the default) runs the wave's tasks
-  sequentially in-process, exactly as the engine always has. Memory is
-  still *accounted* as if ``cpu`` tasks run concurrently.
-- :class:`ProcessPoolBackend` keeps up to ``cpu`` forked worker
-  processes resident for the duration of a stage (one
-  ``run_partition_tasks`` call — §4.1's "each execution thread holds
-  its replica for the stage"), so a wave of ``cpu`` tasks genuinely
-  occupies ``cpu`` cores and the ``cpu`` knob (the one Algorithm 1
-  exists to pick) moves wall-clock time. A result travels back over a
-  pipe as one length-prefixed frame whose payload is the VCB1
-  single-buffer encoding
-  (:meth:`~repro.dataflow.columnar.ColumnarBlock.to_buffer`), so image
-  tensors are never pickled; a dead worker — real ``SIGKILL``
+- :class:`SerialBackend` runs the wave's tasks sequentially in the
+  driver; memory is still *accounted* as if ``cpu`` ran concurrently.
+- :class:`ProcessPoolBackend` keeps up to ``cpu`` forked workers
+  resident for the duration of a stage (§4.1's "each execution thread
+  holds its replica for the stage"), so a wave of ``cpu`` tasks
+  occupies ``cpu`` cores. A result travels back over a pipe as one
+  length-prefixed frame whose payload is the VCB1 single-buffer
+  encoding (:meth:`~repro.dataflow.columnar.ColumnarBlock.to_buffer`),
+  so tensors are never pickled; a dead worker — real ``SIGKILL``
   included — is a short read on its pipe and surfaces as a genuine
-  :class:`~repro.exceptions.WorkerLost` that flows through the
-  existing lineage/retry/blacklist machinery unchanged. Workers hold
-  two pipe ends and nothing named, and are killed and reaped when the
-  stage exits on every path, so there is nothing to orphan; a worker
-  whose driver dies reads EOF on its command pipe and exits.
+  :class:`~repro.exceptions.WorkerLost` for the lineage/retry/blacklist
+  machinery. Workers hold two pipe ends and nothing named, and are
+  killed and reaped when the stage exits on every path; a worker whose
+  driver dies reads EOF on its command pipe and exits.
 
-Backends expose two hooks, one argument each:
-:meth:`Backend.stage` brackets one stage and :meth:`Backend.run_wave`
-executes one wave. For every ``(position, partition)`` of
-``wave.tasks`` a backend calls ``wave.admit`` (None: injection failed
-the task, skip it), runs ``wave.task_fn(partition)`` wherever it likes,
-and hands the result or the exception to ``wave.settle``. Counting,
-charging, retry and failure routing happen inside those two calls;
-:class:`~repro.exceptions.WorkerLost` propagates out of either, and
-out of ``run_wave``, untouched. Everything above the wave (regrouping,
-failover, commit barriers) is backend-agnostic.
+Backends expose two hooks, one argument each: :meth:`Backend.stage`
+brackets one stage and :meth:`Backend.run_wave` takes each task of one
+wave through ``admit`` → ``task_fn`` → ``settle``
+(:class:`~repro.dataflow.executor._Wave`: counting, charging, retry
+and failure routing happen inside those two calls);
+:class:`~repro.exceptions.WorkerLost` propagates out of all three
+untouched.
 
-Fault-injection semantics are the serial engine's: the process backend
-calls ``wave.admit`` — which screens ``injector.on_task_start`` — in
-the *parent*, in wave order, before dispatching, so injected crashes,
-OOMs, stragglers, and simulated worker losses fire at the same points
-with the same seeded RNG draws, which is what keeps recovered outputs
-bit-identical across backends. The one genuinely new fault kind,
-``worker-kill`` (:func:`repro.faults.plan.FaultPlan.worker_kill`),
-SIGKILLs the real worker process — before its task is sent
-(``phase="start"``) or after it announced its result frame but before
-the frame was transferred (``phase="transfer"``).
+``wave.admit`` screens fault injection in the *driver*, in wave order,
+before anything is dispatched, so injected crashes, OOMs, stragglers
+and simulated worker losses take the same seeded RNG draws on every
+backend — which keeps recovered outputs bit-identical across them. The
+one fault only a dispatched stage can take, ``worker-kill``
+(:func:`repro.faults.plan.FaultPlan.worker_kill`), SIGKILLs the real
+worker — before its task is sent (``phase="start"``) or after it
+announced its result frame but before the frame was transferred
+(``phase="transfer"``).
 """
 
 from __future__ import annotations
@@ -74,9 +70,8 @@ class Backend:
 
     ``stage`` brackets every wave of one ``run_partition_tasks`` call;
     ``run_wave`` runs one wave's tasks through the scheduler's
-    ``admit`` → ``task_fn`` → ``settle`` protocol (see the module
-    docstring) and returns nothing: results reach the scheduler through
-    ``settle`` only.
+    ``admit`` → ``task_fn`` → ``settle`` protocol and returns nothing:
+    results reach the scheduler through ``settle`` only.
     """
 
     name = "abstract"

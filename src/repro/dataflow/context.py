@@ -49,11 +49,11 @@ class ClusterContext:
         Degree of parallelism actually used per worker (``cpu`` in
         Table 1B); defaults to ``cores_per_node``.
     exec_backend:
-        Physical wave-execution backend: ``"serial"`` (default),
-        ``"process"``, or a :class:`~repro.dataflow.backend.Backend`
-        instance. Scheduling semantics are identical either way; the
-        process backend actually parallelizes each wave across forked
-        OS processes.
+        The backend a stage runs on unless its caller places it
+        elsewhere: ``"serial"`` (default), ``"process"``, or a
+        :class:`~repro.dataflow.backend.Backend` instance. Scheduling
+        semantics are identical either way; the process backend runs
+        each wave across forked OS processes.
     """
 
     def __init__(self, budget, num_nodes=1, cores_per_node=8, cpu=None,

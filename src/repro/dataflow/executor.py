@@ -6,10 +6,11 @@ per-region accountants raise the Section 4.1 crash exceptions if a
 wave's combined footprint overflows a region. This reproduces the
 paper's "higher parallelism -> bigger footprint -> crash" behaviour.
 
-*How* a wave's tasks physically execute is delegated to the context's
-:class:`~repro.dataflow.backend.Backend`: the default
+*How* a wave's tasks physically execute is delegated to the
+:class:`~repro.dataflow.backend.Backend` its caller placed the stage on
+(the context's, unless it says otherwise):
 :class:`~repro.dataflow.backend.SerialBackend` runs them sequentially
-in-process (deterministic, accounted as if ``cpu`` ran concurrently),
+in the driver (deterministic, accounted as if ``cpu`` ran concurrently),
 while :class:`~repro.dataflow.backend.ProcessPoolBackend` keeps up to
 ``cpu`` forked workers resident for the stage, so ``cpu`` genuinely
 parallelizes each wave. A backend only runs tasks. Everything that
@@ -76,8 +77,9 @@ def _group_pairs(context, pairs):
 
 def run_partition_tasks(context, partitions, task_fn, region=Region.USER,
                         charge_fn=None, what="udf execution",
-                        on_commit=None):
-    """Run ``task_fn(partition) -> result`` over every partition.
+                        on_commit=None, backend=None):
+    """Run ``task_fn(partition) -> result`` over every partition, on
+    the ``backend`` the caller places this stage on (default: the context's).
 
     ``charge_fn(partition, result) -> bytes`` gives the per-task memory
     footprint charged to ``region`` on that partition's worker for the
@@ -94,20 +96,22 @@ def run_partition_tasks(context, partitions, task_fn, region=Region.USER,
     retried from lineage as described in the module docstring.
     """
     return _Stage(
-        context, partitions, task_fn, region, charge_fn, what, on_commit
+        context, partitions, task_fn, region, charge_fn, what, on_commit,
+        backend or context.exec_backend,
     ).run()
 
 
 class _Stage:
     """The scheduler's state for one ``run_partition_tasks`` call: what
-    runs, the context's recorders and recovery state resolved once, and
-    every task's fate so far. A backend sees ``context``,
-    ``partitions``, ``task_fn`` and ``what`` (in
+    runs and on which backend, the context's recorders and recovery
+    state resolved once, and every task's fate so far. A backend sees
+    ``context``, ``partitions``, ``task_fn`` and ``what`` (in
     :meth:`~repro.dataflow.backend.Backend.stage`) and nothing else."""
 
     def __init__(self, context, partitions, task_fn, region, charge_fn,
-                 what, on_commit):
+                 what, on_commit, backend):
         self.context = context
+        self.backend = backend
         self.partitions = partitions
         self.task_fn = task_fn
         self.region = region
@@ -138,7 +142,7 @@ class _Stage:
         # resources (the process backend's resident workers) and
         # release them on every exit path; wave positions index
         # ``partitions``.
-        with self.context.exec_backend.stage(self):
+        with self.backend.stage(self):
             while pending:
                 self.retry_next = []
                 # Regrouping each round is what reassigns a blacklisted
@@ -178,7 +182,7 @@ class _Stage:
                     wave = _Wave(self, worker, tasks, held)
                     if self.injector is not None:
                         self.injector.on_wave_start(worker.node_id, what=what)
-                    context.exec_backend.run_wave(wave)
+                    self.backend.run_wave(wave)
             except WorkerLost as loss:
                 # The in-flight wave dies with the worker; everything
                 # this worker had not finished fails over to live

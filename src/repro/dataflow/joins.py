@@ -21,7 +21,9 @@ a time: the build side with one fancy-index gather per column, the
 probe side the same way on a partial match and *shared, not copied*
 when every probe row matched (read-only views of the probe block's own
 arrays). The probe side is the big one — the image table — so a full
-key-key match moves only the structured columns.
+key-key match moves only the structured columns — where the probe
+blocks already are: both operators run on ``SERIAL_BACKEND``, in the
+driver, since a join computes nothing that pays for piping its table.
 
 Join output merges the two records; on a field-name clash the probe
 side wins except for the key, which is identical by definition.
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.dataflow.backend import SERIAL_BACKEND
 from repro.dataflow.columnar import ColumnarBlock
 from repro.dataflow.partition import Partition
 from repro.dataflow.executor import hold_on_live_workers, run_partition_tasks
@@ -177,6 +180,7 @@ def shuffle_hash_join(left, right, num_partitions=None, name=None,
         outputs = run_partition_tasks(
             left.context, probe.partitions, task, region=Region.CORE,
             charge_fn=charge, what="shuffle-hash join build",
+            backend=SERIAL_BACKEND,
         )
         partitions = [
             Partition.from_block(p.index, out)
@@ -231,6 +235,7 @@ def broadcast_join(small, big, name=None):
             outputs = run_partition_tasks(
                 context, big.partitions, task, region=Region.USER,
                 charge_fn=charge, what="broadcast join output",
+                backend=SERIAL_BACKEND,
             )
         partitions = [
             Partition.from_block(p.index, out)

@@ -78,12 +78,10 @@ class StorageManager:
         via tmp + rename. Failures leave no tmp residue and fall back
         to the in-memory retained copy (the spill stays metered).
 
-        The file name carries the writing process's pid: under the
-        process execution backend every stage-resident worker inherits
-        this manager by fork, and pid-scoping keeps a worker's spill
-        (its copy of the manager dies with it at stage exit) from ever
-        clobbering — or being trusted as — the driver's copy of the
-        same key."""
+        The file name carries the writing process's pid. Caching runs
+        in the driver, but a forked worker inherits this manager, and
+        pid-scoping keeps anything its copy spilled from clobbering —
+        or being trusted as — the driver's file for the same key."""
         if self.spill_dir is None:
             return
         name = _UNSAFE_KEY.sub("-", str(key)).strip("-") or "partition"
@@ -166,6 +164,10 @@ class StorageManager:
         # cannot double-count its bytes).
         self._spilled.pop(key, None)
         self._drop_spill_file(key)
+        if self.used_bytes + nbytes > self.capacity_bytes:
+            # Larger than the emptied region: straight to disk.
+            self._spill(key, partition, nbytes)
+            return
         self._cached[key] = (partition, nbytes)
         self.used_bytes += nbytes
         self.peak_bytes = max(self.peak_bytes, self.used_bytes)
@@ -183,16 +185,11 @@ class StorageManager:
                     "and spills are disabled"
                 )
             evict_key, (partition, nbytes) = self._cached.popitem(last=False)
-            self._spilled[evict_key] = (partition, nbytes)
-            self._spill_to_disk(evict_key, partition)
             self.used_bytes -= nbytes
-            self.spilled_bytes_total += nbytes
             self.eviction_count += 1
-            self.tracer.add("storage_spill_bytes", nbytes)
-            self.tracer.event("spill", key=str(evict_key), bytes=nbytes)
+            self._spill(evict_key, partition, nbytes)
             if self._m is not None:
                 self._m["evictions"].inc()
-                self._m["spill_bytes"].inc(nbytes)
                 admitted = self._admitted_tick.pop(evict_key, None)
                 if admitted is not None:
                     self._m["residency"].observe(
@@ -205,8 +202,18 @@ class StorageManager:
                     f"partition of {needed} B cannot fit in storage region "
                     f"of {self.capacity_bytes} B"
                 )
-            # Nothing left to evict: the new partition itself goes
-            # straight to disk (counted below by the caller's get()).
+            # Nothing left to evict: the caller sends the partition
+            # itself straight to disk.
+
+    def _spill(self, key, partition, nbytes):
+        """Record ``partition`` as spilled and meter the write."""
+        self._spilled[key] = (partition, nbytes)
+        self._spill_to_disk(key, partition)
+        self.spilled_bytes_total += nbytes
+        self.tracer.add("storage_spill_bytes", nbytes)
+        self.tracer.event("spill", key=str(key), bytes=nbytes)
+        if self._m is not None:
+            self._m["spill_bytes"].inc(nbytes)
 
     def _touch(self, key):
         self._cached.move_to_end(key)

@@ -110,7 +110,7 @@ class DistributedTable:
         )
 
     def map_blocks(self, block_fn, name=None, user_alpha=1.0,
-                   checkpoint=None):
+                   checkpoint=None, backend=None):
         """Apply ``block_fn(block) -> block`` per partition — the
         zero-copy batched path: the UDF reads the stored column arrays
         in place and returns a new
@@ -126,7 +126,8 @@ class DistributedTable:
         :class:`~repro.recovery.store.CheckpointStore` are restored
         (skipping their tasks entirely — the resume path), every
         freshly committed wave's outputs are persisted as they land,
-        and the stage is marked complete at the end.
+        and the stage is marked complete at the end. ``backend`` places
+        the stage (see :func:`~repro.dataflow.executor.run_partition_tasks`).
         """
         store, stage_id = checkpoint if checkpoint is not None else (None, None)
 
@@ -162,6 +163,7 @@ class DistributedTable:
                 self.context, pending, task, region=Region.USER,
                 charge_fn=charge, what=f"map over {self.name}",
                 on_commit=on_commit if store is not None else None,
+                backend=backend,
             )
             computed = {
                 p.index: Partition.from_block(p.index, out)

@@ -241,9 +241,23 @@ def _assert_aliases(joined, probe):
             assert got == source and got is not source, name
 
 
-@pytest.mark.parametrize("keys", [INT_KEYS, STR_KEYS], ids=["int", "general"])
-def test_broadcast_full_match_shares_the_probe_columns(ctx, keys):
-    images, structured = _image_tables(ctx, keys)
+#: Both key kinds on both backends: a join stage runs in the driver
+#: whatever the context's backend, so its output is never a pipe frame.
+full_match_cases = pytest.mark.parametrize(
+    "keys, backend",
+    [(INT_KEYS, "serial"), (STR_KEYS, "serial"),
+     (INT_KEYS, "process"), (STR_KEYS, "process")],
+    ids=["int", "general", "int-process", "general-process"],
+)
+
+
+def _backend_ctx(backend):
+    return local_context(num_nodes=2, cores_per_node=4, exec_backend=backend)
+
+
+@full_match_cases
+def test_broadcast_full_match_shares_the_probe_columns(keys, backend):
+    images, structured = _image_tables(_backend_ctx(backend), keys)
     out = broadcast_join(structured, images)
     assert out.num_rows() == len(keys)
     for joined, probe in zip(out.partitions, images.partitions):
@@ -253,8 +267,9 @@ def test_broadcast_full_match_shares_the_probe_columns(ctx, keys):
         )
 
 
-@pytest.mark.parametrize("keys", [INT_KEYS, STR_KEYS], ids=["int", "general"])
-def test_shuffle_full_match_shares_the_probe_columns(ctx, keys, monkeypatch):
+@full_match_cases
+def test_shuffle_full_match_shares_the_probe_columns(keys, backend,
+                                                     monkeypatch):
     shuffled = {}
     repartition = DistributedTable.repartition_by_key
 
@@ -263,7 +278,7 @@ def test_shuffle_full_match_shares_the_probe_columns(ctx, keys, monkeypatch):
         return shuffled[self.name]
 
     monkeypatch.setattr(DistributedTable, "repartition_by_key", spy)
-    images, structured = _image_tables(ctx, keys)
+    images, structured = _image_tables(_backend_ctx(backend), keys)
     out = shuffle_hash_join(images, structured, num_partitions=5)
     assert out.num_rows() == len(keys)
     probed = 0

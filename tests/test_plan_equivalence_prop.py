@@ -32,6 +32,7 @@ from repro.core.plans import ALL_PLANS
 from repro.data import foods_dataset
 from repro.dataflow.context import local_context
 from repro.features.pooling import pool_feature_tensor
+from repro.observe.ledger import RunLedger
 
 #: Fixed seed matrix (>= 20 configs, per the tier-2 CI contract).
 SEEDS = list(range(24))
@@ -90,13 +91,13 @@ def _downstream(features, labels):
 
 
 def _run_plan(model, dataset, layers, config, plan, downstream_fn=None,
-              checkpoint_store=None, exec_backend=None):
+              checkpoint_store=None, exec_backend=None, ledger=None):
     ctx = local_context(num_nodes=2, cores_per_node=4, cpu=config.cpu,
                         exec_backend=exec_backend)
     executor = FeatureTransferExecutor(
         ctx, model, dataset, list(layers), config,
         downstream_fn=downstream_fn or _downstream,
-        checkpoint_store=checkpoint_store,
+        checkpoint_store=checkpoint_store, ledger=ledger,
     )
     try:
         return executor.run(plan)
@@ -151,14 +152,21 @@ def test_backends_bit_identical(seed):
     change. For every seeded workload, every logical plan's feature
     matrices, downstream F1, and serialized bytes per row are
     byte-identical between the in-process serial engine and the
-    forked-OS-process backend (results shipped through shared
-    memory)."""
+    forked-OS-process backend (results shipped over pipes). Stage
+    placement keeps most stages in the driver, so every
+    process run must also show a task served by another pid: the matrix
+    can never silently compare serial with serial."""
     model_name, model, layers, dataset, config = workload_from_seed(seed)
     for name, plan in ALL_PLANS.items():
         serial = _run_plan(model, dataset, layers, config, plan,
                            exec_backend="serial")
+        ledger = RunLedger()
         process = _run_plan(model, dataset, layers, config, plan,
-                            exec_backend="process")
+                            exec_backend="process", ledger=ledger)
+        served_by = {event["pid"] for event in ledger.of("task_fork")}
+        assert served_by and os.getpid() not in served_by, (
+            f"seed {seed} ({model_name}): {name} dispatched nothing"
+        )
         assert sorted(process.layer_results) == sorted(
             serial.layer_results
         ), f"seed {seed} ({model_name}): {name} trained different layers"

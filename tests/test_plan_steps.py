@@ -1,14 +1,22 @@
 """The compiled plan is the contract: Figure 5 written down once (the
 golden table), the structural properties every compiled plan holds,
-and agreement of the three readers — executor spans and checkpoint
-stage ids, peak predictor, progress monitor — with the step list."""
+agreement of the three readers — executor spans and checkpoint
+stage ids, peak predictor, progress monitor — with the step list, and
+where each step's stage is placed (a second golden table, and the
+forks one ledgered run actually made)."""
 
 import pytest
 
+from repro.cnn import build_model
 from repro.core.api import Vista, default_resources
-from repro.core.plans import ALL_PLANS, SOURCE, Op, compile_plan
+from repro.core.config import VistaConfig
+from repro.core.executor import FeatureTransferExecutor, dispatches
+from repro.core.plans import (
+    ALL_PLANS, SOURCE, Op, compile_plan, infer_step,
+)
 from repro.data import foods_dataset
-from repro.observe import predict_stage_plan
+from repro.dataflow.context import local_context
+from repro.observe import RunLedger, predict_stage_plan
 from repro.recovery import CheckpointStore
 from repro.trace import Tracer
 
@@ -193,3 +201,103 @@ def test_executor_and_monitor_agree_with_steps(tmp_path, name, num_layers):
     )
     assert [stage.matcher for stage in stage_plan.stages] \
         == ["read", *span_names]
+
+
+# ---------------------------------------------------------------------
+# stage placement: which steps cross a process boundary
+# ---------------------------------------------------------------------
+PLACEMENT_CASES = {
+    # model, number of top layers, pre-materialized base layer
+    "alexnet": ("alexnet", 4, None),
+    "resnet50": ("resnet50", 5, None),
+    "alexnet-premat": ("alexnet", 3, "conv5"),
+}
+
+#: Every ``INFER`` step of every plan, in order, ``*`` = dispatched to
+#: the context's backend. All other steps stay in the driver.
+PLACEMENT = {
+    "alexnet": {
+        "lazy": "*image->conv5 *image->fc6 *image->fc7 *image->fc8",
+        "lazy-reordered": "*image->conv5 *image->fc6 *image->fc7 *image->fc8",
+        "eager": "*image->conv5+fc6+fc7+fc8",
+        "eager-reordered": "*image->conv5+fc6+fc7+fc8",
+        "staged": "*image->conv5 conv5->fc6 fc6->fc7 fc7->fc8",
+        "staged-bj": "*image->conv5 conv5->fc6 fc6->fc7 fc7->fc8",
+    },
+    "resnet50": {
+        "lazy": "*image->conv4_6 *image->conv5_1 *image->conv5_2 "
+                "*image->conv5_3 *image->fc6",
+        "lazy-reordered": "*image->conv4_6 *image->conv5_1 *image->conv5_2 "
+                          "*image->conv5_3 *image->fc6",
+        "eager": "*image->conv4_6+conv5_1+conv5_2+conv5_3+fc6",
+        "eager-reordered": "*image->conv4_6+conv5_1+conv5_2+conv5_3+fc6",
+        "staged": "*image->conv4_6 conv4_6->conv5_1 conv5_1->conv5_2 "
+                  "conv5_2->conv5_3 conv5_3->fc6",
+        "staged-bj": "*image->conv4_6 conv4_6->conv5_1 conv5_1->conv5_2 "
+                     "conv5_2->conv5_3 conv5_3->fc6",
+    },
+    "alexnet-premat": {
+        "lazy": "conv5->fc6 conv5->fc7 conv5->fc8",
+        "lazy-reordered": "conv5->fc6 conv5->fc7 conv5->fc8",
+        "eager": "conv5->fc6+fc7+fc8",
+        "eager-reordered": "conv5->fc6+fc7+fc8",
+        "staged": "conv5->fc6 fc6->fc7 fc7->fc8",
+        "staged-bj": "conv5->fc6 fc6->fc7 fc7->fc8",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_PLANS))
+@pytest.mark.parametrize("case", sorted(PLACEMENT_CASES))
+def test_golden_placement(case, name):
+    """Exactly the steps that start at the raw image are dispatched;
+    joins, projections, vectorize-and-train and every layer-to-layer
+    inference stay in the driver."""
+    model, num_layers, premat = PLACEMENT_CASES[case]
+    cnn = build_model(model, profile="mini")
+    layers = cnn.top_feature_layers(num_layers)
+    steps = compile_plan(ALL_PLANS[name], layers, premat)
+    assert " ".join(
+        "*" * dispatches(cnn, step)
+        + f"{step.from_layer or 'image'}->"
+        + "+".join(layer for layer, _ in step.outputs)
+        for step in steps if step.op is Op.INFER
+    ) == PLACEMENT[case][name]
+    assert not any(
+        dispatches(cnn, step) for step in steps if step.op is not Op.INFER)
+    if premat:  # the pre-materialization pass starts at the raw image
+        assert dispatches(cnn, infer_step(SOURCE, None, premat))
+
+
+def test_forks_happen_under_the_dispatched_stage_only():
+    """One ledgered Staged/AJ AlexNet-mini run at np=8, cpu=2 on the
+    process backend: nine stages, one of them sent to workers — eight
+    tasks over two forked lanes, all under image->conv5, none under the
+    join or any later stage."""
+    cnn = build_model("alexnet", profile="mini")
+    config = VistaConfig(
+        cpu=2, num_partitions=8, mem_storage_bytes=10**9,
+        mem_user_bytes=10**9, mem_dl_bytes=10**9, join="broadcast",
+        persistence="deserialized",
+    )
+    ledger = RunLedger()
+    FeatureTransferExecutor(
+        local_context(num_nodes=1, cores_per_node=4, cpu=2,
+                      exec_backend="process"),
+        cnn, foods_dataset(num_records=64), cnn.top_feature_layers(4),
+        config, ledger=ledger,
+    ).run(ALL_PLANS["staged"])
+
+    stages = []  # [what, task_fork events] per stage, in run order
+    for event in ledger:
+        if event["kind"] == "stage_tasks":
+            stages.append([event["what"], []])
+        elif event["kind"] == "task_fork":
+            stages[-1][1].append(event)
+    assert len(stages) == 9
+    assert stages[0][0] == "broadcast join output" and not stages[0][1]
+    what, forks = stages[1]
+    assert what.startswith("map over ") and len(forks) == 8
+    assert sum(event["spawn_s"] > 0 for event in forks) == 2
+    assert sorted(event["partition"] for event in forks) == list(range(8))
+    assert not any(forks for _, forks in stages[2:])

@@ -123,6 +123,46 @@ def test_recache_after_eviction_supersedes_spilled_copy():
     assert storage.get("a") is None  # gone from memory AND disk
 
 
+def test_oversized_partition_goes_straight_to_disk(tmp_path):
+    """A partition larger than the region left after evicting
+    everything is never admitted: it lands spilled (metered, blob
+    written), ``get`` re-reads it without admitting it, ``evict``
+    removes the file — and occupancy never passes the capacity."""
+    storage = StorageManager(800, spill_dir=str(tmp_path))
+    small, big = _partition(0, 400), _partition(1, 1200)
+    small_bytes, big_bytes = small.memory_bytes(), big.memory_bytes()
+    assert small_bytes <= 800 < big_bytes
+    storage.cache("small", small)
+    storage.cache("big", big)  # evicts small, still does not fit
+    assert storage.used_bytes == 0 and storage.cached_keys() == []
+    assert sorted(storage.spilled_keys()) == ["big", "small"]
+    assert storage.spilled_bytes_total == small_bytes + big_bytes
+    assert storage.eviction_count == 1  # big was never resident
+    path = storage.spill_file_paths()["big"]
+    assert os.path.exists(path)
+
+    assert storage.get("big") is big
+    assert storage.spill_read_bytes_total == big_bytes
+    assert "big" in storage.spilled_keys() and os.path.exists(path)
+    assert storage.peak_bytes == small_bytes <= storage.capacity_bytes
+
+    storage.evict("big")
+    assert storage.get("big") is None and not os.path.exists(path)
+
+
+def test_used_bytes_never_exceed_capacity():
+    storage = StorageManager(2_500)
+    sizes = [1000, 3000, 400, 2400, 5000, 1000, 400]
+    for index, nbytes in enumerate(sizes):
+        storage.cache(f"p{index}", _partition(index, nbytes))
+        assert storage.used_bytes <= storage.capacity_bytes
+        assert storage.get(f"p{index % 3}") is not None
+        assert storage.used_bytes <= storage.capacity_bytes
+    assert storage.peak_bytes <= storage.capacity_bytes
+    assert len(storage.cached_keys()) + len(storage.spilled_keys()) \
+        == len(sizes)
+
+
 def test_metrics_count_hits_misses_and_evictions_exactly():
     from repro.metrics import MetricsRegistry, find_series
 
