@@ -18,6 +18,8 @@ this invariant.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from repro.core.plans import SOURCE, Op, compile_plan, infer_step
@@ -182,19 +184,24 @@ class FeatureTransferExecutor:
         if ledger is not None:
             context.attach_ledger(ledger)
         self.ledger = context.ledger
-        np_ = config.num_partitions
+        self.tstr = self._read(dataset.structured_rows, "t_str", "structured")
+
+    def _read(self, rows, name, what):
+        """One source table, under a ``read`` span that reports it."""
         with self.tracer.span("read") as sp:
-            self.tstr = DistributedTable.from_rows(
-                context, dataset.structured_rows, np_, name="t_str"
-            )
-            self.timg = DistributedTable.from_rows(
-                context, dataset.image_rows, np_, name="t_img"
+            table = DistributedTable.from_rows(
+                self.context, rows, self.config.num_partitions, name=name
             )
             if self.tracer.enabled:
-                sp.add("rows_structured", self.tstr.num_rows())
-                sp.add("rows_images", self.timg.num_rows())
-                sp.add("bytes_structured", self.tstr.memory_bytes())
-                sp.add("bytes_images", self.timg.memory_bytes())
+                sp.add(f"rows_{what}", table.num_rows())
+                sp.add(f"bytes_{what}", table.memory_bytes())
+        return table
+
+    @cached_property
+    def timg(self):
+        """T_img, read on first use: a pre-materialized run that hits
+        the feature store never reads the images (Appendix B)."""
+        return self._read(self.dataset.image_rows, "t_img", "images")
 
     # ------------------------------------------------------------------
     # public API
@@ -216,13 +223,15 @@ class FeatureTransferExecutor:
         if op_hook is not None:
             self.cnn.op_timer = op_hook
         try:
+            # Images are read ahead of the workload span, unless a
+            # stored base layer may stand in for them.
+            source = self.timg if premat_layer is None else None
             with self.tracer.span(
                 "workload", plan=plan.label, join=config.join,
                 persistence=config.persistence,
                 num_partitions=config.num_partitions,
                 cpu=self.context.cpu,
             ) as span:
-                source = self.timg
                 if premat_layer is not None:
                     source = self._prematerialize(premat_layer)
                 layer_results = self._execute(

@@ -37,14 +37,18 @@ rather than reaching the source table.
 Sizing is exact: :attr:`ColumnarBlock.nbytes` sums the real buffer
 sizes (object-column members use the Appendix A per-value estimator).
 The wire format (:meth:`to_buffer`) is a single buffer — one JSON
-header plus the raw column buffers back to back — deterministic and
+header plus the column buffers back to back — deterministic and
 pickle-free for array-only blocks, which is every block a
-single-image workload produces.
+single-image workload produces. A mostly-zero float column (a ReLU
+feature tensor, Appendix A) is written as a bitmap of its non-zero
+elements plus those elements; nothing else compresses — every
+serialized form in the engine is this buffer and nothing around it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import pickle
 
 import numpy as np
@@ -53,6 +57,23 @@ from repro.dataflow.record import _VAR_HEADER, estimate_value_bytes
 
 #: Wire-format magic for a single-buffer columnar blob (version 1).
 MAGIC = b"VCB1"
+
+
+def _scatter(raw, dtype, shape, name):
+    """A ``sparse`` column payload (the packed bitmap of the non-zero
+    elements, then those elements) as a fresh read-only array."""
+    size = math.prod(shape)
+    mask_len = -(-size // 8)
+    # positions, not a boolean mask: 4x faster to scatter through
+    index = np.flatnonzero(np.unpackbits(
+        np.frombuffer(raw[:mask_len], dtype=np.uint8), count=size
+    ).view(np.bool_))
+    if len(raw) - mask_len != index.size * dtype.itemsize:
+        raise ValueError(f"sparse column {name!r}: bitmap and values disagree")
+    dense = np.zeros(size, dtype=f"u{dtype.itemsize}")
+    dense[index] = np.frombuffer(raw[mask_len:], dtype=dense.dtype)
+    dense.flags.writeable = False
+    return dense.view(dtype).reshape(shape)
 
 
 class NotColumnar(TypeError):
@@ -291,20 +312,36 @@ class ColumnarBlock:
     def to_buffer(self):
         """Encode as one buffer: ``MAGIC | u32 header_len | header
         (JSON) | column buffers`` — array columns as raw C-contiguous
-        bytes, object columns as one pickle each. Deterministic for
+        bytes, object columns as one pickle each; a float column goes
+        ``sparse`` (packed non-zero bitmap, then the non-zero elements)
+        iff that is at most 3/4 of its raw bytes. Deterministic for
         array-only blocks (fixed JSON key order, raw buffers)."""
         header_cols = []
         buffers = []
         for name, column in self._columns.items():
             if isinstance(column, np.ndarray):
-                raw = np.ascontiguousarray(column).tobytes()
+                kind = "array"
+                parts = [np.ascontiguousarray(column).reshape(-1)]
+                if column.dtype.kind == "f" and column.itemsize <= 8:
+                    # Zero means all bits zero, so -0.0, NaN payloads
+                    # and infinities round-trip bit for bit.
+                    bits = parts[0].view(f"u{column.itemsize}")
+                    sparse_len = (
+                        -(-bits.size // 8)
+                        + np.count_nonzero(bits) * bits.itemsize
+                    )
+                    if 0 < 4 * sparse_len <= 3 * bits.nbytes:
+                        kind = "sparse"
+                        mask = bits != 0   # compress: 4x bits[mask]
+                        parts = [np.packbits(mask), np.compress(mask, bits)]
                 header_cols.append({
                     "dtype": column.dtype.str,
-                    "kind": "array",
-                    "len": len(raw),
+                    "kind": kind,
+                    "len": sum(part.nbytes for part in parts),
                     "name": name,
                     "shape": list(column.shape),
                 })
+                buffers.extend(part.tobytes() for part in parts)
             else:
                 raw = pickle.dumps(
                     list(column), protocol=pickle.HIGHEST_PROTOCOL
@@ -314,7 +351,7 @@ class ColumnarBlock:
                     "len": len(raw),
                     "name": name,
                 })
-            buffers.append(raw)
+                buffers.append(raw)
         header = json.dumps(
             {"cols": header_cols, "n": self._num_rows},
             sort_keys=True, separators=(",", ":"),
@@ -327,23 +364,35 @@ class ColumnarBlock:
     def from_buffer(cls, data):
         """Decode :meth:`to_buffer` output from any bytes-like
         ``data``. Array columns are zero-copy ``np.frombuffer`` views
-        over it, writable only if ``data`` is."""
+        over it, writable only if ``data`` is; sparse columns are
+        fresh read-only arrays. Raises :class:`ValueError` — before
+        any column is built — unless ``data`` is exactly as long as
+        its header says, and on any column kind it does not know."""
         if data[:4] != MAGIC:
             raise ValueError("not a columnar buffer (bad magic)")
         header_len = int.from_bytes(data[4:8], "little")
         header = json.loads(bytes(data[8:8 + header_len]))
         offset = 8 + header_len
+        if offset + sum(spec["len"] for spec in header["cols"]) != len(data):
+            raise ValueError("buffer is not the length its header says")
         view = memoryview(data)
         columns = {}
         for spec in header["cols"]:
             raw = view[offset:offset + spec["len"]]
             offset += spec["len"]
-            if spec["kind"] == "array":
-                columns[spec["name"]] = np.frombuffer(
+            name, kind = spec["name"], spec["kind"]
+            if kind == "object":
+                columns[name] = pickle.loads(raw)
+            elif kind == "array":
+                columns[name] = np.frombuffer(
                     raw, dtype=np.dtype(spec["dtype"])
                 ).reshape(spec["shape"])
+            elif kind == "sparse":
+                columns[name] = _scatter(
+                    raw, np.dtype(spec["dtype"]), spec["shape"], name
+                )
             else:
-                columns[spec["name"]] = pickle.loads(raw)
+                raise ValueError(f"column {name!r}: unknown kind {kind!r}")
         return cls(columns, header["n"])
 
     def __repr__(self):

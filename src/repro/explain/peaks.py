@@ -200,7 +200,9 @@ def predict_workload_peaks(cnn, dataset, layers, config, plan,
     directly comparable to the ``region_peak_bytes`` the executor
     reports and the ``mem_used_bytes`` waterline peaks the metrics
     registry records. Serialized persistence is priced at deserialized
-    byte sizes (an upper bound: the zlib blob is never larger).
+    byte sizes: a VCB1 blob is at most its block's ``nbytes`` plus the
+    header (~70 bytes per column), and smaller by the zeros of every
+    column that goes sparse.
     """
     from repro.core.executor import estimate_model_mem_bytes
 

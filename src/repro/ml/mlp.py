@@ -4,7 +4,9 @@ Used in the TFT+Beam comparison (Figure 7B): "a 3-layer MLP (each
 hidden layer has 1024 units) for 10 iterations using distributed
 TF/Horovod". Here it is a plain numpy MLP trained with full-batch
 gradient descent; hidden widths default smaller so tests stay fast but
-the paper's configuration is one constructor call away.
+the paper's configuration is one constructor call away. Like
+TensorFlow's it is float32 end to end: the executor's matrices are
+read in place (the logistic regression is double, as MLlib's is).
 """
 
 from __future__ import annotations
@@ -25,16 +27,18 @@ class MLPClassifier:
         self._biases = None
 
     def fit(self, features, labels):
-        features = np.asarray(features, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.float64)
+        features = np.asarray(features, dtype=np.float32)
+        labels = np.asarray(labels, dtype=np.float32)
         rng = np.random.default_rng(self.random_state)
         sizes = [features.shape[1], *self.hidden_units, 1]
         self._weights = [
-            rng.normal(0, np.sqrt(2.0 / sizes[i]), (sizes[i], sizes[i + 1]))
-            for i in range(len(sizes) - 1)
+            rng.normal(0, np.sqrt(2.0 / fan), (fan, out)).astype(np.float32)
+            for fan, out in zip(sizes, sizes[1:])
         ]
-        self._biases = [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)]
+        self._biases = [np.zeros(out, dtype=np.float32) for out in sizes[1:]]
         n = len(labels)
+        # a numpy float64 rate would promote every update to double
+        learning_rate = np.float32(self.learning_rate)
         for _ in range(self.iterations):
             activations, pre = self._forward(features)
             probs = activations[-1][:, 0]
@@ -46,8 +50,8 @@ class MLPClassifier:
                     delta = (delta @ self._weights[layer].T) * (
                         pre[layer - 1] > 0
                     )
-                self._weights[layer] -= self.learning_rate * grad_w
-                self._biases[layer] -= self.learning_rate * grad_b
+                self._weights[layer] -= learning_rate * grad_w
+                self._biases[layer] -= learning_rate * grad_b
         return self
 
     def _forward(self, features):
@@ -70,7 +74,7 @@ class MLPClassifier:
     def predict_proba(self, features):
         if self._weights is None:
             raise RuntimeError("model is not fitted; call fit() first")
-        features = np.asarray(features, dtype=np.float64)
+        features = np.asarray(features, dtype=np.float32)
         activations, _ = self._forward(features)
         return activations[-1][:, 0]
 

@@ -205,8 +205,7 @@ def test_wire_format_layout_and_magic():
     assert data[:4] == MAGIC
     assert is_columnar_buffer(data)
     header_len = int.from_bytes(data[4:8], "little")
-    import json
-    header = json.loads(data[8:8 + header_len])
+    header = _header(data)
     assert header["n"] == 2
     body_len = sum(col["len"] for col in header["cols"])
     assert len(data) == 8 + header_len + body_len
@@ -254,6 +253,228 @@ def test_wire_format_golden_bytes():
     )
 
 
+def test_wire_format_golden_bytes_sparse_column():
+    """A second pinned block, with the column kind ReLU feature tensors
+    take: 3 of every 7 elements non-zero, so the tensor is written as a
+    15-byte bitmap plus 51 float32 values instead of 480 raw bytes."""
+    import hashlib
+
+    n = 5
+    tensor = (
+        np.maximum(np.arange(n * 4 * 6) % 7 - 3, 0).astype(np.float32) / 11.0
+    ).reshape(n, 4, 6)
+    block = ColumnarBlock({"id": np.arange(n, dtype=np.int64), "t": tensor}, n)
+    data = block.to_buffer()
+    header = _header(data)
+    assert [col["kind"] for col in header["cols"]] == ["array", "sparse"]
+    assert header["cols"][1]["len"] == 15 + 51 * 4
+    assert len(data) == 416
+    assert hashlib.sha256(data).hexdigest() == (
+        "167c9fa78df41285fbeff04831b68fc6676cf97b279c101193c52b0efcdf4dff"
+    )
+    np.testing.assert_array_equal(
+        ColumnarBlock.from_buffer(data).column("t"), tensor
+    )
+
+
+#: Generous bound on a block's JSON header + magic + length word: ~70
+#: bytes per column (tests here use at most four short-named columns).
+_HEADER_BOUND = 400
+
+
+def _header(data):
+    import json
+
+    return json.loads(bytes(data[8:8 + int.from_bytes(data[4:8], "little")]))
+
+
+def _bits(array):
+    """The array's bytes as unsigned integers: the only comparison
+    under which -0.0 != 0.0 and a NaN equals itself, payload included."""
+    array = np.ascontiguousarray(array)
+    return array.view(f"u{array.itemsize}")
+
+
+@st.composite
+def _wire_blocks(draw):
+    """Blocks of one to three columns over every dtype the engine
+    stores, with 0 rows and 0-size tensors, all-zero / no-zero /
+    ReLU-like values, IEEE specials, and non-contiguous or read-only
+    inputs."""
+    n = draw(st.integers(0, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    columns = {}
+    for position in range(draw(st.integers(1, 3))):
+        dtype = draw(st.sampled_from(["f2", "f4", "f8", "i8", "bool", "object"]))
+        if dtype == "object":
+            columns[f"c{position}"] = [
+                None if i % 3 == 0 else f"s{i}" for i in range(n)
+            ]
+            continue
+        shape = (n, *draw(st.sampled_from([(), (5,), (0,), (3, 2, 4)])))
+        values = rng.normal(size=shape) * 4
+        pattern = draw(st.sampled_from(["zeros", "dense", "relu"]))
+        if pattern == "zeros":
+            values[...] = 0
+        elif pattern == "relu":
+            values = np.maximum(values, 0)
+        column = values.astype(dtype)
+        if column.dtype.kind == "f" and column.size and draw(st.booleans()):
+            flat = column.reshape(-1)
+            for special in (-0.0, np.nan, np.inf, -np.inf):
+                flat[draw(st.integers(0, flat.size - 1))] = special
+            # a NaN with every payload bit set
+            _bits(flat)[draw(st.integers(0, flat.size - 1))] = (
+                np.iinfo(_bits(flat).dtype).max >> 1
+            )
+        layout = draw(st.sampled_from(["contiguous", "strided", "readonly"]))
+        if layout == "strided":
+            column = np.repeat(column, 2, axis=0)[::2]
+        elif layout == "readonly":
+            column.flags.writeable = False
+        columns[f"c{position}"] = column
+    return ColumnarBlock(columns, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(block=_wire_blocks())
+def test_wire_format_roundtrip_property(block):
+    data = block.to_buffer()
+    assert data == block.to_buffer()        # deterministic
+    restored = ColumnarBlock.from_buffer(data)
+    assert restored.num_rows == block.num_rows
+    assert restored.column_names == block.column_names
+    array_bytes = 0
+    for name in block.column_names:
+        want, got = block.column(name), restored.column(name)
+        if not block.is_array(name):
+            assert got == want
+            continue
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(_bits(got), _bits(want))
+        assert not got.flags.writeable
+        array_bytes += want.nbytes
+    # never larger than the raw buffers plus the header
+    spent = sum(
+        col["len"] for col in _header(data)["cols"] if col["kind"] != "object"
+    )
+    assert spent <= array_bytes
+    # the layout of the input is not part of the value
+    compact = ColumnarBlock(
+        {
+            name: np.array(block.column(name))
+            if block.is_array(name) else block.column(name)
+            for name in block.column_names
+        },
+        block.num_rows,
+    )
+    assert compact.to_buffer() == data
+
+
+@pytest.mark.parametrize("dtype", ["f2", "f4", "f8"])
+@pytest.mark.parametrize("nnz_ratio", [0.0, 0.13, 0.36, 0.5, 0.7, 0.8, 1.0])
+def test_sparse_column_size_contract(dtype, nnz_ratio):
+    """A float column at non-zero ratio p costs ``p + 1/(8 * itemsize)``
+    of its raw bytes — one bit per element plus the non-zero elements —
+    whenever that is at most 3/4; otherwise it is stored raw, byte for
+    byte. The rule is arithmetic on the column's own nnz."""
+    size = 8192
+    itemsize = np.dtype(dtype).itemsize
+    nnz = int(nnz_ratio * size)
+    flat = np.zeros(size, dtype=dtype)
+    positions = np.random.default_rng(0).permutation(size)[:nnz]
+    flat[positions] = np.arange(1, nnz + 1) / 7.0
+    column = flat.reshape(64, 128)
+    data = ColumnarBlock({"x": column}, 64).to_buffer()
+    (spec,) = _header(data)["cols"]
+    sparse_len = size // 8 + nnz * itemsize
+    if 4 * sparse_len <= 3 * column.nbytes:
+        assert spec["kind"] == "sparse" and spec["len"] == sparse_len
+        assert spec["len"] / column.nbytes == pytest.approx(
+            nnz_ratio + 1 / (8 * itemsize), abs=1e-3
+        )
+    else:
+        assert spec["kind"] == "array"
+        assert data[-column.nbytes:] == column.tobytes()
+    assert len(data) <= column.nbytes + _HEADER_BOUND
+    assert np.array_equal(
+        _bits(ColumnarBlock.from_buffer(data).column("x")), _bits(column)
+    )
+
+
+def test_non_float_columns_are_never_sparse():
+    n = 64
+    block = ColumnarBlock(
+        {"i": np.zeros((n, 32), dtype=np.int64),
+         "b": np.zeros((n, 32), dtype=np.bool_),
+         "f": np.zeros((n, 32), dtype=np.float32)},
+        n,
+    )
+    kinds = {c["name"]: c["kind"] for c in _header(block.to_buffer())["cols"]}
+    assert kinds == {"i": "array", "b": "array", "f": "sparse"}
+
+
+# ----------------------------------------------------------------------
+# from_buffer validates before it builds
+# ----------------------------------------------------------------------
+def _reheader(data, edit):
+    """``data`` with its JSON header passed through ``edit``."""
+    import json
+
+    old_len = int.from_bytes(data[4:8], "little")
+    header = _header(data)
+    edit(header)
+    encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return (MAGIC + len(encoded).to_bytes(4, "little") + encoded
+            + data[8 + old_len:])
+
+
+def _relu_block(n=16):
+    rng = np.random.default_rng(3)
+    return ColumnarBlock(
+        {"id": np.arange(n),
+         "t": np.maximum(rng.normal(size=(n, 40)), 0).astype(np.float32),
+         "tag": [f"r{i}" for i in range(n)]},
+        n,
+    )
+
+
+def test_unknown_column_kind_raises_instead_of_unpickling():
+    import pickle
+
+    class Boom:
+        def __reduce__(self):
+            return (pytest.fail, ("from_buffer unpickled an unknown kind",))
+
+    payload = pickle.dumps(Boom())
+    data = ColumnarBlock({"id": np.arange(2)}, 2).to_buffer()
+    forged = _reheader(data, lambda h: h["cols"].append(
+        {"kind": "pickle", "len": len(payload), "name": "evil"}
+    )) + payload
+    with pytest.raises(ValueError, match="unknown kind 'pickle'"):
+        ColumnarBlock.from_buffer(forged)
+
+
+@pytest.mark.parametrize("cut", [1, 7, 100])
+def test_truncated_or_overlong_buffer_raises_before_any_column(cut):
+    data = _relu_block().to_buffer()
+    for damaged in (data[:-cut], data + bytes(cut)):
+        with pytest.raises(ValueError, match="not the length its header says"):
+            ColumnarBlock.from_buffer(damaged)
+    with pytest.raises(ValueError):
+        ColumnarBlock.from_buffer(data[:8 + cut])    # inside the header
+
+
+def test_sparse_popcount_must_match_value_count():
+    data = bytearray(_relu_block().to_buffer())
+    header = _header(data)
+    assert header["cols"][1]["kind"] == "sparse"
+    bitmap_at = len(data) - sum(col["len"] for col in header["cols"][1:])
+    data[bitmap_at] ^= 0x01       # one element more, or one fewer
+    with pytest.raises(ValueError, match="sparse column 't'"):
+        ColumnarBlock.from_buffer(bytes(data))
+
+
 def test_single_buffer_encode_smaller_than_n_pickles():
     import pickle
 
@@ -283,13 +504,22 @@ def test_nbytes_is_exact_buffer_sum():
 
 
 def test_serialized_vs_deserialized_partition_sizes():
+    """What the serialized form saves is ReLU's zeros (Appendix A), not
+    entropy in mantissas: a half-zero tensor column costs its non-zero
+    elements plus one bit per element, a dense one is stored raw and
+    costs the header on top."""
     rng = np.random.default_rng(2)
-    rows = [
-        {"id": i, "x": rng.normal(size=200).astype(np.float32)}
+    dense = [
+        {"id": i, "x": rng.normal(size=2000).astype(np.float32)}
         for i in range(32)
     ]
-    part = Partition.from_rows(0, rows)
-    assert part.memory_bytes(SERIALIZED) < part.memory_bytes(DESERIALIZED)
+    relu = [{"id": r["id"], "x": np.maximum(r["x"], 0)} for r in dense]
+    part = Partition.from_rows(0, relu)
+    ratio = part.memory_bytes(SERIALIZED) / part.memory_bytes(DESERIALIZED)
+    assert 0.50 < ratio < 0.56          # nnz 0.5 + 1/32, header is noise
+    part = Partition.from_rows(0, dense)
+    extra = part.memory_bytes(SERIALIZED) - part.memory_bytes(DESERIALIZED)
+    assert 0 < extra <= _HEADER_BOUND
 
 
 def test_pack_column_classification():

@@ -1,7 +1,8 @@
-"""Crash consistency of the checkpoint store at every write boundary.
+"""Crash consistency of the checkpoint store — and, at the end, of the
+feature store — at every write boundary.
 
-``CheckpointStore`` does all of its durable I/O through
-:mod:`repro.atomic_io`'s syscall shim. ``CrashIO`` stands in for it:
+``CheckpointStore`` and ``FeatureStore`` do all of their durable I/O
+through :mod:`repro.atomic_io`'s syscall shim. ``CrashIO`` stands in for it:
 it performs the real call, counts it, and — asked to — "kills the
 process" right after the n-th ``write`` / ``fsync`` / ``replace``: that
 call took effect, nothing after it does. In ``power-loss`` mode the
@@ -24,6 +25,7 @@ from repro.core.api import Vista, default_resources
 from repro.data import foods_dataset
 from repro.dataflow.columnar import ColumnarBlock
 from repro.dataflow.partition import Partition
+from repro.features.store import FeatureStore
 from repro.recovery import MANIFEST_NAME, CheckpointStore
 
 
@@ -277,3 +279,72 @@ def test_syncs_per_run_of_the_test_workload(tmp_path):
     resumed = run(resume)
     assert resumed.restore_total == 28 and resumed.recompute_total == 0
     assert resume.calls == []
+
+
+# ----------------------------------------------------------------------
+# FeatureStore.put: data, then the metadata that commits it
+# ----------------------------------------------------------------------
+FEATURE_KEY = ("alexnet", "conv5", "16-0badcafe")
+#: tmp write + fsync + rename, for the data file and for the metadata.
+FEATURE_KILL_POINTS = 6
+
+
+def _feature_rows(version):
+    rng = np.random.default_rng(version)
+    return [
+        {"id": i,
+         "tensor": np.maximum(rng.standard_normal(64), 0).astype(np.float32)}
+        for i in range(12)
+    ]
+
+
+def _assert_hit(store, version):
+    block = store.get(*FEATURE_KEY)
+    want = ColumnarBlock.from_rows(_feature_rows(version))
+    assert block.column("id").tolist() == want.column("id").tolist()
+    assert np.array_equal(block.column("tensor"), want.column("tensor"))
+
+
+def test_feature_store_kill_points_are_all_enumerated(tmp_path):
+    io = CrashIO()
+    store = FeatureStore(tmp_path)
+    store.io = io
+    store.put(*FEATURE_KEY, _feature_rows(1))
+    assert [name for name, _ in io.calls] == [
+        "write", "fsync", "replace"] * 2
+    assert [os.path.basename(path) for name, path in io.calls
+            if name == "replace"] == [
+        "alexnet__conv5__16-0badcafe.vcb", "alexnet__conv5__16-0badcafe.json"]
+    _assert_hit(FeatureStore(tmp_path), 1)
+
+
+@pytest.mark.parametrize("overwrite", [False, True], ids=["fresh", "overwrite"])
+@pytest.mark.parametrize("power_loss", [False, True],
+                         ids=["kill", "power-loss"])
+@pytest.mark.parametrize("kill_after", range(1, FEATURE_KILL_POINTS + 1))
+def test_feature_store_put_killed_after_every_syscall(
+        tmp_path, kill_after, power_loss, overwrite):
+    """Whatever the put was killed after, the next session sees a clean
+    miss or a verified hit of the new rows — never a torn hit, never
+    new data vouched for by old metadata (or the reverse)."""
+    if overwrite:
+        FeatureStore(tmp_path).put(*FEATURE_KEY, _feature_rows(0))
+    io = CrashIO(kill_after=kill_after, power_loss=power_loss)
+    dying = FeatureStore(tmp_path)
+    dying.io = io
+    with pytest.raises(Killed):
+        dying.put(*FEATURE_KEY, _feature_rows(1))
+    committed = (io.calls[-1][0] == "replace"
+                 and str(io.calls[-1][1]).endswith(".json"))
+    assert committed == (kill_after == FEATURE_KILL_POINTS)
+
+    reopened = FeatureStore(tmp_path)
+    assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
+    assert reopened.contains(*FEATURE_KEY) == committed
+    if committed:
+        _assert_hit(reopened, 1)
+    else:
+        assert reopened.get(*FEATURE_KEY) is None
+        assert (reopened.hits, reopened.misses) == (0, 1)
+        reopened.put(*FEATURE_KEY, _feature_rows(1))   # the run carries on
+        _assert_hit(FeatureStore(tmp_path), 1)

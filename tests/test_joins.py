@@ -103,6 +103,9 @@ def test_joins_on_keys_that_are_not_non_negative_ints(ctx, keys):
     broadcast_rows = broadcast_join(right, left).to_rows_sorted()
     assert shuffle_rows == broadcast_rows == expected
     for partition in left.repartition_by_key(5).partitions:
+        if not len(partition):
+            continue    # str hashes are seeded per process: a bucket
+            # can come up empty, and an empty block has no columns
         for key in partition.block().column("id"):
             assert hash(key) % 5 == partition.index
 

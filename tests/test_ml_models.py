@@ -128,3 +128,50 @@ class TestMLP:
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             MLPClassifier().predict(np.zeros((2, 2)))
+
+    def test_float32_end_to_end(self):
+        """TensorFlow's MLP is single precision (only MLlib's logistic
+        regression is double): weights, biases and probabilities stay
+        float32 — even under a numpy float64 learning rate, which
+        would promote every update."""
+        features, labels = _separable(n=50)
+        model = MLPClassifier(
+            hidden_units=(8, 8), learning_rate=np.float64(0.05)
+        ).fit(features.astype(np.float32), labels)
+        assert {w.dtype for w in model._weights + model._biases} == {
+            np.dtype(np.float32)
+        }
+        assert model.predict_proba(features).dtype == np.float32
+        assert model.predict(features).dtype == np.int64
+
+    def test_fit_reads_a_float32_matrix_in_place(self, monkeypatch):
+        """The executor's train matrices are float32 and C-contiguous:
+        the first activation of every forward pass is that memory, not
+        a converted copy."""
+        features, labels = _separable(n=50)
+        features = np.ascontiguousarray(features, dtype=np.float32)
+        first_activations = []
+        forward = MLPClassifier._forward
+
+        def spy(self, matrix):
+            activations, pre = forward(self, matrix)
+            first_activations.append(activations[0])
+            return activations, pre
+
+        monkeypatch.setattr(MLPClassifier, "_forward", spy)
+        model = MLPClassifier(iterations=3).fit(features, labels)
+        model.predict_proba(features)
+        assert len(first_activations) == 4
+        assert all(np.shares_memory(a, features) for a in first_activations)
+
+    def test_float64_input_still_accepted(self):
+        features, labels = _separable(n=50)
+        assert features.dtype == np.float64
+        as_double = MLPClassifier(random_state=1).fit(features, labels)
+        as_single = MLPClassifier(random_state=1).fit(
+            features.astype(np.float32), labels
+        )
+        np.testing.assert_array_equal(
+            as_double.predict_proba(features),
+            as_single.predict_proba(features.astype(np.float32)),
+        )

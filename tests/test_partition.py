@@ -27,8 +27,20 @@ def test_roundtrip_through_serialized_form():
 
 
 def test_serialized_smaller_than_deserialized_for_redundant_data():
-    part = Partition.from_rows(0, _rows(50))
-    assert part.memory_bytes(SERIALIZED) < part.memory_bytes(DESERIALIZED)
+    """The redundancy the serialized format removes is the zeros ReLU
+    leaves in feature tensors (Section 4.2.3 / Appendix A): they cost
+    one bit each. Dense data is stored raw, a header larger at most."""
+    rng = np.random.default_rng(0)
+    relu = Partition.from_rows(0, [
+        {"id": i, "x": np.maximum(rng.normal(size=1024), 0).astype(np.float32)}
+        for i in range(50)
+    ])
+    assert (relu.memory_bytes(SERIALIZED)
+            < 0.56 * relu.memory_bytes(DESERIALIZED))
+    dense = Partition.from_rows(0, _rows(50))
+    assert (dense.memory_bytes(DESERIALIZED)
+            < dense.memory_bytes(SERIALIZED)
+            <= dense.memory_bytes(DESERIALIZED) + 256)
 
 
 def test_drop_rows_keeps_data_recoverable():

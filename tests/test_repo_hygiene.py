@@ -182,3 +182,27 @@ def test_a_backend_settles_nothing_itself():
         for alias in node.names if alias.name.startswith("_")
     ]
     assert not private
+
+
+# ---------------------------------------------------------------------
+# one wire format, no compressor; the feature store writes atomically
+# ---------------------------------------------------------------------
+def test_no_compressor_under_dataflow_or_features():
+    """Serialized persistence is the VCB1 buffer itself: what shrinks
+    is ReLU's zeros, column by column, not deflate over mantissas
+    (``zlib.crc32`` fingerprints are fine)."""
+    hits = [
+        os.path.relpath(path, REPO_ROOT)
+        for package in ("dataflow", "features")
+        for path in _src_files(package, "**", "*.py")
+        if re.search(r"zlib\.(de)?compress", _read(path))
+    ]
+    assert not hits
+    assert "zlib" not in _read("src/repro/dataflow/partition.py")
+
+
+def test_feature_store_writes_through_atomic_io_only():
+    store = _read("src/repro/features/store.py")
+    assert "atomic_write_bytes" in store
+    for raw_write in ("write_bytes", "write_text"):
+        assert raw_write not in store.replace("atomic_write_bytes", "")

@@ -93,11 +93,22 @@ def test_cache_places_partitions_on_workers(ctx):
 
 
 def test_cache_serialized_compresses(ctx):
-    table = _table(ctx, 100, 4)
-    deser_bytes = table.memory_bytes()
-    table.cache(SERIALIZED)
+    """Storage is charged the blob: ReLU-sparse tensors shrink to their
+    non-zero elements plus a bit per element, a dense table costs one
+    header per partition on top of its raw bytes."""
+    rng = np.random.default_rng(0)
+    relu = DistributedTable.from_rows(ctx, [
+        {"id": i, "x": np.maximum(rng.normal(size=256), 0).astype(np.float32)}
+        for i in range(100)
+    ], 4, name="relu")
+    relu.cache(SERIALIZED)
     used = sum(w.storage.used_bytes for w in ctx.workers)
-    assert used < deser_bytes
+    assert used < 0.56 * relu.memory_bytes()
+    relu.unpersist()
+    dense = _table(ctx, 100, 4)
+    dense.cache(SERIALIZED)
+    used = sum(w.storage.used_bytes for w in ctx.workers)
+    assert dense.memory_bytes() < used <= dense.memory_bytes() + 4 * 256
 
 
 def test_unpersist(ctx):
