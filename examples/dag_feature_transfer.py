@@ -1,69 +1,69 @@
-"""Feature transfer from a DAG-structured network (DenseNet-style) —
-the paper's Section 5.4 extension, working end to end.
+"""Feature transfer from a DAG-structured network (DenseNet-style)
+through the same engine as AlexNet/VGG/ResNet.
 
-The generalized Staged plan schedules a DAG's feature nodes so that no
-operator ever runs twice and only the live cut of intermediate tensors
-is held — exactly what the chain-structured Staged plan does for
-AlexNet/VGG/ResNet, extended to multi-input layers (dense-block
-concatenations).
+A dense block is one composite operator (the paper's footnote 1), so
+DenseNet-mini is an ordinary chain whose feature layers sit at the
+block outputs — and the plan executor runs it like any roster model.
+Lazy recomputes the shared prefix for every feature layer; Staged runs
+every operator once and trains the same models.
 
 Run:  python examples/dag_feature_transfer.py
 """
 
 import numpy as np
 
-from repro.cnn.dag import run_staged, staged_schedule
-from repro.cnn.zoo.densenet import build_densenet_mini
-from repro.data.synthetic import generate_dataset
-from repro.features.pooling import pool_feature_tensor
-from repro.ml import LogisticRegression, f1_score, standardize, train_test_split
+from repro.cnn.zoo.densenet import MINI_INPUT_SHAPE, build_densenet_mini
+from repro.core.config import VistaConfig
+from repro.core.executor import FeatureTransferExecutor, default_downstream
+from repro.core.plans import LAZY, STAGED
+from repro.data import foods_dataset
+from repro.dataflow.context import local_context
+
+
+def downstream(features, labels):
+    return {"matrix": features, **default_downstream(features, labels)}
+
+
+def run_plan(plan, model, dataset):
+    config = VistaConfig(
+        cpu=2, num_partitions=8, mem_storage_bytes=0, mem_user_bytes=0,
+        mem_dl_bytes=0, join="shuffle", persistence="deserialized",
+    )
+    ctx = local_context(num_nodes=2, cores_per_node=4, cpu=2)
+    executor = FeatureTransferExecutor(
+        ctx, model, dataset, model.feature_layers, config,
+        downstream_fn=downstream,
+    )
+    return executor.run(plan)
 
 
 def main():
-    dag = build_densenet_mini()
-    targets = dag.feature_nodes
-    print(f"network: {dag}")
+    model = build_densenet_mini()
+    print(f"network: {model}")
+    for profile in model.profiles:
+        mark = "*" if profile.feature_layer else " "
+        print(f"  {mark} {profile.name:11s} {profile.kind:14s} "
+              f"-> {profile.output_shape}")
 
-    print("\ngeneralized staged schedule:")
-    for step in staged_schedule(dag, targets):
-        print(f"  materialize {step.targets[0]:11s} "
-              f"compute={len(step.compute):2d} ops, "
-              f"keep live cut={list(step.keep)}")
+    dataset = foods_dataset(num_records=300, image_shape=MINI_INPUT_SHAPE)
+    lazy = run_plan(LAZY, model, dataset)
+    staged = run_plan(STAGED, model, dataset)
 
-    dataset = generate_dataset(
-        "dag-demo", num_records=300, num_structured_features=24,
-        image_shape=(16, 16, 3), seed=3,
-    )
-    labels = dataset.labels()
-    structured = dataset.structured_matrix()
-
-    # Staged DAG inference per record; accumulate per-target features.
-    feature_matrices = {t: [] for t in targets}
-    peak = 0
-    for image in dataset.images():
-        results, held = run_staged(dag, image, targets)
-        peak = max(peak, held)
-        for target in targets:
-            feature_matrices[target].append(
-                pool_feature_tensor(results[target])
-            )
-    print(f"\npeak simultaneously-held tensors per record: {peak} "
-          f"(vs {len(dag.nodes)} nodes total)")
-
-    print(f"\n{'feature node':14s} {'test F1':>8s}")
-    x_tr, x_te, y_tr, y_te = train_test_split(structured, labels, 0.2)
-    x_tr, x_te = standardize(x_tr, x_te)
-    base = LogisticRegression(learning_rate=2.0).fit(x_tr, y_tr)
-    print(f"{'(struct only)':14s} "
-          f"{f1_score(y_te, base.predict(x_te)):>8.3f}")
-    for target in targets:
-        features = np.hstack(
-            [structured, np.stack(feature_matrices[target])]
+    print(f"\n{'feature layer':14s} {'dim':>5s} {'train F1':>9s}")
+    for layer, result in staged.layer_results.items():
+        assert np.array_equal(
+            result.downstream["matrix"],
+            lazy.layer_results[layer].downstream["matrix"],
         )
-        x_tr, x_te, y_tr, y_te = train_test_split(features, labels, 0.2)
-        x_tr, x_te = standardize(x_tr, x_te)
-        model = LogisticRegression(learning_rate=2.0).fit(x_tr, y_tr)
-        print(f"{target:14s} {f1_score(y_te, model.predict(x_te)):>8.3f}")
+        print(f"{layer:14s} {result.feature_dim:>5d} "
+              f"{result.downstream['f1_train']:>9.3f}")
+    print("Lazy and Staged trained on bit-identical feature matrices")
+
+    lazy_flops = lazy.metrics["inference_flops"]
+    staged_flops = staged.metrics["inference_flops"]
+    print(f"\ninference GFLOPs: Lazy {lazy_flops / 1e9:.2f}, "
+          f"Staged {staged_flops / 1e9:.2f} — Lazy performed "
+          f"{lazy_flops / staged_flops:.2f}x the FLOPs of Staged")
 
 
 if __name__ == "__main__":

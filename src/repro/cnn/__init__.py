@@ -5,15 +5,18 @@ implements the layer TensorOps (convolution, pooling, non-linearity,
 fully connected — Section 2 of the paper), chains them into ``CNN``
 objects (Def. 3.4), and supports full and *partial* CNN inference
 (Defs. 3.6, 3.7), which is the primitive Vista's Staged plan relies on.
+``CNN`` is the only network class: a near-chain architecture (ResNet,
+DenseNet) is a chain whose blocks are composite TensorOps (footnote 1).
 
 The :mod:`repro.cnn.zoo` subpackage provides the paper's model roster
 (AlexNet, VGG16, ResNet50) in two profiles: ``full`` (the real
 architectures, used for shape/FLOP/size metadata that drives the
 optimizer and cost model) and ``mini`` (scaled-down analogues with the
-same layer structure, fast enough to execute end-to-end in tests).
+same layer structure, fast enough to execute end-to-end in tests) —
+plus a mini DenseNet outside the roster. Every built model carries the
+:class:`ModelStats` of the network that runs as ``cnn.stats``.
 """
 
-from repro.cnn.inference import full_inference, partial_inference
 from repro.cnn.network import CNN
 from repro.cnn.zoo import (
     MODEL_ROSTER,
@@ -27,7 +30,5 @@ __all__ = [
     "MODEL_ROSTER",
     "ModelStats",
     "build_model",
-    "full_inference",
     "get_model_stats",
-    "partial_inference",
 ]

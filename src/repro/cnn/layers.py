@@ -5,7 +5,7 @@ feature tensors (or flat vectors for dense layers). Convolution uses
 im2col + matmul; everything is plain numpy, single precision.
 
 Every layer implements the batched NHWC contract (``apply_batch`` over
-an (N, H, W, C) stack), and for conv, pooling and the bottleneck block
+an (N, H, W, C) stack), and for conv, pooling and the composite blocks
 that is the only kernel — one image runs as a stack of one.
 Convolution does one batch-wide im2col (a plain reshape for 1x1) and a
 single large GEMM, then adds bias and applies ReLU in place on the GEMM
@@ -21,10 +21,11 @@ the case in point: its window sums run over a buffer with *one* gap of
 pixel is the gap before the next), and every pass after them over
 exactly the tensor's own elements — see :class:`LocalResponseNorm`.
 
-The ResNet bottleneck block is a *composite* TensorOp so that the CNN
-as a whole remains an indexed chain (Def. 3.4) even though internally
-the block is a small DAG — exactly the simplification the paper's
-footnote 1 makes.
+The ResNet bottleneck block and the DenseNet dense block are
+*composite* TensorOps so that the CNN as a whole remains an indexed
+chain (Def. 3.4) even though internally a block is a small DAG —
+exactly the simplification the paper's footnote 1 makes. Feature
+layers sit at block boundaries, never inside a block.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 
 from repro.tensor.ops import TensorOp
 from repro.cnn.shapes import conv_output_hw
+from repro.cnn.weights import he_normal
 
 
 def _pad_hw_batch(batch, padding, value=0.0):
@@ -333,30 +335,26 @@ class BottleneckBlock(_BatchKernelOp):
         out_h, out_w = conv_output_hw(h, w, 3, stride, 1)
         super().__init__(input_shape, (out_h, out_w, cout), name=name)
         rng = rng or np.random.default_rng(0)
-
-        def he(shape, fan_in):
-            return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(
-                np.float32
-            )
-
         self.reduce = Conv2D(
             input_shape, filters, 1,
-            weights=he((1, 1, cin, filters), cin), relu=True,
+            weights=he_normal(rng, (1, 1, cin, filters), cin), relu=True,
             name=f"{name}/reduce",
         )
         self.conv3 = Conv2D(
             self.reduce.output_shape, filters, 3, stride=stride, padding=1,
-            weights=he((3, 3, filters, filters), 9 * filters), relu=True,
-            name=f"{name}/conv3",
+            weights=he_normal(rng, (3, 3, filters, filters), 9 * filters),
+            relu=True, name=f"{name}/conv3",
         )
         self.expand = Conv2D(
             self.conv3.output_shape, cout, 1,
-            weights=he((1, 1, filters, cout), filters), name=f"{name}/expand",
+            weights=he_normal(rng, (1, 1, filters, cout), filters),
+            name=f"{name}/expand",
         )
         if stride != 1 or cin != cout:
             self.shortcut = Conv2D(
                 input_shape, cout, 1, stride=stride,
-                weights=he((1, 1, cin, cout), cin), name=f"{name}/shortcut",
+                weights=he_normal(rng, (1, 1, cin, cout), cin),
+                name=f"{name}/shortcut",
             )
         else:
             self.shortcut = None
@@ -377,3 +375,30 @@ class BottleneckBlock(_BatchKernelOp):
         if self.shortcut:
             count += self.shortcut.weights.size + self.shortcut.bias.size
         return int(count)
+
+
+class DenseBlock(_BatchKernelOp):
+    """DenseNet dense block as one composite TensorOp: ``layers`` 3x3
+    convs (ReLU fused), each reading the channel concatenation of the
+    block's input and every earlier conv's output and appending
+    ``growth`` channels to it."""
+
+    def __init__(self, input_shape, layers, growth, rng=None, name="block"):
+        h, w, cin = input_shape
+        cout = cin + layers * growth
+        super().__init__(input_shape, (h, w, cout), name=name)
+        rng = rng or np.random.default_rng(0)
+        self.convs = [
+            Conv2D(
+                (h, w, width), growth, 3, padding=1,
+                weights=he_normal(rng, (3, 3, width, growth), 9 * width),
+                relu=True, name=f"{name}/conv{i + 1}",
+            )
+            for i, width in enumerate(range(cin, cout, growth))
+        ]
+
+    def apply_batch(self, batch):
+        out = batch.astype(np.float32, copy=False)
+        for conv in self.convs:
+            out = np.concatenate([out, conv.apply_batch(out)], axis=-1)
+        return out

@@ -21,28 +21,29 @@ class CNN(TensorOp):
 
     Parameters
     ----------
-    name:
-        Roster name, e.g. ``"alexnet"``.
     layers:
         Ordered list of TensorOps; layer ``i`` (1-based) is
         ``layers[i-1]``.
-    feature_layers:
-        Names of the layers exposed for feature transfer, ordered from
-        lowest to highest in the network.
+    stats:
+        The :class:`~repro.cnn.zoo.roster.ModelStats` of this very
+        chain (one profile per layer): its name, e.g. ``"alexnet"``,
+        the layers exposed for feature transfer (lowest first), and
+        every static number a reader of the model's shape needs.
     """
 
-    def __init__(self, name, layers, feature_layers):
+    def __init__(self, layers, stats):
         if not layers:
             raise InvalidLayerError("a CNN needs at least one layer")
-        super().__init__(layers[0].input_shape, layers[-1].output_shape, name=name)
+        super().__init__(
+            layers[0].input_shape, layers[-1].output_shape, name=stats.name
+        )
         self.layers = list(layers)
         self._index_by_name = {op.name: i + 1 for i, op in enumerate(self.layers)}
         if len(self._index_by_name) != len(self.layers):
-            raise InvalidLayerError(f"duplicate layer names in {name}")
-        for fl in feature_layers:
-            if fl not in self._index_by_name:
-                raise InvalidLayerError(f"feature layer {fl!r} not in {name}")
-        self.feature_layers = list(feature_layers)
+            raise InvalidLayerError(f"duplicate layer names in {self.name}")
+        self.stats = stats
+        self.feature_layers = stats.feature_layers
+        self.profiles = stats.profiles
 
     @property
     def num_layers(self):
@@ -67,12 +68,7 @@ class CNN(TensorOp):
     def top_feature_layers(self, count):
         """The ``count`` highest feature layers, lowest first — the
         paper's API takes |L| counted from the top-most layer."""
-        if count < 1 or count > len(self.feature_layers):
-            raise InvalidLayerError(
-                f"{self.name} exposes {len(self.feature_layers)} feature "
-                f"layers; requested {count}"
-            )
-        return self.feature_layers[-count:]
+        return self.stats.top_feature_layers(count)
 
     def _resolve(self, layer):
         if isinstance(layer, str):
@@ -167,18 +163,12 @@ class CNN(TensorOp):
             )
         return begin, stop
 
-    def flops_between(self, start, upto, profiles=None):
-        """FLOPs of ``f̂_{start→upto}`` given the layer profiles from
-        :func:`repro.cnn.shapes.profile_network` (or this instance's
-        attached ``profiles``)."""
-        profiles = profiles if profiles is not None else self.profiles
+    def flops_between(self, start, upto):
+        """FLOPs of ``f̂_{start→upto}`` (any two layers, by name or
+        index), from the per-layer profiles."""
         begin = self._resolve(start) if start else 0
         stop = self._resolve(upto)
-        return sum(p.flops for p in profiles[begin:stop])
-
-    # Populated by the zoo builders with LayerProfile values so that
-    # executable models carry their own static metadata.
-    profiles = ()
+        return sum(p.flops for p in self.profiles[begin:stop])
 
     def __repr__(self):
         return (

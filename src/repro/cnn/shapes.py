@@ -24,8 +24,9 @@ from repro.exceptions import ShapeError
 class LayerSpec:
     """Declarative description of one CNN layer.
 
-    ``kind`` is one of: conv, maxpool, avgpool, relu, lrn, dense,
-    flatten, bottleneck. ``params`` holds kind-specific settings.
+    ``kind`` is one of: conv, maxpool, avgpool, global_avgpool, relu,
+    lrn, dense, flatten, bottleneck, dense_block. ``params`` holds
+    kind-specific settings.
     ``feature_layer`` marks layers exposed for feature transfer.
     """
 
@@ -111,6 +112,16 @@ def _profile_one(spec, input_shape):
         return (n_out,), n_in * n_out + n_out, 2 * n_in * n_out
     if kind == "bottleneck":
         return _profile_bottleneck(p, input_shape)
+    if kind == "dense_block":
+        # ``layers`` 3x3 convs; conv i reads the input plus i x growth
+        # channels and appends ``growth`` more.
+        h, w, cin = input_shape
+        growth = p["growth"]
+        cout = cin + p["layers"] * growth
+        widths = range(cin, cout, growth)
+        params = sum(9 * width * growth + growth for width in widths)
+        flops = sum(2 * 9 * width * growth * h * w for width in widths)
+        return (h, w, cout), params, flops
     raise ShapeError(f"unknown layer kind: {kind}")
 
 

@@ -3,7 +3,9 @@
 ``build_model(name, profile)`` returns an executable
 :class:`repro.cnn.network.CNN`; ``get_model_stats(name)`` returns the
 full-profile statistics the optimizer consumes (always the real
-architecture, regardless of which profile executes).
+architecture, regardless of which profile executes). The executable
+model's own statistics are its ``cnn.stats``. ``densenet`` holds a mini
+DenseNet outside the roster (``build_densenet_mini``).
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from repro.cnn import layers as L
 from repro.cnn.network import CNN
-from repro.cnn.shapes import profile_network
+from repro.cnn.shapes import profile_network, total_params
 from repro.cnn.weights import he_normal, model_rng
+from repro.cnn.zoo.roster import MODEL_ROSTER, ModelStats
 from repro.exceptions import ShapeError
 
 
@@ -59,14 +60,21 @@ def _build_layer(spec, input_shape, rng):
             input_shape, p["filters"], stride=p.get("stride", 1), rng=rng,
             name=spec.name,
         )
+    if kind == "dense_block":
+        return L.DenseBlock(
+            input_shape, p["layers"], p["growth"], rng=rng, name=spec.name
+        )
     raise ShapeError(f"unknown layer kind: {kind}")
 
 
 def build_from_specs(name, specs, input_shape, feature_layers, seed=0):
-    """Build an executable :class:`CNN` from a spec chain.
-
-    Attaches the statically inferred :class:`LayerProfile` list as
-    ``cnn.profiles`` so executable models carry their own metadata.
+    """Build an executable :class:`CNN` from a spec chain — the one
+    place a ``CNN`` is constructed, so every executable model carries
+    ``cnn.stats``: the :class:`ModelStats` of the network that actually
+    runs, built from the profiles computed here. Footprints are three
+    times the parameter bytes (serialized formats underestimate
+    in-memory footprints — Section 4.1, issue (1)); feature data
+    compresses like the roster architecture of the same name.
     """
     rng = model_rng(name, seed=seed)
     profiles = profile_network(specs, input_shape)
@@ -81,6 +89,9 @@ def build_from_specs(name, specs, input_shape, feature_layers, seed=0):
             )
         ops.append(op)
         shape = op.output_shape
-    cnn = CNN(name, ops, feature_layers)
-    cnn.profiles = profiles
-    return cnn
+    footprint = 3 * 4 * total_params(profiles)
+    roster = MODEL_ROSTER.get(name)
+    return CNN(ops, ModelStats(
+        name, profiles, feature_layers, input_shape, footprint, footprint,
+        roster.serialized_ratio if roster else 0.4,
+    ))

@@ -1,106 +1,49 @@
-"""DenseNet-style DAG network (mini profile).
+"""DenseNet-style network (mini profile only) as an ordinary chain.
 
-The paper's footnote 1 notes its chain formalization "is easy to
-extend ... to DAG-structured CNNs such as DenseNet"; Section 5.4 calls
-generalizing Staged materialization to DAGs future work. This module
-provides a mini DenseNet built on :mod:`repro.cnn.dag`: dense blocks
-whose every layer consumes the channel-concatenation of *all* previous
-layers in the block — the canonical multi-input feature dependency.
-
-Feature nodes: the two block outputs and the pooled head, so the
-generalized staged schedule has real multi-parent work to do.
+The paper's footnote 1 folds near-chain CNNs such as DenseNet into its
+chain formalization by treating a block as one operator. Each dense
+block here is one composite ``dense_block`` TensorOp, followed by the
+1x1 transition conv that compresses its channels; the feature layers
+are the two transitions and the head, so every plan, backend and
+instrument that runs the roster models runs this one too. It is not a
+roster model: no paper-calibrated footprint exists for it.
 """
 
 from __future__ import annotations
 
-from repro.cnn.dag import DagCNN, DagNode
-from repro.cnn.layers import Conv2D, Dense, Flatten, GlobalAvgPool, MaxPool2D
-from repro.cnn.weights import he_normal, model_rng
+from repro.cnn.shapes import LayerSpec
+from repro.cnn.zoo.builder import build_from_specs
 
 NAME = "densenet-mini"
 MINI_INPUT_SHAPE = (16, 16, 3)
-GROWTH_RATE = 4
+FEATURE_LAYERS = ["block1_out", "block2_out", "head"]
+GROWTH_RATE = 8
 
 
-def _conv(rng, name, in_channels, out_channels, shape, kernel=3, stride=1,
-          padding=1):
-    weights = he_normal(
-        rng, (kernel, kernel, in_channels, out_channels),
-        kernel * kernel * in_channels,
-    )
-    return Conv2D(
-        (shape[0], shape[1], in_channels), out_channels, kernel,
-        stride=stride, padding=padding, weights=weights, name=name,
-    )
-
-
-def _dense_block(rng, nodes, block_id, input_node, input_channels, shape,
-                 num_layers=3):
-    """Append one dense block: layer i consumes concat(all previous).
-
-    Returns (output node name, output channel count).
-    """
-    members = [input_node]
-    channels = input_channels
-    for i in range(1, num_layers + 1):
-        name = f"block{block_id}_conv{i}"
-        nodes.append(
-            DagNode(
-                name,
-                _conv(rng, name, channels, GROWTH_RATE, shape),
-                inputs=tuple(members),
-                merge="concat" if len(members) > 1 else "single",
-            )
-        )
-        members.append(name)
-        channels += GROWTH_RATE
-    out_name = f"block{block_id}_out"
-    # transition: concat of everything, 1x1 conv to halve channels
-    out_channels = channels // 2
-    nodes.append(
-        DagNode(
-            out_name,
-            _conv(rng, out_name, channels, out_channels, shape, kernel=1,
-                  padding=0),
-            inputs=tuple(members),
-            merge="concat",
-            feature_node=True,
-        )
-    )
-    return out_name, out_channels
+def mini_specs():
+    """Stem, two three-conv dense blocks with transitions, pooled head.
+    Wide enough that inference from the raw image is compute-dense
+    (>= 371 FLOPs per output byte), so those stages cross a process
+    boundary like the roster minis' do."""
+    block = {"layers": 3, "growth": GROWTH_RATE}
+    transition = {"filters": GROWTH_RATE, "kernel": 1}
+    return [
+        LayerSpec("stem", "conv", {"filters": 16, "kernel": 3, "padding": 1}),
+        LayerSpec("block1", "dense_block", block),
+        LayerSpec("block1_out", "conv", transition, feature_layer=True),
+        LayerSpec("pool1", "maxpool", {"kernel": 2}),
+        LayerSpec("block2", "dense_block", block),
+        LayerSpec("block2_out", "conv", transition, feature_layer=True),
+        LayerSpec("gap", "global_avgpool"),
+        LayerSpec("flatten", "flatten"),
+        LayerSpec("head", "dense", {"units": 8, "relu": False},
+                  feature_layer=True),
+    ]
 
 
 def build_densenet_mini(seed=0):
-    """Build the mini DenseNet DAG with feature nodes
+    """The executable mini DenseNet, feature layers
     [block1_out, block2_out, head]."""
-    rng = model_rng(NAME, seed=seed)
-    h, w, c = MINI_INPUT_SHAPE
-    nodes = [DagNode("stem", _conv(rng, "stem", c, 8, (h, w)))]
-    block1, channels = _dense_block(rng, nodes, 1, "stem", 8, (h, w))
-    nodes.append(
-        DagNode("pool1", MaxPool2D((h, w, channels), 2, name="pool1"),
-                inputs=(block1,))
+    return build_from_specs(
+        NAME, mini_specs(), MINI_INPUT_SHAPE, FEATURE_LAYERS, seed=seed
     )
-    h2, w2 = h // 2, w // 2
-    block2, channels = _dense_block(
-        rng, nodes, 2, "pool1", channels, (h2, w2)
-    )
-    nodes.append(
-        DagNode("gap", GlobalAvgPool((h2, w2, channels), name="gap"),
-                inputs=(block2,))
-    )
-    nodes.append(
-        DagNode("flat", Flatten((1, 1, channels), name="flat"),
-                inputs=("gap",))
-    )
-    head_weights = he_normal(rng, (channels, 8), channels)
-    nodes.append(
-        DagNode(
-            "head",
-            Dense(channels, 8, weights=head_weights, relu=False,
-                  name="head"),
-            inputs=("flat",),
-            feature_node=True,
-        )
-    )
-    return DagCNN(NAME, nodes)

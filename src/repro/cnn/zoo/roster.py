@@ -18,17 +18,16 @@ node (Fig. 11A) and makes 5-7 thread Lazy plans crash (Fig. 6); on the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.cnn.shapes import profile_network, total_flops, total_params
 from repro.cnn.zoo import alexnet, resnet50, vgg16
 from repro.exceptions import InvalidLayerError
+from repro.features.pooling import pooled_dim
 
 GB = 1024 ** 3
 MB = 1024 ** 2
-
-#: Flat transfer dims use the paper's 2x2 grid max-pool on conv layers.
-POOL_GRID = 2
 
 # Calibrated runtime footprints (see module docstring).
 _RUNTIME_MEM_GB = {"alexnet": 2.0, "vgg16": 5.5, "resnet50": 2.0}
@@ -52,30 +51,35 @@ class FeatureLayerStats:
 
 
 class ModelStats:
-    """Statically computed + calibrated statistics for a roster CNN."""
+    """The one description of a CNN every reader of its shape uses:
+    per-layer profiles, per-feature-layer statistics, and its
+    footprints — calibrated constants for a roster (paper-scale)
+    model, parameter-derived for the executable one
+    :func:`~repro.cnn.zoo.builder.build_from_specs` attaches as
+    ``cnn.stats``."""
 
-    def __init__(self, name, specs, input_shape, feature_layers):
+    def __init__(self, name, profiles, feature_layers, input_shape,
+                 runtime_mem_bytes, gpu_mem_bytes, serialized_ratio):
         self.name = name
         self.input_shape = tuple(input_shape)
-        self.profiles = profile_network(specs, input_shape)
+        self.profiles = list(profiles)
         self.total_params = total_params(self.profiles)
         self.total_flops = total_flops(self.profiles)
         self.serialized_bytes = 4 * self.total_params
-        self.runtime_mem_bytes = int(_RUNTIME_MEM_GB[name] * GB)
-        self.gpu_mem_bytes = int(_GPU_MEM_GB[name] * GB)
-        self.serialized_ratio = _SERIALIZED_RATIO[name]
+        self.runtime_mem_bytes = int(runtime_mem_bytes)
+        self.gpu_mem_bytes = int(gpu_mem_bytes)
+        self.serialized_ratio = serialized_ratio
         self.feature_layers = list(feature_layers)
         self._by_name = {}
         cumulative = 0
-        index_by_name = {p.name: i + 1 for i, p in enumerate(self.profiles)}
-        for profile in self.profiles:
+        for index, profile in enumerate(self.profiles, start=1):
             cumulative += profile.flops
-            if profile.name in set(feature_layers):
+            if profile.name in self.feature_layers:
                 self._by_name[profile.name] = FeatureLayerStats(
                     name=profile.name,
-                    index=index_by_name[profile.name],
+                    index=index,
                     output_shape=profile.output_shape,
-                    transfer_dim=_transfer_dim(profile.output_shape),
+                    transfer_dim=pooled_dim(profile.output_shape),
                     flops_from_input=cumulative,
                 )
         missing = [fl for fl in feature_layers if fl not in self._by_name]
@@ -117,11 +121,7 @@ class ModelStats:
     def materialized_bytes(self, layer_name):
         """Bytes of the *unpooled* feature tensor as materialized on
         disk/in flight (what pre-materialization in Appendix B pays)."""
-        shape = self.layer_stats(layer_name).output_shape
-        size = 1
-        for dim in shape:
-            size *= dim
-        return 4 * size
+        return 4 * math.prod(self.layer_stats(layer_name).output_shape)
 
     def __repr__(self):
         return (
@@ -131,34 +131,16 @@ class ModelStats:
         )
 
 
-def _transfer_dim(output_shape):
-    if len(output_shape) == 3:
-        height, width, channels = output_shape
-        return min(height, POOL_GRID) * min(width, POOL_GRID) * channels
-    size = 1
-    for dim in output_shape:
-        size *= dim
-    return size
-
-
-def _build_roster():
-    return {
-        alexnet.NAME: ModelStats(
-            alexnet.NAME, alexnet.full_specs(), alexnet.FULL_INPUT_SHAPE,
-            alexnet.FEATURE_LAYERS,
-        ),
-        vgg16.NAME: ModelStats(
-            vgg16.NAME, vgg16.full_specs(), vgg16.FULL_INPUT_SHAPE,
-            vgg16.FEATURE_LAYERS,
-        ),
-        resnet50.NAME: ModelStats(
-            resnet50.NAME, resnet50.full_specs(), resnet50.FULL_INPUT_SHAPE,
-            resnet50.FEATURE_LAYERS,
-        ),
-    }
-
-
-MODEL_ROSTER = _build_roster()
+MODEL_ROSTER = {
+    arch.NAME: ModelStats(
+        arch.NAME,
+        profile_network(arch.full_specs(), arch.FULL_INPUT_SHAPE),
+        arch.FEATURE_LAYERS, arch.FULL_INPUT_SHAPE,
+        _RUNTIME_MEM_GB[arch.NAME] * GB, _GPU_MEM_GB[arch.NAME] * GB,
+        _SERIALIZED_RATIO[arch.NAME],
+    )
+    for arch in (alexnet, vgg16, resnet50)
+}
 
 
 def get_model_stats(name):

@@ -41,8 +41,8 @@ from repro.tensor.tensorlist import TensorList
 
 #: FLOPs an ``INFER`` step must spend per byte of tensor it returns to
 #: be worth a process boundary. A fixed stand-in for the cost model's
-#: measured compute-vs-transfer constants: on the mini zoo every step
-#: from the raw image reads 374-25,000 FLOP/B and every other step
+#: measured compute-vs-transfer constants: on the roster minis every
+#: step from the raw image reads 374-25,000 FLOP/B and every other step
 #: <= 58.5, so any value in between places alike.
 DISPATCH_FLOPS_PER_BYTE = 128
 
@@ -54,27 +54,10 @@ def dispatches(cnn, step):
     if step.op is not Op.INFER:
         return False
     out_bytes = sum(
-        4 * int(np.prod(cnn.output_shape_of(layer)))  # float32 tensors
-        for layer, _ in step.outputs
+        cnn.stats.materialized_bytes(layer) for layer, _ in step.outputs
     )
     flops = cnn.flops_between(step.from_layer or 0, step.outputs[-1][0])
     return flops >= DISPATCH_FLOPS_PER_BYTE * out_bytes
-
-
-def estimate_model_mem_bytes(cnn, blowup=3.0):
-    """Runtime footprint estimate of an executable CNN: parameter bytes
-    times a blowup factor (serialized formats underestimate in-memory
-    footprints — Section 4.1, issue (1))."""
-    param_bytes = 0
-    for op in cnn.layers:
-        if hasattr(op, "param_count"):  # composite bottleneck blocks
-            param_bytes += 4 * op.param_count()
-            continue
-        for attr in ("weights", "bias"):
-            value = getattr(op, attr, None)
-            if isinstance(value, np.ndarray):
-                param_bytes += value.nbytes
-    return int(blowup * max(param_bytes, 1))
 
 
 def default_downstream(features, labels):
@@ -149,12 +132,12 @@ class FeatureTransferExecutor:
         ``fn(features, labels) -> result``; defaults to the paper's
         logistic regression.
     model_mem_bytes:
-        Per-replica DL memory charge; defaults to an estimate from the
-        executable model's parameters.
+        Per-replica DL memory charge; defaults to the executable
+        model's own ``cnn.stats.runtime_mem_bytes``.
     """
 
     def __init__(self, context, cnn, dataset, layers, config,
-                 downstream_fn=None, model_mem_bytes=None, pool_grid=2,
+                 downstream_fn=None, model_mem_bytes=None,
                  user_alpha=2.0, feature_store=None, tracer=None,
                  metrics=None, checkpoint_store=None, ledger=None):
         self.context = context
@@ -166,9 +149,8 @@ class FeatureTransferExecutor:
         self.model_mem_bytes = (
             model_mem_bytes
             if model_mem_bytes is not None
-            else estimate_model_mem_bytes(cnn)
+            else cnn.stats.runtime_mem_bytes
         )
-        self.pool_grid = pool_grid
         self.user_alpha = user_alpha
         self.feature_store = feature_store
         self.checkpoint_store = checkpoint_store
@@ -343,12 +325,12 @@ class FeatureTransferExecutor:
         the traced actual bytes of each layer's train table — the
         paper's Figure 15 validation, per run."""
         from repro.core.config import DatasetStats
-        from repro.core.sizing import estimate_sizes_from_cnn
+        from repro.core.sizing import estimate_sizes
 
-        estimates = estimate_sizes_from_cnn(
-            self.cnn, self.layers, DatasetStats.from_dataset(self.dataset),
-            alpha=self.user_alpha,
-        )
+        estimates = estimate_sizes(
+            self.cnn.stats, self.layers,
+            DatasetStats.from_dataset(self.dataset), alpha=self.user_alpha,
+        ).intermediate_table_bytes
         return {
             layer: {
                 "estimated_bytes": estimates[layer],
@@ -598,21 +580,18 @@ class FeatureTransferExecutor:
         features and hand the matrix to the downstream routine at the
         driver."""
         layer = step.layer
-        grid = self.pool_grid
 
         def pool_one(tensor):
             if isinstance(tensor, TensorList):
-                return np.concatenate(
-                    pool_feature_tensors(list(tensor), grid=grid)
-                )
-            return pool_feature_tensor(tensor, grid=grid)
+                return np.concatenate(pool_feature_tensors(list(tensor)))
+            return pool_feature_tensor(tensor)
 
         def pool_values(tensors):
             """Pooled vectors for an object tensor column: plain ragged
             tensors batch by shape group; TensorList rows concatenate
             their members' pooled vectors."""
             if not any(isinstance(t, TensorList) for t in tensors):
-                return pool_feature_tensors(tensors, grid=grid)
+                return pool_feature_tensors(tensors)
             return [pool_one(t) for t in tensors]
 
         def vectorize_block(block):
@@ -620,9 +599,7 @@ class FeatureTransferExecutor:
                 return ColumnarBlock.empty()
             if block.is_array("tensor"):
                 # Zero-copy: pooling reads the stored (N, ...) block.
-                pooled = pool_feature_tensor_batch(
-                    block.column("tensor"), grid=grid
-                )
+                pooled = pool_feature_tensor_batch(block.column("tensor"))
             else:
                 pooled = pool_values(block.column("tensor"))
             vectors = np.concatenate(

@@ -93,34 +93,9 @@ def static_storage_need(cached_bytes, persistence, serialized_ratio,
     return int(cached_bytes)
 
 
-def estimate_sizes_from_cnn(cnn, layers, dataset_stats, alpha=2.0):
-    """Eq. 16 per-layer estimates computed from an *executable* CNN's
-    actual layer shapes instead of the paper-scale roster statistics.
-
-    This is what the tracer records next to measured intermediate
-    sizes: at mini scale the roster's 227x227 shapes would be
-    meaningless, but Eq. 16 itself is scale-free — per record the
-    intermediate table T_i holds two 8-byte slots plus the flat float32
-    feature tensor, blown up by ``alpha``, plus the structured table.
-    Returns ``{layer: estimated_bytes}``.
-    """
-    estimates = {}
-    for layer in layers:
-        shape = cnn.output_shape_of(layer)
-        flat_dim = 1
-        for dim in shape:
-            flat_dim *= dim
-        per_record = 8 + 8 + 4 * flat_dim
-        estimates[layer] = int(
-            alpha * dataset_stats.num_records * per_record
-            + dataset_stats.structured_table_bytes()
-        )
-    return estimates
-
-
 def columnar_intermediate_bytes(cnn, layer, dataset_stats):
     """*Exact* columnar bytes of the layer's joined train table — the
-    measured counterpart of :func:`estimate_sizes_from_cnn`'s Eq. 16
+    measured counterpart of :func:`intermediate_table_bytes`'s Eq. 16
     upper bound.
 
     Under the columnar partition layout (``repro.dataflow.columnar``)
@@ -130,11 +105,9 @@ def columnar_intermediate_bytes(cnn, layer, dataset_stats):
     the traced measurement to this number bit-exactly; Eq. 16's alpha
     then reads as the estimate-to-exact safety factor.
     """
-    flat_dim = 1
-    for dim in cnn.output_shape_of(layer):
-        flat_dim *= dim
-    per_record = 16 + 4 * (
-        dataset_stats.num_structured_features + flat_dim
+    per_record = (
+        16 + 4 * dataset_stats.num_structured_features
+        + cnn.stats.materialized_bytes(layer)
     )
     return dataset_stats.num_records * per_record
 

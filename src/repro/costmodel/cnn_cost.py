@@ -12,54 +12,13 @@ from __future__ import annotations
 from repro.core.plans import Materialization
 
 
-def executable_model_stats(cnn, runtime_mem_bytes=None,
-                           gpu_mem_bytes=None):
-    """A ModelStats-compatible adapter over an *executable* CNN.
-
-    The roster (:mod:`repro.cnn.zoo.roster`) carries paper-scale
-    statistics; calibration instead needs the cost model to price the
-    mini-profile network that actually ran. This wraps a built
-    :class:`~repro.cnn.network.CNN` (whose zoo builder attached
-    ``profiles``) in the same interface ``estimate_runtime`` /
-    ``detect_crash`` consume: per-feature-layer shapes, transfer dims,
-    cumulative FLOPs, and serialized sizes — all derived from the
-    executable architecture. Runtime/GPU footprints default to the
-    executor's 3x-parameter-bytes heuristic
-    (:func:`repro.core.executor.estimate_model_mem_bytes`).
-    """
-    from repro.cnn.zoo.roster import FeatureLayerStats, ModelStats, _transfer_dim
-    from repro.costmodel import params
-
-    stats = ModelStats.__new__(ModelStats)
-    stats.name = cnn.name
-    stats.input_shape = tuple(cnn.input_shape)
-    stats.profiles = list(cnn.profiles)
-    stats.total_params = sum(p.param_count for p in stats.profiles)
-    stats.total_flops = sum(p.flops for p in stats.profiles)
-    stats.serialized_bytes = 4 * stats.total_params
-    default_mem = 3 * stats.serialized_bytes
-    stats.runtime_mem_bytes = int(
-        default_mem if runtime_mem_bytes is None else runtime_mem_bytes
-    )
-    stats.gpu_mem_bytes = int(
-        default_mem if gpu_mem_bytes is None else gpu_mem_bytes
-    )
-    stats.serialized_ratio = params.SERIALIZED_RATIO.get(cnn.name, 0.4)
-    stats.feature_layers = list(cnn.feature_layers)
-    stats._by_name = {}
-    cumulative = 0
-    feature_set = set(cnn.feature_layers)
-    for position, profile in enumerate(stats.profiles):
-        cumulative += profile.flops
-        if profile.name in feature_set:
-            stats._by_name[profile.name] = FeatureLayerStats(
-                name=profile.name,
-                index=position + 1,
-                output_shape=profile.output_shape,
-                transfer_dim=_transfer_dim(profile.output_shape),
-                flops_from_input=cumulative,
-            )
-    return stats
+def executable_model_stats(cnn):
+    """The :class:`~repro.cnn.zoo.roster.ModelStats` of an *executable*
+    CNN — what ``estimate_runtime`` / ``detect_crash`` need to price the
+    mini-profile network that actually ran rather than the roster's
+    paper-scale one. :func:`~repro.cnn.zoo.builder.build_from_specs`
+    built it with the model; this only names where it lives."""
+    return cnn.stats
 
 
 def _path_flops(model_stats, layer, base_layer=None):

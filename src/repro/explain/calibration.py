@@ -3,9 +3,8 @@
 :func:`calibrate_parallel` runs the staged plan per ``cpu`` setting on
 both execution backends with tracing on and joins the cost model's
 predicted inference seconds (:func:`repro.costmodel.runtime
-.estimate_runtime` priced on the *executable* CNN via
-:func:`repro.costmodel.cnn_cost.executable_model_stats`) against the
-measured span-tree wall seconds of the feature stage;
+.estimate_runtime` priced on the *executable* CNN's own ``cnn.stats``)
+against the measured span-tree wall seconds of the feature stage;
 :func:`measure_parallel_capacity` reports how many cores' worth of
 throughput the host really delivers, so a scaling claim is only
 asserted where it can be measured. ``benchmarks/bench_parallel.py`` is
@@ -29,7 +28,6 @@ from repro.core.config import DatasetStats
 from repro.core.executor import FeatureTransferExecutor
 from repro.core.plans import ALL_PLANS
 from repro.costmodel import params
-from repro.costmodel.cnn_cost import executable_model_stats
 from repro.costmodel.crashes import ExecutionSetup
 from repro.costmodel.runtime import estimate_runtime
 from repro.dataflow.context import ClusterContext
@@ -291,7 +289,6 @@ def calibrate_parallel(cnn, dataset, layers, config, budget, num_nodes=2,
     layers = list(layers)
     plan = plan if plan is not None else ALL_PLANS["staged"]
     plan_label = getattr(plan, "label", str(plan))
-    exec_stats = executable_model_stats(cnn)
     dataset_stats = DatasetStats.from_dataset(dataset)
     cluster = params.ClusterSpec(
         num_nodes=num_nodes,
@@ -331,7 +328,7 @@ def calibrate_parallel(cnn, dataset, layers, config, budget, num_nodes=2,
                     best_feature, best_total = feature, total
             walls[backend] = (round(best_feature, 6), round(best_total, 6))
         predicted = estimate_runtime(
-            exec_stats, layers, dataset_stats, plan,
+            cnn.stats, layers, dataset_stats, plan,
             _setup_from_budget(run_config, budget, f"cpu{cpu}"), cluster,
             alpha=user_alpha, label=f"cpu{cpu}",
         )

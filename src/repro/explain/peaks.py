@@ -27,25 +27,6 @@ from repro.core.plans import SOURCE, Op, compile_plan
 from repro.dataflow.joins import BROADCAST
 
 
-def _flat_dim(shape):
-    size = 1
-    for dim in shape:
-        size *= dim
-    return size
-
-
-def _pooled_dim(shape, grid):
-    """Dimension of :func:`~repro.features.pooling.pool_feature_tensor`
-    output: 3-d conv tensors max-pool to a grid x grid x C block (pass-
-    through when smaller than the grid); flat layers pass through."""
-    if len(shape) == 3:
-        height, width, channels = shape
-        if height < grid or width < grid:
-            return height * width * channels
-        return grid * grid * channels
-    return _flat_dim(shape)
-
-
 def _source_counts(num_rows, num_partitions):
     """Exact per-partition row counts of ``DistributedTable.from_rows``
     (round-robin by position, partition count capped at the row
@@ -192,7 +173,7 @@ class _PlanSimulator:
 
 def predict_workload_peaks(cnn, dataset, layers, config, plan,
                            num_nodes, cpu=None, model_mem_bytes=None,
-                           pool_grid=2, user_alpha=2.0):
+                           user_alpha=2.0):
     """Predict the per-region per-worker occupancy peaks of running
     ``plan`` on the executable workload.
 
@@ -204,22 +185,15 @@ def predict_workload_peaks(cnn, dataset, layers, config, plan,
     header (~70 bytes per column), and smaller by the zeros of every
     column that goes sparse.
     """
-    from repro.core.executor import estimate_model_mem_bytes
-
     layers = list(layers)
+    stats = cnn.stats
     num_rows = len(dataset)
     n_str = dataset.num_structured_features
     image_bytes = int(dataset.image_rows[0]["image"].nbytes)
     if cpu is None:
         cpu = config.cpu
     if model_mem_bytes is None:
-        model_mem_bytes = estimate_model_mem_bytes(cnn)
-
-    flat = {layer: _flat_dim(cnn.output_shape_of(layer)) for layer in layers}
-    pooled = {
-        layer: _pooled_dim(cnn.output_shape_of(layer), pool_grid)
-        for layer in layers
-    }
+        model_mem_bytes = stats.runtime_mem_bytes
 
     # Columnar-exact row bytes (see repro.dataflow.columnar): scalar
     # int columns are int64 (8 B/row), tensor columns their raw float32
@@ -247,7 +221,10 @@ def predict_workload_peaks(cnn, dataset, layers, config, plan,
             # {id[, features, label], one tensor column per output}
             tables[step.writes] = sim.map(
                 table, (row_tstr if step.keep else 8)
-                + 4 * sum(flat[layer] for layer, _ in step.outputs),
+                + sum(
+                    stats.materialized_bytes(layer)
+                    for layer, _ in step.outputs
+                ),
             )
         elif step.op is Op.CACHE:
             resident.append(table)
@@ -256,10 +233,12 @@ def predict_workload_peaks(cnn, dataset, layers, config, plan,
             resident.remove(table)
         elif step.op is Op.PROJECT:  # {id, features, label, tensor}
             tables[step.writes] = sim.map(
-                table, row_tstr + 4 * flat[step.layer]
+                table, row_tstr + stats.materialized_bytes(step.layer)
             )
         else:                        # vectors: {id, label, x}
-            sim.train(table, 16 + 4 * (n_str + pooled[step.layer]))
+            sim.train(
+                table, 16 + 4 * n_str + stats.transfer_bytes(step.layer)
+            )
 
     return {
         "user": int(sim.user),

@@ -107,8 +107,7 @@ def _resolve_plan(pin):
 
 def what_if(model_stats, layers, dataset_stats, resources, pins,
             downstream=None, defaults=None, backend="spark",
-            cluster=None, cnn=None, dataset=None, pool_grid=2,
-            user_alpha=None):
+            cluster=None, cnn=None, dataset=None, user_alpha=None):
     """Price a pinned configuration; returns a :class:`WhatIfReport`.
 
     ``pins`` maps any subset of :data:`PIN_KEYS` to a value. Unpinned
@@ -276,7 +275,7 @@ def what_if(model_stats, layers, dataset_stats, resources, pins,
     if cnn is not None and dataset is not None:
         run_peaks = predict_workload_peaks(
             cnn, dataset, layers, config, plan, resources.num_nodes,
-            pool_grid=pool_grid, user_alpha=user_alpha,
+            user_alpha=user_alpha,
         )
     return WhatIfReport(
         pins=pins,

@@ -440,6 +440,7 @@ def test_ops_called_with_float64_compute_in_float32():
         L.Conv2D((8, 8, 6), 4, 3, padding=1,
                  weights=np.ones((3, 3, 6, 4), dtype=np.float32)),
         L.BottleneckBlock((8, 8, 6), 2, rng=np.random.default_rng(0)),
+        L.DenseBlock((8, 8, 6), 2, 3, rng=np.random.default_rng(0)),
     ]
     for op in ops:
         assert_same_bits(op.call_batch(batch64), op.call_batch(batch32))
@@ -464,6 +465,7 @@ def test_kernels_leave_their_input_alone():
         # radius 0: the window sums are the squares buffer itself
         L.LocalResponseNorm((8, 8, 8), depth_radius=0),
         L.BottleneckBlock((8, 8, 8), 2, rng=rng),  # identity shortcut
+        L.DenseBlock((8, 8, 8), 2, 4, rng=rng),
     ]
     for op in ops:
         out = op.call_batch(batch)

@@ -6,6 +6,7 @@ import pytest
 from repro.cnn import MODEL_ROSTER, build_model, get_model_stats
 from repro.cnn.zoo.roster import GB
 from repro.exceptions import InvalidLayerError
+from repro.tensor.ops import TensorOp
 
 
 def test_roster_has_the_three_paper_models():
@@ -111,19 +112,67 @@ def test_profiles_attached_to_built_models():
     assert len(model.profiles) == model.num_layers
 
 
+def _parameter_arrays(op):
+    """Every weight and bias array an op really holds, composite
+    blocks' inner convs included."""
+    found = [op.weights, op.bias] if hasattr(op, "weights") else []
+    for value in vars(op).values():
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, TensorOp):
+                found += _parameter_arrays(item)
+    return found
+
+
+@pytest.mark.parametrize("name, footprint", [
+    ("alexnet", 115_608), ("vgg16", 283_608), ("resnet50", 355_800),
+    ("densenet-mini", 117_600),
+])
+def test_one_description_of_an_executable_model(name, footprint):
+    """``cnn.stats`` is the executable model's ``ModelStats`` — the
+    class and constructor of the roster's, over the profiles of the
+    network that runs — and it is what ``executable_model_stats``
+    returns. Its footprints are three times the bytes of the weights
+    the layers really hold."""
+    from repro.cnn.zoo.densenet import build_densenet_mini
+    from repro.costmodel.cnn_cost import executable_model_stats
+
+    roster = MODEL_ROSTER.get(name)
+    model = build_model(name) if roster else build_densenet_mini()
+    stats = model.stats
+    assert executable_model_stats(model) is stats
+    assert type(stats) is type(get_model_stats("alexnet"))
+    assert stats.name == model.name == name
+    assert stats.profiles is model.profiles
+    assert stats.feature_layers == model.feature_layers
+    assert stats.input_shape == tuple(model.input_shape)
+    assert stats.top_feature_layers(2) == model.top_feature_layers(2)
+    assert stats.serialized_ratio == (
+        roster.serialized_ratio if roster else 0.4
+    )
+    held = sum(
+        array.nbytes for op in model.layers for array in _parameter_arrays(op)
+    )
+    assert stats.serialized_bytes == held
+    assert stats.runtime_mem_bytes == stats.gpu_mem_bytes == 3 * held
+    assert 3 * held == footprint
+    for lower, upper in zip([None] + model.feature_layers,
+                            model.feature_layers):
+        assert stats.flops_between(lower, upper) == model.flops_between(
+            lower, upper
+        )
+
+
 def _frozen(array):
     array = np.array(array, dtype=np.float32)
     array.flags.writeable = False
     return array
 
 
-@pytest.mark.parametrize("name", sorted(MODEL_ROSTER))
-def test_chain_inference_never_writes_its_input(name):
+def _assert_never_writes_its_input(model):
     """Stored feature blocks reach the kernels as zero-copy views of a
     cached partition, so a kernel that finished its arithmetic in place
     on its *input* would corrupt the cache. A read-only array makes any
     such write raise; the bytes are compared as well."""
-    model = build_model(name, profile="mini")
     rng = np.random.default_rng(3)
     images = _frozen(rng.normal(size=(3,) + model.input_shape))
     before = images.tobytes()
@@ -140,20 +189,14 @@ def test_chain_inference_never_writes_its_input(name):
     assert images.tobytes() == before
 
 
+@pytest.mark.parametrize("name", sorted(MODEL_ROSTER))
+def test_chain_inference_never_writes_its_input(name):
+    _assert_never_writes_its_input(build_model(name, profile="mini"))
+
+
 def test_dag_inference_never_writes_its_input():
-    from repro.cnn.dag import build_demo_dag
+    """A dense block grows its input by concatenation — into a new
+    array, never the stored one."""
     from repro.cnn.zoo.densenet import build_densenet_mini
 
-    for dag in (build_densenet_mini(), build_demo_dag()):
-        shape = next(iter(dag.nodes.values())).op.input_shape
-        image = _frozen(np.random.default_rng(4).normal(size=shape))
-        before = image.tobytes()
-        direct = dag.forward(image)
-        # resume above a materialized, read-only cut
-        cut = dag.feature_nodes[0]
-        held = {cut: _frozen(direct[cut])}
-        held_before = held[cut].tobytes()
-        for target, tensor in dag.forward(image, materialized=held).items():
-            assert np.array_equal(tensor, direct[target])
-        assert held[cut].tobytes() == held_before
-        assert image.tobytes() == before
+    _assert_never_writes_its_input(build_densenet_mini())

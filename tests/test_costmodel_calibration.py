@@ -8,7 +8,7 @@ import pytest
 from repro.cnn import build_model, get_model_stats
 from repro.core.config import DatasetStats
 from repro.core.plans import LAZY, STAGED
-from repro.core.sizing import estimate_sizes, estimate_sizes_from_cnn
+from repro.core.sizing import estimate_sizes
 from repro.costmodel import estimate_runtime
 from repro.costmodel.crashes import manual_setup
 from repro.costmodel.io_cost import (
@@ -109,21 +109,23 @@ class TestEq16Golden:
     def test_mini_alexnet_estimates(self):
         cnn = build_model("alexnet", profile="mini")
         ds = _stats(num_records=24, num_structured_features=10)
-        estimates = estimate_sizes_from_cnn(
-            cnn, ["conv5", "fc6", "fc7", "fc8"], ds
-        )
+        estimates = estimate_sizes(
+            cnn.stats, ["conv5", "fc6", "fc7", "fc8"], ds
+        ).intermediate_table_bytes
         assert estimates == self.GOLDEN
 
     def test_matches_roster_formula_shape(self):
-        """The executable-CNN path and the roster-stats path price the
-        same record layout: a roster layer with the same flat dim as
-        the mini CNN's must produce identical bytes."""
+        """Executable and roster stats price the same record layout
+        through the same Eq. 16: the two differ by the flat dims
+        alone."""
         cnn = build_model("alexnet", profile="mini")
         ds = _stats(num_records=24, num_structured_features=10)
         report = estimate_sizes(STATS, ["fc8"], ds)
         # roster fc8 flat dim is 1000 (ImageNet logits) vs mini's 10:
         # the difference must be exactly alpha * n * 4 * (1000 - 10)
-        mini = estimate_sizes_from_cnn(cnn, ["fc8"], ds)["fc8"]
+        mini = estimate_sizes(
+            cnn.stats, ["fc8"], ds
+        ).intermediate_table_bytes["fc8"]
         roster = report.intermediate_table_bytes["fc8"]
         assert roster - mini == 2 * 24 * 4 * (1000 - 10)
 

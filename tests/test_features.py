@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.features.hog import hog_features
-from repro.features.pooling import pool_feature_tensor
+from repro.features.pooling import pool_feature_tensor, pooled_dim
 
 
 class TestHOG:
@@ -67,6 +67,17 @@ class TestPooling:
         tensor = np.zeros((4, 4, 1))
         tensor[0, 0, 0] = 42.0
         assert pool_feature_tensor(tensor).max() == 42.0
+
+    @pytest.mark.parametrize("shape", [
+        (13, 13, 8), (2, 2, 8), (7, 3, 5),      # pooled to the grid
+        (1, 1, 8), (1, 3, 8), (3, 1, 8),        # under the grid: whole
+        (16,), (1,),                            # flat layers: whole
+    ])
+    def test_pooled_dim_is_the_kernels_output_size(self, shape):
+        """One rule, stated beside the kernel: a tensor under the grid
+        in either direction passes through whole ((1, 3, 8) is 24
+        values, not min(1, 2) * min(3, 2) * 8 = 16)."""
+        assert pooled_dim(shape) == pool_feature_tensor(np.zeros(shape)).size
 
     def test_matches_roster_transfer_dim(self):
         from repro.cnn import get_model_stats

@@ -1,17 +1,9 @@
-"""Tests for smaller public surfaces: the inference helpers, the
-exception hierarchy, the zoo builder's validation, local contexts, and
-Vista on GPU resources."""
+"""Tests for smaller public surfaces: the exception hierarchy, the
+zoo builder's validation, local contexts, and Vista on GPU resources."""
 
-import numpy as np
 import pytest
 
 from repro import Vista, default_resources
-from repro.cnn import build_model
-from repro.cnn.inference import (
-    full_inference,
-    partial_inference,
-    transfer_features,
-)
 from repro.core.config import Resources
 from repro.data import foods_dataset
 from repro.dataflow.context import local_context
@@ -25,46 +17,6 @@ from repro.exceptions import (
     WorkloadCrash,
 )
 from repro.memory.model import GB
-
-
-class TestInferenceHelpers:
-    @pytest.fixture(scope="class")
-    def model(self):
-        return build_model("alexnet", profile="mini")
-
-    @pytest.fixture(scope="class")
-    def image(self, model):
-        return np.random.default_rng(2).normal(
-            size=model.input_shape
-        ).astype(np.float32)
-
-    def test_full_inference_matches_forward(self, model, image):
-        np.testing.assert_array_equal(
-            full_inference(model, image), model.forward(image)
-        )
-
-    def test_full_inference_upto(self, model, image):
-        np.testing.assert_array_equal(
-            full_inference(model, image, upto="fc7"),
-            model.forward(image, upto="fc7"),
-        )
-
-    def test_partial_inference_none_start(self, model, image):
-        np.testing.assert_array_equal(
-            partial_inference(model, image, None, "fc7"),
-            model.forward(image, upto="fc7"),
-        )
-
-    def test_transfer_features_pools_conv(self, model, image):
-        conv5 = model.forward(image, upto="conv5")
-        features = transfer_features(model, conv5)
-        assert features.shape == (2 * 2 * 8,)
-
-    def test_transfer_features_flat_passthrough(self, model, image):
-        fc7 = model.forward(image, upto="fc7")
-        np.testing.assert_array_equal(
-            transfer_features(model, fc7), fc7
-        )
 
 
 class TestExceptionHierarchy:

@@ -209,6 +209,13 @@ def _single_image_oracle(model, dataset, layer):
     ])
 
 
+def _oracle_bound(expected):
+    """Elementwise tolerance against the single-image oracle: rtol
+    1e-4, atol 1e-5 of the row's scale."""
+    scale = np.maximum(1.0, np.abs(expected).max(axis=1, keepdims=True))
+    return 1e-5 * scale + 1e-4 * np.abs(expected)
+
+
 @pytest.mark.parametrize("seed", SEEDS[:6])
 def test_all_plans_match_single_image_oracle(seed):
     """Every logical plan's train matrices equal the single-image
@@ -228,11 +235,9 @@ def test_all_plans_match_single_image_oracle(seed):
             got = result.layer_results[layer].downstream["matrix"]
             expected = oracle[layer]
             assert got.shape == expected.shape, (seed, name, layer)
-            scale = np.maximum(
-                1.0, np.abs(expected).max(axis=1, keepdims=True)
-            )
-            bound = 1e-5 * scale + 1e-4 * np.abs(expected)
-            assert np.all(np.abs(got - expected) <= bound), (
+            assert np.all(
+                np.abs(got - expected) <= _oracle_bound(expected)
+            ), (
                 f"seed {seed}: plan {name} differs from the "
                 f"single-image oracle on layer {layer}; max abs diff "
                 f"{np.max(np.abs(got - expected))}"

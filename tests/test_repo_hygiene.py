@@ -16,11 +16,21 @@ import pytest
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CI_WORKFLOW = ".github/workflows/ci.yml"
 
-#: Repo-relative paths a command line can name: bench/test scripts,
-#: SLO rulesets, committed bench envelopes.
+SRC_ROOT = os.path.join("src", "repro")
+SRC_PACKAGES = sorted(
+    name for name in os.listdir(os.path.join(REPO_ROOT, SRC_ROOT))
+    if os.path.isdir(os.path.join(REPO_ROOT, SRC_ROOT, name, ""))
+    and not name.startswith("_")
+)
+
+#: Paths a command line or a design note can name: bench/test/example
+#: scripts and source files by repo-relative path, modules the way the
+#: docs write them (``cnn/layers.py``: relative to ``src/repro/``), SLO
+#: rulesets, committed bench envelopes.
 PATH_RE = re.compile(
     r"(?<![\w/.-])("
-    r"(?:benchmarks|tests)/[\w/-]+\.py"
+    r"(?:benchmarks|tests|examples|src)/[\w/-]+\.py"
+    r"|(?:" + "|".join(SRC_PACKAGES) + r")/[\w/]+\.py"
     r"|slo/[\w-]+\.\w+"
     r"|BENCH_\w+\.json"
     r")"
@@ -37,6 +47,7 @@ def _read(path):
     (CI_WORKFLOW, False),
     (".claude/skills/verify/SKILL.md", True),
     ("README.md", True),
+    ("DESIGN.md", False),
 ])
 def test_every_named_path_exists(path, code_blocks_only):
     text = _read(path)
@@ -46,7 +57,10 @@ def test_every_named_path_exists(path, code_blocks_only):
     assert named, f"{path}: the path pattern matched nothing"
     missing = sorted(
         name for name in named
-        if not os.path.exists(os.path.join(REPO_ROOT, name))
+        if not os.path.exists(os.path.join(
+            REPO_ROOT,
+            SRC_ROOT if name.split("/")[0] in SRC_PACKAGES else "", name,
+        ))
     )
     assert not missing, f"{path} names missing files: {missing}"
 
@@ -182,6 +196,42 @@ def test_a_backend_settles_nothing_itself():
         for alias in node.names if alias.name.startswith("_")
     ]
     assert not private
+
+
+# ---------------------------------------------------------------------
+# one CNN abstraction, one description of a model
+# ---------------------------------------------------------------------
+def test_one_class_runs_partial_inference():
+    """Every network is a chain ``CNN`` — composite blocks fold the
+    DAG-shaped ones into it — so one class owns ``f̂_{i→j}``."""
+    owners = [
+        f"{os.path.relpath(path, REPO_ROOT)}:{node.name}"
+        for path in _src_files("cnn", "**", "*.py")
+        for node in ast.walk(ast.parse(_read(path)))
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(item, ast.FunctionDef)
+            and item.name == "partial_forward_batch" for item in node.body
+        )
+    ]
+    assert owners == ["src/repro/cnn/network.py:CNN"]
+
+
+def test_model_stats_has_one_constructor():
+    """Roster and executable statistics come out of the same
+    ``ModelStats.__init__``: nothing assembles one field by field."""
+    sites = []
+    for path in _src_files("**", "*.py"):
+        source = _read(path)
+        assert "ModelStats.__new__" not in source, path
+        sites += [
+            os.path.relpath(path, REPO_ROOT)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and "FeatureLayerStats" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None),
+            )
+        ]
+    assert sites == ["src/repro/cnn/zoo/roster.py"]
 
 
 # ---------------------------------------------------------------------

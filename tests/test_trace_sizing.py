@@ -4,8 +4,8 @@ The paper's Figure 15 validates Eq. 16 against actual intermediate
 table sizes: estimates are deliberately *safe upper bounds*. At mini
 scale the roster's 227x227 statistics are meaningless, so the executor
 records estimates recomputed from the executable CNN's real layer
-shapes (:func:`repro.core.sizing.estimate_sizes_from_cnn`) next to the
-measured bytes of each joined per-layer train table in the trace's
+shapes (:func:`repro.core.sizing.estimate_sizes` over ``cnn.stats``)
+next to the measured bytes of each joined per-layer train table in the trace's
 ``sizing`` attribute.
 
 Documented tolerance: ``1.0 <= estimated / measured <= alpha`` with
@@ -22,7 +22,7 @@ from repro.cnn import build_model
 from repro.core.config import DatasetStats, VistaConfig
 from repro.core.executor import FeatureTransferExecutor
 from repro.core.plans import STAGED
-from repro.core.sizing import estimate_sizes_from_cnn
+from repro.core.sizing import estimate_sizes
 from repro.data import foods_dataset
 from repro.dataflow.context import local_context
 from repro.trace import Tracer
@@ -122,16 +122,16 @@ def test_measured_bytes_are_exact_columnar_sizes():
 
 
 def test_estimate_formula_matches_eq16():
-    """estimate_sizes_from_cnn is Eq. 16 verbatim over the executable
-    CNN's shapes: alpha * n * (8 + 8 + 4*|flat|) + |Tstr|."""
+    """estimate_sizes over ``cnn.stats`` is Eq. 16 verbatim over the
+    executable CNN's shapes: alpha * n * (8 + 8 + 4*|flat|) + |Tstr|."""
     model = build_model("alexnet", profile="mini")
     stats = DatasetStats(
         num_records=100, num_structured_features=130,
         avg_image_bytes=32 * 32 * 3 * 4,
     )
-    estimates = estimate_sizes_from_cnn(
-        model, ["fc7", "fc8"], stats, alpha=2.0
-    )
+    estimates = estimate_sizes(
+        model.stats, ["fc7", "fc8"], stats, alpha=2.0
+    ).intermediate_table_bytes
     for layer in ("fc7", "fc8"):
         flat = 1
         for dim in model.output_shape_of(layer):
