@@ -6,20 +6,17 @@ im2col + matmul; everything is plain numpy, single precision.
 
 Every layer implements the batched NHWC contract (``apply_batch`` over
 an (N, H, W, C) stack), and for conv, pooling and the composite blocks
-that is the only kernel — one image runs as a stack of one.
-Convolution does one batch-wide im2col (a plain reshape for 1x1) and a
-single large GEMM, then adds bias and applies ReLU in place on the GEMM
-output; pooling and LRN reduce shifted slices so that every ufunc loop
-runs a long contiguous stretch. Batching amortizes per-image kernel
-overheads — the SystemML-style batched matrix formulation of conv
-layers — and is what the partition-level executor path runs on.
-
-Conv is the only compute-bound kernel; the others are priced in bytes
-moved, so their buffers are no wider than the arithmetic needs. LRN is
-the case in point: its window sums run over a buffer with *one* gap of
-``depth_radius`` zeros between consecutive pixels (the gap after a
-pixel is the gap before the next), and every pass after them over
-exactly the tensor's own elements — see :class:`LocalResponseNorm`.
+that is the only kernel — one image runs as a stack of one. The two
+layers that are sums of products are stated as matrix products and run
+by BLAS, the SystemML-style formulation: convolution is one batch-wide
+im2col (a plain reshape for 1x1) and a single GEMM, with ReLU (and a
+bias, for a conv built with one) applied in place on the GEMM output;
+LRN's cross-channel window sum is ``squares @ band`` with a fixed
+(C, C) band matrix. Pooling reduces shifted slices so that every ufunc
+loop runs a long contiguous stretch. Every pass other than a GEMM or
+the im2col gather touches exactly the tensor's own elements, and every
+kernel casts to float32 once on entry. Batching amortizes per-image
+kernel overheads and is what the partition-level executor path runs on.
 
 The ResNet bottleneck block and the DenseNet dense block are
 *composite* TensorOps so that the CNN as a whole remains an indexed
@@ -90,8 +87,9 @@ class _BatchKernelOp(TensorOp):
 
 
 class Conv2D(_BatchKernelOp):
-    """2-d convolution with bias and optional ReLU fused in. Weights
-    shape: (K, K, Cin, Cout)."""
+    """2-d convolution with optional ReLU fused in, weights shape
+    (K, K, Cin, Cout). Built without a ``bias`` it has no bias term at
+    run time; ``self.bias`` is then the zeros ``param_count`` reads."""
 
     def __init__(self, input_shape, filters, kernel, stride=1, padding=0,
                  weights=None, bias=None, relu=False, name="conv"):
@@ -104,12 +102,17 @@ class Conv2D(_BatchKernelOp):
         self.filters = filters
         if weights is None:
             weights = np.zeros((kernel, kernel, cin, filters), dtype=np.float32)
-        if bias is None:
-            bias = np.zeros(filters, dtype=np.float32)
         self.weights = np.asarray(weights, dtype=np.float32)
-        self.bias = np.asarray(bias, dtype=np.float32)
         self.relu = relu
         self._wmat = self.weights.reshape(kernel * kernel * cin, filters)
+        if bias is None:
+            self.bias = np.zeros(filters, dtype=np.float32)
+            self._bias_row = None
+        else:
+            self.bias = np.asarray(bias, dtype=np.float32)
+            # One image's worth of bias, so the add runs rows of
+            # oh*ow*F floats instead of F at a time.
+            self._bias_row = np.tile(self.bias, out_h * out_w)
 
     def apply_batch(self, batch):
         out_h, out_w, _ = self.output_shape
@@ -117,9 +120,8 @@ class Conv2D(_BatchKernelOp):
         padded = _pad_hw_batch(batch, self.padding)
         cols = _im2col_batch(padded, self.kernel, self.stride, out_h, out_w)
         out = (cols @ self._wmat).reshape(n, out_h * out_w * self.filters)
-        # One image's worth of bias, so the add runs rows of
-        # oh*ow*F floats instead of F at a time.
-        out += np.tile(self.bias, out_h * out_w)
+        if self._bias_row is not None:
+            out += self._bias_row
         if self.relu:
             np.maximum(out, 0.0, out=out)
         return out.reshape(n, out_h, out_w, self.filters)
@@ -214,33 +216,20 @@ class ReLU(TensorOp):
         super().__init__(shape, shape, name=name)
 
     def apply(self, tensor):
-        return np.maximum(tensor, 0.0)
+        return np.maximum(tensor.astype(np.float32, copy=False), 0.0)
 
-    def apply_batch(self, batch):
-        return np.maximum(batch, 0.0)
+    apply_batch = apply
 
 
 class LocalResponseNorm(TensorOp):
     """AlexNet-style local response normalization across channels.
 
-    The cross-channel sum-of-squares is a window sum over the (last)
+    The cross-channel sum of squares is a window sum over the (last)
     channel axis, whatever the leading axes, so one kernel serves the
-    per-image and the batched path. With ``r = depth_radius``, squares
-    go into one flat buffer laid out as ``r`` zeros, then per pixel its
-    ``C`` squares and ``r`` zeros (and ``r`` more zeros to close, so
-    every slot has a full window)::
-
-        0 0 | a a a a a a 0 0 | b b b b b b 0 0 | 0 0      C = 6, r = 2
-
-    A window reaches ``r`` slots past either end of a pixel, never
-    further, so the gap after one pixel is also the gap before the
-    next: the buffer is ``C + r`` wide per pixel, not ``C + 2r``. The
-    window sum over it is ``2r`` shifted adds of one long run each,
-    accumulated left to right (zeros included, so every channel sees
-    the same ``2r + 1`` terms in the same order whatever ``C`` is).
-    The ``* alpha`` pass then reads only the real channels and writes
-    them contiguously, so bias, power and the divide touch exactly the
-    tensor's own element count.
+    per-image and the batched path: ``squares @ band``, where
+    ``band[i, j]`` is ``alpha`` for ``|i - j| <= depth_radius`` and 0
+    elsewhere. A non-finite square therefore reaches every channel of
+    its pixel (``inf * 0``), not only its window.
     """
 
     def __init__(self, shape, depth_radius=2, bias=2.0, alpha=1e-4, beta=0.75,
@@ -250,25 +239,13 @@ class LocalResponseNorm(TensorOp):
         self.bias = bias
         self.alpha = alpha
         self.beta = beta
+        channel = np.arange(shape[-1])
+        in_window = abs(channel[:, None] - channel) <= depth_radius
+        self._band = in_window * np.float32(alpha)
 
     def _normalize(self, tensor):
         tensor = tensor.astype(np.float32, copy=False)
-        channels = tensor.shape[-1]
-        radius = self.depth_radius
-        pitch = channels + radius
-        slots = tensor.size // channels * pitch
-        flat = np.zeros(slots + 2 * radius, dtype=np.float32)
-        squares = flat[radius:radius + slots].reshape(
-            tensor.shape[:-1] + (pitch,)
-        )
-        np.square(tensor, out=squares[..., :channels])
-        # sums[i] = flat[i] + ... + flat[i + 2r]: slot c of a pixel is
-        # channel c's window. The first add allocates the sums, the
-        # rest accumulate into them.
-        sums, out = flat[:slots], None
-        for shift in range(1, 2 * radius + 1):
-            sums = out = np.add(sums, flat[shift:shift + slots], out=out)
-        denom = sums.reshape(-1, pitch)[:, :channels] * self.alpha
+        denom = np.square(tensor).reshape(-1, tensor.shape[-1]) @ self._band
         denom += self.bias
         np.power(denom, self.beta, out=denom)
         return tensor / denom.reshape(tensor.shape)
@@ -289,10 +266,12 @@ class Flatten(TensorOp):
         super().__init__(input_shape, (length,), name=name)
 
     def apply(self, tensor):
-        return np.ascontiguousarray(tensor).reshape(-1)
+        return np.ascontiguousarray(tensor, dtype=np.float32).reshape(-1)
 
     def apply_batch(self, batch):
-        return np.ascontiguousarray(batch).reshape(batch.shape[0], -1)
+        return np.ascontiguousarray(batch, dtype=np.float32).reshape(
+            batch.shape[0], -1
+        )
 
 
 class Dense(TensorOp):
@@ -310,16 +289,12 @@ class Dense(TensorOp):
         self.relu = relu
 
     def apply(self, tensor):
-        out = tensor @ self.weights + self.bias
+        out = tensor.astype(np.float32, copy=False) @ self.weights + self.bias
         if self.relu:
             np.maximum(out, 0.0, out=out)
         return out
 
-    def apply_batch(self, batch):
-        out = batch @ self.weights + self.bias
-        if self.relu:
-            np.maximum(out, 0.0, out=out)
-        return out
+    apply_batch = apply
 
 
 class BottleneckBlock(_BatchKernelOp):

@@ -4,8 +4,11 @@ Two kinds of reference live here. The *oracles* are direct-loop float64
 implementations written from the layer definitions, independent of the
 kernels; the float32 kernels must agree with them within a rounding
 budget derived per output element. The *retired formulations* are the
-kernels this repository ran before the shifted-slice ones replaced
-them; the replacements must reproduce their float32 bits exactly.
+conv and pooling kernels this repository ran before the current ones
+replaced them; the replacements must reproduce their float32 bits
+exactly. LRN has no such twin: its window sum is a GEMM whose summation
+order is BLAS's own, so it is held to the oracle and to properties of
+the band formulation.
 """
 
 import numpy as np
@@ -265,41 +268,6 @@ def retired_conv(batch, weights, bias, stride, padding, relu):
     return np.maximum(out, 0.0) if relu else out
 
 
-def retired_lrn(batch, radius, bias, alpha, beta):
-    squared = np.square(batch)
-    channels = batch.shape[-1]
-    padded = np.zeros(
-        batch.shape[:-1] + (channels + 2 * radius,), dtype=squared.dtype
-    )
-    padded[..., radius:radius + channels] = squared
-    scale = np.lib.stride_tricks.sliding_window_view(
-        padded, 2 * radius + 1, axis=-1
-    ).sum(axis=-1)
-    return (batch / np.power(bias + alpha * scale, beta)).astype(np.float32)
-
-
-def retired_lrn_padded(tensor, radius, bias, alpha, beta):
-    """The shifted-add kernel over a buffer with ``radius`` zero
-    channels on *both* sides of every pixel (``C + 2r`` wide): seed
-    copy, ``2r`` in-place adds, then alpha, bias, power and the divide
-    over the padded width."""
-    tensor = tensor.astype(np.float32, copy=False)
-    channels = tensor.shape[-1]
-    width = channels + 2 * radius
-    squares = np.zeros(tensor.shape[:-1] + (width,), dtype=np.float32)
-    np.square(tensor, out=squares[..., radius:radius + channels])
-    flat = squares.reshape(-1)
-    denom = np.empty(flat.size, dtype=np.float32)
-    scale = denom[:flat.size - 2 * radius]
-    scale[...] = flat[:scale.size]
-    for shift in range(1, 2 * radius + 1):
-        scale += flat[shift:shift + scale.size]
-    scale *= alpha
-    scale += bias
-    np.power(scale, beta, out=scale)
-    return tensor / denom.reshape(squares.shape)[..., :channels]
-
-
 def assert_same_bits(got, want):
     assert got.dtype == want.dtype == np.float32
     assert got.shape == want.shape
@@ -384,55 +352,90 @@ def test_avgpool_against_oracle_and_retired(n, h, w, c, sliced, kernel,
     assert (np.abs(got - want) <= budget).all()
 
 
-@pytest.mark.parametrize("radius", [0, 1, 2, 3])
-@pytest.mark.parametrize("n,h,w,c,sliced", INPUTS + [(2, 4, 4, 16, False)])
-def test_lrn_against_oracle_and_retired(n, h, w, c, sliced, radius):
-    """Covers C < 2r + 1 (1, 4 and 5 channels against windows up to 7)."""
-    batch = make_input(n, h, w, c, sliced)
-    lrn = L.LocalResponseNorm((h, w, c), depth_radius=radius)
-    got = same_as_retired(
-        lrn, batch,
-        lambda x: retired_lrn(x, radius, lrn.bias, lrn.alpha, lrn.beta),
-    )
-    want = oracle_lrn(batch, radius, lrn.bias, lrn.alpha, lrn.beta)
-    # Relative budget, counting roundings of at most eps/2: a square
-    # per window term and 2r adds reach the scale (under 2r + 2),
-    # alpha, bias and powf add about three, the divide one; beta < 1
-    # only shrinks what the base carries. A whole eps per rounding
-    # leaves a factor of two for powf's last ulp.
+def lrn_within_budget(lrn, got, x):
+    """``got`` is float32, shaped like ``x``, and within the rounding
+    budget of the float64 oracle over ``x`` as float32 (what the kernel
+    computes on). Relative budget, counting roundings of at most eps/2:
+    a square and the alpha product per window term and 2r adds reach
+    the scale (2r + 3; the band's zeros add exactly nothing), bias and
+    powf add about three, the divide one; beta < 1 only shrinks what
+    the base carries. A whole eps per rounding leaves most of a factor
+    of two for powf's last ulp."""
+    x = x.astype(np.float32)
+    radius = lrn.depth_radius
+    want = oracle_lrn(x, radius, lrn.bias, lrn.alpha, lrn.beta)
+    assert got.dtype == np.float32
+    assert got.shape == x.shape
     np.testing.assert_allclose(got, want, rtol=(2 * radius + 6) * EPS, atol=0)
 
 
-@pytest.mark.parametrize("layout", ["contiguous", "sliced", "read-only"])
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+@pytest.mark.parametrize("n,h,w,c,sliced", INPUTS + [(2, 4, 4, 16, False)])
+def test_lrn_against_oracle_and_retired(n, h, w, c, sliced, radius):
+    """Covers C < 2r + 1 (1, 4 and 5 channels against windows up to 7).
+    (The id predates the band GEMM; there is no retired LRN to match.)
+    The batched GEMM has other dimensions than the per-image one, so
+    each is held to the oracle, and bits only to a call of its own
+    shape: an image alone is the batch of that one image."""
+    batch = make_input(n, h, w, c, sliced)
+    lrn = L.LocalResponseNorm((h, w, c), depth_radius=radius)
+    lrn_within_budget(lrn, lrn.call_batch(batch), batch)
+    for image in batch:
+        got = lrn(image)
+        lrn_within_budget(lrn, got, image)
+        assert_same_bits(got, lrn.call_batch(image[None])[0])
+
+
+@pytest.mark.parametrize(
+    "layout", ["contiguous", "sliced", "read-only", "float64"]
+)
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("c", [1, 2, 3, 7, 8, 16])
 @pytest.mark.parametrize("radius", [0, 1, 2, 3])
 def test_lrn_shared_gap_buffer_keeps_the_padded_kernels_bits(radius, c, n,
                                                              layout):
-    """One gap of ``r`` zeros between pixels instead of ``r`` on each
-    side changes where the values sit, not which are added in which
-    order: batched, per image and on a bare channel vector."""
+    """Properties of the band formulation (the id predates it): one
+    kernel whatever the leading axes — batched, empty, and on a bare
+    channel vector; the band is built once; and a channel outside a
+    window contributes an exact zero to it."""
     batch = make_input(n, 3, 5, c, layout == "sliced", seed=radius)
     if layout == "read-only":
         batch.flags.writeable = False
+    if layout == "float64":
+        batch = batch.astype(np.float64) + 1e-9
     lrn = L.LocalResponseNorm((3, 5, c), depth_radius=radius)
+    band = lrn._band
+    assert band.shape == (c, c) and band.dtype == np.float32
+    channel = np.arange(c)
+    assert np.array_equal(
+        band != 0, abs(channel[:, None] - channel) <= radius
+    )
 
-    def retired(x):
-        return retired_lrn_padded(x, radius, lrn.bias, lrn.alpha, lrn.beta)
-
-    same_as_retired(lrn, batch, retired)
-    assert_same_bits(lrn.apply_batch(batch), retired(batch))
+    out = lrn.apply_batch(batch)
+    lrn_within_budget(lrn, out, batch)
+    assert_same_bits(lrn.apply_batch(batch), out)
+    assert lrn._band is band
     pixel = batch[0, 1, 2]
-    assert_same_bits(lrn.apply(pixel), retired(pixel))
-    assert_same_bits(lrn.apply_batch(batch[:0]), retired(batch[:0]))
+    lrn_within_budget(lrn, lrn.apply(pixel), pixel)
+    assert_same_bits(lrn.apply(pixel), lrn.apply_batch(pixel[None])[0])
+    lrn_within_budget(lrn, lrn.apply_batch(batch[:0]), batch[:0])
+
+    # Channel 0 changes; every channel further than r from it keeps
+    # its bits (x + 0 is x in any summation order).
+    changed = np.array(batch, dtype=np.float32)
+    changed[..., 0] *= 3.0
+    assert_same_bits(
+        lrn.apply_batch(changed)[..., radius + 1:], out[..., radius + 1:]
+    )
 
 
 def test_ops_called_with_float64_compute_in_float32():
     """Regression: an op called directly with float64 used to compute
-    LRN in float64 and round at the end, so ``op(x)`` and
-    ``CNN.forward(x)`` (which casts first) disagreed in the last bits."""
+    LRN in float64 and round at the end (and Dense and ReLU to return
+    float64 outright), so ``op(x)`` and ``CNN.forward(x)`` (which casts
+    first) disagreed in the last bits."""
     batch64 = make_input(2, 8, 8, 6, False).astype(np.float64) + 1e-9
-    batch32 = batch64.astype(np.float32)
+    rng = np.random.default_rng(0)
     ops = [
         L.LocalResponseNorm((8, 8, 6)),
         L.MaxPool2D((8, 8, 6), 3, stride=2, padding=1),
@@ -441,10 +444,18 @@ def test_ops_called_with_float64_compute_in_float32():
                  weights=np.ones((3, 3, 6, 4), dtype=np.float32)),
         L.BottleneckBlock((8, 8, 6), 2, rng=np.random.default_rng(0)),
         L.DenseBlock((8, 8, 6), 2, 3, rng=np.random.default_rng(0)),
+        L.ReLU((8, 8, 6)),
+        L.GlobalAvgPool((8, 8, 6)),
+        L.Flatten((8, 8, 6)),
+        L.Dense(8 * 8 * 6, 5, relu=False,
+                weights=rng.normal(size=(8 * 8 * 6, 5)).astype(np.float32),
+                bias=rng.normal(size=5).astype(np.float32)),
     ]
     for op in ops:
-        assert_same_bits(op.call_batch(batch64), op.call_batch(batch32))
-        assert_same_bits(op(batch64[0]), op(batch32[0]))
+        x64 = batch64.reshape((2,) + op.input_shape)
+        x32 = x64.astype(np.float32)
+        assert_same_bits(op.call_batch(x64), op.call_batch(x32))
+        assert_same_bits(op(x64[0]), op(x32[0]))
 
 
 def test_kernels_leave_their_input_alone():
@@ -462,7 +473,7 @@ def test_kernels_leave_their_input_alone():
         L.MaxPool2D((8, 8, 8), 2),
         L.AvgPool2D((8, 8, 8), 2),
         L.LocalResponseNorm((8, 8, 8)),
-        # radius 0: the window sums are the squares buffer itself
+        # radius 0: a diagonal band
         L.LocalResponseNorm((8, 8, 8), depth_radius=0),
         L.BottleneckBlock((8, 8, 8), 2, rng=rng),  # identity shortcut
         L.DenseBlock((8, 8, 8), 2, 4, rng=rng),

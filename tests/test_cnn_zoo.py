@@ -1,9 +1,12 @@
 """Unit tests for the model zoo and roster statistics."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.cnn import MODEL_ROSTER, build_model, get_model_stats
+from repro.cnn import layers as L
 from repro.cnn.zoo.roster import GB
 from repro.exceptions import InvalidLayerError
 from repro.tensor.ops import TensorOp
@@ -200,3 +203,56 @@ def test_dag_inference_never_writes_its_input():
     from repro.cnn.zoo.densenet import build_densenet_mini
 
     _assert_never_writes_its_input(build_densenet_mini())
+
+
+def _with_explicit_zero_biases(op):
+    """A twin of ``op`` whose every conv — itself, or a composite
+    block's inner ones — was built with an explicit zeros bias."""
+    if isinstance(op, L.Conv2D):
+        assert op._bias_row is None, f"{op.name}: zoo convs carry no bias"
+        return L.Conv2D(
+            op.input_shape, op.filters, op.kernel, stride=op.stride,
+            padding=op.padding, weights=op.weights,
+            bias=np.zeros(op.filters, dtype=np.float32), relu=op.relu,
+            name=op.name,
+        )
+    twin = copy.copy(op)
+    for key, value in vars(op).items():
+        if isinstance(value, TensorOp):
+            setattr(twin, key, _with_explicit_zero_biases(value))
+        elif isinstance(value, list):
+            setattr(twin, key, [_with_explicit_zero_biases(v) for v in value])
+    return twin
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_ROSTER) + ["densenet-mini"])
+def test_bias_free_convs_equal_explicit_zero_bias_and_never_tile(
+        name, monkeypatch):
+    """A conv built without a bias has no bias pass at run time — and
+    on every zoo shape that is the same output as adding zeros. The
+    zeros array stays, so every parameter count does too."""
+    from repro.cnn.zoo.densenet import build_densenet_mini
+
+    def no_tile(*args, **kwargs):
+        raise AssertionError("np.tile called inside apply_batch")
+
+    model = build_model(name) if name in MODEL_ROSTER else build_densenet_mini()
+    rng = np.random.default_rng(5)
+    checked = 0
+    for op in model.layers:
+        if not any(a.ndim == 4 for a in _parameter_arrays(op)):
+            continue
+        twin = _with_explicit_zero_biases(op)
+        assert [a.shape for a in _parameter_arrays(twin)] == [
+            a.shape for a in _parameter_arrays(op)
+        ]
+        if hasattr(op, "param_count"):
+            assert twin.param_count() == op.param_count()
+        batch = rng.normal(size=(3,) + op.input_shape).astype(np.float32)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "tile", no_tile)
+            got, want = op.call_batch(batch), twin.call_batch(batch)
+        assert got.dtype == want.dtype == np.float32
+        assert np.array_equal(got, want), op.name
+        checked += 1
+    assert checked
