@@ -34,14 +34,28 @@ class SizingReport:
     s_double: int
 
 
-def intermediate_table_bytes(model_stats, layer, dataset_stats, alpha=2.0):
-    """Eq. 16 for one feature layer (per-record form times n)."""
-    flat_dim = model_stats.materialized_bytes(layer) // 4
-    per_record = 8 + 8 + 4 * flat_dim
+def table_bytes(model_stats, layers, dataset_stats, alpha=2.0):
+    """Eq. 16 for a table holding ``layers``' feature tensors: a record
+    is its id plus, per layer, 8 B of header and the unpooled tensor.
+    Staged's stage table is the one-layer case, Eager's all-layers table
+    the all-layer case."""
+    per_record = 8 + sum(
+        8 + model_stats.materialized_bytes(layer) for layer in layers
+    )
     return int(
         alpha * dataset_stats.num_records * per_record
         + dataset_stats.structured_table_bytes()
     )
+
+
+def intermediate_table_bytes(model_stats, layer, dataset_stats, alpha=2.0):
+    """Eq. 16 for one feature layer (per-record form times n)."""
+    return table_bytes(model_stats, [layer], dataset_stats, alpha=alpha)
+
+
+#: Size of the Eager plan's all-layers-at-once table: one record holds
+#: the TensorList of *every* layer in L.
+eager_table_bytes = table_bytes
 
 
 def estimate_sizes(model_stats, layers, dataset_stats, alpha=2.0):
@@ -110,16 +124,3 @@ def columnar_intermediate_bytes(cnn, layer, dataset_stats):
         + cnn.stats.materialized_bytes(layer)
     )
     return dataset_stats.num_records * per_record
-
-
-def eager_table_bytes(model_stats, layers, dataset_stats, alpha=2.0):
-    """Size of the Eager plan's all-layers-at-once table: one record
-    holds the TensorList of *every* layer in L."""
-    total_dim = sum(
-        model_stats.materialized_bytes(layer) // 4 for layer in layers
-    )
-    per_record = 8 + 8 * len(list(layers)) + 4 * total_dim
-    return int(
-        alpha * dataset_stats.num_records * per_record
-        + dataset_stats.structured_table_bytes()
-    )

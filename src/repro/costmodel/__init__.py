@@ -3,8 +3,9 @@
 The real CloudLab cluster + GPU testbed is substituted by this
 calibrated model (see DESIGN.md's substitution table): crash
 prediction reuses the optimizer's memory arithmetic, and runtime
-estimation composes compute, I/O, and scheduling terms whose constants
-are pinned to the paper's measured anchors.
+estimation prices the compiled plan's steps with compute, I/O, and
+scheduling terms whose constants are pinned to the paper's measured
+anchors.
 """
 
 from repro.costmodel.crashes import (

@@ -1,15 +1,14 @@
-"""Per-plan CNN inference FLOP accounting (Section 4.2.1).
+"""CNN inference cost: FLOPs to seconds on the modelled cluster.
 
-The heart of the Lazy-vs-Staged story: Lazy re-runs full inference
-from the raw image for every layer of L, so its total FLOPs are the
-*sum* of each layer's path; Staged and Eager pay for the deepest
-layer's path exactly once. With a pre-materialized base layer
-(Appendix B) every path starts from that base instead of the image.
+Which FLOPs a plan spends — Lazy's per-layer paths from the raw image,
+Staged's and Eager's one pass to the deepest layer, a pre-materialized
+base layer's skipped prefix — is read off the compiled plan's
+``INFER`` steps (:func:`repro.costmodel.runtime.walk_plan`).
 """
 
 from __future__ import annotations
 
-from repro.core.plans import Materialization
+from repro.costmodel import params
 
 
 def executable_model_stats(cnn):
@@ -21,47 +20,8 @@ def executable_model_stats(cnn):
     return cnn.stats
 
 
-def _path_flops(model_stats, layer, base_layer=None):
-    flops = model_stats.layer_stats(layer).flops_from_input
-    if base_layer is not None:
-        flops -= model_stats.layer_stats(base_layer).flops_from_input
-    return max(0, flops)
-
-
-def plan_inference_flops(model_stats, layers, num_records,
-                         materialization, base_layer=None):
-    """Total inference FLOPs of a plan over ``num_records`` images."""
-    layers = list(layers)
-    if materialization is Materialization.LAZY:
-        per_image = sum(
-            _path_flops(model_stats, layer, base_layer) for layer in layers
-        )
-    else:  # EAGER and STAGED share one pass to the deepest layer
-        per_image = _path_flops(model_stats, layers[-1], base_layer)
-    return per_image * num_records
-
-
-def per_layer_inference_flops(model_stats, layers, num_records,
-                              materialization, base_layer=None):
-    """FLOPs attributable to each layer's materialization step, in the
-    staged order — the Table 3 per-layer breakdown."""
-    layers = list(layers)
-    breakdown = {}
-    previous = base_layer
-    for layer in layers:
-        if materialization is Materialization.LAZY:
-            per_image = _path_flops(model_stats, layer, base_layer)
-        else:
-            per_image = model_stats.flops_between(previous, layer)
-            previous = layer
-        breakdown[layer] = per_image * num_records
-    return breakdown
-
-
 def inference_seconds(flops, model_name, cluster, cpu, use_gpu=False):
     """Wall-clock of ``flops`` of inference on the cluster."""
-    from repro.costmodel import params
-
     if use_gpu and cluster.has_gpu:
         throughput = cluster.gpu_flops * cluster.num_nodes
     else:

@@ -33,9 +33,7 @@ import math
 from dataclasses import dataclass, replace
 
 from repro.core.optimizer import downstream_mem_bytes, user_memory_requirement
-from repro.core.plans import Materialization
-from repro.core.sizing import eager_table_bytes, estimate_sizes
-from repro.costmodel import params
+from repro.core.sizing import estimate_sizes, static_storage_need
 from repro.memory.model import GB
 
 #: Section 4.1 crash scenario identifiers.
@@ -213,49 +211,15 @@ def manual_setup(model_stats, layers, dataset_stats, cpu, backend="spark",
 
 
 # ---------------------------------------------------------------------
-# working sets
-# ---------------------------------------------------------------------
-def cached_working_set_bytes(materialization, model_stats, layers,
-                             dataset_stats, alpha=2.0, static_storage=False):
-    """Bytes of intermediate data a plan holds cached at its peak.
-
-    Lazy streams each layer's features straight into the (pooled,
-    small) training table, so it caches ~nothing; Eager holds every
-    layer at once. Staged holds two consecutive stage tables while
-    deriving stage i+1 from stage i (s_double) on spill-capable
-    backends; on static memory-only storage Vista evicts each
-    previous-stage partition as its successor materializes, so the
-    static-fit requirement is the largest single stage (s_single).
-    """
-    sizing = estimate_sizes(model_stats, layers, dataset_stats, alpha=alpha)
-    if materialization is Materialization.LAZY:
-        return 0
-    if materialization is Materialization.STAGED:
-        return sizing.s_single if static_storage else sizing.s_double
-    return eager_table_bytes(model_stats, layers, dataset_stats, alpha=alpha)
-
-
-def _effective_cached_bytes(raw_bytes, setup, model_stats, alpha=2.0):
-    """In-memory bytes under the setup's persistence format — the same
-    arithmetic the optimizer's Ignite constraint uses."""
-    from repro.core.sizing import static_storage_need
-
-    ratio = getattr(
-        model_stats, "serialized_ratio",
-        params.SERIALIZED_RATIO.get(model_stats.name, 0.45),
-    )
-    return static_storage_need(
-        raw_bytes, setup.persistence, ratio, alpha=alpha
-    )
-
-
-# ---------------------------------------------------------------------
 # the check
 # ---------------------------------------------------------------------
-def detect_crash(setup, model_stats, layers, dataset_stats, materialization,
-                 cluster, alpha=2.0, use_gpu=False):
+def detect_crash(setup, model_stats, layers, dataset_stats, plan, cluster,
+                 alpha=2.0, use_gpu=False):
     """Return the crash scenario identifier, or None if the run
-    completes."""
+    completes. The Storage terms come from the compiled ``plan``'s
+    cached tables (:func:`~repro.costmodel.runtime.walk_plan`)."""
+    from repro.costmodel.runtime import walk_plan
+
     # (2) GPU DL blowup — Eq. 15 violated at runtime.
     if use_gpu and cluster.has_gpu:
         if setup.cpu * model_stats.gpu_mem_bytes >= cluster.gpu_memory_bytes:
@@ -288,12 +252,14 @@ def detect_crash(setup, model_stats, layers, dataset_stats, materialization,
     if alpha * partition_bytes > setup.core_cap_bytes:
         return CRASH_CORE
 
-    # (4) Static storage overflow (memory-only backends).
-    cached = cached_working_set_bytes(
-        materialization, model_stats, layers, dataset_stats, alpha=alpha,
-        static_storage=not setup.storage_spills,
+    # (4) Static storage overflow (memory-only backends), in the same
+    # arithmetic as the optimizer's Ignite constraint.
+    cached = walk_plan(
+        model_stats, layers, dataset_stats, plan, alpha=alpha
+    ).cached_bytes(static_storage=not setup.storage_spills)
+    effective = static_storage_need(
+        cached, setup.persistence, model_stats.serialized_ratio, alpha=alpha
     )
-    effective = _effective_cached_bytes(cached, setup, model_stats, alpha)
     if not setup.storage_spills:
         cluster_storage = setup.storage_cap_bytes * cluster.num_nodes
         if effective > cluster_storage:

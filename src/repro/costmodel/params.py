@@ -18,9 +18,8 @@ paper's own measured anchors:
   dominates and scales sub-linearly with nodes (Table 3 read rows).
 - Serialized persistence drops the zeros of ReLU feature data;
   AlexNet features shrink most (13% non-zeros vs ~36% — Appendix A).
-
-Every constant is a plain module attribute so ablation benches can
-monkeypatch them.
+  That ratio is a model statistic (``ModelStats.serialized_ratio``),
+  not a constant here.
 """
 
 from __future__ import annotations
@@ -67,18 +66,6 @@ NETWORK_BANDWIDTH = 120 * MB
 #: Serialization throughput per core (the paper's JVM serializers; the
 #: engine's own compressor-free VCB1 encode measures ~2.5 GB/s).
 SERDE_BANDWIDTH_PER_CORE = 200 * MB
-
-#: Serialized-size ratio of feature data per model
-#: (AlexNet features are far sparser — Appendix A). Sourced from the
-#: roster so the optimizer and the cost model always agree.
-def _roster_serialized_ratios():
-    from repro.cnn.zoo.roster import MODEL_ROSTER
-
-    return {name: stats.serialized_ratio
-            for name, stats in MODEL_ROSTER.items()}
-
-
-SERIALIZED_RATIO = _roster_serialized_ratios()
 
 # ---------------------------------------------------------------------
 # scheduling

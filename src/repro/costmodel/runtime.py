@@ -1,12 +1,16 @@
 """End-to-end runtime estimation for paper-scale workloads.
 
-Combines the compute, I/O, and scheduling cost terms into one
-wall-clock estimate per (plan, setup, cluster, dataset), with crash
-detection applied first. Runtime *shapes* — which plan wins, by what
-factor, where spills and crossovers appear — derive from the same
-mechanisms the paper argues from; the absolute constants are
-calibrated to the paper's measured anchors (see
-:mod:`repro.costmodel.params`).
+A plan is priced by walking the step list
+:func:`~repro.core.plans.compile_plan` compiles for it — the list the
+executor runs — so the cost model holds no second description of a
+plan's shape. :func:`walk_plan` sizes every step (FLOPs of an
+``INFER``, operand bytes of a ``JOIN``, Eq. 16 bytes of a ``CACHE``);
+:func:`price_plan` turns the walk into seconds with the compute, I/O,
+and scheduling terms; :func:`estimate_runtime` applies crash detection
+first. Runtime *shapes* — which plan wins, by what factor, where spills
+and crossovers appear — derive from the same mechanisms the paper
+argues from; the absolute constants are calibrated to the paper's
+measured anchors (see :mod:`repro.costmodel.params`).
 """
 
 from __future__ import annotations
@@ -14,14 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.core.plans import JoinPlacement, Materialization
-from repro.core.sizing import eager_table_bytes, estimate_sizes
+from repro.core.plans import SOURCE, STAGED, Op, Step, compile_plan
+from repro.core.sizing import intermediate_table_bytes, table_bytes
 from repro.costmodel import io_cost, params
-from repro.costmodel.cnn_cost import (
-    inference_seconds,
-    per_layer_inference_flops,
-    plan_inference_flops,
-)
+from repro.costmodel.cnn_cost import inference_seconds
 from repro.costmodel.crashes import detect_crash
 
 
@@ -48,8 +48,90 @@ class RuntimeReport:
         return "X" if self.crashed else f"{self.minutes:.1f}"
 
 
-def _pooled_dim(model_stats, layer):
-    return model_stats.layer_stats(layer).transfer_dim
+@dataclass
+class WalkRow:
+    """One compiled step, sized: ``flops`` per image of an ``INFER``,
+    ``operand_bytes`` of a ``JOIN`` (|T_str| plus the other side),
+    ``table_bytes`` (Eq. 16) of a ``CACHE`` and the ``cached_reads``
+    later steps make of that table while it stays cached."""
+
+    step: Step
+    flops: int = 0
+    operand_bytes: int = 0
+    table_bytes: int = 0
+    cached_reads: int = 0
+
+
+@dataclass(frozen=True)
+class PlanWalk:
+    """A compiled plan as the cost model sees it: the sized rows, the
+    reads of T_img (or the base table), and its Storage working set —
+    the peak bytes cached at once with T_str counted once (Eq. 6), the
+    largest single cached table, and the most reads of one cached
+    table."""
+
+    rows: tuple
+    source_reads: int
+    peak_bytes: int
+    largest_table_bytes: int
+    max_cached_reads: int
+
+    def cached_bytes(self, static_storage):
+        """The plan's cached working set. On static (memory-only)
+        storage Vista evicts each previous-stage partition as its
+        successor materializes, so only the largest table must fit."""
+        return self.largest_table_bytes if static_storage else self.peak_bytes
+
+
+def walk_plan(model_stats, layers, dataset_stats, plan, base_layer=None,
+              alpha=2.0):
+    """One pass over ``compile_plan(plan, layers, base_layer)``,
+    tracking which feature layers each table slot holds; returns a
+    :class:`PlanWalk`."""
+    n = dataset_stats.num_records
+    tstr = dataset_stats.structured_table_bytes()
+    holds = {SOURCE: ()}  # slot -> feature layers its table holds
+    cached = {}           # slot -> the CACHE row that holds it
+    rows = []
+    source_reads = peak = 0
+    for step in compile_plan(plan, layers, base_layer):
+        held = holds[step.reads]
+        row = WalkRow(step)
+        if step.op is Op.INFER:
+            if not held:  # T_img or the base table, joined or not
+                source_reads += 1
+            row.flops = model_stats.flops_between(
+                step.from_layer, step.outputs[-1][0]
+            )
+            held = tuple(layer for layer, _ in step.outputs)
+        elif step.op is Op.JOIN:
+            row.operand_bytes = tstr + (n * sum(
+                model_stats.materialized_bytes(layer) for layer in held
+            ) if held else dataset_stats.image_table_bytes())
+        elif step.op is Op.CACHE:
+            row.table_bytes = table_bytes(
+                model_stats, held, dataset_stats, alpha=alpha
+            )
+            cached[step.reads] = row
+            peak = max(peak, sum(
+                r.table_bytes for r in cached.values()
+            ) - (len(cached) - 1) * tstr)
+        elif step.op is Op.UNPERSIST:
+            del cached[step.reads]
+        elif step.op is Op.PROJECT:
+            held = (step.layer,)
+        if step.op is not Op.CACHE and step.reads in cached:
+            cached[step.reads].cached_reads += 1
+        if step.writes:
+            holds[step.writes] = held
+        rows.append(row)
+    return PlanWalk(
+        rows=tuple(rows),
+        source_reads=source_reads,
+        peak_bytes=peak,
+        largest_table_bytes=max(row.table_bytes for row in rows),
+        max_cached_reads=max(row.cached_reads for row in rows),
+    )
 
 
 def _train_partitions(model_stats, layer, dataset_stats, setup, cluster):
@@ -58,7 +140,7 @@ def _train_partitions(model_stats, layer, dataset_stats, setup, cluster):
 
     pooled_bytes = (
         4 * (dataset_stats.num_structured_features
-             + _pooled_dim(model_stats, layer))
+             + model_stats.layer_stats(layer).transfer_dim)
         * dataset_stats.num_records
     )
     by_size = math.ceil(pooled_bytes / DEFAULT_MAX_PARTITION)
@@ -66,31 +148,100 @@ def _train_partitions(model_stats, layer, dataset_stats, setup, cluster):
     return max(floor, min(setup.num_partitions, by_size))
 
 
-def _spill_report(materialization, model_stats, layers, dataset_stats,
-                  setup, cluster, alpha):
-    """Spilled bytes and the number of re-read passes over them."""
-    if not setup.storage_spills:
-        return 0, 0
-    storage_cluster = setup.storage_cap_bytes * cluster.num_nodes
-    if setup.persistence == "serialized":
-        # Serialized data drops the JVM-object blowup and compresses.
-        scale = params.SERIALIZED_RATIO.get(model_stats.name, 0.45) / alpha
-    else:
-        scale = 1.0
-    if materialization is Materialization.EAGER:
-        cached = eager_table_bytes(
-            model_stats, layers, dataset_stats, alpha=alpha
-        ) * scale
-        passes = len(list(layers))  # re-projected once per layer
-    elif materialization is Materialization.STAGED:
-        sizing = estimate_sizes(
-            model_stats, layers, dataset_stats, alpha=alpha
+def price_plan(model_stats, layers, dataset_stats, plan, setup, cluster,
+               use_gpu=False, base_layer=None, train_iterations=None,
+               alpha=2.0):
+    """Price the compiled plan without the crash check; returns
+    ``(rows, breakdown, spilled_bytes)``: one ``(step, seconds)`` row
+    per ``INFER`` / ``JOIN`` / ``TRAIN`` in run order, the seconds per
+    cost term, and the bytes Storage spills to disk."""
+    walk = walk_plan(
+        model_stats, layers, dataset_stats, plan, base_layer, alpha
+    )
+    n = dataset_stats.num_records
+    tstr = dataset_stats.structured_table_bytes()
+    broadcast = setup.join == "broadcast"
+
+    def infer_seconds(flops):
+        return inference_seconds(
+            flops * n, model_stats.name, cluster, setup.cpu, use_gpu=use_gpu
         )
-        cached = sizing.s_double * scale
-        passes = 1
-    else:
-        return 0, 0
-    return int(max(0.0, cached - storage_cluster)), passes
+
+    def seconds(row):
+        step = row.step
+        if step.op is Op.INFER:
+            return infer_seconds(row.flops)
+        if step.op is Op.JOIN:
+            if broadcast:
+                return io_cost.broadcast_seconds(tstr, cluster)
+            # Joined after inference, a feature table is the operand —
+            # usually much larger than the compressed images, which is
+            # why pulling the join below inference helps (Sec. 4.2.1).
+            return io_cost.shuffle_seconds(row.operand_bytes, cluster)
+        # Training iterates over the *pooled* feature table, so its
+        # partition count is bounded by that table's size, not np.
+        return io_cost.training_seconds(
+            n, dataset_stats.num_structured_features
+            + model_stats.layer_stats(step.layer).transfer_dim,
+            _train_partitions(model_stats, step.layer, dataset_stats,
+                              setup, cluster),
+            cluster, setup.cpu, iterations=train_iterations,
+        )
+
+    rows = [
+        (row.step, seconds(row)) for row in walk.rows
+        if row.step.op in (Op.INFER, Op.JOIN, Op.TRAIN)
+    ]
+    joins = [s for step, s in rows if step.op is Op.JOIN]
+    trains = [s for step, s in rows if step.op is Op.TRAIN]
+    if base_layer is None:
+        read = io_cost.image_read_seconds(n, cluster)
+    else:  # the pre-materialized base table is read from disk
+        read = model_stats.materialized_bytes(base_layer) * n / (
+            cluster.disk_bandwidth * cluster.num_nodes
+        )
+    # Terms whose rows are equal or linear in FLOPs are priced as one
+    # product, which rounds the same whatever the row count.
+    breakdown = {
+        "read": read * walk.source_reads,
+        "inference": infer_seconds(sum(row.flops for row in walk.rows)),
+        "join": len(joins) * io_cost.broadcast_seconds(tstr, cluster)
+        if broadcast else sum(joins),
+        "train": sum(trains),
+    }
+
+    # -- spills and persistence-format conversion --------------------------
+    serialized = setup.persistence == "serialized"
+    spilled = 0
+    if setup.storage_spills:
+        # Serialized data drops the JVM-object blowup and compresses.
+        scale = model_stats.serialized_ratio / alpha if serialized else 1.0
+        spilled = int(max(
+            0.0,
+            walk.peak_bytes * scale
+            - setup.storage_cap_bytes * cluster.num_nodes,
+        ))
+    if spilled:
+        breakdown["spill"] = io_cost.spill_seconds(
+            spilled, cluster, reread_passes=walk.max_cached_reads
+        )
+    if serialized:
+        converted = 2 * sum(
+            intermediate_table_bytes(model_stats, layer, dataset_stats,
+                                     alpha=alpha)
+            for layer in layers
+        )
+        breakdown["serde"] = io_cost.serde_seconds(
+            converted, cluster, setup.cpu
+        )
+
+    # -- scheduling overhead: the read, each join, each training run ------
+    stages = 1 + len(joins) + len(trains)
+    breakdown["overhead"] = io_cost.task_overhead_seconds(
+        stages * setup.num_partitions, setup.num_partitions, cluster,
+        setup.cpu,
+    ) + stages * params.STAGE_OVERHEAD_S
+    return rows, breakdown, spilled
 
 
 def estimate_runtime(model_stats, layers, dataset_stats, plan, setup,
@@ -105,109 +256,16 @@ def estimate_runtime(model_stats, layers, dataset_stats, plan, setup,
     layers = list(layers)
     label = label or setup.label
     crash = detect_crash(
-        setup, model_stats, layers, dataset_stats, plan.materialization,
-        cluster, alpha=alpha, use_gpu=use_gpu,
+        setup, model_stats, layers, dataset_stats, plan, cluster,
+        alpha=alpha, use_gpu=use_gpu,
     )  # same Eq. 10 arithmetic as the optimizer
     if crash is not None:
         return RuntimeReport(label=label, seconds=math.inf, crash=crash)
-
-    breakdown = {}
-
-    # -- input reading -------------------------------------------------
-    if base_layer is None:
-        breakdown["read"] = io_cost.image_read_seconds(
-            dataset_stats.num_records, cluster
-        )
-    else:
-        base_bytes = (
-            model_stats.materialized_bytes(base_layer)
-            * dataset_stats.num_records
-        )
-        breakdown["read"] = base_bytes / (
-            cluster.disk_bandwidth * cluster.num_nodes
-        )
-
-    # -- CNN inference ---------------------------------------------------
-    # Lazy re-reads its source once per explored layer.
-    if plan.materialization is Materialization.LAZY and len(layers) > 1:
-        breakdown["read"] *= len(layers)
-    flops = plan_inference_flops(
-        model_stats, layers, dataset_stats.num_records,
-        plan.materialization, base_layer=base_layer,
+    _, breakdown, spilled = price_plan(
+        model_stats, layers, dataset_stats, plan, setup, cluster,
+        use_gpu=use_gpu, base_layer=base_layer,
+        train_iterations=train_iterations, alpha=alpha,
     )
-    breakdown["inference"] = inference_seconds(
-        flops, model_stats.name, cluster, setup.cpu, use_gpu=use_gpu
-    )
-
-    # -- joins -----------------------------------------------------------
-    if plan.join_placement is JoinPlacement.AFTER_JOIN:
-        join_inputs = [
-            dataset_stats.structured_table_bytes()
-            + dataset_stats.image_table_bytes()
-        ]
-    else:
-        # Join pulled above inference: each layer's *unpooled*
-        # materialized feature table is a join operand — usually much
-        # larger than the compressed images, which is exactly why
-        # reordering the join below inference helps (Section 4.2.1).
-        join_inputs = [
-            dataset_stats.structured_table_bytes()
-            + model_stats.materialized_bytes(layer)
-            * dataset_stats.num_records
-            for layer in layers
-        ]
-    if setup.join == "broadcast":
-        breakdown["join"] = len(join_inputs) * io_cost.broadcast_seconds(
-            dataset_stats.structured_table_bytes(), cluster
-        )
-    else:
-        breakdown["join"] = sum(
-            io_cost.shuffle_seconds(nbytes, cluster)
-            for nbytes in join_inputs
-        )
-
-    # -- downstream training ----------------------------------------------
-    # Training iterates over the *pooled* feature table, which is far
-    # smaller than the unpooled stage tables, so its partition count is
-    # bounded by that table's size, not the inference np.
-    breakdown["train"] = sum(
-        io_cost.training_seconds(
-            dataset_stats.num_records,
-            dataset_stats.num_structured_features
-            + _pooled_dim(model_stats, layer),
-            _train_partitions(model_stats, layer, dataset_stats, setup,
-                              cluster),
-            cluster, setup.cpu,
-            iterations=train_iterations,
-        )
-        for layer in layers
-    )
-
-    # -- spills and persistence-format conversion --------------------------
-    spilled, passes = _spill_report(
-        plan.materialization, model_stats, layers, dataset_stats, setup,
-        cluster, alpha,
-    )
-    if spilled:
-        breakdown["spill"] = io_cost.spill_seconds(
-            spilled, cluster, reread_passes=passes
-        )
-    if setup.persistence == "serialized":
-        sizing = estimate_sizes(
-            model_stats, layers, dataset_stats, alpha=alpha
-        )
-        converted = 2 * sum(sizing.intermediate_table_bytes.values())
-        breakdown["serde"] = io_cost.serde_seconds(
-            converted, cluster, setup.cpu
-        )
-
-    # -- scheduling overhead ------------------------------------------------
-    stages = 1 + len(layers) + len(join_inputs)
-    breakdown["overhead"] = io_cost.task_overhead_seconds(
-        stages * setup.num_partitions, setup.num_partitions, cluster,
-        setup.cpu,
-    ) + stages * params.STAGE_OVERHEAD_S
-
     return RuntimeReport(
         label=label,
         seconds=sum(breakdown.values()),
@@ -251,24 +309,22 @@ def estimate_premat_runtime(model_stats, layers, dataset_stats, plan,
 
 def per_layer_breakdown(model_stats, layers, dataset_stats, setup, cluster,
                         base_layer=None, use_gpu=False):
-    """Table 3's rows: per-layer inference + first-LR-iteration minutes
-    under the Staged plan, plus the image-read row."""
-    flops = per_layer_inference_flops(
-        model_stats, layers, dataset_stats.num_records,
-        Materialization.STAGED, base_layer=base_layer,
-    )
+    """Table 3's rows: per-layer inference (the Staged walk's ``INFER``
+    rows) + first-LR-iteration seconds, plus the image-read row."""
+    walk = walk_plan(model_stats, layers, dataset_stats, STAGED, base_layer)
+    n = dataset_stats.num_records
     rows = {}
-    for layer, layer_flops in flops.items():
-        seconds = inference_seconds(
-            layer_flops, model_stats.name, cluster, setup.cpu,
+    for row in walk.rows:
+        if row.step.op is not Op.INFER:
+            continue
+        layer = row.step.layer
+        rows[layer] = inference_seconds(
+            row.flops * n, model_stats.name, cluster, setup.cpu,
             use_gpu=use_gpu,
-        )
-        seconds += io_cost.training_seconds(
-            dataset_stats.num_records,
-            dataset_stats.num_structured_features
-            + _pooled_dim(model_stats, layer),
+        ) + io_cost.training_seconds(
+            n, dataset_stats.num_structured_features
+            + model_stats.layer_stats(layer).transfer_dim,
             setup.num_partitions, cluster, setup.cpu, iterations=1,
         )
-        rows[layer] = seconds
-    read = io_cost.image_read_seconds(dataset_stats.num_records, cluster)
+    read = io_cost.image_read_seconds(n, cluster)
     return rows, read

@@ -25,12 +25,8 @@ from repro.core.optimizer import evaluate_candidate, enumerate_candidates
 from repro.core.plans import LogicalPlan, STAGED, plan_by_name
 from repro.core.sizing import estimate_sizes, static_storage_need
 from repro.costmodel import params
-from repro.costmodel.crashes import (
-    cached_working_set_bytes,
-    detect_crash,
-    vista_setup,
-)
-from repro.costmodel.runtime import estimate_runtime
+from repro.costmodel.crashes import detect_crash, vista_setup
+from repro.costmodel.runtime import estimate_runtime, walk_plan
 from repro.dataflow.joins import BROADCAST, SHUFFLE
 from repro.dataflow.partition import DESERIALIZED, SERIALIZED
 from repro.explain.peaks import predict_workload_peaks
@@ -232,8 +228,8 @@ def what_if(model_stats, layers, dataset_stats, resources, pins,
         user_cap_bytes=config.mem_user_bytes,
     )
     crash = detect_crash(
-        setup, model_stats, layers, dataset_stats, plan.materialization,
-        cluster, alpha=defaults.alpha, use_gpu=resources.has_gpu,
+        setup, model_stats, layers, dataset_stats, plan, cluster,
+        alpha=defaults.alpha, use_gpu=resources.has_gpu,
     )
     if crash is not None and crash not in reasons:
         reasons.append(crash)
@@ -242,10 +238,9 @@ def what_if(model_stats, layers, dataset_stats, resources, pins,
     # ------------------------------------------------------------------
     # predictions
     # ------------------------------------------------------------------
-    working_set = cached_working_set_bytes(
-        plan.materialization, model_stats, layers, dataset_stats,
-        alpha=defaults.alpha, static_storage=backend == "ignite",
-    )
+    working_set = walk_plan(
+        model_stats, layers, dataset_stats, plan, alpha=defaults.alpha
+    ).cached_bytes(static_storage=backend == "ignite")
     storage_peak = static_storage_need(
         working_set, persistence, model_stats.serialized_ratio,
         alpha=defaults.alpha,

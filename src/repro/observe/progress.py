@@ -2,11 +2,10 @@
 
 Vista's whole pitch is pricing a run *before* it executes (Algorithm 1
 over the Eq. 9–16 cost model). This module closes the loop while the
-run is in flight: :func:`predict_stage_plan` turns the cost model's
-runtime breakdown into an ordered list of stages the executor will
-emit — the span names of the plan's
-:func:`~repro.core.plans.compile_plan` steps, each with predicted
-seconds — and :class:`ProgressState`
+run is in flight: :func:`predict_stage_plan` lists the stages the
+executor will emit — ``read``, then the span names of the plan's
+:func:`~repro.core.plans.compile_plan` steps, each with the seconds
+the cost model prices that step at — and :class:`ProgressState`
 consumes the run ledger's events live, marking stages done as their
 spans close and estimating time-to-completion.
 
@@ -27,8 +26,6 @@ measurement (``tests/test_observe.py`` holds the half-way ETA within
 """
 
 from __future__ import annotations
-
-from repro.core.plans import Op, compile_plan
 
 
 class Stage:
@@ -89,83 +86,26 @@ class StagePlan:
                 f"{self.total_predicted_s:.2f}s predicted>")
 
 
-def _stage_sequence(plan, layers):
-    """The ordered ``(key, matcher, step)`` triples the executor's span
-    stream will produce for a logical plan: ``read``, then every
-    compiled step that opens a span (``step`` is None for ``read``)."""
-    sequence = [("read", "read", None)]
-    for step in compile_plan(plan, layers):
-        name = step.span_name
-        if name is None:
-            continue
-        # Keyed by stage kind plus the one layer the step serves.
-        kind = name.split(":")[0]
-        key = f"{kind}:{step.layer}" if step.layer else kind
-        sequence.append((key, name, step))
-    return sequence
-
-
 def predict_stage_plan(model_stats, layers, dataset_stats, plan, config,
                        resources, backend="spark"):
     """Build the :class:`StagePlan` for a workload from the cost
-    model: Eq. 9–15 stage seconds distributed over the span sequence
-    the executor will emit."""
-    from repro.costmodel import estimate_runtime, vista_setup
-    from repro.costmodel.cnn_cost import per_layer_inference_flops
+    model: ``read``, then one stage per compiled step that opens a span,
+    each priced by :func:`~repro.costmodel.runtime.price_plan`."""
+    from repro.costmodel import vista_setup
+    from repro.costmodel.runtime import price_plan
     from repro.explain.whatif import cluster_from_resources
 
-    layers = list(layers)
-    setup = vista_setup(config, backend=backend)
-    cluster = cluster_from_resources(resources)
-    breakdown = None
-    try:
-        report = estimate_runtime(
-            model_stats, layers, dataset_stats, plan, setup, cluster
-        )
-        if not report.crashed:
-            breakdown = dict(report.breakdown)
-    except Exception:
-        breakdown = None
-    flops = per_layer_inference_flops(
-        model_stats, layers, dataset_stats.num_records,
-        plan.materialization,
+    rows, breakdown, _ = price_plan(
+        model_stats, layers, dataset_stats, plan,
+        vista_setup(config, backend=backend),
+        cluster_from_resources(resources),
     )
-    total_flops = sum(flops.values()) or 1.0
-    if breakdown is None:
-        # The cost model predicts a crash (or cannot price the plan):
-        # fall back to FLOPs-proportional weights with nominal shares
-        # for the non-inference stages, so progress still renders.
-        inference_total = 1.0
-        breakdown = {"read": 0.05, "join": 0.05, "train": 0.25,
-                     "inference": inference_total}
-    sequence = _stage_sequence(plan, layers)
-    ops = [step.op if step else None for _, _, step in sequence]
-    inference_total = breakdown.get("inference", 0.0)
-    weights = []
-    for _, _, step in sequence:
-        if step is None:
-            weight = breakdown.get("read", 0.0)
-        elif step.op is Op.JOIN:
-            weight = breakdown.get("join", 0.0) / ops.count(Op.JOIN)
-        elif step.op is Op.TRAIN:
-            weight = breakdown.get("train", 0.0) / ops.count(Op.TRAIN)
-        else:  # INFER: its layers' share of the inference FLOPs
-            weight = inference_total * sum(
-                flops.get(layer, 0.0) for layer, _ in step.outputs
-            ) / total_flops
-        weights.append(weight)
-    # Spill/serde/overhead seconds have no span of their own: spread
-    # them proportionally so stage weights sum to the predicted total.
-    stage_total = sum(weights)
-    full_total = sum(breakdown.values())
-    if stage_total > 0 and full_total > stage_total:
-        scale = full_total / stage_total
-        weights = [w * scale for w in weights]
-    floor = max(stage_total, 1e-9) * 1e-4
-    stages = [
-        Stage(key, matcher, max(weight, floor))
-        for (key, matcher, _), weight in zip(sequence, weights)
-    ]
+    stages = [Stage("read", "read", breakdown["read"])]
+    for step, seconds in rows:
+        # Keyed by stage kind plus the one layer the step serves.
+        kind = step.span_name.split(":")[0]
+        key = f"{kind}:{step.layer}" if step.layer else kind
+        stages.append(Stage(key, step.span_name, seconds))
     return StagePlan(stages, plan_label=plan.label)
 
 

@@ -6,6 +6,8 @@ import math
 import pytest
 
 from repro.cnn import get_model_stats
+from repro.cnn.zoo.densenet import build_densenet_mini
+from repro.core.config import DatasetStats
 from repro.core.optimizer import optimize
 from repro.core.plans import EAGER, LAZY, LAZY_REORDERED, STAGED
 from repro.costmodel import (
@@ -24,7 +26,8 @@ from repro.costmodel import (
     vista_setup,
 )
 from repro.costmodel import params
-from repro.costmodel.crashes import manual_setup
+from repro.costmodel.crashes import ExecutionSetup, manual_setup
+from repro.memory.model import GB
 
 
 def _layers(model):
@@ -44,14 +47,14 @@ class TestCrashPrediction:
             for cpu in (5, 7):
                 setup = spark_default_setup(cpu, ds.num_records)
                 assert detect_crash(
-                    setup, stats, layers, ds, LAZY.materialization, CLUSTER
+                    setup, stats, layers, ds, LAZY, CLUSTER
                 ) == CRASH_DL
 
     def test_vgg_lazy_1_completes(self, foods_stats):
         stats, layers = _layers("vgg16")
         setup = spark_default_setup(1, foods_stats.num_records)
         assert detect_crash(
-            setup, stats, layers, foods_stats, LAZY.materialization, CLUSTER
+            setup, stats, layers, foods_stats, LAZY, CLUSTER
         ) is None
 
     def test_alexnet_and_resnet_lazy_complete_on_spark(self, foods_stats,
@@ -63,7 +66,7 @@ class TestCrashPrediction:
                 for cpu in (1, 5, 7):
                     setup = spark_default_setup(cpu, ds.num_records)
                     assert detect_crash(
-                        setup, stats, layers, ds, LAZY.materialization,
+                        setup, stats, layers, ds, LAZY,
                         CLUSTER,
                     ) is None, (model, cpu)
 
@@ -73,7 +76,7 @@ class TestCrashPrediction:
             stats, layers = _layers(model)
             crash = detect_crash(
                 ignite_default_setup(7), stats, layers, amazon_stats,
-                LAZY.materialization, CLUSTER,
+                LAZY, CLUSTER,
             )
             assert crash is not None, model
 
@@ -81,14 +84,14 @@ class TestCrashPrediction:
         stats, layers = _layers("resnet50")
         assert detect_crash(
             ignite_default_setup(7), stats, layers, foods_stats,
-            LAZY.materialization, CLUSTER,
+            LAZY, CLUSTER,
         ) == CRASH_USER
 
     def test_ignite_lazy_7_alexnet_completes_on_foods(self, foods_stats):
         stats, layers = _layers("alexnet")
         assert detect_crash(
             ignite_default_setup(7), stats, layers, foods_stats,
-            LAZY.materialization, CLUSTER,
+            LAZY, CLUSTER,
         ) is None
 
     def test_eager_crashes_ignite_amazon_resnet(self, amazon_stats):
@@ -96,7 +99,7 @@ class TestCrashPrediction:
         setup = manual_setup(stats, layers, amazon_stats, 5,
                              backend="ignite")
         assert detect_crash(
-            setup, stats, layers, amazon_stats, EAGER.materialization,
+            setup, stats, layers, amazon_stats, EAGER,
             CLUSTER,
         ) == CRASH_STORAGE
 
@@ -105,7 +108,7 @@ class TestCrashPrediction:
         setup = manual_setup(stats, layers, amazon_stats, 5,
                              backend="ignite")
         assert detect_crash(
-            setup, stats, layers, amazon_stats, EAGER.materialization,
+            setup, stats, layers, amazon_stats, EAGER,
             CLUSTER,
         ) is None
 
@@ -119,14 +122,14 @@ class TestCrashPrediction:
             config = optimize(stats, layers, ds, paper_resources)
             setup = vista_setup(config, backend=backend)
             assert detect_crash(
-                setup, stats, layers, ds, STAGED.materialization, CLUSTER
+                setup, stats, layers, ds, STAGED, CLUSTER
             ) is None, (model, backend, ds.num_records)
 
     def test_gpu_vgg_crashes_at_5_threads(self, foods_stats):
         stats, layers = _layers("vgg16")
         setup = spark_default_setup(5, foods_stats.num_records)
         assert detect_crash(
-            setup, stats, layers, foods_stats, LAZY.materialization,
+            setup, stats, layers, foods_stats, LAZY,
             gpu_workstation(), use_gpu=True,
         ) == CRASH_DL_GPU
 
@@ -134,7 +137,7 @@ class TestCrashPrediction:
         stats, layers = _layers("resnet50")
         setup = spark_default_setup(7, foods_stats.num_records)
         assert detect_crash(
-            setup, stats, layers, foods_stats, LAZY.materialization,
+            setup, stats, layers, foods_stats, LAZY,
             gpu_workstation(), use_gpu=True,
         ) is None
 
@@ -267,6 +270,27 @@ class TestRuntimeShapes:
         s8 = params.cpu_speedup(8)
         assert s4 > 2.0
         assert s8 / s4 < 1.35
+
+    def test_densenet_spill_uses_its_own_serialized_ratio(self):
+        """DenseNet-mini is not a roster model: its statistics carry
+        the 0.4 serialized ratio, and its spill is priced with that
+        ratio (Staged, serialized, 200k records, 1 B of Storage on one
+        node) — not with a 0.45 fallback keyed by model name."""
+        stats = build_densenet_mini().stats
+        assert stats.serialized_ratio == 0.4
+        setup = ExecutionSetup(
+            label="squeezed", backend="spark", cpu=1, num_partitions=2000,
+            join="shuffle", persistence="serialized", heap_bytes=8 * GB,
+            user_cap_bytes=4 * GB, core_cap_bytes=2 * GB,
+            storage_cap_bytes=1, storage_spills=True,
+        )
+        report = estimate_runtime(
+            stats, stats.feature_layers,
+            DatasetStats(200_000, 130, 14 * 1024), STAGED, setup,
+            cloudlab_cluster(1),
+        )
+        assert report.crash is None
+        assert report.spilled_bytes == 843_839_999
 
     def test_large_np_overhead_penalty(self, foods_stats):
         """Figure 11(B): np > 2000 triggers status-compression

@@ -1,16 +1,16 @@
-"""Unit tests for the cost model's component terms (cnn_cost, io_cost,
-params) — the pieces the runtime estimator composes."""
+"""Unit tests for the cost model's component terms (the plan walk's
+FLOPs, cnn_cost, io_cost, params) — the pieces the runtime estimator
+composes."""
 
 import pytest
 
 from repro.cnn import get_model_stats
-from repro.core.plans import Materialization
+from repro.cnn.zoo.roster import MODEL_ROSTER
+from repro.core.config import DatasetStats
+from repro.core.plans import EAGER, LAZY, STAGED, Op
 from repro.costmodel import params
-from repro.costmodel.cnn_cost import (
-    inference_seconds,
-    per_layer_inference_flops,
-    plan_inference_flops,
-)
+from repro.costmodel.cnn_cost import inference_seconds
+from repro.costmodel.runtime import walk_plan
 from repro.costmodel.io_cost import (
     broadcast_seconds,
     image_read_seconds,
@@ -28,56 +28,46 @@ STATS = get_model_stats("alexnet")
 LAYERS = STATS.feature_layers
 
 
+def _infer_flops(plan, base_layer=None):
+    """``{INFER step's last layer: FLOPs per image}`` of the walk."""
+    walk = walk_plan(STATS, LAYERS, DatasetStats(100, 10, 1024), plan,
+                     base_layer=base_layer)
+    return {row.step.outputs[-1][0]: row.flops
+            for row in walk.rows if row.step.op is Op.INFER}
+
+
 class TestPlanFlops:
     def test_lazy_is_sum_of_paths(self):
-        lazy = plan_inference_flops(
-            STATS, LAYERS, 100, Materialization.LAZY
-        )
-        expected = 100 * sum(
+        expected = sum(
             STATS.layer_stats(layer).flops_from_input for layer in LAYERS
         )
-        assert lazy == expected
+        assert sum(_infer_flops(LAZY).values()) == expected
 
     def test_staged_is_deepest_path(self):
-        staged = plan_inference_flops(
-            STATS, LAYERS, 100, Materialization.STAGED
-        )
-        assert staged == 100 * STATS.layer_stats(
+        assert sum(_infer_flops(STAGED).values()) == STATS.layer_stats(
             LAYERS[-1]
         ).flops_from_input
 
     def test_eager_equals_staged(self):
-        assert plan_inference_flops(
-            STATS, LAYERS, 50, Materialization.EAGER
-        ) == plan_inference_flops(
-            STATS, LAYERS, 50, Materialization.STAGED
-        )
+        assert sum(_infer_flops(EAGER).values()) \
+            == sum(_infer_flops(STAGED).values())
 
     def test_base_layer_subtracts_prefix(self):
-        full = plan_inference_flops(
-            STATS, LAYERS, 10, Materialization.STAGED
-        )
-        from_base = plan_inference_flops(
-            STATS, LAYERS, 10, Materialization.STAGED,
-            base_layer=LAYERS[0],
-        )
+        full = sum(_infer_flops(STAGED).values())
+        from_base = sum(_infer_flops(STAGED, base_layer=LAYERS[0]).values())
         assert from_base < full
-        prefix = 10 * STATS.layer_stats(LAYERS[0]).flops_from_input
+        prefix = STATS.layer_stats(LAYERS[0]).flops_from_input
         assert full - from_base == prefix
 
     def test_per_layer_breakdown_sums_to_plan_total(self):
-        breakdown = per_layer_inference_flops(
-            STATS, LAYERS, 100, Materialization.STAGED
-        )
-        assert sum(breakdown.values()) == plan_inference_flops(
-            STATS, LAYERS, 100, Materialization.STAGED
-        )
+        per_layer = _infer_flops(STAGED)
+        assert list(per_layer) == LAYERS
+        assert sum(per_layer.values()) == STATS.layer_stats(
+            LAYERS[-1]
+        ).flops_from_input
 
     def test_per_layer_lazy_entries_are_full_paths(self):
-        breakdown = per_layer_inference_flops(
-            STATS, LAYERS, 1, Materialization.LAZY
-        )
-        for layer, flops in breakdown.items():
+        for layer, flops in _infer_flops(LAZY).items():
             assert flops == STATS.layer_stats(layer).flops_from_input
 
 
@@ -150,7 +140,8 @@ class TestParams:
         assert values[0] == 1.0
 
     def test_serialized_ratios_alexnet_compresses_hardest(self):
-        ratios = params.SERIALIZED_RATIO
+        ratios = {name: stats.serialized_ratio
+                  for name, stats in MODEL_ROSTER.items()}
         assert ratios["alexnet"] < ratios["resnet50"] <= ratios["vgg16"]
 
     def test_gpu_workstation_spec(self):

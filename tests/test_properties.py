@@ -234,6 +234,6 @@ def test_optimizer_output_always_satisfies_constraints(
         # the shared crash model never flags Vista's own configuration
         crash = detect_crash(
             vista_setup(config, backend=backend), stats, layers, ds,
-            STAGED.materialization, cluster,
+            STAGED, cluster,
         )
         assert crash is None, (backend, crash)

@@ -235,6 +235,35 @@ def test_model_stats_has_one_constructor():
 
 
 # ---------------------------------------------------------------------
+# one description of a plan's shape
+# ---------------------------------------------------------------------
+def test_plan_shape_is_read_off_the_step_list():
+    """``compile_plan`` writes a plan's shape down; every other reader
+    walks its steps. Only it and the degradation ladder (which rewrites
+    one plan into another) name a ``Materialization`` or
+    ``JoinPlacement`` member, and the CNN cost prices FLOPs, not a
+    materialization."""
+    owners = {os.path.join("src", "repro", "core", name)
+              for name in ("plans.py", "resilient.py")}
+    hits = [
+        f"{os.path.relpath(path, REPO_ROOT)}:{node.lineno}"
+        for path in _src_files("**", "*.py")
+        if os.path.relpath(path, REPO_ROOT) not in owners
+        for node in ast.walk(ast.parse(_read(path)))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("Materialization", "JoinPlacement")
+    ]
+    assert not hits
+    cnn_cost = ast.parse(_read("src/repro/costmodel/cnn_cost.py"))
+    assert not [
+        node.name for node in ast.walk(cnn_cost)
+        if isinstance(node, ast.FunctionDef)
+        and "materialization" in [arg.arg for arg in node.args.args]
+    ]
+
+
+# ---------------------------------------------------------------------
 # one wire format, no compressor; the feature store writes atomically
 # ---------------------------------------------------------------------
 def test_no_compressor_under_dataflow_or_features():
