@@ -8,8 +8,6 @@ crash, where crossovers fall.
 
 from __future__ import annotations
 
-import json
-
 from repro.cnn import get_model_stats
 from repro.core.config import DatasetStats
 
@@ -62,50 +60,3 @@ def print_table(title, headers, rows):
 def fmt_minutes(report):
     """Figure-6 style cell: minutes or X on crash."""
     return report.cell()
-
-
-def write_results(path, payload):
-    """Write one bench's JSON result file (sorted keys, trailing
-    newline) so successive runs diff cleanly."""
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
-    return path
-
-
-#: Version tag of the BENCH_*.json layout. Only ``bench_parallel``
-#: still writes it (kept with the process backend); nothing under
-#: ``src/`` reads or writes this envelope.
-TRACE_SCHEMA = "trace/v2"
-
-
-def trace_payload(bench, results, **params):
-    """The BENCH_*.json envelope: a schema tag, the bench name, its
-    parameters and the result rows. ``trace`` and ``metrics`` are the
-    layout's span-tree and metrics blocks, null for a bench that
-    records neither (``bench_parallel``)."""
-    return {
-        "schema": TRACE_SCHEMA,
-        "bench": bench,
-        "params": dict(params),
-        "results": results,
-        "trace": None,
-        "metrics": None,
-    }
-
-
-def load_envelope(path, bench=None):
-    """Load a BENCH_*.json envelope, validating its schema tag (and,
-    when given, that it records the expected bench)."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    schema = payload.get("schema")
-    if schema != TRACE_SCHEMA:
-        raise ValueError(
-            f"{path}: schema {schema!r}, expected {TRACE_SCHEMA!r}"
-        )
-    if bench is not None and payload.get("bench") != bench:
-        raise ValueError(
-            f"{path}: bench {payload.get('bench')!r}, expected {bench!r}"
-        )
-    return payload

@@ -1,10 +1,12 @@
-"""The one tmp + fsync + rename helper every durable writer shares.
+"""The one tmp + fsync + rename helper every durable writer shares, and
+the one short-write loop every raw ``write`` goes through.
 
 Bytes go to ``<final>.tmp`` in the same directory, are fsynced, then
 atomically renamed over the final name: a crash mid-write leaves either
 the old complete file or a stray ``*.tmp`` (removed by
 :func:`reclaim_tmp_files` when the directory is next opened), never a
-half-written final file.
+half-written final file. Appenders (the run ledger, the history index)
+and the process backend's pipes use :func:`write_all` alone.
 
 Every syscall goes through ``io`` — the :mod:`os` module by default —
 so a test can substitute a shim that counts calls or dies after the
@@ -20,6 +22,15 @@ import os
 _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
 
 
+def write_all(fd, data, io=os):
+    """Write every byte of ``data`` to ``fd``: ``write`` may take fewer
+    than it was given (a signal, a full pipe, a filesystem limit), so
+    the rest is written until nothing is left."""
+    view = memoryview(data)
+    while view:
+        view = view[io.write(fd, view):]
+
+
 def atomic_write_bytes(path, data, fsync=True, io=os):
     """Write ``data`` to ``path`` via tmp + fsync + rename so a torn
     write can never masquerade as a complete file."""
@@ -27,9 +38,7 @@ def atomic_write_bytes(path, data, fsync=True, io=os):
     try:
         fd = io.open(tmp, _WRITE_FLAGS, 0o644)
         try:
-            view = memoryview(data)
-            while view:
-                view = view[io.write(fd, view):]
+            write_all(fd, data, io=io)
             if fsync:
                 io.fsync(fd)
         finally:

@@ -55,6 +55,7 @@ import struct
 from contextlib import contextmanager, nullcontext
 from time import perf_counter
 
+from repro.atomic_io import write_all
 from repro.dataflow.columnar import ColumnarBlock
 from repro.exceptions import WorkerLost
 
@@ -378,11 +379,11 @@ def _worker_main(command_r, result_w, stage):
             stage.context, stage.task_fn, stage.partitions[position]
         )
         frame = pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL)
-        _write_all(result_w, _FRAME_HEADER.pack(len(frame), len(payload)))
+        write_all(result_w, _FRAME_HEADER.pack(len(frame), len(payload)))
         if not _read_into(command_r, go_ahead):
             return  # parked here when the parent withholds
-        _write_all(result_w, frame)
-        _write_all(result_w, payload)
+        write_all(result_w, frame)
+        write_all(result_w, payload)
 
 
 def _run_task(context, task_fn, partition):
@@ -459,17 +460,11 @@ def _read_into(fd, buffer):
     return got
 
 
-def _write_all(fd, data):
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
 def _send(slot, data):
     """Write to a worker's command pipe. A worker that already died is
     discovered by the short read that follows, not here."""
     try:
-        _write_all(slot.command_w, data)
+        write_all(slot.command_w, data)
     except BrokenPipeError:
         pass
 

@@ -1,18 +1,11 @@
-"""Plan EXPLAIN, what-if analysis, and cost-model calibration.
+"""Plan EXPLAIN, what-if analysis, and memory-peak prediction.
 
 The observability face of the optimizer and cost model: ``explain``
 exposes Algorithm 1's full candidate ledger, ``what_if`` prices pinned
-configurations, ``predict_workload_peaks`` predicts an executable
-run's per-region memory waterline peaks, and ``calibration`` measures
-the process backend's speedup curve against the cost model's
-prediction (``benchmarks/bench_parallel.py``).
+configurations, and ``predict_workload_peaks`` predicts an executable
+run's per-region memory waterline peaks.
 """
 
-from repro.explain.calibration import (
-    MEMORY_DRIFT_GATE,
-    RUNTIME_DRIFT_GATE,
-    drift_violations,
-)
 from repro.explain.ledger import ExplainResult, explain
 from repro.explain.peaks import peak_ratios, predict_workload_peaks
 from repro.explain.whatif import (
@@ -24,12 +17,9 @@ from repro.explain.whatif import (
 
 __all__ = [
     "ExplainResult",
-    "MEMORY_DRIFT_GATE",
     "PIN_KEYS",
-    "RUNTIME_DRIFT_GATE",
     "VERDICT_FEASIBLE",
     "WhatIfReport",
-    "drift_violations",
     "explain",
     "peak_ratios",
     "predict_workload_peaks",

@@ -55,7 +55,7 @@ import subprocess
 import sys
 from dataclasses import dataclass
 
-from repro.atomic_io import atomic_write_bytes, reclaim_tmp_files
+from repro.atomic_io import atomic_write_bytes, reclaim_tmp_files, write_all
 from repro.metrics import METRICS_SCHEMA
 from repro.observe.ledger import (
     LEDGER_SCHEMA,
@@ -463,7 +463,7 @@ class HistoryStore:
         fd = os.open(self.index_path,
                      os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
         try:
-            os.write(fd, payload)
+            write_all(fd, payload)
             os.fsync(fd)
         finally:
             os.close(fd)

@@ -14,7 +14,7 @@ tmp + fsync + ``os.replace`` so a torn write can never be mistaken for
 a valid checkpoint. The ledger is the append-stream analogue of that
 discipline, with group commit: the file is opened ``O_APPEND``,
 events buffer in userspace as complete JSON lines, and every *flush*
-is **one** ``os.write`` of whole lines — flushed at wave boundaries,
+is **one** ``write_all`` of whole lines — flushed at wave boundaries,
 on every :data:`BARRIER_KINDS` event, and every
 :data:`FLUSH_EVERY` events. So a SIGKILLed *driver* leaves a ledger
 current to the last wave boundary (the "within one wave of the kill"
@@ -44,6 +44,8 @@ from __future__ import annotations
 import json
 import os
 import time
+
+from repro.atomic_io import write_all
 
 #: Version tag carried by every ledger event.
 LEDGER_SCHEMA = "obs/v1"
@@ -171,12 +173,13 @@ class RunLedger:
         return event
 
     def flush(self):
-        """Group-commit buffered lines: one ``os.write`` of complete
-        lines, so a tear can only ever hit the final line."""
+        """Group-commit buffered lines: one ``write_all`` of complete
+        lines (a short write is finished, never dropped), so a tear can
+        only ever hit the final line."""
         if self._buffer and self._fd >= 0:
             payload = b"\n".join(self._buffer) + b"\n"
             self._buffer = []
-            os.write(self._fd, payload)
+            write_all(self._fd, payload)
 
     def close(self):
         """Flush and close the file (idempotent); memory events stay."""

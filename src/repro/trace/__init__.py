@@ -7,20 +7,11 @@ executor, the optimizer, and the degrade-and-retry supervisor. See
 :mod:`repro.report.trace_ascii` for rendering.
 """
 
-from repro.trace.tracer import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    find_spans,
-    spans_wall_seconds,
-)
+from repro.trace.tracer import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "Span",
     "Tracer",
-    "find_spans",
-    "spans_wall_seconds",
 ]

@@ -309,33 +309,3 @@ class NullTracer:
 
 #: The process-wide disabled tracer every layer defaults to.
 NULL_TRACER = NullTracer()
-
-
-def find_spans(trace, name):
-    """All span dicts in an *exported* trace whose name matches
-    ``name`` exactly or starts with ``name`` up to a ``:`` separator
-    (so ``find_spans(trace, "inference")`` collects every
-    ``inference:<layer>`` span). ``trace`` is a ``Tracer.export()``
-    dict or any span dict; returns matches in depth-first order."""
-    if not trace:
-        return []
-    matches = []
-    stack = [trace]
-    while stack:
-        span = stack.pop()
-        span_name = span.get("name", "")
-        if span_name == name or span_name.startswith(name + ":"):
-            matches.append(span)
-        stack.extend(reversed(span.get("children", ())))
-    return matches
-
-
-def spans_wall_seconds(trace, name):
-    """Total wall seconds across every span matching ``name`` in an
-    exported trace (prefix semantics of :func:`find_spans`). Nested
-    matches double-count by design — pass the most specific prefix.
-    Calibration uses this to sum per-stage measured time against the
-    cost model's predicted per-stage breakdown."""
-    return sum(
-        span.get("wall_s") or 0.0 for span in find_spans(trace, name)
-    )

@@ -1,16 +1,14 @@
-"""Plan EXPLAIN, what-if analysis, and cost-model calibration.
+"""Plan EXPLAIN, what-if analysis, and memory-peak prediction.
 
 Covers the acceptance contract end to end: the candidate ledger lists
 every Algorithm 1 candidate with its Eq. 9-15 terms and rejection
 reasons; the winner is the configuration ``Vista.run`` actually
-executes; a what-if pinned to the optimizer's choice predicts
+executes; and a what-if pinned to the optimizer's choice predicts
 per-region peaks inside the documented band of the observed waterlines
-for all six plans; and the parallel calibration report carries the
-measured capacity its gate hangs on."""
+for all six plans."""
 
 import json
 import os
-from dataclasses import replace
 
 import pytest
 
@@ -24,8 +22,6 @@ from repro.costmodel.params import PEAK_PREDICTION_BAND
 from repro.data import foods_dataset
 from repro.dataflow.context import ClusterContext
 from repro.explain import (
-    calibration,
-    drift_violations,
     explain,
     peak_ratios,
     predict_workload_peaks,
@@ -197,7 +193,7 @@ class TestWhatIf:
 
 
 # ----------------------------------------------------------------------
-# mini-scale peak prediction and calibration
+# mini-scale peak prediction and per-op metrics
 # ----------------------------------------------------------------------
 def _mini_workload(records=24):
     cnn = build_model("alexnet", profile="mini")
@@ -246,69 +242,26 @@ class TestPeakPrediction:
         assert checked >= 3, f"{plan_name}: too few regions observed"
 
 
-class TestCalibration:
-    def test_drift_violations_flag_large_moves(self):
-        old = {"memory_ratio_capacity:staged:user": 1.0,
-               "runtime_ratio_capacity:staged:train": 100.0}
-        drifted = {"memory_ratio_capacity:staged:user": 1.5,
-                   "runtime_ratio_capacity:staged:train": 150.0}
-        violations = drift_violations(old, drifted)
-        assert "memory_ratio_capacity:staged:user" in violations
-        # runtime moved only 1.5x: inside the loose runtime gate
-        assert "runtime_ratio_capacity:staged:train" not in violations
-
-    @pytest.mark.parametrize("capacity", [1.0, 4.0])
-    def test_parallel_report_carries_the_measured_capacity(
-            self, monkeypatch, capacity):
-        """``cores_available`` is what the scheduler grants; whether a
-        scaling claim may be asserted hangs on what the probe measured
-        those cores to deliver."""
-        monkeypatch.setattr(
-            calibration, "measure_parallel_capacity", lambda cores: capacity
-        )
-        cnn, dataset, config, budget = _mini_workload()
-        report = calibration.calibrate_parallel(
-            cnn, dataset, ["fc7"], config, budget, cpus=(1,)
-        )
-        assert report.parallel_capacity == capacity
-        assert report.to_dict()["parallel_capacity"] == capacity
-        assert report.results()["parallel_capacity"] == capacity
-        assert report.results()["cores_available"] == report.cores_available
-        four_cores = replace(report, cores_available=4)
-        assert four_cores.delivers(4) is (capacity == 4.0)
-        # capacity alone is not enough either: the cores must be granted
-        assert not replace(report, cores_available=2).delivers(4)
-
-    def test_capacity_probe_measures_and_leaves_no_child(self, monkeypatch):
-        assert calibration.measure_parallel_capacity(1) == 1.0
-        monkeypatch.setattr(calibration, "_SPIN_ITERATIONS", 50_000)
-        assert calibration.measure_parallel_capacity(2) > 0.0
-        # a child that dies mid-kernel is reported and still reaped
-        # (the no_leaks fixture checks for survivors and stray fds)
-        monkeypatch.setattr(calibration, "_spin", lambda: 1 / 0)
-        with pytest.raises(RuntimeError, match="exited before reporting"):
-            calibration.measure_parallel_capacity(2)
-
-    def test_op_seconds_histogram_recorded(self):
-        cnn, dataset, config, budget = _mini_workload()
-        registry = MetricsRegistry()
-        context = ClusterContext(
-            budget, num_nodes=2, cores_per_node=4, cpu=config.cpu
-        )
-        FeatureTransferExecutor(
-            context, cnn, dataset, ["fc7", "fc8"], config,
-            downstream_fn=lambda f, l: {}, metrics=registry,
-        ).run(ALL_PLANS["staged"])
-        export = registry.export()
-        ops = [
-            series for series in export["series"]
-            if series["name"] == "op_seconds"
-        ]
-        assert ops, "no op_seconds histograms recorded"
-        for series in ops:
-            assert series["labels"]["op_type"]
-            assert series["count"] > 0
-            assert series["sum"] >= 0
+def test_op_seconds_histogram_recorded():
+    cnn, dataset, config, budget = _mini_workload()
+    registry = MetricsRegistry()
+    context = ClusterContext(
+        budget, num_nodes=2, cores_per_node=4, cpu=config.cpu
+    )
+    FeatureTransferExecutor(
+        context, cnn, dataset, ["fc7", "fc8"], config,
+        downstream_fn=lambda f, l: {}, metrics=registry,
+    ).run(ALL_PLANS["staged"])
+    export = registry.export()
+    ops = [
+        series for series in export["series"]
+        if series["name"] == "op_seconds"
+    ]
+    assert ops, "no op_seconds histograms recorded"
+    for series in ops:
+        assert series["labels"]["op_type"]
+        assert series["count"] > 0
+        assert series["sum"] >= 0
 
 
 class TestPlanChoiceGate:

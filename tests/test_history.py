@@ -372,6 +372,30 @@ def test_index_self_heals_orphan_records(tmp_path):
     assert id_a in store.run_ids() and id_b in store.run_ids()
 
 
+def test_short_writes_lose_no_ledger_event_or_index_line(
+    tmp_path, monkeypatch
+):
+    """``write`` may take fewer bytes than it was given: the ledger's
+    group commit and the index append finish the rest, not drop it."""
+    real_write = os.write
+    monkeypatch.setattr(
+        os, "write", lambda fd, data: real_write(fd, data[:7])
+    )
+    path = str(tmp_path / "run.jsonl")
+    ledger = RunLedger(path)
+    ledger.emit("stage_start", stage="infer")
+    ledger.emit("run_end", status="ok")
+    ledger.close()
+    events, problems = read_ledger(path)
+    assert problems == []
+    assert [e["kind"] for e in events] == [
+        "ledger_open", "stage_start", "run_end"
+    ]
+    store = HistoryStore(str(tmp_path / "store"))
+    record, _ = store.ingest(path)
+    assert [e["run_id"] for e in store._read_index()] == [record["run_id"]]
+
+
 def test_resolve_run_references(tmp_path):
     a = _write_ledger(os.path.join(str(tmp_path), "a.jsonl"))
     b = _write_ledger(os.path.join(str(tmp_path), "b.jsonl"),

@@ -26,7 +26,7 @@ SRC_PACKAGES = sorted(
 #: Paths a command line or a design note can name: bench/test/example
 #: scripts and source files by repo-relative path, modules the way the
 #: docs write them (``cnn/layers.py``: relative to ``src/repro/``), SLO
-#: rulesets, committed bench envelopes.
+#: rulesets, bench envelopes (none is committed, so naming one fails).
 PATH_RE = re.compile(
     r"(?<![\w/.-])("
     r"(?:benchmarks|tests|examples|src)/[\w/-]+\.py"
@@ -73,16 +73,17 @@ def test_ci_workflow_is_valid_yaml():
         assert job["steps"], f"job {name} has no steps"
 
 
-def test_one_committed_bench_envelope():
-    """Speed is recorded by ``BENCHMARK.json`` + ``benchmarks/e2e``;
-    ``BENCH_parallel.json`` stays with the process backend (kept) until
-    CI's >= 4-core runner refreshes its 2-core curve. A new
-    ``BENCH_*.json`` is a second perf record."""
-    found = sorted(
-        os.path.basename(path)
-        for path in glob.glob(os.path.join(REPO_ROOT, "BENCH_*.json"))
-    )
-    assert found == ["BENCH_parallel.json"]
+def test_no_committed_bench_envelope():
+    """Speed is recorded by ``BENCHMARK.json`` + ``benchmarks/e2e``
+    alone; a ``BENCH_*.json`` would be a second perf record."""
+    found = [
+        os.path.relpath(path, REPO_ROOT)
+        for pattern in ("BENCH_*.json",
+                        os.path.join("benchmarks", "**", "BENCH_*.json"))
+        for path in glob.glob(os.path.join(REPO_ROOT, pattern),
+                              recursive=True)
+    ]
+    assert not found
 
 
 def test_roadmap_items_are_cited_by_topic_not_by_number():
@@ -196,6 +197,21 @@ def test_a_backend_settles_nothing_itself():
         for alias in node.names if alias.name.startswith("_")
     ]
     assert not private
+
+
+def test_only_the_process_backend_forks():
+    """``dataflow/backend.py`` is the one owner of child processes:
+    nothing else under ``src/repro`` calls ``os.fork``."""
+    forkers = sorted({
+        os.path.relpath(path, REPO_ROOT)
+        for path in _src_files("**", "*.py")
+        for node in ast.walk(ast.parse(_read(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "fork"
+        and getattr(node.func.value, "id", None) == "os"
+    })
+    assert forkers == [os.path.join("src", "repro", "dataflow", "backend.py")]
 
 
 # ---------------------------------------------------------------------
