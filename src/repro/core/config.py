@@ -61,12 +61,11 @@ class DatasetStats:
     @classmethod
     def from_dataset(cls, dataset):
         """Measured off a :class:`~repro.data.synthetic
-        .MultimodalDataset`: the first image's bytes stand for the
-        average (synthetic images share one shape)."""
+        .MultimodalDataset`."""
         return cls(
             num_records=len(dataset),
             num_structured_features=dataset.num_structured_features,
-            avg_image_bytes=int(dataset.image_rows[0]["image"].nbytes),
+            avg_image_bytes=dataset.image_bytes(),
         )
 
     def structured_table_bytes(self):

@@ -166,13 +166,14 @@ class FeatureTransferExecutor:
         if ledger is not None:
             context.attach_ledger(ledger)
         self.ledger = context.ledger
-        self.tstr = self._read(dataset.structured_rows, "t_str", "structured")
+        self.tstr = self._read(dataset.t_str, "t_str", "structured")
 
-    def _read(self, rows, name, what):
-        """One source table, under a ``read`` span that reports it."""
+    def _read(self, block, name, what):
+        """One source table, its partitions strided views of the
+        dataset's columns, under a ``read`` span that reports it."""
         with self.tracer.span("read") as sp:
-            table = DistributedTable.from_rows(
-                self.context, rows, self.config.num_partitions, name=name
+            table = DistributedTable.from_block(
+                self.context, block, self.config.num_partitions, name=name
             )
             if self.tracer.enabled:
                 sp.add(f"rows_{what}", table.num_rows())
@@ -183,7 +184,7 @@ class FeatureTransferExecutor:
     def timg(self):
         """T_img, read on first use: a pre-materialized run that hits
         the feature store never reads the images (Appendix B)."""
-        return self._read(self.dataset.image_rows, "t_img", "images")
+        return self._read(self.dataset.t_img, "t_img", "images")
 
     # ------------------------------------------------------------------
     # public API

@@ -3,7 +3,7 @@
 The drill-down experiments "alter [Foods] semi-synthetically ...
 vary the data scale by replicating records (say, '4X') or varying the
 number of structured features (with random values)". These helpers do
-exactly that on a :class:`MultimodalDataset`.
+exactly that on a :class:`MultimodalDataset`, column by column.
 """
 
 from __future__ import annotations
@@ -11,6 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.synthetic import MultimodalDataset
+from repro.dataflow.columnar import ColumnarBlock
+
+
+def _with_column(block, name, column):
+    columns = {field: block.column(field) for field in block.column_names}
+    columns[name] = column
+    return ColumnarBlock(columns, block.num_rows)
 
 
 def replicate_dataset(dataset, factor):
@@ -19,25 +26,18 @@ def replicate_dataset(dataset, factor):
         raise ValueError(f"scale factor must be a positive integer, got {factor}")
     factor = int(factor)
     base = len(dataset)
-    structured_rows = []
-    image_rows = []
-    for copy in range(factor):
-        offset = copy * base
-        for srow, irow in zip(dataset.structured_rows, dataset.image_rows):
-            structured_rows.append(
-                {
-                    "id": srow["id"] + offset,
-                    "features": srow["features"],
-                    "label": srow["label"],
-                }
-            )
-            image_rows.append(
-                {"id": irow["id"] + offset, "image": irow["image"]}
-            )
+
+    def tile(block):
+        ids = block.column("id")
+        return ColumnarBlock.concat([
+            _with_column(block, "id", ids + copy * base)
+            for copy in range(factor)
+        ])
+
     return MultimodalDataset(
         name=f"{dataset.name}/{factor}X",
-        structured_rows=structured_rows,
-        image_rows=image_rows,
+        t_str=tile(dataset.t_str),
+        t_img=tile(dataset.t_img),
         num_structured_features=dataset.num_structured_features,
         image_shape=dataset.image_shape,
     )
@@ -46,24 +46,19 @@ def replicate_dataset(dataset, factor):
 def widen_structured_features(dataset, num_features, seed=0):
     """Pad (with random values) or truncate structured vectors to
     ``num_features`` dimensions."""
-    rng = np.random.default_rng(seed)
-    structured_rows = []
-    for row in dataset.structured_rows:
-        features = row["features"]
-        if num_features <= len(features):
-            widened = features[:num_features]
-        else:
-            extra = rng.normal(
-                0.0, 1.0, size=num_features - len(features)
-            ).astype(np.float32)
-            widened = np.concatenate([features, extra])
-        structured_rows.append(
-            {"id": row["id"], "features": widened, "label": row["label"]}
-        )
+    features = dataset.t_str.column("features")
+    rows, width = features.shape
+    if num_features <= width:
+        widened = features[:, :num_features]
+    else:
+        extra = np.random.default_rng(seed).normal(
+            0.0, 1.0, size=(rows, num_features - width)
+        ).astype(np.float32)
+        widened = np.concatenate([features, extra], axis=1)
     return MultimodalDataset(
         name=f"{dataset.name}/{num_features}f",
-        structured_rows=structured_rows,
-        image_rows=dataset.image_rows,
+        t_str=_with_column(dataset.t_str, "features", widened),
+        t_img=dataset.t_img,
         num_structured_features=num_features,
         image_shape=dataset.image_shape,
     )

@@ -20,9 +20,14 @@ a linear model to exploit.
 
 from __future__ import annotations
 
+import math
+import mmap
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from repro.dataflow.columnar import ColumnarBlock
 
 
 def synthesize_image(rng, label, shape=(32, 32, 3), signal_strength=1.0,
@@ -67,34 +72,73 @@ def synthesize_structured(rng, label, num_features, informative=10,
     return features
 
 
+class RowView(Sequence):
+    """A block's rows as dicts, each built when it is read: nothing is
+    kept beside the columns, and tensor cells are views into them."""
+
+    def __init__(self, block):
+        self._block = block
+
+    def __len__(self):
+        return self._block.num_rows
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._block.row(i)
+                    for i in range(*index.indices(len(self)))]
+        return self._block.row(index)
+
+
 @dataclass
 class MultimodalDataset:
-    """A generated multimodal dataset: Tstr and Timg as row lists.
+    """A generated multimodal dataset: Tstr and Timg as two columnar
+    blocks, the layout the engine reads them in.
 
-    ``structured_rows``: dicts with id, features (float32 vector),
-    label (0/1). ``image_rows``: dicts with id, image (float32 HxWxC
-    tensor, the decoded form of the paper's raw JPEG column).
+    ``t_str``: ``id`` (int64), ``features`` (float32 ``(N, D)``),
+    ``label`` (int64 0/1). ``t_img``: ``id`` and ``image`` — a float32
+    ``(N, H, W, C)`` array (the decoded form of the paper's raw JPEG
+    column), or an object column of TensorLists. Every array column is
+    read-only. ``structured_rows`` / ``image_rows`` are row-dict views
+    of the blocks.
     """
 
     name: str
-    structured_rows: list = field(repr=False)
-    image_rows: list = field(repr=False)
+    t_str: ColumnarBlock = field(repr=False)
+    t_img: ColumnarBlock = field(repr=False)
     num_structured_features: int = 0
     image_shape: tuple = (32, 32, 3)
 
+    def __post_init__(self):
+        for block in (self.t_str, self.t_img):
+            for name in block.column_names:
+                if block.is_array(name):
+                    block.column(name).flags.writeable = False
+
     def __len__(self):
-        return len(self.structured_rows)
+        return self.t_str.num_rows
+
+    @property
+    def structured_rows(self):
+        return RowView(self.t_str)
+
+    @property
+    def image_rows(self):
+        return RowView(self.t_img)
+
+    def image_bytes(self):
+        """Bytes of one record's image (synthetic images share one
+        shape): the image column's row shape times its item size."""
+        column = self.t_img.column("image")
+        return column.itemsize * math.prod(column.shape[1:])
 
     def labels(self):
-        return np.array(
-            [row["label"] for row in self.structured_rows], dtype=np.int64
-        )
+        return self.t_str.column("label").astype(np.int64)
 
     def structured_matrix(self):
-        return np.stack([row["features"] for row in self.structured_rows])
+        return self.t_str.column("features").copy()
 
     def images(self):
-        return [row["image"] for row in self.image_rows]
+        return list(self.t_img.column("image"))
 
 
 def generate_dataset(name, num_records, num_structured_features,
@@ -106,27 +150,34 @@ def generate_dataset(name, num_records, num_structured_features,
 
     ``images_per_record > 1`` stores a TensorList of images per record
     (the paper's "multiple images per example" future-work extension);
-    with 1 the image column is a plain tensor.
+    with 1 the image column is a plain tensor. Records are written
+    straight into preallocated columns.
     """
     from repro.tensor.tensorlist import TensorList
 
     rng = np.random.default_rng(seed)
-    structured_rows = []
-    image_rows = []
+    ids = np.arange(num_records, dtype=np.int64)
+    features = np.empty((num_records, num_structured_features), np.float32)
+    labels = np.empty(num_records, dtype=np.int64)
+    if images_per_record == 1:
+        # An anonymous mapping of its own, which the OS takes back whole
+        # with the last view: a dropped dataset leaves no image-sized
+        # hole in the malloc heap for later allocations to split
+        # (EXPERIMENTS.md, "Zero-copy source tables").
+        count = num_records * math.prod(image_shape)
+        images = np.frombuffer(
+            mmap.mmap(-1, max(1, 4 * count)), np.float32, count=count
+        ).reshape(num_records, *image_shape)
+    else:
+        images = [None] * num_records
     for record_id in range(num_records):
         label = int(rng.random() < positive_fraction)
-        structured_rows.append(
-            {
-                "id": record_id,
-                "features": synthesize_structured(
-                    rng, label, num_structured_features,
-                    informative=informative,
-                    signal_strength=structured_signal,
-                ),
-                "label": label,
-            }
+        labels[record_id] = label
+        features[record_id] = synthesize_structured(
+            rng, label, num_structured_features,
+            informative=informative, signal_strength=structured_signal,
         )
-        images = [
+        record_images = [
             synthesize_image(
                 rng, label, shape=image_shape,
                 signal_strength=image_signal,
@@ -134,17 +185,16 @@ def generate_dataset(name, num_records, num_structured_features,
             )
             for _ in range(images_per_record)
         ]
-        image_rows.append(
-            {
-                "id": record_id,
-                "image": images[0] if images_per_record == 1
-                else TensorList(images),
-            }
+        images[record_id] = (
+            record_images[0] if images_per_record == 1
+            else TensorList(record_images)
         )
     return MultimodalDataset(
         name=name,
-        structured_rows=structured_rows,
-        image_rows=image_rows,
+        t_str=ColumnarBlock(
+            {"id": ids, "features": features, "label": labels}, num_records
+        ),
+        t_img=ColumnarBlock({"id": ids, "image": images}, num_records),
         num_structured_features=num_structured_features,
         image_shape=tuple(image_shape),
     )

@@ -6,9 +6,10 @@ reads blocks and builds blocks, so batched stages never pack rows into
 a batch or split a batch back into rows, and serialization is one
 buffer instead of N pickles.
 
-- one contiguous numpy array per column, with the row axis first —
-  numeric scalar columns as ``(N,)`` arrays, tensor columns as one
-  ``(N, H, W, C)`` or ``(N, D)`` block;
+- one numpy array per column, with the row axis first — numeric
+  scalar columns as ``(N,)`` arrays, tensor columns as one
+  ``(N, H, W, C)`` or ``(N, D)`` block (a strided view of a bigger
+  one where :meth:`ColumnarBlock.strided` dealt it out);
 - an *object* column (a plain list) only where values cannot form one
   block: ragged tensors, :class:`~repro.tensor.tensorlist.TensorList`
   members, strings, Nones;
@@ -228,6 +229,15 @@ class ColumnarBlock:
             for i in range(self._num_rows)
         ]
 
+    def row(self, index):
+        """Row ``index`` alone, as the dict :meth:`to_rows` gives."""
+        return {
+            name: column[index].item()
+            if isinstance(column, np.ndarray) and column.ndim == 1
+            else column[index]
+            for name, column in self._columns.items()
+        }
+
     # ------------------------------------------------------------------
     # sizing
     # ------------------------------------------------------------------
@@ -261,9 +271,9 @@ class ColumnarBlock:
         indices are, so a caller that knows its gather is the identity
         should share the columns instead (blocks are immutable — the
         local hash join does, see ``dataflow/joins.py``). Blocks built
-        by :meth:`select`, by that join and by :meth:`from_buffer`
-        alias other blocks' or a blob's memory; ``take`` and
-        :meth:`concat` never do."""
+        by :meth:`select`, :meth:`strided`, that join and
+        :meth:`from_buffer` alias other blocks' or a blob's memory;
+        ``take`` and :meth:`concat` never do."""
         indices = np.asarray(indices, dtype=np.intp)
         columns = {}
         for name, column in self._columns.items():
@@ -272,6 +282,19 @@ class ColumnarBlock:
             else:
                 columns[name] = [column[i] for i in indices]
         return ColumnarBlock(columns, len(indices))
+
+    def strided(self, start, step):
+        """Rows ``start, start + step, ...`` without moving a byte: array
+        columns as read-only strided views of this block's arrays (not
+        contiguous once ``step > 1``; :meth:`to_buffer` makes them so on
+        encode), object columns as shallow list slices."""
+        columns = {}
+        for name, column in self._columns.items():
+            column = column[start::step]
+            if isinstance(column, np.ndarray):
+                column.flags.writeable = False
+            columns[name] = column
+        return ColumnarBlock(columns, len(range(start, self._num_rows, step)))
 
     def select(self, names):
         """Keep only ``names`` (column order follows ``names``)."""

@@ -61,13 +61,13 @@ class DistributedTable:
     def from_block(cls, context, block, num_partitions, name=None,
                    key="id"):
         """Build a table from one block, dealing row ``i`` to
-        partition ``i % num_partitions`` as :meth:`from_rows` does."""
+        partition ``i % num_partitions`` as :meth:`from_rows` does —
+        each partition a zero-copy strided view of ``block``
+        (:meth:`ColumnarBlock.strided`)."""
         n = block.num_rows
         num_partitions = max(1, min(int(num_partitions), max(1, n)))
         partitions = [
-            Partition.from_block(
-                index, block.take(np.arange(index, n, num_partitions))
-            )
+            Partition.from_block(index, block.strided(index, num_partitions))
             for index in range(num_partitions)
         ]
         return cls(context, partitions, name=name, key=key)

@@ -28,7 +28,7 @@ from repro.dataflow.joins import BROADCAST
 
 
 def _source_counts(num_rows, num_partitions):
-    """Exact per-partition row counts of ``DistributedTable.from_rows``
+    """Exact per-partition row counts of ``DistributedTable.from_block``
     (round-robin by position, partition count capped at the row
     count)."""
     np_ = max(1, min(int(num_partitions), max(1, num_rows)))
@@ -189,7 +189,7 @@ def predict_workload_peaks(cnn, dataset, layers, config, plan,
     stats = cnn.stats
     num_rows = len(dataset)
     n_str = dataset.num_structured_features
-    image_bytes = int(dataset.image_rows[0]["image"].nbytes)
+    image_bytes = dataset.image_bytes()
     if cpu is None:
         cpu = config.cpu
     if model_mem_bytes is None:

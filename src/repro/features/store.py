@@ -32,11 +32,11 @@ from repro.recovery.store import sha256_hex
 def dataset_fingerprint(dataset, sample_size=16):
     """Stable fingerprint of a multimodal dataset: record count, ids,
     and a deterministic sample of image bytes."""
-    ids = [row["id"] for row in dataset.image_rows]
-    crc = zlib.crc32(np.asarray(ids, dtype=np.int64).tobytes())
+    ids = dataset.t_img.column("id")
+    crc = zlib.crc32(ids.tobytes())
     step = max(1, len(ids) // sample_size)
-    for row in dataset.image_rows[::step]:
-        crc = zlib.crc32(np.ascontiguousarray(row["image"]).tobytes(), crc)
+    for image in dataset.t_img.column("image")[::step]:
+        crc = zlib.crc32(np.ascontiguousarray(image).tobytes(), crc)
     return f"{len(ids)}-{crc:08x}"
 
 

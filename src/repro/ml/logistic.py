@@ -5,7 +5,10 @@ regularization with alpha = 0.5 and a regularization value of 0.01"
 trained "for 10 iterations" (Section 5.1, Figure 8). Training is
 full-batch gradient descent with an L1 proximal step, the iteration
 structure MLlib uses, so the cost model's "first iteration dominates"
-accounting (Appendix C) carries over.
+accounting (Appendix C) carries over. It computes in float32 end to
+end, the precision of the feature matrices the executor hands it: the
+two GEMVs per iteration are memory-bound, and a float64 copy would
+double their bytes.
 """
 
 from __future__ import annotations
@@ -48,17 +51,18 @@ class LogisticRegression:
 
     def fit(self, features, labels):
         """Train on (n, d) features and (n,) binary {0, 1} labels."""
-        features = np.asarray(features, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.float64)
+        features = np.asarray(features, dtype=np.float32)
+        labels = np.asarray(labels, dtype=np.float32)
         n, d = features.shape
-        self.weights = np.zeros(d)
-        self.bias = 0.0
+        self.weights = np.zeros(d, dtype=np.float32)
+        self.bias = np.float32(0.0)
         l1 = self.reg_param * self.elastic_net_param
         l2 = self.reg_param * (1.0 - self.elastic_net_param)
         # Normalize the step by a Lipschitz-style bound so training is
         # stable across feature scales without per-dataset tuning.
         lipschitz = 0.25 * (np.square(features).sum(axis=1).mean() + 1.0) + l2
-        step = self.learning_rate / max(lipschitz, 1e-12)
+        # a numpy float64 scalar would promote every update to double
+        step = np.float32(self.learning_rate / max(lipschitz, 1e-12))
         for _ in range(self.iterations):
             margins = features @ self.weights + self.bias
             residual = _sigmoid(margins) - labels
@@ -75,7 +79,7 @@ class LogisticRegression:
 
     def decision_function(self, features):
         self._check_fitted()
-        return np.asarray(features, dtype=np.float64) @ self.weights + self.bias
+        return np.asarray(features, dtype=np.float32) @ self.weights + self.bias
 
     def predict_proba(self, features):
         return _sigmoid(self.decision_function(features))

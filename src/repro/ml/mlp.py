@@ -5,8 +5,8 @@ hidden layer has 1024 units) for 10 iterations using distributed
 TF/Horovod". Here it is a plain numpy MLP trained with full-batch
 gradient descent; hidden widths default smaller so tests stay fast but
 the paper's configuration is one constructor call away. Like
-TensorFlow's it is float32 end to end: the executor's matrices are
-read in place (the logistic regression is double, as MLlib's is).
+TensorFlow's it is float32 end to end, as the logistic regression is:
+the executor's matrices are read in place.
 """
 
 from __future__ import annotations

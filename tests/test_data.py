@@ -10,6 +10,11 @@ from repro.data import (
     widen_structured_features,
 )
 from repro.data.foods import PAPER_NUM_STRUCTURED_FEATURES
+from repro.data.synthetic import (
+    generate_dataset,
+    synthesize_image,
+    synthesize_structured,
+)
 from repro.ml import LogisticRegression, f1_score, train_test_split
 
 
@@ -43,6 +48,48 @@ def test_generation_deterministic():
     b = foods_dataset(num_records=20)
     np.testing.assert_array_equal(a.structured_matrix(), b.structured_matrix())
     np.testing.assert_array_equal(a.images()[3], b.images()[3])
+
+
+@pytest.mark.parametrize("images_per_record", [1, 2])
+def test_columns_hold_the_per_record_synthesis(images_per_record):
+    """Writing records straight into preallocated columns draws the
+    same random stream, record by record, as synthesizing each one."""
+    ds = generate_dataset("d", 6, 20, image_shape=(8, 8, 3), seed=9,
+                          images_per_record=images_per_record)
+    rng = np.random.default_rng(9)
+    for record in range(6):
+        label = int(rng.random() < 0.5)
+        features = synthesize_structured(rng, label, 20)
+        images = [synthesize_image(rng, label, shape=(8, 8, 3))
+                  for _ in range(images_per_record)]
+        row, image_row = ds.structured_rows[record], ds.image_rows[record]
+        assert (row["id"], row["label"], image_row["id"]) \
+            == (record, label, record)
+        np.testing.assert_array_equal(row["features"], features)
+        stored = image_row["image"]
+        if images_per_record == 1:
+            stored = [stored]
+        for got, want in zip(stored, images, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_scaling_builds_columns():
+    ds = foods_dataset(num_records=5)
+    scaled = replicate_dataset(ds, 3)
+    np.testing.assert_array_equal(scaled.t_img.column("id"), np.arange(15))
+    np.testing.assert_array_equal(
+        scaled.t_img.column("image"), np.tile(ds.t_img.column("image"),
+                                              (3, 1, 1, 1))
+    )
+    np.testing.assert_array_equal(
+        scaled.structured_matrix(), np.tile(ds.structured_matrix(), (3, 1))
+    )
+    wide = widen_structured_features(ds, 140, seed=2)
+    rng = np.random.default_rng(2)   # one draw per record, as rows were
+    extra = np.stack([rng.normal(0.0, 1.0, size=10) for _ in range(5)])
+    extra = extra.astype(np.float32)
+    np.testing.assert_array_equal(wide.structured_matrix()[:, 130:], extra)
+    assert wide.t_img is ds.t_img
 
 
 def test_structured_features_carry_signal():

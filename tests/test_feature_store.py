@@ -243,15 +243,15 @@ class TestExecutorIntegration:
         from repro.dataflow.table import DistributedTable
 
         built = []
-        from_rows = DistributedTable.from_rows.__func__
+        from_block = DistributedTable.from_block.__func__
 
-        def counting(cls, context, rows, num_partitions=None, name=None,
+        def counting(cls, context, block, num_partitions, name=None,
                      key="id"):
             built.append(name)
-            return from_rows(cls, context, rows, num_partitions, name, key)
+            return from_block(cls, context, block, num_partitions, name, key)
 
         monkeypatch.setattr(
-            DistributedTable, "from_rows", classmethod(counting)
+            DistributedTable, "from_block", classmethod(counting)
         )
         dataset = foods_dataset(num_records=16)
         cold = self._executor(dataset, store).run(STAGED, premat_layer="fc7")
@@ -260,7 +260,8 @@ class TestExecutorIntegration:
         executor = self._executor(dataset, store)
         warm = executor.run(STAGED, premat_layer="fc7")
         assert warm.metrics["premat_store_hit"] is True
-        assert built == ["t_str"]
+        # the stored base layer stands in for T_img
+        assert built == ["t_str", "t_premat_fc7"]
         assert "timg" not in vars(executor)
         for layer in ("fc7", "fc8"):
             np.testing.assert_array_equal(
@@ -269,7 +270,7 @@ class TestExecutorIntegration:
             )
         # first use still reads it, through the same constructor
         assert executor.timg.num_rows() == 16
-        assert built == ["t_str", "t_img"]
+        assert built == ["t_str", "t_premat_fc7", "t_img"]
 
     def test_read_spans_report_what_was_read(self, store):
         from repro.trace import Tracer

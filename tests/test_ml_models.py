@@ -8,6 +8,7 @@ from repro.ml import (
     LogisticRegression,
     MLPClassifier,
     accuracy_score,
+    f1_score,
 )
 
 
@@ -65,6 +66,89 @@ class TestLogisticRegression:
         model = LogisticRegression(iterations=5).fit(features, labels)
         probs = model.predict_proba(features)
         assert np.isfinite(probs).all()
+
+    def test_float32_end_to_end(self):
+        """The executor's matrices are float32, and so is the model:
+        weights, bias, margins and probabilities — even for float64
+        input and a numpy float64 learning rate."""
+        features, labels = _separable()
+        assert features.dtype == np.float64
+        model = LogisticRegression(
+            learning_rate=np.float64(1.0)
+        ).fit(features, labels)
+        assert model.weights.dtype == np.float32
+        assert np.asarray(model.bias).dtype == np.float32
+        assert model.decision_function(features).dtype == np.float32
+        assert model.predict_proba(features).dtype == np.float32
+        assert model.predict(features).dtype == np.int64
+
+
+def _oracle_fit(features, labels, reg_param=0.01, elastic_net_param=0.5,
+                iterations=10, learning_rate=1.0):
+    """The float64 formulation of ``LogisticRegression.fit`` the model
+    computed in before it went float32, kept as its reference."""
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    n, d = features.shape
+    weights, bias = np.zeros(d), 0.0
+    l1 = reg_param * elastic_net_param
+    l2 = reg_param * (1.0 - elastic_net_param)
+    lipschitz = 0.25 * (np.square(features).sum(axis=1).mean() + 1.0) + l2
+    step = learning_rate / max(lipschitz, 1e-12)
+    for _ in range(iterations):
+        residual = 1.0 / (1.0 + np.exp(-(features @ weights + bias))) - labels
+        weights = weights - step * (features.T @ residual / n + l2 * weights)
+        bias -= step * residual.mean()
+        weights = np.sign(weights) * np.maximum(
+            np.abs(weights) - step * l1, 0.0
+        )
+    return weights, bias
+
+
+@pytest.fixture(scope="module")
+def transfer_matrices():
+    """The train matrices Vista hands its downstream model: 3 mini
+    models x 4 dataset seeds x every feature layer (12 in all)."""
+    from repro.cnn import build_model, get_model_stats
+    from repro.core.config import VistaConfig
+    from repro.core.executor import FeatureTransferExecutor
+    from repro.core.plans import STAGED
+    from repro.data import foods_dataset
+    from repro.dataflow.context import local_context
+
+    config = VistaConfig(
+        cpu=2, num_partitions=4, mem_storage_bytes=0, mem_user_bytes=0,
+        mem_dl_bytes=0, join="broadcast", persistence="deserialized",
+    )
+    matrices = []
+    for name in ("alexnet", "vgg16", "resnet50"):
+        cnn = build_model(name, profile="mini")
+        layers = get_model_stats(name).feature_layers
+        for seed in range(4):
+            executor = FeatureTransferExecutor(
+                local_context(num_nodes=1, cores_per_node=2, cpu=2), cnn,
+                foods_dataset(num_records=48, seed=seed), layers, config,
+                downstream_fn=lambda f, l: matrices.append((f, l)),
+            )
+            executor.run(STAGED)
+    return matrices
+
+
+def test_float32_fit_matches_the_float64_oracle(transfer_matrices):
+    """Same predictions and F1 as the float64 formulation on every
+    matrix, with weights within float32 rounding of the oracle's."""
+    assert len(transfer_matrices) == 48
+    for features, labels in transfer_matrices:
+        assert features.dtype == np.float32
+        model = LogisticRegression().fit(features, labels)
+        weights, bias = _oracle_fit(features, labels)
+        want = (features.astype(np.float64) @ weights + bias >= 0.0)
+        np.testing.assert_array_equal(model.predict(features), want)
+        assert f1_score(labels, model.predict(features)) \
+            == f1_score(labels, want.astype(np.int64))
+        scale = np.abs(weights).max()
+        assert np.abs(model.weights - weights).max() <= 1e-5 * scale
+        assert abs(model.bias - bias) <= 1e-5 * max(abs(bias), scale)
 
 
 class TestDecisionTree:
@@ -130,10 +214,9 @@ class TestMLP:
             MLPClassifier().predict(np.zeros((2, 2)))
 
     def test_float32_end_to_end(self):
-        """TensorFlow's MLP is single precision (only MLlib's logistic
-        regression is double): weights, biases and probabilities stay
-        float32 — even under a numpy float64 learning rate, which
-        would promote every update."""
+        """TensorFlow's MLP is single precision: weights, biases and
+        probabilities stay float32 — even under a numpy float64
+        learning rate, which would promote every update."""
         features, labels = _separable(n=50)
         model = MLPClassifier(
             hidden_units=(8, 8), learning_rate=np.float64(0.05)
