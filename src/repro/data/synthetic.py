@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.dataflow.columnar import ColumnarBlock
+from repro.tensor.tensorlist import TensorList
 
 
 def synthesize_image(rng, label, shape=(32, 32, 3), signal_strength=1.0,
@@ -126,10 +127,12 @@ class MultimodalDataset:
         return RowView(self.t_img)
 
     def image_bytes(self):
-        """Bytes of one record's image (synthetic images share one
-        shape): the image column's row shape times its item size."""
-        column = self.t_img.column("image")
-        return column.itemsize * math.prod(column.shape[1:])
+        """Bytes of one record's image cell (synthetic images share one
+        shape): a row of the image tensor, or the first TensorList's
+        members together."""
+        cell = self.t_img.column("image")[0]
+        return int(cell.nbytes() if isinstance(cell, TensorList)
+                   else cell.nbytes)
 
     def labels(self):
         return self.t_str.column("label").astype(np.int64)
@@ -153,20 +156,20 @@ def generate_dataset(name, num_records, num_structured_features,
     with 1 the image column is a plain tensor. Records are written
     straight into preallocated columns.
     """
-    from repro.tensor.tensorlist import TensorList
-
     rng = np.random.default_rng(seed)
     ids = np.arange(num_records, dtype=np.int64)
     features = np.empty((num_records, num_structured_features), np.float32)
     labels = np.empty(num_records, dtype=np.int64)
     if images_per_record == 1:
-        # An anonymous mapping of its own, which the OS takes back whole
-        # with the last view: a dropped dataset leaves no image-sized
-        # hole in the malloc heap for later allocations to split
-        # (EXPERIMENTS.md, "Zero-copy source tables").
+        # A private anonymous mapping of its own, which the OS takes back
+        # whole with the last view: a dropped dataset leaves no
+        # image-sized hole in the malloc heap for later allocations to
+        # split (EXPERIMENTS.md, "Zero-copy source tables").
         count = num_records * math.prod(image_shape)
+        nbytes = np.dtype(np.float32).itemsize * count
         images = np.frombuffer(
-            mmap.mmap(-1, max(1, 4 * count)), np.float32, count=count
+            mmap.mmap(-1, max(1, nbytes), flags=mmap.MAP_PRIVATE),
+            np.float32, count=count,
         ).reshape(num_records, *image_shape)
     else:
         images = [None] * num_records

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from repro.cnn import build_model
-from repro.core.config import VistaConfig
+from repro.core.api import Vista, default_resources
+from repro.core.config import DatasetStats, VistaConfig
 from repro.core.executor import FeatureTransferExecutor
 from repro.core.plans import EAGER, EAGER_REORDERED, LAZY, STAGED
 from repro.data.synthetic import generate_dataset
 from repro.dataflow.context import local_context
+from repro.explain import predict_workload_peaks
 from repro.tensor.tensorlist import TensorList
+from repro.trace import Tracer
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +33,7 @@ def single_dataset():
     )
 
 
-def _executor(dataset, layers=("fc7", "fc8")):
+def _executor(dataset, layers=("fc7", "fc8"), tracer=None):
     model = build_model("alexnet", profile="mini")
     config = VistaConfig(
         cpu=2, num_partitions=4, mem_storage_bytes=0, mem_user_bytes=0,
@@ -39,7 +42,7 @@ def _executor(dataset, layers=("fc7", "fc8")):
     ctx = local_context(num_nodes=2, cores_per_node=4, cpu=2)
     return FeatureTransferExecutor(
         ctx, model, dataset, list(layers), config,
-        downstream_fn=lambda f, l: {"matrix": f.copy()},
+        downstream_fn=lambda f, l: {"matrix": f.copy()}, tracer=tracer,
     )
 
 
@@ -99,6 +102,32 @@ def test_eager_matches_staged_with_multiple_images(multi_dataset):
                 staged.layer_results[layer].downstream["matrix"],
                 eager.layer_results[layer].downstream["matrix"],
             ), f"{plan} diverged on {layer}"
+
+
+def test_image_bytes_sum_a_records_images(multi_dataset, single_dataset):
+    one_image = 32 * 32 * 3 * 4
+    assert single_dataset.image_bytes() == one_image
+    assert multi_dataset.image_bytes() == 3 * one_image
+    assert DatasetStats.from_dataset(multi_dataset).avg_image_bytes \
+        == 3 * one_image
+    vista = Vista("alexnet", 2, multi_dataset,
+                  default_resources(num_nodes=2))
+    assert vista.dataset_stats.avg_image_bytes == 3 * one_image
+
+
+def test_traced_run_and_peak_prediction_with_multiple_images(
+        multi_dataset):
+    """A traced run records the Eq. 16 sizing comparison, and the peak
+    predictor prices the TensorList image column."""
+    executor = _executor(multi_dataset, tracer=Tracer())
+    result = executor.run(STAGED)
+    assert set(result.trace.find("workload").attrs["sizing"]) \
+        == {"fc7", "fc8"}
+    peaks = predict_workload_peaks(
+        executor.cnn, multi_dataset, ["fc7", "fc8"], executor.config,
+        STAGED, num_nodes=2,
+    )
+    assert peaks["storage"] > 0
 
 
 def test_eager_still_fine_with_single_image(single_dataset):
