@@ -34,6 +34,7 @@ from repro.features.pooling import (
     pool_feature_tensors,
 )
 from repro.memory.model import Region
+from repro.ml.lanes import lanes
 from repro.ml.logistic import LogisticRegression
 from repro.ml.metrics import f1_score
 from repro.tensor.tensorlist import TensorList
@@ -130,7 +131,8 @@ class FeatureTransferExecutor:
         operator, and the persistence format.
     downstream_fn:
         ``fn(features, labels) -> result``; defaults to the paper's
-        logistic regression.
+        logistic regression. It runs with the context's ``cpu`` as
+        :func:`~repro.ml.lanes.training_lanes`.
     model_mem_bytes:
         Per-replica DL memory charge; defaults to the executable
         model's own ``cnn.stats.runtime_mem_bytes``.
@@ -630,8 +632,11 @@ class FeatureTransferExecutor:
                 backend=self._backend_for(step),
             )
             features, labels = self._collect_train_matrix(vectors)
-            with self.tracer.span(f"downstream:{layer}") as down:
-                outcome = self.downstream_fn(features, labels)
+            # M trains on the run's cores, as MLlib / Horovod would.
+            cpu = self.context.cpu
+            with self.tracer.span(f"downstream:{layer}", lanes=cpu) as down:
+                with lanes(cpu):
+                    outcome = self.downstream_fn(features, labels)
                 down.add("rows", features.shape[0])
                 down.add("feature_dim", features.shape[1])
             sp.set("feature_dim", int(features.shape[1]))

@@ -5,9 +5,12 @@ The paper trains logistic regression with elastic-net regularization
 primary downstream model, a decision tree as the "data scientists often
 prefer trees" alternative (Section 5.2), and a 3-layer MLP for the
 TFT+Beam comparison (Figure 7B). All are implemented from scratch on
-numpy, standing in for MLlib / distributed TF.
+numpy, standing in for MLlib / distributed TF. Inside a run the
+model may train on :func:`training_lanes` cores (the run's ``cpu``);
+the MLP shards its rows over them.
 """
 
+from repro.ml.lanes import lanes, training_lanes
 from repro.ml.logistic import LogisticRegression
 from repro.ml.decision_tree import DecisionTreeClassifier
 from repro.ml.mlp import MLPClassifier
@@ -20,6 +23,8 @@ __all__ = [
     "MLPClassifier",
     "accuracy_score",
     "f1_score",
+    "lanes",
     "standardize",
     "train_test_split",
+    "training_lanes",
 ]

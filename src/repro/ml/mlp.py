@@ -7,11 +7,24 @@ gradient descent; hidden widths default smaller so tests stay fast but
 the paper's configuration is one constructor call away. Like
 TensorFlow's it is float32 end to end, as the logistic regression is:
 the executor's matrices are read in place.
+
+Training is data-parallel over :func:`~repro.ml.lanes.training_lanes`
+(the run's ``cpu`` inside the executor, 1 elsewhere), as Horovod's is
+over workers: the rows split into that many contiguous shards, each
+lane computes its shard's gradient, and the gradients are summed in
+shard order into one full-batch update per iteration. One lane is the
+plain single-threaded loop. More lanes give the same update up to
+float32 rounding (smaller BLAS calls, another summation order), and any
+given lane count repeats bit for bit.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
+
+from repro.ml.lanes import training_lanes
 
 
 class MLPClassifier:
@@ -39,20 +52,44 @@ class MLPClassifier:
         n = len(labels)
         # a numpy float64 rate would promote every update to double
         learning_rate = np.float32(self.learning_rate)
-        for _ in range(self.iterations):
-            activations, pre = self._forward(features)
-            probs = activations[-1][:, 0]
-            delta = ((probs - labels) / n)[:, None]
-            for layer in reversed(range(len(self._weights))):
-                grad_w = activations[layer].T @ delta
-                grad_b = delta.sum(axis=0)
-                if layer > 0:
-                    delta = (delta @ self._weights[layer].T) * (
-                        pre[layer - 1] > 0
-                    )
-                self._weights[layer] -= learning_rate * grad_w
-                self._biases[layer] -= learning_rate * grad_b
+        count = max(1, min(training_lanes(), n))
+        bounds = [n * lane // count for lane in range(count + 1)]
+        shards = [(features[lo:hi], labels[lo:hi])
+                  for lo, hi in zip(bounds, bounds[1:])]
+        # Shard 0 runs on the calling thread, the rest on the pool;
+        # leaving the block joins every lane, returned or raised.
+        with ThreadPoolExecutor(max(count - 1, 1)) as pool:
+            for _ in range(self.iterations):
+                pending = [pool.submit(self._gradients, x, y, n)
+                           for x, y in shards[1:]]
+                grads = self._gradients(*shards[0], n)
+                for future in pending:
+                    for (grad_w, grad_b), (part_w, part_b) in zip(
+                        grads, future.result()
+                    ):
+                        grad_w += part_w
+                        grad_b += part_b
+                for weights, bias, (grad_w, grad_b) in zip(
+                    self._weights, self._biases, grads
+                ):
+                    weights -= learning_rate * grad_w
+                    bias -= learning_rate * grad_b
         return self
+
+    def _gradients(self, features, labels, n):
+        """``[(grad_w, grad_b)]`` per layer over one shard of the rows,
+        each scaled by the full batch's ``n`` so the shards' sum is the
+        full-batch gradient."""
+        activations, pre = self._forward(features)
+        delta = ((activations[-1][:, 0] - labels) / n)[:, None]
+        grads = []
+        for layer in reversed(range(len(self._weights))):
+            grads.append((activations[layer].T @ delta, delta.sum(axis=0)))
+            if layer > 0:
+                delta = (delta @ self._weights[layer].T) * (
+                    pre[layer - 1] > 0
+                )
+        return grads[::-1]
 
     def _forward(self, features):
         activations = [features]

@@ -32,7 +32,7 @@ class Stage:
     """One predicted stage of a run."""
 
     __slots__ = ("key", "matcher", "predicted_s",
-                 "done", "observed_s", "end_wall_s")
+                 "done", "observed_s", "end_wall_s", "lanes")
 
     def __init__(self, key, matcher, predicted_s):
         self.key = key
@@ -41,6 +41,9 @@ class Stage:
         self.done = False
         self.observed_s = None
         self.end_wall_s = None
+        #: Training lanes a span inside the stage was opened with (the
+        #: ``downstream:<layer>`` span of a train stage), if any.
+        self.lanes = None
 
     def matches(self, span_name):
         return (span_name == self.matcher
@@ -142,6 +145,12 @@ class ProgressState:
         if kind == "run_end":
             self.run_ended = True
             self.run_status = event.get("status")
+            return None
+        if kind == "span_start":
+            lanes = (event.get("attrs") or {}).get("lanes")
+            stage = self.next_stage()
+            if lanes is not None and stage is not None:
+                stage.lanes = lanes
             return None
         if kind != "span_end":
             return None
@@ -381,8 +390,8 @@ class ProgressRenderer:
 
 def render_progress(state, width=30):
     """Full progress table for ``repro top``: per-stage predicted vs
-    observed seconds, the in-flight stage's task commits, and the
-    calibrated ETA."""
+    observed seconds, the in-flight stage's task commits, the lanes a
+    train stage's model trained on, and the calibrated ETA."""
     plan = state.plan
     lines = [
         f"### progress — plan {plan.plan_label or '?'}, "
@@ -392,7 +401,9 @@ def render_progress(state, width=30):
     current = state.next_stage()
     for stage in plan.stages:
         if stage.done:
-            status = "done"
+            status = "done" if stage.lanes is None else (
+                f"done ({stage.lanes} lanes)"
+            )
             observed = f"{stage.observed_s:>9.3f}s"
         elif stage is current and not state.run_ended:
             tasks = ""

@@ -1,6 +1,7 @@
 """Shared fixtures: mini models, small datasets, and local contexts."""
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -24,13 +25,15 @@ def _open_fds():
 @pytest.fixture(autouse=True)
 def no_leaks(tmp_path, monkeypatch):
     """After every test, pass or fail: no child process left (live or
-    zombie), the same open fds as before, nothing of ours in /dev/shm,
+    zombie), no thread left (a model's training lanes included), the
+    same open fds as before, nothing of ours in /dev/shm,
     no ``*.tmp`` from an unfinished atomic write under the test's own
     ``tmp_path``, and — once a ``FeatureTransferExecutor.run`` has
     returned or raised — no partition still charged to a worker's
     Storage region and no byte still charged to any accountant region
     of a worker or the driver."""
     fds_before = _open_fds()
+    threads_before = set(threading.enumerate())
     still_cached = []
     still_charged = []
     run = FeatureTransferExecutor.run
@@ -62,6 +65,7 @@ def no_leaks(tmp_path, monkeypatch):
     assert not still_charged
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert set(threading.enumerate()) == threads_before
     assert _open_fds() == fds_before
     if os.path.isdir("/dev/shm"):
         assert not [

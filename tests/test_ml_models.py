@@ -1,5 +1,8 @@
 """Unit tests for the downstream ML models."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,8 @@ from repro.ml import (
     MLPClassifier,
     accuracy_score,
     f1_score,
+    lanes,
+    training_lanes,
 )
 
 
@@ -258,3 +263,223 @@ class TestMLP:
             as_double.predict_proba(features),
             as_single.predict_proba(features.astype(np.float32)),
         )
+
+
+# ---------------------------------------------------------------------
+# training lanes: the MLP's data-parallel fit
+# ---------------------------------------------------------------------
+def _oracle_mlp(features, labels, hidden_units=(64, 64), iterations=10,
+                learning_rate=0.05, random_state=0):
+    """The single-threaded loop ``MLPClassifier.fit`` ran before it
+    trained on lanes — each layer updated right after its gradient —
+    kept as its reference."""
+    features = np.asarray(features, dtype=np.float32)
+    labels = np.asarray(labels, dtype=np.float32)
+    model = MLPClassifier(hidden_units, iterations, learning_rate,
+                          random_state)
+    rng = np.random.default_rng(random_state)
+    sizes = [features.shape[1], *hidden_units, 1]
+    model._weights = [
+        rng.normal(0, np.sqrt(2.0 / fan), (fan, out)).astype(np.float32)
+        for fan, out in zip(sizes, sizes[1:])
+    ]
+    model._biases = [np.zeros(out, dtype=np.float32) for out in sizes[1:]]
+    n = len(labels)
+    rate = np.float32(learning_rate)
+    for _ in range(iterations):
+        activations, pre = model._forward(features)
+        delta = ((activations[-1][:, 0] - labels) / n)[:, None]
+        for layer in reversed(range(len(model._weights))):
+            grad_w = activations[layer].T @ delta
+            grad_b = delta.sum(axis=0)
+            if layer > 0:
+                delta = (delta @ model._weights[layer].T) * (
+                    pre[layer - 1] > 0
+                )
+            model._weights[layer] -= rate * grad_w
+            model._biases[layer] -= rate * grad_b
+    return model
+
+
+def _params(model):
+    return model._weights + model._biases
+
+
+def _fit_on(count, features, labels, **kwargs):
+    with lanes(count):
+        return MLPClassifier(**kwargs).fit(features, labels)
+
+
+def _assert_near_oracle(model, oracle, features, labels):
+    """Within float32 rounding of the oracle, with the same F1."""
+    for got, want in zip(_params(model), _params(oracle)):
+        scale = max(np.abs(want).max(), 1e-3)
+        assert np.abs(got - want).max() <= 2e-5 * scale
+    assert f1_score(labels, model.predict(features)) \
+        == f1_score(labels, oracle.predict(features))
+
+
+class TestTrainingLanes:
+    def test_lanes_set_and_reset(self):
+        with lanes(3):
+            assert training_lanes() == 3
+            with lanes(2):
+                assert training_lanes() == 2
+            assert training_lanes() == 3
+        assert training_lanes() == 1
+
+    @pytest.mark.parametrize("n, d", [(50, 5), (7, 5), (1, 5), (256, 600)])
+    def test_one_lane_is_the_single_threaded_loop_bitwise(self, n, d):
+        features, labels = _separable(n=n, d=d)
+        oracle = _oracle_mlp(features, labels)
+        for model in (MLPClassifier().fit(features, labels),
+                      _fit_on(1, features, labels)):
+            for got, want in zip(_params(model), _params(oracle)):
+                np.testing.assert_array_equal(got, want)
+
+    def test_more_lanes_than_cores_under_fast_thread_switching(self):
+        """Lanes only read the weights, and the driver writes them once
+        every lane has returned: eight lanes switched every microsecond
+        give the bits of an undisturbed eight-lane fit, so no update
+        raced a lane's read."""
+        features, labels = _separable(n=400, d=12)
+        calm = _fit_on(8, features, labels)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            busy = _fit_on(8, features, labels)
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(_params(busy), _params(calm)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fewer_rows_than_lanes(self, n):
+        """A lane per row at most: no shard is empty, and the fit is
+        the oracle's up to rounding."""
+        features, labels = _separable(n=n)
+        shard_rows = []
+        gradients = MLPClassifier._gradients
+
+        def spy(self, shard, shard_labels, total):
+            shard_rows.append(len(shard))
+            return gradients(self, shard, shard_labels, total)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(MLPClassifier, "_gradients", spy)
+            model = _fit_on(3, features, labels, iterations=2)
+        assert sorted(shard_rows) == [1] * (2 * n)
+        _assert_near_oracle(model, _oracle_mlp(features, labels,
+                                               iterations=2),
+                            features.astype(np.float32), labels)
+
+    @pytest.mark.parametrize("lane", ["driver", "pool"])
+    def test_a_shard_that_raises_mid_fit_still_joins_the_lane_pool(
+        self, lane, monkeypatch
+    ):
+        """Regression: one shard's gradient raises on the third
+        iteration — on the calling thread or on a pool lane — while the
+        other lanes are still computing; the error reaches the caller
+        and no lane thread outlives the fit."""
+        threads_before = set(threading.enumerate())
+        gradients = MLPClassifier._gradients
+        calls = []
+
+        def failing(self, *args):
+            on_driver = threading.current_thread() is threading.main_thread()
+            if on_driver == (lane == "driver"):
+                calls.append(1)
+                if len(calls) == 3:
+                    raise FloatingPointError(f"shard on the {lane} failed")
+            return gradients(self, *args)
+
+        monkeypatch.setattr(MLPClassifier, "_gradients", failing)
+        features, labels = _separable(n=90)
+        with pytest.raises(FloatingPointError, match=lane):
+            _fit_on(3, features, labels)
+        assert set(threading.enumerate()) == threads_before
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_lanes_on_transfer_matrices(transfer_matrices, count):
+    """On every train matrix the executor hands M: each lane count
+    repeats bit for bit, stays within float32 rounding of the
+    single-threaded oracle, and gives the same F1."""
+    for features, labels in transfer_matrices:
+        first = _fit_on(count, features, labels)
+        again = _fit_on(count, features, labels)
+        for got, want in zip(_params(first), _params(again)):
+            np.testing.assert_array_equal(got, want)
+        _assert_near_oracle(first, _oracle_mlp(features, labels), features,
+                            labels)
+
+
+class TestExecutorLanes:
+    """The executor hands M the run's ``cpu`` as its lanes, only for
+    the downstream call, and records it on the span."""
+
+    @staticmethod
+    def _run(cpu, downstream_fn, **kwargs):
+        from repro.cnn import build_model
+        from repro.core.config import VistaConfig
+        from repro.core.executor import FeatureTransferExecutor
+        from repro.core.plans import STAGED
+        from repro.data import foods_dataset
+        from repro.dataflow.context import local_context
+
+        config = VistaConfig(
+            cpu=cpu, num_partitions=4, mem_storage_bytes=0,
+            mem_user_bytes=0, mem_dl_bytes=0, join="broadcast",
+            persistence="deserialized",
+        )
+        executor = FeatureTransferExecutor(
+            local_context(num_nodes=1, cores_per_node=2, cpu=cpu),
+            build_model("alexnet", profile="mini"),
+            foods_dataset(num_records=24, seed=0), ["fc7", "fc8"], config,
+            downstream_fn=downstream_fn, **kwargs,
+        )
+        return executor.run(STAGED)
+
+    @pytest.mark.parametrize("cpu", [1, 2])
+    def test_the_mlp_trains_on_the_runs_cpu(self, cpu, monkeypatch):
+        seen = []
+        shard_rows = []
+        gradients = MLPClassifier._gradients
+
+        def spy(self, shard, shard_labels, total):
+            shard_rows.append(len(shard))
+            return gradients(self, shard, shard_labels, total)
+
+        def fit(features, labels):
+            seen.append(training_lanes())
+            return {"model": MLPClassifier(iterations=1).fit(features,
+                                                             labels)}
+
+        monkeypatch.setattr(MLPClassifier, "_gradients", spy)
+        self._run(cpu, fit)
+        assert seen == [cpu, cpu]
+        # One iteration per layer: the 24 rows in `cpu` shards, twice.
+        assert sorted(shard_rows) == sorted([24 // cpu] * cpu * 2)
+        assert training_lanes() == 1
+
+    def test_a_raising_downstream_fn_leaves_one_lane(self):
+        def fail(features, labels):
+            assert training_lanes() == 2
+            raise RuntimeError("downstream failed")
+
+        with pytest.raises(RuntimeError, match="downstream failed"):
+            self._run(2, fail)
+        assert training_lanes() == 1
+
+    def test_the_downstream_span_and_its_ledger_event_carry_lanes(self):
+        from repro.observe.ledger import RunLedger
+        from repro.trace import Tracer
+
+        tracer, ledger = Tracer(), RunLedger()
+        self._run(2, lambda f, l: {}, tracer=tracer, ledger=ledger)
+        spans = [span for span in tracer.root.walk()
+                 if span.name.startswith("downstream:")]
+        assert [span.attrs for span in spans] == [{"lanes": 2}] * 2
+        starts = [event for event in ledger.of("span_start")
+                  if event["name"].startswith("downstream:")]
+        assert [event["attrs"] for event in starts] == [{"lanes": 2}] * 2

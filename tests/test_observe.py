@@ -886,6 +886,25 @@ def test_cli_top_renders_and_validates(tmp_path, capsys):
     assert _cli("top", ledger, "--validate") == 1
 
 
+def test_cli_top_shows_the_lanes_each_model_trained_on(tmp_path, capsys):
+    """Each train stage reads the lanes its ``downstream:<layer>`` span
+    was opened with — the run's ``cpu`` — and no other stage any."""
+    ledger = os.path.join(str(tmp_path), "run.ledger.jsonl")
+    assert _cli("run", "--records", "48", "--nodes", "2", "--model",
+                "alexnet", "--layers", "2", "--ledger", ledger) == 0
+    capsys.readouterr()
+    events, _ = read_ledger(ledger)
+    (cpu,) = {e["attrs"]["lanes"] for e in events
+              if e["kind"] == "span_start"
+              and e["name"].startswith("downstream:")}
+    assert _cli("top", ledger) == 0
+    rows = {line.split()[0]: line.endswith(f"| done ({cpu} lanes)")
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  ") and "|" in line}
+    assert rows == {stage: stage.startswith("train:") for stage in rows}
+    assert sum(rows.values()) == 2
+
+
 def test_cli_report_slo_exit_codes(tmp_path, capsys):
     ledger = os.path.join(str(tmp_path), "run.ledger.jsonl")
     assert _cli("run", "--records", "48", "--nodes", "2", "--model",
