@@ -30,14 +30,18 @@ top
 report
     Render a recorded ``metrics/v1`` export (memory waterlines, crash
     attribution), or evaluate a declarative SLO ruleset (``--slo
-    RULES LEDGER``) against a run ledger, exiting nonzero on breach.
+    RULES LEDGER [--baseline TWIN]``) against a run ledger.
 history
     The run-history warehouse: ``ingest`` obs/v1 ledgers into an
-    append-only store of ``runsum/v1`` summaries,
-    ``list``/``show`` them, ``diff`` two runs span-by-span
-    (flamegraph-style, exiting nonzero on deterministic regressions),
-    and ``trend`` metric timelines with robust change-point detection
-    (``--gate`` exits nonzero on flagged drift).
+    append-only store of ``runsum/v1`` summaries, ``list``/``show``
+    them, ``diff`` two runs span-by-span (flamegraph-style), and
+    ``trend`` metric timelines as sparklines.
+
+``report --slo``, ``history diff A B`` and ``history trend`` have one
+judge: they evaluate the same SLO ruleset (``history --rules FILE``,
+default ``slo/default.yaml``) on a target (plus optional baseline), on
+B with A as the baseline, or on the store's window, print its verdict
+block, and exit 1 iff a breach-severity rule fails.
 """
 
 from __future__ import annotations
@@ -107,8 +111,8 @@ def _add_observability_args(parser):
         "--inject-straggler", metavar="PART:SECONDS", default=None,
         help="deterministically delay the task for partition PART by "
              "SECONDS on the simulated clock (a seeded straggler "
-             "fault) — the controlled drift source the history trend "
-             "gate is exercised against in CI",
+             "fault) — the controlled drift source `history diff` and "
+             "`history trend` are exercised against in CI",
     )
 
 
@@ -572,12 +576,7 @@ def cmd_report(args):
             print("report --slo RULES requires a TARGET (obs/v1 ledger)",
                   file=sys.stderr)
             return 2
-        from repro.observe import (
-            evaluate_slo,
-            has_breach,
-            load_rules,
-            render_slo,
-        )
+        from repro.observe import evaluate_slo, load_rules
 
         try:
             rules = load_rules(args.slo)
@@ -592,10 +591,7 @@ def cmd_report(args):
             print(f"report: cannot read SLO target/baseline: {exc}",
                   file=sys.stderr)
             return 2
-        print(render_slo(
-            verdicts, title=f"SLO {args.slo} vs {args.target}"
-        ))
-        return 1 if has_breach(verdicts) else 0
+        return _judged(verdicts, f"SLO {args.slo} vs {args.target}")
     if args.metrics_json:
         try:
             block = metrics_block(args.metrics_json)
@@ -610,38 +606,43 @@ def cmd_report(args):
     return 2
 
 
-def _default_history_rules(args):
-    """Resolve the trend ruleset: ``--rules`` wins, else the repo's
-    ``slo/default.yaml`` when the working directory has one."""
+def _judged(verdicts, title):
+    """Print the verdict block; the exit code of every judging
+    command: 1 iff a breach-severity rule failed."""
+    from repro.observe import has_breach, render_slo
+
+    print(render_slo(verdicts, title=title))
+    return 1 if has_breach(verdicts) else 0
+
+
+def _history_rules(args):
+    """``(path, rules)`` of the history ruleset: ``--rules`` wins, else
+    the repo's ``slo/default.yaml`` when the working directory has one;
+    ``(None, None)`` when there is none. Raises ``OSError`` /
+    ``ValueError`` / ``KeyError`` for a bad file."""
     import os
 
-    if getattr(args, "rules", None):
-        return args.rules
-    candidate = os.path.join("slo", "default.yaml")
-    return candidate if os.path.exists(candidate) else None
+    from repro.observe import load_rules
+
+    path = args.rules
+    if path is None:
+        candidate = os.path.join("slo", "default.yaml")
+        if not os.path.exists(candidate):
+            return None, None
+        path = candidate
+    return path, load_rules(path)
 
 
 def cmd_history(args):
-    from repro.observe import HistoryStore
+    from repro.observe import HistoryStore, evaluate_slo
 
     store = HistoryStore(args.store)
     command = args.history_command
     if command == "ingest":
-        slo_rules = None
-        rules_path = _default_history_rules(args)
-        if rules_path is not None:
-            from repro.observe import load_rules
-
-            try:
-                slo_rules = load_rules(rules_path)
-            except (OSError, ValueError, KeyError) as exc:
-                print(f"history ingest: bad ruleset {rules_path!r}: "
-                      f"{exc}", file=sys.stderr)
-                return 2
         failures = 0
         for path in args.paths:
             try:
-                record, created = store.ingest(path, slo_rules=slo_rules)
+                record, created = store.ingest(path)
             except (OSError, ValueError) as exc:
                 print(f"history ingest: {path}: {exc}", file=sys.stderr)
                 failures += 1
@@ -661,11 +662,21 @@ def cmd_history(args):
         print(render_history_list(records,
                                   title=f"run history ({store.root})"))
         return 0 if records else 2
-    # show / diff / trend all need a non-empty store.
+    # show / diff / trend all need a non-empty store and read the rules.
     ids = store.run_ids()
     if not ids:
         print(f"history {command}: store {store.root!r} is empty "
               "(run `repro history ingest` first)", file=sys.stderr)
+        return 2
+    try:
+        rules_path, rules = _history_rules(args)
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"history {command}: bad ruleset: {exc}", file=sys.stderr)
+        return 2
+    if rules is None and command != "show":
+        print(f"history {command}: no ruleset (pass `history --rules "
+              "FILE` or run from a checkout with slo/default.yaml)",
+              file=sys.stderr)
         return 2
     if command == "show":
         from repro.report import render_history_show
@@ -675,10 +686,11 @@ def cmd_history(args):
         except (KeyError, ValueError, OSError) as exc:
             print(f"history show: {exc}", file=sys.stderr)
             return 2
-        print(render_history_show(record))
+        verdicts = evaluate_slo(rules, record) if rules else None
+        print(render_history_show(record, verdicts))
         return 0
     if command == "diff":
-        from repro.observe import diff_runs, has_regressions
+        from repro.observe import diff_runs
         from repro.report import render_history_diff
 
         try:
@@ -687,50 +699,22 @@ def cmd_history(args):
         except (KeyError, ValueError, OSError) as exc:
             print(f"history diff: {exc}", file=sys.stderr)
             return 2
-        diff = diff_runs(base, target)
-        print(render_history_diff(diff))
-        return 1 if has_regressions(diff) else 0
-    if command == "trend":
-        from repro.observe import (
-            HistoryRule,
-            evaluate_trend,
-            load_history_rules,
-            trend_has_breach,
+        print(render_history_diff(diff_runs(base, target)))
+        return _judged(
+            evaluate_slo(rules, target, baseline=base),
+            f"SLO {rules_path} vs {target['run_id']} "
+            f"(baseline {base['run_id']})",
         )
+    if command == "trend":
         from repro.report import render_trend
 
-        if args.metric:
-            rules = [
-                HistoryRule(name=f"metric:{spec}", metric=spec,
-                            threshold=args.threshold,
-                            min_runs=args.min_runs)
-                for spec in args.metric
-            ]
-        else:
-            rules_path = _default_history_rules(args)
-            if rules_path is None:
-                print("history trend: no --metric and no ruleset "
-                      "(pass --rules FILE or run from a checkout "
-                      "with slo/default.yaml)", file=sys.stderr)
-                return 2
-            try:
-                rules = load_history_rules(rules_path)
-            except (OSError, ValueError, KeyError) as exc:
-                print(f"history trend: bad ruleset {rules_path!r}: "
-                      f"{exc}", file=sys.stderr)
-                return 2
-            if not rules:
-                print(f"history trend: {rules_path!r} has no "
-                      "history: scope", file=sys.stderr)
-                return 2
-        report = evaluate_trend(store.summaries(), rules,
-                                last=args.last)
-        print(render_trend(
-            report, title=f"history trend ({store.root})"
-        ))
-        if args.gate and trend_has_breach(report):
-            return 1
-        return 0
+        records = store.summaries(last=args.last)
+        verdicts = evaluate_slo(rules, history=records)
+        print(render_trend(records, verdicts,
+                           title=f"history trend ({store.root})"))
+        return _judged(
+            verdicts, f"SLO {rules_path} over {len(records)} run(s)"
+        )
     raise AssertionError(f"unknown history command {command!r}")
 
 
@@ -889,6 +873,11 @@ def build_parser():
         "--store", metavar="DIR", default="history",
         help="history store directory (default ./history)",
     )
+    history.add_argument(
+        "--rules", metavar="FILE", default=None,
+        help="SLO ruleset that show, diff and trend judge with "
+             "(default: slo/default.yaml when present)",
+    )
     hsub = history.add_subparsers(dest="history_command", required=True)
     h_ingest = hsub.add_parser(
         "ingest", help="summarize source files into the store "
@@ -898,59 +887,31 @@ def build_parser():
         "paths", nargs="+", metavar="PATH",
         help="obs/v1 ledgers (`repro run --ledger PATH`)",
     )
-    h_ingest.add_argument(
-        "--rules", metavar="FILE", default=None,
-        help="SLO ruleset evaluated at ingest time; verdict counts "
-             "are stored on the record (default: slo/default.yaml "
-             "when present)",
-    )
     h_list = hsub.add_parser("list", help="list ingested runs")
     h_list.add_argument("--last", type=int, default=None, metavar="K",
                         help="show only the K newest runs")
-    h_show = hsub.add_parser("show", help="show one run's summary")
+    h_show = hsub.add_parser(
+        "show", help="show one run's summary and its verdict counts")
     h_show.add_argument(
         "run", metavar="RUN",
         help="run id prefix, or @N / @-N ingest-order ordinal",
     )
     h_diff = hsub.add_parser(
-        "diff", help="span-aligned flamegraph diff of two runs; exit "
-                     "1 on any deterministic regression (sim seconds, "
-                     "status, recovery count, memory over budget)",
+        "diff", help="span-aligned flamegraph diff of two runs, judged "
+                     "by the ruleset with RUN_A as the baseline; exit 1 "
+                     "on breach",
     )
     h_diff.add_argument("run_a", metavar="RUN_A",
                         help="base run (id prefix or @N ordinal)")
     h_diff.add_argument("run_b", metavar="RUN_B",
                         help="target run (id prefix or @N ordinal)")
     h_trend = hsub.add_parser(
-        "trend", help="robust (median/MAD) change-point detection "
-                      "over the run timeline",
-    )
-    h_trend.add_argument(
-        "--metric", action="append", default=None, metavar="GLOB",
-        help="ad-hoc metric spec(s) over runsum/v1 records (e.g. "
-             "stages.*.sim_s); repeatable; default: the history: "
-             "scope of slo/default.yaml",
-    )
-    h_trend.add_argument(
-        "--rules", metavar="FILE", default=None,
-        help="ruleset file providing the history: scope "
-             "(default slo/default.yaml)",
+        "trend", help="metric timelines over the store, judged by the "
+                      "ruleset's `against: trend` rules (robust "
+                      "median/MAD z-scores); exit 1 on breach",
     )
     h_trend.add_argument("--last", type=int, default=None, metavar="K",
-                         help="detect over only the K newest runs")
-    h_trend.add_argument(
-        "--threshold", type=float, default=3.5, metavar="Z",
-        help="robust z-score threshold for --metric rules "
-             "(default 3.5)",
-    )
-    h_trend.add_argument(
-        "--min-runs", type=int, default=3, metavar="N",
-        help="minimum runs before a series is judged (default 3)",
-    )
-    h_trend.add_argument(
-        "--gate", action="store_true",
-        help="exit 1 when any breach-severity drift is flagged",
-    )
+                         help="judge only the K newest runs")
     return parser
 
 

@@ -22,24 +22,22 @@ Where :mod:`repro.trace` and :mod:`repro.metrics` answer questions
   ``repro run --progress`` and ``repro top``: per-stage completion and
   an ETA computed from the cost model's predicted stage seconds
   against observed span progress (online calibration).
-- :mod:`repro.observe.slo` — the declarative SLO/gate engine: rules
-  (metric path, comparator, threshold, severity) evaluated against a
-  run's record; ``repro report --slo`` exits nonzero on breach.
+- :mod:`repro.observe.slo` — the declarative SLO/gate engine and the
+  one judge of recorded runs: rules (metric path, comparator,
+  threshold, severity, against) evaluated against a run's record, a
+  baseline, or a history window; ``repro report --slo``, ``repro
+  history diff`` and ``repro history trend`` exit nonzero on breach.
 """
 
-from repro.observe.diff import diff_runs, has_regressions
+from repro.observe.diff import diff_runs
 from repro.observe.history import (
-    HistoryRule,
     HistoryStore,
     RUNSUM_SCHEMA,
     environment_meta,
-    evaluate_trend,
-    load_history_rules,
     run_fingerprint,
     spans_from_events,
     summarize_ledger,
     summarize_path,
-    trend_has_breach,
 )
 from repro.observe.ledger import (
     LEDGER_SCHEMA,
@@ -66,12 +64,10 @@ from repro.observe.slo import (
     evaluate_slo,
     has_breach,
     load_rules,
-    load_ruleset,
     render_slo,
 )
 
 __all__ = [
-    "HistoryRule",
     "HistoryStore",
     "LEDGER_SCHEMA",
     "NULL_LEDGER",
@@ -85,12 +81,8 @@ __all__ = [
     "diff_runs",
     "environment_meta",
     "evaluate_slo",
-    "evaluate_trend",
     "has_breach",
-    "has_regressions",
-    "load_history_rules",
     "load_rules",
-    "load_ruleset",
     "predict_stage_plan",
     "read_ledger",
     "render_progress",
@@ -100,7 +92,6 @@ __all__ = [
     "spans_from_events",
     "summarize_ledger",
     "summarize_path",
-    "trend_has_breach",
     "validate_chrome_trace",
     "validate_events",
     "write_chrome_trace",

@@ -10,27 +10,13 @@ of the span table the diff reports plan-knob changes, workload/
 environment fingerprint drift, metric-series peak deltas, per-region
 memory peak deltas, and recovery-count deltas.
 
-Only deterministic signals regress, and they regress at any
-magnitude: simulated seconds only advance through injected faults and
-recovery backoff, so *any* sim-second growth on an aligned span is a
-regression, as is a status downgrade (ok → error/torn), a
-recovery-count increase, or a memory region newly over its budget.
-Wall seconds are reported per span but never judged here — they jitter
-run to run, and speed has one gate: ``benchmarks/e2e/run.py
---compare``.
+The diff reports; it does not judge. ``repro history diff`` judges the
+pair with :func:`repro.observe.slo.evaluate_slo` — B as the target, A
+as the baseline — so its exit code comes from the same ruleset as
+``repro report --slo``.
 """
 
 from __future__ import annotations
-
-#: Span statuses ordered from healthy to broken, for downgrades.
-_STATUS_RANK = {"ok": 0}
-
-
-def _status_rank(status):
-    if status in _STATUS_RANK:
-        return _STATUS_RANK[status]
-    return 2 if str(status).startswith("error") else 1  # torn & co
-
 
 def _span_cell(span):
     return {
@@ -73,7 +59,6 @@ def diff_runs(base, target):
         if span["path"] not in seen:
             order.append(span["path"])
     rows = []
-    regressions = []
     for path in order:
         old = base_spans.get(path)
         new = target_spans.get(path)
@@ -87,18 +72,6 @@ def diff_runs(base, target):
                 "d_self_s": round(new["self_s"] - old["self_s"], 9),
                 "d_sim_s": round(new["sim_s"] - old["sim_s"], 9),
             }
-            reasons = []
-            if row["d_sim_s"] > 1e-9:
-                reasons.append(
-                    f"sim +{row['d_sim_s']:.3f}s (injected delay or "
-                    "recovery backoff)"
-                )
-            if _status_rank(new["status"]) > _status_rank(old["status"]):
-                reasons.append(
-                    f"status {old['status']} -> {new['status']}"
-                )
-            row["regression"] = bool(reasons)
-            row["reasons"] = reasons
         else:
             row = {
                 "path": path,
@@ -108,13 +81,8 @@ def diff_runs(base, target):
                 "d_wall_s": None,
                 "d_self_s": None,
                 "d_sim_s": None,
-                "regression": False,
-                "reasons": [],
             }
         rows.append(row)
-        if row["regression"]:
-            regressions.append({"kind": "span", "path": path,
-                                "reasons": row["reasons"]})
     base_recovery = dict(base.get("recovery") or {})
     target_recovery = dict(target.get("recovery") or {})
     recovery_deltas = {}
@@ -124,12 +92,6 @@ def diff_runs(base, target):
         if old_count == new_count:
             continue
         recovery_deltas[key] = {"base": old_count, "target": new_count}
-        if key != "total" and new_count > old_count:
-            regressions.append({
-                "kind": "recovery", "path": key,
-                "reasons": [f"recovery[{key}] {old_count} -> "
-                            f"{new_count}"],
-            })
     metric_deltas = []
     base_metrics = base.get("metrics") or {}
     target_metrics = target.get("metrics") or {}
@@ -167,14 +129,6 @@ def diff_runs(base, target):
             "base_over_budget": old_region.get("over_budget"),
             "target_over_budget": new_region.get("over_budget"),
         }
-        if new_region.get("over_budget") and not old_region.get(
-            "over_budget"
-        ):
-            regressions.append({
-                "kind": "memory", "path": key,
-                "reasons": [f"region {key} newly over budget "
-                            f"(peak {new_peak})"],
-            })
     return {
         "base_id": base.get("run_id"),
         "target_id": target.get("run_id"),
@@ -196,11 +150,4 @@ def diff_runs(base, target):
         "metric_deltas": metric_deltas,
         "memory_deltas": memory_deltas,
         "recovery_deltas": recovery_deltas,
-        "regressions": regressions,
     }
-
-
-def has_regressions(diff):
-    """True iff the diff found any span/recovery/memory regression —
-    what ``repro history diff`` exits nonzero on."""
-    return bool(diff.get("regressions"))

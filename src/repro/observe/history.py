@@ -6,9 +6,9 @@ it: the event stream becomes one compact ``runsum/v1`` record
 (workload identity and environment fingerprint, chosen plan knobs,
 per-stage wall/sim/self seconds, per-region memory peaks vs budgets,
 online-calibration ratios, recovery counts, metric-series peaks, event
-counts per kind, parse/schema problem counts, SLO verdict counts).
-Every offline view reads that record — ``repro report --slo``
-(:mod:`repro.observe.slo` resolves rule metrics against it), ``repro
+counts per kind, parse/schema problem counts). A record holds facts
+only; judging it is :func:`repro.observe.slo.evaluate_slo`'s job.
+Every offline view reads that record — ``repro report --slo``, ``repro
 top``'s summary, and ``repro history``, which appends records to an
 on-disk :class:`HistoryStore` so drift questions become queries over a
 timeline instead of a pair of ad-hoc files.
@@ -29,20 +29,6 @@ never lie.
 ``run_id`` is the SHA-256 of the *source file bytes* (first 16 hex
 chars), which makes ingest idempotent by construction: re-ingesting
 the same ledger returns the existing record without touching disk.
-
-Change-point detection
-----------------------
-:func:`evaluate_trend` flags drift with a robust z-score over the
-last-K window of each metric series: ``z = (v - median) / scale`` with
-``scale = max(1.4826·MAD, 0.05·|median|, 1e-9)``. Median/MAD instead
-of mean/stddev so one outlier run cannot mask itself by inflating the
-spread; the 5%-of-median floor keeps near-constant series (wall
-seconds that jitter by microseconds) from flagging noise. Rules live
-in ``slo/default.yaml`` under the ``history:`` scope, reusing the SLO
-file format and its metric grammar — a trend metric is resolved
-against the record by the same :func:`repro.observe.slo.resolve_path`
-(e.g. ``stages.*.sim_s``, ``recovery.total``,
-``memory.*.peak_bytes``).
 """
 
 from __future__ import annotations
@@ -53,7 +39,6 @@ import os
 import platform
 import subprocess
 import sys
-from dataclasses import dataclass
 
 from repro.atomic_io import atomic_write_bytes, reclaim_tmp_files, write_all
 from repro.metrics import METRICS_SCHEMA
@@ -63,7 +48,6 @@ from repro.observe.ledger import (
     validate_events,
 )
 from repro.observe.progress import replay_progress
-from repro.observe.slo import evaluate_slo, load_ruleset, resolve_path
 
 #: Version tag carried by every summary record.
 RUNSUM_SCHEMA = "runsum/v1"
@@ -327,30 +311,18 @@ def _calibration_from_events(events):
     }
 
 
-def _slo_block(verdicts):
-    counts = {"breach": 0, "warn": 0, "pass": 0, "skip": 0}
-    failing = []
-    for verdict in verdicts:
-        counts[verdict.status] = counts.get(verdict.status, 0) + 1
-        if verdict.ok is False:
-            failing.append(verdict.rule.name)
-    return {**counts, "failing": sorted(failing)}
-
-
 #: What ``runsum/v1`` stores of each :func:`spans_from_events` span.
 _SPAN_FIELDS = ("path", "name", "depth", "start_seq", "wall_s", "sim_s",
                 "self_s", "status")
 
 
-def summarize_ledger(events, problems=(), source="", slo_rules=None):
+def summarize_ledger(events, problems=(), source=""):
     """Summarize a parsed ``obs/v1`` event stream into a ``runsum/v1``
     record — the one replay of a ledger every offline reader (``repro
     report --slo``, ``history``, ``top``) reads. A ledger without
     ``run_end`` (SIGKILLed driver, torn file) is summarized with status
     ``"torn"`` — never rejected: the whole point of the warehouse is
-    that killed runs still join the timeline. ``slo_rules`` are
-    evaluated over the finished record and their verdict counts stored
-    on it."""
+    that killed runs still join the timeline."""
     spans = spans_from_events(events)
     first = {}
     kinds = {}
@@ -393,13 +365,10 @@ def summarize_ledger(events, problems=(), source="", slo_rules=None):
             default=0.0,
         ), 9),
     }
-    record["slo"] = (
-        _slo_block(evaluate_slo(slo_rules, record)) if slo_rules else None
-    )
     return record
 
 
-def summarize_path(path, slo_rules=None):
+def summarize_path(path):
     """Summarize an ``obs/v1`` ledger file into a ``runsum/v1`` record
     plus the raw bytes it was parsed from (for content addressing: one
     read, so the record always describes the bytes the run id hashes).
@@ -413,9 +382,7 @@ def summarize_path(path, slo_rules=None):
             "not an obs/v1 ledger: no event parsed; record a run with "
             "`--ledger`"
         )
-    record = summarize_ledger(events, problems, source=path,
-                              slo_rules=slo_rules)
-    return record, raw
+    return summarize_ledger(events, problems, source=path), raw
 
 
 # ----------------------------------------------------------------------
@@ -469,13 +436,13 @@ class HistoryStore:
             os.close(fd)
 
     # ------------------------------------------------------------------
-    def ingest(self, path, slo_rules=None):
+    def ingest(self, path):
         """Ingest one source file; returns ``(record, created)``.
 
         ``run_id`` is content-addressed, so ingesting the same file
         twice is idempotent: the second call returns the stored record
         with ``created=False`` and writes nothing."""
-        record, raw = summarize_path(path, slo_rules=slo_rules)
+        record, raw = summarize_path(path)
         self._ensure_dirs()
         run_id = hashlib.sha256(raw).hexdigest()[:16]
         record_path = self._record_path(run_id)
@@ -581,151 +548,3 @@ class HistoryStore:
 
     def __repr__(self):
         return f"<HistoryStore {self.root}: {len(self)} runs>"
-
-
-# ----------------------------------------------------------------------
-# trend rules and change-point detection
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class HistoryRule:
-    """One declarative drift rule over the run timeline."""
-
-    name: str
-    metric: str
-    threshold: float = 3.5
-    direction: str = "high"
-    min_runs: int = 3
-    severity: str = "breach"
-
-    def __post_init__(self):
-        if self.direction not in ("high", "low", "both"):
-            raise ValueError(
-                f"rule {self.name!r}: direction must be 'high', 'low' "
-                f"or 'both', got {self.direction!r}"
-            )
-        if self.severity not in ("breach", "warn"):
-            raise ValueError(
-                f"rule {self.name!r}: severity must be 'breach' or "
-                f"'warn', got {self.severity!r}"
-            )
-        if self.threshold <= 0:
-            raise ValueError(
-                f"rule {self.name!r}: threshold must be positive"
-            )
-
-
-def load_history_rules(path):
-    """Load the ``history:`` scope of a ruleset file into
-    :class:`HistoryRule` values (empty list when the file carries no
-    history scope)."""
-    rules = []
-    for entry in load_ruleset(path).get("history", []):
-        rules.append(HistoryRule(
-            name=entry["name"],
-            metric=entry["metric"],
-            threshold=float(entry.get("threshold", 3.5)),
-            direction=entry.get("direction", "high"),
-            min_runs=int(entry.get("min_runs", 3)),
-            severity=entry.get("severity", "breach"),
-        ))
-    return rules
-
-
-def robust_scale(values):
-    """``max(1.4826·MAD, 0.05·|median|, 1e-9)`` — the denominator of
-    the robust z-score. The MAD term adapts to genuine spread, the
-    5%-of-median floor keeps near-constant series from flagging
-    numeric jitter, and the epsilon keeps all-zero series finite."""
-    med = _median(values)
-    mad = _median([abs(value - med) for value in values])
-    return max(1.4826 * mad, 0.05 * abs(med), 1e-9)
-
-
-def _median(values):
-    ordered = sorted(values)
-    count = len(ordered)
-    if count == 0:
-        return 0.0
-    middle = count // 2
-    if count % 2:
-        return float(ordered[middle])
-    return (ordered[middle - 1] + ordered[middle]) / 2.0
-
-
-def trend_series(records, spec):
-    """``{element_key: [(run_id, value), …]}`` in ingest order for one
-    metric spec over a record list. Scalar specs land under the ``""``
-    key; records where the metric is absent are skipped."""
-    series = {}
-    for record in records:
-        resolved = resolve_path(record, spec)
-        if resolved is None:
-            continue
-        items = (resolved.items() if isinstance(resolved, dict)
-                 else [("", resolved)])
-        for key, value in items:
-            try:
-                value = float(value)
-            except (TypeError, ValueError):
-                continue
-            series.setdefault(key, []).append(
-                (record.get("run_id", "?"), value)
-            )
-    return series
-
-
-def evaluate_trend(records, rules, last=None):
-    """Run change-point detection over the record timeline.
-
-    Returns ``{"rules": [...], "flags": [...], "runs": N}`` where each
-    flag is one ``(rule, element, run)`` whose robust z-score over the
-    window exceeds the rule's threshold in the rule's direction.
-    Series shorter than ``min_runs`` are skipped — two runs cannot
-    define "normal".
-    """
-    if last is not None and last > 0:
-        records = records[-last:]
-    evaluated = []
-    flags = []
-    for rule in rules:
-        for key, points in sorted(trend_series(records, rule.metric).items()):
-            values = [value for _, value in points]
-            if len(values) < rule.min_runs:
-                evaluated.append({
-                    "rule": rule.name, "metric": rule.metric,
-                    "element": key, "points": points,
-                    "skipped": f"{len(values)} run(s) < min_runs "
-                               f"{rule.min_runs}",
-                })
-                continue
-            med = _median(values)
-            scale = robust_scale(values)
-            zscores = [(value - med) / scale for value in values]
-            evaluated.append({
-                "rule": rule.name, "metric": rule.metric,
-                "element": key, "points": points,
-                "median": med, "scale": scale, "z": zscores,
-                "skipped": None,
-            })
-            for (run_id, value), z in zip(points, zscores):
-                if rule.direction == "high" and z <= rule.threshold:
-                    continue
-                if rule.direction == "low" and z >= -rule.threshold:
-                    continue
-                if rule.direction == "both" and abs(z) <= rule.threshold:
-                    continue
-                flags.append({
-                    "rule": rule.name, "metric": rule.metric,
-                    "element": key, "run_id": run_id,
-                    "value": value, "median": med, "z": round(z, 3),
-                    "severity": rule.severity,
-                })
-    return {"rules": evaluated, "flags": flags, "runs": len(records)}
-
-
-def trend_has_breach(report):
-    """True iff any flag carries breach severity — what
-    ``repro history trend --gate`` exits nonzero on."""
-    return any(
-        flag["severity"] == "breach" for flag in report.get("flags", ())
-    )

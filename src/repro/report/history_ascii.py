@@ -4,13 +4,23 @@ list|show|diff|trend`` views.
 ``render_history_diff`` is a flamegraph-style *diff*: rows keep the
 target run's span start order and tree indentation, the bar visualizes
 each span's self-time delta (``+`` growth right of the axis, ``-``
-shrink left), and new/vanished/regressed spans are tagged inline. The
-trend view draws one sparkline timeline per (rule, element) series
-with flagged runs marked ``!``.
+shrink left), and new/vanished spans are tagged inline. The trend view
+draws one sparkline timeline per (trend rule, element) series with the
+runs its verdict flagged marked ``!``. The verdicts themselves come
+from :func:`repro.observe.slo.evaluate_slo` and print as
+:func:`repro.observe.slo.render_slo`'s block below these views.
 """
 
 from __future__ import annotations
 
+import statistics
+
+from repro.observe.slo import (
+    MIN_TREND_RUNS,
+    trend_key,
+    trend_series,
+    verdict_counts,
+)
 from repro.report.ascii import _human_bytes
 
 _SPARK = " .:-=+*#%@"
@@ -55,9 +65,10 @@ def render_history_list(records, title="run history"):
     return "\n".join(lines)
 
 
-def render_history_show(record, width=40):
+def render_history_show(record, verdicts=None, width=40):
     """Full single-run view: identity, knobs, stages, memory,
-    calibration, recovery, SLO verdicts."""
+    calibration, recovery, and the counts of the SLO ``verdicts``
+    judged on it (no line without)."""
     lines = [
         f"### run {record.get('run_id', '?')} "
         f"[{record.get('kind', '?')}] — status "
@@ -127,13 +138,13 @@ def render_history_show(record, width=40):
         lines.append("  recovery    " + " ".join(
             f"{key}={recovery[key]}" for key in sorted(recovery)
         ))
-    slo = record.get("slo")
-    if slo:
-        failing = slo.get("failing") or []
+    if verdicts is not None:
+        counts = verdict_counts(verdicts)
+        failing = sorted(v.rule.name for v in verdicts if v.ok is False)
         lines.append(
-            f"  slo         {slo.get('breach', 0)} breach, "
-            f"{slo.get('warn', 0)} warn, {slo.get('pass', 0)} pass, "
-            f"{slo.get('skip', 0)} skip"
+            f"  slo         {counts['breach']} breach, "
+            f"{counts['warn']} warn, {counts['pass']} pass, "
+            f"{counts['skip']} skip"
             + (f" — failing: {', '.join(failing)}" if failing else "")
         )
     problems = record.get("parse_problems") or []
@@ -163,8 +174,7 @@ def render_history_diff(diff, width=24, max_rows=None):
         f"### history diff {diff.get('base_id', '?')} -> "
         f"{diff.get('target_id', '?')} — "
         f"{diff.get('matched', 0)} matched, {diff.get('new', 0)} new, "
-        f"{diff.get('vanished', 0)} vanished, "
-        f"{len(diff.get('regressions', ()))} regression(s)"
+        f"{diff.get('vanished', 0)} vanished"
     ]
     status = diff.get("status") or {}
     if status.get("base") != status.get("target"):
@@ -203,14 +213,11 @@ def render_history_diff(diff, width=24, max_rows=None):
         if row["align"] == "matched":
             delta = row["d_self_s"] or 0.0
             bar = _delta_bar(delta, scale, width)
-            tag = ""
-            if row["regression"]:
-                tag = "  REGRESSION: " + "; ".join(row["reasons"])
             lines.append(
                 f"  {label:<34.34s} "
                 f"{_fmt_seconds(base_cell.get('self_s'))} "
                 f"{_fmt_seconds(target_cell.get('self_s'))} "
-                f"{delta:>+8.3f} {bar}{tag}"
+                f"{delta:>+8.3f} {bar}"
             )
         elif row["align"] == "new":
             lines.append(
@@ -245,15 +252,6 @@ def render_history_diff(diff, width=24, max_rows=None):
         lines.append(
             f"  recovery {key}: {change['base']} -> {change['target']}"
         )
-    if diff.get("regressions"):
-        lines.append(f"  {len(diff['regressions'])} regression(s):")
-        for regression in diff["regressions"]:
-            lines.append(
-                f"    [{regression['kind']}] {regression['path']}: "
-                + "; ".join(regression["reasons"])
-            )
-    else:
-        lines.append("  zero regressions")
     return "\n".join(lines)
 
 
@@ -270,42 +268,33 @@ def _sparkline(values):
     return "".join(chars)
 
 
-def render_trend(report, title="history trend"):
-    """Per-(rule, element) drift timelines with flagged runs marked."""
-    lines = [
-        f"### {title} — {report.get('runs', 0)} run(s), "
-        f"{len(report.get('flags', ()))} flag(s)"
-    ]
-    flagged = {
-        (flag["rule"], flag["element"], flag["run_id"])
-        for flag in report.get("flags", ())
-    }
-    for entry in report.get("rules", ()):
-        label = entry["element"] or entry["metric"]
-        points = entry.get("points") or []
-        if entry.get("skipped"):
-            lines.append(
-                f"  [skip  ] {entry['rule']}: {label} — "
-                f"{entry['skipped']}"
+def render_trend(records, verdicts, title="history trend"):
+    """One sparkline timeline per (trend rule, element) series over
+    ``records``, with the points each ``trend`` verdict flagged marked
+    ``!``; series too short to judge are listed as skipped."""
+    trend = [v for v in verdicts if v.rule.against == "trend"]
+    flags = sum(len(v.details) for v in trend if v.ok is False)
+    lines = [f"### {title} — {len(records)} run(s), {flags} flag(s)"]
+    for verdict in trend:
+        rule = verdict.rule
+        for element, points in sorted(
+            trend_series(records, rule.metric).items()
+        ):
+            label = element or rule.metric
+            if len(points) < MIN_TREND_RUNS:
+                lines.append(
+                    f"  [skip  ] {rule.name}: {label} — {len(points)} "
+                    f"run(s) < min_runs {MIN_TREND_RUNS}"
+                )
+                continue
+            values = [value for _, value in points]
+            marks = "".join(
+                "!" if trend_key(label, run_id) in verdict.details
+                else "." for run_id, _ in points
             )
-            continue
-        values = [value for _, value in points]
-        marks = "".join(
-            "!" if (entry["rule"], entry["element"], run_id) in flagged
-            else "." for run_id, value in points
-        )
-        lines.append(
-            f"  [{len(values):>4d}pt] {entry['rule']}: {label} "
-            f"median {entry['median']:.6g} "
-            f"[{_sparkline(values)}] [{marks}]"
-        )
-    for flag in report.get("flags", ()):
-        lines.append(
-            f"  [{flag['severity']:<6s}] {flag['rule']}: "
-            f"{flag['element'] or flag['metric']} run {flag['run_id']} "
-            f"value {flag['value']:.6g} vs median "
-            f"{flag['median']:.6g} (z={flag['z']:+.3g})"
-        )
-    if not report.get("flags"):
-        lines.append("  no drift flagged")
+            lines.append(
+                f"  [{len(values):>4d}pt] {rule.name}: {label} "
+                f"median {statistics.median(values):.6g} "
+                f"[{_sparkline(values)}] [{marks}]"
+            )
     return "\n".join(lines)

@@ -124,10 +124,7 @@ def render_views(workdir):
             "history-diff-straggler": _cli(*history, "diff", "@1", "@2"),
             "history-diff-torn": _cli(*history, "diff", "@0", "@3"),
             "history-diff-over-budget": _cli(*history, "diff", "@0", "@4"),
-            "history-trend": _cli(*history, "trend", "--gate"),
-            "history-trend-metric": _cli(
-                *history, "trend", "--metric", "stages.*.sim_s",
-                "--min-runs", "3"),
+            "history-trend": _cli(*history, "trend"),
             "slo-clean": _cli("report", "--slo", rules, "a.jsonl"),
             "slo-torn": _cli("report", "--slo", rules, "t.jsonl"),
             "slo-twin": _cli("report", "--slo", rules, "b.jsonl",

@@ -6,9 +6,12 @@ The contract under test is the CI ``history`` job's: any obs/v1 ledger
 — including a torn one a SIGKILLed driver left behind — summarizes
 into one ``runsum/v1`` record and joins the timeline, and a file that
 is not a ledger is refused, never stored; ingest is idempotent by
-construction (run ids are content hashes); twin runs diff with zero regressions while an injected
-straggler is flagged both by the span-aligned diff (deterministic
-sim-second growth) and by the ``trend --gate`` change-point detector.
+construction (run ids are content hashes); twin runs diff with zero
+breaches while an injected straggler is flagged both by ``history
+diff`` (deterministic sim-second growth against the baseline) and by
+``history trend`` (robust z over the window) — both judged by the one
+SLO engine. The judges that engine replaced live on at the bottom of
+this file as oracles.
 """
 
 import builtins
@@ -21,6 +24,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.cnn import build_model
@@ -34,33 +39,46 @@ from repro.exceptions import UserMemoryExceeded
 from repro.faults.clock import SimulatedClock
 from repro.memory.model import GB, MemoryBudget, Region
 from repro.metrics import MetricsRegistry
+from repro.faults import FaultInjector, FaultPlan, equip_context
 from repro.observe import (
-    HistoryRule,
     HistoryStore,
     RUNSUM_SCHEMA,
     RunLedger,
+    SloRule,
     diff_runs,
     environment_meta,
-    evaluate_trend,
-    has_regressions,
-    load_history_rules,
+    evaluate_slo,
+    has_breach,
     load_rules,
-    load_ruleset,
     read_ledger,
     run_fingerprint,
     spans_from_events,
     summarize_ledger,
-    trend_has_breach,
 )
-from repro.observe.history import (
+from repro.observe.history import summarize_path
+from repro.observe.slo import (
+    resolve_path,
     robust_scale,
-    summarize_path,
+    trend_key,
     trend_series,
 )
-from repro.observe.slo import resolve_path
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_RULES = os.path.join(REPO_ROOT, "slo", "default.yaml")
+
+#: The four committed rules that replaced ``history diff``'s
+#: hard-coded regression tiers.
+DIFF_RULE_NAMES = ("stage-sim-growth", "stage-status-stable",
+                   "recovery-growth", "memory-within-budget")
+
+
+def _rules(*names):
+    by_name = {rule.name: rule for rule in load_rules(DEFAULT_RULES)}
+    return [by_name[name] for name in names]
+
+
+def _statuses(verdicts):
+    return {v.rule.name: v.status for v in verdicts}
 
 
 # ---------------------------------------------------------------------
@@ -103,10 +121,9 @@ def _write_ledger(path, straggle_s=0.0, extra=(), run_end="ok",
     return path
 
 
-def _summarize_file(path, slo_rules=None):
+def _summarize_file(path):
     events, problems = read_ledger(path)
-    return summarize_ledger(events, problems, source=path,
-                            slo_rules=slo_rules)
+    return summarize_ledger(events, problems, source=path)
 
 
 # ---------------------------------------------------------------------
@@ -218,15 +235,14 @@ def test_summarize_ledger_counts_recovery_events(tmp_path):
     assert record["stages"]["join"]["sim_s"] == pytest.approx(12.5)
 
 
-def test_summarize_ledger_evaluates_slo_rules(tmp_path):
+def test_summarize_ledger_holds_facts_only(tmp_path):
+    """A record is what the run did, never a verdict on it: verdicts
+    are computed on demand by whichever front end reads the record."""
     path = _write_ledger(os.path.join(str(tmp_path), "a.jsonl"))
-    record = _summarize_file(path, slo_rules=load_rules(DEFAULT_RULES))
-    slo = record["slo"]
-    # Evaluated over the record just built; only the baseline-relative
-    # plan-choice rule skips (no baseline at ingest). Nothing breaches.
-    assert (slo["breach"], slo["pass"], slo["skip"]) == (0, 3, 1)
-    assert slo["failing"] == []
-    assert _summarize_file(path)["slo"] is None
+    record = _summarize_file(path)
+    assert "slo" not in record
+    store = HistoryStore(os.path.join(str(tmp_path), "store"))
+    assert "slo" not in store.ingest(path)[0]
 
 
 def test_sigkilled_driver_ledger_summarizes_as_torn(tmp_path):
@@ -461,34 +477,41 @@ def test_cli_run_emits_enriched_run_meta(tmp_path, capsys):
 # span-aligned diffs
 # ---------------------------------------------------------------------
 def test_twin_runs_diff_with_zero_regressions(tmp_path):
-    a = _write_ledger(os.path.join(str(tmp_path), "a.jsonl"))
-    b = _write_ledger(os.path.join(str(tmp_path), "b.jsonl"))
-    diff = diff_runs(_summarize_file(a), _summarize_file(b))
+    a, b = (_summarize_file(_write_ledger(os.path.join(str(tmp_path), name)))
+            for name in ("a.jsonl", "b.jsonl"))
+    diff = diff_runs(a, b)
     assert diff["matched"] == 3
     assert diff["new"] == diff["vanished"] == 0
-    assert diff["regressions"] == []
-    assert not has_regressions(diff)
     assert diff["fingerprint_match"] is True
     assert diff["knob_changes"] == {}
+    verdicts = evaluate_slo(load_rules(DEFAULT_RULES), b, baseline=a)
+    assert not has_breach(verdicts)
+    assert {_statuses(verdicts)[name] for name in DIFF_RULE_NAMES} == {
+        "pass", "skip"}  # no memory gauges in these ledgers
 
 
 def test_straggler_diff_flags_sim_and_recovery_regressions(tmp_path):
     a = _write_ledger(os.path.join(str(tmp_path), "a.jsonl"))
     b = _write_ledger(os.path.join(str(tmp_path), "b.jsonl"),
                       straggle_s=12.5)
-    diff = diff_runs(_summarize_file(a), _summarize_file(b))
-    assert has_regressions(diff)
-    kinds = {(r["kind"], r["path"]) for r in diff["regressions"]}
-    # Deterministic tier: any sim growth regresses, at any magnitude —
-    # the straggler's 12.5 sim seconds land on join and its ancestors.
-    assert ("span", "workload/join") in kinds
-    assert ("span", "workload") in kinds
-    assert ("recovery", "straggler") in kinds
+    clean, straggler = _summarize_file(a), _summarize_file(b)
+    diff = diff_runs(clean, straggler)
     assert diff["recovery_deltas"]["straggler"] == {"base": 0,
                                                     "target": 1}
+    verdicts = {v.rule.name: v for v in evaluate_slo(
+        _rules(*DIFF_RULE_NAMES), straggler, baseline=clean)}
+    # Any sim growth regresses, at any magnitude — the straggler's 12.5
+    # sim seconds land on join and on the workload that encloses it.
+    sim = verdicts["stage-sim-growth"]
+    assert sim.status == "breach"
+    assert set(sim.details) == {"workload", "join"}
+    recovery = verdicts["recovery-growth"]
+    assert recovery.status == "breach"
+    assert set(recovery.details) == {"total"}
     # The reverse direction (straggler -> clean) is an improvement.
-    reverse = diff_runs(_summarize_file(b), _summarize_file(a))
-    assert not any(r["kind"] == "span" for r in reverse["regressions"])
+    reverse = evaluate_slo(_rules(*DIFF_RULE_NAMES), clean,
+                           baseline=straggler)
+    assert not has_breach(reverse)
 
 
 def test_diff_reports_new_vanished_spans_and_knob_changes():
@@ -519,26 +542,23 @@ def test_diff_reports_new_vanished_spans_and_knob_changes():
     assert diff["fingerprint_match"] is False
     assert diff["knob_changes"]["join"] == {"base": "broadcast",
                                             "target": "shuffle"}
-    # Structural changes inform but do not regress by themselves.
-    assert diff["regressions"] == []
+    assert "regressions" not in diff  # the diff reports, rules judge
 
 
 def test_diff_flags_status_downgrade_and_new_over_budget():
-    base = {"spans": [{"path": "w", "name": "w", "depth": 0,
-                       "start_seq": 1, "wall_s": 1.0, "self_s": 1.0,
-                       "sim_s": 0.0, "status": "ok"}],
+    base = {"stages": {"w": {"sim_s": 0.0, "status": "ok"}},
             "memory": {"w0/cache": {"peak_bytes": 100.0,
                                     "budget_bytes": 500.0,
                                     "over_budget": False}}}
-    target = {"spans": [{"path": "w", "name": "w", "depth": 0,
-                         "start_seq": 1, "wall_s": 1.0, "self_s": 1.0,
-                         "sim_s": 0.0, "status": "error:boom"}],
+    target = {"stages": {"w": {"sim_s": 0.0, "status": "error:boom"}},
               "memory": {"w0/cache": {"peak_bytes": 600.0,
                                       "budget_bytes": 500.0,
                                       "over_budget": True}}}
-    diff = diff_runs(base, target)
-    kinds = {r["kind"] for r in diff["regressions"]}
-    assert kinds == {"span", "memory"}
+    verdicts = evaluate_slo(_rules(*DIFF_RULE_NAMES), target,
+                            baseline=base)
+    assert {name for name, status in _statuses(verdicts).items()
+            if status == "breach"} == {"stage-status-stable",
+                                       "memory-within-budget"}
 
 
 # ---------------------------------------------------------------------
@@ -568,6 +588,19 @@ def test_robust_scale_floors():
     )
 
 
+def _trend_rule(name, metric, comparator="<=", threshold=3.5, **kw):
+    return SloRule(name=name, metric=metric, comparator=comparator,
+                   threshold=threshold, against="trend", **kw)
+
+
+def _timeline(paths):
+    """Summaries in ingest order, each with the run id a store gives."""
+    records = [_summarize_file(path) for path in paths]
+    for position, record in enumerate(records):
+        record["run_id"] = f"r{position}"
+    return records
+
+
 def test_trend_flags_straggler_and_passes_twins(tmp_path):
     paths = [
         _write_ledger(os.path.join(str(tmp_path), f"r{i}.jsonl"),
@@ -576,33 +609,36 @@ def test_trend_flags_straggler_and_passes_twins(tmp_path):
     ]
     paths.append(_write_ledger(os.path.join(str(tmp_path), "s.jsonl"),
                                straggle_s=12.5))
-    records = [_summarize_file(p) for p in paths]
-    rules = [HistoryRule(name="stage-sim-drift",
-                         metric="stages.*.sim_s"),
-             HistoryRule(name="recovery-burst",
-                         metric="recovery.total")]
-    clean = evaluate_trend(records[:3], rules)
-    assert clean["flags"] == []
-    assert not trend_has_breach(clean)
-    report = evaluate_trend(records, rules)
-    assert trend_has_breach(report)
-    flagged = {(f["rule"], f["element"]) for f in report["flags"]}
-    assert ("stage-sim-drift", "join") in flagged
-    assert ("recovery-burst", "") in flagged
+    records = _timeline(paths)
+    rules = [_trend_rule("stage-sim-drift", "stages.*.sim_s"),
+             _trend_rule("recovery-burst", "recovery.total")]
+    clean = evaluate_slo(rules, history=records[:3])
+    assert _statuses(clean) == {"stage-sim-drift": "pass",
+                                "recovery-burst": "pass"}
+    verdicts = evaluate_slo(rules, history=records)
+    assert has_breach(verdicts)
+    flagged = {(v.rule.name, key) for v in verdicts for key in v.details}
     # Every flag points at the straggler run, never the twins.
-    straggler_id = records[-1].get("run_id", "?")
-    assert all(f["run_id"] == straggler_id for f in report["flags"])
+    assert flagged == {
+        ("stage-sim-drift", trend_key("join", "r3")),
+        ("stage-sim-drift", trend_key("workload", "r3")),
+        ("recovery-burst", trend_key("recovery.total", "r3")),
+    }
 
 
 def test_trend_min_runs_skips_short_series(tmp_path):
     paths = [_write_ledger(os.path.join(str(tmp_path), f"r{i}.jsonl"))
              for i in range(2)]
-    records = [_summarize_file(p) for p in paths]
-    report = evaluate_trend(
-        records, [HistoryRule(name="w", metric="wall_s", min_runs=3)]
-    )
-    assert report["flags"] == []
-    assert report["rules"][0]["skipped"].startswith("2 run(s)")
+    (verdict,) = evaluate_slo([_trend_rule("w", "wall_s")],
+                              history=_timeline(paths))
+    assert verdict.status == "skip"
+    assert verdict.note == "no series of 3+ runs; skipped"
+    # Judged only when given a history at all; required says so.
+    (no_history,) = evaluate_slo(
+        [_trend_rule("w", "wall_s", required=True)],
+        target=_timeline(paths)[0])
+    assert no_history.status == "breach"
+    assert no_history.note == "no history (required)"
 
 
 def test_trend_last_window_and_absent_metrics(tmp_path):
@@ -610,10 +646,13 @@ def test_trend_last_window_and_absent_metrics(tmp_path):
                               straggle_s=9.0)
     twins = [_write_ledger(os.path.join(str(tmp_path), f"r{i}.jsonl"))
              for i in range(3)]
-    records = [_summarize_file(p) for p in [straggler] + twins]
-    rule = HistoryRule(name="rec", metric="recovery.total")
+    records = _timeline([straggler] + twins)
+    rule = _trend_rule("rec", "recovery.total")
+    assert _statuses(evaluate_slo([rule], history=records)) == {
+        "rec": "breach"}
     # Windowed to the last 3 runs, the old straggler ages out.
-    assert evaluate_trend(records, [rule], last=3)["flags"] == []
+    assert _statuses(evaluate_slo([rule], history=records[-3:])) == {
+        "rec": "pass"}
     # A record without the metric is skipped, not treated as zero.
     series = trend_series(
         records + [{"run_id": "x"}], "recovery.total"
@@ -621,37 +660,58 @@ def test_trend_last_window_and_absent_metrics(tmp_path):
     assert len(series[""]) == 4
 
 
-def test_history_rule_validation():
+def test_trend_rule_validation():
+    assert _trend_rule("r", "wall_s").against == "trend"
     with pytest.raises(ValueError):
-        HistoryRule(name="r", metric="wall_s", direction="sideways")
+        SloRule(name="r", metric="wall_s", comparator="<=",
+                threshold=3.5, against="sideways")
     with pytest.raises(ValueError):
-        HistoryRule(name="r", metric="wall_s", severity="meh")
-    with pytest.raises(ValueError):
-        HistoryRule(name="r", metric="wall_s", threshold=0.0)
+        _trend_rule("r", "wall_s", severity="meh")
 
 
 # ---------------------------------------------------------------------
-# the scoped ruleset file
+# the ruleset file: one `rules:` list
 # ---------------------------------------------------------------------
-def test_default_ruleset_history_scope_loads():
-    rules = load_history_rules(DEFAULT_RULES)
-    names = {rule.name for rule in rules}
-    assert {"stage-sim-drift", "recovery-burst", "memory-peak-drift",
-            "calibration-drift", "wall-drift"} <= names
-    by_name = {rule.name: rule for rule in rules}
+def test_default_ruleset_trend_rules_load():
+    by_name = {rule.name: rule for rule in load_rules(DEFAULT_RULES)
+               if rule.against == "trend"}
+    assert list(by_name) == [
+        "stage-sim-drift", "recovery-burst", "memory-peak-drift",
+        "calibration-drift-high", "calibration-drift-low", "wall-drift"]
+    assert all(rule.threshold == 3.5 or rule.threshold == -3.5
+               for rule in by_name.values())
     assert by_name["wall-drift"].severity == "warn"
-    assert by_name["calibration-drift"].direction == "both"
+    # `direction: both` is two one-tailed rules.
+    high, low = (by_name["calibration-drift-high"],
+                 by_name["calibration-drift-low"])
+    assert (high.comparator, high.threshold) == ("<=", 3.5)
+    assert (low.comparator, low.threshold) == (">=", -3.5)
+    assert high.severity == low.severity == "warn"
 
 
-def test_history_scope_is_invisible_to_slo_loader():
-    """Backward compatibility: the new ``history:`` scope must not
-    leak into the SLO rule list the gates run on."""
-    slo_rules = load_rules(DEFAULT_RULES)
-    assert slo_rules  # the existing gates still load
-    slo_names = {rule.name for rule in slo_rules}
-    assert "stage-sim-drift" not in slo_names
-    scopes = load_ruleset(DEFAULT_RULES)
-    assert set(scopes) == {"rules", "history"}
+def test_load_rules_rejects_a_history_scope(tmp_path):
+    """Oracle (c): the second YAML scope is gone; a file that still
+    carries one fails loudly rather than losing its trend rules."""
+    path = os.path.join(str(tmp_path), "rules.yaml")
+    with open(path, "w") as handle:
+        handle.write(
+            "rules:\n"
+            "  - name: ok\n"
+            "    metric: status\n"
+            "    comparator: \"!=\"\n"
+            "    threshold: torn\n"
+            "history:\n"
+            "  - name: stage-sim-drift\n"
+            "    metric: stages.*.sim_s\n"
+            "    threshold: 3.5\n"
+        )
+    with pytest.raises(ValueError, match="history"):
+        load_rules(path)
+    as_json = os.path.join(str(tmp_path), "rules.json")
+    with open(as_json, "w") as handle:
+        json.dump({"rules": [], "history": []}, handle)
+    with pytest.raises(ValueError, match="history"):
+        load_rules(as_json)
 
 
 def test_scoped_yaml_parser_headerless_entries_default_to_rules(
@@ -662,17 +722,14 @@ def test_scoped_yaml_parser_headerless_entries_default_to_rules(
         handle.write(
             "# comment\n"
             "- name: top-level\n"
-            "  metric: results.x\n"
-            "  max: 1\n"
-            "history:\n"
-            "- name: drift\n"
             "  metric: wall_s\n"
+            "  comparator: <=\n"
             "  threshold: 4.0\n"
+            "  against: trend\n"
         )
-    scopes = load_ruleset(path)
-    assert [e["name"] for e in scopes["rules"]] == ["top-level"]
-    assert scopes["history"][0]["threshold"] == 4.0
-    assert load_history_rules(path)[0].threshold == 4.0
+    (rule,) = load_rules(path)
+    assert (rule.name, rule.threshold, rule.against) == (
+        "top-level", 4.0, "trend")
 
 
 # ---------------------------------------------------------------------
@@ -808,6 +865,8 @@ def test_cli_history_ingest_list_show(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "straggler=1" in out
     assert "join" in out
+    # The verdict counts are judged on demand, on the target alone.
+    assert "  slo         0 breach, 0 warn, 3 pass, " in out
     # Re-ingest is idempotent and says so.
     assert main(["history", "--store", store_dir, "ingest",
                  os.path.join(str(tmp_path), "a.jsonl")]) == 0
@@ -817,15 +876,16 @@ def test_cli_history_ingest_list_show(tmp_path, capsys):
 def test_cli_history_diff_exit_codes(tmp_path, capsys):
     store_dir = _store_with_three_runs(tmp_path)
     capsys.readouterr()
-    # Twins: exit 0, zero regressions.
+    # Twins: exit 0, nothing breached.
     assert main(["history", "--store", store_dir, "diff",
                  "@0", "@1"]) == 0
-    assert "zero regressions" in capsys.readouterr().out
-    # Twin vs straggler: exit 1, the regression named.
+    assert "  0 breach, 0 warn, " in capsys.readouterr().out
+    # Twin vs straggler: exit 1, the breached rule and stage named.
     assert main(["history", "--store", store_dir, "diff",
                  "@1", "@2"]) == 1
     out = capsys.readouterr().out
-    assert "REGRESSION" in out and "sim +12.500s" in out
+    assert "[breach] stage-sim-growth" in out
+    assert "           join: inf" in out
     # Unknown run: exit 2.
     assert main(["history", "--store", store_dir, "diff",
                  "@0", "zzzz"]) == 2
@@ -834,20 +894,27 @@ def test_cli_history_diff_exit_codes(tmp_path, capsys):
 def test_cli_history_trend_gate(tmp_path, capsys):
     store_dir = _store_with_three_runs(tmp_path)
     capsys.readouterr()
-    base = ["history", "--store", store_dir, "trend",
-            "--metric", "stages.*.sim_s", "--min-runs", "3"]
-    assert main(base) == 0  # report only: flags shown, exit 0
+    # The straggler is judged without a flag: exit 1, the drift named.
+    assert main(["history", "--store", store_dir, "trend"]) == 1
     out = capsys.readouterr().out
-    assert "flag(s)" in out
-    # --gate turns breach flags into a nonzero exit.
-    assert main(base + ["--gate"]) == 1
-    out = capsys.readouterr().out
-    assert "breach" in out
-    # Windowing past the straggler gates clean... the straggler is
-    # last, so shrink the window to the two twins + min-runs guard.
+    assert "3 run(s), 3 flag(s)" in out
+    assert "[breach] stage-sim-drift" in out
+    # Windowed to the two twins, no series is long enough to judge.
     assert main(["history", "--store", store_dir, "trend",
-                 "--metric", "wall_s", "--min-runs", "3",
-                 "--last", "2", "--gate"]) == 0
+                 "--last", "2"]) == 0
+    # `history --rules` swaps the ruleset: a warn-only one reports.
+    rules = os.path.join(str(tmp_path), "warn.json")
+    with open(rules, "w") as handle:
+        json.dump([{"name": "sim", "metric": "sim_s",
+                    "comparator": "<=", "threshold": 3.5,
+                    "severity": "warn", "against": "trend"}], handle)
+    capsys.readouterr()
+    assert main(["history", "--store", store_dir, "--rules", rules,
+                 "trend"]) == 0
+    assert "0 breach, 1 warn" in capsys.readouterr().out
+    # A ruleset that does not load: exit 2.
+    assert main(["history", "--store", store_dir, "--rules",
+                 os.path.join(str(tmp_path), "nope.yaml"), "trend"]) == 2
 
 
 def test_cli_history_empty_store_exit_codes(tmp_path, capsys):
@@ -855,8 +922,7 @@ def test_cli_history_empty_store_exit_codes(tmp_path, capsys):
     assert main(["history", "--store", store_dir, "list"]) == 2
     assert main(["history", "--store", store_dir, "diff",
                  "@0", "@1"]) == 2
-    assert main(["history", "--store", store_dir, "trend",
-                 "--gate"]) == 2
+    assert main(["history", "--store", store_dir, "trend"]) == 2
     assert main(["history", "--store", store_dir, "show", "@0"]) == 2
     err = capsys.readouterr().err
     assert "empty" in err
@@ -884,3 +950,317 @@ def test_cli_inject_straggler_end_to_end(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["run", "--model", "alexnet", "--records", "24",
               "--inject-straggler", "not-a-spec"])
+
+
+# ---------------------------------------------------------------------
+# oracles: the judges the SLO engine replaced, kept to check it
+# ---------------------------------------------------------------------
+def _old_status_rank(status):
+    if status == "ok":
+        return 0
+    return 2 if str(status).startswith("error") else 1  # torn & co
+
+
+def _old_diff_regressions(base, target):
+    """The regression tiers ``diff_runs`` hard-coded before the four
+    diff rules replaced them: ``(tier, key)`` for sim growth or a
+    status downgrade on any aligned span, a recovery kind whose count
+    grew, a memory region newly over its budget."""
+    found = set()
+    base_spans = {span["path"]: span for span in base.get("spans", ())}
+    for span in target.get("spans", ()):
+        old = base_spans.get(span["path"])
+        if old is None:
+            continue
+        if round(span["sim_s"] - old["sim_s"], 9) > 1e-9:
+            found.add(("sim", span["path"]))
+        if _old_status_rank(span["status"]) > _old_status_rank(
+                old["status"]):
+            found.add(("status", span["path"]))
+    base_recovery = base.get("recovery") or {}
+    target_recovery = target.get("recovery") or {}
+    for key in set(base_recovery) | set(target_recovery):
+        if key != "total" and (int(target_recovery.get(key) or 0)
+                               > int(base_recovery.get(key) or 0)):
+            found.add(("recovery", key))
+    base_memory = base.get("memory") or {}
+    for key, region in (target.get("memory") or {}).items():
+        if region.get("over_budget") and not (
+                base_memory.get(key) or {}).get("over_budget"):
+            found.add(("memory", key))
+    return found
+
+
+#: The documented differences of the four rules from the old tiers
+#: (DESIGN.md §4l), by which side alone flags them.
+_OLD_ONLY = {"nested span", "recovery kind swap"}
+_NEW_ONLY = {"any status change", "over budget in both runs"}
+
+
+def _intended_differences(base, target):
+    found = set()
+    stage_paths = {span["path"] for span in target.get("spans", ())
+                   if span["depth"] == 0 or (
+                       span["depth"] == 1
+                       and span["path"].startswith("workload/"))}
+    total_grew = ((target.get("recovery") or {}).get("total", 0)
+                  > (base.get("recovery") or {}).get("total", 0))
+    for tier, key in _old_diff_regressions(base, target):
+        if tier in ("sim", "status") and key not in stage_paths:
+            found.add("nested span")
+        if tier == "recovery" and not total_grew:
+            found.add("recovery kind swap")
+    base_stages = base.get("stages") or {}
+    for key, stage in (target.get("stages") or {}).items():
+        old = base_stages.get(key)
+        if old and old["status"] != stage["status"] and (
+                _old_status_rank(stage["status"])
+                <= _old_status_rank(old["status"])):
+            found.add("any status change")
+    base_memory = base.get("memory") or {}
+    for key, region in (target.get("memory") or {}).items():
+        if region.get("over_budget") and (
+                base_memory.get(key) or {}).get("over_budget"):
+            found.add("over budget in both runs")
+    return found
+
+
+def _diff_exits(base, target):
+    """``(old exit, new exit)`` for one pair; asserts that a pair on
+    which they disagree hits an intended difference of the right
+    side."""
+    old = bool(_old_diff_regressions(base, target))
+    new = has_breach(evaluate_slo(_rules(*DIFF_RULE_NAMES), target,
+                                  baseline=base))
+    if old != new:
+        intended = _intended_differences(base, target)
+        assert intended & (_OLD_ONLY if old else _NEW_ONLY), (
+            old, new, intended, _old_diff_regressions(base, target))
+    return int(old), int(new)
+
+
+def test_diff_rules_match_the_old_tiers_on_the_golden_pairs(tmp_path):
+    """Oracle (a), golden pairs: the same exit verdict, no exception."""
+    def record(name, **kwargs):
+        return _summarize_file(
+            _write_ledger(os.path.join(str(tmp_path), name), **kwargs))
+
+    clean, twin = record("a.jsonl"), record("b.jsonl")
+    straggler = record("c.jsonl", straggle_s=12.5)
+    torn = record("t.jsonl", run_end=None)
+    over = record("o.jsonl", extra=[
+        ("metric", {"metric": name, "value": value,
+                    "labels": {"worker": "w0", "region": "cache"}})
+        for name, value in (("mem_used_bytes", 900.0),
+                            ("mem_capacity_bytes", 500.0))])
+    pairs = [(clean, twin), (twin, straggler), (clean, torn),
+             (clean, over), (straggler, clean)]
+    assert [_diff_exits(base, target) for base, target in pairs] == [
+        (0, 0), (1, 1), (0, 0), (1, 1), (0, 0)]
+
+
+@pytest.fixture(scope="module")
+def fault_plan_runs(tmp_path_factory):
+    """One traced, ledgered serial run per :class:`FaultPlan` — clean,
+    straggler, task retries, worker loss — summarized."""
+    from repro.trace import Tracer
+
+    root = tmp_path_factory.mktemp("faults")
+    plans = {
+        "clean": None,
+        "straggler": FaultPlan().straggler(partition=1, delay_s=5.0),
+        "retry": FaultPlan().task_crash(partition=2),
+        "retries": FaultPlan().task_crash(partition=0).task_oom(
+            partition=3),
+        "worker-loss": FaultPlan().worker_loss(worker=1),
+    }
+    records = {}
+    for name, plan in plans.items():
+        vista = Vista(model_name="alexnet", num_layers=2,
+                      dataset=foods_dataset(num_records=24),
+                      resources=default_resources(num_nodes=2))
+        context = vista.build_context()
+        if plan is not None:
+            context = equip_context(
+                context, injector=FaultInjector(plan, seed=0))
+        path = str(root / f"{name}.jsonl")
+        ledger = RunLedger(path)
+        vista.run(context=context, tracer=Tracer(), ledger=ledger)
+        ledger.emit("run_end", status="ok")
+        ledger.close()
+        records[name] = _summarize_file(path)
+    return records
+
+
+def test_diff_rules_match_the_old_tiers_on_fault_plan_runs(
+        fault_plan_runs):
+    """Oracle (a), real faults: every ordered pair of runs agrees or
+    differs only as documented — and a fault is always caught against
+    the clean run."""
+    exits = {(a, b): _diff_exits(fault_plan_runs[a], fault_plan_runs[b])
+             for a in fault_plan_runs for b in fault_plan_runs if a != b}
+    for name in fault_plan_runs:
+        if name != "clean":
+            assert exits[("clean", name)] == (1, 1), name
+            assert exits[(name, "clean")] == (0, 0), name
+    # A straggler swapped for a retry at the same total: the old tier
+    # flagged the new kind; the rules judge the shared kinds and total.
+    assert exits[("straggler", "retry")] == (1, 0)
+
+
+_SIM = st.sampled_from([0.0, 0.5, 2.0])
+_STAGE = st.tuples(
+    _SIM,  # sim seconds inside the stage's nested task span
+    _SIM,  # sim seconds in the stage outside it
+    st.sampled_from(["ok", "ok", "error:boom"]),
+    st.sampled_from([None, "ok", "error:boom"]),  # None: no task span
+)
+_RUN = st.fixed_dictionaries({
+    "stages": st.tuples(_STAGE, _STAGE, _STAGE),
+    "recovery": st.lists(st.sampled_from(
+        ["straggler", "task_retry", "worker_lost"]), max_size=3),
+    "peak": st.sampled_from([None, 100.0, 900.0]),
+    "run_end": st.booleans(),
+    "cut": st.integers(0, 3),  # events lost to a torn tail
+})
+
+
+def _synthetic_record(run):
+    """Summarize one generated run: three stages under ``workload``,
+    each optionally with a nested ``task`` span, the recovery events,
+    a ``w0/user`` gauge against a 500-byte budget, and the last
+    ``cut`` events torn off."""
+    events = []
+    clock = {"wall": 0.0, "sim": 0.0}
+
+    def emit(kind, **fields):
+        clock["wall"] += 0.001
+        events.append(_event(kind, len(events) + 1, clock["wall"],
+                             clock["sim"], **fields))
+
+    emit("run_meta", fingerprint="feedfacefeedface", model="alexnet")
+    emit("span_start", name="workload", attrs={})
+    for name, (task_sim, own_sim, status, task_status) in zip(
+            ("read", "join", "train"), run["stages"]):
+        emit("span_start", name=name, attrs={})
+        if task_status is not None:
+            emit("span_start", name="task", attrs={})
+        clock["sim"] += task_sim
+        if task_status is not None:
+            emit("span_end", name="task", status=task_status)
+        clock["sim"] += own_sim
+        emit("span_end", name=name, status=status)
+    for kind in run["recovery"]:
+        emit("recovery", event=kind)
+    if run["peak"] is not None:
+        labels = {"worker": "w0", "region": "user"}
+        emit("metric", metric="mem_used_bytes", value=run["peak"],
+             labels=labels)
+        emit("metric", metric="mem_capacity_bytes", value=500.0,
+             labels=labels)
+    emit("span_end", name="workload", status="ok")
+    if run["run_end"]:
+        emit("run_end", status="ok")
+    return summarize_ledger(events[:len(events) - run["cut"]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=_RUN, target=_RUN)
+def test_diff_rules_match_the_old_tiers_on_generated_ledgers(base,
+                                                             target):
+    """Oracle (a), generated: stragglers, retries, worker loss, torn
+    tails and over-budget gauges in any mix."""
+    _diff_exits(_synthetic_record(base), _synthetic_record(target))
+
+
+def _old_trend_flags(records, metric, threshold, direction, last=None):
+    """``evaluate_trend`` for one ``HistoryRule`` as it was before
+    ``against: trend`` replaced it (``min_runs`` 3): the flagged
+    ``(element, run_id)`` pairs, the element named by the metric for
+    a scalar spec."""
+    def median(values):
+        ordered = sorted(values)
+        middle = len(ordered) // 2
+        if len(ordered) % 2:
+            return float(ordered[middle])
+        return (ordered[middle - 1] + ordered[middle]) / 2.0
+
+    if last is not None and last > 0:
+        records = records[-last:]
+    series = {}
+    for record in records:
+        resolved = resolve_path(record, metric)
+        if resolved is None:
+            continue
+        items = (resolved.items() if isinstance(resolved, dict)
+                 else [("", resolved)])
+        for key, value in items:
+            series.setdefault(key, []).append(
+                (record["run_id"], float(value)))
+    flags = set()
+    for key, points in series.items():
+        values = [value for _, value in points]
+        if len(values) < 3:
+            continue
+        med = median(values)
+        scale = max(1.4826 * median([abs(v - med) for v in values]),
+                    0.05 * abs(med), 1e-9)
+        for run_id, value in points:
+            z = (value - med) / scale
+            if direction == "high" and z <= threshold:
+                continue
+            if direction == "low" and z >= -threshold:
+                continue
+            flags.add((key or metric, run_id))
+    return flags
+
+
+def _assert_trend_matches(values, threshold=3.5, last=None):
+    """One scalar series (``x``) and one two-element glob series
+    (``m.*``; ``None`` leaves a run without the value), both tails."""
+    records = []
+    for position, value in enumerate(values):
+        record = {"run_id": f"r{position}", "m": {}}
+        if value is not None:
+            record["x"] = value
+            record["m"]["a"] = value
+            record["m"]["b"] = value * position
+        records.append(record)
+    window = records[-last:] if last else records
+    for metric in ("x", "m.*"):
+        for direction, comparator, bound in (("high", "<=", threshold),
+                                             ("low", ">=", -threshold)):
+            rule = SloRule(name="t", metric=metric, comparator=comparator,
+                           threshold=bound, against="trend")
+            (verdict,) = evaluate_slo([rule], history=window)
+            expected = _old_trend_flags(records, metric, threshold,
+                                        direction, last=last)
+            assert set(verdict.details) == {
+                trend_key(label, run_id) for label, run_id in expected}
+            assert (verdict.ok is False) == bool(expected)
+
+
+@pytest.mark.parametrize("values", [
+    [0.0] * 6,                                  # all zero
+    [4.2] * 6,                                  # constant
+    [1.0, 1.0, 1.0, 250.0, 1.0],                # a single outlier
+    [1.0, 1.0, 1.0, -250.0, 1.0],               # ... in the low tail
+    [1.0, 9.0],                                 # fewer than 3 points
+    [1.0, None, 9.0, None],                     # 2 of 4 runs carry it
+])
+def test_trend_rules_flag_what_evaluate_trend_flagged(values):
+    """Oracle (b): the same ``(element, run)`` set, case by case."""
+    _assert_trend_matches(values)
+    _assert_trend_matches(values, last=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.one_of(
+           st.none(), st.sampled_from([0.0, 1.0, 1e6]),
+           st.floats(-1e3, 1e3, allow_nan=False)), max_size=9),
+       threshold=st.sampled_from([0.5, 2.0, 3.5]),
+       last=st.one_of(st.none(), st.integers(1, 9)))
+def test_trend_rules_flag_what_evaluate_trend_flagged_generated(
+        values, threshold, last):
+    """Oracle (b), generated series, windows and thresholds."""
+    _assert_trend_matches(values, threshold=threshold, last=last)

@@ -760,27 +760,68 @@ def test_slo_baseline_ratio_and_equal():
     assert list(exact.details) == ["plan"]  # names the knob that flipped
 
 
+def test_ratio_note_is_wrapped_once():
+    rule = SloRule(name="r", metric="sim_s", comparator="<=",
+                   threshold=1.0, against="baseline-ratio")
+    (verdict,) = evaluate_slo([rule], {"sim_s": 1.0},
+                              baseline={"sim_s": 1.0})
+    assert verdict.note == "target/baseline ratio"
+    assert render_slo([verdict]).splitlines()[1].endswith(
+        "— value 1 (target/baseline ratio)")
+
+
+def test_ratio_over_a_glob_with_one_element_names_the_element():
+    """A glob keeps its element keys when one element compares, so
+    the failing detail names ``total``, not the spec."""
+    rule = SloRule(name="r", metric="recovery.*", comparator="<=",
+                   threshold=1.0, against="baseline-ratio")
+    (verdict,) = evaluate_slo(
+        [rule], {"recovery": {"straggler": 1, "total": 1}},
+        baseline={"recovery": {"total": 0}})
+    assert verdict.status == "breach"
+    assert verdict.details == {"total": float("inf")}
+    assert "           total: inf" in render_slo([verdict])
+
+
+def test_equal_rule_without_shared_elements_honours_required():
+    rules = [SloRule(name=name, metric="knobs.*", comparator="<=",
+                     threshold=0, against="baseline-equal",
+                     required=required)
+             for name, required in (("soft", False), ("hard", True))]
+    verdicts = evaluate_slo(rules, {"knobs": {"cpu": 7}},
+                            baseline={"knobs": {"plan": "lazy"}})
+    assert {v.rule.name: v.status for v in verdicts} == {
+        "soft": "skip", "hard": "breach"}
+    assert verdicts[1].note == "no shared elements with baseline (required)"
+
+
 def test_default_ruleset_loads_and_self_gates(tmp_path):
     """The committed ruleset parses (flat-YAML, no PyYAML installed)
     and one recorded file clears all of it: with a twin run's ledger
-    as the baseline no rule is skipped, and a baseline whose recorded
-    ``optimizer_decision`` differs breaches ``exact-plan-choice``."""
+    as the baseline every value and baseline rule passes (only the
+    trend rules, which read a history window, skip), and a baseline
+    whose recorded ``optimizer_decision`` differs breaches
+    ``exact-plan-choice``."""
     rules = load_rules(DEFAULT_RULES)
-    assert [r.name for r in rules] == [
+    assert [r.name for r in rules if r.against != "trend"] == [
         "exact-plan-choice", "ledger-no-parse-errors",
         "ledger-no-schema-problems", "ledger-run-completed",
+        "stage-sim-growth", "stage-status-stable", "recovery-growth",
+        "memory-within-budget",
     ]
     run_a, run_b = (os.path.join(str(tmp_path), name)
                     for name in ("twin_a.jsonl", "twin_b.jsonl"))
     for ledger in (run_a, run_b):
         assert _cli("run", "--records", "48", "--nodes", "2", "--model",
-                    "alexnet", "--layers", "2", "--ledger", ledger) == 0
+                    "alexnet", "--layers", "2", "--metrics",
+                    "--ledger", ledger) == 0
 
     def statuses(baseline):
         return {v.rule.name: v.status
                 for v in evaluate_slo(rules, run_b, baseline=baseline)}
 
-    assert set(statuses(run_a).values()) == {"pass"}
+    assert statuses(run_a) == {
+        r.name: "skip" if r.against == "trend" else "pass" for r in rules}
     assert statuses(None)["exact-plan-choice"] == "skip"  # needs a twin
     edited = os.path.join(str(tmp_path), "edited.jsonl")
     events, _ = read_ledger(run_a)
@@ -801,10 +842,10 @@ def test_one_line_ledger_is_judged_not_skipped(tmp_path):
     RunLedger(path).close()
     with open(path) as fh:
         assert len(fh.read().splitlines()) == 1
-    statuses = {v.rule.name: v.status
-                for v in evaluate_slo(load_rules(DEFAULT_RULES), path)}
-    assert statuses == {
-        "exact-plan-choice": "skip",  # no baseline given
+    judged = {v.rule.name: v.status
+              for v in evaluate_slo(load_rules(DEFAULT_RULES), path)
+              if v.status != "skip"}  # no baseline, no history given
+    assert judged == {
         "ledger-no-parse-errors": "pass",
         "ledger-no-schema-problems": "pass",
         "ledger-run-completed": "warn",

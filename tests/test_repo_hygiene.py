@@ -124,7 +124,7 @@ def test_envelope_schema_is_gone_from_src():
 def test_every_committed_rule_metric_resolves_on_a_record(tmp_path):
     """A rule whose path matches nothing is skipped, silently — so a
     typo in ``slo/default.yaml`` would be a gate that never fires."""
-    from repro.observe import load_ruleset, read_ledger, summarize_ledger
+    from repro.observe import load_rules, read_ledger, summarize_ledger
     from repro.observe.slo import resolve_path
     from tests.test_history import _write_ledger
 
@@ -135,14 +135,10 @@ def test_every_committed_rule_metric_resolves_on_a_record(tmp_path):
                     "labels": {"worker": "w0", "region": "user"}}),
     ])
     record = summarize_ledger(*read_ledger(ledger))
-    scopes = load_ruleset(os.path.join(REPO_ROOT, "slo", "default.yaml"))
-    assert set(scopes) == {"rules", "history"}
-    for scope, entries in scopes.items():
-        for entry in entries:
-            assert resolve_path(record, entry["metric"]) is not None, (
-                f"{scope}: {entry['name']}: {entry['metric']!r} "
-                "matches nothing"
-            )
+    for rule in load_rules(os.path.join(REPO_ROOT, "slo", "default.yaml")):
+        assert resolve_path(record, rule.metric) is not None, (
+            f"{rule.name}: {rule.metric!r} matches nothing"
+        )
 
 
 # ---------------------------------------------------------------------
