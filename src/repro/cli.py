@@ -279,11 +279,11 @@ def _finalize_ledger(args, ledger):
               f"{ledger.path}`)")
 
 
-def _straggler_context(vista, config, spec):
-    """Build the run's cluster context with a seeded straggler fault
-    wired in: ``PART:SECONDS`` delays that partition's task on the
-    simulated clock (no failure), recording a ``recovery`` event —
-    the deterministic drift source the history trend gate flags."""
+def _inject_straggler(context, spec):
+    """Wire a seeded straggler fault into the run's cluster context:
+    ``PART:SECONDS`` delays that partition's task on the simulated
+    clock (no failure), recording a ``recovery`` event — the
+    deterministic drift source the history trend gate flags."""
     from repro.faults import FaultInjector, FaultPlan, equip_context
 
     part_text, _, delay_text = str(spec).partition(":")
@@ -294,7 +294,6 @@ def _straggler_context(vista, config, spec):
         raise SystemExit(
             f"--inject-straggler expects PART:SECONDS, got {spec!r}"
         ) from None
-    context = vista.build_context(config)
     injector = FaultInjector(
         FaultPlan().straggler(partition=partition, delay_s=delay_s),
         seed=0,
@@ -339,13 +338,13 @@ def cmd_run(args):
         num_layers=stats_layers or 2,
         dataset=dataset,
         resources=resources,
-        exec_backend=getattr(args, "backend", None) or "serial",
+        exec_backend=getattr(args, "backend", None),
     )
     config = vista.optimize(tracer=tracer, metrics=metrics_registry)
     print(f"optimizer: {config.describe()}")
-    context = None
+    context = vista.build_context(config)
     if getattr(args, "inject_straggler", None):
-        context = _straggler_context(vista, config, args.inject_straggler)
+        context = _inject_straggler(context, args.inject_straggler)
     if ledger is not None:
         from repro.observe import (
             ProgressRenderer,
@@ -358,7 +357,7 @@ def cmd_run(args):
             "model": args.model, "dataset": args.dataset,
             "records": args.records, "nodes": args.nodes,
             "layers": args.layers or 2,
-            "exec_backend": getattr(args, "backend", None) or "serial",
+            "exec_backend": context.exec_backend.name,
             "resumed": bool(getattr(args, "_resumed", False)),
             "env": environment_meta(),
         }
@@ -747,9 +746,11 @@ def build_parser():
         sub_parser.add_argument("--records", type=int, default=80)
         _add_observability_args(sub_parser)
         sub_parser.add_argument(
-            "--backend", default="serial", choices=["serial", "process"],
-            help="physical wave executor: 'serial' (deterministic "
-                 "in-process default) or 'process' (up to cpu "
+            "--backend", default=None,
+            choices=["threads", "serial", "process"],
+            help="physical wave executor for the CNN stages: 'threads' "
+                 "(default: the run's cpu lanes in this process), "
+                 "'serial' (one task at a time) or 'process' (up to cpu "
                  "forked workers resident per stage, results over pipes)",
         )
 

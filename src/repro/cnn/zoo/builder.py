@@ -9,7 +9,12 @@ from __future__ import annotations
 
 from repro.cnn import layers as L
 from repro.cnn.network import CNN
-from repro.cnn.shapes import profile_network, total_params
+from repro.cnn.shapes import (
+    image_working_set_bytes,
+    micro_batch_rows,
+    profile_network,
+    total_params,
+)
 from repro.cnn.weights import he_normal, model_rng
 from repro.cnn.zoo.roster import MODEL_ROSTER, ModelStats
 from repro.exceptions import ShapeError
@@ -71,10 +76,11 @@ def build_from_specs(name, specs, input_shape, feature_layers, seed=0):
     """Build an executable :class:`CNN` from a spec chain — the one
     place a ``CNN`` is constructed, so every executable model carries
     ``cnn.stats``: the :class:`ModelStats` of the network that actually
-    runs, built from the profiles computed here. Footprints are three
-    times the parameter bytes (serialized formats underestimate
-    in-memory footprints — Section 4.1, issue (1)); feature data
-    compresses like the roster architecture of the same name.
+    runs, built from the profiles computed here. A replica's footprint
+    is three times the parameter bytes plus one micro-batch of kernel
+    working set (PAPER §4.1: serialized formats underestimate in-memory
+    footprints); feature data compresses like the roster architecture
+    of the same name.
     """
     rng = model_rng(name, seed=seed)
     profiles = profile_network(specs, input_shape)
@@ -89,7 +95,9 @@ def build_from_specs(name, specs, input_shape, feature_layers, seed=0):
             )
         ops.append(op)
         shape = op.output_shape
-    footprint = 3 * 4 * total_params(profiles)
+    working_set = image_working_set_bytes(profiles)
+    footprint = (3 * 4 * total_params(profiles)
+                 + micro_batch_rows(working_set) * working_set)
     roster = MODEL_ROSTER.get(name)
     return CNN(ops, ModelStats(
         name, profiles, feature_layers, input_shape, footprint, footprint,

@@ -21,7 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.cnn.shapes import profile_network, total_flops, total_params
+from repro.cnn.shapes import (
+    image_working_set_bytes,
+    micro_batch_rows,
+    profile_network,
+    total_flops,
+    total_params,
+)
 from repro.cnn.zoo import alexnet, resnet50, vgg16
 from repro.exceptions import InvalidLayerError
 from repro.features.pooling import pooled_dim
@@ -66,6 +72,14 @@ class ModelStats:
         self.total_params = total_params(self.profiles)
         self.total_flops = total_flops(self.profiles)
         self.serialized_bytes = 4 * self.total_params
+        #: Kernel bytes one image costs a batched forward pass, and the
+        #: rows an inference call takes at a time (cnn/shapes.py).
+        self.image_working_set_bytes = image_working_set_bytes(
+            self.profiles
+        )
+        self.micro_batch_rows = micro_batch_rows(
+            self.image_working_set_bytes
+        )
         self.runtime_mem_bytes = int(runtime_mem_bytes)
         self.gpu_mem_bytes = int(gpu_mem_bytes)
         self.serialized_ratio = serialized_ratio

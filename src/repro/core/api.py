@@ -63,8 +63,9 @@ class Vista:
                 f"backend must be 'spark' or 'ignite', got {backend!r}"
             )
         self.backend = backend
-        #: Physical wave executor ("serial"/"process" or a Backend
-        #: instance); ``backend`` above is the memory-budget model.
+        #: Physical wave executor ("threads", the default, "serial" or
+        #: "process", or a Backend instance); ``backend`` above is the
+        #: memory-budget model.
         self.exec_backend = exec_backend
         self.model_profile = model_profile
         self.plan = plan

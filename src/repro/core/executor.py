@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.core.plans import SOURCE, Op, compile_plan, infer_step
-from repro.dataflow.backend import SERIAL_BACKEND
+from repro.dataflow.backend import SERIAL_BACKEND, on_driver
 from repro.dataflow.columnar import ColumnarBlock, pack_column
 from repro.dataflow.executor import charge_model_replicas
 from repro.dataflow.joins import join as physical_join
@@ -135,7 +135,14 @@ class FeatureTransferExecutor:
         :func:`~repro.ml.lanes.training_lanes`.
     model_mem_bytes:
         Per-replica DL memory charge; defaults to the executable
-        model's own ``cnn.stats.runtime_mem_bytes``.
+        model's own ``cnn.stats.runtime_mem_bytes`` (its weights plus
+        one micro-batch of kernel working set).
+
+    Inference runs in micro-batches of ``cnn.stats.micro_batch_rows``
+    rows (:func:`~repro.cnn.shapes.micro_batch_rows`), whatever the
+    partition size; the micro-batch is part of a run's identity
+    wherever features are stored, because OpenBLAS's bits depend on
+    the batch.
     """
 
     def __init__(self, context, cnn, dataset, layers, config,
@@ -258,7 +265,7 @@ class FeatureTransferExecutor:
             getattr(self.cnn, "name", "cnn"),
             getattr(self.cnn, "seed", None),
             self.layers, dataset_fingerprint(self.dataset), plan.label,
-            self.config,
+            self.config, self.cnn.stats.micro_batch_rows,
         ))
 
     @property
@@ -292,25 +299,20 @@ class FeatureTransferExecutor:
         # on the context so the process backend's forked children can
         # diff it around a task and ship only the new samples back —
         # the parent replays them into the tracer and the deferred
-        # histogram flush below.
+        # histogram flush below. A thread lane's samples reach both
+        # through ``on_driver``, when the driver settles its task.
         samples = self.context.op_samples
 
-        if tracer_record is None:
-
-            def hook(name, seconds):
-                durations = samples.get(name)
-                if durations is None:
-                    durations = samples[name] = []
-                durations.append(seconds)
-
-        else:
-
-            def hook(name, seconds):
+        def record(name, seconds):
+            if tracer_record is not None:
                 tracer_record(name, seconds)
-                durations = samples.get(name)
-                if durations is None:
-                    durations = samples[name] = []
-                durations.append(seconds)
+            durations = samples.get(name)
+            if durations is None:
+                durations = samples[name] = []
+            durations.append(seconds)
+
+        def hook(name, seconds):
+            on_driver(record, name, seconds)
 
         if not registry.enabled:
             return hook, None
@@ -403,7 +405,8 @@ class FeatureTransferExecutor:
 
                 fingerprint = dataset_fingerprint(self.dataset)
                 block = self.feature_store.get(
-                    self.cnn.name, layer, fingerprint
+                    self.cnn.name, layer, fingerprint,
+                    micro_batch=self.cnn.stats.micro_batch_rows,
                 )
                 if block is not None:
                     self.metrics["premat_store_hit"] = True
@@ -420,21 +423,43 @@ class FeatureTransferExecutor:
             self.metrics["inference_flops"] -= flops
             if self.feature_store is not None:
                 self.feature_store.put(
-                    self.cnn.name, layer, fingerprint, table.collect()
+                    self.cnn.name, layer, fingerprint, table.collect(),
+                    micro_batch=self.cnn.stats.micro_batch_rows,
                 )
                 self.metrics["premat_store_hit"] = False
                 sp.set("store_hit", False)
             return table
 
+    def _forward(self, rows, from_layer, to_layer):
+        """``partial_forward_batch`` over ``rows`` — an ``(N, ...)``
+        array or a list of same-shape tensors — in micro-batches of
+        ``cnn.stats.micro_batch_rows``, so the kernels' working set
+        does not grow with the partition. Every micro-batch after the
+        first is written into one preallocated output."""
+        batch = self.cnn.stats.micro_batch_rows
+        start = from_layer or 0
+        first = self.cnn.partial_forward_batch(rows[:batch], start,
+                                               to_layer)
+        if len(rows) <= batch:
+            return first
+        out = np.empty((len(rows),) + first.shape[1:], dtype=first.dtype)
+        out[:batch] = first
+        for begin in range(batch, len(rows), batch):
+            out[begin:begin + batch] = self.cnn.partial_forward_batch(
+                rows[begin:begin + batch], start, to_layer
+            )
+        return out
+
     def _infer_ragged(self, values, from_layer, to_layer):
         """Batched inference over an object column (ragged tensors or
         TensorList members): every tensor — TensorList members included
         — joins one flat work list, the list is grouped by exact shape,
-        and each group runs the batched kernels once. Zero-padding
-        through conv would change the outputs, so exact-shape grouping
-        is what keeps the bit-identical-features invariant; only
-        singleton groups (nothing to batch with) fall back to the
-        per-tensor kernel, counted in ``batched_fallback_total``."""
+        and each group runs the batched kernels in micro-batches.
+        Zero-padding through conv would change the outputs, so
+        exact-shape grouping is what keeps the bit-identical-features
+        invariant; only singleton groups (nothing to batch with) fall
+        back to the per-tensor kernel, counted in
+        ``batched_fallback_total``."""
         flat = []  # (row position, TensorList member position or None)
         tensors = []
         for position, value in enumerate(values):
@@ -458,20 +483,13 @@ class FeatureTransferExecutor:
                 )
                 fallbacks += 1
                 continue
-            batch = self.cnn.partial_forward_batch(
-                np.stack([tensors[i] for i in indices]),
-                from_layer or 0, to_layer,
+            batch = self._forward(
+                [tensors[i] for i in indices], from_layer, to_layer
             )
             for index, member in zip(indices, batch):
                 outputs[index] = member
         if fallbacks:
-            counters = self.context.task_counters
-            counters["batched_fallbacks"] = (
-                counters.get("batched_fallbacks", 0) + fallbacks
-            )
-            self.metrics_registry.counter(
-                "batched_fallback_total"
-            ).inc(fallbacks)
+            on_driver(self._count_fallbacks, fallbacks)
         per_row = [None] * len(values)
         members = {}
         for (position, member_position), output in zip(flat, outputs):
@@ -483,6 +501,13 @@ class FeatureTransferExecutor:
             per_row[position] = TensorList(collected)
         return per_row
 
+    def _count_fallbacks(self, fallbacks):
+        counters = self.context.task_counters
+        counters["batched_fallbacks"] = (
+            counters.get("batched_fallbacks", 0) + fallbacks
+        )
+        self.metrics_registry.counter("batched_fallback_total").inc(fallbacks)
+
     def _inference_map(self, table, step):
         """An ``INFER`` step — partial CNN inference from
         ``step.from_layer`` through every layer of ``step.outputs`` —
@@ -491,9 +516,9 @@ class FeatureTransferExecutor:
 
         An array column — the stored ``(N, H, W, C)`` images or the
         previous layer's ``(N, ...)`` tensors — feeds straight into the
-        batched kernels, zero-copy. Object columns (ragged tensors,
-        TensorLists) batch by exact shape group via
-        :meth:`_infer_ragged`.
+        batched kernels, zero-copy, one micro-batch slice at a time.
+        Object columns (ragged tensors, TensorLists) batch by exact
+        shape group via :meth:`_infer_ragged`.
         """
         field = "tensor" if step.from_layer else "image"
         to_layer = step.outputs[-1][0]
@@ -508,9 +533,7 @@ class FeatureTransferExecutor:
             current, previous = block.column(field), step.from_layer
             for layer, column in step.outputs:
                 if isinstance(current, np.ndarray):
-                    current = self.cnn.partial_forward_batch(
-                        current, previous or 0, layer
-                    )
+                    current = self._forward(current, previous, layer)
                 else:
                     current = pack_column(self._infer_ragged(
                         current, previous, layer

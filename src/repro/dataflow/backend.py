@@ -13,6 +13,13 @@ compute-dense ``INFER`` steps there
 
 - :class:`SerialBackend` runs the wave's tasks sequentially in the
   driver; memory is still *accounted* as if ``cpu`` ran concurrently.
+- :class:`ThreadBackend` (the default) runs them on ``cpu`` lanes in
+  the driver's address space: ``cpu - 1`` pool threads opened for the
+  stage plus the calling thread. numpy's kernels release the GIL, so a
+  wave of conv-heavy ``INFER`` tasks occupies ``cpu`` cores with no
+  copy of an input or a result. A lane's task records into a queue
+  that the driver replays when it settles the task (:func:`on_driver`),
+  so spans and counters are written by one thread only.
 - :class:`ProcessPoolBackend` keeps up to ``cpu`` forked workers
   resident for the duration of a stage (§4.1's "each execution thread
   holds its replica for the stage"), so a wave of ``cpu`` tasks
@@ -39,10 +46,12 @@ before anything is dispatched, so injected crashes, OOMs, stragglers
 and simulated worker losses take the same seeded RNG draws on every
 backend — which keeps recovered outputs bit-identical across them. The
 one fault only a dispatched stage can take, ``worker-kill``
-(:func:`repro.faults.plan.FaultPlan.worker_kill`), SIGKILLs the real
-worker — before its task is sent (``phase="start"``) or after it
-announced its result frame but before the frame was transferred
-(``phase="transfer"``).
+(:func:`repro.faults.plan.FaultPlan.worker_kill`), kills the lane —
+before its task is sent (``phase="start"``) or after the task ran but
+before its result was handed over (``phase="transfer"``): the process
+backend SIGKILLs the real worker, the thread backend raises
+:class:`~repro.exceptions.WorkerLost` at that point and drops the
+result.
 """
 
 from __future__ import annotations
@@ -52,10 +61,13 @@ import os
 import pickle
 import signal
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
+from contextvars import ContextVar
 from time import perf_counter
 
 from repro.atomic_io import write_all
+from repro.blas import one_blas_thread
 from repro.dataflow.columnar import ColumnarBlock
 from repro.exceptions import WorkerLost
 
@@ -113,6 +125,133 @@ class SerialBackend(Backend):
             except Exception as exc:
                 error = exc
             wave.settle(position, partition, attempt, result, error)
+
+
+#: The records a task running on a :class:`ThreadBackend` lane left
+#: for the driver, as ``(record, args)`` pairs; None off a lane.
+_LANE_LOG = ContextVar("lane_log", default=None)
+
+
+def on_driver(record, *args):
+    """Call ``record(*args)`` — a write to driver-side state: a span, a
+    metrics counter, the run's task counters. Inside a task running on
+    a :class:`ThreadBackend` lane the call is queued instead, and the
+    driver makes it when it settles the task, in wave order, so those
+    recorders stay single-threaded and read as a serial run left them."""
+    log = _LANE_LOG.get()
+    if log is None:
+        record(*args)
+    else:
+        log.append((record, args))
+
+
+def _run_on_lane(task_fn, partition):
+    """Run one task with its driver-side records queued; returns
+    ``(result, error, records)``."""
+    records = []
+    token = _LANE_LOG.set(records)
+    try:
+        return task_fn(partition), None, records
+    except Exception as exc:
+        return None, exc, records
+    finally:
+        _LANE_LOG.reset(token)
+
+
+class ThreadBackend(Backend):
+    """``cpu`` lanes sharing the driver's address space.
+
+    :meth:`stage` opens ``cpu - 1`` threads and joins them when the
+    stage exits, on every path; the calling thread is the remaining
+    lane, and BLAS runs one thread per lane meanwhile. A wave's tasks
+    are admitted in wave order on the calling thread, each started the
+    moment it is admitted — on a pool thread, the wave's last task on
+    the calling thread — and settled in wave order once all have
+    started. When admission raises (an injected fault, a killed lane)
+    or a settle raises (a task crash out of retries, a charge
+    overflow), every task already started is still settled, in wave
+    order, and the first error is raised after the last of them: no
+    lane is running when :meth:`run_wave` returns. With one lane a wave
+    is one task, run on the calling thread: the serial loop.
+    """
+
+    name = "threads"
+
+    def __init__(self):
+        self._stage = None  # (the scheduler's stage, its pool)
+
+    @contextmanager
+    def stage(self, stage):
+        lanes = stage.context.cpu
+        outer = self._stage
+        pool = (ThreadPoolExecutor(lanes - 1, thread_name_prefix="lane")
+                if lanes > 1 else None)
+        self._stage = stage, pool
+        try:
+            with one_blas_thread(lanes):
+                yield
+        finally:
+            self._stage = outer
+            if pool is not None:
+                pool.shutdown(wait=True)
+
+    def run_wave(self, wave):
+        if self._stage is None:
+            raise RuntimeError("run_wave called outside Backend.stage()")
+        stage, pool = self._stage
+        injector = stage.context.fault_injector
+        started = []
+        failure = None
+        try:
+            last = wave.tasks[-1][0]
+            for position, partition in wave.tasks:
+                attempt = wave.admit(position, partition)
+                if attempt is None:
+                    continue
+                kill = None
+                if injector is not None:
+                    kill = injector.on_task_fork(
+                        what=stage.what, partition_index=partition.index,
+                        worker_id=wave.worker.node_id, attempt=attempt,
+                    )
+                if kill == "start":
+                    raise _lane_killed(wave, partition, kill)
+                if position == last:
+                    outcome = _run_on_lane(wave.task_fn, partition)
+                else:
+                    outcome = pool.submit(_run_on_lane, wave.task_fn,
+                                          partition)
+                started.append((position, partition, attempt, outcome, kill))
+        except Exception as exc:
+            failure = exc
+        finally:
+            # every lane returns before anything is settled or raised
+            outcomes = [
+                outcome if isinstance(outcome, tuple) else outcome.result()
+                for *_, outcome, _ in started
+            ]
+        for (position, partition, attempt, _, kill), (
+                result, error, records) in zip(started, outcomes):
+            try:
+                if kill == "transfer":
+                    raise _lane_killed(wave, partition, kill)
+                for record, args in records:
+                    record(*args)
+                if isinstance(error, WorkerLost):
+                    raise error
+                wave.settle(position, partition, attempt, result, error)
+            except Exception as exc:
+                failure = failure or exc
+        if failure is not None:
+            raise failure
+
+
+def _lane_killed(wave, partition, phase):
+    return WorkerLost(
+        f"lane running partition {partition.index} killed by an "
+        f"injected worker-kill ({phase})",
+        worker_id=wave.worker.node_id,
+    )
 
 
 class _Slot:
@@ -515,15 +654,20 @@ SERIAL_BACKEND = SerialBackend()
 #: Name -> constructor for the CLI / context plumbing.
 BACKENDS = {
     "serial": SerialBackend,
+    "threads": ThreadBackend,
     "process": ProcessPoolBackend,
 }
+
+#: The backend a context runs on unless told otherwise.
+DEFAULT_BACKEND = "threads"
 
 
 def resolve_backend(backend):
     """Accept a :class:`Backend` instance, a name (``"serial"`` /
-    ``"process"``), or None (→ the shared serial backend)."""
+    ``"threads"`` / ``"process"``), or None (→ a fresh
+    :data:`DEFAULT_BACKEND`)."""
     if backend is None:
-        return SERIAL_BACKEND
+        backend = DEFAULT_BACKEND
     if isinstance(backend, Backend):
         return backend
     try:

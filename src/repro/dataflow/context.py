@@ -50,10 +50,11 @@ class ClusterContext:
         Table 1B); defaults to ``cores_per_node``.
     exec_backend:
         The backend a stage runs on unless its caller places it
-        elsewhere: ``"serial"`` (default), ``"process"``, or a
-        :class:`~repro.dataflow.backend.Backend` instance. Scheduling
-        semantics are identical either way; the process backend runs
-        each wave across forked OS processes.
+        elsewhere: ``"threads"`` (default), ``"serial"``,
+        ``"process"``, or a :class:`~repro.dataflow.backend.Backend`
+        instance. Scheduling semantics are identical on each; the
+        thread backend runs each wave on ``cpu`` lanes of this process,
+        the process backend across forked OS processes.
     """
 
     def __init__(self, budget, num_nodes=1, cores_per_node=8, cpu=None,
@@ -239,7 +240,8 @@ def local_context(system_gb=4, heap_gb=2, num_nodes=2, cores_per_node=4,
     """Convenience constructor for small test/example clusters.
 
     ``backend`` picks the memory-budget *model* (spark/ignite);
-    ``exec_backend`` picks the physical wave executor (serial/process)
+    ``exec_backend`` picks the physical wave executor
+    (threads/serial/process)
     — orthogonal knobs with unfortunately similar names, kept for
     compatibility with the paper's terminology.
     """

@@ -120,13 +120,14 @@ class FaultInjector:
                 )
 
     def on_task_fork(self, what, partition_index, worker_id, attempt):
-        """Called by the process backend just before it hands a task
-        to a worker process; returns the kill phase (``"start"`` /
-        ``"transfer"``) if a worker-kill rule fires, else None. The
-        backend SIGKILLs the real worker at that point — this is the
-        only hook that consumes a worker-kill rule's ``times`` budget,
-        and the serial backend never calls it, so kill rules are inert
-        there by construction."""
+        """Called by a lane backend (threads or processes) just
+        before it starts a task on a lane; returns the kill phase
+        (``"start"`` / ``"transfer"``) if a worker-kill rule fires,
+        else None. The process backend SIGKILLs the real worker at that
+        point and the thread backend raises ``WorkerLost`` there — this
+        is the only hook that consumes a worker-kill rule's ``times``
+        budget, and the serial backend never calls it, so kill rules
+        are inert there by construction."""
         for rule in self.plan:
             if rule.kind != WORKER_KILL:
                 continue

@@ -5,7 +5,9 @@ later use of exploring other layers". This module makes that workflow
 a first-class component: materialized feature tables are persisted on
 disk keyed by (model, layer, dataset fingerprint), so a later session
 exploring higher layers starts from the stored base instead of raw
-images.
+images. An entry the engine wrote also records its micro-batch (the
+rows per inference call; OpenBLAS's bits depend on it), and a reader
+running another micro-batch misses it rather than take other bits.
 
 An entry is one VCB1 buffer (one
 :class:`~repro.dataflow.columnar.ColumnarBlock` per table) plus the
@@ -61,8 +63,9 @@ class FeatureStore:
     def contains(self, model_name, layer, fingerprint):
         return self.metadata(model_name, layer, fingerprint) is not None
 
-    def put(self, model_name, layer, fingerprint, rows):
-        """Persist a materialized feature table (list of row dicts).
+    def put(self, model_name, layer, fingerprint, rows, micro_batch=None):
+        """Persist a materialized feature table (list of row dicts),
+        computed ``micro_batch`` rows per inference call when given.
 
         The entry exists once its metadata does: a crash before that
         leaves a miss. Returns the stored payload size in bytes.
@@ -77,17 +80,18 @@ class FeatureStore:
             "model": model_name,
             "layer": layer,
             "fingerprint": fingerprint,
+            "micro_batch": micro_batch,
             "num_rows": block.num_rows,
             "stored_bytes": len(blob),
             "sha256": sha256_hex(blob),
         }).encode("utf-8"), io=self.io)
         return len(blob)
 
-    def get(self, model_name, layer, fingerprint):
+    def get(self, model_name, layer, fingerprint, micro_batch=None):
         """Load a stored feature table as one block, or None on a
         miss. Data that is not what the entry's metadata committed
         (missing, truncated, altered) raises :class:`ValueError`."""
-        meta = self.metadata(model_name, layer, fingerprint)
+        meta = self.metadata(model_name, layer, fingerprint, micro_batch)
         if meta is None:
             self.misses += 1
             return None
@@ -102,14 +106,21 @@ class FeatureStore:
         self.hits += 1
         return ColumnarBlock.from_buffer(blob)
 
-    def metadata(self, model_name, layer, fingerprint):
-        """The entry's commit record, or None: no record, or a stale
-        one from before records carried a digest (``put`` rewrites)."""
+    def metadata(self, model_name, layer, fingerprint, micro_batch=None):
+        """The entry's commit record, or None: no record, a stale one
+        from before records carried a digest (``put`` rewrites), or one
+        computed under a micro-batch other than ``micro_batch`` (an
+        entry or a reader that names none matches any)."""
         _, meta_path = self._paths(model_name, layer, fingerprint)
         if not meta_path.exists():
             return None
         meta = json.loads(meta_path.read_text())
-        return meta if "sha256" in meta else None
+        if "sha256" not in meta:
+            return None
+        stored = meta.get("micro_batch")
+        if None not in (stored, micro_batch) and stored != micro_batch:
+            return None
+        return meta
 
     def entries(self):
         """Metadata of every stored entry."""

@@ -12,8 +12,9 @@ Training is data-parallel over :func:`~repro.ml.lanes.training_lanes`
 (the run's ``cpu`` inside the executor, 1 elsewhere), as Horovod's is
 over workers: the rows split into that many contiguous shards, each
 lane computes its shard's gradient, and the gradients are summed in
-shard order into one full-batch update per iteration. One lane is the
-plain single-threaded loop. More lanes give the same update up to
+shard order into one full-batch update per iteration, with BLAS held at
+one thread per lane (:func:`~repro.blas.one_blas_thread`). One lane is
+the plain single-threaded loop. More lanes give the same update up to
 float32 rounding (smaller BLAS calls, another summation order), and any
 given lane count repeats bit for bit.
 """
@@ -24,6 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from repro.blas import one_blas_thread
 from repro.ml.lanes import training_lanes
 
 
@@ -58,7 +60,8 @@ class MLPClassifier:
                   for lo, hi in zip(bounds, bounds[1:])]
         # Shard 0 runs on the calling thread, the rest on the pool;
         # leaving the block joins every lane, returned or raised.
-        with ThreadPoolExecutor(max(count - 1, 1)) as pool:
+        with ThreadPoolExecutor(max(count - 1, 1)) as pool, \
+                one_blas_thread(count):
             for _ in range(self.iterations):
                 pending = [pool.submit(self._gradients, x, y, n)
                            for x, y in shards[1:]]

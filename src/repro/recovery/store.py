@@ -74,17 +74,19 @@ def sha256_hex(data):
 
 
 def run_fingerprint(model_name, model_seed, layers, dataset_fp, plan_label,
-                    config):
+                    config, micro_batch=None):
     """Deterministic fingerprint of everything that shapes a stage
     output's bytes: the model identity, layer set, dataset, logical
-    plan, and the config knobs that change partition composition.
+    plan, the config knobs that change partition composition, and the
+    rows per inference call (OpenBLAS's bits depend on the batch).
     Checkpoints are only ever restored into a run with the same
-    fingerprint — a degraded plan or re-partitioned config gets a
-    fresh (empty) checkpoint namespace."""
+    fingerprint — a degraded plan, re-partitioned config or another
+    micro-batch gets a fresh (empty) checkpoint namespace."""
     payload = json.dumps(
         {
             "model": model_name,
             "model_seed": model_seed,
+            "micro_batch": micro_batch,
             "layers": list(layers),
             "dataset": dataset_fp,
             "plan": plan_label,

@@ -25,6 +25,7 @@ from repro.dataflow.backend import (
     ProcessPoolBackend,
     SERIAL_BACKEND,
     SerialBackend,
+    ThreadBackend,
     resolve_backend,
 )
 from repro.dataflow.context import local_context
@@ -76,18 +77,23 @@ def _assert_bit_identical(clean, recovered):
 # backend resolution
 # ---------------------------------------------------------------------
 def test_resolve_backend():
-    assert resolve_backend(None) is SERIAL_BACKEND
+    assert isinstance(resolve_backend(None), ThreadBackend)
+    assert resolve_backend(None) is not resolve_backend(None)
     assert resolve_backend("serial") is SERIAL_BACKEND
+    assert isinstance(resolve_backend("threads"), ThreadBackend)
     assert isinstance(resolve_backend("process"), ProcessPoolBackend)
     custom = ProcessPoolBackend()
     assert resolve_backend(custom) is custom
     with pytest.raises(ValueError, match="backend"):
-        resolve_backend("threads")
+        resolve_backend("fibers")
 
 
 def test_context_resolves_backend_names():
     assert isinstance(
-        local_context().exec_backend, SerialBackend
+        local_context().exec_backend, ThreadBackend
+    )
+    assert isinstance(
+        local_context(exec_backend="serial").exec_backend, SerialBackend
     )
     ctx = local_context(exec_backend="process")
     assert isinstance(ctx.exec_backend, ProcessPoolBackend)

@@ -135,7 +135,8 @@ def test_one_description_of_an_executable_model(name, footprint):
     class and constructor of the roster's, over the profiles of the
     network that runs — and it is what ``executable_model_stats``
     returns. Its footprints are three times the bytes of the weights
-    the layers really hold."""
+    the layers really hold, plus what one micro-batch of inference
+    allocates."""
     from repro.cnn.zoo.densenet import build_densenet_mini
     from repro.costmodel.cnn_cost import executable_model_stats
 
@@ -156,13 +157,42 @@ def test_one_description_of_an_executable_model(name, footprint):
         array.nbytes for op in model.layers for array in _parameter_arrays(op)
     )
     assert stats.serialized_bytes == held
-    assert stats.runtime_mem_bytes == stats.gpu_mem_bytes == 3 * held
+    # a replica: its weights three times over, plus one micro-batch of
+    # kernel working set
+    assert stats.runtime_mem_bytes == stats.gpu_mem_bytes == (
+        3 * held + stats.micro_batch_rows * stats.image_working_set_bytes
+    )
     assert 3 * held == footprint
     for lower, upper in zip([None] + model.feature_layers,
                             model.feature_layers):
         assert stats.flops_between(lower, upper) == model.flops_between(
             lower, upper
         )
+
+
+@pytest.mark.parametrize("name, rows", [
+    ("alexnet", 105), ("resnet50", 33), ("vgg16", 13),
+])
+def test_replica_charge_covers_a_micro_batch(name, rows):
+    """The DL charge of one replica — weights plus one micro-batch of
+    the per-image working set the shape walk predicts — is 1.0-1.25x
+    what a micro-batch's forward pass really allocates, never under."""
+    import tracemalloc
+
+    model = build_model(name)
+    stats = model.stats
+    assert stats.micro_batch_rows == rows
+    batch = np.random.default_rng(0).normal(
+        size=(rows, *model.input_shape)
+    ).astype(np.float32)
+    model.forward_batch(batch)
+    tracemalloc.start()
+    try:
+        model.forward_batch(batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 1.0 <= stats.runtime_mem_bytes / peak <= 1.25
 
 
 def _frozen(array):

@@ -159,6 +159,22 @@ class TestStore:
         store.get("alexnet", "conv5", "fp1")
         assert store.hits == 1
 
+    def test_another_micro_batch_is_a_miss(self, store):
+        """OpenBLAS's bits depend on the rows per inference call, so an
+        entry computed under another micro-batch is not served; an
+        entry or a reader that names none matches any."""
+        store.put("resnet50", "conv4_6", "fp1", _rows(), micro_batch=33)
+        assert store.get("resnet50", "conv4_6", "fp1", micro_batch=16) is None
+        assert store.misses == 1
+        assert store.get("resnet50", "conv4_6", "fp1",
+                         micro_batch=33).num_rows == 10
+        assert store.get("resnet50", "conv4_6", "fp1").num_rows == 10
+        assert store.metadata("resnet50", "conv4_6", "fp1")[
+            "micro_batch"] == 33
+        store.put("resnet50", "conv4_6", "fp2", _rows())
+        assert store.get("resnet50", "conv4_6", "fp2",
+                         micro_batch=16).num_rows == 10
+
     def test_contains(self, store):
         assert not store.contains("m", "l", "f")
         store.put("m", "l", "f", _rows())
@@ -288,6 +304,15 @@ class TestExecutorIntegration:
         assert read_counters() == [structured, images]
         assert read_counters(premat_layer="fc7") == [structured, images]
         assert read_counters(premat_layer="fc7") == [structured]   # hit
+
+    def test_executor_keys_entries_by_its_micro_batch(self, store):
+        self._executor(foods_dataset(num_records=16), store).run(
+            STAGED, premat_layer="fc7"
+        )
+        (meta,) = store.entries()
+        assert meta["micro_batch"] == build_model(
+            "alexnet"
+        ).stats.micro_batch_rows
 
     def test_changed_dataset_misses_store(self, store):
         self._executor(foods_dataset(num_records=16), store).run(

@@ -470,7 +470,7 @@ def test_cli_run_emits_enriched_run_meta(tmp_path, capsys):
     assert meta["resumed"] is False
     assert meta["env"]["python"] == environment_meta()["python"]
     assert meta["env"]["schemas"]["summary"] == RUNSUM_SCHEMA
-    assert meta["exec_backend"] == "serial"
+    assert meta["exec_backend"] == "threads"
 
 
 # ---------------------------------------------------------------------

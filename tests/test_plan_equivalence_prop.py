@@ -21,6 +21,8 @@ seeds to widen coverage.
 
 import os
 import random
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -146,51 +148,77 @@ def _serialized_bytes_per_row(matrix):
     return len(block.to_buffer()) / block.num_rows
 
 
+@contextmanager
+def _forward_threads(model):
+    """The threads ``model.partial_forward_batch`` runs on inside the
+    block."""
+    seen = set()
+    forward = model.partial_forward_batch
+
+    def spy(*args):
+        seen.add(threading.get_ident())
+        return forward(*args)
+
+    model.partial_forward_batch = spy
+    try:
+        yield seen
+    finally:
+        del model.partial_forward_batch
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_backends_bit_identical(seed):
-    """Tentpole invariant: the process backend is purely a *physical*
-    change. For every seeded workload, every logical plan's feature
-    matrices, downstream F1, and serialized bytes per row are
-    byte-identical between the in-process serial engine and the
+    """Tentpole invariant: a backend is purely a *physical* change.
+    For every seeded workload, every logical plan's feature matrices,
+    downstream F1, and serialized bytes per row are byte-identical
+    between the in-process serial engine, the thread lanes and the
     forked-OS-process backend (results shipped over pipes). Stage
-    placement keeps most stages in the driver, so every
-    process run must also show a task served by another pid: the matrix
-    can never silently compare serial with serial."""
+    placement keeps most stages in the driver, so every process run
+    must also show a task served by another pid, and every thread run
+    whose waves hold two tasks a forward pass on another thread: the
+    matrix can never silently compare serial with serial."""
     model_name, model, layers, dataset, config = workload_from_seed(seed)
     for name, plan in ALL_PLANS.items():
         serial = _run_plan(model, dataset, layers, config, plan,
                            exec_backend="serial")
-        ledger = RunLedger()
-        process = _run_plan(model, dataset, layers, config, plan,
-                            exec_backend="process", ledger=ledger)
-        served_by = {event["pid"] for event in ledger.of("task_fork")}
-        assert served_by and os.getpid() not in served_by, (
-            f"seed {seed} ({model_name}): {name} dispatched nothing"
-        )
-        assert sorted(process.layer_results) == sorted(
-            serial.layer_results
-        ), f"seed {seed} ({model_name}): {name} trained different layers"
-        for layer in serial.layer_results:
-            ref = serial.layer_results[layer].downstream
-            got = process.layer_results[layer].downstream
-            assert np.array_equal(got["matrix"], ref["matrix"]), (
-                f"seed {seed} ({model_name}, {config.join}/"
-                f"{config.persistence}, np={config.num_partitions}, "
-                f"cpu={config.cpu}): plan {name} diverged bitwise "
-                f"between backends on layer {layer}"
-            )
-            assert got["matrix"].dtype == ref["matrix"].dtype
-            assert got["f1_train"] == ref["f1_train"], (
-                f"seed {seed}: plan {name} downstream accuracy diverged "
-                f"between backends on {layer}"
-            )
-            assert (
-                _serialized_bytes_per_row(got["matrix"])
-                == _serialized_bytes_per_row(ref["matrix"])
-            ), (
-                f"seed {seed}: plan {name} wire-format bytes per row "
-                f"diverged between backends on {layer}"
-            )
+        for backend in ("threads", "process"):
+            ledger = RunLedger()
+            with _forward_threads(model) as threads:
+                other = _run_plan(model, dataset, layers, config, plan,
+                                  exec_backend=backend, ledger=ledger)
+            if backend == "process":
+                served_by = {event["pid"] for event in ledger.of("task_fork")}
+                assert served_by and os.getpid() not in served_by, (
+                    f"seed {seed} ({model_name}): {name} dispatched nothing"
+                )
+            elif config.cpu > 1 and config.num_partitions > 2:
+                assert threads - {threading.get_ident()}, (
+                    f"seed {seed} ({model_name}): {name} ran no lane"
+                )
+            assert sorted(other.layer_results) == sorted(
+                serial.layer_results
+            ), f"seed {seed} ({model_name}): {name} trained different layers"
+            for layer in serial.layer_results:
+                ref = serial.layer_results[layer].downstream
+                got = other.layer_results[layer].downstream
+                assert np.array_equal(got["matrix"], ref["matrix"]), (
+                    f"seed {seed} ({model_name}, {config.join}/"
+                    f"{config.persistence}, np={config.num_partitions}, "
+                    f"cpu={config.cpu}): plan {name} diverged bitwise "
+                    f"between serial and {backend} on layer {layer}"
+                )
+                assert got["matrix"].dtype == ref["matrix"].dtype
+                assert got["f1_train"] == ref["f1_train"], (
+                    f"seed {seed}: plan {name} downstream accuracy "
+                    f"diverged between serial and {backend} on {layer}"
+                )
+                assert (
+                    _serialized_bytes_per_row(got["matrix"])
+                    == _serialized_bytes_per_row(ref["matrix"])
+                ), (
+                    f"seed {seed}: plan {name} wire-format bytes per row "
+                    f"diverged between serial and {backend} on {layer}"
+                )
 
 
 def _single_image_oracle(model, dataset, layer):

@@ -214,6 +214,20 @@ def test_run_fingerprint_covers_plan_and_config():
     )
 
 
+def test_run_fingerprint_covers_the_micro_batch():
+    """Checkpoints written 105 rows per inference call are not restored
+    into a run that batches 33 at a time."""
+    from repro.core.config import VistaConfig
+
+    config = VistaConfig(
+        cpu=2, num_partitions=4, mem_storage_bytes=1, mem_user_bytes=1,
+        mem_dl_bytes=1, join="shuffle", persistence="deserialized",
+    )
+    key = ("alexnet", 0, ["fc6"], "48-abc", "staged/aj", config)
+    assert run_fingerprint(*key, 105) == run_fingerprint(*key, 105)
+    assert run_fingerprint(*key, 105) != run_fingerprint(*key, 33)
+
+
 # ---------------------------------------------------------------------
 # integrity: corruption, missing files, torn manifests
 # ---------------------------------------------------------------------
