@@ -18,7 +18,7 @@ from harness import AMAZON, FOODS, paper_workload, print_table
 from repro.core.config import Resources
 from repro.core.optimizer import optimize
 from repro.core.plans import STAGED
-from repro.costmodel import cloudlab_cluster, estimate_runtime, vista_setup
+from repro.costmodel import cloudlab_cluster, estimate_plan, vista_setup
 from repro.memory.model import GB
 
 CLUSTER = cloudlab_cluster()
@@ -26,12 +26,12 @@ RESOURCES = Resources(8, 32 * GB, 8)
 
 
 def vista_report(model_name, ds, backend="spark", mutate=None):
-    stats, layers = paper_workload(model_name)
-    config = optimize(stats, layers, ds, RESOURCES)
+    workload = paper_workload(model_name, ds)
+    config = optimize(workload, RESOURCES)
     setup = vista_setup(config, backend=backend)
     if mutate is not None:
         setup = mutate(setup)
-    return estimate_runtime(stats, layers, ds, STAGED, setup, CLUSTER)
+    return estimate_plan(workload, STAGED, setup, CLUSTER)
 
 
 @pytest.fixture(scope="module")

@@ -22,7 +22,8 @@ from repro.dataflow.context import local_context
 
 def static_redundancy(model_name):
     """Paper-scale: Lazy total vs Staged total FLOPs per layer count."""
-    stats, layers = paper_workload(model_name)
+    workload = paper_workload(model_name)
+    stats, layers = workload.model_stats, workload.layers
     out = {}
     for k in range(1, len(layers) + 1):
         subset = layers[-k:]

@@ -19,8 +19,8 @@ from repro.core.optimizer import optimize
 from repro.core.plans import EAGER, LAZY, STAGED
 from repro.costmodel import (
     cloudlab_cluster,
+    estimate_plan,
     estimate_premat_runtime,
-    estimate_runtime,
     ignite_default_setup,
     spark_default_setup,
     vista_setup,
@@ -36,23 +36,18 @@ APPROACHES = ["Lazy-1", "Lazy-5", "Lazy-7", "Lazy-5+Premat", "Eager", "Vista"]
 
 def run_cell(model_name, dataset_stats, backend, approach):
     """One Figure 6 cell: a RuntimeReport (possibly crashed)."""
-    stats, layers = paper_workload(model_name)
+    workload = paper_workload(model_name, dataset_stats)
     if approach.startswith("Lazy-") and "Premat" not in approach:
         cpu = int(approach.split("-")[1])
         setup = (
             spark_default_setup(cpu, dataset_stats.num_records)
             if backend == "spark" else ignite_default_setup(cpu)
         )
-        return estimate_runtime(
-            stats, layers, dataset_stats, LAZY, setup, CLUSTER
-        )
+        return estimate_plan(workload, LAZY, setup, CLUSTER)
     if approach == "Lazy-5+Premat":
-        setup = manual_setup(
-            stats, layers, dataset_stats, 5, backend=backend, label=approach
-        )
+        setup = manual_setup(workload, 5, backend=backend, label=approach)
         pre, main = estimate_premat_runtime(
-            stats, layers, dataset_stats, LAZY, setup, CLUSTER,
-            label=approach,
+            workload, LAZY, setup, CLUSTER, label=approach,
         )
         if main.crashed:
             return main
@@ -60,17 +55,12 @@ def run_cell(model_name, dataset_stats, backend, approach):
         main.breakdown["premat"] = pre.seconds
         return main
     if approach == "Eager":
-        setup = manual_setup(
-            stats, layers, dataset_stats, 5, backend=backend, label="eager"
-        )
-        return estimate_runtime(
-            stats, layers, dataset_stats, EAGER, setup, CLUSTER
-        )
+        setup = manual_setup(workload, 5, backend=backend, label="eager")
+        return estimate_plan(workload, EAGER, setup, CLUSTER)
     if approach == "Vista":
-        config = optimize(stats, layers, dataset_stats, RESOURCES)
-        return estimate_runtime(
-            stats, layers, dataset_stats, STAGED,
-            vista_setup(config, backend=backend), CLUSTER,
+        config = optimize(workload, RESOURCES)
+        return estimate_plan(
+            workload, STAGED, vista_setup(config, backend=backend), CLUSTER,
         )
     raise ValueError(approach)
 

@@ -12,12 +12,11 @@ Shape invariants (Section 5.1):
 import pytest
 
 from harness import FOODS, fmt_minutes, paper_workload, print_table
-from repro.cnn import get_model_stats
 from repro.core.config import Resources
 from repro.core.optimizer import optimize
 from repro.core.plans import EAGER, LAZY, STAGED
 from repro.costmodel import (
-    estimate_runtime,
+    estimate_plan,
     flink_setup,
     gpu_workstation,
     spark_default_setup,
@@ -32,22 +31,21 @@ APPROACHES = ["Lazy-1", "Lazy-5", "Lazy-7", "Eager", "Vista"]
 
 
 def gpu_cell(model_name, approach):
-    stats, layers = paper_workload(model_name)
+    workload = paper_workload(model_name)
     if approach.startswith("Lazy"):
         cpu = int(approach.split("-")[1])
         setup = spark_default_setup(cpu, FOODS.num_records)
-        return estimate_runtime(
-            stats, layers, FOODS, LAZY, setup, GPU_CLUSTER, use_gpu=True
+        return estimate_plan(
+            workload, LAZY, setup, GPU_CLUSTER, use_gpu=True
         )
     if approach == "Eager":
-        setup = manual_setup(stats, layers, FOODS, 5, label="eager")
-        return estimate_runtime(
-            stats, layers, FOODS, EAGER, setup, GPU_CLUSTER, use_gpu=True
+        setup = manual_setup(workload, 5, label="eager")
+        return estimate_plan(
+            workload, EAGER, setup, GPU_CLUSTER, use_gpu=True
         )
-    config = optimize(stats, layers, FOODS, GPU_RESOURCES)
-    return estimate_runtime(
-        stats, layers, FOODS, STAGED, vista_setup(config), GPU_CLUSTER,
-        use_gpu=True,
+    config = optimize(workload, GPU_RESOURCES)
+    return estimate_plan(
+        workload, STAGED, vista_setup(config), GPU_CLUSTER, use_gpu=True,
     )
 
 
@@ -63,19 +61,15 @@ def gpu_matrix():
 def tft_beam_runtime(num_layers):
     """TFT+Beam modelled as the Eager plan on the hand-tuned Flink
     configuration (Section 5.1's comparison setup)."""
-    stats = get_model_stats("resnet50")
-    layers = stats.top_feature_layers(num_layers)
-    return estimate_runtime(
-        stats, layers, FOODS, EAGER, flink_setup(), gpu_workstation()
-    )
+    workload = paper_workload("resnet50", num_layers=num_layers)
+    return estimate_plan(workload, EAGER, flink_setup(), gpu_workstation())
 
 
 def vista_runtime(num_layers):
-    stats = get_model_stats("resnet50")
-    layers = stats.top_feature_layers(num_layers)
-    config = optimize(stats, layers, FOODS, GPU_RESOURCES)
-    return estimate_runtime(
-        stats, layers, FOODS, STAGED, vista_setup(config), gpu_workstation()
+    workload = paper_workload("resnet50", num_layers=num_layers)
+    config = optimize(workload, GPU_RESOURCES)
+    return estimate_plan(
+        workload, STAGED, vista_setup(config), gpu_workstation()
     )
 
 

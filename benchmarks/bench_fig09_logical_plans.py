@@ -12,7 +12,6 @@ Shape invariants (Section 5.3):
 import pytest
 
 from harness import FOODS, paper_workload, print_table, scale_dataset_stats
-from repro.cnn import get_model_stats
 from repro.core.plans import (
     EAGER,
     EAGER_REORDERED,
@@ -20,7 +19,7 @@ from repro.core.plans import (
     STAGED,
     STAGED_BJ,
 )
-from repro.costmodel import cloudlab_cluster, estimate_runtime
+from repro.costmodel import cloudlab_cluster, estimate_plan
 from repro.costmodel.crashes import manual_setup
 
 CLUSTER = cloudlab_cluster()
@@ -33,15 +32,13 @@ PLANS = {
 
 
 def run(model_name, num_layers, scale):
-    stats = get_model_stats(model_name)
-    layers = stats.top_feature_layers(num_layers)
-    ds = scale_dataset_stats(FOODS, factor=scale)
+    workload = paper_workload(
+        model_name, scale_dataset_stats(FOODS, factor=scale), num_layers
+    )
     out = {}
     for label, plan in PLANS.items():
-        setup = manual_setup(stats, layers, ds, 4, label=label)
-        out[label] = estimate_runtime(
-            stats, layers, ds, plan, setup, CLUSTER
-        )
+        setup = manual_setup(workload, 4, label=label)
+        out[label] = estimate_plan(workload, plan, setup, CLUSTER)
     return out
 
 

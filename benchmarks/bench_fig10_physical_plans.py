@@ -14,10 +14,15 @@ Shape invariants (Section 5.3):
 
 import pytest
 
-from harness import FOODS, fmt_minutes, print_table, scale_dataset_stats
-from repro.cnn import get_model_stats
+from harness import (
+    FOODS,
+    fmt_minutes,
+    paper_workload,
+    print_table,
+    scale_dataset_stats,
+)
 from repro.core.plans import STAGED
-from repro.costmodel import cloudlab_cluster, estimate_runtime
+from repro.costmodel import cloudlab_cluster, estimate_plan
 from repro.costmodel.crashes import manual_setup
 
 CLUSTER = cloudlab_cluster()
@@ -31,20 +36,17 @@ LAYER_COUNTS = {"alexnet": 4, "resnet50": 5}
 
 
 def run(model_name, scale, num_structured_features=None):
-    stats = get_model_stats(model_name)
-    layers = stats.top_feature_layers(LAYER_COUNTS[model_name])
     ds = scale_dataset_stats(
         FOODS, factor=scale,
         num_structured_features=num_structured_features,
     )
+    workload = paper_workload(model_name, ds, LAYER_COUNTS[model_name])
     out = {}
     for label, (join, pers) in COMBOS.items():
         setup = manual_setup(
-            stats, layers, ds, 4, join=join, persistence=pers, label=label
+            workload, 4, join=join, persistence=pers, label=label
         )
-        out[label] = estimate_runtime(
-            stats, layers, ds, STAGED, setup, CLUSTER
-        )
+        out[label] = estimate_plan(workload, STAGED, setup, CLUSTER)
     return out
 
 

@@ -15,11 +15,11 @@ Shape invariants (Section 5.3):
 
 import pytest
 
-from harness import FOODS, fmt_minutes, paper_workload, print_table
+from harness import fmt_minutes, paper_workload, print_table
 from repro.core.config import Resources
 from repro.core.optimizer import optimize
 from repro.core.plans import STAGED
-from repro.costmodel import cloudlab_cluster, estimate_runtime
+from repro.costmodel import cloudlab_cluster, estimate_plan
 from repro.costmodel.crashes import manual_setup
 from repro.memory.model import GB
 
@@ -30,24 +30,22 @@ NPS = (8, 32, 160, 640, 2560, 5120)
 
 
 def cpu_sweep(model_name):
-    stats, layers = paper_workload(model_name)
+    workload = paper_workload(model_name)
     return {
-        cpu: estimate_runtime(
-            stats, layers, FOODS, STAGED,
-            manual_setup(stats, layers, FOODS, cpu, label=f"cpu={cpu}"),
-            CLUSTER,
+        cpu: estimate_plan(
+            workload, STAGED,
+            manual_setup(workload, cpu, label=f"cpu={cpu}"), CLUSTER,
         )
         for cpu in CPUS
     }
 
 
 def np_sweep(model_name):
-    stats, layers = paper_workload(model_name)
-    base = manual_setup(stats, layers, FOODS, 4, label="np-sweep")
+    workload = paper_workload(model_name)
+    base = manual_setup(workload, 4, label="np-sweep")
     return {
-        np_: estimate_runtime(
-            stats, layers, FOODS, STAGED, base.with_(num_partitions=np_),
-            CLUSTER,
+        np_: estimate_plan(
+            workload, STAGED, base.with_(num_partitions=np_), CLUSTER,
         )
         for np_ in NPS
     }
@@ -67,8 +65,7 @@ def np_results():
 def optimizer_picks():
     picks = {}
     for model in ("alexnet", "vgg16", "resnet50"):
-        stats, layers = paper_workload(model)
-        picks[model] = optimize(stats, layers, FOODS, RESOURCES)
+        picks[model] = optimize(paper_workload(model), RESOURCES)
     return picks
 
 
@@ -139,15 +136,13 @@ def test_np_nonmonotonic(np_results):
 
 def test_optimizer_np_close_to_fastest(np_results, optimizer_picks):
     for model, sweep in np_results.items():
-        stats, layers = paper_workload(model)
+        workload = paper_workload(model)
         completed = {n: r.seconds for n, r in sweep.items()
                      if not r.crashed}
         best = min(completed.values())
-        pick_setup = manual_setup(stats, layers, FOODS, 4).with_(
+        pick_setup = manual_setup(workload, 4).with_(
             num_partitions=optimizer_picks[model].num_partitions
         )
-        pick_time = estimate_runtime(
-            stats, layers, FOODS, STAGED, pick_setup, CLUSTER
-        )
+        pick_time = estimate_plan(workload, STAGED, pick_setup, CLUSTER)
         assert not pick_time.crashed
         assert pick_time.seconds <= 1.2 * best

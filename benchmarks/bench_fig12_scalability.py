@@ -14,18 +14,19 @@ import pytest
 
 from harness import FOODS, paper_workload, print_table, scale_dataset_stats
 from repro.core.plans import STAGED
-from repro.costmodel import cloudlab_cluster, estimate_runtime, params
+from repro.costmodel import cloudlab_cluster, estimate_plan, params
 from repro.costmodel.crashes import manual_setup
 
 NODES = (1, 2, 4, 8)
 
 
 def _runtime(model_name, num_nodes, scale=1, cpu=4):
-    stats, layers = paper_workload(model_name)
-    ds = scale_dataset_stats(FOODS, factor=scale)
-    setup = manual_setup(stats, layers, ds, cpu, label="scal")
-    return estimate_runtime(
-        stats, layers, ds, STAGED, setup, cloudlab_cluster(num_nodes)
+    workload = paper_workload(
+        model_name, scale_dataset_stats(FOODS, factor=scale)
+    )
+    setup = manual_setup(workload, cpu, label="scal")
+    return estimate_plan(
+        workload, STAGED, setup, cloudlab_cluster(num_nodes)
     )
 
 

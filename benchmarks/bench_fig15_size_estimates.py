@@ -18,10 +18,10 @@ Shape invariants:
 import numpy as np
 import pytest
 
-from harness import FOODS, paper_workload, print_table
+from harness import paper_workload, print_table
 from repro.cnn import build_model
 from repro.core.config import DatasetStats
-from repro.core.sizing import eager_table_bytes, estimate_sizes
+from repro.core.sizing import eager_table_bytes
 from repro.dataflow.partition import Partition
 from repro.dataflow.record import estimate_rows_bytes
 from repro.memory.model import GB
@@ -31,11 +31,10 @@ from repro.memory.model import GB
 def paper_estimates():
     out = {}
     for model in ("alexnet", "vgg16", "resnet50"):
-        stats, layers = paper_workload(model)
-        sizing = estimate_sizes(stats, layers, FOODS)
+        workload = paper_workload(model)
         out[model] = {
-            "staged": sizing.s_single,
-            "eager": eager_table_bytes(stats, layers, FOODS),
+            "staged": workload.sizes.s_single,
+            "eager": eager_table_bytes(workload),
         }
     return out
 

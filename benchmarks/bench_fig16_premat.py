@@ -21,8 +21,8 @@ from harness import FOODS, paper_workload, print_table
 from repro.core.plans import STAGED
 from repro.costmodel import (
     cloudlab_cluster,
+    estimate_plan,
     estimate_premat_runtime,
-    estimate_runtime,
 )
 from repro.costmodel.crashes import manual_setup
 from repro.memory.model import GB
@@ -32,23 +32,21 @@ RAW_IMAGES_GB = FOODS.num_records * FOODS.avg_image_bytes / GB
 
 
 def layer_sizes(model_name):
-    stats, layers = paper_workload(model_name)
+    workload = paper_workload(model_name)
     return {
-        layer: stats.materialized_bytes(layer) * FOODS.num_records
-        for layer in layers
+        layer: workload.model_stats.materialized_bytes(layer)
+        * FOODS.num_records
+        for layer in workload.layers
     }
 
 
 def premat_comparison(model_name, num_layers):
     """Runtime exploring the top ``num_layers`` layers, without and
     with pre-materialization of the lowest of them."""
-    stats, all_layers = paper_workload(model_name)
-    layers = all_layers[-num_layers:]
-    setup = manual_setup(stats, layers, FOODS, 4, label="premat")
-    plain = estimate_runtime(stats, layers, FOODS, STAGED, setup, CLUSTER)
-    pre, main = estimate_premat_runtime(
-        stats, layers, FOODS, STAGED, setup, CLUSTER
-    )
+    workload = paper_workload(model_name, num_layers=num_layers)
+    setup = manual_setup(workload, 4, label="premat")
+    plain = estimate_plan(workload, STAGED, setup, CLUSTER)
+    pre, main = estimate_premat_runtime(workload, STAGED, setup, CLUSTER)
     return plain, pre, main
 
 
@@ -61,8 +59,7 @@ def sizes():
 def comparisons():
     out = {}
     for model in ("alexnet", "vgg16", "resnet50"):
-        _, layers = paper_workload(model)
-        for k in range(1, len(layers) + 1):
+        for k in range(1, len(paper_workload(model).layers) + 1):
             out[(model, k)] = premat_comparison(model, k)
     return out
 
@@ -120,7 +117,7 @@ def test_premat_reuse_faster_than_scratch(comparisons):
     """Once materialized, starting from the base layer beats
     recomputing from raw images for every CNN."""
     for model in ("alexnet", "vgg16", "resnet50"):
-        _, layers = paper_workload(model)
+        layers = paper_workload(model).layers
         plain, _, main = comparisons[(model, len(layers))]
         assert main.seconds < plain.seconds, model
 
@@ -132,7 +129,7 @@ def test_resnet_premat_total_may_not_pay_off(comparisons):
     feature table eats the redundancy savings)."""
     ratios = {}
     for model in ("alexnet", "vgg16", "resnet50"):
-        _, layers = paper_workload(model)
+        layers = paper_workload(model).layers
         plain, pre, main = comparisons[(model, len(layers))]
         ratios[model] = (pre.seconds + main.seconds) / plain.seconds
     assert ratios["resnet50"] > ratios["alexnet"]

@@ -17,7 +17,7 @@ Shape invariants:
 
 import pytest
 
-from harness import FOODS, paper_workload, print_table
+from harness import paper_workload, print_table
 from repro.costmodel import cloudlab_cluster, per_layer_breakdown
 from repro.costmodel.crashes import manual_setup
 
@@ -25,11 +25,9 @@ NODES = (1, 2, 4, 8)
 
 
 def breakdown_for(model_name, num_nodes):
-    stats, layers = paper_workload(model_name)
-    setup = manual_setup(stats, layers, FOODS, 4, label="tab3")
-    return per_layer_breakdown(
-        stats, layers, FOODS, setup, cloudlab_cluster(num_nodes)
-    )
+    workload = paper_workload(model_name)
+    setup = manual_setup(workload, 4, label="tab3")
+    return per_layer_breakdown(workload, setup, cloudlab_cluster(num_nodes))
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +42,7 @@ def table3():
 def test_table3(table3, benchmark):
     benchmark(lambda: breakdown_for("resnet50", 8))
     for model in ("resnet50", "alexnet", "vgg16"):
-        _, layers = paper_workload(model)
+        layers = paper_workload(model).layers
         rows = []
         for depth, layer in enumerate(layers):
             label = f"{len(layers) - depth}"  # index from the top

@@ -9,7 +9,7 @@ crash, where crossovers fall.
 from __future__ import annotations
 
 from repro.cnn import get_model_stats
-from repro.core.config import DatasetStats
+from repro.core.config import DatasetStats, Workload
 
 #: The paper's workload grid: CNN -> number of layers explored.
 PAPER_LAYER_COUNTS = {"alexnet": 4, "vgg16": 3, "resnet50": 5}
@@ -24,10 +24,15 @@ AMAZON = DatasetStats(
 )
 
 
-def paper_workload(model_name):
-    """(ModelStats, layer list) for a paper workload."""
+def paper_workload(model_name, dataset_stats=None, num_layers=None):
+    """The :class:`Workload` of a paper workload: the roster CNN's top
+    ``num_layers`` (default: the paper's count) over ``dataset_stats``
+    (default: Foods)."""
     stats = get_model_stats(model_name)
-    return stats, stats.top_feature_layers(PAPER_LAYER_COUNTS[model_name])
+    layers = stats.top_feature_layers(
+        num_layers or PAPER_LAYER_COUNTS[model_name]
+    )
+    return Workload(stats, layers, dataset_stats or FOODS)
 
 
 def scale_dataset_stats(base, factor=1, num_structured_features=None):

@@ -11,12 +11,12 @@ Run:  python examples/capacity_planner.py
 """
 
 from repro.cnn import get_model_stats
-from repro.core.config import DatasetStats, Resources
+from repro.core.config import DatasetStats, Resources, Workload
 from repro.core.optimizer import optimize
 from repro.core.plans import LAZY, STAGED
 from repro.costmodel import (
     cloudlab_cluster,
-    estimate_runtime,
+    estimate_plan,
     spark_default_setup,
     vista_setup,
 )
@@ -26,21 +26,19 @@ from repro.memory.model import GB
 
 def plan_for(model_name, dataset_stats, num_nodes, mem_gb=32):
     stats = get_model_stats(model_name)
-    layers = stats.feature_layers
+    workload = Workload(stats, stats.feature_layers, dataset_stats)
     resources = Resources(num_nodes, mem_gb * GB, 8)
     cluster = cloudlab_cluster(num_nodes)
 
-    naive = estimate_runtime(
-        stats, layers, dataset_stats, LAZY,
+    naive = estimate_plan(
+        workload, LAZY,
         spark_default_setup(7, dataset_stats.num_records), cluster,
     )
     try:
-        config = optimize(stats, layers, dataset_stats, resources)
+        config = optimize(workload, resources)
     except NoFeasiblePlan as exc:
         return naive, None, None, str(exc)
-    vista = estimate_runtime(
-        stats, layers, dataset_stats, STAGED, vista_setup(config), cluster
-    )
+    vista = estimate_plan(workload, STAGED, vista_setup(config), cluster)
     return naive, config, vista, None
 
 

@@ -22,6 +22,7 @@ from repro.core import (
     Resources,
     DatasetStats,
     VistaConfig,
+    Workload,
     default_resources,
     optimize,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "VistaConfig",
     "VistaError",
     "WhatIfReport",
+    "Workload",
     "WorkloadCrash",
     "build_model",
     "default_resources",

@@ -125,19 +125,23 @@ def _dataset_stats(name):
 
 
 def _workload(args):
+    """The paper-scale :class:`~repro.core.config.Workload` and the
+    :class:`~repro.core.config.Resources` the workload flags name."""
     from repro.cnn import get_model_stats
-    from repro.core.config import Resources
+    from repro.core.config import Resources, Workload
 
     stats = get_model_stats(args.model)
     count = args.layers or len(stats.feature_layers)
-    layers = stats.top_feature_layers(count)
     resources = Resources(
         num_nodes=args.nodes,
         system_memory_bytes=int(args.memory_gb * GB),
         cores_per_node=args.cores,
         gpu_memory_bytes=int(args.gpu_gb * GB),
     )
-    return stats, layers, _dataset_stats(args.dataset), resources
+    workload = Workload(
+        stats, stats.top_feature_layers(count), _dataset_stats(args.dataset)
+    )
+    return workload, resources
 
 
 def cmd_models(args):
@@ -159,20 +163,19 @@ def cmd_models(args):
 
 def cmd_plan(args):
     from repro.core.optimizer import optimize
-    from repro.core.sizing import estimate_sizes
     from repro.exceptions import NoFeasiblePlan
 
-    stats, layers, dataset_stats, resources = _workload(args)
-    sizing = estimate_sizes(stats, layers, dataset_stats)
-    print(f"workload: {args.model} x {len(layers)} layers over "
-          f"{dataset_stats.num_records} records ({args.dataset})")
-    for layer in layers:
+    workload, resources = _workload(args)
+    sizing = workload.sizes
+    print(f"workload: {args.model} x {len(workload.layers)} layers over "
+          f"{workload.dataset_stats.num_records} records ({args.dataset})")
+    for layer in workload.layers:
         nbytes = sizing.intermediate_table_bytes[layer]
         print(f"  |T_{layer}| ~= {nbytes / GB:.2f} GB")
     print(f"  s_single = {sizing.s_single / GB:.2f} GB, "
           f"s_double = {sizing.s_double / GB:.2f} GB")
     try:
-        config = optimize(stats, layers, dataset_stats, resources)
+        config = optimize(workload, resources)
     except NoFeasiblePlan as exc:
         print(f"NO FEASIBLE PLAN: {exc}")
         return 1
@@ -184,43 +187,35 @@ def cmd_estimate(args):
     from repro.core.optimizer import optimize
     from repro.core.plans import EAGER, LAZY, STAGED
     from repro.costmodel import (
-        estimate_runtime,
+        estimate_plan,
         ignite_default_setup,
         spark_default_setup,
         vista_setup,
     )
     from repro.costmodel.crashes import manual_setup
-    from repro.costmodel.params import ClusterSpec
+    from repro.explain.whatif import cluster_from_resources
 
-    stats, layers, dataset_stats, resources = _workload(args)
-    cluster = ClusterSpec(
-        num_nodes=args.nodes, cores_per_node=args.cores,
-        system_memory_bytes=int(args.memory_gb * GB),
-    )
+    workload, resources = _workload(args)
     approach = args.approach
     if approach.startswith("lazy-"):
         cpu = int(approach.split("-")[1])
-        setup = (
-            spark_default_setup(cpu, dataset_stats.num_records)
+        plan, setup = LAZY, (
+            spark_default_setup(cpu, workload.dataset_stats.num_records)
             if args.backend == "spark" else ignite_default_setup(cpu)
         )
-        report = estimate_runtime(
-            stats, layers, dataset_stats, LAZY, setup, cluster
-        )
     elif approach == "eager":
-        setup = manual_setup(
-            stats, layers, dataset_stats, 5, backend=args.backend,
+        plan, setup = EAGER, manual_setup(
+            workload, 5, backend=args.backend,
             cluster_memory_bytes=int(args.memory_gb * GB), label="eager",
         )
-        report = estimate_runtime(
-            stats, layers, dataset_stats, EAGER, setup, cluster
-        )
     else:  # vista
-        config = optimize(stats, layers, dataset_stats, resources)
-        report = estimate_runtime(
-            stats, layers, dataset_stats, STAGED,
-            vista_setup(config, backend=args.backend), cluster,
-        )
+        config = optimize(workload, resources)
+        plan, setup = STAGED, vista_setup(config, backend=args.backend)
+    # Priced on the GPU iff one is given, as Eq. 15 planned for it.
+    report = estimate_plan(
+        workload, plan, setup, cluster_from_resources(resources),
+        use_gpu=resources.has_gpu,
+    )
     if report.crashed:
         print(f"{approach}: CRASH ({report.crash})")
         return 1
@@ -364,8 +359,8 @@ def cmd_run(args):
         ledger.emit("run_meta", fingerprint=run_fingerprint(meta),
                     **meta)
         stage_plan = predict_stage_plan(
-            vista.model_stats, vista.layers, vista.dataset_stats,
-            vista.plan, config, vista.resources, backend=vista.backend,
+            vista.workload, vista.plan, config, vista.resources,
+            backend=vista.backend,
         )
         ledger.emit("stage_plan", plan=vista.plan.label,
                     stages=stage_plan.to_list())
@@ -472,7 +467,7 @@ def cmd_explain(args):
     from repro.explain import explain
     from repro.report import render_explain
 
-    stats, layers, dataset_stats, resources = _workload(args)
+    workload, resources = _workload(args)
     pins = {}
     if args.pin_cpu is not None:
         pins["cpu"] = args.pin_cpu
@@ -487,9 +482,8 @@ def cmd_explain(args):
     if args.pin_storage_frac is not None:
         pins["storage_fraction"] = args.pin_storage_frac
     result = explain(
-        stats, layers, dataset_stats, resources,
-        downstream=DownstreamSpec(), backend=args.backend,
-        what_if_pins=pins or None,
+        workload, resources, downstream=DownstreamSpec(),
+        backend=args.backend, what_if_pins=pins or None,
     )
     if args.json:
         import json

@@ -5,8 +5,8 @@ from repro.core.config import (
     DatasetStats,
     DownstreamSpec,
     Resources,
-    SystemDefaults,
     VistaConfig,
+    Workload,
 )
 from repro.core.executor import FeatureTransferExecutor, WorkloadResult
 from repro.core.optimizer import optimize
@@ -39,9 +39,9 @@ __all__ = [
     "Resources",
     "STAGED",
     "STAGED_BJ",
-    "SystemDefaults",
     "Vista",
     "VistaConfig",
+    "Workload",
     "WorkloadResult",
     "default_resources",
     "degrade_once",

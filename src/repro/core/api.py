@@ -12,15 +12,16 @@ from __future__ import annotations
 
 from repro.cnn.zoo import build_model, get_model_stats
 from repro.core.config import (
+    DEFAULT_CORE_MEMORY,
+    DEFAULT_OS_RESERVED,
     DatasetStats,
     DownstreamSpec,
     Resources,
-    SystemDefaults,
+    Workload,
 )
 from repro.core.executor import FeatureTransferExecutor
 from repro.core.optimizer import optimize
 from repro.core.plans import STAGED
-from repro.core.sizing import estimate_sizes
 from repro.dataflow.context import ClusterContext
 from repro.memory.ignite import ignite_memory_budget
 from repro.memory.model import GB
@@ -49,8 +50,8 @@ class Vista:
 
     def __init__(self, model_name, num_layers, dataset, resources,
                  downstream_fn=None, downstream_spec=None, backend="spark",
-                 model_profile="mini", plan=STAGED, defaults=None,
-                 dataset_stats=None, model_seed=0, exec_backend=None):
+                 model_profile="mini", plan=STAGED, model_seed=0,
+                 exec_backend=None):
         self.model_name = model_name
         self.model_stats = get_model_stats(model_name)
         self.layers = self.model_stats.top_feature_layers(num_layers)
@@ -69,9 +70,11 @@ class Vista:
         self.exec_backend = exec_backend
         self.model_profile = model_profile
         self.plan = plan
-        self.defaults = defaults or SystemDefaults()
-        self.dataset_stats = (
-            dataset_stats or DatasetStats.from_dataset(self.dataset)
+        self.dataset_stats = DatasetStats.from_dataset(self.dataset)
+        #: The planner's input, built once: roster statistics, the
+        #: explored layers, and the dataset's measured statistics.
+        self.workload = Workload(
+            self.model_stats, self.layers, self.dataset_stats
         )
         self.model_seed = model_seed
         self._config = None
@@ -80,19 +83,14 @@ class Vista:
     def optimize(self, tracer=None, metrics=None):
         """Run Algorithm 1; returns the chosen :class:`VistaConfig`."""
         self._config = optimize(
-            self.model_stats, self.layers, self.dataset_stats,
-            self.resources, downstream=self.downstream_spec,
-            defaults=self.defaults, backend=self.backend, tracer=tracer,
-            metrics=metrics,
+            self.workload, self.resources, downstream=self.downstream_spec,
+            backend=self.backend, tracer=tracer, metrics=metrics,
         )
         return self._config
 
     def sizing(self):
         """Eq. 16 size estimates for this workload's intermediates."""
-        return estimate_sizes(
-            self.model_stats, self.layers, self.dataset_stats,
-            alpha=self.defaults.alpha,
-        )
+        return self.workload.sizes
 
     def build_context(self, config=None):
         """Configure the simulated PD backend per the optimizer."""
@@ -101,17 +99,17 @@ class Vista:
             budget = spark_budget_from_regions(
                 self.resources.system_memory_bytes,
                 user_bytes=config.mem_user_bytes,
-                core_bytes=self.defaults.core_memory_bytes,
+                core_bytes=DEFAULT_CORE_MEMORY,
                 storage_bytes=config.mem_storage_bytes,
-                os_reserved_bytes=self.defaults.os_reserved_bytes,
+                os_reserved_bytes=DEFAULT_OS_RESERVED,
             )
         else:
-            heap = config.mem_user_bytes + self.defaults.core_memory_bytes
+            heap = config.mem_user_bytes + DEFAULT_CORE_MEMORY
             budget = ignite_memory_budget(
                 self.resources.system_memory_bytes,
                 heap_bytes=heap,
                 storage_bytes=config.mem_storage_bytes,
-                os_reserved_bytes=self.defaults.os_reserved_bytes,
+                os_reserved_bytes=DEFAULT_OS_RESERVED,
             )
         return ClusterContext(
             budget,
@@ -177,17 +175,17 @@ class Vista:
         """
         from repro.explain import explain as explain_fn
 
-        cnn = None
+        executable = None
         if what_if is not None:
             cnn = build_model(
                 self.model_name, profile=self.model_profile,
                 seed=self.model_seed,
             )
+            executable = Workload(cnn.stats, self.layers, self.dataset_stats)
         return explain_fn(
-            self.model_stats, self.layers, self.dataset_stats,
-            self.resources, downstream=self.downstream_spec,
-            defaults=self.defaults, backend=self.backend,
-            what_if_pins=what_if, cnn=cnn, dataset=self.dataset,
+            self.workload, self.resources, downstream=self.downstream_spec,
+            backend=self.backend, what_if_pins=what_if,
+            executable=executable,
         )
 
     def run_resilient(self, plan=None, premat_layer=None, fault_plan=None,

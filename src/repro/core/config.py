@@ -1,36 +1,27 @@
 """Optimizer inputs, outputs, and fixed system parameters (Table 1).
 
-``Resources`` and ``DatasetStats`` carry the user-supplied inputs of
-Table 1(A); ``SystemDefaults`` the fixed-but-adjustable parameters of
-Table 1(C); ``VistaConfig`` the variables the optimizer sets, Table
+``Workload`` is the one planner input: the model statistics, the
+explored layers and the dataset statistics of Table 1(A), with Eq. 16's
+sizes computed once. ``Resources`` carries Table 1(A)'s resource rows;
+the ``DEFAULT_*`` constants are Table 1(C)'s fixed parameters and
+alpha; ``VistaConfig`` holds the variables the optimizer sets, Table
 1(B).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.memory.model import GB, MB
 
-#: Table 1(C) defaults.
+#: Table 1(C).
 DEFAULT_OS_RESERVED = 3 * GB          # mem_os_rsv
 DEFAULT_CORE_MEMORY = int(2.4 * GB)   # mem_core (Spark best practice)
 DEFAULT_MAX_PARTITION = 100 * MB      # p_max
 DEFAULT_MAX_BROADCAST = 100 * MB      # b_max
 DEFAULT_CPU_MAX = 8                   # cpu_max
 DEFAULT_ALPHA = 2.0                   # fudge factor for JVM object blowup
-
-
-@dataclass(frozen=True)
-class SystemDefaults:
-    """Fixed (but adjustable) system parameters — Table 1(C)."""
-
-    os_reserved_bytes: int = DEFAULT_OS_RESERVED
-    core_memory_bytes: int = DEFAULT_CORE_MEMORY
-    max_partition_bytes: int = DEFAULT_MAX_PARTITION
-    max_broadcast_bytes: int = DEFAULT_MAX_BROADCAST
-    cpu_max: int = DEFAULT_CPU_MAX
-    alpha: float = DEFAULT_ALPHA
 
 
 @dataclass(frozen=True)
@@ -78,6 +69,40 @@ class DatasetStats:
         """|Timg|: bitmap + id + image(header + raw payload)."""
         per_record = 8 + 8 + (8 + self.avg_image_bytes)
         return self.num_records * per_record
+
+
+@dataclass(frozen=True)
+class Workload:
+    """What the planner prices: ``model_stats`` (a roster
+    :class:`~repro.cnn.zoo.roster.ModelStats` or an executable CNN's
+    ``cnn.stats``), the explored ``layers`` lowest first, the
+    :class:`DatasetStats`, and ``base_layer``, the pre-materialized
+    layer inference starts from (Appendix B; None = raw images).
+
+    Every reader of Algorithm 1 and Eqs. 9-16 takes this record first;
+    Eq. 16's :class:`~repro.core.sizing.SizingReport` is computed once,
+    as :attr:`sizes`.
+    """
+
+    model_stats: object
+    layers: tuple
+    dataset_stats: DatasetStats
+    base_layer: str | None = None
+
+    def __post_init__(self):
+        layers = tuple(self.layers)
+        if not layers:
+            raise ValueError("at least one feature layer is required")
+        for layer in layers + ((self.base_layer,) if self.base_layer else ()):
+            self.model_stats.layer_stats(layer)  # InvalidLayerError
+        object.__setattr__(self, "layers", layers)
+
+    @cached_property
+    def sizes(self):
+        """Eq. 16's :class:`~repro.core.sizing.SizingReport`."""
+        from repro.core.sizing import estimate_sizes
+
+        return estimate_sizes(self)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
+from repro.core.config import DEFAULT_ALPHA, DatasetStats, Workload
 from repro.core.plans import SOURCE, Op, compile_plan, infer_step
 from repro.dataflow.backend import SERIAL_BACKEND, on_driver
 from repro.dataflow.columnar import ColumnarBlock, pack_column
@@ -147,7 +148,7 @@ class FeatureTransferExecutor:
 
     def __init__(self, context, cnn, dataset, layers, config,
                  downstream_fn=None, model_mem_bytes=None,
-                 user_alpha=2.0, feature_store=None, tracer=None,
+                 feature_store=None, tracer=None,
                  metrics=None, checkpoint_store=None, ledger=None):
         self.context = context
         self.cnn = cnn
@@ -160,7 +161,6 @@ class FeatureTransferExecutor:
             if model_mem_bytes is not None
             else cnn.stats.runtime_mem_bytes
         )
-        self.user_alpha = user_alpha
         self.feature_store = feature_store
         self.checkpoint_store = checkpoint_store
         self.metrics = {}
@@ -329,13 +329,10 @@ class FeatureTransferExecutor:
         """Eq. 16 estimates (from the executable CNN's shapes) next to
         the traced actual bytes of each layer's train table — the
         paper's Figure 15 validation, per run."""
-        from repro.core.config import DatasetStats
-        from repro.core.sizing import estimate_sizes
-
-        estimates = estimate_sizes(
+        estimates = Workload(
             self.cnn.stats, self.layers,
-            DatasetStats.from_dataset(self.dataset), alpha=self.user_alpha,
-        ).intermediate_table_bytes
+            DatasetStats.from_dataset(self.dataset),
+        ).sizes.intermediate_table_bytes
         return {
             layer: {
                 "estimated_bytes": estimates[layer],
@@ -552,7 +549,7 @@ class FeatureTransferExecutor:
             try:
                 result = table.map_blocks(
                     infer_block, name=step.writes,
-                    user_alpha=self.user_alpha,
+                    user_alpha=DEFAULT_ALPHA,
                     checkpoint=(
                         (store, step.stage_id) if store is not None else None
                     ),
@@ -598,7 +595,7 @@ class FeatureTransferExecutor:
                 block.num_rows,
             )
 
-        return table.map_blocks(project_block, user_alpha=self.user_alpha,
+        return table.map_blocks(project_block, user_alpha=DEFAULT_ALPHA,
                                 backend=self._backend_for(step))
 
     def _train(self, table, step):
@@ -651,7 +648,7 @@ class FeatureTransferExecutor:
                 sp.add("rows", table.num_rows())
                 sp.add("bytes_in", measured)
             vectors = table.map_blocks(
-                vectorize_block, user_alpha=self.user_alpha,
+                vectorize_block, user_alpha=DEFAULT_ALPHA,
                 backend=self._backend_for(step),
             )
             features, labels = self._collect_train_matrix(vectors)

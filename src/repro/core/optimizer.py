@@ -33,14 +33,19 @@ candidate, exactly as before.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.config import (
+    DEFAULT_ALPHA,
+    DEFAULT_CORE_MEMORY,
+    DEFAULT_CPU_MAX,
+    DEFAULT_MAX_BROADCAST,
+    DEFAULT_MAX_PARTITION,
+    DEFAULT_OS_RESERVED,
     DownstreamSpec,
-    SystemDefaults,
     VistaConfig,
 )
-from repro.core.sizing import estimate_sizes, static_storage_need
+from repro.core.sizing import static_storage_need
 from repro.dataflow.joins import BROADCAST, SHUFFLE
 from repro.dataflow.partition import DESERIALIZED, SERIALIZED
 from repro.exceptions import NoFeasiblePlan
@@ -64,18 +69,19 @@ REJECT_HEADROOM = "memory-headroom"            # Eq. 12
 REJECT_IGNITE_STORAGE = "ignite-static-storage"
 
 
-def downstream_mem_bytes(model_stats, layers, num_structured_features):
+def downstream_mem_bytes(workload):
     """Estimate |M|_mem for the default MLlib-style downstream model."""
     max_dim = max(
-        model_stats.layer_stats(layer).transfer_dim for layer in layers
+        workload.model_stats.layer_stats(layer).transfer_dim
+        for layer in workload.layers
     )
     return DOWNSTREAM_BASE_BYTES + DOWNSTREAM_BYTES_PER_FEATURE * (
-        num_structured_features + max_dim
+        workload.dataset_stats.num_structured_features + max_dim
     )
 
 
-def user_memory_requirement(model_stats, s_single, num_partitions, cpu,
-                            downstream_mem, alpha):
+def user_memory_requirement(workload, num_partitions, cpu,
+                            downstream_mem):
     """Eq. 10's User Memory requirement, shared by the optimizer and
     the cost model's crash checks so the two can never disagree.
 
@@ -86,20 +92,22 @@ def user_memory_requirement(model_stats, s_single, num_partitions, cpu,
     sum is the safe bound (and it is what makes Ignite's small on-heap
     User region crash at 7 threads in Figure 6).
     """
-    partition_bytes = math.ceil(s_single / max(1, num_partitions))
+    partition_bytes = math.ceil(
+        workload.sizes.s_single / max(1, num_partitions)
+    )
     return (
-        model_stats.serialized_bytes
-        + cpu * alpha * partition_bytes
-        + cpu * alpha * BATCH_INPUT_BYTES
+        workload.model_stats.serialized_bytes
+        + cpu * DEFAULT_ALPHA * partition_bytes
+        + cpu * DEFAULT_ALPHA * BATCH_INPUT_BYTES
         + cpu * downstream_mem
     )
 
 
-def num_partitions_for(s_single, cpu, num_nodes, max_partition_bytes):
+def num_partitions_for(s_single, cpu, num_nodes):
     """``NumPartitions`` of Algorithm 1: the smallest multiple of the
     total core count whose partitions fit under ``p_max`` (Eqs. 13-14)."""
     total_cores = cpu * num_nodes
-    multiples = math.ceil(s_single / (max_partition_bytes * total_cores))
+    multiples = math.ceil(s_single / (DEFAULT_MAX_PARTITION * total_cores))
     return max(1, multiples) * total_cores
 
 
@@ -190,9 +198,8 @@ def config_from_candidate(candidate):
     )
 
 
-def evaluate_candidate(model_stats, layers, dataset_stats, resources,
-                       cpu, downstream=None, defaults=None,
-                       backend="spark", sizing=None):
+def evaluate_candidate(workload, resources, cpu, downstream=None,
+                       backend="spark"):
     """Evaluate one ``cpu`` candidate exactly as Algorithm 1's loop
     body would, returning its :class:`CandidateRecord` — the verdict,
     every Eq. 9-15 term, and a structured rejection when infeasible.
@@ -200,42 +207,28 @@ def evaluate_candidate(model_stats, layers, dataset_stats, resources,
     What-if analysis calls this directly to price a pinned ``cpu``
     (even one the normal search range would never visit)."""
     downstream = downstream or DownstreamSpec()
-    defaults = defaults or SystemDefaults()
-    if sizing is None:
-        sizing = estimate_sizes(
-            model_stats, layers, dataset_stats, alpha=defaults.alpha
-        )
+    model_stats = workload.model_stats
+    sizing = workload.sizes
     f_mem = model_stats.runtime_mem_bytes
     m_mem = downstream.mem_bytes
     if m_mem is None:
-        m_mem = downstream_mem_bytes(
-            model_stats, layers, dataset_stats.num_structured_features
-        )
-    np_ = num_partitions_for(
-        sizing.s_single, cpu, resources.num_nodes,
-        defaults.max_partition_bytes,
-    )
+        m_mem = downstream_mem_bytes(workload)
+    np_ = num_partitions_for(sizing.s_single, cpu, resources.num_nodes)
     mem_dl = _dl_memory(cpu, f_mem, downstream, m_mem)
     mem_worker = (
-        resources.system_memory_bytes
-        - defaults.os_reserved_bytes
-        - mem_dl
+        resources.system_memory_bytes - DEFAULT_OS_RESERVED - mem_dl
     )
-    mem_user = int(user_memory_requirement(
-        model_stats, sizing.s_single, np_, cpu, m_mem, defaults.alpha
-    ))
-    mem_storage = int(
-        mem_worker - mem_user - defaults.core_memory_bytes
-    )
+    mem_user = int(user_memory_requirement(workload, np_, cpu, m_mem))
+    mem_storage = int(mem_worker - mem_user - DEFAULT_CORE_MEMORY)
     candidate = CandidateRecord(
         cpu=cpu,
         num_partitions=np_,
         mem_system_bytes=resources.system_memory_bytes,
-        mem_os_reserved_bytes=defaults.os_reserved_bytes,
+        mem_os_reserved_bytes=DEFAULT_OS_RESERVED,
         mem_dl_bytes=mem_dl,
         mem_worker_bytes=mem_worker,
         mem_user_bytes=mem_user,
-        mem_core_bytes=defaults.core_memory_bytes,
+        mem_core_bytes=DEFAULT_CORE_MEMORY,
         mem_storage_bytes=mem_storage,
     )
     if resources.has_gpu:
@@ -253,14 +246,10 @@ def evaluate_candidate(model_stats, layers, dataset_stats, resources,
     if mem_storage <= 0:
         return candidate.reject(REJECT_HEADROOM, (
             f"Eq. 12: User {mem_user} B + Core "
-            f"{defaults.core_memory_bytes} B exceed the "
+            f"{DEFAULT_CORE_MEMORY} B exceed the "
             f"{mem_worker} B left after OS and DL reservations"
         ))
-    candidate.join = (
-        BROADCAST
-        if sizing.structured_table_bytes < defaults.max_broadcast_bytes
-        else SHUFFLE
-    )
+    candidate.join = broadcast_or_shuffle(workload)
     storage_per_cluster = mem_storage * resources.num_nodes
     candidate.storage_per_cluster_bytes = storage_per_cluster
     candidate.persistence = (
@@ -270,7 +259,7 @@ def evaluate_candidate(model_stats, layers, dataset_stats, resources,
     if backend == "ignite":
         needed = static_storage_need(
             sizing.s_single, candidate.persistence,
-            model_stats.serialized_ratio, alpha=defaults.alpha,
+            model_stats.serialized_ratio,
         )
         candidate.static_storage_need_bytes = needed
         if needed > storage_per_cluster:
@@ -284,9 +273,15 @@ def evaluate_candidate(model_stats, layers, dataset_stats, resources,
     return candidate
 
 
-def enumerate_candidates(model_stats, layers, dataset_stats, resources,
-                         downstream=None, defaults=None, backend="spark",
-                         sizing=None):
+def broadcast_or_shuffle(workload):
+    """Algorithm 1's join choice: broadcast iff |Tstr| fits ``b_max``."""
+    if workload.sizes.structured_table_bytes < DEFAULT_MAX_BROADCAST:
+        return BROADCAST
+    return SHUFFLE
+
+
+def enumerate_candidates(workload, resources, downstream=None,
+                         backend="spark"):
     """Yield a :class:`CandidateRecord` for every ``cpu`` Algorithm 1's
     linear search considers, highest candidate first.
 
@@ -297,24 +292,23 @@ def enumerate_candidates(model_stats, layers, dataset_stats, resources,
     its verdict and, when rejected, a structured ``rejection`` with a
     machine-readable ``code`` and a human-readable ``detail``.
     """
-    defaults = defaults or SystemDefaults()
-    if sizing is None:
-        sizing = estimate_sizes(
-            model_stats, layers, dataset_stats, alpha=defaults.alpha
-        )
-    upper = min(resources.cores_per_node, defaults.cpu_max) - 1
-    for cpu in range(max(1, upper), 0, -1):
+    for cpu in range(_search_upper(resources), 0, -1):
         yield evaluate_candidate(
-            model_stats, layers, dataset_stats, resources, cpu,
-            downstream=downstream, defaults=defaults, backend=backend,
-            sizing=sizing,
+            workload, resources, cpu, downstream=downstream,
+            backend=backend,
         )
 
 
-def optimize(model_stats, layers, dataset_stats, resources,
-             downstream=None, defaults=None, backend="spark",
+def _search_upper(resources):
+    """The first ``cpu`` Algorithm 1 tries: ``min(cpu_sys, cpu_max) - 1``
+    (at least 1)."""
+    return max(1, min(resources.cores_per_node, DEFAULT_CPU_MAX) - 1)
+
+
+def optimize(workload, resources, downstream=None, backend="spark",
              tracer=None, metrics=None):
-    """Run Algorithm 1 and return a :class:`VistaConfig`.
+    """Run Algorithm 1 on a :class:`~repro.core.config.Workload` and
+    return a :class:`VistaConfig`.
 
     Raises :class:`NoFeasiblePlan` when System Memory cannot satisfy
     the constraints for any ``cpu`` (line 18 of Algorithm 1).
@@ -343,22 +337,16 @@ def optimize(model_stats, layers, dataset_stats, resources,
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     metrics = metrics if metrics is not None else NULL_METRICS
-    downstream = downstream or DownstreamSpec()
-    defaults = defaults or SystemDefaults()
-    sizing = estimate_sizes(
-        model_stats, layers, dataset_stats, alpha=defaults.alpha
-    )
+    model_stats = workload.model_stats
+    sizing = workload.sizes
     with tracer.span("optimize", backend=backend,
                      model=model_stats.name) as span:
         span.set("estimated_table_bytes",
                  dict(sizing.intermediate_table_bytes))
         span.set("s_single", sizing.s_single)
         span.set("s_double", sizing.s_double)
-        upper = min(resources.cores_per_node, defaults.cpu_max) - 1
         for candidate in enumerate_candidates(
-            model_stats, layers, dataset_stats, resources,
-            downstream=downstream, defaults=defaults, backend=backend,
-            sizing=sizing,
+            workload, resources, downstream=downstream, backend=backend,
         ):
             if not candidate.feasible:
                 span.add("candidates_rejected")
@@ -374,21 +362,17 @@ def optimize(model_stats, layers, dataset_stats, resources,
                 "mem_user_bytes": config.mem_user_bytes,
                 "mem_dl_bytes": config.mem_dl_bytes,
             })
-            _record_predictions(
-                metrics, config, sizing, resources, defaults,
-                model_stats,
-            )
+            _record_predictions(metrics, config, workload, resources)
             return config
         raise NoFeasiblePlan(
-            f"no cpu in [1, {max(1, upper)}] satisfies the memory "
-            f"constraints for {model_stats.name} on "
+            f"no cpu in [1, {_search_upper(resources)}] satisfies the "
+            f"memory constraints for {model_stats.name} on "
             f"{resources.system_memory_bytes} B nodes; "
             "provision machines with more memory"
         )
 
 
-def _record_predictions(metrics, config, sizing, resources, defaults,
-                        model_stats):
+def _record_predictions(metrics, config, workload, resources):
     """Publish the optimizer's per-worker peak predictions: Eq. 10
     (User), Eq. 11 (DL), and the Staged plan's two-consecutive-
     intermediates storage working set, so reports can score predicted
@@ -396,8 +380,8 @@ def _record_predictions(metrics, config, sizing, resources, defaults,
     if not metrics.enabled:
         return
     storage_need = static_storage_need(
-        sizing.s_double, config.persistence,
-        model_stats.serialized_ratio, alpha=defaults.alpha,
+        workload.sizes.s_double, config.persistence,
+        workload.model_stats.serialized_ratio,
     )
     predictions = {
         "user": config.mem_user_bytes,

@@ -15,7 +15,7 @@ exhausted:
    ``s_double`` downgrade — smaller cached intermediates);
 3. Eager -> Staged -> Lazy materialization (each step caches strictly
    less at once — Figure 6's Eager crash column);
-4. cpu - 1 by re-invoking the optimizer with ``cpu_max`` clamped to
+4. cpu - 1 by taking Algorithm 1's first feasible candidate below
    the current ``cpu`` (fewer concurrent replicas and task buffers;
    Algorithm 1 re-derives np and the memory split), raising
    :class:`~repro.exceptions.NoFeasiblePlan` once ``cpu`` hits 1.
@@ -276,16 +276,25 @@ class ResilientRunner:
         return True
 
     def _optimize_below(self, cpu):
-        """Rung 4: re-invoke Algorithm 1 with ``cpu_max`` clamped so
-        the winning candidate has strictly lower parallelism."""
-        from repro.core.optimizer import optimize
+        """Rung 4: Algorithm 1's first feasible candidate strictly
+        below ``cpu`` — its search with ``cpu_max`` clamped to ``cpu``."""
+        from repro.core.optimizer import (
+            config_from_candidate,
+            enumerate_candidates,
+        )
 
         vista = self.vista
-        defaults = replace(vista.defaults, cpu_max=int(cpu))
-        return optimize(
-            vista.model_stats, vista.layers, vista.dataset_stats,
-            vista.resources, downstream=vista.downstream_spec,
-            defaults=defaults, backend=vista.backend,
+        for candidate in enumerate_candidates(
+            vista.workload, vista.resources,
+            downstream=vista.downstream_spec, backend=vista.backend,
+        ):
+            if candidate.feasible and candidate.cpu < cpu:
+                return config_from_candidate(candidate)
+        raise NoFeasiblePlan(
+            f"no cpu in [1, {cpu - 1}] satisfies the memory constraints "
+            f"for {vista.model_stats.name} on "
+            f"{vista.resources.system_memory_bytes} B nodes; "
+            "provision machines with more memory"
         )
 
     def _sim_time(self):

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.config import DEFAULT_ALPHA
+
 
 @dataclass(frozen=True)
 class SizingReport:
@@ -34,66 +36,66 @@ class SizingReport:
     s_double: int
 
 
-def table_bytes(model_stats, layers, dataset_stats, alpha=2.0):
+def table_bytes(workload, layers):
     """Eq. 16 for a table holding ``layers``' feature tensors: a record
     is its id plus, per layer, 8 B of header and the unpooled tensor.
     Staged's stage table is the one-layer case, Eager's all-layers table
     the all-layer case."""
     per_record = 8 + sum(
-        8 + model_stats.materialized_bytes(layer) for layer in layers
+        8 + workload.model_stats.materialized_bytes(layer)
+        for layer in layers
     )
+    dataset_stats = workload.dataset_stats
     return int(
-        alpha * dataset_stats.num_records * per_record
+        DEFAULT_ALPHA * dataset_stats.num_records * per_record
         + dataset_stats.structured_table_bytes()
     )
 
 
-def intermediate_table_bytes(model_stats, layer, dataset_stats, alpha=2.0):
+def intermediate_table_bytes(workload, layer):
     """Eq. 16 for one feature layer (per-record form times n)."""
-    return table_bytes(model_stats, [layer], dataset_stats, alpha=alpha)
+    return table_bytes(workload, [layer])
 
 
-#: Size of the Eager plan's all-layers-at-once table: one record holds
-#: the TensorList of *every* layer in L.
-eager_table_bytes = table_bytes
+def eager_table_bytes(workload):
+    """Size of the Eager plan's all-layers-at-once table: one record
+    holds the TensorList of *every* layer in L."""
+    return table_bytes(workload, workload.layers)
 
 
-def estimate_sizes(model_stats, layers, dataset_stats, alpha=2.0):
-    """Build the full :class:`SizingReport` for a layer set.
+def estimate_sizes(workload):
+    """Build the full :class:`SizingReport` for the workload's layers
+    (read it as the record's cached :attr:`~repro.core.config.Workload
+    .sizes`).
 
     ``layers`` is ordered lowest-to-highest (the staged materialization
     order), so consecutive pairs in Eq. 6 are the tables that coexist
     while stage ``i+1`` is derived from stage ``i``.
     """
-    layers = list(layers)
-    if not layers:
-        raise ValueError("at least one feature layer is required")
+    layers = list(workload.layers)
+    tstr = workload.dataset_stats.structured_table_bytes()
     sizes = {
-        layer: intermediate_table_bytes(
-            model_stats, layer, dataset_stats, alpha=alpha
-        )
-        for layer in layers
+        layer: intermediate_table_bytes(workload, layer) for layer in layers
     }
     ordered = [sizes[layer] for layer in layers]
     s_single = max(ordered)
     if len(ordered) > 1:
         s_double = max(
             ordered[i] + ordered[i + 1] for i in range(len(ordered) - 1)
-        ) - dataset_stats.structured_table_bytes()
+        ) - tstr
     else:
         s_double = s_single
     return SizingReport(
         layers=layers,
-        structured_table_bytes=dataset_stats.structured_table_bytes(),
-        image_table_bytes=dataset_stats.image_table_bytes(),
+        structured_table_bytes=tstr,
+        image_table_bytes=workload.dataset_stats.image_table_bytes(),
         intermediate_table_bytes=sizes,
         s_single=int(s_single),
         s_double=int(s_double),
     )
 
 
-def static_storage_need(cached_bytes, persistence, serialized_ratio,
-                        alpha=2.0):
+def static_storage_need(cached_bytes, persistence, serialized_ratio):
     """In-memory bytes of a cached working set on a *static* (memory-
     only, Ignite-style) storage region under a persistence format.
 
@@ -103,14 +105,14 @@ def static_storage_need(cached_bytes, persistence, serialized_ratio,
     never disagree.
     """
     if persistence == "serialized":
-        return int(cached_bytes / alpha * serialized_ratio)
+        return int(cached_bytes / DEFAULT_ALPHA * serialized_ratio)
     return int(cached_bytes)
 
 
-def columnar_intermediate_bytes(cnn, layer, dataset_stats):
+def columnar_intermediate_bytes(workload, layer):
     """*Exact* columnar bytes of the layer's joined train table — the
     measured counterpart of :func:`intermediate_table_bytes`'s Eq. 16
-    upper bound.
+    upper bound, for a workload on an executable CNN's ``cnn.stats``.
 
     Under the columnar partition layout (``repro.dataflow.columnar``)
     the joined table {id, features, label, tensor} stores two int64
@@ -119,8 +121,9 @@ def columnar_intermediate_bytes(cnn, layer, dataset_stats):
     the traced measurement to this number bit-exactly; Eq. 16's alpha
     then reads as the estimate-to-exact safety factor.
     """
+    dataset_stats = workload.dataset_stats
     per_record = (
         16 + 4 * dataset_stats.num_structured_features
-        + cnn.stats.materialized_bytes(layer)
+        + workload.model_stats.materialized_bytes(layer)
     )
     return dataset_stats.num_records * per_record

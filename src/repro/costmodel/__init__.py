@@ -24,6 +24,7 @@ from repro.costmodel.crashes import (
 from repro.costmodel.params import ClusterSpec, cloudlab_cluster, gpu_workstation
 from repro.costmodel.runtime import (
     RuntimeReport,
+    estimate_plan,
     estimate_premat_runtime,
     estimate_runtime,
     per_layer_breakdown,
@@ -40,6 +41,7 @@ __all__ = [
     "RuntimeReport",
     "cloudlab_cluster",
     "detect_crash",
+    "estimate_plan",
     "estimate_premat_runtime",
     "estimate_runtime",
     "flink_setup",

@@ -32,8 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from repro.core.optimizer import downstream_mem_bytes, user_memory_requirement
-from repro.core.sizing import estimate_sizes, static_storage_need
+from repro.core.config import DEFAULT_ALPHA, DEFAULT_CORE_MEMORY
+from repro.core.optimizer import (
+    downstream_mem_bytes,
+    num_partitions_for,
+    user_memory_requirement,
+)
+from repro.core.sizing import static_storage_need
 from repro.memory.model import GB
 
 #: Section 4.1 crash scenario identifiers.
@@ -142,8 +147,6 @@ def vista_setup(config, backend="spark", label="vista"):
     On Spark the Storage region is on-heap; on Ignite it is off-heap
     (Figure 4B vs 4C), so the JVM heap differs per backend.
     """
-    from repro.core.config import DEFAULT_CORE_MEMORY
-
     heap = config.mem_user_bytes + DEFAULT_CORE_MEMORY
     if backend == "spark":
         heap += config.mem_storage_bytes
@@ -162,9 +165,9 @@ def vista_setup(config, backend="spark", label="vista"):
     )
 
 
-def manual_setup(model_stats, layers, dataset_stats, cpu, backend="spark",
+def manual_setup(workload, cpu, backend="spark",
                  cluster_memory_bytes=32 * GB, persistence="deserialized",
-                 join="shuffle", label=None, alpha=2.0):
+                 join="shuffle", label=None):
     """An explicitly hand-apportioned configuration for a forced ``cpu``
     — the paper's strong baselines ("For Lazy-5 with Pre-mat and Eager,
     we explicitly apportion CNN Inference memory, Storage Memory, User
@@ -172,25 +175,15 @@ def manual_setup(model_stats, layers, dataset_stats, cpu, backend="spark",
     whatever is left after the DL replicas and User/Core needs; if
     nothing is left, the DL blowup is unavoidable and the run will
     crash."""
-    from repro.core.optimizer import (
-        downstream_mem_bytes as m_mem_fn,
-        num_partitions_for,
-        user_memory_requirement,
-    )
-    from repro.core.config import DEFAULT_CORE_MEMORY, DEFAULT_MAX_PARTITION
-
-    sizing = estimate_sizes(model_stats, layers, dataset_stats, alpha=alpha)
-    np_ = num_partitions_for(sizing.s_single, cpu, 8, DEFAULT_MAX_PARTITION)
-    m_mem = m_mem_fn(
-        model_stats, layers, dataset_stats.num_structured_features
-    )
+    np_ = num_partitions_for(workload.sizes.s_single, cpu, 8)
     user = user_memory_requirement(
-        model_stats, sizing.s_single, np_, cpu, m_mem, alpha
+        workload, np_, cpu, downstream_mem_bytes(workload)
     )
     storage = max(
         0,
         cluster_memory_bytes - _OS_RESERVED
-        - cpu * model_stats.runtime_mem_bytes - user - DEFAULT_CORE_MEMORY,
+        - cpu * workload.model_stats.runtime_mem_bytes - user
+        - DEFAULT_CORE_MEMORY,
     )
     heap = user + DEFAULT_CORE_MEMORY
     if backend == "spark":
@@ -213,25 +206,24 @@ def manual_setup(model_stats, layers, dataset_stats, cpu, backend="spark",
 # ---------------------------------------------------------------------
 # the check
 # ---------------------------------------------------------------------
-def detect_crash(setup, model_stats, layers, dataset_stats, plan, cluster,
-                 alpha=2.0, use_gpu=False):
-    """Return the crash scenario identifier, or None if the run
-    completes. The Storage terms come from the compiled ``plan``'s
-    cached tables (:func:`~repro.costmodel.runtime.walk_plan`)."""
+def detect_crash(workload, plan, setup, cluster, use_gpu=False):
+    """Return the crash scenario identifier, or None if ``plan`` on the
+    workload completes under ``setup``. The Storage terms come from the
+    compiled ``plan``'s cached tables
+    (:func:`~repro.costmodel.runtime.walk_plan`)."""
     from repro.costmodel.runtime import walk_plan
 
+    model_stats = workload.model_stats
+    dataset_stats = workload.dataset_stats
     # (2) GPU DL blowup — Eq. 15 violated at runtime.
     if use_gpu and cluster.has_gpu:
         if setup.cpu * model_stats.gpu_mem_bytes >= cluster.gpu_memory_bytes:
             return CRASH_DL_GPU
 
-    sizing = estimate_sizes(model_stats, layers, dataset_stats, alpha=alpha)
-    m_mem = downstream_mem_bytes(
-        model_stats, layers, dataset_stats.num_structured_features
-    )
+    sizing = workload.sizes
     user_need = user_memory_requirement(
-        model_stats, sizing.s_single, setup.num_partitions, setup.cpu,
-        m_mem, alpha,
+        workload, setup.num_partitions, setup.cpu,
+        downstream_mem_bytes(workload),
     )
 
     # (3) User Memory overflow — same arithmetic as the optimizer's
@@ -242,23 +234,23 @@ def detect_crash(setup, model_stats, layers, dataset_stats, plan, cluster,
     # (4b) Driver overflow: a broadcast join collects and rebroadcasts
     # Tstr; with a wide structured table the driver dies (Fig. 10(3,4)).
     if setup.join == "broadcast":
-        if alpha * sizing.structured_table_bytes > _DRIVER_CAP:
+        if DEFAULT_ALPHA * sizing.structured_table_bytes > _DRIVER_CAP:
             return CRASH_DRIVER
 
     # (5) Core/partition blowup: one partition's state during the join.
     partition_bytes = math.ceil(
         sizing.s_single / max(1, setup.num_partitions)
     )
-    if alpha * partition_bytes > setup.core_cap_bytes:
+    if DEFAULT_ALPHA * partition_bytes > setup.core_cap_bytes:
         return CRASH_CORE
 
     # (4) Static storage overflow (memory-only backends), in the same
     # arithmetic as the optimizer's Ignite constraint.
-    cached = walk_plan(
-        model_stats, layers, dataset_stats, plan, alpha=alpha
-    ).cached_bytes(static_storage=not setup.storage_spills)
+    cached = walk_plan(workload, plan).cached_bytes(
+        static_storage=not setup.storage_spills
+    )
     effective = static_storage_need(
-        cached, setup.persistence, model_stats.serialized_ratio, alpha=alpha
+        cached, setup.persistence, model_stats.serialized_ratio
     )
     if not setup.storage_spills:
         cluster_storage = setup.storage_cap_bytes * cluster.num_nodes

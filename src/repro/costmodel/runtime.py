@@ -6,7 +6,8 @@ executor runs — so the cost model holds no second description of a
 plan's shape. :func:`walk_plan` sizes every step (FLOPs of an
 ``INFER``, operand bytes of a ``JOIN``, Eq. 16 bytes of a ``CACHE``);
 :func:`price_plan` turns the walk into seconds with the compute, I/O,
-and scheduling terms; :func:`estimate_runtime` applies crash detection
+and scheduling terms; :func:`estimate_plan` applies crash detection
+first. Each takes the :class:`~repro.core.config.Workload` record
 first. Runtime *shapes* — which plan wins, by what factor, where spills
 and crossovers appear — derive from the same mechanisms the paper
 argues from; the absolute constants are calibrated to the paper's
@@ -16,10 +17,11 @@ measured anchors (see :mod:`repro.costmodel.params`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from repro.core.config import DEFAULT_ALPHA, DEFAULT_MAX_PARTITION, Workload
 from repro.core.plans import SOURCE, STAGED, Op, Step, compile_plan
-from repro.core.sizing import intermediate_table_bytes, table_bytes
+from repro.core.sizing import table_bytes
 from repro.costmodel import io_cost, params
 from repro.costmodel.cnn_cost import inference_seconds
 from repro.costmodel.crashes import detect_crash
@@ -83,18 +85,19 @@ class PlanWalk:
         return self.largest_table_bytes if static_storage else self.peak_bytes
 
 
-def walk_plan(model_stats, layers, dataset_stats, plan, base_layer=None,
-              alpha=2.0):
-    """One pass over ``compile_plan(plan, layers, base_layer)``,
-    tracking which feature layers each table slot holds; returns a
-    :class:`PlanWalk`."""
+def walk_plan(workload, plan):
+    """One pass over the workload's ``compile_plan(plan, layers,
+    base_layer)``, tracking which feature layers each table slot holds;
+    returns a :class:`PlanWalk`."""
+    model_stats = workload.model_stats
+    dataset_stats = workload.dataset_stats
     n = dataset_stats.num_records
     tstr = dataset_stats.structured_table_bytes()
     holds = {SOURCE: ()}  # slot -> feature layers its table holds
     cached = {}           # slot -> the CACHE row that holds it
     rows = []
     source_reads = peak = 0
-    for step in compile_plan(plan, layers, base_layer):
+    for step in compile_plan(plan, workload.layers, workload.base_layer):
         held = holds[step.reads]
         row = WalkRow(step)
         if step.op is Op.INFER:
@@ -109,9 +112,7 @@ def walk_plan(model_stats, layers, dataset_stats, plan, base_layer=None,
                 model_stats.materialized_bytes(layer) for layer in held
             ) if held else dataset_stats.image_table_bytes())
         elif step.op is Op.CACHE:
-            row.table_bytes = table_bytes(
-                model_stats, held, dataset_stats, alpha=alpha
-            )
+            row.table_bytes = table_bytes(workload, held)
             cached[step.reads] = row
             peak = max(peak, sum(
                 r.table_bytes for r in cached.values()
@@ -134,13 +135,12 @@ def walk_plan(model_stats, layers, dataset_stats, plan, base_layer=None,
     )
 
 
-def _train_partitions(model_stats, layer, dataset_stats, setup, cluster):
+def _train_partitions(workload, layer, setup, cluster):
     """Partition count of the pooled training table for one layer."""
-    from repro.core.config import DEFAULT_MAX_PARTITION
-
+    dataset_stats = workload.dataset_stats
     pooled_bytes = (
         4 * (dataset_stats.num_structured_features
-             + model_stats.layer_stats(layer).transfer_dim)
+             + workload.model_stats.layer_stats(layer).transfer_dim)
         * dataset_stats.num_records
     )
     by_size = math.ceil(pooled_bytes / DEFAULT_MAX_PARTITION)
@@ -148,16 +148,16 @@ def _train_partitions(model_stats, layer, dataset_stats, setup, cluster):
     return max(floor, min(setup.num_partitions, by_size))
 
 
-def price_plan(model_stats, layers, dataset_stats, plan, setup, cluster,
-               use_gpu=False, base_layer=None, train_iterations=None,
-               alpha=2.0):
+def price_plan(workload, plan, setup, cluster, use_gpu=False,
+               train_iterations=None):
     """Price the compiled plan without the crash check; returns
     ``(rows, breakdown, spilled_bytes)``: one ``(step, seconds)`` row
     per ``INFER`` / ``JOIN`` / ``TRAIN`` in run order, the seconds per
     cost term, and the bytes Storage spills to disk."""
-    walk = walk_plan(
-        model_stats, layers, dataset_stats, plan, base_layer, alpha
-    )
+    model_stats = workload.model_stats
+    dataset_stats = workload.dataset_stats
+    base_layer = workload.base_layer
+    walk = walk_plan(workload, plan)
     n = dataset_stats.num_records
     tstr = dataset_stats.structured_table_bytes()
     broadcast = setup.join == "broadcast"
@@ -183,8 +183,7 @@ def price_plan(model_stats, layers, dataset_stats, plan, setup, cluster,
         return io_cost.training_seconds(
             n, dataset_stats.num_structured_features
             + model_stats.layer_stats(step.layer).transfer_dim,
-            _train_partitions(model_stats, step.layer, dataset_stats,
-                              setup, cluster),
+            _train_partitions(workload, step.layer, setup, cluster),
             cluster, setup.cpu, iterations=train_iterations,
         )
 
@@ -215,7 +214,10 @@ def price_plan(model_stats, layers, dataset_stats, plan, setup, cluster,
     spilled = 0
     if setup.storage_spills:
         # Serialized data drops the JVM-object blowup and compresses.
-        scale = model_stats.serialized_ratio / alpha if serialized else 1.0
+        scale = (
+            model_stats.serialized_ratio / DEFAULT_ALPHA
+            if serialized else 1.0
+        )
         spilled = int(max(
             0.0,
             walk.peak_bytes * scale
@@ -227,9 +229,7 @@ def price_plan(model_stats, layers, dataset_stats, plan, setup, cluster,
         )
     if serialized:
         converted = 2 * sum(
-            intermediate_table_bytes(model_stats, layer, dataset_stats,
-                                     alpha=alpha)
-            for layer in layers
+            workload.sizes.intermediate_table_bytes.values()
         )
         breakdown["serde"] = io_cost.serde_seconds(
             converted, cluster, setup.cpu
@@ -244,27 +244,24 @@ def price_plan(model_stats, layers, dataset_stats, plan, setup, cluster,
     return rows, breakdown, spilled
 
 
-def estimate_runtime(model_stats, layers, dataset_stats, plan, setup,
-                     cluster, use_gpu=False, base_layer=None,
-                     train_iterations=None, alpha=2.0, label=None):
-    """Estimate one workload run; returns a :class:`RuntimeReport`.
+def estimate_plan(workload, plan, setup, cluster, *, use_gpu=False,
+                  train_iterations=None, label=None):
+    """Estimate one run of ``plan`` on the workload; returns a
+    :class:`RuntimeReport`.
 
-    ``base_layer`` marks a pre-materialized starting layer (Appendix
-    B): inference paths start there and its feature table is read from
-    disk instead of the raw images.
+    A ``workload.base_layer`` marks a pre-materialized starting layer
+    (Appendix B): inference paths start there and its feature table is
+    read from disk instead of the raw images.
     """
-    layers = list(layers)
     label = label or setup.label
     crash = detect_crash(
-        setup, model_stats, layers, dataset_stats, plan, cluster,
-        alpha=alpha, use_gpu=use_gpu,
+        workload, plan, setup, cluster, use_gpu=use_gpu
     )  # same Eq. 10 arithmetic as the optimizer
     if crash is not None:
         return RuntimeReport(label=label, seconds=math.inf, crash=crash)
     _, breakdown, spilled = price_plan(
-        model_stats, layers, dataset_stats, plan, setup, cluster,
-        use_gpu=use_gpu, base_layer=base_layer,
-        train_iterations=train_iterations, alpha=alpha,
+        workload, plan, setup, cluster, use_gpu=use_gpu,
+        train_iterations=train_iterations,
     )
     return RuntimeReport(
         label=label,
@@ -274,14 +271,22 @@ def estimate_runtime(model_stats, layers, dataset_stats, plan, setup,
     )
 
 
-def estimate_premat_runtime(model_stats, layers, dataset_stats, plan,
-                            setup, cluster, use_gpu=False, alpha=2.0,
+def estimate_runtime(model_stats, layers, dataset_stats, plan, setup,
+                     cluster, base_layer=None):
+    """:func:`estimate_plan` with the workload given as loose
+    statistics, for callers that hold no record."""
+    workload = Workload(model_stats, layers, dataset_stats, base_layer)
+    return estimate_plan(workload, plan, setup, cluster)
+
+
+def estimate_premat_runtime(workload, plan, setup, cluster, use_gpu=False,
                             label=None):
     """The "Lazy-N with Pre-mat" pattern: materialize the lowest layer
     to disk first, then run the plan with that base layer as the
     inference source. Returns (premat_report, main_report)."""
-    layers = list(layers)
-    base = layers[0]
+    model_stats = workload.model_stats
+    dataset_stats = workload.dataset_stats
+    base = workload.layers[0]
     premat_breakdown = {
         "read": io_cost.image_read_seconds(
             dataset_stats.num_records, cluster
@@ -300,18 +305,19 @@ def estimate_premat_runtime(model_stats, layers, dataset_stats, plan,
         seconds=sum(premat_breakdown.values()),
         breakdown=premat_breakdown,
     )
-    main = estimate_runtime(
-        model_stats, layers, dataset_stats, plan, setup, cluster,
-        use_gpu=use_gpu, base_layer=base, alpha=alpha, label=label,
+    main = estimate_plan(
+        replace(workload, base_layer=base), plan, setup, cluster,
+        use_gpu=use_gpu, label=label,
     )
     return premat, main
 
 
-def per_layer_breakdown(model_stats, layers, dataset_stats, setup, cluster,
-                        base_layer=None, use_gpu=False):
+def per_layer_breakdown(workload, setup, cluster, use_gpu=False):
     """Table 3's rows: per-layer inference (the Staged walk's ``INFER``
     rows) + first-LR-iteration seconds, plus the image-read row."""
-    walk = walk_plan(model_stats, layers, dataset_stats, STAGED, base_layer)
+    model_stats = workload.model_stats
+    dataset_stats = workload.dataset_stats
+    walk = walk_plan(workload, STAGED)
     n = dataset_stats.num_records
     rows = {}
     for row in walk.rows:

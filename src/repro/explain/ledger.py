@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.config import SystemDefaults
 from repro.core.optimizer import enumerate_candidates
-from repro.core.sizing import estimate_sizes
 from repro.explain.whatif import what_if
 
 #: Mirrors the NoFeasiblePlan message ``optimize`` raises.
@@ -73,10 +71,10 @@ class ExplainResult:
         }
 
 
-def explain(model_stats, layers, dataset_stats, resources,
-            downstream=None, defaults=None, backend="spark",
-            what_if_pins=None, cnn=None, dataset=None):
-    """Run Algorithm 1's search, keeping the full candidate ledger.
+def explain(workload, resources, downstream=None, backend="spark",
+            what_if_pins=None, executable=None):
+    """Run Algorithm 1's search on a :class:`~repro.core.config
+    .Workload`, keeping the full candidate ledger.
 
     The search is identical to :func:`repro.core.optimizer.optimize`
     (same ``evaluate_candidate`` per cpu) but exhausts the whole range
@@ -87,19 +85,12 @@ def explain(model_stats, layers, dataset_stats, resources,
 
     Passing ``what_if_pins`` attaches a :class:`~repro.explain.whatif
     .WhatIfReport` for that pinned configuration (with mini-scale run
-    peaks when ``cnn``/``dataset`` are supplied).
+    peaks when an ``executable`` workload is supplied).
     """
-    layers = list(layers)
-    defaults = defaults or SystemDefaults()
-    sizing = estimate_sizes(
-        model_stats, layers, dataset_stats, alpha=defaults.alpha
-    )
     candidates = []
     chosen = None
     for candidate in enumerate_candidates(
-        model_stats, layers, dataset_stats, resources,
-        downstream=downstream, defaults=defaults, backend=backend,
-        sizing=sizing,
+        workload, resources, downstream=downstream, backend=backend,
     ):
         if chosen is None and candidate.feasible:
             candidate.chosen = True
@@ -108,17 +99,16 @@ def explain(model_stats, layers, dataset_stats, resources,
     report = None
     if what_if_pins is not None:
         report = what_if(
-            model_stats, layers, dataset_stats, resources,
-            pins=what_if_pins, downstream=downstream, defaults=defaults,
-            backend=backend, cnn=cnn, dataset=dataset,
+            workload, resources, pins=what_if_pins, downstream=downstream,
+            backend=backend, executable=executable,
         )
     return ExplainResult(
-        model=model_stats.name,
-        layers=layers,
-        num_records=dataset_stats.num_records,
+        model=workload.model_stats.name,
+        layers=list(workload.layers),
+        num_records=workload.dataset_stats.num_records,
         backend=backend,
         num_nodes=resources.num_nodes,
-        sizing=sizing,
+        sizing=workload.sizes,
         candidates=candidates,
         chosen=chosen,
         what_if=report,

@@ -23,6 +23,7 @@ documented band :data:`repro.costmodel.params.PEAK_PREDICTION_BAND`
 
 from __future__ import annotations
 
+from repro.core.config import DEFAULT_ALPHA
 from repro.core.plans import SOURCE, Op, compile_plan
 from repro.dataflow.joins import BROADCAST
 
@@ -92,13 +93,11 @@ class _PlanSimulator:
     """Accumulates the charges the engine would make for each step of
     a compiled plan, and keeps the running per-region maxima."""
 
-    def __init__(self, num_nodes, cpu, num_partitions, join,
-                 user_alpha):
+    def __init__(self, num_nodes, cpu, num_partitions, join):
         self.num_nodes = num_nodes
         self.cpu = cpu
         self.num_partitions = num_partitions
         self.join_how = join
-        self.user_alpha = user_alpha
         self.user = 0
         self.core = 0
         self.driver = 0
@@ -106,7 +105,7 @@ class _PlanSimulator:
 
     def _user_wave(self, counts, out_row_bytes):
         values = [
-            int(self.user_alpha * count * out_row_bytes)
+            int(DEFAULT_ALPHA * count * out_row_bytes)
             for count in counts
         ]
         self.user = max(
@@ -171,11 +170,10 @@ class _PlanSimulator:
         self.driver = max(self.driver, vectors.total_bytes())
 
 
-def predict_workload_peaks(cnn, dataset, layers, config, plan,
-                           num_nodes, cpu=None, model_mem_bytes=None,
-                           user_alpha=2.0):
+def predict_workload_peaks(workload, config, plan, num_nodes):
     """Predict the per-region per-worker occupancy peaks of running
-    ``plan`` on the executable workload.
+    ``plan`` on an executable workload:
+    ``Workload(cnn.stats, layers, DatasetStats.from_dataset(dataset))``.
 
     Returns ``{"user", "core", "dl", "storage", "driver"}`` in bytes —
     directly comparable to the ``region_peak_bytes`` the executor
@@ -185,15 +183,11 @@ def predict_workload_peaks(cnn, dataset, layers, config, plan,
     header (~70 bytes per column), and smaller by the zeros of every
     column that goes sparse.
     """
-    layers = list(layers)
-    stats = cnn.stats
-    num_rows = len(dataset)
-    n_str = dataset.num_structured_features
-    image_bytes = dataset.image_bytes()
-    if cpu is None:
-        cpu = config.cpu
-    if model_mem_bytes is None:
-        model_mem_bytes = stats.runtime_mem_bytes
+    stats = workload.model_stats
+    num_rows = workload.dataset_stats.num_records
+    n_str = workload.dataset_stats.num_structured_features
+    image_bytes = workload.dataset_stats.avg_image_bytes
+    cpu = config.cpu
 
     # Columnar-exact row bytes (see repro.dataflow.columnar): scalar
     # int columns are int64 (8 B/row), tensor columns their raw float32
@@ -204,13 +198,12 @@ def predict_workload_peaks(cnn, dataset, layers, config, plan,
     sim = _PlanSimulator(
         num_nodes=num_nodes, cpu=cpu,
         num_partitions=config.num_partitions, join=config.join,
-        user_alpha=user_alpha,
     )
     counts = _source_counts(num_rows, config.num_partitions)
     tstr = _VirtualTable(counts, row_tstr)
     tables = {SOURCE: _VirtualTable(counts, row_timg)}
     resident = []  # tables held in Storage at once, in CACHE order
-    for step in compile_plan(plan, layers):
+    for step in compile_plan(plan, workload.layers, workload.base_layer):
         table = tables[step.reads]
         if step.op is Op.JOIN:
             # The right operand's row plus T_str's features + label.
@@ -243,7 +236,7 @@ def predict_workload_peaks(cnn, dataset, layers, config, plan,
     return {
         "user": int(sim.user),
         "core": int(sim.core),
-        "dl": int(cpu * model_mem_bytes) if layers else 0,
+        "dl": int(cpu * stats.runtime_mem_bytes),
         "storage": int(max(sim.storage_by_worker, default=0)),
         "driver": int(sim.driver),
     }

@@ -12,22 +12,26 @@ into a user-facing question.
 Two prediction scales coexist deliberately (see DESIGN.md's
 substitution table): feasibility and runtime are priced at *paper*
 scale from the roster statistics, while ``predicted_run_peak_bytes``
-(present when an executable CNN + dataset are supplied) predicts the
-*mini* run's waterline peaks via :mod:`repro.explain.peaks`.
+(present when an executable workload is supplied) predicts the *mini*
+run's waterline peaks via :mod:`repro.explain.peaks`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.config import SystemDefaults, VistaConfig
-from repro.core.optimizer import evaluate_candidate, enumerate_candidates
+from repro.core.config import VistaConfig
+from repro.core.optimizer import (
+    broadcast_or_shuffle,
+    enumerate_candidates,
+    evaluate_candidate,
+)
 from repro.core.plans import LogicalPlan, STAGED, plan_by_name
-from repro.core.sizing import estimate_sizes, static_storage_need
+from repro.core.sizing import static_storage_need
 from repro.costmodel import params
-from repro.costmodel.crashes import detect_crash, vista_setup
-from repro.costmodel.runtime import estimate_runtime, walk_plan
-from repro.dataflow.joins import BROADCAST, SHUFFLE
+from repro.costmodel.crashes import vista_setup
+from repro.costmodel.runtime import estimate_plan, walk_plan
+from repro.dataflow.joins import BROADCAST
 from repro.dataflow.partition import DESERIALIZED, SERIALIZED
 from repro.explain.peaks import predict_workload_peaks
 
@@ -101,9 +105,8 @@ def _resolve_plan(pin):
     return plan_by_name(str(pin))
 
 
-def what_if(model_stats, layers, dataset_stats, resources, pins,
-            downstream=None, defaults=None, backend="spark",
-            cluster=None, cnn=None, dataset=None, user_alpha=None):
+def what_if(workload, resources, pins, downstream=None, backend="spark",
+            cluster=None, executable=None):
     """Price a pinned configuration; returns a :class:`WhatIfReport`.
 
     ``pins`` maps any subset of :data:`PIN_KEYS` to a value. Unpinned
@@ -113,9 +116,10 @@ def what_if(model_stats, layers, dataset_stats, resources, pins,
     fractions apportion the worker memory left after the OS, DL, and
     Core reservations between User and Storage.
 
-    With an executable ``cnn`` and ``dataset``, the report also
-    carries ``predicted_run_peak_bytes`` — the engine-exact mini-scale
-    waterline prediction of :func:`repro.explain.peaks
+    With an ``executable`` workload (the same layers over an executable
+    CNN's ``cnn.stats`` and the mini dataset's statistics), the report
+    also carries ``predicted_run_peak_bytes`` — the engine-exact
+    mini-scale waterline prediction of :func:`repro.explain.peaks
     .predict_workload_peaks` for the pinned configuration.
     """
     pins = dict(pins or {})
@@ -124,12 +128,9 @@ def what_if(model_stats, layers, dataset_stats, resources, pins,
         raise ValueError(
             f"unknown what-if pins {unknown}; valid pins: {list(PIN_KEYS)}"
         )
-    defaults = defaults or SystemDefaults()
-    if user_alpha is None:
-        user_alpha = defaults.alpha
-    sizing = estimate_sizes(
-        model_stats, layers, dataset_stats, alpha=defaults.alpha
-    )
+    model_stats = workload.model_stats
+    dataset_stats = workload.dataset_stats
+    sizing = workload.sizes
     plan = _resolve_plan(pins.get("plan"))
     notes = []
 
@@ -138,16 +139,13 @@ def what_if(model_stats, layers, dataset_stats, resources, pins,
     # ------------------------------------------------------------------
     if "cpu" in pins:
         candidate = evaluate_candidate(
-            model_stats, layers, dataset_stats, resources,
-            int(pins["cpu"]), downstream=downstream, defaults=defaults,
-            backend=backend, sizing=sizing,
+            workload, resources, int(pins["cpu"]), downstream=downstream,
+            backend=backend,
         )
     else:
         candidate = None
         for record in enumerate_candidates(
-            model_stats, layers, dataset_stats, resources,
-            downstream=downstream, defaults=defaults, backend=backend,
-            sizing=sizing,
+            workload, resources, downstream=downstream, backend=backend,
         ):
             candidate = record
             if record.feasible:
@@ -164,10 +162,8 @@ def what_if(model_stats, layers, dataset_stats, resources, pins,
     # ------------------------------------------------------------------
     # knob overrides
     # ------------------------------------------------------------------
-    join = pins.get("join") or candidate.join or (
-        BROADCAST
-        if sizing.structured_table_bytes < defaults.max_broadcast_bytes
-        else SHUFFLE
+    join = (
+        pins.get("join") or candidate.join or broadcast_or_shuffle(workload)
     )
     persistence = pins.get("persistence") or candidate.persistence or (
         SERIALIZED
@@ -227,10 +223,11 @@ def what_if(model_stats, layers, dataset_stats, resources, pins,
         storage_cap_bytes=config.mem_storage_bytes,
         user_cap_bytes=config.mem_user_bytes,
     )
-    crash = detect_crash(
-        setup, model_stats, layers, dataset_stats, plan, cluster,
-        alpha=defaults.alpha, use_gpu=resources.has_gpu,
+    runtime = estimate_plan(
+        workload, plan, setup, cluster, use_gpu=resources.has_gpu,
+        label="what-if",
     )
+    crash = runtime.crash
     if crash is not None and crash not in reasons:
         reasons.append(crash)
     verdict = reasons[0] if reasons else VERDICT_FEASIBLE
@@ -238,15 +235,15 @@ def what_if(model_stats, layers, dataset_stats, resources, pins,
     # ------------------------------------------------------------------
     # predictions
     # ------------------------------------------------------------------
-    working_set = walk_plan(
-        model_stats, layers, dataset_stats, plan, alpha=defaults.alpha
-    ).cached_bytes(static_storage=backend == "ignite")
+    working_set = walk_plan(workload, plan).cached_bytes(
+        static_storage=backend == "ignite"
+    )
     storage_peak = static_storage_need(
         working_set, persistence, model_stats.serialized_ratio,
-        alpha=defaults.alpha,
     ) // max(1, resources.num_nodes)
     max_dim = max(
-        model_stats.layer_stats(layer).transfer_dim for layer in layers
+        model_stats.layer_stats(layer).transfer_dim
+        for layer in workload.layers
     )
     vector_table_bytes = dataset_stats.num_records * (
         32 + 4 * (dataset_stats.num_structured_features + max_dim)
@@ -261,16 +258,10 @@ def what_if(model_stats, layers, dataset_stats, resources, pins,
             vector_table_bytes,
         )),
     }
-    runtime = estimate_runtime(
-        model_stats, layers, dataset_stats, plan, setup, cluster,
-        use_gpu=resources.has_gpu, alpha=defaults.alpha,
-        label="what-if",
-    )
     run_peaks = None
-    if cnn is not None and dataset is not None:
+    if executable is not None:
         run_peaks = predict_workload_peaks(
-            cnn, dataset, layers, config, plan, resources.num_nodes,
-            user_alpha=user_alpha,
+            executable, config, plan, resources.num_nodes
         )
     return WhatIfReport(
         pins=pins,

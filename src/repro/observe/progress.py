@@ -89,8 +89,8 @@ class StagePlan:
                 f"{self.total_predicted_s:.2f}s predicted>")
 
 
-def predict_stage_plan(model_stats, layers, dataset_stats, plan, config,
-                       resources, backend="spark"):
+def predict_stage_plan(workload, plan, config, resources,
+                       backend="spark"):
     """Build the :class:`StagePlan` for a workload from the cost
     model: ``read``, then one stage per compiled step that opens a span,
     each priced by :func:`~repro.costmodel.runtime.price_plan`."""
@@ -99,8 +99,7 @@ def predict_stage_plan(model_stats, layers, dataset_stats, plan, config,
     from repro.explain.whatif import cluster_from_resources
 
     rows, breakdown, _ = price_plan(
-        model_stats, layers, dataset_stats, plan,
-        vista_setup(config, backend=backend),
+        workload, plan, vista_setup(config, backend=backend),
         cluster_from_resources(resources),
     )
     stages = [Stage("read", "read", breakdown["read"])]

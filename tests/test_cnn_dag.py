@@ -18,7 +18,7 @@ import pytest
 from repro.cnn.shapes import LayerSpec
 from repro.cnn.zoo.builder import build_from_specs
 from repro.cnn.zoo.densenet import MINI_INPUT_SHAPE, build_densenet_mini
-from repro.core.config import DatasetStats, VistaConfig
+from repro.core.config import DatasetStats, VistaConfig, Workload
 from repro.core.plans import ALL_PLANS, Op, compile_plan
 from repro.costmodel.runtime import walk_plan
 from repro.data import foods_dataset
@@ -156,6 +156,8 @@ def test_schedule_flops_accounting():
             model.flops_between(step.from_layer or 0, step.outputs[-1][0])
             for step in compile_plan(plan, layers) if step.op is Op.INFER
         )
-        walk = walk_plan(model.stats, layers, DatasetStats(1, 0, 0), plan)
+        walk = walk_plan(
+            Workload(model.stats, layers, DatasetStats(1, 0, 0)), plan
+        )
         assert stepped == sum(row.flops for row in walk.rows) == (
             sum(prefixes) if name.startswith("lazy") else prefixes[-1])

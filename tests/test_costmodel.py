@@ -7,7 +7,7 @@ import pytest
 
 from repro.cnn import get_model_stats
 from repro.cnn.zoo.densenet import build_densenet_mini
-from repro.core.config import DatasetStats
+from repro.core.config import DatasetStats, Workload
 from repro.core.optimizer import optimize
 from repro.core.plans import EAGER, LAZY, LAZY_REORDERED, STAGED
 from repro.costmodel import (
@@ -17,8 +17,8 @@ from repro.costmodel import (
     CRASH_USER,
     cloudlab_cluster,
     detect_crash,
+    estimate_plan,
     estimate_premat_runtime,
-    estimate_runtime,
     gpu_workstation,
     ignite_default_setup,
     per_layer_breakdown,
@@ -30,10 +30,10 @@ from repro.costmodel.crashes import ExecutionSetup, manual_setup
 from repro.memory.model import GB
 
 
-def _layers(model):
+def _workload(model, ds):
     stats = get_model_stats(model)
     counts = {"alexnet": 4, "vgg16": 3, "resnet50": 5}
-    return stats, stats.top_feature_layers(counts[model])
+    return Workload(stats, stats.top_feature_layers(counts[model]), ds)
 
 
 CLUSTER = cloudlab_cluster()
@@ -42,74 +42,63 @@ CLUSTER = cloudlab_cluster()
 class TestCrashPrediction:
     def test_vgg_lazy_5_and_7_crash_on_spark(self, foods_stats,
                                              amazon_stats):
-        stats, layers = _layers("vgg16")
         for ds in (foods_stats, amazon_stats):
             for cpu in (5, 7):
                 setup = spark_default_setup(cpu, ds.num_records)
                 assert detect_crash(
-                    setup, stats, layers, ds, LAZY, CLUSTER
+                    _workload("vgg16", ds), LAZY, setup, CLUSTER
                 ) == CRASH_DL
 
     def test_vgg_lazy_1_completes(self, foods_stats):
-        stats, layers = _layers("vgg16")
         setup = spark_default_setup(1, foods_stats.num_records)
         assert detect_crash(
-            setup, stats, layers, foods_stats, LAZY, CLUSTER
+            _workload("vgg16", foods_stats), LAZY, setup, CLUSTER
         ) is None
 
     def test_alexnet_and_resnet_lazy_complete_on_spark(self, foods_stats,
                                                        amazon_stats):
         """Spark crashes only VGG16 (Section 5.1)."""
         for model in ("alexnet", "resnet50"):
-            stats, layers = _layers(model)
             for ds in (foods_stats, amazon_stats):
                 for cpu in (1, 5, 7):
                     setup = spark_default_setup(cpu, ds.num_records)
                     assert detect_crash(
-                        setup, stats, layers, ds, LAZY,
-                        CLUSTER,
+                        _workload(model, ds), LAZY, setup, CLUSTER,
                     ) is None, (model, cpu)
 
     def test_ignite_lazy_7_crashes_all_models_on_amazon(self,
                                                         amazon_stats):
         for model in ("alexnet", "vgg16", "resnet50"):
-            stats, layers = _layers(model)
             crash = detect_crash(
-                ignite_default_setup(7), stats, layers, amazon_stats,
-                LAZY, CLUSTER,
+                _workload(model, amazon_stats), LAZY,
+                ignite_default_setup(7), CLUSTER,
             )
             assert crash is not None, model
 
     def test_ignite_lazy_7_resnet_crashes_on_foods(self, foods_stats):
-        stats, layers = _layers("resnet50")
         assert detect_crash(
-            ignite_default_setup(7), stats, layers, foods_stats,
-            LAZY, CLUSTER,
+            _workload("resnet50", foods_stats), LAZY,
+            ignite_default_setup(7), CLUSTER,
         ) == CRASH_USER
 
     def test_ignite_lazy_7_alexnet_completes_on_foods(self, foods_stats):
-        stats, layers = _layers("alexnet")
         assert detect_crash(
-            ignite_default_setup(7), stats, layers, foods_stats,
-            LAZY, CLUSTER,
+            _workload("alexnet", foods_stats), LAZY,
+            ignite_default_setup(7), CLUSTER,
         ) is None
 
     def test_eager_crashes_ignite_amazon_resnet(self, amazon_stats):
-        stats, layers = _layers("resnet50")
-        setup = manual_setup(stats, layers, amazon_stats, 5,
-                             backend="ignite")
+        workload = _workload("resnet50", amazon_stats)
+        setup = manual_setup(workload, 5, backend="ignite")
         assert detect_crash(
-            setup, stats, layers, amazon_stats, EAGER,
-            CLUSTER,
+            workload, EAGER, setup, CLUSTER,
         ) == CRASH_STORAGE
 
     def test_eager_completes_ignite_amazon_alexnet(self, amazon_stats):
-        stats, layers = _layers("alexnet")
-        setup = manual_setup(stats, layers, amazon_stats, 5,
-                             backend="ignite")
+        workload = _workload("alexnet", amazon_stats)
+        setup = manual_setup(workload, 5, backend="ignite")
         assert detect_crash(
-            setup, stats, layers, amazon_stats, EAGER,
-            CLUSTER,
+            workload, EAGER, setup, CLUSTER,
         ) is None
 
     @pytest.mark.parametrize("model", ["alexnet", "vgg16", "resnet50"])
@@ -117,38 +106,35 @@ class TestCrashPrediction:
     def test_vista_never_crashes(self, model, backend, paper_resources,
                                  foods_stats, amazon_stats):
         """The headline reliability claim, on every Figure 6 cell."""
-        stats, layers = _layers(model)
         for ds in (foods_stats, amazon_stats):
-            config = optimize(stats, layers, ds, paper_resources)
+            workload = _workload(model, ds)
+            config = optimize(workload, paper_resources)
             setup = vista_setup(config, backend=backend)
             assert detect_crash(
-                setup, stats, layers, ds, STAGED, CLUSTER
+                workload, STAGED, setup, CLUSTER
             ) is None, (model, backend, ds.num_records)
 
     def test_gpu_vgg_crashes_at_5_threads(self, foods_stats):
-        stats, layers = _layers("vgg16")
         setup = spark_default_setup(5, foods_stats.num_records)
         assert detect_crash(
-            setup, stats, layers, foods_stats, LAZY,
+            _workload("vgg16", foods_stats), LAZY, setup,
             gpu_workstation(), use_gpu=True,
         ) == CRASH_DL_GPU
 
     def test_gpu_resnet_survives_7_threads(self, foods_stats):
-        stats, layers = _layers("resnet50")
         setup = spark_default_setup(7, foods_stats.num_records)
         assert detect_crash(
-            setup, stats, layers, foods_stats, LAZY,
+            _workload("resnet50", foods_stats), LAZY, setup,
             gpu_workstation(), use_gpu=True,
         ) is None
 
 
 class TestRuntimeShapes:
     def _vista(self, model, ds, paper_resources, backend="spark"):
-        stats, layers = _layers(model)
-        config = optimize(stats, layers, ds, paper_resources)
-        return estimate_runtime(
-            stats, layers, ds, STAGED, vista_setup(config, backend=backend),
-            CLUSTER,
+        workload = _workload(model, ds)
+        config = optimize(workload, paper_resources)
+        return estimate_plan(
+            workload, STAGED, vista_setup(config, backend=backend), CLUSTER,
         )
 
     def test_vista_beats_lazy1_by_paper_range(self, paper_resources,
@@ -157,10 +143,9 @@ class TestRuntimeShapes:
         baselines' — check the reduction vs Lazy-1 lands in a sane
         band (we allow 50-95%)."""
         for model in ("alexnet", "vgg16", "resnet50"):
-            stats, layers = _layers(model)
             for ds in (foods_stats, amazon_stats):
-                lazy1 = estimate_runtime(
-                    stats, layers, ds, LAZY,
+                lazy1 = estimate_plan(
+                    _workload(model, ds), LAZY,
                     spark_default_setup(1, ds.num_records), CLUSTER,
                 )
                 vista = self._vista(model, ds, paper_resources)
@@ -171,11 +156,9 @@ class TestRuntimeShapes:
                                                 amazon_stats):
         """Figure 6: 'Eager incurs significant overheads due to costly
         disk spills' on Spark/Amazon/ResNet50."""
-        stats, layers = _layers("resnet50")
-        setup = manual_setup(stats, layers, amazon_stats, 5)
-        eager = estimate_runtime(
-            stats, layers, amazon_stats, EAGER, setup, CLUSTER
-        )
+        workload = _workload("resnet50", amazon_stats)
+        setup = manual_setup(workload, 5)
+        eager = estimate_plan(workload, EAGER, setup, CLUSTER)
         vista = self._vista("resnet50", amazon_stats, paper_resources)
         assert eager.spilled_bytes > 0
         assert eager.seconds > 1.5 * vista.seconds
@@ -184,80 +167,66 @@ class TestRuntimeShapes:
                                              foods_stats):
         """'When Eager does not crash and the intermediate data fits in
         memory, its efficiency is comparable to Vista.'"""
-        stats, layers = _layers("alexnet")
-        setup = manual_setup(stats, layers, foods_stats, 5)
-        eager = estimate_runtime(
-            stats, layers, foods_stats, EAGER, setup, CLUSTER
-        )
+        workload = _workload("alexnet", foods_stats)
+        setup = manual_setup(workload, 5)
+        eager = estimate_plan(workload, EAGER, setup, CLUSTER)
         vista = self._vista("alexnet", foods_stats, paper_resources)
         assert eager.seconds < 1.3 * vista.seconds
 
     def test_lazy_reordered_join_cost_lower_at_scale(self, amazon_stats):
         """Pulling the join below inference shrinks shuffle volume when
         features outweigh images (Section 4.2.1)."""
-        stats, layers = _layers("resnet50")
+        workload = _workload("resnet50", amazon_stats)
         setup = spark_default_setup(5, amazon_stats.num_records)
-        bj = estimate_runtime(
-            stats, layers, amazon_stats, LAZY, setup, CLUSTER
-        )
-        aj = estimate_runtime(
-            stats, layers, amazon_stats, LAZY_REORDERED, setup, CLUSTER
-        )
+        bj = estimate_plan(workload, LAZY, setup, CLUSTER)
+        aj = estimate_plan(workload, LAZY_REORDERED, setup, CLUSTER)
         assert aj.breakdown["join"] < bj.breakdown["join"]
 
     def test_premat_helps_alexnet_but_not_resnet_base5(self, foods_stats):
         """Appendix B: pre-materializing helps when the base layer is
         cheap to store; ResNet's 5th-from-top layer is ~11.5 GB and may
         not pay off."""
-        stats, layers = _layers("alexnet")
-        setup = manual_setup(stats, layers, foods_stats, 5)
-        pre, main = estimate_premat_runtime(
-            stats, layers, foods_stats, LAZY, setup, CLUSTER
-        )
-        plain = estimate_runtime(
-            stats, layers, foods_stats, LAZY, setup, CLUSTER
-        )
+        workload = _workload("alexnet", foods_stats)
+        setup = manual_setup(workload, 5)
+        pre, main = estimate_premat_runtime(workload, LAZY, setup, CLUSTER)
+        plain = estimate_plan(workload, LAZY, setup, CLUSTER)
         assert main.seconds < plain.seconds
 
     def test_table3_resnet_anchor(self, foods_stats):
         """Calibration anchor: ResNet50/Foods layer-5 inference + first
         LR iteration ~19 min on one node at cpu=4 (Table 3)."""
-        stats, layers = _layers("resnet50")
-        setup = manual_setup(stats, layers, foods_stats, 4)
+        workload = _workload("resnet50", foods_stats)
+        setup = manual_setup(workload, 4)
         rows, read = per_layer_breakdown(
-            stats, layers, foods_stats, setup, cloudlab_cluster(1)
+            workload, setup, cloudlab_cluster(1)
         )
         minutes = rows["conv4_6"] / 60
         assert 13 < minutes < 25
 
     def test_read_time_sublinear_in_nodes(self, foods_stats):
         """Table 3: image reads speed up sub-linearly (small files)."""
-        stats, layers = _layers("alexnet")
-        setup = manual_setup(stats, layers, foods_stats, 4)
-        t1 = estimate_runtime(
-            stats, layers, foods_stats, STAGED, setup, cloudlab_cluster(1)
+        workload = _workload("alexnet", foods_stats)
+        setup = manual_setup(workload, 4)
+        t1 = estimate_plan(
+            workload, STAGED, setup, cloudlab_cluster(1)
         ).breakdown["read"]
-        t8 = estimate_runtime(
-            stats, layers, foods_stats, STAGED, setup, cloudlab_cluster(8)
+        t8 = estimate_plan(
+            workload, STAGED, setup, cloudlab_cluster(8)
         ).breakdown["read"]
         assert 3 < t1 / t8 < 8  # sub-linear: less than 8x on 8 nodes
 
     def test_gpu_faster_than_cpu(self, foods_stats):
-        stats, layers = _layers("resnet50")
-        setup = manual_setup(stats, layers, foods_stats, 5)
-        cpu_run = estimate_runtime(
-            stats, layers, foods_stats, STAGED, setup, CLUSTER
-        )
-        gpu_run = estimate_runtime(
-            stats, layers, foods_stats, STAGED, setup, gpu_workstation(),
-            use_gpu=True,
+        workload = _workload("resnet50", foods_stats)
+        setup = manual_setup(workload, 5)
+        cpu_run = estimate_plan(workload, STAGED, setup, CLUSTER)
+        gpu_run = estimate_plan(
+            workload, STAGED, setup, gpu_workstation(), use_gpu=True,
         )
         assert gpu_run.breakdown["inference"] < cpu_run.breakdown["inference"]
 
     def test_crashed_report_has_infinite_seconds(self, foods_stats):
-        stats, layers = _layers("vgg16")
-        report = estimate_runtime(
-            stats, layers, foods_stats, LAZY,
+        report = estimate_plan(
+            _workload("vgg16", foods_stats), LAZY,
             spark_default_setup(7, foods_stats.num_records), CLUSTER,
         )
         assert report.crashed
@@ -284,10 +253,10 @@ class TestRuntimeShapes:
             user_cap_bytes=4 * GB, core_cap_bytes=2 * GB,
             storage_cap_bytes=1, storage_spills=True,
         )
-        report = estimate_runtime(
-            stats, stats.feature_layers,
-            DatasetStats(200_000, 130, 14 * 1024), STAGED, setup,
-            cloudlab_cluster(1),
+        report = estimate_plan(
+            Workload(stats, stats.feature_layers,
+                     DatasetStats(200_000, 130, 14 * 1024)),
+            STAGED, setup, cloudlab_cluster(1),
         )
         assert report.crash is None
         assert report.spilled_bytes == 843_839_999
@@ -295,15 +264,9 @@ class TestRuntimeShapes:
     def test_large_np_overhead_penalty(self, foods_stats):
         """Figure 11(B): np > 2000 triggers status-compression
         overhead."""
-        stats, layers = _layers("alexnet")
-        small = manual_setup(stats, layers, foods_stats, 4).with_(
-            num_partitions=1000
-        )
+        workload = _workload("alexnet", foods_stats)
+        small = manual_setup(workload, 4).with_(num_partitions=1000)
         large = small.with_(num_partitions=4000)
-        t_small = estimate_runtime(
-            stats, layers, foods_stats, STAGED, small, CLUSTER
-        )
-        t_large = estimate_runtime(
-            stats, layers, foods_stats, STAGED, large, CLUSTER
-        )
+        t_small = estimate_plan(workload, STAGED, small, CLUSTER)
+        t_large = estimate_plan(workload, STAGED, large, CLUSTER)
         assert t_large.breakdown["overhead"] > 4 * t_small.breakdown["overhead"]

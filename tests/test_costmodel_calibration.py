@@ -6,10 +6,10 @@ tracer's sizing comparison assumes."""
 import pytest
 
 from repro.cnn import build_model, get_model_stats
-from repro.core.config import DatasetStats
+from repro.core.config import DatasetStats, Workload
 from repro.core.plans import LAZY, STAGED
 from repro.core.sizing import estimate_sizes
-from repro.costmodel import estimate_runtime
+from repro.costmodel import estimate_plan
 from repro.costmodel.crashes import manual_setup
 from repro.costmodel.io_cost import (
     image_read_seconds,
@@ -32,10 +32,9 @@ def _stats(num_records=20_000, num_structured_features=130):
 
 
 def _runtime(dataset_stats, layers=LAYERS, plan=STAGED, cpu=4):
-    setup = manual_setup(STATS, layers, dataset_stats, cpu)
-    return estimate_runtime(
-        STATS, layers, dataset_stats, plan, setup, CLUSTER
-    )
+    workload = Workload(STATS, layers, dataset_stats)
+    setup = manual_setup(workload, cpu)
+    return estimate_plan(workload, plan, setup, CLUSTER)
 
 
 class TestRuntimeMonotonicity:
@@ -64,14 +63,14 @@ class TestRuntimeMonotonicity:
         assert lazy >= staged
 
     def test_overhead_grows_with_partition_count(self):
-        ds = _stats()
-        small = manual_setup(STATS, LAYERS, ds, 4)
+        workload = Workload(STATS, LAYERS, _stats())
+        small = manual_setup(workload, 4)
         large = small.with_(num_partitions=small.num_partitions * 8)
-        overhead_small = estimate_runtime(
-            STATS, LAYERS, ds, STAGED, small, CLUSTER
+        overhead_small = estimate_plan(
+            workload, STAGED, small, CLUSTER
         ).breakdown["overhead"]
-        overhead_large = estimate_runtime(
-            STATS, LAYERS, ds, STAGED, large, CLUSTER
+        overhead_large = estimate_plan(
+            workload, STAGED, large, CLUSTER
         ).breakdown["overhead"]
         assert overhead_large > overhead_small
 
@@ -110,7 +109,7 @@ class TestEq16Golden:
         cnn = build_model("alexnet", profile="mini")
         ds = _stats(num_records=24, num_structured_features=10)
         estimates = estimate_sizes(
-            cnn.stats, ["conv5", "fc6", "fc7", "fc8"], ds
+            Workload(cnn.stats, ["conv5", "fc6", "fc7", "fc8"], ds)
         ).intermediate_table_bytes
         assert estimates == self.GOLDEN
 
@@ -120,18 +119,18 @@ class TestEq16Golden:
         alone."""
         cnn = build_model("alexnet", profile="mini")
         ds = _stats(num_records=24, num_structured_features=10)
-        report = estimate_sizes(STATS, ["fc8"], ds)
+        report = estimate_sizes(Workload(STATS, ["fc8"], ds))
         # roster fc8 flat dim is 1000 (ImageNet logits) vs mini's 10:
         # the difference must be exactly alpha * n * 4 * (1000 - 10)
         mini = estimate_sizes(
-            cnn.stats, ["fc8"], ds
+            Workload(cnn.stats, ["fc8"], ds)
         ).intermediate_table_bytes["fc8"]
         roster = report.intermediate_table_bytes["fc8"]
         assert roster - mini == 2 * 24 * 4 * (1000 - 10)
 
     def test_s_double_drops_one_tstr(self):
         ds = _stats(num_records=24, num_structured_features=10)
-        report = estimate_sizes(STATS, ["fc7", "fc8"], ds)
+        report = estimate_sizes(Workload(STATS, ["fc7", "fc8"], ds))
         sizes = report.intermediate_table_bytes
         assert report.s_single == max(sizes.values())
         assert report.s_double == (

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cnn import get_model_stats
 from repro.cnn.zoo.roster import MODEL_ROSTER
-from repro.core.config import DatasetStats
+from repro.core.config import DatasetStats, Workload
 from repro.core.plans import EAGER, LAZY, STAGED, Op
 from repro.costmodel import params
 from repro.costmodel.cnn_cost import inference_seconds
@@ -30,8 +30,10 @@ LAYERS = STATS.feature_layers
 
 def _infer_flops(plan, base_layer=None):
     """``{INFER step's last layer: FLOPs per image}`` of the walk."""
-    walk = walk_plan(STATS, LAYERS, DatasetStats(100, 10, 1024), plan,
-                     base_layer=base_layer)
+    walk = walk_plan(
+        Workload(STATS, LAYERS, DatasetStats(100, 10, 1024), base_layer),
+        plan,
+    )
     return {row.step.outputs[-1][0]: row.flops
             for row in walk.rows if row.step.op is Op.INFER}
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.cnn.zoo.densenet import MINI_INPUT_SHAPE, build_densenet_mini
-from repro.core.config import VistaConfig
+from repro.core.config import DatasetStats, VistaConfig, Workload
 from repro.core.plans import ALL_PLANS
 from repro.costmodel.params import PEAK_PREDICTION_BAND
 from repro.data import foods_dataset
@@ -67,7 +67,8 @@ def test_densenet_all_plans_both_backends(workload):
     assert sorted(reference.layer_results) == sorted(LAYERS)
     for name, plan in ALL_PLANS.items():
         predicted = predict_workload_peaks(
-            MODEL, dataset, LAYERS, config, plan, num_nodes=2
+            Workload(MODEL.stats, LAYERS, DatasetStats.from_dataset(dataset)),
+            config, plan, num_nodes=2,
         )
         for backend in ("serial", "process"):
             where = f"{workload}: {name} on {backend}"

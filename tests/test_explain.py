@@ -15,7 +15,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.cnn import build_model, get_model_stats
 from repro.core.api import Vista, default_resources
-from repro.core.config import DatasetStats, VistaConfig
+from repro.core.config import DatasetStats, VistaConfig, Workload
 from repro.core.executor import FeatureTransferExecutor
 from repro.core.plans import ALL_PLANS
 from repro.costmodel.params import PEAK_PREDICTION_BAND
@@ -45,16 +45,16 @@ FOODS = DatasetStats(20_000, 130, 14 * 1024)
 AMAZON = DatasetStats(200_000, 200, 15 * 1024)
 
 
-def _paper_workload(model="alexnet", num_layers=4):
+def _paper_workload(model="alexnet", num_layers=4, dataset=FOODS):
     stats = get_model_stats(model)
-    return stats, stats.top_feature_layers(num_layers)
+    return Workload(stats, stats.top_feature_layers(num_layers), dataset)
 
 
 def _explain(model="alexnet", num_layers=4, dataset=FOODS,
              resources=None, **kwargs):
-    stats, layers = _paper_workload(model, num_layers)
     return explain(
-        stats, layers, dataset, resources or default_resources(), **kwargs
+        _paper_workload(model, num_layers, dataset),
+        resources or default_resources(), **kwargs
     )
 
 
@@ -139,9 +139,9 @@ class TestLedger:
 class TestWhatIf:
     def _what_if(self, pins, model="alexnet", num_layers=4, dataset=FOODS,
                  resources=None):
-        stats, layers = _paper_workload(model, num_layers)
         return what_if(
-            stats, layers, dataset, resources or default_resources(), pins
+            _paper_workload(model, num_layers, dataset),
+            resources or default_resources(), pins,
         )
 
     def test_pinning_the_optimizer_choice_is_feasible(self):
@@ -227,7 +227,9 @@ class TestPeakPrediction:
         )
         result = executor.run(ALL_PLANS[plan_name])
         predicted = predict_workload_peaks(
-            cnn, dataset, ["fc7", "fc8"], config, ALL_PLANS[plan_name], 2
+            Workload(cnn.stats, ["fc7", "fc8"],
+                     DatasetStats.from_dataset(dataset)),
+            config, ALL_PLANS[plan_name], 2,
         )
         ratios = peak_ratios(
             predicted, result.metrics["region_peak_bytes"]
@@ -271,12 +273,12 @@ class TestPlanChoiceGate:
     def _optimize_record(self, model):
         """The ``knobs`` block a run of this workload would record
         (``Vista.run``'s ``optimizer_decision`` payload)."""
-        stats, layers = _paper_workload(
+        workload = _paper_workload(
             model, {"alexnet": 4, "vgg16": 3}[model]
         )
         from repro.core.optimizer import optimize
 
-        config = optimize(stats, layers, FOODS, default_resources())
+        config = optimize(workload, default_resources())
         return {"knobs": {
             "cpu": config.cpu, "join": config.join,
             "persistence": config.persistence,

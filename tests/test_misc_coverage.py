@@ -94,32 +94,33 @@ class TestIgniteBackendOptimizer:
         """The Ignite static-storage constraint can only make the pick
         more conservative, never less."""
         from repro.cnn import get_model_stats
-        from repro.core.config import DatasetStats
+        from repro.core.config import DatasetStats, Workload
         from repro.core.optimizer import optimize
 
         stats = get_model_stats("resnet50")
-        layers = stats.feature_layers
-        ds = DatasetStats(200_000, 200, 15 * 1024)
+        workload = Workload(
+            stats, stats.feature_layers, DatasetStats(200_000, 200, 15 * 1024)
+        )
         resources = Resources(8, 32 * GB, 8)
-        spark_cfg = optimize(stats, layers, ds, resources, backend="spark")
-        ignite_cfg = optimize(stats, layers, ds, resources,
-                              backend="ignite")
+        spark_cfg = optimize(workload, resources, backend="spark")
+        ignite_cfg = optimize(workload, resources, backend="ignite")
         assert ignite_cfg.cpu <= spark_cfg.cpu
 
     def test_ignite_raises_when_data_cannot_fit_memory(self):
         from repro.cnn import get_model_stats
-        from repro.core.config import DatasetStats
+        from repro.core.config import DatasetStats, Workload
         from repro.core.optimizer import optimize
 
         stats = get_model_stats("resnet50")
-        huge = DatasetStats(2_000_000, 200, 15 * 1024)
+        huge = Workload(
+            stats, stats.feature_layers,
+            DatasetStats(2_000_000, 200, 15 * 1024),
+        )
         resources = Resources(2, 32 * GB, 8)
         with pytest.raises(NoFeasiblePlan):
-            optimize(stats, stats.feature_layers, huge, resources,
-                     backend="ignite")
+            optimize(huge, resources, backend="ignite")
         # Spark with spills remains feasible for the same workload.
-        optimize(stats, stats.feature_layers, huge, resources,
-                 backend="spark")
+        optimize(huge, resources, backend="spark")
 
 
 class TestWorkloadResultSurface:

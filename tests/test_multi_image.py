@@ -7,7 +7,7 @@ import pytest
 
 from repro.cnn import build_model
 from repro.core.api import Vista, default_resources
-from repro.core.config import DatasetStats, VistaConfig
+from repro.core.config import DatasetStats, VistaConfig, Workload
 from repro.core.executor import FeatureTransferExecutor
 from repro.core.plans import EAGER, EAGER_REORDERED, LAZY, STAGED
 from repro.data.synthetic import generate_dataset
@@ -124,8 +124,9 @@ def test_traced_run_and_peak_prediction_with_multiple_images(
     assert set(result.trace.find("workload").attrs["sizing"]) \
         == {"fc7", "fc8"}
     peaks = predict_workload_peaks(
-        executor.cnn, multi_dataset, ["fc7", "fc8"], executor.config,
-        STAGED, num_nodes=2,
+        Workload(executor.cnn.stats, ["fc7", "fc8"],
+                 DatasetStats.from_dataset(multi_dataset)),
+        executor.config, STAGED, num_nodes=2,
     )
     assert peaks["storage"] > 0
 

@@ -452,8 +452,8 @@ def _run_with_progress(tmp_path, backend="process", records=96,
         os.path.join(str(tmp_path), "progress.ledger.jsonl"))
     config = vista.optimize()
     stage_plan = predict_stage_plan(
-        vista.model_stats, vista.layers, vista.dataset_stats,
-        vista.plan, config, vista.resources, backend=vista.backend,
+        vista.workload, vista.plan, config, vista.resources,
+        backend=vista.backend,
     )
     ledger.emit("stage_plan", plan=vista.plan.label,
                 stages=stage_plan.to_list())
@@ -547,8 +547,8 @@ def test_stage_plan_round_trip():
     vista = _make_vista()
     config = vista.optimize()
     plan = predict_stage_plan(
-        vista.model_stats, vista.layers, vista.dataset_stats,
-        vista.plan, config, vista.resources, backend=vista.backend,
+        vista.workload, vista.plan, config, vista.resources,
+        backend=vista.backend,
     )
     assert len(plan) > 0 and plan.total_predicted_s > 0
     clone = StagePlan.from_list(

@@ -4,10 +4,13 @@ import pytest
 
 from repro.cnn import get_model_stats
 from repro.core.config import (
+    DEFAULT_CORE_MEMORY,
+    DEFAULT_MAX_PARTITION,
+    DEFAULT_OS_RESERVED,
     DatasetStats,
     DownstreamSpec,
     Resources,
-    SystemDefaults,
+    Workload,
 )
 from repro.core.optimizer import (
     downstream_mem_bytes,
@@ -15,23 +18,22 @@ from repro.core.optimizer import (
     optimize,
     user_memory_requirement,
 )
-from repro.core.sizing import estimate_sizes
 from repro.exceptions import NoFeasiblePlan
 from repro.memory.model import GB, MB
 
 
 class TestNumPartitions:
     def test_multiple_of_total_cores(self):
-        np_ = num_partitions_for(10 * GB, 7, 8, 100 * MB)
+        np_ = num_partitions_for(10 * GB, 7, 8)
         assert np_ % (7 * 8) == 0
 
     def test_partitions_bounded_by_pmax(self):
         s_single = 50 * GB
-        np_ = num_partitions_for(s_single, 4, 8, 100 * MB)
+        np_ = num_partitions_for(s_single, 4, 8)
         assert s_single / np_ <= 100 * MB
 
     def test_small_data_gets_one_wave(self):
-        assert num_partitions_for(1 * MB, 4, 2, 100 * MB) == 8
+        assert num_partitions_for(1 * MB, 4, 2) == 8
 
 
 class TestPaperPicks:
@@ -45,7 +47,7 @@ class TestPaperPicks:
                        foods_stats):
         stats = get_model_stats(model)
         config = optimize(
-            stats, stats.top_feature_layers(nl), foods_stats,
+            Workload(stats, stats.top_feature_layers(nl), foods_stats),
             paper_resources,
         )
         assert config.cpu == expected_cpu
@@ -54,7 +56,8 @@ class TestPaperPicks:
                                                   foods_stats):
         stats = get_model_stats("alexnet")
         config = optimize(
-            stats, stats.top_feature_layers(4), foods_stats, paper_resources
+            Workload(stats, stats.top_feature_layers(4), foods_stats),
+            paper_resources,
         )
         assert config.join == "broadcast"
 
@@ -62,7 +65,8 @@ class TestPaperPicks:
                                                 amazon_stats):
         stats = get_model_stats("alexnet")
         config = optimize(
-            stats, stats.top_feature_layers(4), amazon_stats, paper_resources
+            Workload(stats, stats.top_feature_layers(4), amazon_stats),
+            paper_resources,
         )
         assert config.join == "shuffle"
 
@@ -71,7 +75,8 @@ class TestPaperPicks:
     ):
         stats = get_model_stats("resnet50")
         config = optimize(
-            stats, stats.top_feature_layers(5), amazon_stats, paper_resources
+            Workload(stats, stats.top_feature_layers(5), amazon_stats),
+            paper_resources,
         )
         assert config.persistence == "serialized"
 
@@ -79,7 +84,8 @@ class TestPaperPicks:
                                                 foods_stats):
         stats = get_model_stats("alexnet")
         config = optimize(
-            stats, stats.top_feature_layers(4), foods_stats, paper_resources
+            Workload(stats, stats.top_feature_layers(4), foods_stats),
+            paper_resources,
         )
         assert config.persistence == "deserialized"
 
@@ -90,22 +96,22 @@ class TestConstraints:
         for model in ("alexnet", "vgg16", "resnet50"):
             stats = get_model_stats(model)
             config = optimize(
-                stats, stats.feature_layers, foods_stats, paper_resources
+                Workload(stats, stats.feature_layers, foods_stats),
+                paper_resources,
             )
             assert 1 <= config.cpu <= 7
 
     def test_eq12_total_memory_respected(self, paper_resources,
                                          foods_stats):
-        defaults = SystemDefaults()
         for model in ("alexnet", "vgg16", "resnet50"):
             stats = get_model_stats(model)
             config = optimize(
-                stats, stats.feature_layers, foods_stats, paper_resources,
-                defaults=defaults,
+                Workload(stats, stats.feature_layers, foods_stats),
+                paper_resources,
             )
             total = (
-                defaults.os_reserved_bytes + config.mem_dl_bytes
-                + config.mem_user_bytes + defaults.core_memory_bytes
+                DEFAULT_OS_RESERVED + config.mem_dl_bytes
+                + config.mem_user_bytes + DEFAULT_CORE_MEMORY
                 + config.mem_storage_bytes
             )
             assert total <= paper_resources.system_memory_bytes
@@ -114,44 +120,39 @@ class TestConstraints:
                                          foods_stats):
         stats = get_model_stats("resnet50")
         config = optimize(
-            stats, stats.feature_layers, foods_stats, paper_resources
+            Workload(stats, stats.feature_layers, foods_stats),
+            paper_resources,
         )
         assert config.num_partitions % (
             config.cpu * paper_resources.num_nodes
         ) == 0
 
     def test_eq14_partition_size_bound(self, paper_resources, amazon_stats):
-        defaults = SystemDefaults()
         stats = get_model_stats("resnet50")
-        config = optimize(
-            stats, stats.feature_layers, amazon_stats, paper_resources
-        )
-        sizing = estimate_sizes(
-            stats, stats.feature_layers, amazon_stats, alpha=defaults.alpha
-        )
+        workload = Workload(stats, stats.feature_layers, amazon_stats)
+        config = optimize(workload, paper_resources)
+        sizing = workload.sizes
         assert sizing.s_single / config.num_partitions \
-            <= defaults.max_partition_bytes * 1.01
+            <= DEFAULT_MAX_PARTITION * 1.01
 
     def test_eq15_gpu_constraint_lowers_cpu(self, foods_stats):
         gpu_res = Resources(1, 32 * GB, 8, gpu_memory_bytes=12 * GB)
         stats = get_model_stats("vgg16")
         config = optimize(
-            stats, stats.feature_layers, foods_stats, gpu_res
+            Workload(stats, stats.feature_layers, foods_stats),
+            gpu_res,
         )
         assert config.cpu * stats.gpu_mem_bytes < 12 * GB
         assert config.cpu <= 2
 
     def test_user_memory_covers_requirement(self, paper_resources,
                                             foods_stats):
-        defaults = SystemDefaults()
         stats = get_model_stats("alexnet")
-        layers = stats.feature_layers
-        config = optimize(stats, layers, foods_stats, paper_resources)
-        sizing = estimate_sizes(stats, layers, foods_stats)
-        m_mem = downstream_mem_bytes(stats, layers, 130)
+        workload = Workload(stats, stats.feature_layers, foods_stats)
+        config = optimize(workload, paper_resources)
+        m_mem = downstream_mem_bytes(workload)
         need = user_memory_requirement(
-            stats, sizing.s_single, config.num_partitions, config.cpu,
-            m_mem, defaults.alpha,
+            workload, config.num_partitions, config.cpu, m_mem,
         )
         assert config.mem_user_bytes >= need
 
@@ -161,7 +162,8 @@ class TestInfeasibility:
         small = Resources(8, 4 * GB, 8)
         stats = get_model_stats("vgg16")
         with pytest.raises(NoFeasiblePlan):
-            optimize(stats, stats.feature_layers, foods_stats, small)
+            optimize(Workload(stats, stats.feature_layers, foods_stats),
+                     small)
 
     def test_downstream_in_dl_system_raises_dl_footprint(
         self, paper_resources, foods_stats
@@ -169,7 +171,8 @@ class TestInfeasibility:
         stats = get_model_stats("alexnet")
         big_m = DownstreamSpec(mem_bytes=3 * GB, in_dl_system=True)
         config = optimize(
-            stats, stats.feature_layers, foods_stats, paper_resources,
+            Workload(stats, stats.feature_layers, foods_stats),
+            paper_resources,
             downstream=big_m,
         )
         # DL region must hold max(f, M) per thread: 3 GB > 2 GB.

@@ -196,8 +196,8 @@ def test_executor_and_monitor_agree_with_steps(tmp_path, name, num_layers):
     assert _span_stream(tracer.root) == span_names
     assert store.stages() == sorted(s.stage_id for s in steps if s.stage_id)
     stage_plan = predict_stage_plan(
-        vista.model_stats, vista.layers, vista.dataset_stats, plan,
-        vista.optimize(), vista.resources, backend=vista.backend,
+        vista.workload, plan, vista.optimize(), vista.resources,
+        backend=vista.backend,
     )
     assert [stage.matcher for stage in stage_plan.stages] \
         == ["read", *span_names]

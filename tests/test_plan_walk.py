@@ -5,11 +5,11 @@ and agreement of the walk with what the executor meters and traces."""
 import pytest
 
 from repro.cnn import build_model, get_model_stats
-from repro.core.config import DatasetStats, VistaConfig
+from repro.core.config import DatasetStats, VistaConfig, Workload
 from repro.core.executor import FeatureTransferExecutor
 from repro.core.plans import ALL_PLANS, EAGER, STAGED, Op, compile_plan
 from repro.core.sizing import eager_table_bytes, estimate_sizes
-from repro.costmodel import cloudlab_cluster, estimate_runtime, params
+from repro.costmodel import cloudlab_cluster, estimate_plan, params
 from repro.costmodel.crashes import manual_setup
 from repro.costmodel.io_cost import broadcast_seconds, task_overhead_seconds
 from repro.costmodel.runtime import price_plan, walk_plan
@@ -20,6 +20,7 @@ from repro.trace import Tracer
 ALEXNET = get_model_stats("alexnet")
 LAYERS = ALEXNET.top_feature_layers(4)
 FOODS = DatasetStats(20_000, 130, 14 * 1024)
+WORKLOAD = Workload(ALEXNET, LAYERS, FOODS)
 CLUSTER = cloudlab_cluster()
 
 
@@ -162,27 +163,26 @@ GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(ALL_PLANS))
 def test_golden_walk(name):
-    assert _render(walk_plan(ALEXNET, LAYERS, FOODS, ALL_PLANS[name])) \
-        == GOLDEN[name]
+    assert _render(walk_plan(WORKLOAD, ALL_PLANS[name])) == GOLDEN[name]
 
 
 def test_walk_storage_terms_are_eq16_and_eq6():
     """Staged's peak is s_double (two consecutive stages, T_str once),
     its largest table s_single; Eager caches the all-layers table."""
-    sizing = estimate_sizes(ALEXNET, LAYERS, FOODS)
-    staged = walk_plan(ALEXNET, LAYERS, FOODS, STAGED)
+    sizing = estimate_sizes(WORKLOAD)
+    staged = walk_plan(WORKLOAD, STAGED)
     assert staged.peak_bytes == sizing.s_double
     assert staged.largest_table_bytes == sizing.s_single
-    assert walk_plan(ALEXNET, LAYERS, FOODS, EAGER).peak_bytes \
-        == eager_table_bytes(ALEXNET, LAYERS, FOODS)
+    assert walk_plan(WORKLOAD, EAGER).peak_bytes \
+        == eager_table_bytes(WORKLOAD)
 
 
 @pytest.mark.parametrize("join", ["shuffle", "broadcast"])
 @pytest.mark.parametrize("name", sorted(ALL_PLANS))
 def test_priced_rows_are_the_span_opening_steps(name, join):
-    setup = manual_setup(ALEXNET, LAYERS, FOODS, 4, join=join)
+    setup = manual_setup(WORKLOAD, 4, join=join)
     rows, breakdown, _ = price_plan(
-        ALEXNET, LAYERS, FOODS, ALL_PLANS[name], setup, CLUSTER
+        WORKLOAD, ALL_PLANS[name], setup, CLUSTER
     )
     assert [step for step, _ in rows] == [
         step for step in compile_plan(ALL_PLANS[name], LAYERS)
@@ -190,9 +190,7 @@ def test_priced_rows_are_the_span_opening_steps(name, join):
     ]
     joins = [seconds for step, seconds in rows if step.op is Op.JOIN]
     assert breakdown["join"] == pytest.approx(sum(joins))
-    report = estimate_runtime(
-        ALEXNET, LAYERS, FOODS, ALL_PLANS[name], setup, CLUSTER
-    )
+    report = estimate_plan(WORKLOAD, ALL_PLANS[name], setup, CLUSTER)
     assert not report.crashed
     assert sum(report.breakdown.values()) == report.seconds
     assert report.breakdown == breakdown
@@ -201,10 +199,8 @@ def test_priced_rows_are_the_span_opening_steps(name, join):
 def test_eager_bj_joins_and_broadcasts_once():
     """Figure 5(C) joins the all-layers table once: one broadcast of
     T_str, and ``2 + |L|`` stages (the read, the join, |L| trainings)."""
-    setup = manual_setup(ALEXNET, LAYERS, FOODS, 4, join="broadcast")
-    rows, breakdown, _ = price_plan(
-        ALEXNET, LAYERS, FOODS, EAGER, setup, CLUSTER
-    )
+    setup = manual_setup(WORKLOAD, 4, join="broadcast")
+    rows, breakdown, _ = price_plan(WORKLOAD, EAGER, setup, CLUSTER)
     assert [step.op for step, _ in rows].count(Op.JOIN) == 1
     assert breakdown["join"] == broadcast_seconds(
         FOODS.structured_table_bytes(), CLUSTER
@@ -246,8 +242,10 @@ def test_walk_matches_what_the_executor_meters_and_traces(case, name):
         layers, config, tracer=tracer,
     ).run(ALL_PLANS[name], premat_layer=base)
 
-    walk = walk_plan(cnn.stats, layers, DatasetStats.from_dataset(dataset),
-                     ALL_PLANS[name], base_layer=base)
+    walk = walk_plan(
+        Workload(cnn.stats, layers, DatasetStats.from_dataset(dataset), base),
+        ALL_PLANS[name],
+    )
     assert sum(row.flops for row in walk.rows) * RECORDS \
         == result.metrics["inference_flops"]
     workload = next(c for c in tracer.root.children if c.name == "workload")

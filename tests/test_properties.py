@@ -172,7 +172,7 @@ def test_optimizer_np_constraints_hold(cpu, nodes, s_single_hundreds_mb):
     from repro.memory.model import MB
 
     s_single = s_single_hundreds_mb * 100 * MB
-    np_ = num_partitions_for(s_single, cpu, nodes, 100 * MB)
+    np_ = num_partitions_for(s_single, cpu, nodes)
     assert np_ % (cpu * nodes) == 0
     assert s_single / np_ <= 100 * MB
 
@@ -193,7 +193,13 @@ def test_optimizer_output_always_satisfies_constraints(
     NoFeasiblePlan or returns a config satisfying every constraint —
     and the cost model's crash check (same arithmetic) agrees."""
     from repro.cnn import get_model_stats
-    from repro.core.config import DatasetStats, Resources, SystemDefaults
+    from repro.core.config import (
+        DEFAULT_CORE_MEMORY,
+        DEFAULT_OS_RESERVED,
+        DatasetStats,
+        Resources,
+        Workload,
+    )
     from repro.core.optimizer import optimize
     from repro.core.plans import STAGED
     from repro.costmodel import detect_crash, vista_setup
@@ -205,27 +211,25 @@ def test_optimizer_output_always_satisfies_constraints(
     layers = stats.top_feature_layers(
         min(num_layers, len(stats.feature_layers))
     )
-    ds = DatasetStats(records, features, 14 * 1024)
+    workload = Workload(
+        stats, layers, DatasetStats(records, features, 14 * 1024)
+    )
     resources = Resources(nodes, mem_gb * GB, 8)
-    defaults = SystemDefaults()
     cluster = ClusterSpec(
         num_nodes=nodes, cores_per_node=8,
         system_memory_bytes=mem_gb * GB,
     )
     for backend in ("spark", "ignite"):
         try:
-            config = optimize(
-                stats, layers, ds, resources, defaults=defaults,
-                backend=backend,
-            )
+            config = optimize(workload, resources, backend=backend)
         except NoFeasiblePlan:
             continue
         # Eq. 9
         assert 1 <= config.cpu <= 7
         # Eq. 12
         total = (
-            defaults.os_reserved_bytes + config.mem_dl_bytes
-            + config.mem_user_bytes + defaults.core_memory_bytes
+            DEFAULT_OS_RESERVED + config.mem_dl_bytes
+            + config.mem_user_bytes + DEFAULT_CORE_MEMORY
             + config.mem_storage_bytes
         )
         assert total <= resources.system_memory_bytes
@@ -233,7 +237,6 @@ def test_optimizer_output_always_satisfies_constraints(
         assert config.num_partitions % (config.cpu * nodes) == 0
         # the shared crash model never flags Vista's own configuration
         crash = detect_crash(
-            vista_setup(config, backend=backend), stats, layers, ds,
-            STAGED, cluster,
+            workload, STAGED, vista_setup(config, backend=backend), cluster,
         )
         assert crash is None, (backend, crash)

@@ -4,7 +4,7 @@ peaks (Eqs. 5-6), including the Figure 15 upper-bound property."""
 import pytest
 
 from repro.cnn import get_model_stats
-from repro.core.config import DatasetStats
+from repro.core.config import DatasetStats, Workload
 from repro.core.sizing import (
     eager_table_bytes,
     estimate_sizes,
@@ -15,7 +15,7 @@ from repro.core.sizing import (
 def test_eq16_arithmetic():
     stats = get_model_stats("alexnet")
     ds = DatasetStats(1000, 10, 14336)
-    size = intermediate_table_bytes(stats, "fc6", ds, alpha=2.0)
+    size = intermediate_table_bytes(Workload(stats, ["fc6"], ds), "fc6")
     expected = 2.0 * 1000 * (8 + 8 + 4 * 4096) + ds.structured_table_bytes()
     assert size == int(expected)
 
@@ -23,14 +23,18 @@ def test_eq16_arithmetic():
 def test_sizes_use_unpooled_dims():
     stats = get_model_stats("resnet50")
     ds = DatasetStats(1000, 10, 14336)
-    conv = intermediate_table_bytes(stats, "conv4_6", ds)
+    conv = intermediate_table_bytes(
+        Workload(stats, ["conv4_6"], ds), "conv4_6"
+    )
     # 14x14x1024 floats, not the 2x2-pooled transfer dim
     assert conv > 2.0 * 1000 * 4 * 14 * 14 * 1024
 
 
 def test_s_single_is_max_layer(foods_stats):
     stats = get_model_stats("resnet50")
-    report = estimate_sizes(stats, stats.feature_layers, foods_stats)
+    report = estimate_sizes(
+        Workload(stats, stats.feature_layers, foods_stats)
+    )
     assert report.s_single == max(report.intermediate_table_bytes.values())
     assert report.s_single == report.intermediate_table_bytes["conv4_6"]
 
@@ -38,7 +42,7 @@ def test_s_single_is_max_layer(foods_stats):
 def test_s_double_consecutive_pairs(foods_stats):
     stats = get_model_stats("resnet50")
     layers = stats.feature_layers
-    report = estimate_sizes(stats, layers, foods_stats)
+    report = estimate_sizes(Workload(stats, layers, foods_stats))
     sizes = [report.intermediate_table_bytes[layer] for layer in layers]
     expected = max(
         sizes[i] + sizes[i + 1] for i in range(len(sizes) - 1)
@@ -48,20 +52,21 @@ def test_s_double_consecutive_pairs(foods_stats):
 
 def test_single_layer_s_double_equals_s_single(foods_stats):
     stats = get_model_stats("alexnet")
-    report = estimate_sizes(stats, ["fc8"], foods_stats)
+    report = estimate_sizes(Workload(stats, ["fc8"], foods_stats))
     assert report.s_double == report.s_single
 
 
 def test_empty_layer_set_rejected(foods_stats):
     with pytest.raises(ValueError):
-        estimate_sizes(get_model_stats("alexnet"), [], foods_stats)
+        Workload(get_model_stats("alexnet"), [], foods_stats)
 
 
 def test_eager_table_larger_than_any_single_layer(foods_stats):
     stats = get_model_stats("resnet50")
     layers = stats.feature_layers
-    eager = eager_table_bytes(stats, layers, foods_stats)
-    report = estimate_sizes(stats, layers, foods_stats)
+    workload = Workload(stats, layers, foods_stats)
+    eager = eager_table_bytes(workload)
+    report = estimate_sizes(workload)
     assert eager > report.s_single
 
 

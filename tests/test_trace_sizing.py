@@ -19,7 +19,7 @@ sit in [1.15, 1.69].
 import pytest
 
 from repro.cnn import build_model
-from repro.core.config import DatasetStats, VistaConfig
+from repro.core.config import DatasetStats, VistaConfig, Workload
 from repro.core.executor import FeatureTransferExecutor
 from repro.core.plans import STAGED
 from repro.core.sizing import estimate_sizes
@@ -117,7 +117,7 @@ def test_measured_bytes_are_exact_columnar_sizes():
     sizing, _ = _traced_sizing("alexnet", 2, records)
     for layer, entry in sizing.items():
         assert entry["measured_bytes"] == columnar_intermediate_bytes(
-            model, layer, stats
+            Workload(model.stats, [layer], stats), layer
         )
 
 
@@ -130,7 +130,7 @@ def test_estimate_formula_matches_eq16():
         avg_image_bytes=32 * 32 * 3 * 4,
     )
     estimates = estimate_sizes(
-        model.stats, ["fc7", "fc8"], stats, alpha=2.0
+        Workload(model.stats, ["fc7", "fc8"], stats)
     ).intermediate_table_bytes
     for layer in ("fc7", "fc8"):
         flat = 1
