@@ -13,7 +13,7 @@ from repro.costmodel import params
 
 def executable_model_stats(cnn):
     """The :class:`~repro.cnn.zoo.roster.ModelStats` of an *executable*
-    CNN — what ``estimate_runtime`` / ``detect_crash`` need to price the
+    CNN — what a :class:`~repro.core.config.Workload` needs to price the
     mini-profile network that actually ran rather than the roster's
     paper-scale one. :func:`~repro.cnn.zoo.builder.build_from_specs`
     built it with the model; this only names where it lives."""

@@ -43,6 +43,17 @@ def test_estimate_crash_exits_nonzero(capsys):
     assert "CRASH" in capsys.readouterr().out
 
 
+def test_estimate_prices_on_the_gpu_that_gpu_gb_names(capsys):
+    """``--gpu-gb`` plans for the GPU (Eq. 15), so the estimate prices
+    inference on that GPU too, and a lazy baseline's crash is Fig. 7A's
+    GPU scenario rather than the CPU DL blowup."""
+    gpu = ["--model", "vgg16", "--gpu-gb", "16"]
+    assert main(["estimate", *gpu, "--approach", "vista"]) == 0
+    assert capsys.readouterr().out.startswith("vista: 2.3 min\n")
+    assert main(["estimate", *gpu, "--approach", "lazy-5"]) == 1
+    assert capsys.readouterr().out == "lazy-5: CRASH (gpu-memory)\n"
+
+
 def test_estimate_eager_ignite(capsys):
     assert main([
         "estimate", "--model", "alexnet", "--approach", "eager",

@@ -5,11 +5,12 @@ import math
 
 import pytest
 
-from repro.cnn import get_model_stats
+from repro.cnn import build_model, get_model_stats
 from repro.cnn.zoo.densenet import build_densenet_mini
-from repro.core.config import DatasetStats, Workload
+from repro.core.api import Vista
+from repro.core.config import DatasetStats, Resources, Workload
 from repro.core.optimizer import optimize
-from repro.core.plans import EAGER, LAZY, LAZY_REORDERED, STAGED
+from repro.core.plans import ALL_PLANS, EAGER, LAZY, LAZY_REORDERED, STAGED
 from repro.costmodel import (
     CRASH_DL,
     CRASH_DL_GPU,
@@ -19,6 +20,7 @@ from repro.costmodel import (
     detect_crash,
     estimate_plan,
     estimate_premat_runtime,
+    estimate_runtime,
     gpu_workstation,
     ignite_default_setup,
     per_layer_breakdown,
@@ -26,7 +28,10 @@ from repro.costmodel import (
     vista_setup,
 )
 from repro.costmodel import params
+from repro.costmodel.cnn_cost import executable_model_stats
 from repro.costmodel.crashes import ExecutionSetup, manual_setup
+from repro.data import foods_dataset
+from repro.explain.whatif import cluster_from_resources
 from repro.memory.model import GB
 
 
@@ -270,3 +275,26 @@ class TestRuntimeShapes:
         t_small = estimate_plan(workload, STAGED, small, CLUSTER)
         t_large = estimate_plan(workload, STAGED, large, CLUSTER)
         assert t_large.breakdown["overhead"] > 4 * t_small.breakdown["overhead"]
+
+
+def test_estimate_runtime_keeps_the_loose_statistics_call_shape():
+    """``estimate_runtime`` prices a plan from loose statistics, called
+    positionally exactly as ``benchmarks/e2e/layers.py::predicted_seconds``
+    calls it (executable AlexNet-mini stats, ``vista.dataset_stats``, a
+    pre-materialized ``conv5``); on every plan it reports what the
+    record form, :func:`estimate_plan`, reports."""
+    resources = Resources(
+        num_nodes=1, system_memory_bytes=32 * GB, cores_per_node=3
+    )
+    vista = Vista("alexnet", 3, foods_dataset(num_records=24), resources)
+    setup = vista_setup(vista.optimize())
+    stats = executable_model_stats(build_model("alexnet", profile="mini"))
+    cluster = cluster_from_resources(resources)
+    workload = Workload(stats, vista.layers, vista.dataset_stats, "conv5")
+    for plan in ALL_PLANS.values():
+        report = estimate_runtime(
+            stats, vista.layers, vista.dataset_stats, plan, setup,
+            cluster, base_layer="conv5",
+        )
+        assert not report.crashed
+        assert report == estimate_plan(workload, plan, setup, cluster)

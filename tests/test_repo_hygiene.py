@@ -297,3 +297,44 @@ def test_feature_store_writes_through_atomic_io_only():
     assert "atomic_write_bytes" in store
     for raw_write in ("write_bytes", "write_text"):
         assert raw_write not in store.replace("atomic_write_bytes", "")
+
+
+# ---------------------------------------------------------------------
+# one planner input; Table 1(C) and alpha are constants
+# ---------------------------------------------------------------------
+def _defs(*parts):
+    """``(path:name, parameter names)`` of every function under
+    ``src/repro/<parts>``."""
+    for path in _src_files(*parts):
+        for node in ast.walk(ast.parse(_read(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                names = {arg.arg for arg in (
+                    args.posonlyargs + args.args + args.kwonlyargs)}
+                yield f"{os.path.relpath(path, REPO_ROOT)}:{node.name}", names
+
+
+def test_the_statistics_triple_travels_as_one_workload():
+    """Every planner reader takes a ``Workload`` record; the one def
+    left that takes loose model and dataset statistics is the
+    ``estimate_runtime`` adapter, whose shape the benchmark pins."""
+    loose = sorted(
+        where for where, names in _defs("**", "*.py")
+        if {"model_stats", "dataset_stats"} <= names
+    )
+    assert loose == ["src/repro/costmodel/runtime.py:estimate_runtime"]
+
+
+def test_no_planner_knob_shadows_a_table_1c_constant():
+    """Table 1(C)'s parameters and alpha are ``core/config.py``'s
+    ``DEFAULT_*`` constants; no planner or observer function takes one
+    as a parameter. (The dataflow layer's ``map_blocks(user_alpha=)``
+    is an engine knob with two values in use, and is not checked.)"""
+    knobs = {"alpha", "user_alpha", "defaults", "sizing"}
+    hits = sorted(
+        f"{where}({', '.join(sorted(names & knobs))})"
+        for package in ("core", "costmodel", "explain", "observe")
+        for where, names in _defs(package, "**", "*.py")
+        if names & knobs
+    )
+    assert not hits
