@@ -237,7 +237,7 @@ def evaluate_candidate(workload, resources, cpu, downstream=None,
         )
         candidate.gpu_needed_bytes = cpu * per_replica
         candidate.gpu_capacity_bytes = resources.gpu_memory_bytes
-        if not _gpu_feasible(cpu, model_stats, downstream, resources):
+        if candidate.gpu_needed_bytes >= candidate.gpu_capacity_bytes:
             return candidate.reject(REJECT_GPU, (
                 f"Eq. 15: {cpu} model replicas need "
                 f"{candidate.gpu_needed_bytes} B of GPU memory, "
@@ -399,11 +399,3 @@ def _dl_memory(cpu, f_mem, downstream, m_mem):
     if downstream.in_dl_system:
         return cpu * max(f_mem, m_mem)
     return cpu * f_mem
-
-
-def _gpu_feasible(cpu, model_stats, downstream, resources):
-    """Eq. 15: GPU memory constraint (vacuously true without a GPU)."""
-    if not resources.has_gpu:
-        return True
-    per_replica = max(model_stats.gpu_mem_bytes, downstream.gpu_mem_bytes)
-    return cpu * per_replica < resources.gpu_memory_bytes

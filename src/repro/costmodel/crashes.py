@@ -32,7 +32,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from repro.core.config import DEFAULT_ALPHA, DEFAULT_CORE_MEMORY
+from repro.core.config import (
+    DEFAULT_ALPHA,
+    DEFAULT_CORE_MEMORY,
+    DEFAULT_OS_RESERVED,
+)
 from repro.core.optimizer import (
     downstream_mem_bytes,
     num_partitions_for,
@@ -49,10 +53,8 @@ CRASH_STORAGE = "storage-memory"
 CRASH_CORE = "execution-memory"
 CRASH_DRIVER = "driver-memory"
 
-_OS_RESERVED = 3 * GB
 _JVM_BASE = 4 * GB
 _SPARK_STORAGE_COMMIT_CAP = 6 * GB
-_COMMITTED_CORE = int(2.4 * GB)
 _DRIVER_CAP = 8 * GB
 
 
@@ -181,7 +183,7 @@ def manual_setup(workload, cpu, backend="spark",
     )
     storage = max(
         0,
-        cluster_memory_bytes - _OS_RESERVED
+        cluster_memory_bytes - DEFAULT_OS_RESERVED
         - cpu * workload.model_stats.runtime_mem_bytes - user
         - DEFAULT_CORE_MEMORY,
     )
@@ -265,7 +267,7 @@ def detect_crash(workload, plan, setup, cluster, use_gpu=False):
             # footprint, the User-region objects, ~the best-practice
             # Core working set, and cached partitions (bounded — Spark
             # evicts storage under pressure), capped by the heap.
-            committed_core = min(setup.core_cap_bytes, _COMMITTED_CORE)
+            committed_core = min(setup.core_cap_bytes, DEFAULT_CORE_MEMORY)
             jvm_commit = (
                 _JVM_BASE + user_need + committed_core
                 + min(per_node_cached, _SPARK_STORAGE_COMMIT_CAP)
@@ -280,7 +282,7 @@ def detect_crash(workload, plan, setup, cluster, use_gpu=False):
                 base_data + per_node_cached, setup.storage_cap_bytes
             )
         dl_available = (
-            cluster.system_memory_bytes - _OS_RESERVED - jvm_commit
+            cluster.system_memory_bytes - DEFAULT_OS_RESERVED - jvm_commit
         )
         if setup.cpu * model_stats.runtime_mem_bytes > dl_available:
             return CRASH_DL
