@@ -40,37 +40,78 @@ def synthesize_image(rng, label, shape=(32, 32, 3), signal_strength=1.0,
     keeping downstream F1 lifts in the paper's few-point range rather
     than jumping to 100%.
     """
-    height, width, channels = shape
-    visual_label = int(label)
-    if rng.random() < label_flip_prob:
-        visual_label = 1 - visual_label
-    ys, xs = np.mgrid[0:height, 0:width]
-    # Coarse: diagonal band, direction flips with the label.
-    diag = (xs + ys) if visual_label else (xs - ys + width)
-    band = np.exp(-np.square(diag - (height + width) / 2.0) / (2.0 * 16.0))
-    # Fine: orientation of a stripe texture flips with the label.
-    stripes = np.sin(2.0 * np.pi * (xs if visual_label else ys) / 4.0)
     image = np.empty(shape, dtype=np.float32)
-    for channel in range(channels):
-        tone = 0.5 + 0.2 * visual_label - 0.1 * channel / max(1, channels - 1)
-        image[..., channel] = (
-            tone
-            + signal_strength * (0.8 * band + 0.25 * stripes)
-            + rng.normal(0.0, 0.35, size=(height, width))
-        )
+    _draw_image(rng, label, _image_templates(shape, signal_strength),
+                label_flip_prob, image)
     return image
 
 
 def synthesize_structured(rng, label, num_features, informative=10,
                           signal_strength=0.9):
     """Structured feature vector: the first ``informative`` dimensions
-    carry a noisy label signal, the rest are standard normal noise."""
-    features = rng.normal(0.0, 1.0, size=num_features).astype(np.float32)
-    direction = np.linspace(1.0, 0.3, informative)
-    features[:informative] += (
-        signal_strength * direction * (2.0 * label - 1.0)
-    ).astype(np.float32)
+    (all of them, in a narrower vector) carry a noisy label signal, the
+    rest are standard normal noise."""
+    features = np.empty(num_features, dtype=np.float32)
+    _draw_structured(
+        rng, label,
+        _structured_shifts(num_features, informative, signal_strength),
+        features,
+    )
     return features
+
+
+def _image_templates(shape, signal_strength):
+    """The noise-free image of each visual label (0, 1), float64
+    ``(C, H, W)``: channel tone plus the weighted band and stripes."""
+    height, width, channels = shape
+    ys, xs = np.mgrid[0:height, 0:width]
+    templates = []
+    for visual_label in (0, 1):
+        # Coarse: diagonal band, direction flips with the label.
+        diag = (xs + ys) if visual_label else (xs - ys + width)
+        band = np.exp(
+            -np.square(diag - (height + width) / 2.0) / (2.0 * 16.0)
+        )
+        # Fine: orientation of a stripe texture flips with the label.
+        stripes = np.sin(2.0 * np.pi * (xs if visual_label else ys) / 4.0)
+        pattern = signal_strength * (0.8 * band + 0.25 * stripes)
+        templates.append(np.stack([
+            0.5 + 0.2 * visual_label - 0.1 * channel / max(1, channels - 1)
+            + pattern
+            for channel in range(channels)
+        ]))
+    return templates
+
+
+def _draw_image(rng, label, templates, label_flip_prob, out):
+    """Write one image into the float32 ``(H, W, C)`` array ``out``:
+    one draw for the label flip, then the pixel noise of every channel
+    in one ``(C, H, W)`` draw — the same values, in the same order, as
+    one ``(H, W)`` draw per channel. The float64 sum is cast once,
+    straight into ``out``."""
+    visual_label = int(label)
+    if rng.random() < label_flip_prob:
+        visual_label = 1 - visual_label
+    template = templates[visual_label]
+    np.add(template, rng.normal(0.0, 0.35, size=template.shape),
+           out=out.transpose(2, 0, 1), casting="unsafe")
+
+
+def _structured_shifts(num_features, informative, signal_strength):
+    """The float32 label shift of each label (0, 1) on the informative
+    block, cut to the table's width."""
+    direction = np.linspace(1.0, 0.3, informative)[:num_features]
+    return [
+        (signal_strength * direction * (2.0 * label - 1.0)).astype(np.float32)
+        for label in (0, 1)
+    ]
+
+
+def _draw_structured(rng, label, shifts, out):
+    """Write one structured vector into the float32 row ``out``."""
+    shift = shifts[label]
+    out[...] = rng.normal(0.0, 1.0, size=out.shape[0])
+    out[:shift.shape[0]] += shift
 
 
 class RowView(Sequence):
@@ -173,25 +214,22 @@ def generate_dataset(name, num_records, num_structured_features,
         ).reshape(num_records, *image_shape)
     else:
         images = [None] * num_records
+    shifts = _structured_shifts(num_structured_features, informative,
+                                structured_signal)
+    templates = _image_templates(image_shape, image_signal)
     for record_id in range(num_records):
         label = int(rng.random() < positive_fraction)
         labels[record_id] = label
-        features[record_id] = synthesize_structured(
-            rng, label, num_structured_features,
-            informative=informative, signal_strength=structured_signal,
-        )
-        record_images = [
-            synthesize_image(
-                rng, label, shape=image_shape,
-                signal_strength=image_signal,
-                label_flip_prob=image_label_flip,
-            )
-            for _ in range(images_per_record)
-        ]
-        images[record_id] = (
-            record_images[0] if images_per_record == 1
-            else TensorList(record_images)
-        )
+        _draw_structured(rng, label, shifts, features[record_id])
+        if images_per_record == 1:
+            _draw_image(rng, label, templates, image_label_flip,
+                        images[record_id])
+            continue
+        record_images = [np.empty(image_shape, np.float32)
+                         for _ in range(images_per_record)]
+        for image in record_images:
+            _draw_image(rng, label, templates, image_label_flip, image)
+        images[record_id] = TensorList(record_images)
     return MultimodalDataset(
         name=name,
         t_str=ColumnarBlock(

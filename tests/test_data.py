@@ -83,6 +83,25 @@ def test_columns_hold_the_per_record_synthesis(images_per_record):
             np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("num_features", [0, 5])
+def test_fewer_structured_features_than_informative(num_features):
+    """The informative block is cut to the table's width: an image-only
+    T_str (no features) generates, and in a 5-wide one every feature
+    carries the label shift (the draws do not depend on the signal)."""
+    shifted = generate_dataset("x", 6, num_features, image_shape=(8, 8, 3),
+                               seed=4)
+    plain = generate_dataset("x", 6, num_features, image_shape=(8, 8, 3),
+                             seed=4, structured_signal=0.0)
+    assert shifted.structured_matrix().shape == (6, num_features)
+    np.testing.assert_array_equal(shifted.t_img.column("image"),
+                                  plain.t_img.column("image"))
+    sign = 2 * shifted.labels()[:, None] - 1
+    shift = shifted.structured_matrix() - plain.structured_matrix()
+    assert np.all(np.sign(shift) == sign)
+    alone = synthesize_structured(np.random.default_rng(0), 1, num_features)
+    assert alone.shape == (num_features,)
+
+
 def test_scaling_builds_columns():
     ds = foods_dataset(num_records=5)
     scaled = replicate_dataset(ds, 3)
