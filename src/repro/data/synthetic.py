@@ -52,11 +52,8 @@ def synthesize_structured(rng, label, num_features, informative=10,
     (all of them, in a narrower vector) carry a noisy label signal, the
     rest are standard normal noise."""
     features = np.empty(num_features, dtype=np.float32)
-    _draw_structured(
-        rng, label,
-        _structured_shifts(num_features, informative, signal_strength),
-        features,
-    )
+    shifts = _structured_shifts(num_features, informative, signal_strength)
+    _draw_structured(rng, label, shifts, features)
     return features
 
 
@@ -195,7 +192,9 @@ def generate_dataset(name, num_records, num_structured_features,
     ``images_per_record > 1`` stores a TensorList of images per record
     (the paper's "multiple images per example" future-work extension);
     with 1 the image column is a plain tensor. Records are written
-    straight into preallocated columns.
+    straight into preallocated columns. The noise-free image and the
+    structured shift of each label are computed once per call; each
+    record then makes only its random draws.
     """
     rng = np.random.default_rng(seed)
     ids = np.arange(num_records, dtype=np.int64)

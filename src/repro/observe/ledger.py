@@ -22,10 +22,12 @@ guarantee the fault tests assert), and a tear can only hit the final
 line of the final flush (kernel-interrupted write, i.e. power loss,
 not process death) — :func:`read_ledger` tolerates exactly that one
 torn tail. ``fsync`` runs only on barrier kinds (open, recovery
-actions, run end); per-event syscalls or syncs would blow the <5%
-overhead budget (``staged_ledgered`` vs ``staged_alexnet`` ``wall_s``
-in ``benchmarks/e2e``) — matching the store's "durable at the moments
-that matter" stance.
+actions, run end); per-event syscalls or syncs would add to the
+telemetry overhead — matching the store's "durable at the moments
+that matter" stance. That overhead has a <5% target (``staged_ledgered``
+vs ``staged_alexnet`` ``wall_s`` in ``benchmarks/e2e``) which is not
+met: the ratio reads 1.13 over ten runs at commit ``6f53246``.
+The ROADMAP's telemetry write-side item owns it.
 
 Fork safety
 -----------
