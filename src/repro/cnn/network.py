@@ -29,9 +29,13 @@ class CNN(TensorOp):
         chain (one profile per layer): its name, e.g. ``"alexnet"``,
         the layers exposed for feature transfer (lowest first), and
         every static number a reader of the model's shape needs.
+    seed:
+        The seed the weights were drawn from: with the name, it says
+        which weights these are, so a stored output of one model is
+        never served to another (``run_fingerprint``, ``FeatureStore``).
     """
 
-    def __init__(self, layers, stats):
+    def __init__(self, layers, stats, seed):
         if not layers:
             raise InvalidLayerError("a CNN needs at least one layer")
         super().__init__(
@@ -42,6 +46,7 @@ class CNN(TensorOp):
         if len(self._index_by_name) != len(self.layers):
             raise InvalidLayerError(f"duplicate layer names in {self.name}")
         self.stats = stats
+        self.seed = seed
         self.feature_layers = stats.feature_layers
         self.profiles = stats.profiles
 

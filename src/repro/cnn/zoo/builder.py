@@ -102,4 +102,4 @@ def build_from_specs(name, specs, input_shape, feature_layers, seed=0):
     return CNN(ops, ModelStats(
         name, profiles, feature_layers, input_shape, footprint, footprint,
         roster.serialized_ratio if roster else 0.4,
-    ))
+    ), seed)

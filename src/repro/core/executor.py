@@ -262,10 +262,9 @@ class FeatureTransferExecutor:
         store.fault_injector = self.context.fault_injector
         store.attach_metrics(self.context.metrics)
         store.bind_run(run_fingerprint(
-            getattr(self.cnn, "name", "cnn"),
-            getattr(self.cnn, "seed", None),
-            self.layers, dataset_fingerprint(self.dataset), plan.label,
-            self.config, self.cnn.stats.micro_batch_rows,
+            self.cnn.name, self.cnn.seed, self.layers,
+            dataset_fingerprint(self.dataset), plan.label, self.config,
+            self.cnn.stats.micro_batch_rows,
         ))
 
     @property
@@ -395,9 +394,10 @@ class FeatureTransferExecutor:
         (Appendix B); its FLOPs are metered separately.
 
         With a :class:`~repro.features.store.FeatureStore` attached,
-        previously stored features for (model, layer, dataset) are
-        reused — the cross-session workflow Appendix B motivates —
-        and fresh materializations are persisted for next time.
+        previously stored features for (model and weight seed, layer,
+        dataset) are reused — the cross-session workflow Appendix B
+        motivates — and fresh materializations are persisted for next
+        time.
         """
         with self.tracer.span(f"prematerialize:{layer}", layer=layer) as sp:
             if self.feature_store is not None:
@@ -407,6 +407,7 @@ class FeatureTransferExecutor:
                 block = self.feature_store.get(
                     self.cnn.name, layer, fingerprint,
                     micro_batch=self.cnn.stats.micro_batch_rows,
+                    model_seed=self.cnn.seed,
                 )
                 if block is not None:
                     self.metrics["premat_store_hit"] = True
@@ -425,6 +426,7 @@ class FeatureTransferExecutor:
                 self.feature_store.put(
                     self.cnn.name, layer, fingerprint, table.collect(),
                     micro_batch=self.cnn.stats.micro_batch_rows,
+                    model_seed=self.cnn.seed,
                 )
                 self.metrics["premat_store_hit"] = False
                 sp.set("store_hit", False)

@@ -1,34 +1,26 @@
 """Disk-backed feature store for pre-materialized CNN layers.
 
 Appendix B: "a base layer can [be] pre-materialized before hand for
-later use of exploring other layers". This module makes that workflow
-a first-class component: materialized feature tables are persisted on
-disk keyed by (model, layer, dataset fingerprint), so a later session
-exploring higher layers starts from the stored base instead of raw
-images. An entry the engine wrote also records its micro-batch (the
-rows per inference call; OpenBLAS's bits depend on it), and a reader
-running another micro-batch misses it rather than take other bits.
+later use of exploring other layers". Materialized feature tables are
+persisted keyed by (model, layer, dataset fingerprint), so a later
+session exploring higher layers starts from the stored base instead of
+raw images. The fingerprint hashes record ids plus a sample of image
+bytes, so a changed dataset never silently reuses stale features.
 
-An entry is one VCB1 buffer (one
-:class:`~repro.dataflow.columnar.ColumnarBlock` per table) plus the
-JSON metadata that commits it — data, then metadata, both through
-:mod:`repro.atomic_io`; ``get`` verifies the committed length and
-SHA-256. The fingerprint hashes record ids plus a sample of
-image bytes, so a changed dataset never silently reuses stale features.
+The durable format is :mod:`repro.recovery.store`'s and nothing else:
+this module only names its entries.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import zlib
 from pathlib import Path
 
 import numpy as np
 
-from repro.atomic_io import atomic_write_bytes, reclaim_tmp_files
 from repro.dataflow.columnar import ColumnarBlock
-from repro.recovery.store import sha256_hex
+from repro.dataflow.partition import Partition
+from repro.recovery.store import CheckpointStore
 
 
 def dataset_fingerprint(dataset, sample_size=16):
@@ -42,103 +34,110 @@ def dataset_fingerprint(dataset, sample_size=16):
     return f"{len(ids)}-{crc:08x}"
 
 
-class FeatureStore:
-    """Stores materialized feature-layer tables on disk."""
+def _namespace(model_name, layer, fingerprint):
+    return f"{model_name}__{layer}__{fingerprint}"
 
-    #: The syscall shim every write goes through (:mod:`repro.atomic_io`);
-    #: tests replace it on an instance.
-    io = os
+
+class FeatureStore(CheckpointStore):
+    """Stores materialized feature-layer tables on disk.
+
+    An entry is a checkpoint namespace of its own holding one stage of
+    the same name: partition 0 is the whole table, and the stage's
+    lineage is the commit record — the key, plus the micro-batch (rows
+    per inference call; OpenBLAS's bits depend on it) and the model
+    seed the features were computed under. Opening the store lists its
+    entries, binding every namespace, which reclaims what a killed
+    ``put`` left.
+    """
 
     def __init__(self, root):
+        super().__init__(root)
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        reclaim_tmp_files(self.root)
         self.hits = 0
         self.misses = 0
+        self.entries()
 
-    def _paths(self, model_name, layer, fingerprint):
-        stem = f"{model_name}__{layer}__{fingerprint}"
-        return self.root / f"{stem}.vcb", self.root / f"{stem}.json"
+    def _record(self, namespace, micro_batch=None, model_seed=None):
+        """Bind ``namespace``; its committed entry's metadata, or None:
+        no entry, or one computed under a micro-batch or model seed
+        other than the reader's (an entry or a reader that names none
+        matches any)."""
+        if not (self.root / namespace).is_dir():
+            return None
+        self.bind_run(namespace)
+        if not self.stage_complete(namespace):
+            return None
+        record = self._manifest["stages"][namespace]["lineage"]
+        for name, wanted in (("micro_batch", micro_batch),
+                             ("model_seed", model_seed)):
+            if None not in (record[name], wanted) and record[name] != wanted:
+                return None
+        entry = self.stage_entries(namespace)["0"]
+        return dict(record, num_rows=entry["num_rows"],
+                    stored_bytes=entry["nbytes"], sha256=entry["sha256"])
 
     def contains(self, model_name, layer, fingerprint):
         return self.metadata(model_name, layer, fingerprint) is not None
 
-    def put(self, model_name, layer, fingerprint, rows, micro_batch=None):
+    def put(self, model_name, layer, fingerprint, rows, micro_batch=None,
+            model_seed=None):
         """Persist a materialized feature table (list of row dicts),
-        computed ``micro_batch`` rows per inference call when given.
+        computed ``micro_batch`` rows per inference call by a model
+        whose weights were drawn from ``model_seed``, when given.
 
-        The entry exists once its metadata does: a crash before that
-        leaves a miss. Returns the stored payload size in bytes.
+        An overwrite is a miss until it commits, and the entry exists
+        once its manifest does. Returns the stored payload size in
+        bytes.
         """
-        data_path, meta_path = self._paths(model_name, layer, fingerprint)
+        namespace = _namespace(model_name, layer, fingerprint)
+        self.evict(model_name, layer, fingerprint)
+        self.bind_run(namespace)
+        # Recorded before the wave, so its one manifest write commits it.
+        self._stage(namespace).update(complete=True, lineage={
+            "model": model_name, "layer": layer,
+            "fingerprint": fingerprint, "micro_batch": micro_batch,
+            "model_seed": model_seed,
+        })
         block = ColumnarBlock.from_rows(rows)
-        blob = block.to_buffer()
-        if meta_path.exists():   # an overwrite is a miss until it commits
-            self.io.remove(meta_path)
-        atomic_write_bytes(data_path, blob, io=self.io)
-        atomic_write_bytes(meta_path, json.dumps({
-            "model": model_name,
-            "layer": layer,
-            "fingerprint": fingerprint,
-            "micro_batch": micro_batch,
-            "num_rows": block.num_rows,
-            "stored_bytes": len(blob),
-            "sha256": sha256_hex(blob),
-        }).encode("utf-8"), io=self.io)
-        return len(blob)
+        self.put_partition(namespace, [Partition.from_block(0, block)])
+        return self.stage_entries(namespace)["0"]["nbytes"]
 
-    def get(self, model_name, layer, fingerprint, micro_batch=None):
+    def get(self, model_name, layer, fingerprint, micro_batch=None,
+            model_seed=None):
         """Load a stored feature table as one block, or None on a
-        miss. Data that is not what the entry's metadata committed
-        (missing, truncated, altered) raises :class:`ValueError`."""
-        meta = self.metadata(model_name, layer, fingerprint, micro_batch)
-        if meta is None:
+        miss. A payload that is not what the entry's manifest committed
+        (missing, truncated, altered, not VCB1) raises
+        :class:`~repro.exceptions.CheckpointIntegrityError`."""
+        namespace = _namespace(model_name, layer, fingerprint)
+        if self._record(namespace, micro_batch, model_seed) is None:
             self.misses += 1
             return None
-        data_path, _ = self._paths(model_name, layer, fingerprint)
-        blob = data_path.read_bytes() if data_path.exists() else b""
-        if (len(blob) != meta["stored_bytes"]
-                or sha256_hex(blob) != meta["sha256"]):
-            raise ValueError(
-                f"feature store entry {data_path.name} ({len(blob)} bytes) "
-                f"is not the data its metadata committed"
-            )
+        entry = self.stage_entries(namespace)["0"]
+        block = self._verify_and_load(namespace, 0, entry).block()
         self.hits += 1
-        return ColumnarBlock.from_buffer(blob)
+        return block
 
-    def metadata(self, model_name, layer, fingerprint, micro_batch=None):
-        """The entry's commit record, or None: no record, a stale one
-        from before records carried a digest (``put`` rewrites), or one
-        computed under a micro-batch other than ``micro_batch`` (an
-        entry or a reader that names none matches any)."""
-        _, meta_path = self._paths(model_name, layer, fingerprint)
-        if not meta_path.exists():
-            return None
-        meta = json.loads(meta_path.read_text())
-        if "sha256" not in meta:
-            return None
-        stored = meta.get("micro_batch")
-        if None not in (stored, micro_batch) and stored != micro_batch:
-            return None
-        return meta
+    def metadata(self, model_name, layer, fingerprint, micro_batch=None,
+                 model_seed=None):
+        """The entry's metadata, or None (see :meth:`_record`)."""
+        return self._record(_namespace(model_name, layer, fingerprint),
+                            micro_batch, model_seed)
 
     def entries(self):
-        """Metadata of every stored entry."""
-        return [
-            json.loads(path.read_text())
-            for path in sorted(self.root.glob("*.json"))
-        ]
+        """Metadata of every committed entry."""
+        records = (self._record(path.name)
+                   for path in sorted(self.root.iterdir()))
+        return [record for record in records if record is not None]
 
     def evict(self, model_name, layer, fingerprint):
-        # metadata first: from then on the entry is a miss
-        for path in reversed(self._paths(model_name, layer, fingerprint)):
-            if path.exists():
-                path.unlink()
+        if self.contains(model_name, layer, fingerprint):
+            # manifest first: from then on the entry is a miss, and the
+            # rebind reclaims its payload
+            self.io.remove(self._manifest_path())
+            self.bind_run(_namespace(model_name, layer, fingerprint))
 
     def total_bytes(self):
-        return sum(
-            path.stat().st_size for path in self.root.glob("*.vcb")
-        )
+        return sum(record["stored_bytes"] for record in self.entries())
 
     def __repr__(self):
         return (

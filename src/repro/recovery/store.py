@@ -1,16 +1,15 @@
-"""Durable checkpoint store for long materialization runs.
+"""The one durable store of stage outputs: checkpoints and features.
 
 A feature-transfer run is a sequence of materialized stages (partial
 CNN inference tables, ``f̂_l`` prefixes). The vectorized train tables
 are a pool + concat of those and are rebuilt on resume, not stored.
-Losing the cluster mid-run used to mean recomputing the whole epoch
-from the source table; this module makes stage outputs *durable
-artifacts* instead (DeepLens's materialized-view stance, SystemML's
-lineage-backed intermediates): every committed partition is persisted
-as its deterministic single-buffer VCB1 encoding, and a JSON manifest
-carries per-partition SHA-256 digests plus the run's plan/config
-fingerprint, so a resumed run restores exactly the partitions that
-verify and recomputes only the missing or corrupt ones.
+This module makes stage outputs *durable artifacts* (DeepLens's
+materialized-view stance, SystemML's lineage-backed intermediates) and
+is the only one that knows their format: every committed partition is
+its deterministic single-buffer VCB1 encoding, and one JSON manifest
+per namespace carries per-partition SHA-256 digests, so a resumed run
+restores exactly the partitions that verify. A namespace is a run
+fingerprint, or one :class:`~repro.features.store.FeatureStore` entry.
 
 Durability discipline
 ---------------------

@@ -282,10 +282,11 @@ def test_syncs_per_run_of_the_test_workload(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# FeatureStore.put: data, then the metadata that commits it
+# FeatureStore.put: payload, then the manifest that commits it
 # ----------------------------------------------------------------------
 FEATURE_KEY = ("alexnet", "conv5", "16-0badcafe")
-#: tmp write + fsync + rename, for the data file and for the metadata.
+FEATURE_DIR = "alexnet__conv5__16-0badcafe"
+#: tmp write + fsync + rename, for the payload and for the manifest.
 FEATURE_KILL_POINTS = 6
 
 
@@ -314,7 +315,7 @@ def test_feature_store_kill_points_are_all_enumerated(tmp_path):
         "write", "fsync", "replace"] * 2
     assert [os.path.basename(path) for name, path in io.calls
             if name == "replace"] == [
-        "alexnet__conv5__16-0badcafe.vcb", "alexnet__conv5__16-0badcafe.json"]
+        f"{FEATURE_DIR}__1.ckpt", MANIFEST_NAME]
     _assert_hit(FeatureStore(tmp_path), 1)
 
 
@@ -326,7 +327,7 @@ def test_feature_store_put_killed_after_every_syscall(
         tmp_path, kill_after, power_loss, overwrite):
     """Whatever the put was killed after, the next session sees a clean
     miss or a verified hit of the new rows — never a torn hit, never
-    new data vouched for by old metadata (or the reverse)."""
+    new data vouched for by an old manifest (or the reverse)."""
     if overwrite:
         FeatureStore(tmp_path).put(*FEATURE_KEY, _feature_rows(0))
     io = CrashIO(kill_after=kill_after, power_loss=power_loss)
@@ -339,7 +340,9 @@ def test_feature_store_put_killed_after_every_syscall(
     assert committed == (kill_after == FEATURE_KILL_POINTS)
 
     reopened = FeatureStore(tmp_path)
-    assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
+    assert not [
+        n for n in os.listdir(tmp_path / FEATURE_DIR) if n.endswith(".tmp")
+    ]
     assert reopened.contains(*FEATURE_KEY) == committed
     if committed:
         _assert_hit(reopened, 1)
@@ -348,3 +351,21 @@ def test_feature_store_put_killed_after_every_syscall(
         assert (reopened.hits, reopened.misses) == (0, 1)
         reopened.put(*FEATURE_KEY, _feature_rows(1))   # the run carries on
         _assert_hit(FeatureStore(tmp_path), 1)
+
+
+def test_feature_store_reopen_reclaims_an_uncommitted_payload(tmp_path):
+    """A put killed after its payload's rename but before its commit
+    leaves a payload no entry names: reopening the store removes it,
+    and only committed entries are listed or counted."""
+    dying = FeatureStore(tmp_path)
+    dying.io = CrashIO(kill_after=3)
+    with pytest.raises(Killed):
+        dying.put(*FEATURE_KEY, _feature_rows(1))
+    assert [name for name, _ in dying.io.calls] == [
+        "write", "fsync", "replace"]
+
+    reopened = FeatureStore(tmp_path)
+    assert not [name for _, _, names in os.walk(tmp_path) for name in names]
+    assert not reopened.contains(*FEATURE_KEY)
+    assert reopened.entries() == []
+    assert reopened.total_bytes() == 0

@@ -9,6 +9,7 @@ from repro.core.executor import FeatureTransferExecutor
 from repro.core.plans import STAGED
 from repro.data import foods_dataset, replicate_dataset
 from repro.dataflow.context import local_context
+from repro.exceptions import CheckpointIntegrityError
 from repro.features.store import FeatureStore, dataset_fingerprint
 
 
@@ -59,7 +60,7 @@ class TestStore:
 
     def test_stored_file_is_the_vcb1_buffer(self, store):
         """The file *is* the buffer a cached or checkpointed partition
-        of the same rows would be, and the metadata commits its length
+        of the same rows would be, and the manifest commits its length
         and digest."""
         import hashlib
 
@@ -67,16 +68,16 @@ class TestStore:
 
         rows = _rows()
         stored = store.put("alexnet", "conv5", "fp1", rows)
-        (path,) = store.root.glob("*.vcb")
+        (path,) = store.root.glob("*/*.ckpt")
         assert path.stat().st_size == stored
         assert path.read_bytes() == ColumnarBlock.from_rows(rows).to_buffer()
         meta = store.metadata("alexnet", "conv5", "fp1")
         assert meta["stored_bytes"] == stored
         assert meta["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
-        assert not list(store.root.glob("*.tmp"))
+        assert not list(store.root.glob("*/*.tmp"))
 
     def test_non_vcb1_file_raises_instead_of_unpickling(self, store):
-        """A pickle where the buffer should be — even one the metadata
+        """A pickle where the buffer should be — even one the manifest
         vouches for — is refused by its magic, never loaded."""
         import json
         import pickle
@@ -84,67 +85,86 @@ class TestStore:
         from repro.recovery.store import sha256_hex
 
         store.put("alexnet", "conv5", "fp1", _rows())
-        (path,) = store.root.glob("*.vcb")
+        (path,) = store.root.glob("*/*.ckpt")
         forged = pickle.dumps(_rows())
         path.write_bytes(forged)
-        with pytest.raises(ValueError, match="alexnet__conv5__fp1.vcb"):
+        with pytest.raises(CheckpointIntegrityError,
+                           match="alexnet__conv5__fp1"):
             store.get("alexnet", "conv5", "fp1")
-        (meta_path,) = store.root.glob("*.json")
+        (meta_path,) = store.root.glob("*/manifest.json")
         meta = json.loads(meta_path.read_text())
-        meta.update(stored_bytes=len(forged), sha256=sha256_hex(forged))
+        (stage,) = meta["stages"].values()
+        stage["partitions"]["0"].update(
+            nbytes=len(forged), sha256=sha256_hex(forged))
         meta_path.write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match="bad magic"):
+        with pytest.raises(CheckpointIntegrityError,
+                           match="not a VCB1 buffer"):
             store.get("alexnet", "conv5", "fp1")
 
     def test_truncated_file_raises(self, store):
         store.put("alexnet", "conv5", "fp1", _rows())
-        (path,) = store.root.glob("*.vcb")
+        (path,) = store.root.glob("*/*.ckpt")
         path.write_bytes(path.read_bytes()[:-7])
-        with pytest.raises(ValueError, match="alexnet__conv5__fp1.vcb"):
+        with pytest.raises(CheckpointIntegrityError,
+                           match="alexnet__conv5__fp1"):
             store.get("alexnet", "conv5", "fp1")
         assert store.hits == 0
 
     def test_one_flipped_byte_raises(self, store):
         store.put("alexnet", "conv5", "fp1", _rows())
-        (path,) = store.root.glob("*.vcb")
+        (path,) = store.root.glob("*/*.ckpt")
         data = bytearray(path.read_bytes())
         data[-5] ^= 0x10        # inside a float: still a valid buffer
         path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match="alexnet__conv5__fp1.vcb"):
+        with pytest.raises(CheckpointIntegrityError,
+                           match="alexnet__conv5__fp1"):
             store.get("alexnet", "conv5", "fp1")
 
     def test_metadata_without_data_raises(self, store):
         store.put("alexnet", "conv5", "fp1", _rows())
-        (path,) = store.root.glob("*.vcb")
+        (path,) = store.root.glob("*/*.ckpt")
         path.unlink()
         assert store.contains("alexnet", "conv5", "fp1")
-        with pytest.raises(ValueError, match="alexnet__conv5__fp1.vcb"):
+        with pytest.raises(CheckpointIntegrityError,
+                           match="alexnet__conv5__fp1"):
             store.get("alexnet", "conv5", "fp1")
 
     def test_data_without_metadata_is_a_miss(self, store):
         store.put("alexnet", "conv5", "fp1", _rows())
-        (meta_path,) = store.root.glob("*.json")
+        (meta_path,) = store.root.glob("*/manifest.json")
         meta_path.unlink()
         assert not store.contains("alexnet", "conv5", "fp1")
         assert store.get("alexnet", "conv5", "fp1") is None
 
-    def test_entry_from_before_the_digest_is_a_miss_and_rewritten(self, store):
-        """A ``.vcb.z``-era entry (metadata without a digest) is not
-        read: the run recomputes and the next put replaces it."""
+    def test_entry_in_the_old_json_layout_is_a_miss_and_rewritten(
+            self, store):
+        """An entry in the layout from before the one durable store (a
+        bare ``.vcb`` plus the ``.json`` that committed its length and
+        digest) is not read: the run recomputes and the next put
+        replaces it."""
+        import hashlib
         import json
 
+        from repro.dataflow.columnar import ColumnarBlock
+
+        blob = ColumnarBlock.from_rows(_rows()).to_buffer()
+        (store.root / "alexnet__conv5__fp1.vcb").write_bytes(blob)
         (store.root / "alexnet__conv5__fp1.json").write_text(json.dumps({
             "model": "alexnet", "layer": "conv5", "fingerprint": "fp1",
-            "num_rows": 10, "stored_bytes": 99,
+            "micro_batch": None, "num_rows": 10, "stored_bytes": len(blob),
+            "sha256": hashlib.sha256(blob).hexdigest(),
         }))
-        (store.root / "alexnet__conv5__fp1.vcb.z").write_bytes(b"x" * 99)
-        assert not store.contains("alexnet", "conv5", "fp1")
-        assert store.get("alexnet", "conv5", "fp1") is None
-        store.put("alexnet", "conv5", "fp1", _rows())
-        assert store.get("alexnet", "conv5", "fp1").num_rows == 10
+        reopened = FeatureStore(store.root)
+        assert not reopened.contains("alexnet", "conv5", "fp1")
+        assert reopened.get("alexnet", "conv5", "fp1") is None
+        reopened.put("alexnet", "conv5", "fp1", _rows(3))
+        assert reopened.get("alexnet", "conv5", "fp1").num_rows == 3
+        assert len(reopened.entries()) == 1
 
     def test_open_reclaims_stray_tmp_files(self, store):
-        stray = store.root / "alexnet__conv5__fp1.vcb.tmp"
+        stray = (store.root / "alexnet__conv5__fp1"
+                 / "alexnet__conv5__fp1__1.ckpt.tmp")
+        stray.parent.mkdir()
         stray.write_bytes(b"half a buf")
         FeatureStore(store.root)
         assert not stray.exists()
@@ -322,3 +342,43 @@ class TestExecutorIntegration:
             foods_dataset(num_records=16, seed=99), store
         ).run(STAGED, premat_layer="fc7")
         assert other.metrics["premat_store_hit"] is False
+
+
+def test_stored_outputs_are_keyed_by_the_model_seed(tmp_path):
+    """Neither store serves one model's outputs to a model with other
+    weights: a ``model_seed=1`` run over stores a ``model_seed=0`` run
+    filled restores no checkpoint and misses the stored base layer, and
+    trains on what a fresh seed-1 run trains on."""
+    from repro.core.api import Vista, default_resources
+    from repro.recovery import CheckpointStore
+
+    dataset = foods_dataset(num_records=64)
+
+    def run(seed, **kwargs):
+        result = Vista(
+            "alexnet", 2, dataset, default_resources(num_nodes=2),
+            downstream_fn=lambda f, l: {"matrix": f.copy()},
+            model_seed=seed,
+        ).run(**kwargs)
+        return result, {
+            layer: got.downstream["matrix"]
+            for layer, got in result.layer_results.items()
+        }
+
+    def assert_same(got, want):
+        assert sorted(got) == sorted(want) == ["fc7", "fc8"]
+        for layer in want:
+            np.testing.assert_array_equal(got[layer], want[layer])
+
+    run(0, checkpoint_store=CheckpointStore(tmp_path / "ckpt"))
+    resumed = CheckpointStore(tmp_path / "ckpt")
+    _, got = run(1, checkpoint_store=resumed)
+    assert resumed.restore_total == 0
+    assert_same(got, run(1)[1])
+
+    features = FeatureStore(tmp_path / "features")
+    run(0, premat_layer="conv5", feature_store=features)
+    result, got = run(1, premat_layer="conv5", feature_store=features)
+    assert result.metrics["premat_store_hit"] is False
+    assert_same(got, run(1, premat_layer="conv5")[1])
+    assert {entry["model_seed"] for entry in features.entries()} == {1}

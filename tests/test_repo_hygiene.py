@@ -292,11 +292,21 @@ def test_no_compressor_under_dataflow_or_features():
     assert "zlib" not in _read("src/repro/dataflow/partition.py")
 
 
-def test_feature_store_writes_through_atomic_io_only():
+def test_one_module_owns_the_durable_store_format():
+    """``recovery/store.py`` owns the durable format: payload files, the
+    manifest, digests and atomic writes. The feature store is a keying
+    over it and encodes, hashes and writes nothing itself."""
     store = _read("src/repro/features/store.py")
-    assert "atomic_write_bytes" in store
+    imported = set()
+    for node in ast.walk(ast.parse(store)):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {node.module} | {
+                f"{node.module}.{alias.name}" for alias in node.names}
+    assert not imported & {"json", "hashlib", "repro.atomic_io"}
     for raw_write in ("write_bytes", "write_text"):
-        assert raw_write not in store.replace("atomic_write_bytes", "")
+        assert raw_write not in store
 
 
 # ---------------------------------------------------------------------
