@@ -78,7 +78,7 @@ def _add_observability_args(parser):
     )
     parser.add_argument(
         "--trace-json", metavar="PATH", default=None,
-        help="write the recorded trace as JSON to PATH",
+        help="write the trace's span records to PATH as a JSON list",
     )
     parser.add_argument(
         "--metrics", action="store_true",

@@ -127,8 +127,8 @@ class Vista:
         ``feature_store`` (a :class:`~repro.features.store.FeatureStore`)
         lets ``premat_layer`` reuse base features materialized by an
         earlier session. ``tracer`` (a :class:`~repro.trace.Tracer`)
-        records the optimizer decision and the full execution span tree
-        on ``WorkloadResult.trace``; ``metrics`` (a
+        records the optimizer decision and every execution span, and
+        is returned as ``WorkloadResult.trace``; ``metrics`` (a
         :class:`~repro.metrics.MetricsRegistry`) records per-region
         occupancy timelines and storage/task counters on
         ``WorkloadResult.metrics_registry``. ``checkpoint_store`` (a

@@ -87,9 +87,9 @@ class LayerResult:
 class WorkloadResult:
     """Result of one feature-transfer workload run.
 
-    ``trace`` is the root :class:`~repro.trace.Span` of the run's
-    trace tree when the workload was traced (``to_dict``/``to_json``
-    export it; :func:`repro.report.trace_ascii.render_trace` renders
+    ``trace`` is the run's :class:`~repro.trace.Tracer` when the
+    workload was traced (``trace.export()`` pairs its events into span
+    records; :func:`repro.report.trace_ascii.render_trace` renders
     it), or None for untraced runs. ``metrics_registry`` is the
     :class:`~repro.metrics.MetricsRegistry` carrying the run's
     time-series (occupancy waterlines, cache counters) when the
@@ -236,7 +236,7 @@ class FeatureTransferExecutor:
             if op_flush is not None:
                 op_flush()
         self._finalize_metrics()
-        trace = self.tracer.root if self.tracer.enabled else None
+        trace = self.tracer if self.tracer.enabled else None
         registry = (
             self.metrics_registry if self.metrics_registry.enabled else None
         )

@@ -35,7 +35,6 @@ from repro.observe.history import (
     RUNSUM_SCHEMA,
     environment_meta,
     run_fingerprint,
-    spans_from_events,
     summarize_ledger,
     summarize_path,
 )
@@ -66,6 +65,7 @@ from repro.observe.slo import (
     load_rules,
     render_slo,
 )
+from repro.trace.tracer import spans_from_events
 
 __all__ = [
     "HistoryStore",

@@ -3,12 +3,13 @@
 ``repro history diff A B`` answers "what changed between these two
 runs" the way a flamegraph diff would: spans are *aligned by path*
 (ancestor names joined with ``/``, ``@N`` suffixes disambiguating
-repeated siblings — see :func:`repro.observe.history.spans_from_events`)
-and each aligned pair reports its wall/self/sim-second deltas; spans
-present on only one side surface as ``new``/``vanished`` rows. On top
-of the span table the diff reports plan-knob changes, workload/
-environment fingerprint drift, metric-series peak deltas, per-region
-memory peak deltas, and recovery-count deltas.
+repeated siblings — see :func:`repro.trace.tracer.spans_from_events`,
+the one pairing of span events) and each aligned pair reports its
+wall/self/sim-second deltas; spans present on only one side surface as
+``new``/``vanished`` rows. On top of the span table the diff reports
+plan-knob changes, workload/environment fingerprint drift,
+metric-series peak deltas, per-region memory peak deltas, and
+recovery-count deltas.
 
 The diff reports; it does not judge. ``repro history diff`` judges the
 pair with :func:`repro.observe.slo.evaluate_slo` — B as the target, A

@@ -8,6 +8,8 @@ per-stage wall/sim/self seconds, per-region memory peaks vs budgets,
 online-calibration ratios, recovery counts, metric-series peaks, event
 counts per kind, parse/schema problem counts). A record holds facts
 only; judging it is :func:`repro.observe.slo.evaluate_slo`'s job.
+Its spans come from :func:`repro.trace.tracer.spans_from_events`, the
+one pairing of span events that ``Tracer.export()`` also reads.
 Every offline view reads that record — ``repro report --slo``, ``repro
 top``'s summary, and ``repro history``, which appends records to an
 on-disk :class:`HistoryStore` so drift questions become queries over a
@@ -48,6 +50,7 @@ from repro.observe.ledger import (
     validate_events,
 )
 from repro.observe.progress import replay_progress
+from repro.trace.tracer import spans_from_events
 
 #: Version tag carried by every summary record.
 RUNSUM_SCHEMA = "runsum/v1"
@@ -106,97 +109,6 @@ def run_fingerprint(meta):
     cannot change the fingerprint."""
     payload = json.dumps(meta, sort_keys=True, default=str)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-# ----------------------------------------------------------------------
-# span reconstruction from the flat ledger stream
-# ----------------------------------------------------------------------
-def spans_from_events(events):
-    """Rebuild the span tree a ledger's flat ``span_start``/``span_end``
-    stream recorded, as a list of span dicts in start order — the one
-    start/end pairing (the run summary and the Perfetto export both
-    read it).
-
-    Each span carries a ``path`` — ancestor names joined with ``/``,
-    with an ``@N`` occurrence suffix for repeated siblings (the second
-    ``join`` under ``workload`` is ``workload/join@2``) — which is the
-    alignment key :func:`repro.observe.diff.diff_runs` joins on.
-    ``self_s`` is wall seconds minus the direct children's wall
-    seconds, clamped at zero. ``start_wall_s``/``end_wall_s`` are the
-    ledger offsets of the events that opened and closed it, ``attrs``
-    what it was opened with. A span closed by an outer span's end, or
-    left open at the end of the stream (a torn ledger), closes with
-    status ``"torn"`` at the wall offset the ledger had reached.
-    """
-    spans = []
-    stack = []
-    root_counts = {}
-    last_wall = 0.0
-    last_sim = 0.0
-    start_seq = 0
-
-    def close(frame, end_wall, wall_s, sim_s, status):
-        span = {
-            "path": frame["path"],
-            "name": frame["name"],
-            "depth": frame["depth"],
-            "start_seq": frame["start_seq"],
-            "wall_s": round(max(0.0, wall_s), 9),
-            "sim_s": round(max(0.0, sim_s), 9),
-            "self_s": round(max(0.0, wall_s - frame["children_s"]), 9),
-            "status": status,
-            "start_wall_s": frame["wall_start"],
-            "end_wall_s": end_wall,
-            "attrs": frame["attrs"],
-        }
-        spans.append(span)
-        if stack:
-            stack[-1]["children_s"] += span["wall_s"]
-        return span
-
-    for event in events:
-        wall = float(event.get("wall_s") or 0.0)
-        sim = float(event.get("sim_time_s") or 0.0)
-        last_wall = max(last_wall, wall)
-        last_sim = max(last_sim, sim)
-        kind = event.get("kind")
-        if kind == "span_start":
-            name = str(event.get("name") or "span")
-            counts = stack[-1]["counts"] if stack else root_counts
-            seen = counts.get(name, 0)
-            counts[name] = seen + 1
-            label = name if seen == 0 else f"{name}@{seen + 1}"
-            path = f"{stack[-1]['path']}/{label}" if stack else label
-            start_seq += 1
-            stack.append({
-                "name": name, "path": path, "depth": len(stack),
-                "start_seq": start_seq, "wall_start": wall,
-                "sim_start": sim, "children_s": 0.0, "counts": {},
-                "attrs": event.get("attrs") or {},
-            })
-        elif kind == "span_end":
-            name = str(event.get("name") or "span")
-            if not any(frame["name"] == name for frame in stack):
-                continue
-            while stack:
-                frame = stack.pop()
-                matched = frame["name"] == name
-                if matched and event.get("span_s") is not None:
-                    wall_s = float(event["span_s"])
-                else:
-                    wall_s = wall - frame["wall_start"]
-                status = (str(event.get("status") or "ok")
-                          if matched else "torn")
-                close(frame, wall, wall_s, sim - frame["sim_start"],
-                      status)
-                if matched:
-                    break
-    while stack:
-        frame = stack.pop()
-        close(frame, last_wall, last_wall - frame["wall_start"],
-              last_sim - frame["sim_start"], "torn")
-    spans.sort(key=lambda span: span["start_seq"])
-    return spans
 
 
 # ----------------------------------------------------------------------

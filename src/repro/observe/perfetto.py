@@ -7,10 +7,10 @@ JSON (``{"traceEvents": [...]}``) that ``ui.perfetto.dev`` and
 Track mapping (DESIGN.md §4k):
 
 - the **driver** process is one pid (from the ledger's ``ledger_open``
-  event); its span tree — the pairing
-  :func:`repro.observe.history.spans_from_events` rebuilds — lands on
-  tid 1 as nested ``X`` (complete) events, point events as ``i``
-  instants;
+  event); its span records — from
+  :func:`repro.trace.tracer.spans_from_events`, the one pairing of
+  span events — land on tid 1 as nested ``X`` (complete) events,
+  point events as ``i`` instants;
 - the **wave scheduler** gets tid 2 on the driver pid: one ``X`` event
   per dispatched wave (args: worker, size, stage);
 - every :class:`~repro.dataflow.backend.ProcessPoolBackend` worker is
@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import json
 
-from repro.observe.history import metric_key, spans_from_events
+from repro.observe.history import metric_key
 from repro.observe.ledger import read_ledger
+from repro.trace.tracer import spans_from_events
 
 #: tid of the driver's span track / the wave-scheduler track.
 DRIVER_TID = 1

@@ -1,13 +1,14 @@
-"""Flame-style ASCII rendering of Vista trace span trees.
+"""Flame-style ASCII rendering of Vista trace span records.
 
-:func:`render_trace` turns a :class:`~repro.trace.Span` (or its
-``to_dict()`` export, so saved JSON traces render identically) into an
-indented tree where each line carries a time bar positioned by the
-span's wall offset and scaled by its duration relative to the root —
-a terminal flame graph. Counters are printed human-formatted (bytes in
-KB/MB, per-operator times in ms); events and nested attribute tables
-(the executor's Eq. 16 estimate-vs-measured ``sizing`` comparison, the
-optimizer's ``chosen`` configuration) appear as indented detail lines.
+:func:`render_trace` turns a :class:`~repro.trace.Tracer` (or the span
+records its ``export()`` returns, so saved JSON traces render
+identically) into an indented tree where each line carries a time bar
+positioned by the span's wall offset and scaled by its duration
+relative to the root — a terminal flame graph. Counters are printed
+human-formatted (bytes in KB/MB, per-operator times in ms); events and
+nested attribute tables (the executor's Eq. 16 estimate-vs-measured
+``sizing`` comparison, the optimizer's ``chosen`` configuration)
+appear as indented detail lines.
 """
 
 from __future__ import annotations
@@ -81,56 +82,47 @@ def _dict_attr_lines(name, value, indent):
     return [f"{indent}~ {name}: {body}"]
 
 
-def _flatten(node, depth=0):
-    yield node, depth
-    for child in node.get("children", ()):
-        yield from _flatten(child, depth + 1)
-
-
 def render_trace(trace, width=30, show_events=True):
-    """Render a span tree as a flame-style ASCII summary.
+    """Render span records as a flame-style ASCII summary.
 
-    ``trace`` is a :class:`~repro.trace.Span`, a :class:`~repro.trace.
-    Tracer` (its root is rendered), or an exported ``to_dict`` tree.
-    ``width`` is the time-bar width in characters.
+    ``trace`` is a :class:`~repro.trace.Tracer` or the span records its
+    ``export()`` returns (what ``repro run --trace-json`` writes); the
+    first record is the root. ``width`` is the time-bar width in
+    characters.
     """
-    if hasattr(trace, "export"):          # a Tracer
-        root = trace.export()
-    elif hasattr(trace, "to_dict"):       # a Span
-        root = trace.to_dict()
-    else:                                  # an exported dict
-        root = trace
-    if root is None:
+    if hasattr(trace, "export"):
+        trace = trace.export()
+    if not trace:
         return "(no trace recorded)"
 
-    nodes = list(_flatten(root))
-    total = root.get("wall_s") or 0.0
+    root = trace[0]
+    epoch = root["start_wall_s"]
+    total = root["wall_s"]
     if total <= 0:
         total = max(
-            (n.get("wall_offset_s", 0.0) + (n.get("wall_s") or 0.0)
-             for n, _ in nodes),
-            default=0.0,
+            span["start_wall_s"] - epoch + span["wall_s"] for span in trace
         ) or 1.0
-    label_width = max(len("  " * d + n["name"]) for n, d in nodes)
+    label_width = max(len("  " * s["depth"] + s["name"]) for s in trace)
 
     lines = [
         f"### trace: {root['name']} — total {_human_duration(total)}",
     ]
-    for node, depth in nodes:
+    for span in trace:
+        depth = span["depth"]
         indent = "  " * depth
-        label = f"{indent}{node['name']}"
-        wall = node.get("wall_s") or 0.0
-        offset = node.get("wall_offset_s", 0.0)
+        label = f"{indent}{span['name']}"
+        wall = span["wall_s"]
+        offset = span["start_wall_s"] - epoch
         pad = min(width - 1, int(width * offset / total))
         fill = max(1, int(round(width * wall / total)))
         fill = min(fill, width - pad)
         bar = " " * pad + "#" * fill
-        status = node.get("status", "ok")
+        status = span["status"]
         flag = "" if status == "ok" else f" !{status}"
         details = " ".join(
             part for part in (
-                _scalar_attrs(node.get("attrs", {})),
-                _fmt_counters(node.get("counters", {})),
+                _scalar_attrs(span["attrs"]),
+                _fmt_counters(span["counters"]),
             ) if part
         )
         lines.append(
@@ -139,11 +131,11 @@ def render_trace(trace, width=30, show_events=True):
             + (f" {details}" if details else "")
         )
         detail_indent = "  " * (depth + 1)
-        for key, value in node.get("attrs", {}).items():
+        for key, value in span["attrs"].items():
             if isinstance(value, dict):
                 lines.extend(_dict_attr_lines(key, value, detail_indent))
         if show_events:
-            for event in node.get("events", ()):
+            for event in span["events"]:
                 fields = " ".join(
                     f"{k}={_fmt_value(k, v)}"
                     for k, v in event.items()
@@ -155,7 +147,7 @@ def render_trace(trace, width=30, show_events=True):
                     + (f" {fields}" if fields else "")
                 )
 
-    op_lines = _op_summary(nodes)
+    op_lines = _op_summary(trace)
     if op_lines:
         lines.append("")
         lines.append("per-operator CNN time:")
@@ -163,12 +155,12 @@ def render_trace(trace, width=30, show_events=True):
     return "\n".join(lines)
 
 
-def _op_summary(nodes):
-    """Aggregate ``op_s:<name>`` counters across the tree into one
+def _op_summary(spans):
+    """Aggregate ``op_s:<name>`` counters across all spans into one
     ranked per-operator table."""
     totals = {}
-    for node, _ in nodes:
-        for key, value in node.get("counters", {}).items():
+    for span in spans:
+        for key, value in span["counters"].items():
             if key.startswith("op_s:"):
                 op = key[len("op_s:"):]
                 totals[op] = totals.get(op, 0.0) + value

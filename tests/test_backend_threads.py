@@ -260,8 +260,8 @@ def _recorded_run(backend):
         for series in registry.instruments("op_seconds")
     }
     op_keys = sorted(
-        (span.name, key) for span in result.trace.walk()
-        for key in span.counters if key.startswith("op_s:")
+        (span["name"], key) for span in result.trace.export()
+        for key in span["counters"] if key.startswith("op_s:")
     )
     totals = {
         name: sum(series.total for series in registry.instruments(name))

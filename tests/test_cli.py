@@ -85,15 +85,7 @@ def test_run_command_with_trace(capsys, tmp_path):
 
     import json
 
-    exported = json.loads(trace_path.read_text())
-    names = []
-
-    def walk(node):
-        names.append(node["name"])
-        for child in node["children"]:
-            walk(child)
-
-    walk(exported)
+    names = [span["name"] for span in json.loads(trace_path.read_text())]
     for expected in ("optimize", "read", "workload", "inference:fc7",
                      "train:fc8"):
         assert any(n == expected or n.startswith(expected)

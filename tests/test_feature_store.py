@@ -316,8 +316,8 @@ class TestExecutorIntegration:
             self._executor(
                 foods_dataset(num_records=16), store, tracer=tracer
             ).run(STAGED, **run_kwargs)
-            reads = [s for s in tracer.root.walk() if s.name == "read"]
-            return [sorted(span.counters) for span in reads]
+            reads = [s for s in tracer.export() if s["name"] == "read"]
+            return [sorted(span["counters"]) for span in reads]
 
         structured = ["bytes_structured", "rows_structured"]
         images = ["bytes_images", "rows_images"]

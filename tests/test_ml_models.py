@@ -477,9 +477,9 @@ class TestExecutorLanes:
 
         tracer, ledger = Tracer(), RunLedger()
         self._run(2, lambda f, l: {}, tracer=tracer, ledger=ledger)
-        spans = [span for span in tracer.root.walk()
-                 if span.name.startswith("downstream:")]
-        assert [span.attrs for span in spans] == [{"lanes": 2}] * 2
+        spans = [span for span in tracer.export()
+                 if span["name"].startswith("downstream:")]
+        assert [span["attrs"] for span in spans] == [{"lanes": 2}] * 2
         starts = [event for event in ledger.of("span_start")
                   if event["name"].startswith("downstream:")]
         assert [event["attrs"] for event in starts] == [{"lanes": 2}] * 2

@@ -121,8 +121,9 @@ def test_traced_run_and_peak_prediction_with_multiple_images(
     predictor prices the TensorList image column."""
     executor = _executor(multi_dataset, tracer=Tracer())
     result = executor.run(STAGED)
-    assert set(result.trace.find("workload").attrs["sizing"]) \
-        == {"fc7", "fc8"}
+    workload = next(s for s in result.trace.export()
+                    if s["name"] == "workload")
+    assert set(workload["attrs"]["sizing"]) == {"fc7", "fc8"}
     peaks = predict_workload_peaks(
         Workload(executor.cnn.stats, ["fc7", "fc8"],
                  DatasetStats.from_dataset(multi_dataset)),

@@ -164,17 +164,19 @@ def test_structural_properties(name, num_layers):
     assert inferred == layers
 
 
-def _span_stream(root):
+def _span_stream(spans):
     """The plan-shaped children of the ``workload`` span, with the
     physical operator folded out of ``join:<operator>``."""
-    workload = next(c for c in root.children if c.name == "workload")
+    workload = next(s for s in spans if s["name"] == "workload")
     names = []
-    for child in workload.children:
-        kind = child.name.split(":")[0]
+    for child in spans:
+        if child["path"].rpartition("/")[0] != workload["path"]:
+            continue
+        kind = child["name"].split(":")[0]
         if kind == "join":
             names.append("join")
         elif kind in ("inference", "train"):
-            names.append(child.name)
+            names.append(child["name"])
     return names
 
 
@@ -193,7 +195,7 @@ def test_executor_and_monitor_agree_with_steps(tmp_path, name, num_layers):
     store = CheckpointStore(str(tmp_path), fsync=False)
     vista.run(plan=plan, tracer=tracer, checkpoint_store=store)
 
-    assert _span_stream(tracer.root) == span_names
+    assert _span_stream(tracer.export()) == span_names
     assert store.stages() == sorted(s.stage_id for s in steps if s.stage_id)
     stage_plan = predict_stage_plan(
         vista.workload, plan, vista.optimize(), vista.resources,

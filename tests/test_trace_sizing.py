@@ -47,7 +47,9 @@ def _traced_sizing(model_name, num_layers, records):
         downstream_fn=lambda f, l: {"ok": True}, tracer=Tracer(),
     )
     result = executor.run(STAGED)
-    return result.trace.find("workload").attrs["sizing"], result
+    spans = result.trace.export()
+    workload = next(s for s in spans if s["name"] == "workload")
+    return workload["attrs"]["sizing"], spans
 
 
 def _sizing_table(sizing):
@@ -92,11 +94,10 @@ def test_measured_bytes_match_traced_train_counters():
     """The sizing table's measured side is exactly what the train
     spans saw flow in — the comparison is trace-derived, not a
     parallel bookkeeping path."""
-    sizing, result = _traced_sizing("alexnet", 2, 24)
+    sizing, spans = _traced_sizing("alexnet", 2, 24)
     for layer, entry in sizing.items():
-        span = result.trace.find(f"train:{layer}")
-        assert span is not None
-        assert span.counters["bytes_in"] == entry["measured_bytes"]
+        span = next(s for s in spans if s["name"] == f"train:{layer}")
+        assert span["counters"]["bytes_in"] == entry["measured_bytes"]
 
 
 def test_measured_bytes_are_exact_columnar_sizes():
