@@ -556,7 +556,8 @@ class FeatureTransferExecutor:
                     infer_block, name=step.writes,
                     user_alpha=DEFAULT_ALPHA,
                     checkpoint=(
-                        (store, step.stage_id) if store is not None else None
+                        (store, step.stage_id, step.keep)
+                        if store is not None else None
                     ),
                     backend=self._backend_for(step),
                 )

@@ -121,15 +121,19 @@ class DistributedTable:
         ``user_alpha``, the paper's JVM-object fudge factor — for the
         duration of the task wave.
 
-        ``checkpoint=(store, stage_id)`` makes the stage durable:
-        checksum-valid partitions already in the
+        ``checkpoint=(store, stage_id[, carried])`` makes the stage
+        durable: checksum-valid partitions already in the
         :class:`~repro.recovery.store.CheckpointStore` are restored
         (skipping their tasks entirely — the resume path), every
         freshly committed wave's outputs are persisted as they land,
-        and the stage is marked complete at the end. ``backend`` places
-        the stage (see :func:`~repro.dataflow.executor.run_partition_tasks`).
+        and the stage is marked complete at the end. ``carried`` input
+        columns, passed through by the UDF, are not stored: a restored
+        partition takes them from its input partition. ``backend``
+        places the stage (see
+        :func:`~repro.dataflow.executor.run_partition_tasks`).
         """
-        store, stage_id = checkpoint if checkpoint is not None else (None, None)
+        store, stage_id, *carried = checkpoint or (None, None)
+        carried = tuple(carried[0]) if carried else ()
 
         def task(partition):
             return block_fn(partition.block())
@@ -144,6 +148,9 @@ class DistributedTable:
             if store is not None:
                 restored = store.restore_stage(stage_id,
                                                recovery_log=recovery)
+                if carried:
+                    restored = self._reattach(restored, carried, store,
+                                              stage_id)
                 if restored and recovery is not None:
                     recovery.record(
                         "checkpoint_restore", stage=str(stage_id),
@@ -155,7 +162,8 @@ class DistributedTable:
 
             def on_commit(pairs):
                 store.put_partition(stage_id, [
-                    Partition.from_block(partition.index, out)
+                    Partition.from_block(partition.index, out.select(
+                        [c for c in out.column_names if c not in carried]))
                     for partition, out in pairs
                 ])
 
@@ -170,7 +178,8 @@ class DistributedTable:
                 for p, out in zip(pending, outputs)
             }
             partitions = [
-                restored.get(p.index) or computed[p.index]
+                restored[p.index] if p.index in restored
+                else computed[p.index]
                 for p in self.partitions
             ]
             if store is not None:
@@ -187,6 +196,33 @@ class DistributedTable:
                 if store is not None:
                     sp.add("restored_partitions", len(restored))
         return result
+
+    def _reattach(self, restored, carried, store, stage_id):
+        """``restored`` with the ``carried`` columns put back, as
+        zero-copy views of the input, where the UDF wrote them (key,
+        carried, computed). A partition whose stored keys are not its
+        input's, row for row, is rejected and left to recompute."""
+        inputs = {p.index: p.block() for p in self.partitions}
+        kept = {}
+        for index, partition in restored.items():
+            block, source = partition.block(), inputs.get(index)
+            if source is None or block.num_rows != source.num_rows or (
+                    block.num_rows and not np.array_equal(
+                        block.column(self.key), source.column(self.key))):
+                store.reject_partition(
+                    stage_id, index, "stored keys are not the input's",
+                    self.context.recovery_log)
+                continue
+            if block.num_rows:
+                names = [self.key, *(c for c in carried
+                                     if source.has_column(c))]
+                columns = {name: source.column(name) for name in names}
+                columns.update((name, block.column(name))
+                               for name in block.column_names)
+                partition = Partition.from_block(
+                    index, ColumnarBlock(columns, block.num_rows))
+            kept[index] = partition
+        return kept
 
     def project(self, fields, name=None):
         """Keep only ``fields`` (the key is always kept)."""

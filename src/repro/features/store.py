@@ -66,6 +66,8 @@ class FeatureStore(CheckpointStore):
             return None
         self.bind_run(namespace)
         if not self.stage_complete(namespace):
+            if self.stage_entries(namespace):
+                self._clear()   # the wave of a put killed before its commit
             return None
         record = self._manifest["stages"][namespace]["lineage"]
         for name, wanted in (("micro_batch", micro_batch),
@@ -86,20 +88,19 @@ class FeatureStore(CheckpointStore):
         whose weights were drawn from ``model_seed``, when given.
 
         An overwrite is a miss until it commits, and the entry exists
-        once its manifest does. Returns the stored payload size in
-        bytes.
+        once :meth:`commit_stage` has written its manifest. Returns the
+        stored payload size in bytes.
         """
         namespace = _namespace(model_name, layer, fingerprint)
         self.evict(model_name, layer, fingerprint)
         self.bind_run(namespace)
-        # Recorded before the wave, so its one manifest write commits it.
-        self._stage(namespace).update(complete=True, lineage={
+        block = ColumnarBlock.from_rows(rows)
+        self.put_partition(namespace, [Partition.from_block(0, block)])
+        self.commit_stage(namespace, lineage={
             "model": model_name, "layer": layer,
             "fingerprint": fingerprint, "micro_batch": micro_batch,
             "model_seed": model_seed,
         })
-        block = ColumnarBlock.from_rows(rows)
-        self.put_partition(namespace, [Partition.from_block(0, block)])
         return self.stage_entries(namespace)["0"]["nbytes"]
 
     def get(self, model_name, layer, fingerprint, micro_batch=None,
@@ -131,10 +132,7 @@ class FeatureStore(CheckpointStore):
 
     def evict(self, model_name, layer, fingerprint):
         if self.contains(model_name, layer, fingerprint):
-            # manifest first: from then on the entry is a miss, and the
-            # rebind reclaims its payload
-            self.io.remove(self._manifest_path())
-            self.bind_run(_namespace(model_name, layer, fingerprint))
+            self._clear()
 
     def total_bytes(self):
         return sum(record["stored_bytes"] for record in self.entries())

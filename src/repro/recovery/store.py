@@ -13,18 +13,18 @@ fingerprint, or one :class:`~repro.features.store.FeatureStore` entry.
 
 Durability discipline
 ---------------------
-The unit of durability is the committed task wave. A wave's payloads
-are concatenated into one file, ``<stage>__<seq>.ckpt``, whose name is
-never reused (``seq`` lives in the manifest); the manifest then records
-``{file, offset, nbytes, sha256, num_rows}`` per partition. Both files
-are written with :func:`repro.atomic_io.atomic_write_bytes` (tmp +
-fsync + rename), payload first: the manifest rename is the only commit
-point, and every payload is durable before the manifest that names it.
-A crash before that rename leaves the old manifest plus a stray
-``*.tmp`` or an unreferenced ``*.ckpt``, both reclaimed on the next
-:meth:`CheckpointStore.bind_run`.
-Torn manifests (truncated after a simulated fsync lie, or a seeded
-``checkpoint-torn`` fault) are *detected* at bind time — the JSON no
+The unit of durability is the committed task wave: one file,
+``<stage>__<seq>.ckpt``, holding the wave's payloads, then a JSON
+footer with each one's ``{offset, nbytes, sha256, num_rows}``, the
+footer's SHA-256 and length, and :data:`WAVE_MAGIC`, written by
+:func:`repro.atomic_io.atomic_write_bytes` (tmp + fsync + rename). Its
+rename is the wave's commit point. The manifest is written at stage
+commit (and when restore drops an invalid entry) and names every
+committed partition up to its ``seq``; :meth:`CheckpointStore.bind_run`
+adopts each newer wave file from its footer and removes stray ``*.tmp``
+files and every other file the manifest does not name.
+A torn manifest (truncated after a simulated fsync lie, or a seeded
+``checkpoint-torn`` fault) is *detected* at bind time — the JSON no
 longer parses or fails structural checks — and the run directory is
 quarantined: all of its checkpoints are discarded and recovery falls
 back to full lineage recompute rather than trusting unverifiable
@@ -44,7 +44,9 @@ never leak corrupt feature bytes into a train table.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -55,9 +57,14 @@ from repro.dataflow.partition import Partition
 from repro.exceptions import CheckpointIntegrityError
 from repro.metrics import NULL_METRICS
 
-#: Manifest schema tag.
-MANIFEST_SCHEMA = "ckpt/v2"
+#: Manifest and wave-footer schema tag; part of the run fingerprint,
+#: so a namespace written in another layout is never opened.
+MANIFEST_SCHEMA = "ckpt/v3"
 MANIFEST_NAME = "manifest.json"
+#: A wave file ends with its footer's SHA-256 (32 bytes), its length
+#: (8 bytes, little-endian) and this tag.
+WAVE_MAGIC = b"CKW1"
+_TRAILER = 32 + 8 + len(WAVE_MAGIC)
 
 _UNSAFE = re.compile(r"[^A-Za-z0-9_.-]+")
 
@@ -72,6 +79,18 @@ def sha256_hex(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def _integrity_error(stage_id, index, problem):
+    return CheckpointIntegrityError(
+        f"stage {stage_id!r} partition {index}: {problem}",
+        stage=str(stage_id), partition=index,
+    )
+
+
+def _json_bytes(value):
+    return json.dumps(
+        value, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
 def run_fingerprint(model_name, model_seed, layers, dataset_fp, plan_label,
                     config, micro_batch=None):
     """Deterministic fingerprint of everything that shapes a stage
@@ -83,6 +102,7 @@ def run_fingerprint(model_name, model_seed, layers, dataset_fp, plan_label,
     micro-batch gets a fresh (empty) checkpoint namespace."""
     payload = json.dumps(
         {
+            "schema": MANIFEST_SCHEMA,
             "model": model_name,
             "model_seed": model_seed,
             "micro_batch": micro_batch,
@@ -169,10 +189,11 @@ class CheckpointStore:
     # ------------------------------------------------------------------
     def bind_run(self, fingerprint):
         """Open (or create) the checkpoint namespace for one run
-        fingerprint: reclaim what a mid-write crash left behind —
-        stray tmp files and wave files no manifest entry names — load
-        the manifest, and quarantine the whole namespace if the
-        manifest is torn. Returns self."""
+        fingerprint: load the manifest (quarantining the whole
+        namespace if it is torn), reclaim stray tmp files, adopt the
+        waves committed since the manifest from their footers, and
+        remove every other wave file the manifest does not name.
+        Returns self."""
         self.fingerprint = str(fingerprint)
         self._run_dir = os.path.join(self.root, self.fingerprint)
         os.makedirs(self._run_dir, exist_ok=True)
@@ -187,10 +208,37 @@ class CheckpointStore:
             for stage in self._manifest["stages"].values()
             for entry in stage["partitions"].values()
         }
+        newer = []
         for name in self.io.listdir(self._run_dir):
             if name.endswith(".ckpt") and name not in referenced:
-                self.io.remove(os.path.join(self._run_dir, name))
+                footer = self._read_footer(name)
+                if footer is None:
+                    self.io.remove(os.path.join(self._run_dir, name))
+                else:
+                    newer.append((footer["seq"], name, footer))
+        for seq, name, footer in sorted(newer, key=lambda item: item[0]):
+            self._manifest["seq"] = seq
+            self._adopt(footer["stage"], name, footer["partitions"])
         return self
+
+    def _read_footer(self, name):
+        """The footer of a wave file newer than the manifest, or None:
+        an older wave, or one whose footer fails its digest."""
+        with open(os.path.join(self._run_dir, name), "rb") as handle:
+            end = handle.seek(0, os.SEEK_END) - _TRAILER
+            handle.seek(max(0, end))
+            trailer = handle.read()
+            length = int.from_bytes(trailer[-12:-4], "little")
+            if not trailer.endswith(WAVE_MAGIC) or length > end:
+                return None
+            handle.seek(end - length)
+            footer = handle.read(length)
+        if hashlib.sha256(footer).digest() == trailer[:32]:
+            footer = json.loads(footer)
+            if (footer["schema"] == MANIFEST_SCHEMA
+                    and footer["seq"] > self._manifest["seq"]):
+                return footer
+        return None
 
     def _empty_manifest(self):
         return {"schema": MANIFEST_SCHEMA, "fingerprint": self.fingerprint,
@@ -227,8 +275,14 @@ class CheckpointStore:
         falls back to recompute, never to unverifiable restores."""
         self.torn_manifest_total += 1
         self.metrics.counter("checkpoint_torn_manifest_total").inc()
-        for entry in self.io.listdir(self._run_dir):
-            self.io.remove(os.path.join(self._run_dir, entry))
+        self._clear()
+
+    def _clear(self):
+        """Remove every file of the bound namespace, manifest first (from
+        then on nothing in it is committed), and start it empty."""
+        for name in sorted(self.io.listdir(self._run_dir),
+                           key=lambda name: name != MANIFEST_NAME):
+            self.io.remove(os.path.join(self._run_dir, name))
         self._manifest = self._empty_manifest()
 
     def _require_bound(self):
@@ -238,11 +292,9 @@ class CheckpointStore:
             )
 
     def _write_manifest(self):
-        payload = json.dumps(
-            self._manifest, sort_keys=True, separators=(",", ":"),
-        ).encode("utf-8")
         path = self._manifest_path()
-        atomic_write_bytes(path, payload, fsync=self.fsync, io=self.io)
+        atomic_write_bytes(path, _json_bytes(self._manifest),
+                           fsync=self.fsync, io=self.io)
         injector = self.fault_injector
         if injector is not None:
             injector.on_manifest_commit(path)
@@ -257,37 +309,41 @@ class CheckpointStore:
     # stage API
     # ------------------------------------------------------------------
     def put_partition(self, stage_id, partitions):
-        """Durably persist one committed wave of a stage: the
-        partitions' payloads land in one new wave file, then one
-        manifest rewrite names them all. The manifest rename is the
-        commit point — a crash before it leaves the wave unrecorded
-        (its file is reclaimed on the next bind), a crash after it
-        finds every partition of the wave restorable."""
+        """Durably persist one committed wave of a stage as one new wave
+        file: its payloads, then the footer that locates them. The
+        file's rename is the wave's commit point; until
+        :meth:`commit_stage` names the wave in the manifest, a bind
+        adopts it from its footer."""
         self._require_bound()
         self._manifest["seq"] += 1
-        filename = f"{_safe(stage_id)}__{self._manifest['seq']}.ckpt"
+        seq = self._manifest["seq"]
+        filename = f"{_safe(stage_id)}__{seq}.ckpt"
         path = os.path.join(self._run_dir, filename)
         payloads = [encode_partition(partition) for partition in partitions]
-        nbytes = atomic_write_bytes(
-            path, b"".join(payloads), fsync=self.fsync, io=self.io
-        )
-        entries = self._stage(stage_id)["partitions"]
-        injector = self.fault_injector
-        offset = 0
-        for partition, payload in zip(partitions, payloads):
-            entries[str(partition.index)] = {
-                "file": filename,
-                "offset": offset,
-                "nbytes": len(payload),
-                "sha256": sha256_hex(payload),
-                "num_rows": len(partition),
+        offsets = itertools.accumulate(map(len, payloads), initial=0)
+        entries = {
+            str(partition.index): {
+                "offset": offset, "nbytes": len(payload),
+                "sha256": sha256_hex(payload), "num_rows": len(partition),
             }
-            if injector is not None:
+            for partition, payload, offset in zip(partitions, payloads,
+                                                  offsets)
+        }
+        footer = _json_bytes({"schema": MANIFEST_SCHEMA, "seq": seq,
+                              "stage": str(stage_id), "partitions": entries})
+        nbytes = atomic_write_bytes(
+            path,
+            b"".join([*payloads, footer, hashlib.sha256(footer).digest(),
+                      len(footer).to_bytes(8, "little"), WAVE_MAGIC]),
+            fsync=self.fsync, io=self.io,
+        )
+        self._adopt(stage_id, filename, entries)
+        injector = self.fault_injector
+        if injector is not None:
+            for key, entry in entries.items():
                 injector.on_checkpoint_write(
-                    stage_id, partition.index, path, offset, len(payload)
+                    stage_id, int(key), path, entry["offset"], entry["nbytes"]
                 )
-            offset += len(payload)
-        self._write_manifest()
         self.checkpoint_bytes += nbytes
         self.checkpoint_partitions_total += len(payloads)
         self.recompute_total += len(payloads)
@@ -295,13 +351,24 @@ class CheckpointStore:
         self.metrics.counter("checkpoint_partitions_total").inc(len(payloads))
         self.metrics.counter("recompute_total").inc(len(payloads))
 
+    def _adopt(self, stage_id, filename, entries):
+        """Record a committed wave's footer entries; the stage is
+        incomplete until :meth:`commit_stage` says otherwise."""
+        stage = self._stage(stage_id)
+        stage["complete"] = False
+        for key, entry in entries.items():
+            stage["partitions"][key] = dict(entry, file=filename)
+
     def commit_stage(self, stage_id, lineage=None):
         """Mark a stage's checkpoint complete (every partition
-        committed) and record its lineage tuple. A stage restored in
-        full is already marked: nothing changed, nothing is written."""
+        committed), record its lineage (any JSON value) and write the
+        manifest. A stage restored in full is already marked: nothing
+        changed, nothing is written."""
         self._require_bound()
         stage = self._stage(stage_id)
-        lineage = list(lineage) if lineage is not None else stage["lineage"]
+        if lineage is None:
+            lineage = stage["lineage"]
+        lineage = json.loads(_json_bytes(lineage))   # as the manifest holds it
         if stage["complete"] and stage["lineage"] == lineage:
             return
         stage["complete"] = True
@@ -343,21 +410,7 @@ class CheckpointStore:
                 )
             except CheckpointIntegrityError as err:
                 dropped.append(key)
-                kind = ("missing" if isinstance(
-                    err.__cause__, FileNotFoundError) else "corrupt")
-                if kind == "missing":
-                    self.missing_total += 1
-                    self.metrics.counter("checkpoint_missing_total").inc()
-                else:
-                    self.corrupt_total += 1
-                    self.metrics.counter("checkpoint_corrupt_total").inc()
-                if recovery_log is not None:
-                    recovery_log.record(
-                        "checkpoint_invalid", stage=str(stage_id),
-                        partition=index, kind=kind, error=str(err),
-                        cause=type(err.__cause__).__name__
-                        if err.__cause__ is not None else None,
-                    )
+                self._invalid(stage_id, index, err, recovery_log)
         if dropped:
             stage = self._manifest["stages"].get(str(stage_id))
             for key in dropped:
@@ -369,48 +422,57 @@ class CheckpointStore:
             self.metrics.counter("restore_total").inc(len(restored))
         return restored
 
+    def reject_partition(self, stage_id, index, problem, recovery_log=None):
+        """A partition :meth:`restore_stage` returned failed the caller's
+        own check (``problem`` says which): it counts as corrupt, not
+        restored, and the wave that recomputes it supersedes its entry."""
+        self.restore_total -= 1
+        self.metrics.counter("restore_total").inc(-1)
+        self._invalid(stage_id, index,
+                      _integrity_error(stage_id, index, problem), recovery_log)
+
+    def _invalid(self, stage_id, index, err, recovery_log):
+        kind = ("missing" if isinstance(err.__cause__, FileNotFoundError)
+                else "corrupt")
+        if kind == "missing":
+            self.missing_total += 1
+            self.metrics.counter("checkpoint_missing_total").inc()
+        else:
+            self.corrupt_total += 1
+            self.metrics.counter("checkpoint_corrupt_total").inc()
+        if recovery_log is not None:
+            recovery_log.record(
+                "checkpoint_invalid", stage=str(stage_id), partition=index,
+                kind=kind, error=str(err),
+                cause=type(err.__cause__).__name__
+                if err.__cause__ is not None else None,
+            )
+
     def _verify_and_load(self, stage_id, index, entry):
-        path = os.path.join(self._run_dir, entry["file"])
+        fail = functools.partial(_integrity_error, stage_id, index)
         try:
-            with open(path, "rb") as handle:
+            with open(os.path.join(self._run_dir, entry["file"]),
+                      "rb") as handle:
                 handle.seek(entry["offset"])
                 payload = handle.read(entry["nbytes"])
         except FileNotFoundError as cause:
-            raise CheckpointIntegrityError(
-                f"stage {stage_id!r} partition {index}: payload file "
-                f"{entry['file']} is missing",
-                stage=str(stage_id), partition=index,
-            ) from cause
+            raise fail(f"payload file {entry['file']} is missing") from cause
         if len(payload) != entry["nbytes"]:
-            raise CheckpointIntegrityError(
-                f"stage {stage_id!r} partition {index}: payload is "
-                f"{len(payload)} B, manifest says {entry['nbytes']} B "
-                "(torn write)",
-                stage=str(stage_id), partition=index,
-            )
+            raise fail(f"payload is {len(payload)} B, manifest says "
+                       f"{entry['nbytes']} B (torn write)")
         digest = sha256_hex(payload)
         if digest != entry["sha256"]:
-            raise CheckpointIntegrityError(
-                f"stage {stage_id!r} partition {index}: SHA-256 mismatch "
-                f"({digest[:12]}… != {entry['sha256'][:12]}…)",
-                stage=str(stage_id), partition=index,
-            )
+            raise fail(f"SHA-256 mismatch ({digest[:12]}… != "
+                       f"{entry['sha256'][:12]}…)")
         try:
             partition = decode_partition(index, payload)
         except CheckpointIntegrityError:
             raise
         except Exception as cause:
-            raise CheckpointIntegrityError(
-                f"stage {stage_id!r} partition {index}: payload failed "
-                f"to decode: {cause}",
-                stage=str(stage_id), partition=index,
-            ) from cause
+            raise fail(f"payload failed to decode: {cause}") from cause
         if len(partition) != entry["num_rows"]:
-            raise CheckpointIntegrityError(
-                f"stage {stage_id!r} partition {index}: decoded "
-                f"{len(partition)} rows, manifest says {entry['num_rows']}",
-                stage=str(stage_id), partition=index,
-            )
+            raise fail(f"decoded {len(partition)} rows, manifest says "
+                       f"{entry['num_rows']}")
         return partition
 
     # ------------------------------------------------------------------

@@ -4,16 +4,17 @@ feature store — at every write boundary.
 ``CheckpointStore`` and ``FeatureStore`` do all of their durable I/O
 through :mod:`repro.atomic_io`'s syscall shim. ``CrashIO`` stands in for it:
 it performs the real call, counts it, and — asked to — "kills the
-process" right after the n-th ``write`` / ``fsync`` / ``replace``: that
-call took effect, nothing after it does. In ``power-loss`` mode the
-kill also tears (halves) every file whose last write was never
-fsynced, which is what a missing fsync-before-rename would expose.
+process" right after the n-th call of the kinds it watches (``write`` /
+``fsync`` / ``replace`` unless told otherwise): that call took effect,
+nothing after it does. In ``power-loss`` mode the kill also tears
+(halves) every file whose last write was never fsynced, which is what a
+missing fsync-before-rename would expose.
 
 After each kill a fresh store binds the directory and must show the
-reader's contract: exactly the waves whose manifest rename completed
-restore, in full and bit-identical; nothing else restores; stray
-``*.tmp`` and orphan ``*.ckpt`` files are gone; and the run can carry
-on from there.
+reader's contract: exactly the waves whose file rename completed
+restore, in full and bit-identical (adopted from their footers until a
+stage commit names them in the manifest); nothing else restores; stray
+``*.tmp`` files are gone; and the run can carry on from there.
 """
 
 import os
@@ -37,11 +38,14 @@ class CrashIO:
     """``os`` for :mod:`repro.atomic_io`, counted and killable."""
 
     KILL_POINTS = ("write", "fsync", "replace")
+    SYSCALLS = ("open", "write", "fsync", "close", "replace")
 
-    def __init__(self, kill_after=None, power_loss=False):
+    def __init__(self, kill_after=None, power_loss=False,
+                 points=KILL_POINTS):
         self.kill_after = kill_after
         self.power_loss = power_loss
-        self.calls = []          # (name, path) of every durable syscall
+        self.points = points
+        self.calls = []          # (name, path) of every watched syscall
         self.dead = False
         self._paths = {}         # open fd -> path
         self._unsynced = set()   # paths written since their last fsync
@@ -54,9 +58,10 @@ class CrashIO:
             raise Killed()
 
     def _done(self, name, path):
+        if name not in self.points:
+            return
         self.calls.append((name, path))
-        points = [c for c in self.calls if c[0] in self.KILL_POINTS]
-        if name in self.KILL_POINTS and len(points) == self.kill_after:
+        if len(self.calls) == self.kill_after:
             self.dead = True
             if self.power_loss:
                 for torn in self._unsynced:
@@ -68,6 +73,11 @@ class CrashIO:
         self._alive()
         fd = os.open(path, flags, mode)
         self._paths[fd] = path
+        try:
+            self._done("open", path)
+        except Killed:
+            self.close(fd)
+            raise
         return fd
 
     def write(self, fd, data):
@@ -85,8 +95,10 @@ class CrashIO:
 
     def close(self, fd):
         # A dead process's fds are closed for it: always goes through.
-        self._paths.pop(fd, None)
+        path = self._paths.pop(fd, None)
         os.close(fd)
+        if not self.dead:
+            self._done("close", path)
 
     def replace(self, src, dst):
         self._alive()
@@ -116,16 +128,16 @@ def _partition(index):
     ))
 
 
-#: Two stages, two waves each; every step ends in one manifest rename.
+#: Two stages, two waves each; every step is one atomic file write: the
+#: wave file per put, the manifest per commit.
 STEPS = [
     ("put", "stage-a", (0, 1)), ("put", "stage-a", (2, 3)),
     ("commit", "stage-a", ()),
     ("put", "stage-b", (0, 1)), ("put", "stage-b", (2, 3)),
     ("commit", "stage-b", ()),
 ]
-#: tmp write + fsync + rename, payload then manifest, per put; manifest
-#: only per commit.
-KILL_POINTS = sum(6 if step[0] == "put" else 3 for step in STEPS)
+#: open, write, fsync, close and rename of one tmp file, per step.
+KILL_POINTS = len(CrashIO.SYSCALLS) * len(STEPS)
 
 
 def _apply(store, step):
@@ -176,14 +188,19 @@ def _assert_state(store, run_dir, steps):
 
 
 def test_kill_points_are_all_enumerated(tmp_path):
-    """An unkilled run makes exactly ``KILL_POINTS`` kill-able calls,
-    so the parametrized test below covers every one of them."""
-    io = CrashIO()
+    """An unkilled run makes exactly ``KILL_POINTS`` syscalls — each
+    wave and each stage commit is one open / write / fsync / close /
+    rename — so the parametrized test below covers every one of them."""
+    io = CrashIO(points=CrashIO.SYSCALLS)
     store = _store(tmp_path, io)
     for step in STEPS:
         _apply(store, step)
-    assert sum(io.count(name) for name in io.KILL_POINTS) == KILL_POINTS
-    assert io.count("fsync") == io.count("replace") == 2 * 4 + 2
+    assert [name for name, _ in io.calls] == list(CrashIO.SYSCALLS) * 6
+    assert [os.path.basename(path) for name, path in io.calls
+            if name == "replace"] == [
+        "stage-a__1.ckpt", "stage-a__2.ckpt", MANIFEST_NAME,
+        "stage-b__3.ckpt", "stage-b__4.ckpt", MANIFEST_NAME]
+    assert len(io.calls) == KILL_POINTS
     _assert_state(_store(tmp_path), tmp_path / "run", STEPS)
 
 
@@ -191,18 +208,17 @@ def test_kill_points_are_all_enumerated(tmp_path):
                          ids=["kill", "power-loss"])
 @pytest.mark.parametrize("kill_after", range(1, KILL_POINTS + 1))
 def test_kill_after_every_syscall(tmp_path, kill_after, power_loss):
-    io = CrashIO(kill_after=kill_after, power_loss=power_loss)
+    io = CrashIO(kill_after=kill_after, power_loss=power_loss,
+                 points=CrashIO.SYSCALLS)
     store = _store(tmp_path, io)
     with pytest.raises(Killed):
         for step in STEPS:
             _apply(store, step)
     last_call = io.calls[-1]
-    # The manifest rename is the only commit point: the steps that got
-    # that far are the committed state, whatever else hit the disk.
-    committed = STEPS[:sum(
-        1 for name, path in io.calls
-        if name == "replace" and path.endswith(MANIFEST_NAME)
-    )]
+    # Each step's rename is its commit point (a wave's file, a stage's
+    # manifest): the steps that got that far are the committed state,
+    # whatever else hit the disk.
+    committed = STEPS[:io.count("replace")]
 
     run_dir = tmp_path / "run"
     reopened = _store(tmp_path)
@@ -249,9 +265,8 @@ def test_kill_while_restore_drops_a_corrupt_entry(tmp_path, kill_after):
 def test_syncs_per_run_of_the_test_workload(tmp_path):
     """The 48-record recovery workload (AlexNet, 2 layers, Staged/AJ, 14
     partitions on 2 workers = 2 waves per stage): a cold run syncs one
-    payload and one manifest per wave plus one manifest per stage, and
-    checkpoints the two INFER outputs only; a full resume writes
-    nothing."""
+    wave file per wave plus one manifest per stage, and checkpoints the
+    two INFER outputs only; a full resume writes nothing."""
     def run(io):
         store = CheckpointStore(str(tmp_path))
         store.io = io
@@ -267,9 +282,9 @@ def test_syncs_per_run_of_the_test_workload(tmp_path):
     waves, stages = 4, 2
     assert store.stages() == ["infer:fc7->fc8+aj", "infer:image->fc7+aj"]
     assert store.checkpoint_partitions_total == 28
-    assert cold.count("fsync") == 2 * waves + stages
-    assert cold.count("replace") == 2 * waves + stages
-    assert cold.count("write") == 2 * waves + stages
+    assert cold.count("fsync") == waves + stages
+    assert cold.count("replace") == waves + stages
+    assert cold.count("write") == waves + stages
     assert len([
         n for n in os.listdir(os.path.join(str(tmp_path), store.fingerprint))
         if n.endswith(".ckpt")
@@ -281,8 +296,60 @@ def test_syncs_per_run_of_the_test_workload(tmp_path):
     assert resume.calls == []
 
 
+def _downstream(features, labels):
+    return {"matrix": features.copy()}
+
+
+@pytest.mark.parametrize("kill_after, adopted", [(3, 7), (12, 21)],
+                         ids=["first-stage", "second-stage"])
+def test_a_wave_renamed_before_its_stage_commit_is_resumed(
+        tmp_path, kill_after, adopted):
+    """Killed right after a wave file's rename, before the commit that
+    would name it in the manifest (the first wave of either INFER stage
+    of the 48-record workload; each wave and commit is write + fsync +
+    rename): the resume adopts that wave from its footer, restores its
+    7 partitions on top of whatever the manifest committed, recomputes
+    the rest, and its features are bit-identical."""
+    def run(io=None):
+        store = CheckpointStore(str(tmp_path))
+        if io is not None:
+            store.io = io
+        result = Vista(
+            model_name="alexnet", num_layers=2,
+            dataset=foods_dataset(num_records=48),
+            resources=default_resources(num_nodes=2),
+            downstream_fn=_downstream,
+        ).run(checkpoint_store=store)
+        return result, store
+
+    dying = CrashIO(kill_after=kill_after)
+    with pytest.raises(Killed):
+        run(dying)
+    name, path = dying.calls[-1]
+    assert name == "replace" and path.endswith(".ckpt")
+    manifest = os.path.join(os.path.dirname(path), MANIFEST_NAME)
+    if os.path.exists(manifest):    # the wave is named by no manifest
+        with open(manifest) as handle:
+            assert os.path.basename(path) not in handle.read()
+
+    resumed, store = run()
+    assert store.restore_total == adopted
+    assert store.recompute_total == 28 - adopted
+    baseline = Vista(
+        model_name="alexnet", num_layers=2,
+        dataset=foods_dataset(num_records=48),
+        resources=default_resources(num_nodes=2),
+        downstream_fn=_downstream,
+    ).run()
+    for layer, expected in baseline.layer_results.items():
+        assert np.array_equal(
+            resumed.layer_results[layer].downstream["matrix"],
+            expected.downstream["matrix"],
+        ), layer
+
+
 # ----------------------------------------------------------------------
-# FeatureStore.put: payload, then the manifest that commits it
+# FeatureStore.put: a one-partition wave, then the stage commit
 # ----------------------------------------------------------------------
 FEATURE_KEY = ("alexnet", "conv5", "16-0badcafe")
 FEATURE_DIR = "alexnet__conv5__16-0badcafe"

@@ -59,21 +59,33 @@ class TestStore:
         )
 
     def test_stored_file_is_the_vcb1_buffer(self, store):
-        """The file *is* the buffer a cached or checkpointed partition
-        of the same rows would be, and the manifest commits its length
-        and digest."""
+        """The file is the buffer a cached or checkpointed partition of
+        the same rows would be, then the wave footer that locates it;
+        the manifest commits its length and digest."""
         import hashlib
+        import json
 
         from repro.dataflow.columnar import ColumnarBlock
+        from repro.recovery.store import WAVE_MAGIC
 
         rows = _rows()
         stored = store.put("alexnet", "conv5", "fp1", rows)
         (path,) = store.root.glob("*/*.ckpt")
-        assert path.stat().st_size == stored
-        assert path.read_bytes() == ColumnarBlock.from_rows(rows).to_buffer()
+        data = path.read_bytes()
+        assert data[:stored] == ColumnarBlock.from_rows(rows).to_buffer()
+        # payload, footer, the footer's SHA-256 and length, the tag
+        assert data.endswith(WAVE_MAGIC)
+        footer = data[stored:-44]
+        assert int.from_bytes(data[-12:-4], "little") == len(footer)
+        assert data[-44:-12] == hashlib.sha256(footer).digest()
+        footer = json.loads(footer)
         meta = store.metadata("alexnet", "conv5", "fp1")
         assert meta["stored_bytes"] == stored
-        assert meta["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        digest = hashlib.sha256(data[:stored]).hexdigest()
+        assert meta["sha256"] == digest
+        assert footer["partitions"] == {"0": {
+            "offset": 0, "nbytes": stored, "sha256": digest,
+            "num_rows": 10}}
         assert not list(store.root.glob("*/*.tmp"))
 
     def test_non_vcb1_file_raises_instead_of_unpickling(self, store):
@@ -102,19 +114,19 @@ class TestStore:
             store.get("alexnet", "conv5", "fp1")
 
     def test_truncated_file_raises(self, store):
-        store.put("alexnet", "conv5", "fp1", _rows())
+        stored = store.put("alexnet", "conv5", "fp1", _rows())
         (path,) = store.root.glob("*/*.ckpt")
-        path.write_bytes(path.read_bytes()[:-7])
+        path.write_bytes(path.read_bytes()[:stored - 7])   # into the payload
         with pytest.raises(CheckpointIntegrityError,
                            match="alexnet__conv5__fp1"):
             store.get("alexnet", "conv5", "fp1")
         assert store.hits == 0
 
     def test_one_flipped_byte_raises(self, store):
-        store.put("alexnet", "conv5", "fp1", _rows())
+        stored = store.put("alexnet", "conv5", "fp1", _rows())
         (path,) = store.root.glob("*/*.ckpt")
         data = bytearray(path.read_bytes())
-        data[-5] ^= 0x10        # inside a float: still a valid buffer
+        data[stored - 5] ^= 0x10    # inside a float: still a valid buffer
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointIntegrityError,
                            match="alexnet__conv5__fp1"):

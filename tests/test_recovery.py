@@ -26,12 +26,14 @@ from repro.exceptions import (
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.retry import RecoveryLog
 from repro.recovery import (
+    MANIFEST_SCHEMA,
     CheckpointStore,
     atomic_write_bytes,
     decode_partition,
     encode_partition,
     reclaim_tmp_files,
     run_fingerprint,
+    sha256_hex,
 )
 
 
@@ -131,6 +133,7 @@ def test_restore_drops_digest_valid_non_vcb1_payload(tmp_path):
 
     store = _bound_store(tmp_path)
     store.put_partition("stage", [_array_partition(0)])
+    store.commit_stage("stage")
     run_dir = tmp_path / "run-a"
     payload = _pickled_rows()
     manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -263,6 +266,7 @@ def test_corrupt_payload_is_detected_and_dropped(tmp_path):
 def test_missing_payload_detected_with_cause_chain(tmp_path):
     store = _bound_store(tmp_path)
     store.put_partition("stage", [_array_partition(0)])
+    store.commit_stage("stage")
     run_dir = tmp_path / "run-a"
     os.remove(run_dir / store.stage_entries("stage")["0"]["file"])
 
@@ -285,14 +289,15 @@ def test_missing_payload_detected_with_cause_chain(tmp_path):
 def test_truncated_payload_is_torn_write(tmp_path):
     store = _bound_store(tmp_path)
     store.put_partition("stage", [_array_partition(0), _array_partition(1)])
+    store.commit_stage("stage")
     run_dir = tmp_path / "run-a"
-    victim = run_dir / store.stage_entries("stage")["1"]["file"]
-    size = os.path.getsize(victim)
+    entry = store.stage_entries("stage")["1"]
+    victim = run_dir / entry["file"]
     with open(victim, "rb+") as handle:
-        handle.truncate(size - 1)
+        handle.truncate(entry["offset"] + entry["nbytes"] - 1)
     reopened = _bound_store(tmp_path)
-    # The tear cut the tail of the wave file: the partition before it
-    # still verifies, the one it cut does not.
+    # The tear cut the footer and the last payload's tail: the
+    # partition before it still verifies, the one it cut does not.
     assert sorted(reopened.restore_stage("stage")) == [0]
     assert reopened.corrupt_total == 1
 
@@ -300,6 +305,7 @@ def test_truncated_payload_is_torn_write(tmp_path):
 def test_torn_manifest_quarantines_run(tmp_path):
     store = _bound_store(tmp_path)
     store.put_partition("stage", [_array_partition(0)])
+    store.commit_stage("stage")
     manifest = tmp_path / "run-a" / "manifest.json"
     size = os.path.getsize(manifest)
     with open(manifest, "rb+") as handle:
@@ -318,7 +324,7 @@ def test_wrong_fingerprint_manifest_is_structural_tear(tmp_path):
     run_dir = tmp_path / "run-a"
     run_dir.mkdir()
     (run_dir / "manifest.json").write_text(json.dumps(
-        {"schema": "ckpt/v2", "fingerprint": "other", "seq": 0,
+        {"schema": MANIFEST_SCHEMA, "fingerprint": "other", "seq": 0,
          "stages": {}}
     ))
     store = _bound_store(tmp_path)
@@ -346,10 +352,11 @@ def test_v1_directory_is_quarantined(tmp_path):
 
 
 def test_bind_run_reclaims_orphan_wave_files(tmp_path):
-    """A wave file whose manifest commit never happened is invisible to
-    restore and removed at the next bind; referenced files stay."""
+    """A wave file whose footer does not parse is invisible to restore
+    and removed at the next bind; referenced files stay."""
     store = _bound_store(tmp_path)
     store.put_partition("stage", [_array_partition(0)])
+    store.commit_stage("stage")
     run_dir = tmp_path / "run-a"
     (run_dir / "stage__2.ckpt").write_bytes(b"payload without a commit")
     reopened = _bound_store(tmp_path)
@@ -358,6 +365,35 @@ def test_bind_run_reclaims_orphan_wave_files(tmp_path):
     # The next wave takes a fresh sequence number.
     reopened.put_partition("stage", [_array_partition(1)])
     assert reopened.stage_entries("stage")["1"]["file"] == "stage__2.ckpt"
+
+
+def test_bind_run_adopts_waves_newer_than_the_manifest(tmp_path):
+    """A wave renamed after the last manifest write is committed: the
+    next bind adopts it from its footer (its stage not complete). A
+    wave whose footer fails its digest is removed instead."""
+    store = _bound_store(tmp_path)
+    store.put_partition("stage", [_array_partition(0)])
+    store.commit_stage("stage")
+    store.put_partition("stage", [_array_partition(1), _array_partition(2)])
+    store.put_partition("stage", [_array_partition(3)])
+    run_dir = tmp_path / "run-a"
+    _corrupt_file(str(run_dir / "stage__3.ckpt"),
+                  os.path.getsize(run_dir / "stage__3.ckpt") - 50)
+
+    reopened = _bound_store(tmp_path)
+    assert sorted(os.listdir(run_dir)) == [
+        "manifest.json", "stage__1.ckpt", "stage__2.ckpt"]
+    assert not reopened.stage_complete("stage")
+    restored = reopened.restore_stage("stage")
+    assert sorted(restored) == [0, 1, 2]
+    for index, partition in restored.items():
+        assert np.array_equal(partition.block().column("x"),
+                              _array_partition(index).block().column("x"))
+    reopened.put_partition("stage", [_array_partition(3)])
+    reopened.commit_stage("stage")
+    final = _bound_store(tmp_path)
+    assert final.stage_complete("stage")
+    assert sorted(final.restore_stage("stage")) == [0, 1, 2, 3]
 
 
 # ---------------------------------------------------------------------
@@ -387,6 +423,7 @@ def test_injected_missing_fault(tmp_path):
     store.bind_run("run-a")
     store.put_partition("stage", [_array_partition(0), _array_partition(1)])
     store.put_partition("stage", [_array_partition(2)])
+    store.commit_stage("stage")
     reopened = _bound_store(tmp_path)
     restored = reopened.restore_stage("stage")
     # The rule deleted partition 1's wave file: its wave-mate is
@@ -401,6 +438,8 @@ def test_injected_torn_manifest_fault(tmp_path):
     store = CheckpointStore(str(tmp_path), fault_injector=injector)
     store.bind_run("run-a")
     store.put_partition("stage", [_array_partition(0)])
+    assert injector.injected["checkpoint-torn"] == 0
+    store.commit_stage("stage")
     reopened = _bound_store(tmp_path)
     assert reopened.torn_manifest_total == 1
     assert reopened.valid_partition_count() == 0
@@ -547,3 +586,179 @@ def test_resume_stalls_fall_back_to_degradation_ladder(tmp_path):
     assert runner._should_resume() is False  # stalled: degrade
     store.put_partition("stage", [_array_partition(1)])
     assert runner._should_resume() is True   # grew again: resume again
+
+
+# ---------------------------------------------------------------------
+# an INFER stage stores what the CNN computed; the carried columns
+# come back from its input
+# ---------------------------------------------------------------------
+#: Plan -> whether its INFER stages carry ``features``/``label`` (+aj).
+CARRY_PLANS = {"staged": True, "eager-reordered": True,
+               "lazy-reordered": True, "staged-bj": False}
+
+
+def _plan_run(root, plan_name, num_records=24, num_partitions=4,
+              join="broadcast", log=None):
+    """One run of AlexNet-mini's top two layers; ``root`` None runs
+    without a store. Returns ``(result, store)``."""
+    from repro.cnn import build_model
+    from repro.core.config import VistaConfig
+    from repro.core.executor import FeatureTransferExecutor
+    from repro.core.plans import ALL_PLANS
+    from repro.dataflow.context import local_context
+
+    model = build_model("alexnet", profile="mini")
+    config = VistaConfig(
+        cpu=2, num_partitions=num_partitions, mem_storage_bytes=10**9,
+        mem_user_bytes=10**9, mem_dl_bytes=10**9, join=join,
+        persistence="deserialized",
+    )
+    store = CheckpointStore(str(root)) if root is not None else None
+    ctx = local_context(num_nodes=2, cores_per_node=4, cpu=2)
+    ctx.recovery_log = log
+    try:
+        result = FeatureTransferExecutor(
+            ctx, model, foods_dataset(num_records=num_records),
+            model.feature_layers[-2:], config,
+            downstream_fn=lambda features, labels: {
+                "matrix": features.copy()},
+            checkpoint_store=store,
+        ).run(ALL_PLANS[plan_name])
+    finally:
+        ctx.exec_backend.close()
+    return result, store
+
+
+def _spy_checkpointed_maps(monkeypatch):
+    """``(input table, output table, checkpoint)`` of every
+    checkpointed ``map_blocks`` call."""
+    from repro.dataflow.table import DistributedTable
+
+    calls = []
+    original = DistributedTable.map_blocks
+
+    def spy(self, block_fn, *args, checkpoint=None, **kwargs):
+        out = original(self, block_fn, *args, checkpoint=checkpoint,
+                       **kwargs)
+        if checkpoint is not None:
+            calls.append((self, out, checkpoint))
+        return out
+
+    monkeypatch.setattr(DistributedTable, "map_blocks", spy)
+    return calls
+
+
+def _stored_payloads(root):
+    """``(stage, partition key, entry, payload)`` of every partition
+    the manifest under ``root`` commits."""
+    (manifest_path,) = [
+        os.path.join(dirpath, "manifest.json")
+        for dirpath, _, names in os.walk(root) if "manifest.json" in names
+    ]
+    with open(manifest_path) as handle:
+        manifest = json.load(handle)
+    for stage_id, stage in sorted(manifest["stages"].items()):
+        for key, entry in sorted(stage["partitions"].items()):
+            path = os.path.join(os.path.dirname(manifest_path),
+                                entry["file"])
+            with open(path, "rb") as handle:
+                handle.seek(entry["offset"])
+                yield stage_id, key, entry, handle.read(entry["nbytes"])
+
+
+def _header_columns(payload):
+    header_len = int.from_bytes(payload[4:8], "little")
+    header = json.loads(payload[8:8 + header_len])
+    return [col["name"] for col in header["cols"]]
+
+
+@pytest.mark.parametrize("plan_name", sorted(CARRY_PLANS))
+def test_restored_stage_carries_its_input_columns_by_reference(
+        tmp_path, monkeypatch, plan_name):
+    """The payload holds ``id`` and the tensor columns only; a resumed
+    +aj stage's ``features``/``label`` are the input partition's own
+    arrays, in the order the cold stage wrote them, and every feature
+    matrix is bit-identical to a run without a store."""
+    plain, _ = _plan_run(None, plan_name)
+    _, cold = _plan_run(tmp_path, plan_name)
+    for _, _, entry, payload in _stored_payloads(str(tmp_path)):
+        if entry["num_rows"]:
+            columns = _header_columns(payload)
+            assert columns[0] == "id", columns
+            assert all(c.startswith("tensor") for c in columns[1:]), columns
+
+    calls = _spy_checkpointed_maps(monkeypatch)
+    resumed, store = _plan_run(tmp_path, plan_name)
+    assert store.restore_total == cold.checkpoint_partitions_total
+    assert store.recompute_total == 0
+    _assert_bit_identical(resumed, plain)
+    assert calls
+    for table, out, (_, stage_id, carried) in calls:
+        assert stage_id.endswith("+aj") == CARRY_PLANS[plan_name]
+        assert bool(carried) == CARRY_PLANS[plan_name]
+        for source, partition in zip(table.partitions, out.partitions):
+            block, source = partition.block(), source.block()
+            if not block.num_rows:
+                continue
+            names = block.column_names
+            if not carried:
+                assert "features" not in names and "label" not in names
+                continue
+            assert names[:3] == ["id", "features", "label"], names
+            for column in ("features", "label"):
+                assert np.shares_memory(block.column(column),
+                                        source.column(column)), column
+
+
+@pytest.mark.parametrize(
+    "plan_name", sorted(p for p, aj in CARRY_PLANS.items() if aj))
+def test_stored_ids_that_disagree_with_the_input_are_recomputed(
+        tmp_path, plan_name):
+    """A payload whose digest verifies but whose ``id`` column is not
+    its input partition's (reversed here, digest re-signed) cannot be
+    given the input's carried columns: it is logged as a corrupt
+    ``checkpoint_invalid`` and recomputed, bit-identically."""
+    plain, _ = _plan_run(None, plan_name)
+    _, cold = _plan_run(tmp_path, plan_name)
+    stage_id, key, entry, payload = next(
+        found for found in _stored_payloads(str(tmp_path))
+        if found[2]["num_rows"] > 1
+    )
+    block = ColumnarBlock.from_buffer(payload)
+    forged = ColumnarBlock(
+        {name: np.ascontiguousarray(block.column(name)[::-1])
+         if name == "id" else block.column(name)
+         for name in block.column_names},
+        block.num_rows,
+    ).to_buffer()
+    assert len(forged) == len(payload) and forged != payload
+    (run_dir,) = [p for p in tmp_path.iterdir() if p.is_dir()]
+    with open(run_dir / entry["file"], "rb+") as handle:
+        handle.seek(entry["offset"])
+        handle.write(forged)
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    manifest["stages"][stage_id]["partitions"][key]["sha256"] = (
+        sha256_hex(forged))
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+
+    log = RecoveryLog()
+    resumed, store = _plan_run(tmp_path, plan_name, log=log)
+    invalid = log.of("checkpoint_invalid")
+    assert [(e["stage"], e["partition"], e["kind"]) for e in invalid] \
+        == [(stage_id, int(key), "corrupt")]
+    assert store.corrupt_total == 1 and store.recompute_total == 1
+    assert store.restore_total == cold.checkpoint_partitions_total - 1
+    _assert_bit_identical(resumed, plain)
+
+
+def test_resume_restores_empty_partitions(tmp_path):
+    """32 shuffle partitions over 20 records leave empty ones: their
+    checkpoints restore as empty partitions (an empty partition is
+    falsy — it must not be mistaken for one that was never restored)."""
+    kwargs = dict(num_records=20, num_partitions=32, join="shuffle")
+    plain, _ = _plan_run(None, "staged", **kwargs)
+    _, cold = _plan_run(tmp_path, "staged", **kwargs)
+    assert cold.checkpoint_partitions_total == 64
+    resumed, store = _plan_run(tmp_path, "staged", **kwargs)
+    assert store.restore_total == 64 and store.recompute_total == 0
+    _assert_bit_identical(resumed, plain)
