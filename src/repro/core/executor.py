@@ -211,7 +211,7 @@ class FeatureTransferExecutor:
         config = self.config
         self._bind_checkpoints(plan)
         previous_timer = self.cnn.op_timer
-        op_hook, op_flush = self._op_timer_hook()
+        op_hook = self._op_timer_hook()
         if op_hook is not None:
             self.cnn.op_timer = op_hook
         try:
@@ -233,8 +233,6 @@ class FeatureTransferExecutor:
                     span.set("sizing", self._sizing_comparison())
         finally:
             self.cnn.op_timer = previous_timer
-            if op_flush is not None:
-                op_flush()
         self._finalize_metrics()
         trace = self.tracer if self.tracer.enabled else None
         registry = (
@@ -274,40 +272,26 @@ class FeatureTransferExecutor:
         return self.context.task_counters.get("batched_fallbacks", 0)
 
     def _op_timer_hook(self):
-        """Per-operator hook for the CNN engine, as a ``(recorder,
-        flush)`` pair: the recorder (a ``hook(name, seconds)``
-        callable — the engine reads the clock itself) feeds the
-        tracer's ``op_s:<name>`` counters (when tracing) and collects
-        wall seconds for the ``op_seconds{op_type}`` metrics histogram
-        (when metered); both None when neither sink is on, so the
-        engine skips timing entirely.
-
-        The metered recorder interleaves with the inference inner
-        loops, so it does nothing there beyond a dict lookup and a
-        float append — observations land in the registry only when
-        ``flush`` runs after the workload, keeping the histogram
-        bookkeeping and its allocations out of the operators'
-        cache-hot path. The telemetry-overhead target is 5% and is not
-        met: ``staged_ledgered ÷ staged_alexnet`` ``wall_s`` reads 1.13
-        over ten runs at commit ``6f53246``; the ROADMAP's telemetry
-        write-side item owns it."""
-        tracer_record = (
-            self.tracer.record_op if self.tracer.enabled else None
-        )
-        registry = self.metrics_registry
-        if tracer_record is None and not registry.enabled:
-            return None, None
+        """Per-operator hook for the CNN engine: a ``hook(name,
+        seconds)`` callable (the engine reads the clock itself) that
+        feeds the tracer's ``op_s:<name>`` counters, or None when the
+        run is untraced, so the engine skips timing entirely. The
+        telemetry-overhead target is 5%; the recorder does nothing in
+        the operators' inner loops beyond a dict lookup and a float
+        append."""
+        if not self.tracer.enabled:
+            return None
+        tracer_record = self.tracer.record_op
         # The run's samples dict (fresh from ``reset_metrics``) lives
         # on the context so the process backend's forked children can
-        # diff it around a task and ship only the new samples back —
-        # the parent replays them into the tracer and the deferred
-        # histogram flush below. A thread lane's samples reach both
-        # through ``on_driver``, when the driver settles its task.
+        # diff it around a task and ship only the new samples back for
+        # the parent to replay into its tracer. A thread lane's samples
+        # reach the tracer through ``on_driver``, when the driver
+        # settles its task.
         samples = self.context.op_samples
 
         def record(name, seconds):
-            if tracer_record is not None:
-                tracer_record(name, seconds)
+            tracer_record(name, seconds)
             durations = samples.get(name)
             if durations is None:
                 durations = samples[name] = []
@@ -316,16 +300,7 @@ class FeatureTransferExecutor:
         def hook(name, seconds):
             on_driver(record, name, seconds)
 
-        if not registry.enabled:
-            return hook, None
-
-        def flush():
-            for name, durations in samples.items():
-                registry.histogram(
-                    "op_seconds", op_type=name
-                ).observe_many(durations)
-
-        return hook, flush
+        return hook
 
     def _sizing_comparison(self):
         """Eq. 16 estimates (from the executable CNN's shapes) next to

@@ -485,20 +485,17 @@ class ProcessPoolBackend(Backend):
         """Fold the worker's deltas into the driver's registries, so
         metrics and traces read the same whichever backend ran the
         wave: counters advance by the worker's increments, per-op timer
-        samples extend the executor's deferred-flush dict (and replay
-        onto the current span when tracing), task counters accumulate."""
+        samples replay onto the current span, task counters
+        accumulate."""
         metrics = context.metrics
         if metrics.enabled:
             for (name, label_pairs), delta in meta["counters"]:
                 if delta:
                     metrics.counter(name, **dict(label_pairs)).inc(delta)
         tracer = context.tracer
-        op_samples = context.op_samples
         for op_name, seconds_list in meta["ops"].items():
-            if tracer.enabled:
-                for seconds in seconds_list:
-                    tracer.record_op(op_name, seconds)
-            op_samples.setdefault(op_name, []).extend(seconds_list)
+            for seconds in seconds_list:
+                tracer.record_op(op_name, seconds)
         task_counters = context.task_counters
         for key, delta in meta["task_counters"].items():
             task_counters[key] = task_counters.get(key, 0) + delta

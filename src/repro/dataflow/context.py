@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.memory.model import GB, MemoryAccountant
 from repro.dataflow.storage import StorageManager
-from repro.metrics import NULL_METRICS
+from repro.metrics import NULL_METRICS, series_from_events
 from repro.observe.ledger import NULL_LEDGER
 from repro.trace import NULL_TRACER
 
@@ -111,8 +111,8 @@ class ClusterContext:
         worker's memory accountant and storage manager, the driver's
         accountant, and (via the shared simulated clock) the
         fault/recovery layer — after which the context records
-        per-region occupancy timelines, storage hit/miss/spill series,
-        and task/wave occupancy."""
+        per-region occupancy timelines and storage hit/miss/spill
+        series."""
         self.metrics = metrics
         for worker in self.workers:
             worker.accountant.attach_metrics(
@@ -160,11 +160,12 @@ class ClusterContext:
         if self.metrics.enabled:
             self.metrics.sink = ledger
             if replay_metrics:
-                for series in self.metrics.instruments():
-                    if series.samples:
-                        ledger.emit("metric", metric=series.name,
-                                    labels=series.labels,
-                                    value=series.samples[-1][2])
+                for series in series_from_events(
+                        self.metrics.events).values():
+                    sim_time_s, _, value = series["samples"][-1]
+                    ledger.emit("metric", metric=series["name"],
+                                labels=series["labels"], value=value,
+                                sim_time_s=sim_time_s)
         if self.recovery_log is not None:
             self.recovery_log.sink = ledger
 

@@ -163,16 +163,9 @@ class _Stage:
     def _run_worker_share(self, worker, items):
         """Run one worker's partitions in waves of ``context.cpu``."""
         context, what, ledger = self.context, self.what, self.ledger
-        label = f"w{worker.node_id}"
-        occupancy = self.metrics.gauge("wave_tasks", worker=label)
         for start in range(0, len(items), context.cpu):
             tasks = items[start:start + context.cpu]
             self.tracer.add("waves")
-            self.metrics.counter("waves_total", worker=label).inc()
-            self.metrics.histogram("wave_size", worker=label).observe(
-                len(tasks)
-            )
-            occupancy.set(len(tasks))
             ledger.emit("wave_start", worker=worker.node_id,
                         size=len(tasks), what=what)
             try:
@@ -196,8 +189,6 @@ class _Stage:
                              reason="worker lost")
                 self._reschedule(items[start:])
                 return
-            finally:
-                occupancy.set(0)
             ledger.emit("wave_end", worker=worker.node_id,
                         results=len(wave.results), what=what, status="ok")
             self._commit(dict(tasks), wave.results)

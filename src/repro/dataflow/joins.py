@@ -164,17 +164,12 @@ def shuffle_hash_join(left, right, num_partitions=None, name=None,
                 build_partition.block(), build.key,
             )
 
-        build_size_hist = left.context.metrics.histogram(
-            "join_build_bytes", strategy=SHUFFLE
-        )
-
         def charge(probe_partition, joined):
             build_partition = build_parts.get(probe_partition.index)
             build_bytes = (
                 build_partition.memory_bytes()
                 if build_partition is not None else 0
             )
-            build_size_hist.observe(build_bytes)
             return int(core_alpha * build_bytes)
 
         outputs = run_partition_tasks(
@@ -214,11 +209,7 @@ def broadcast_join(small, big, name=None):
         # probe.
         small_block = small.collect_block()  # charges Driver memory
         sp.add("broadcast_bytes", small_bytes)
-        metrics = context.metrics
-        metrics.counter("broadcast_bytes_total").inc(small_bytes)
-        metrics.histogram(
-            "join_build_bytes", strategy=BROADCAST
-        ).observe(small_bytes)
+        context.metrics.counter("broadcast_bytes_total").inc(small_bytes)
 
         def task(partition):
             return _hash_join(

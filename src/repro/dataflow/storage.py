@@ -27,7 +27,6 @@ from collections import OrderedDict
 from repro.atomic_io import atomic_write_bytes, reclaim_tmp_files
 from repro.dataflow.partition import DESERIALIZED
 from repro.exceptions import StorageMemoryExceeded
-from repro.metrics import NULL_METRICS
 from repro.trace import NULL_TRACER
 
 _UNSAFE_KEY = re.compile(r"[^A-Za-z0-9_.-]+")
@@ -42,10 +41,8 @@ class StorageManager:
     events, so traces show exactly which cached table paid disk I/O.
 
     With a metrics registry attached (``attach_metrics``), the region
-    additionally emits a ``storage_cached_bytes`` occupancy timeline,
-    exact hit/miss/eviction/spill counters, and a residency-age
-    histogram (how many registry ticks each admitted partition stayed
-    memory-resident before its LRU eviction).
+    additionally emits a ``storage_cached_bytes`` occupancy timeline
+    and exact hit/miss/eviction/spill counters.
     """
 
     def __init__(self, capacity_bytes, spill_enabled=True, spill_dir=None):
@@ -53,12 +50,10 @@ class StorageManager:
         self.spill_enabled = spill_enabled
         self.spill_dir = str(spill_dir) if spill_dir is not None else None
         self.tracer = NULL_TRACER
-        self.metrics = NULL_METRICS
         self._m = None
         self._cached = OrderedDict()   # key -> (partition, bytes)
         self._spilled = {}             # key -> (partition, bytes)
         self._spill_files = {}         # key -> on-disk blob path
-        self._admitted_tick = {}       # key -> registry tick at admission
         self.used_bytes = 0
         self.peak_bytes = 0
         self.spilled_bytes_total = 0
@@ -101,7 +96,6 @@ class StorageManager:
     def attach_metrics(self, metrics, owner):
         """Emit this region's timeline and counters on ``metrics``,
         labelled with the owning worker."""
-        self.metrics = metrics
         owner = str(owner)
         self._m = {
             "cached_bytes": metrics.gauge(
@@ -117,9 +111,6 @@ class StorageManager:
             ),
             "spill_read_bytes": metrics.counter(
                 "storage_spill_read_bytes_total", worker=owner
-            ),
-            "residency": metrics.histogram(
-                "storage_residency_age_ticks", worker=owner
             ),
             "crashes": metrics.counter(
                 "crash_total", worker=owner, region="storage",
@@ -172,9 +163,7 @@ class StorageManager:
         self.used_bytes += nbytes
         self.peak_bytes = max(self.peak_bytes, self.used_bytes)
         self.tracer.add("storage_cached_bytes", nbytes)
-        if self._m is not None:
-            self._admitted_tick[key] = self.metrics._tick
-            self._sample_occupancy()
+        self._sample_occupancy()
 
     def _make_room(self, needed):
         while self.used_bytes + needed > self.capacity_bytes and self._cached:
@@ -190,12 +179,7 @@ class StorageManager:
             self._spill(evict_key, partition, nbytes)
             if self._m is not None:
                 self._m["evictions"].inc()
-                admitted = self._admitted_tick.pop(evict_key, None)
-                if admitted is not None:
-                    self._m["residency"].observe(
-                        self.metrics._tick - admitted
-                    )
-                self._sample_occupancy()
+            self._sample_occupancy()
         if self.used_bytes + needed > self.capacity_bytes:
             if not self.spill_enabled:
                 self._crash(
@@ -247,9 +231,7 @@ class StorageManager:
                 self._drop_spill_file(key)
                 self.used_bytes += nbytes
                 self.peak_bytes = max(self.peak_bytes, self.used_bytes)
-                if self._m is not None:
-                    self._admitted_tick[key] = self.metrics._tick
-                    self._sample_occupancy()
+                self._sample_occupancy()
             else:
                 self._spilled[key] = (partition, nbytes)
             return partition
@@ -266,14 +248,12 @@ class StorageManager:
             self._sample_occupancy()
         self._spilled.pop(key, None)
         self._drop_spill_file(key)
-        self._admitted_tick.pop(key, None)
 
     def clear(self):
         self._cached.clear()
         self._spilled.clear()
         for key in list(self._spill_files):
             self._drop_spill_file(key)
-        self._admitted_tick.clear()
         self.used_bytes = 0
         self._sample_occupancy()
 

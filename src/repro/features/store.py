@@ -78,6 +78,12 @@ class FeatureStore(CheckpointStore):
         return dict(record, num_rows=entry["num_rows"],
                     stored_bytes=entry["nbytes"], sha256=entry["sha256"])
 
+    def _another_layout(self):
+        """An entry namespace names no schema, so a manifest of another
+        layout is an entry an older version committed: a plain miss,
+        cleared, not a torn manifest."""
+        self._clear()
+
     def contains(self, model_name, layer, fingerprint):
         return self.metadata(model_name, layer, fingerprint) is not None
 

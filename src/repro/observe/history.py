@@ -43,7 +43,7 @@ import subprocess
 import sys
 
 from repro.atomic_io import atomic_write_bytes, reclaim_tmp_files, write_all
-from repro.metrics import METRICS_SCHEMA
+from repro.metrics import METRICS_SCHEMA, series_from_events
 from repro.observe.ledger import (
     LEDGER_SCHEMA,
     parse_ledger,
@@ -140,45 +140,42 @@ def _stages_from_spans(spans):
     return stages
 
 
-def metric_key(name, labels):
-    """``name{k=v,…}`` — the flat key of one metric series (record
-    ``metrics`` block, Perfetto counter track)."""
-    if not labels:
-        return str(name)
-    inner = ",".join(
-        f"{key}={labels[key]}" for key in sorted(labels)
-    )
-    return f"{name}{{{inner}}}"
-
-
 def _region_key(labels):
     parts = [str(labels[key]) for key in ("worker", "region")
              if key in labels]
     return "/".join(parts) if parts else "all"
 
 
-def _memory_from_events(events):
-    peaks = {}
-    budgets = {}
-    for event in events:
-        if event.get("kind") != "metric":
-            continue
-        name = event.get("metric")
-        if name not in ("mem_used_bytes", "mem_capacity_bytes"):
-            continue
-        labels = event.get("labels") or {}
-        key = _region_key(labels)
+def _values(series):
+    """A series' sample values as floats; one that is not a number
+    (a hand-edited ledger) is skipped."""
+    values = []
+    for _, _, value in series["samples"]:
         try:
-            value = float(event.get("value") or 0.0)
+            values.append(float(value or 0.0))
         except (TypeError, ValueError):
             continue
-        if name == "mem_used_bytes":
-            peaks[key] = max(peaks.get(key, 0.0), value)
-        else:
-            budgets[key] = value
+    return values
+
+
+def _memory_and_peaks(events):
+    """The record's ``memory`` block (per-region occupancy peak vs the
+    last published budget) and ``metrics`` block (each series' peak),
+    both read off :func:`~repro.metrics.series_from_events`."""
+    peaks, used, budgets = {}, {}, {}
+    for key, series in series_from_events(events).items():
+        values = _values(series)
+        if not values:
+            continue
+        peaks[key] = max(values)
+        region = _region_key(series["labels"])
+        if series["name"] == "mem_used_bytes":
+            used[region] = max(used.get(region, 0.0), peaks[key])
+        elif series["name"] == "mem_capacity_bytes":
+            budgets[region] = values[-1]
     memory = {}
-    for key in sorted(set(peaks) | set(budgets)):
-        peak = peaks.get(key)
+    for key in sorted(set(used) | set(budgets)):
+        peak = used.get(key)
         budget = budgets.get(key)
         memory[key] = {
             "peak_bytes": peak,
@@ -187,22 +184,7 @@ def _memory_from_events(events):
                 peak is not None and budget and peak > budget
             ),
         }
-    return memory
-
-
-def _metric_peaks_from_events(events):
-    peaks = {}
-    for event in events:
-        if event.get("kind") != "metric":
-            continue
-        key = metric_key(event.get("metric"),
-                          event.get("labels") or {})
-        try:
-            value = float(event.get("value") or 0.0)
-        except (TypeError, ValueError):
-            continue
-        peaks[key] = max(peaks.get(key, value), value)
-    return peaks
+    return memory, peaks
 
 
 def _calibration_from_events(events):
@@ -236,6 +218,7 @@ def summarize_ledger(events, problems=(), source=""):
     ``"torn"`` — never rejected: the whole point of the warehouse is
     that killed runs still join the timeline."""
     spans = spans_from_events(events)
+    memory, peaks = _memory_and_peaks(events)
     first = {}
     kinds = {}
     recovery = {}
@@ -261,8 +244,8 @@ def summarize_ledger(events, problems=(), source=""):
         "spans": [{key: span[key] for key in _SPAN_FIELDS}
                   for span in spans],
         "calibration": _calibration_from_events(events),
-        "memory": _memory_from_events(events),
-        "metrics": _metric_peaks_from_events(events),
+        "memory": memory,
+        "metrics": peaks,
         "recovery": {**recovery, "total": sum(recovery.values())},
         "events": len(events),
         "events_by_kind": kinds,

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 
-from repro.observe.history import metric_key
+from repro.metrics import metric_key
 from repro.observe.ledger import read_ledger
 from repro.trace.tracer import spans_from_events
 

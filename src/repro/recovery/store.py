@@ -203,6 +203,8 @@ class CheckpointStore:
             self._manifest = self._load_manifest()
         except CheckpointIntegrityError:
             self._quarantine()
+        if self._manifest is None:
+            self._another_layout()
         referenced = {
             entry["file"]
             for stage in self._manifest["stages"].values()
@@ -258,8 +260,9 @@ class CheckpointStore:
             raise CheckpointIntegrityError(
                 f"torn manifest at {path}: {cause}"
             ) from cause
-        if (manifest.get("schema") != MANIFEST_SCHEMA
-                or manifest.get("fingerprint") != self.fingerprint
+        if manifest.get("schema") != MANIFEST_SCHEMA:
+            return None   # written in another layout
+        if (manifest.get("fingerprint") != self.fingerprint
                 or not isinstance(manifest.get("seq"), int)
                 or not isinstance(manifest.get("stages"), dict)):
             raise CheckpointIntegrityError(
@@ -276,6 +279,12 @@ class CheckpointStore:
         self.torn_manifest_total += 1
         self.metrics.counter("checkpoint_torn_manifest_total").inc()
         self._clear()
+
+    def _another_layout(self):
+        """The manifest parses but names another schema. A run
+        fingerprint hashes the schema, so here that is damage, not an
+        older run: quarantine."""
+        self._quarantine()
 
     def _clear(self):
         """Remove every file of the bound namespace, manifest first (from

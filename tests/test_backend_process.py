@@ -154,7 +154,7 @@ def test_metrics_counters_match_serial():
         totals[backend] = {
             (name, labels): total
             for (name, labels), total in registry.counter_totals().items()
-            if name in ("tasks_total", "waves_total")
+            if name == "tasks_total"
         }
         ctx.exec_backend.close()
     assert totals["serial"] == totals["process"]

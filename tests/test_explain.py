@@ -244,28 +244,6 @@ class TestPeakPrediction:
         assert checked >= 3, f"{plan_name}: too few regions observed"
 
 
-def test_op_seconds_histogram_recorded():
-    cnn, dataset, config, budget = _mini_workload()
-    registry = MetricsRegistry()
-    context = ClusterContext(
-        budget, num_nodes=2, cores_per_node=4, cpu=config.cpu
-    )
-    FeatureTransferExecutor(
-        context, cnn, dataset, ["fc7", "fc8"], config,
-        downstream_fn=lambda f, l: {}, metrics=registry,
-    ).run(ALL_PLANS["staged"])
-    export = registry.export()
-    ops = [
-        series for series in export["series"]
-        if series["name"] == "op_seconds"
-    ]
-    assert ops, "no op_seconds histograms recorded"
-    for series in ops:
-        assert series["labels"]["op_type"]
-        assert series["count"] > 0
-        assert series["sum"] >= 0
-
-
 class TestPlanChoiceGate:
     """``slo/default.yaml::exact-plan-choice`` — the optimizer's
     recorded choice must equal the baseline run's, knob by knob."""

@@ -173,6 +173,35 @@ class TestStore:
         assert reopened.get("alexnet", "conv5", "fp1").num_rows == 3
         assert len(reopened.entries()) == 1
 
+    def test_entry_under_an_older_manifest_schema_is_a_plain_miss(
+            self, store):
+        """An entry committed by an older layout (its manifest parses
+        but names another schema) reads as a miss: the namespace is
+        cleared and nothing counts as a torn manifest."""
+        import json
+
+        store.put("alexnet", "conv5", "fp1", _rows())
+        (manifest,) = store.root.glob("*/manifest.json")
+        older = json.loads(manifest.read_text())
+        older["schema"] = "ckpt/v2"
+        manifest.write_text(json.dumps(older))
+        reopened = FeatureStore(store.root)
+        assert reopened.get("alexnet", "conv5", "fp1") is None
+        assert reopened.misses == 1
+        assert reopened.torn_manifest_total == 0
+        assert list(manifest.parent.iterdir()) == []
+        reopened.put("alexnet", "conv5", "fp1", _rows(3))
+        assert reopened.get("alexnet", "conv5", "fp1").num_rows == 3
+
+    def test_torn_entry_manifest_still_quarantines(self, store):
+        store.put("alexnet", "conv5", "fp1", _rows())
+        (manifest,) = store.root.glob("*/manifest.json")
+        manifest.write_bytes(manifest.read_bytes()[:-9])
+        reopened = FeatureStore(store.root)
+        assert reopened.torn_manifest_total == 1
+        assert reopened.get("alexnet", "conv5", "fp1") is None
+        assert list(manifest.parent.iterdir()) == []
+
     def test_open_reclaims_stray_tmp_files(self, store):
         stray = (store.root / "alexnet__conv5__fp1"
                  / "alexnet__conv5__fp1__1.ckpt.tmp")

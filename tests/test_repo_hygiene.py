@@ -348,3 +348,50 @@ def test_no_planner_knob_shadows_a_table_1c_constant():
         if names & knobs
     )
     assert not hits
+
+
+# ---------------------------------------------------------------------
+# one metric record: samples are events, series are their grouping
+# ---------------------------------------------------------------------
+def test_metrics_registry_keeps_events_and_running_state_only():
+    """``metrics/registry.py`` defines counters and gauges only, and an
+    instrument holds its running state, never a sample store of its
+    own: every sample is a ``metric`` event on the registry."""
+    tree = ast.parse(_read("src/repro/metrics/registry.py"))
+    classes = {node.name: node for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    kinds = {
+        stmt.value.value
+        for node in classes.values() for stmt in node.body
+        if isinstance(stmt, ast.Assign)
+        and [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+        == ["kind"]
+    }
+    assert kinds == {"instrument", "counter", "gauge"}
+    assert not [name for name in classes if "histogram" in name.lower()]
+    state = {
+        target.attr
+        for name in ("_Instrument", "Counter", "Gauge")
+        for node in ast.walk(classes[name])
+        if isinstance(node, (ast.Assign, ast.AugAssign))
+        for target in getattr(node, "targets", [getattr(node, "target",
+                                                        None)])
+        if isinstance(target, ast.Attribute)
+        and isinstance(target.value, ast.Name) and target.value.id == "self"
+    }
+    # ``_event`` is the series' event template, copied per sample
+    assert state == {"registry", "name", "labels", "count", "_event",
+                     "total", "value", "peak", "low"}
+
+
+@pytest.mark.parametrize("path, reader", [
+    ("src/repro/observe/history.py", "series_from_events"),
+    ("src/repro/report/run_report.py", "find_series"),
+])
+def test_metric_samples_are_read_through_the_one_grouping(path, reader):
+    """The run summary and the run report never pick ``metric`` events
+    or their values out of a stream themselves."""
+    text = _read(path)
+    assert reader in text
+    assert not re.search(r"""[!=]=\s*["']metric["']""", text)
+    assert not re.search(r"""["']value["']""", text)

@@ -149,8 +149,9 @@ def test_render_waterline_draws_budget_and_predicted():
     gauge = registry.gauge("mem_used_bytes", worker="w0", region="user")
     for value in (100, 400, 900, 300):
         gauge.set(value)
+    (series,) = find_series(registry, "mem_used_bytes")
     chart = render_waterline(
-        gauge.to_dict(), capacity=1200, predicted=950, ticks=4,
+        series, capacity=1200, predicted=950, ticks=4,
         width=20, height=6,
     )
     assert "#" in chart

@@ -191,7 +191,7 @@ def test_metrics_count_hits_misses_and_evictions_exactly():
     )
 
 
-def test_metrics_occupancy_timeline_and_residency_ages():
+def test_metrics_occupancy_timeline():
     from repro.metrics import MetricsRegistry, find_series, series_peak
 
     registry = MetricsRegistry()
@@ -203,10 +203,6 @@ def test_metrics_occupancy_timeline_and_residency_ages():
                                worker="w0")
     assert series_peak(occupancy) == storage.peak_bytes
     assert occupancy["last"] == storage.used_bytes
-    (residency,) = find_series(registry, "storage_residency_age_ticks",
-                               worker="w0")
-    assert residency["count"] == 1  # one LRU eviction so far
-    assert residency["min"] > 0
 
 
 def test_metrics_memory_only_crash_is_counted():
