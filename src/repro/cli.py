@@ -434,12 +434,10 @@ def _print_checkpoint_summary(store):
         f"restored, {store.recompute_total} recomputed "
         f"(saved ratio {store.saved_ratio():.2f})"
     )
-    if store.corrupt_total or store.missing_total or store.torn_manifest_total:
+    if store.corrupt_total or store.missing_total:
         print(
             f"checkpoint integrity: {store.corrupt_total} corrupt, "
-            f"{store.missing_total} missing, "
-            f"{store.torn_manifest_total} torn manifests — all recovered "
-            "by recompute"
+            f"{store.missing_total} missing — all recovered by recompute"
         )
 
 
@@ -752,9 +750,10 @@ def build_parser():
     _add_run_args(run)
     run.add_argument(
         "--checkpoint-dir", metavar="DIR", default=None,
-        help="durably checkpoint stage outputs under DIR (integrity-"
-             "verified VCB1 partitions + SHA-256 manifest); an "
-             "interrupted run can later be picked up with `repro resume`",
+        help="durably checkpoint stage outputs under DIR (one file per "
+             "committed wave: VCB1 partitions and a footer of their "
+             "SHA-256 digests); an interrupted run can later be picked "
+             "up with `repro resume`",
     )
 
     resume = sub.add_parser(

@@ -263,7 +263,7 @@ class FeatureTransferExecutor:
             self.cnn.name, self.cnn.seed, self.layers,
             dataset_fingerprint(self.dataset), plan.label, self.config,
             self.cnn.stats.micro_batch_rows,
-        ))
+        ), recovery_log=self.context.recovery_log)
 
     @property
     def _batched_fallbacks(self):
@@ -277,25 +277,13 @@ class FeatureTransferExecutor:
         feeds the tracer's ``op_s:<name>`` counters, or None when the
         run is untraced, so the engine skips timing entirely. The
         telemetry-overhead target is 5%; the recorder does nothing in
-        the operators' inner loops beyond a dict lookup and a float
-        append."""
+        the operators' inner loops beyond one counter add."""
         if not self.tracer.enabled:
             return None
-        tracer_record = self.tracer.record_op
-        # The run's samples dict (fresh from ``reset_metrics``) lives
-        # on the context so the process backend's forked children can
-        # diff it around a task and ship only the new samples back for
-        # the parent to replay into its tracer. A thread lane's samples
-        # reach the tracer through ``on_driver``, when the driver
-        # settles its task.
-        samples = self.context.op_samples
-
-        def record(name, seconds):
-            tracer_record(name, seconds)
-            durations = samples.get(name)
-            if durations is None:
-                durations = samples[name] = []
-            durations.append(seconds)
+        # A thread lane's timings reach the tracer through
+        # ``on_driver`` once its task is settled; a forked worker's, as
+        # the deltas ``dataflow.backend`` ships back.
+        record = self.tracer.record_op
 
         def hook(name, seconds):
             on_driver(record, name, seconds)

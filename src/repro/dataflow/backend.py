@@ -484,18 +484,16 @@ class ProcessPoolBackend(Backend):
     def _merge_worker_state(self, context, meta):
         """Fold the worker's deltas into the driver's registries, so
         metrics and traces read the same whichever backend ran the
-        wave: counters advance by the worker's increments, per-op timer
-        samples replay onto the current span, task counters
-        accumulate."""
+        wave: counters advance by the worker's increments, per-op seconds
+        add onto the current span, task counters accumulate."""
         metrics = context.metrics
         if metrics.enabled:
             for (name, label_pairs), delta in meta["counters"]:
                 if delta:
                     metrics.counter(name, **dict(label_pairs)).inc(delta)
         tracer = context.tracer
-        for op_name, seconds_list in meta["ops"].items():
-            for seconds in seconds_list:
-                tracer.record_op(op_name, seconds)
+        for op_name, seconds in meta["ops"].items():
+            tracer.record_op(op_name, seconds)
         task_counters = context.task_counters
         for key, delta in meta["task_counters"].items():
             task_counters[key] = task_counters.get(key, 0) + delta
@@ -532,8 +530,8 @@ def _run_task(context, task_fn, partition):
     metrics = context.metrics
     live = metrics.enabled   # NULL_METRICS: no totals
     before_counters = metrics.counter_totals() if live else {}
-    op_samples = context.op_samples
-    before_ops = {name: len(vals) for name, vals in op_samples.items()}
+    tracer = context.tracer
+    before_ops = tracer.op_seconds()
     task_counters = context.task_counters
     before_tasks = dict(task_counters)
 
@@ -558,9 +556,9 @@ def _run_task(context, task_fn, partition):
         if total != before_counters.get(key, 0)
     ]
     meta["ops"] = {
-        name: vals[before_ops.get(name, 0):]
-        for name, vals in op_samples.items()
-        if len(vals) > before_ops.get(name, 0)
+        name: seconds - before_ops.get(name, 0)
+        for name, seconds in tracer.op_seconds().items()
+        if seconds != before_ops.get(name, 0)
     }
     meta["task_counters"] = {
         key: value - before_tasks.get(key, 0)

@@ -92,7 +92,6 @@ class ClusterContext:
         #: lives here so a forked worker of the process backend can
         #: diff it around a task and ship the deltas back.
         self.task_counters = {}
-        self.op_samples = {}
         self.shuffle_bytes_total = 0
 
     def attach_tracer(self, tracer):
@@ -225,7 +224,6 @@ class ClusterContext:
             worker.task_failures = 0
             worker.accountant.reset_peaks()
         self.task_counters = {}
-        self.op_samples = {}
         self.shuffle_bytes_total = 0
 
     def __repr__(self):

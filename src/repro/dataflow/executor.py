@@ -208,10 +208,7 @@ class _Stage:
                 continue
             self.committed.add(position)
             self.results[position] = result
-            partition = by_position[position]
-            self.ledger.emit("task_commit", what=self.what,
-                             partition=partition.index)
-            fresh.append((partition, result))
+            fresh.append((by_position[position], result))
         if self.on_commit is not None and fresh:
             self.on_commit(fresh)
 

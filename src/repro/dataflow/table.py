@@ -126,8 +126,9 @@ class DistributedTable:
         :class:`~repro.recovery.store.CheckpointStore` are restored
         (skipping their tasks entirely — the resume path), every
         freshly committed wave's outputs are persisted as they land,
-        and the stage is marked complete at the end. ``carried`` input
-        columns, passed through by the UDF, are not stored: a restored
+        and the stage's superseded wave files go at the end.
+        ``carried`` input columns, passed through by the UDF, are not
+        stored: a restored
         partition takes them from its input partition. ``backend``
         places the stage (see
         :func:`~repro.dataflow.executor.run_partition_tasks`).
@@ -183,7 +184,7 @@ class DistributedTable:
                 for p in self.partitions
             ]
             if store is not None:
-                store.commit_stage(stage_id, lineage=("map", self.name))
+                store.commit_stage(stage_id)
             result = DistributedTable(
                 self.context, partitions, name=name, key=self.key,
                 lineage=("map", self.name),

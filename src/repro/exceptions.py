@@ -133,9 +133,10 @@ class TaskFailure(VistaError):
 
 class CheckpointIntegrityError(VistaError):
     """A durable checkpoint failed verification: a partition payload's
-    SHA-256 digest does not match its manifest entry, the manifest
-    itself is torn (truncated/unparseable), or a manifested file is
-    missing. Always raised ``from`` the underlying cause (if any) so
+    length, SHA-256 digest, decode or row count does not match its
+    wave footer's entry, the footer itself fails its digest (a torn
+    wave file), or an indexed wave file is missing. Always raised
+    ``from`` the underlying cause (if any) so
     the original traceback survives into the recovery log; the
     checkpoint store treats the entry as unusable and recovery falls
     back to lineage recompute — corrupt state is never silently

@@ -147,57 +147,55 @@ class FaultInjector:
             return rule.phase or "start"
         return None
 
-    def on_checkpoint_write(self, stage_id, partition_index, path, offset,
-                            nbytes):
-        """Called by the checkpoint store for each partition of a wave
-        file that just landed durably; the partition's payload is
-        ``[offset, offset + nbytes)`` of ``path``. Corruption rules
-        flip one seeded byte inside that range; missing-file rules
-        delete the wave file, so every partition in it reads as
-        missing. Either way the manifest carries the *true* digest, so
-        restore must detect the damage instead of ingesting it."""
-        for rule in self.plan:
-            if rule.kind not in (CHECKPOINT_CORRUPT, CHECKPOINT_MISSING):
-                continue
-            if not rule.matches_checkpoint(stage_id, partition_index):
-                continue
-            if not self._fires(rule):
-                continue
-            self.injected[rule.kind] += 1
-            if rule.kind == CHECKPOINT_MISSING:
-                if os.path.exists(path):  # a wave-mate may have fired first
-                    os.remove(path)
-                detail = "deleted"
-            else:
-                detail = self._flip_byte(path, offset, nbytes)
-            if self.recovery_log is not None:
-                self.recovery_log.record(
-                    "checkpoint_fault", kind=rule.kind, stage=str(stage_id),
-                    partition=partition_index, detail=detail,
-                    sim_time_s=self.clock.now,
-                )
-
-    def on_manifest_commit(self, path):
-        """Called after a manifest rewrite; a torn rule truncates it
+    def on_checkpoint_write(self, stage_id, path, entries):
+        """Called by the checkpoint store after a wave file landed
+        durably; ``entries`` maps each of its partitions (by index) to
+        its ``{offset, nbytes, ...}`` range of ``path``. Corruption
+        rules flip one seeded byte inside the matching partition's
+        range; missing-file rules delete the wave file, so every
+        partition in it reads as missing; torn rules truncate it
         mid-file (the write that 'beat the rename' in a real torn
-        write), so the next :meth:`CheckpointStore.bind_run` must
-        quarantine the whole run directory."""
+        write), cutting its footer, so the next bind drops the whole
+        wave. Either way the footer vouches for the *true* bytes, so
+        restore must detect the damage instead of ingesting it."""
+        for key, entry in entries.items():
+            for rule in self.plan:
+                if (rule.kind not in (CHECKPOINT_CORRUPT, CHECKPOINT_MISSING)
+                        or not rule.matches_checkpoint(stage_id, int(key))
+                        # a wave-mate's rule may have deleted the file
+                        or not os.path.exists(path)
+                        or not self._fires(rule)):
+                    continue
+                self.injected[rule.kind] += 1
+                if rule.kind == CHECKPOINT_MISSING:
+                    os.remove(path)
+                    detail = "deleted"
+                else:
+                    detail = self._flip_byte(path, entry["offset"],
+                                             entry["nbytes"])
+                self._log_checkpoint_fault(rule.kind, stage_id, int(key),
+                                           detail)
         for rule in self.plan:
-            if rule.kind != CHECKPOINT_TORN:
-                continue
-            if not self._fires(rule):
+            if (rule.kind != CHECKPOINT_TORN
+                    or not rule.matches_checkpoint(stage_id, None)
+                    or not os.path.exists(path) or not self._fires(rule)):
                 continue
             self.injected[CHECKPOINT_TORN] += 1
             size = os.path.getsize(path)
             keep = max(1, size // 2)
             with open(path, "rb+") as handle:
                 handle.truncate(keep)
-            if self.recovery_log is not None:
-                self.recovery_log.record(
-                    "checkpoint_fault", kind=CHECKPOINT_TORN,
-                    detail=f"truncated manifest {size}->{keep} B",
-                    sim_time_s=self.clock.now,
-                )
+            self._log_checkpoint_fault(
+                CHECKPOINT_TORN, stage_id, None,
+                f"truncated wave file {size}->{keep} B")
+
+    def _log_checkpoint_fault(self, kind, stage_id, partition, detail):
+        if self.recovery_log is not None:
+            self.recovery_log.record(
+                "checkpoint_fault", kind=kind, stage=str(stage_id),
+                partition=partition, detail=detail,
+                sim_time_s=self.clock.now,
+            )
 
     def _flip_byte(self, path, start, nbytes):
         """Flip one byte at a seeded offset of ``[start, start +

@@ -87,8 +87,8 @@ class FaultRule:
     def matches_checkpoint(self, stage_id, partition_index):
         """Does this checkpoint rule apply to a just-written
         checkpoint file? ``table`` substring-matches the stage id,
-        ``partition`` the partition index (torn-manifest rules ignore
-        partitions — the manifest is run-level)."""
+        ``partition`` the partition index (torn rules ignore partitions
+        — they tear a whole wave file)."""
         if self.kind not in CHECKPOINT_KINDS:
             return False
         if self.table is not None and self.table not in str(stage_id):
@@ -189,16 +189,17 @@ class FaultPlan:
     def checkpoint_missing(self, stage=None, partition=None, probability=1.0,
                            times=1):
         """Delete the matching checkpoint payload after it is written
-        — restore must treat the manifest entry as unusable."""
+        — restore must treat its entry as unusable."""
         return self.add(FaultRule(
             CHECKPOINT_MISSING, table=stage, partition=partition,
             probability=probability, times=times,
         ))
 
     def checkpoint_torn(self, stage=None, probability=1.0, times=1):
-        """Truncate the manifest mid-file after a commit, simulating a
-        torn write that beat the rename — the next bind must detect
-        the unparseable JSON and quarantine the run directory."""
+        """Truncate the matching wave file mid-file after it lands,
+        simulating a torn write that beat the rename — the next bind
+        must detect the footer that fails its digest and recompute
+        only that wave's partitions."""
         return self.add(FaultRule(
             CHECKPOINT_TORN, table=stage, probability=probability,
             times=times,

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.dataflow.columnar import ColumnarBlock
 from repro.dataflow.partition import Partition
-from repro.recovery.store import CheckpointStore
+from repro.recovery.store import CheckpointStore, reclaim_tmp_files
 
 
 def dataset_fingerprint(dataset, sample_size=16):
@@ -42,12 +42,11 @@ class FeatureStore(CheckpointStore):
     """Stores materialized feature-layer tables on disk.
 
     An entry is a checkpoint namespace of its own holding one stage of
-    the same name: partition 0 is the whole table, and the stage's
-    lineage is the commit record — the key, plus the micro-batch (rows
-    per inference call; OpenBLAS's bits depend on it) and the model
-    seed the features were computed under. Opening the store lists its
-    entries, binding every namespace, which reclaims what a killed
-    ``put`` left.
+    the same name: partition 0 is the whole table, one wave whose
+    footer's lineage is the entry's record — the key, plus the
+    micro-batch (rows per inference call; OpenBLAS's bits depend on it)
+    and the model seed the features were computed under. Opening the
+    store reclaims the ``*.tmp`` file a killed ``put`` left.
     """
 
     def __init__(self, root):
@@ -55,34 +54,29 @@ class FeatureStore(CheckpointStore):
         self.root = Path(root)
         self.hits = 0
         self.misses = 0
-        self.entries()
+        for path in self.root.iterdir():
+            self.reclaimed_tmp_total += len(reclaim_tmp_files(path))
 
     def _record(self, namespace, micro_batch=None, model_seed=None):
-        """Bind ``namespace``; its committed entry's metadata, or None:
-        no entry, or one computed under a micro-batch or model seed
-        other than the reader's (an entry or a reader that names none
-        matches any)."""
+        """Bind ``namespace``; its entry's metadata, or None: no entry
+        (a wave whose footer fails its digest is none: the bind counts
+        and removes it), or one computed under a micro-batch or model
+        seed other than the reader's (an entry or a reader that names
+        none matches any)."""
         if not (self.root / namespace).is_dir():
             return None
         self.bind_run(namespace)
-        if not self.stage_complete(namespace):
-            if self.stage_entries(namespace):
-                self._clear()   # the wave of a put killed before its commit
+        stage = self._stages.get(namespace)
+        record = stage["lineage"] if stage else None
+        if record is None:
             return None
-        record = self._manifest["stages"][namespace]["lineage"]
         for name, wanted in (("micro_batch", micro_batch),
                              ("model_seed", model_seed)):
             if None not in (record[name], wanted) and record[name] != wanted:
                 return None
-        entry = self.stage_entries(namespace)["0"]
+        entry = stage["partitions"]["0"]
         return dict(record, num_rows=entry["num_rows"],
                     stored_bytes=entry["nbytes"], sha256=entry["sha256"])
-
-    def _another_layout(self):
-        """An entry namespace names no schema, so a manifest of another
-        layout is an entry an older version committed: a plain miss,
-        cleared, not a torn manifest."""
-        self._clear()
 
     def contains(self, model_name, layer, fingerprint):
         return self.metadata(model_name, layer, fingerprint) is not None
@@ -93,16 +87,15 @@ class FeatureStore(CheckpointStore):
         computed ``micro_batch`` rows per inference call by a model
         whose weights were drawn from ``model_seed``, when given.
 
-        An overwrite is a miss until it commits, and the entry exists
-        once :meth:`commit_stage` has written its manifest. Returns the
-        stored payload size in bytes.
+        The old entry is evicted first, so an overwrite is a miss until
+        the new wave's rename commits it. Returns the stored payload
+        size in bytes.
         """
         namespace = _namespace(model_name, layer, fingerprint)
         self.evict(model_name, layer, fingerprint)
-        self.bind_run(namespace)
         block = ColumnarBlock.from_rows(rows)
-        self.put_partition(namespace, [Partition.from_block(0, block)])
-        self.commit_stage(namespace, lineage={
+        self.put_partition(namespace, [Partition.from_block(0, block)],
+                           lineage={
             "model": model_name, "layer": layer,
             "fingerprint": fingerprint, "micro_batch": micro_batch,
             "model_seed": model_seed,
@@ -112,8 +105,8 @@ class FeatureStore(CheckpointStore):
     def get(self, model_name, layer, fingerprint, micro_batch=None,
             model_seed=None):
         """Load a stored feature table as one block, or None on a
-        miss. A payload that is not what the entry's manifest committed
-        (missing, truncated, altered, not VCB1) raises
+        miss. A payload that is not what the entry's footer committed
+        (cut short, altered, not VCB1) raises
         :class:`~repro.exceptions.CheckpointIntegrityError`."""
         namespace = _namespace(model_name, layer, fingerprint)
         if self._record(namespace, micro_batch, model_seed) is None:
@@ -137,8 +130,9 @@ class FeatureStore(CheckpointStore):
         return [record for record in records if record is not None]
 
     def evict(self, model_name, layer, fingerprint):
-        if self.contains(model_name, layer, fingerprint):
-            self._clear()
+        """Remove the entry's files; leaves its namespace bound."""
+        self.bind_run(_namespace(model_name, layer, fingerprint))
+        self._clear()
 
     def total_bytes(self):
         return sum(record["stored_bytes"] for record in self.entries())

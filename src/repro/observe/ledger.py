@@ -77,7 +77,6 @@ EVENT_KINDS = frozenset({
     "stage_tasks",        # scheduler: partitions entering a stage
     "wave_start",         # scheduler: a wave dispatched to a worker
     "wave_end",           # scheduler: a wave's results committed
-    "task_commit",        # exactly-once commit of one partition
     "task_fork",          # process backend: task sent to worker (pid)
     "task_collect",       # process backend: its frame collected (status)
     "recovery",           # RecoveryLog entry (retry/blacklist/degrade/…)

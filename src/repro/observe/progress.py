@@ -138,8 +138,8 @@ class ProgressState:
             self.current_tasks_total = int(event.get("partitions") or 0)
             self.current_tasks_done = 0
             return None
-        if kind == "task_commit":
-            self.current_tasks_done += 1
+        if kind == "wave_end" and event.get("status") == "ok":
+            self.current_tasks_done += int(event.get("results") or 0)
             return None
         if kind == "run_end":
             self.run_ended = True

@@ -1,12 +1,11 @@
 """Durable checkpoint/resume for long materialization runs.
 
-See :mod:`repro.recovery.store` for the format and the durability /
-integrity disciplines; DESIGN.md §4i for the resume protocol.
+See :mod:`repro.recovery.store` for the wave-file layout and its
+integrity checks; DESIGN.md §4i for the resume protocol.
 """
 
 from repro.recovery.store import (
-    MANIFEST_NAME,
-    MANIFEST_SCHEMA,
+    CHECKPOINT_SCHEMA,
     CheckpointStore,
     atomic_write_bytes,
     decode_partition,
@@ -17,8 +16,7 @@ from repro.recovery.store import (
 )
 
 __all__ = [
-    "MANIFEST_NAME",
-    "MANIFEST_SCHEMA",
+    "CHECKPOINT_SCHEMA",
     "CheckpointStore",
     "atomic_write_bytes",
     "decode_partition",

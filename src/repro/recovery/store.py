@@ -5,41 +5,35 @@ CNN inference tables, ``f̂_l`` prefixes). The vectorized train tables
 are a pool + concat of those and are rebuilt on resume, not stored.
 This module makes stage outputs *durable artifacts* (DeepLens's
 materialized-view stance, SystemML's lineage-backed intermediates) and
-is the only one that knows their format: every committed partition is
-its deterministic single-buffer VCB1 encoding, and one JSON manifest
-per namespace carries per-partition SHA-256 digests, so a resumed run
-restores exactly the partitions that verify. A namespace is a run
-fingerprint, or one :class:`~repro.features.store.FeatureStore` entry.
+is the only one that knows their format. A namespace is a run
+fingerprint, or one :class:`~repro.features.store.FeatureStore` entry,
+and its wave files are the whole store: no side index names them.
 
-Durability discipline
----------------------
+Layout
+------
 The unit of durability is the committed task wave: one file,
-``<stage>__<seq>.ckpt``, holding the wave's payloads, then a JSON
-footer with each one's ``{offset, nbytes, sha256, num_rows}``, the
-footer's SHA-256 and length, and :data:`WAVE_MAGIC`, written by
-:func:`repro.atomic_io.atomic_write_bytes` (tmp + fsync + rename). Its
-rename is the wave's commit point. The manifest is written at stage
-commit (and when restore drops an invalid entry) and names every
-committed partition up to its ``seq``; :meth:`CheckpointStore.bind_run`
-adopts each newer wave file from its footer and removes stray ``*.tmp``
-files and every other file the manifest does not name.
-A torn manifest (truncated after a simulated fsync lie, or a seeded
-``checkpoint-torn`` fault) is *detected* at bind time — the JSON no
-longer parses or fails structural checks — and the run directory is
-quarantined: all of its checkpoints are discarded and recovery falls
-back to full lineage recompute rather than trusting unverifiable
-state.
+``<stage>__<seq>.ckpt``, holding the wave's VCB1 payloads, then a JSON
+footer (the stage, the wave's ``seq``, the lineage it was given, and
+each partition's ``{offset, nbytes, sha256, num_rows}``), the footer's
+SHA-256 and length, and :data:`WAVE_MAGIC`. It is written by
+:func:`repro.atomic_io.atomic_write_bytes` (tmp + fsync + rename), and
+its rename is the wave's commit point.
+:meth:`CheckpointStore.bind_run` indexes a namespace from its footers,
+the latest ``seq`` winning per stage and partition. It removes stray
+``*.tmp`` files, files that are no wave of this layout, and waves that
+later ones fully superseded; a wave whose footer fails its digest (a
+torn or damaged file) is removed and counted as corrupt, so only its
+partitions are recomputed.
 
-Integrity discipline
---------------------
-Restore never trusts a file: each partition's ``[offset, offset +
-nbytes)`` range is read back, its SHA-256 recomputed and compared
-against the manifest digest, its length against the recorded length,
-and its decoded row count against the recorded row count. Any
-mismatch counts on ``corrupt_total`` (surfaced as the
-``checkpoint_corrupt_total`` metric) and the partition is recomputed
-from lineage — an injected bit flip can cost recompute time but can
-never leak corrupt feature bytes into a train table.
+Integrity
+---------
+Restore never trusts a payload: its bytes are read back and their
+length, SHA-256, VCB1 decode and row count checked against the footer
+entry. A mismatch counts on ``corrupt_total`` (or ``missing_total``
+for a file gone since the bind), is logged as ``checkpoint_invalid``,
+and the partition is recomputed from lineage: damage can cost
+recompute time but never leak corrupt feature bytes into a train
+table.
 """
 
 from __future__ import annotations
@@ -57,10 +51,9 @@ from repro.dataflow.partition import Partition
 from repro.exceptions import CheckpointIntegrityError
 from repro.metrics import NULL_METRICS
 
-#: Manifest and wave-footer schema tag; part of the run fingerprint,
-#: so a namespace written in another layout is never opened.
-MANIFEST_SCHEMA = "ckpt/v3"
-MANIFEST_NAME = "manifest.json"
+#: Wave-footer schema tag; part of the run fingerprint, so a run
+#: namespace written in another layout is never opened.
+CHECKPOINT_SCHEMA = "ckpt/v4"
 #: A wave file ends with its footer's SHA-256 (32 bytes), its length
 #: (8 bytes, little-endian) and this tag.
 WAVE_MAGIC = b"CKW1"
@@ -102,7 +95,7 @@ def run_fingerprint(model_name, model_seed, layers, dataset_fp, plan_label,
     micro-batch gets a fresh (empty) checkpoint namespace."""
     payload = json.dumps(
         {
-            "schema": MANIFEST_SCHEMA,
+            "schema": CHECKPOINT_SCHEMA,
             "model": model_name,
             "model_seed": model_seed,
             "micro_batch": micro_batch,
@@ -139,11 +132,10 @@ class CheckpointStore:
     directory.
 
     One store serves many runs: each run fingerprint gets its own
-    subdirectory holding a manifest plus one payload file per
-    committed wave. Bind the store to a run with
-    :meth:`bind_run` before using the stage API; the resilient
-    supervisor and the executor share one store object so the
-    restore/recompute counters accumulate across resume attempts.
+    subdirectory holding one file per committed wave. Bind the store
+    to a run with :meth:`bind_run` before using the stage API; the
+    resilient supervisor and the executor share one store object so
+    the restore/recompute counters accumulate across resume attempts.
 
     Counters (also emitted on an attached metrics registry):
 
@@ -152,9 +144,9 @@ class CheckpointStore:
     - ``restore_total``: partitions restored (checksum-verified);
     - ``recompute_total``: partitions computed in checkpointed stages
       (fresh work — on a resume run, what the store could *not* save);
-    - ``corrupt_total``: checksum/length/row-count mismatches detected;
-    - ``missing_total``: manifested payload files that disappeared;
-    - ``torn_manifest_total``: unreadable manifests quarantined.
+    - ``corrupt_total``: payloads and wave footers that failed
+      verification;
+    - ``missing_total``: indexed wave files that disappeared.
 
     ``io`` is the syscall shim every durable write goes through
     (:mod:`repro.atomic_io`); tests replace it on an instance.
@@ -170,14 +162,16 @@ class CheckpointStore:
         self.fsync = fsync
         self.fingerprint = None
         self._run_dir = None
-        self._manifest = None
+        #: ``{stage: {"partitions": {key: entry}, "files": set,
+        #: "lineage": value}}`` of the bound namespace, from its footers.
+        self._stages = None
+        self._seq = 0
         self.checkpoint_bytes = 0
         self.checkpoint_partitions_total = 0
         self.restore_total = 0
         self.recompute_total = 0
         self.corrupt_total = 0
         self.missing_total = 0
-        self.torn_manifest_total = 0
         self.reclaimed_tmp_total = 0
 
     def attach_metrics(self, metrics):
@@ -187,172 +181,130 @@ class CheckpointStore:
     # ------------------------------------------------------------------
     # run binding
     # ------------------------------------------------------------------
-    def bind_run(self, fingerprint):
-        """Open (or create) the checkpoint namespace for one run
-        fingerprint: load the manifest (quarantining the whole
-        namespace if it is torn), reclaim stray tmp files, adopt the
-        waves committed since the manifest from their footers, and
-        remove every other wave file the manifest does not name.
-        Returns self."""
+    def bind_run(self, fingerprint, recovery_log=None):
+        """Open (or create) the namespace of one run fingerprint and
+        index it from its wave footers; a torn wave is logged on
+        ``recovery_log``. Returns self."""
         self.fingerprint = str(fingerprint)
         self._run_dir = os.path.join(self.root, self.fingerprint)
         os.makedirs(self._run_dir, exist_ok=True)
         reclaimed = reclaim_tmp_files(self._run_dir, io=self.io)
         self.reclaimed_tmp_total += len(reclaimed)
-        try:
-            self._manifest = self._load_manifest()
-        except CheckpointIntegrityError:
-            self._quarantine()
-        if self._manifest is None:
-            self._another_layout()
-        referenced = {
-            entry["file"]
-            for stage in self._manifest["stages"].values()
-            for entry in stage["partitions"].values()
-        }
-        newer = []
+        self._stages, self._seq = {}, 0
+        waves = []
         for name in self.io.listdir(self._run_dir):
-            if name.endswith(".ckpt") and name not in referenced:
+            try:
                 footer = self._read_footer(name)
-                if footer is None:
-                    self.io.remove(os.path.join(self._run_dir, name))
-                else:
-                    newer.append((footer["seq"], name, footer))
-        for seq, name, footer in sorted(newer, key=lambda item: item[0]):
-            self._manifest["seq"] = seq
-            self._adopt(footer["stage"], name, footer["partitions"])
+            except CheckpointIntegrityError as err:
+                footer = None
+                self._invalid(err, recovery_log)
+            if footer is None:
+                self.io.remove(os.path.join(self._run_dir, name))
+            else:
+                waves.append((footer["seq"], name, footer))
+        for seq, name, footer in sorted(waves, key=lambda wave: wave[0]):
+            self._seq = seq
+            self._adopt(name, footer)
+        self._drop_superseded(self._stages)
         return self
 
     def _read_footer(self, name):
-        """The footer of a wave file newer than the manifest, or None:
-        an older wave, or one whose footer fails its digest."""
+        """The footer of wave file ``name``, or None for a file that is
+        no wave of this layout; raises if a wave's footer fails its
+        digest."""
+        if not name.endswith(".ckpt"):
+            return None
         with open(os.path.join(self._run_dir, name), "rb") as handle:
             end = handle.seek(0, os.SEEK_END) - _TRAILER
             handle.seek(max(0, end))
             trailer = handle.read()
             length = int.from_bytes(trailer[-12:-4], "little")
-            if not trailer.endswith(WAVE_MAGIC) or length > end:
-                return None
-            handle.seek(end - length)
-            footer = handle.read(length)
-        if hashlib.sha256(footer).digest() == trailer[:32]:
-            footer = json.loads(footer)
-            if (footer["schema"] == MANIFEST_SCHEMA
-                    and footer["seq"] > self._manifest["seq"]):
-                return footer
-        return None
-
-    def _empty_manifest(self):
-        return {"schema": MANIFEST_SCHEMA, "fingerprint": self.fingerprint,
-                "seq": 0, "stages": {}}
-
-    def _manifest_path(self):
-        return os.path.join(self._run_dir, MANIFEST_NAME)
-
-    def _load_manifest(self):
-        path = self._manifest_path()
-        if not os.path.exists(path):
-            return self._empty_manifest()
-        try:
-            with open(path, "rb") as handle:
-                manifest = json.loads(handle.read().decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as cause:
+            footer = b""
+            if trailer.endswith(WAVE_MAGIC) and length <= end:
+                handle.seek(end - length)
+                footer = handle.read(length)
+        if hashlib.sha256(footer).digest() != trailer[:32]:
             raise CheckpointIntegrityError(
-                f"torn manifest at {path}: {cause}"
-            ) from cause
-        if manifest.get("schema") != MANIFEST_SCHEMA:
-            return None   # written in another layout
-        if (manifest.get("fingerprint") != self.fingerprint
-                or not isinstance(manifest.get("seq"), int)
-                or not isinstance(manifest.get("stages"), dict)):
-            raise CheckpointIntegrityError(
-                f"manifest at {path} failed structural checks "
-                f"(schema={manifest.get('schema')!r}, "
-                f"fingerprint={manifest.get('fingerprint')!r})"
-            )
-        return manifest
+                f"wave file {name}: footer fails its digest (torn write)")
+        footer = json.loads(footer)
+        return footer if footer["schema"] == CHECKPOINT_SCHEMA else None
 
-    def _quarantine(self):
-        """A torn manifest means nothing in the namespace is
-        trustworthy: discard every file and start fresh — recovery
-        falls back to recompute, never to unverifiable restores."""
-        self.torn_manifest_total += 1
-        self.metrics.counter("checkpoint_torn_manifest_total").inc()
-        self._clear()
+    def _adopt(self, filename, footer):
+        """Index a committed wave: its entries supersede the stage's
+        older ones."""
+        stage = self._stages.setdefault(
+            footer["stage"], {"partitions": {}, "files": set(),
+                              "lineage": None})
+        stage["files"].add(filename)
+        if footer["lineage"] is not None:
+            stage["lineage"] = footer["lineage"]
+        for key, entry in footer["partitions"].items():
+            stage["partitions"][key] = dict(entry, file=filename)
 
-    def _another_layout(self):
-        """The manifest parses but names another schema. A run
-        fingerprint hashes the schema, so here that is damage, not an
-        older run: quarantine."""
-        self._quarantine()
+    def _drop_superseded(self, stage_ids):
+        """Remove the stages' wave files no partition entry names any
+        more: later waves recomputed all of their partitions."""
+        for stage_id in stage_ids:
+            stage = self._stages.get(stage_id)
+            if stage is None:
+                continue
+            live = {entry["file"] for entry in stage["partitions"].values()}
+            for name in sorted(stage["files"] - live):
+                self.io.remove(os.path.join(self._run_dir, name))
+            stage["files"] = live
 
     def _clear(self):
-        """Remove every file of the bound namespace, manifest first (from
-        then on nothing in it is committed), and start it empty."""
-        for name in sorted(self.io.listdir(self._run_dir),
-                           key=lambda name: name != MANIFEST_NAME):
+        """Remove every file of the bound namespace and start it
+        empty."""
+        for name in self.io.listdir(self._run_dir):
             self.io.remove(os.path.join(self._run_dir, name))
-        self._manifest = self._empty_manifest()
+        self._stages, self._seq = {}, 0
 
     def _require_bound(self):
-        if self._manifest is None:
+        if self._stages is None:
             raise RuntimeError(
                 "CheckpointStore is not bound to a run; call bind_run()"
             )
 
-    def _write_manifest(self):
-        path = self._manifest_path()
-        atomic_write_bytes(path, _json_bytes(self._manifest),
-                           fsync=self.fsync, io=self.io)
-        injector = self.fault_injector
-        if injector is not None:
-            injector.on_manifest_commit(path)
-
-    def _stage(self, stage_id):
-        return self._manifest["stages"].setdefault(
-            str(stage_id),
-            {"partitions": {}, "complete": False, "lineage": None},
-        )
-
     # ------------------------------------------------------------------
     # stage API
     # ------------------------------------------------------------------
-    def put_partition(self, stage_id, partitions):
+    def put_partition(self, stage_id, partitions, lineage=None):
         """Durably persist one committed wave of a stage as one new wave
-        file: its payloads, then the footer that locates them. The
-        file's rename is the wave's commit point; until
-        :meth:`commit_stage` names the wave in the manifest, a bind
-        adopts it from its footer."""
+        file: its payloads, then the footer that locates them and
+        carries ``lineage`` (any JSON value). The file's rename is the
+        wave's commit point."""
         self._require_bound()
-        self._manifest["seq"] += 1
-        seq = self._manifest["seq"]
-        filename = f"{_safe(stage_id)}__{seq}.ckpt"
+        self._seq += 1
+        filename = f"{_safe(stage_id)}__{self._seq}.ckpt"
         path = os.path.join(self._run_dir, filename)
         payloads = [encode_partition(partition) for partition in partitions]
         offsets = itertools.accumulate(map(len, payloads), initial=0)
-        entries = {
-            str(partition.index): {
-                "offset": offset, "nbytes": len(payload),
-                "sha256": sha256_hex(payload), "num_rows": len(partition),
-            }
-            for partition, payload, offset in zip(partitions, payloads,
-                                                  offsets)
+        footer = {
+            "schema": CHECKPOINT_SCHEMA, "seq": self._seq,
+            "stage": str(stage_id), "lineage": lineage,
+            "partitions": {
+                str(partition.index): {
+                    "offset": offset, "nbytes": len(payload),
+                    "sha256": sha256_hex(payload),
+                    "num_rows": len(partition),
+                }
+                for partition, payload, offset in zip(partitions, payloads,
+                                                      offsets)
+            },
         }
-        footer = _json_bytes({"schema": MANIFEST_SCHEMA, "seq": seq,
-                              "stage": str(stage_id), "partitions": entries})
+        footer_bytes = _json_bytes(footer)
         nbytes = atomic_write_bytes(
             path,
-            b"".join([*payloads, footer, hashlib.sha256(footer).digest(),
-                      len(footer).to_bytes(8, "little"), WAVE_MAGIC]),
+            b"".join([*payloads, footer_bytes,
+                      hashlib.sha256(footer_bytes).digest(),
+                      len(footer_bytes).to_bytes(8, "little"), WAVE_MAGIC]),
             fsync=self.fsync, io=self.io,
         )
-        self._adopt(stage_id, filename, entries)
-        injector = self.fault_injector
-        if injector is not None:
-            for key, entry in entries.items():
-                injector.on_checkpoint_write(
-                    stage_id, int(key), path, entry["offset"], entry["nbytes"]
-                )
+        self._adopt(filename, json.loads(footer_bytes))
+        if self.fault_injector is not None:
+            self.fault_injector.on_checkpoint_write(
+                stage_id, path, footer["partitions"])
         self.checkpoint_bytes += nbytes
         self.checkpoint_partitions_total += len(payloads)
         self.recompute_total += len(payloads)
@@ -360,55 +312,33 @@ class CheckpointStore:
         self.metrics.counter("checkpoint_partitions_total").inc(len(payloads))
         self.metrics.counter("recompute_total").inc(len(payloads))
 
-    def _adopt(self, stage_id, filename, entries):
-        """Record a committed wave's footer entries; the stage is
-        incomplete until :meth:`commit_stage` says otherwise."""
-        stage = self._stage(stage_id)
-        stage["complete"] = False
-        for key, entry in entries.items():
-            stage["partitions"][key] = dict(entry, file=filename)
-
-    def commit_stage(self, stage_id, lineage=None):
-        """Mark a stage's checkpoint complete (every partition
-        committed), record its lineage (any JSON value) and write the
-        manifest. A stage restored in full is already marked: nothing
-        changed, nothing is written."""
+    def commit_stage(self, stage_id):
+        """Every partition of the stage is committed. Nothing is written
+        — each wave's rename committed it — but the stage's wave files
+        that later waves fully superseded are removed."""
         self._require_bound()
-        stage = self._stage(stage_id)
-        if lineage is None:
-            lineage = stage["lineage"]
-        lineage = json.loads(_json_bytes(lineage))   # as the manifest holds it
-        if stage["complete"] and stage["lineage"] == lineage:
-            return
-        stage["complete"] = True
-        stage["lineage"] = lineage
-        self._write_manifest()
+        self._drop_superseded([str(stage_id)])
 
     def stage_entries(self, stage_id):
-        """The manifest's partition entries for a stage (may be
-        partial — a crash mid-stage leaves the committed prefix)."""
+        """The stage's indexed partition entries (may be partial — a
+        crash mid-stage leaves the committed prefix)."""
         self._require_bound()
-        stage = self._manifest["stages"].get(str(stage_id))
+        stage = self._stages.get(str(stage_id))
         return dict(stage["partitions"]) if stage else {}
-
-    def stage_complete(self, stage_id):
-        self._require_bound()
-        stage = self._manifest["stages"].get(str(stage_id))
-        return bool(stage and stage.get("complete"))
 
     def restore_stage(self, stage_id, recovery_log=None):
         """Restore every checksum-valid partition of a stage.
 
         Returns ``{partition_index: Partition}`` for entries whose
         payload verifies (digest, length, and row count all match the
-        manifest). Corrupt or missing entries are dropped from the
-        manifest — with the integrity error (and its ``__cause__``
-        chain) recorded on ``recovery_log`` — so the caller recomputes
-        exactly those partitions from lineage.
+        footer). Corrupt or missing entries are dropped from the index
+        — with the integrity error (and its ``__cause__`` chain)
+        recorded on ``recovery_log`` — so the caller recomputes exactly
+        those partitions from lineage, and their new wave supersedes
+        the damaged entries.
         """
         self._require_bound()
         restored = {}
-        dropped = []
         for key, entry in sorted(
             self.stage_entries(stage_id).items(), key=lambda kv: int(kv[0])
         ):
@@ -418,14 +348,8 @@ class CheckpointStore:
                     stage_id, index, entry
                 )
             except CheckpointIntegrityError as err:
-                dropped.append(key)
-                self._invalid(stage_id, index, err, recovery_log)
-        if dropped:
-            stage = self._manifest["stages"].get(str(stage_id))
-            for key in dropped:
-                stage["partitions"].pop(key, None)
-            stage["complete"] = False
-            self._write_manifest()
+                del self._stages[str(stage_id)]["partitions"][key]
+                self._invalid(err, recovery_log)
         if restored:
             self.restore_total += len(restored)
             self.metrics.counter("restore_total").inc(len(restored))
@@ -437,10 +361,10 @@ class CheckpointStore:
         restored, and the wave that recomputes it supersedes its entry."""
         self.restore_total -= 1
         self.metrics.counter("restore_total").inc(-1)
-        self._invalid(stage_id, index,
-                      _integrity_error(stage_id, index, problem), recovery_log)
+        self._invalid(_integrity_error(stage_id, index, problem),
+                      recovery_log)
 
-    def _invalid(self, stage_id, index, err, recovery_log):
+    def _invalid(self, err, recovery_log):
         kind = ("missing" if isinstance(err.__cause__, FileNotFoundError)
                 else "corrupt")
         if kind == "missing":
@@ -451,8 +375,8 @@ class CheckpointStore:
             self.metrics.counter("checkpoint_corrupt_total").inc()
         if recovery_log is not None:
             recovery_log.record(
-                "checkpoint_invalid", stage=str(stage_id), partition=index,
-                kind=kind, error=str(err),
+                "checkpoint_invalid", stage=err.stage,
+                partition=err.partition, kind=kind, error=str(err),
                 cause=type(err.__cause__).__name__
                 if err.__cause__ is not None else None,
             )
@@ -467,7 +391,7 @@ class CheckpointStore:
         except FileNotFoundError as cause:
             raise fail(f"payload file {entry['file']} is missing") from cause
         if len(payload) != entry["nbytes"]:
-            raise fail(f"payload is {len(payload)} B, manifest says "
+            raise fail(f"payload is {len(payload)} B, footer says "
                        f"{entry['nbytes']} B (torn write)")
         digest = sha256_hex(payload)
         if digest != entry["sha256"]:
@@ -480,7 +404,7 @@ class CheckpointStore:
         except Exception as cause:
             raise fail(f"payload failed to decode: {cause}") from cause
         if len(partition) != entry["num_rows"]:
-            raise fail(f"decoded {len(partition)} rows, manifest says "
+            raise fail(f"decoded {len(partition)} rows, footer says "
                        f"{entry['num_rows']}")
         return partition
 
@@ -488,18 +412,16 @@ class CheckpointStore:
     # introspection
     # ------------------------------------------------------------------
     def valid_partition_count(self):
-        """Manifest-level count of checkpointed partitions for the
-        bound run — the resume-first policy's progress measure (files
-        are verified lazily at restore time)."""
+        """Indexed partitions of the bound run — the resume-first
+        policy's progress measure (payloads are verified lazily at
+        restore time)."""
         self._require_bound()
-        return sum(
-            len(stage["partitions"])
-            for stage in self._manifest["stages"].values()
-        )
+        return sum(len(stage["partitions"])
+                   for stage in self._stages.values())
 
     def stages(self):
         self._require_bound()
-        return sorted(self._manifest["stages"])
+        return sorted(self._stages)
 
     def counters(self):
         """Flat dict of the store's counters (merged into
@@ -511,7 +433,6 @@ class CheckpointStore:
             "recompute_total": self.recompute_total,
             "checkpoint_corrupt_total": self.corrupt_total,
             "checkpoint_missing_total": self.missing_total,
-            "checkpoint_torn_manifest_total": self.torn_manifest_total,
             "checkpoint_reclaimed_tmp_total": self.reclaimed_tmp_total,
         }
 

@@ -250,6 +250,13 @@ class Tracer:
         the per-op cost stays at one call."""
         self._stack[-1].add(f"op_s:{name}", seconds)
 
+    def op_seconds(self):
+        """The innermost open span's ``op_s:<name>`` counters, by name:
+        what a forked worker diffs around a task and ships back."""
+        return {key[5:]: value
+                for key, value in self._stack[-1].counters.items()
+                if key.startswith("op_s:")}
+
     # ------------------------------------------------------------------
     def export(self):
         """The span records :func:`spans_from_events` pairs from
@@ -321,6 +328,9 @@ class NullTracer:
 
     def record_op(self, name, seconds):
         pass
+
+    def op_seconds(self):
+        return {}
 
     def export(self):
         return None

@@ -12,9 +12,9 @@ missing fsync-before-rename would expose.
 
 After each kill a fresh store binds the directory and must show the
 reader's contract: exactly the waves whose file rename completed
-restore, in full and bit-identical (adopted from their footers until a
-stage commit names them in the manifest); nothing else restores; stray
-``*.tmp`` files are gone; and the run can carry on from there.
+restore, in full and bit-identical, indexed from their footers;
+nothing else restores; stray ``*.tmp`` files are gone; and the run can
+carry on from there.
 """
 
 import os
@@ -27,7 +27,7 @@ from repro.data import foods_dataset
 from repro.dataflow.columnar import ColumnarBlock
 from repro.dataflow.partition import Partition
 from repro.features.store import FeatureStore
-from repro.recovery import MANIFEST_NAME, CheckpointStore
+from repro.recovery import CheckpointStore
 
 
 class Killed(BaseException):
@@ -62,12 +62,17 @@ class CrashIO:
             return
         self.calls.append((name, path))
         if len(self.calls) == self.kill_after:
-            self.dead = True
-            if self.power_loss:
-                for torn in self._unsynced:
-                    if os.path.exists(torn):
-                        os.truncate(torn, os.path.getsize(torn) // 2)
-            raise Killed()
+            self.kill()
+
+    def kill(self):
+        """Die here; a power cut first tears every file written since
+        its last fsync."""
+        self.dead = True
+        if self.power_loss:
+            for torn in self._unsynced:
+                if os.path.exists(torn):
+                    os.truncate(torn, os.path.getsize(torn) // 2)
+        raise Killed()
 
     def open(self, path, flags, mode=0o777):
         self._alive()
@@ -128,16 +133,17 @@ def _partition(index):
     ))
 
 
-#: Two stages, two waves each; every step is one atomic file write: the
-#: wave file per put, the manifest per commit.
+#: Two stages, three waves each; a put is one atomic file write (the
+#: wave file), a stage commit writes nothing.
 STEPS = [
     ("put", "stage-a", (0, 1)), ("put", "stage-a", (2, 3)),
-    ("commit", "stage-a", ()),
+    ("put", "stage-a", (4, 5)), ("commit", "stage-a", ()),
     ("put", "stage-b", (0, 1)), ("put", "stage-b", (2, 3)),
-    ("commit", "stage-b", ()),
+    ("put", "stage-b", (4, 5)), ("commit", "stage-b", ()),
 ]
-#: open, write, fsync, close and rename of one tmp file, per step.
-KILL_POINTS = len(CrashIO.SYSCALLS) * len(STEPS)
+PUTS = [step for step in STEPS if step[0] == "put"]
+#: open, write, fsync, close and rename of one tmp file, per put.
+KILL_POINTS = len(CrashIO.SYSCALLS) * len(PUTS)
 
 
 def _apply(store, step):
@@ -145,7 +151,7 @@ def _apply(store, step):
     if kind == "put":
         store.put_partition(stage, [_partition(i) for i in indexes])
     else:
-        store.commit_stage(stage, lineage=("map", "t_in"))
+        store.commit_stage(stage)
 
 
 def _store(root, io=None):
@@ -156,20 +162,19 @@ def _store(root, io=None):
 
 
 def _expected(steps):
-    """``{stage: (partition indexes, complete)}`` after ``steps``."""
-    state = {"stage-a": (set(), False), "stage-b": (set(), False)}
-    for kind, stage, indexes in steps:
-        have, complete = state[stage]
-        state[stage] = (have | set(indexes), complete or kind == "commit")
+    """``{stage: partition indexes}`` after ``steps``."""
+    state = {"stage-a": set(), "stage-b": set()}
+    for _, stage, indexes in steps:
+        state[stage] |= set(indexes)
     return state
 
 
 def _assert_state(store, run_dir, steps):
     """The store shows exactly the state ``steps`` leave: those
     partitions restore bit-identical, nothing else does, and the
-    directory holds the manifest plus referenced wave files only."""
+    directory holds the indexed wave files only."""
     referenced = set()
-    for stage, (indexes, complete) in _expected(steps).items():
+    for stage, indexes in _expected(steps).items():
         referenced |= {
             entry["file"] for entry in store.stage_entries(stage).values()
         }
@@ -180,17 +185,14 @@ def _assert_state(store, run_dir, steps):
             got = partition.block()
             assert np.array_equal(got.column("id"), want.column("id"))
             assert np.array_equal(got.column("x"), want.column("x"))
-        assert store.stage_complete(stage) == complete
     assert store.corrupt_total == 0 and store.missing_total == 0
-    assert store.torn_manifest_total == 0
-    files = set(os.listdir(run_dir))
-    assert files - {MANIFEST_NAME} == referenced
+    assert set(os.listdir(run_dir)) == referenced
 
 
 def test_kill_points_are_all_enumerated(tmp_path):
     """An unkilled run makes exactly ``KILL_POINTS`` syscalls — each
-    wave and each stage commit is one open / write / fsync / close /
-    rename — so the parametrized test below covers every one of them."""
+    wave is one open / write / fsync / close / rename, a stage commit
+    none — so the parametrized test below covers every one of them."""
     io = CrashIO(points=CrashIO.SYSCALLS)
     store = _store(tmp_path, io)
     for step in STEPS:
@@ -198,8 +200,8 @@ def test_kill_points_are_all_enumerated(tmp_path):
     assert [name for name, _ in io.calls] == list(CrashIO.SYSCALLS) * 6
     assert [os.path.basename(path) for name, path in io.calls
             if name == "replace"] == [
-        "stage-a__1.ckpt", "stage-a__2.ckpt", MANIFEST_NAME,
-        "stage-b__3.ckpt", "stage-b__4.ckpt", MANIFEST_NAME]
+        "stage-a__1.ckpt", "stage-a__2.ckpt", "stage-a__3.ckpt",
+        "stage-b__4.ckpt", "stage-b__5.ckpt", "stage-b__6.ckpt"]
     assert len(io.calls) == KILL_POINTS
     _assert_state(_store(tmp_path), tmp_path / "run", STEPS)
 
@@ -215,10 +217,9 @@ def test_kill_after_every_syscall(tmp_path, kill_after, power_loss):
         for step in STEPS:
             _apply(store, step)
     last_call = io.calls[-1]
-    # Each step's rename is its commit point (a wave's file, a stage's
-    # manifest): the steps that got that far are the committed state,
-    # whatever else hit the disk.
-    committed = STEPS[:io.count("replace")]
+    # A wave file's rename is its commit point: the puts that got that
+    # far are the committed state, whatever else hit the disk.
+    committed = PUTS[:io.count("replace")]
 
     run_dir = tmp_path / "run"
     reopened = _store(tmp_path)
@@ -229,19 +230,20 @@ def test_kill_after_every_syscall(tmp_path, kill_after, power_loss):
     _assert_state(reopened, run_dir, committed)
 
     # The run carries on from the committed prefix to the full state.
-    for step in STEPS[len(committed):]:
+    for step in STEPS[STEPS.index(committed[-1]) + 1 if committed else 0:]:
         _apply(reopened, step)
     _assert_state(_store(tmp_path), run_dir, STEPS)
 
 
 @pytest.mark.parametrize("kill_after", [1, 2, 3])
 def test_kill_while_restore_drops_a_corrupt_entry(tmp_path, kill_after):
-    """Restore rewrites the manifest when it drops an invalid entry.
-    Killed anywhere in that rewrite, the next bind sees either the old
-    manifest (and detects the damage again) or the new one — the
-    damaged partition never restores."""
+    """Restore drops an invalid entry from the index, and the run puts
+    that partition again in a new wave. Killed anywhere in that put
+    (write, fsync, rename), the next bind sees either the damaged wave
+    alone (and detects the damage again) or the new wave superseding
+    its entry — the damaged bytes never restore."""
     store = _store(tmp_path)
-    for step in STEPS[:3]:
+    for step in STEPS[:4]:
         _apply(store, step)
     victim = store.stage_entries("stage-a")["1"]
     path = tmp_path / "run" / victim["file"]
@@ -250,13 +252,20 @@ def test_kill_while_restore_drops_a_corrupt_entry(tmp_path, kill_after):
     path.write_bytes(bytes(data))
 
     dying = _store(tmp_path, CrashIO(kill_after=kill_after))
-    with pytest.raises(Killed):
-        dying.restore_stage("stage-a")
+    assert sorted(dying.restore_stage("stage-a")) == [0, 2, 3, 4, 5]
     assert dying.corrupt_total == 1
+    with pytest.raises(Killed):
+        dying.put_partition("stage-a", [_partition(1)])
 
     reopened = _store(tmp_path)
-    assert sorted(reopened.restore_stage("stage-a")) == [0, 2, 3]
-    assert not reopened.stage_complete("stage-a")
+    restored = reopened.restore_stage("stage-a")
+    landed = kill_after == 3
+    assert sorted(restored) == ([0, 1, 2, 3, 4, 5] if landed
+                                else [0, 2, 3, 4, 5])
+    assert reopened.corrupt_total == (0 if landed else 1)
+    if landed:
+        assert np.array_equal(restored[1].block().column("x"),
+                              _partition(1).block().column("x"))
     assert not [
         n for n in os.listdir(tmp_path / "run") if n.endswith(".tmp")
     ]
@@ -265,8 +274,8 @@ def test_kill_while_restore_drops_a_corrupt_entry(tmp_path, kill_after):
 def test_syncs_per_run_of_the_test_workload(tmp_path):
     """The 48-record recovery workload (AlexNet, 2 layers, Staged/AJ, 14
     partitions on 2 workers = 2 waves per stage): a cold run syncs one
-    wave file per wave plus one manifest per stage, and checkpoints the
-    two INFER outputs only; a full resume writes nothing."""
+    wave file per wave and nothing per stage, and checkpoints the two
+    INFER outputs only; a full resume writes nothing."""
     def run(io):
         store = CheckpointStore(str(tmp_path))
         store.io = io
@@ -279,16 +288,14 @@ def test_syncs_per_run_of_the_test_workload(tmp_path):
 
     cold = CrashIO()
     store = run(cold)
-    waves, stages = 4, 2
+    waves = 4
     assert store.stages() == ["infer:fc7->fc8+aj", "infer:image->fc7+aj"]
     assert store.checkpoint_partitions_total == 28
-    assert cold.count("fsync") == waves + stages
-    assert cold.count("replace") == waves + stages
-    assert cold.count("write") == waves + stages
-    assert len([
-        n for n in os.listdir(os.path.join(str(tmp_path), store.fingerprint))
-        if n.endswith(".ckpt")
-    ]) == waves
+    assert cold.count("fsync") == waves
+    assert cold.count("replace") == waves
+    assert cold.count("write") == waves
+    files = os.listdir(os.path.join(str(tmp_path), store.fingerprint))
+    assert len(files) == waves and all(n.endswith(".ckpt") for n in files)
 
     resume = CrashIO()
     resumed = run(resume)
@@ -300,15 +307,14 @@ def _downstream(features, labels):
     return {"matrix": features.copy()}
 
 
-@pytest.mark.parametrize("kill_after, adopted", [(3, 7), (12, 21)],
+@pytest.mark.parametrize("kill_after, adopted", [(3, 7), (9, 21)],
                          ids=["first-stage", "second-stage"])
 def test_a_wave_renamed_before_its_stage_commit_is_resumed(
         tmp_path, kill_after, adopted):
-    """Killed right after a wave file's rename, before the commit that
-    would name it in the manifest (the first wave of either INFER stage
-    of the 48-record workload; each wave and commit is write + fsync +
-    rename): the resume adopts that wave from its footer, restores its
-    7 partitions on top of whatever the manifest committed, recomputes
+    """Killed right after a wave file's rename, before its stage's
+    commit (the first wave of either INFER stage of the 48-record
+    workload; each wave is write + fsync + rename): the resume indexes
+    every wave from its footer, restores their partitions, recomputes
     the rest, and its features are bit-identical."""
     def run(io=None):
         store = CheckpointStore(str(tmp_path))
@@ -327,10 +333,6 @@ def test_a_wave_renamed_before_its_stage_commit_is_resumed(
         run(dying)
     name, path = dying.calls[-1]
     assert name == "replace" and path.endswith(".ckpt")
-    manifest = os.path.join(os.path.dirname(path), MANIFEST_NAME)
-    if os.path.exists(manifest):    # the wave is named by no manifest
-        with open(manifest) as handle:
-            assert os.path.basename(path) not in handle.read()
 
     resumed, store = run()
     assert store.restore_total == adopted
@@ -349,12 +351,13 @@ def test_a_wave_renamed_before_its_stage_commit_is_resumed(
 
 
 # ----------------------------------------------------------------------
-# FeatureStore.put: a one-partition wave, then the stage commit
+# FeatureStore.put: one one-partition wave
 # ----------------------------------------------------------------------
 FEATURE_KEY = ("alexnet", "conv5", "16-0badcafe")
 FEATURE_DIR = "alexnet__conv5__16-0badcafe"
-#: tmp write + fsync + rename, for the payload and for the manifest.
-FEATURE_KILL_POINTS = 6
+#: open, write, fsync, close and rename of the wave's tmp file, then a
+#: kill that lands after ``put`` returned.
+FEATURE_KILL_POINTS = len(CrashIO.SYSCALLS) + 1
 
 
 def _feature_rows(version):
@@ -374,15 +377,13 @@ def _assert_hit(store, version):
 
 
 def test_feature_store_kill_points_are_all_enumerated(tmp_path):
-    io = CrashIO()
+    io = CrashIO(points=CrashIO.SYSCALLS)
     store = FeatureStore(tmp_path)
     store.io = io
     store.put(*FEATURE_KEY, _feature_rows(1))
-    assert [name for name, _ in io.calls] == [
-        "write", "fsync", "replace"] * 2
+    assert [name for name, _ in io.calls] == list(CrashIO.SYSCALLS)
     assert [os.path.basename(path) for name, path in io.calls
-            if name == "replace"] == [
-        f"{FEATURE_DIR}__1.ckpt", MANIFEST_NAME]
+            if name == "replace"] == [f"{FEATURE_DIR}__1.ckpt"]
     _assert_hit(FeatureStore(tmp_path), 1)
 
 
@@ -392,19 +393,20 @@ def test_feature_store_kill_points_are_all_enumerated(tmp_path):
 @pytest.mark.parametrize("kill_after", range(1, FEATURE_KILL_POINTS + 1))
 def test_feature_store_put_killed_after_every_syscall(
         tmp_path, kill_after, power_loss, overwrite):
-    """Whatever the put was killed after, the next session sees a clean
-    miss or a verified hit of the new rows — never a torn hit, never
-    new data vouched for by an old manifest (or the reverse)."""
+    """Whatever syscall of the put it was killed after, or right after
+    the put returned, the next session sees a clean miss or a verified
+    hit of the new rows — never a torn hit, never the old rows."""
     if overwrite:
         FeatureStore(tmp_path).put(*FEATURE_KEY, _feature_rows(0))
-    io = CrashIO(kill_after=kill_after, power_loss=power_loss)
+    io = CrashIO(kill_after=kill_after, power_loss=power_loss,
+                 points=CrashIO.SYSCALLS)
     dying = FeatureStore(tmp_path)
     dying.io = io
     with pytest.raises(Killed):
         dying.put(*FEATURE_KEY, _feature_rows(1))
-    committed = (io.calls[-1][0] == "replace"
-                 and str(io.calls[-1][1]).endswith(".json"))
-    assert committed == (kill_after == FEATURE_KILL_POINTS)
+        io.kill()
+    committed = io.count("replace") == 1
+    assert committed == (kill_after >= len(CrashIO.SYSCALLS))
 
     reopened = FeatureStore(tmp_path)
     assert not [
@@ -421,15 +423,14 @@ def test_feature_store_put_killed_after_every_syscall(
 
 
 def test_feature_store_reopen_reclaims_an_uncommitted_payload(tmp_path):
-    """A put killed after its payload's rename but before its commit
-    leaves a payload no entry names: reopening the store removes it,
-    and only committed entries are listed or counted."""
+    """A put killed after its wave's fsync but before the rename that
+    commits it leaves a whole wave in a ``*.tmp`` file: reopening the
+    store removes it, and no entry is listed or counted."""
     dying = FeatureStore(tmp_path)
-    dying.io = CrashIO(kill_after=3)
+    dying.io = CrashIO(kill_after=2)
     with pytest.raises(Killed):
         dying.put(*FEATURE_KEY, _feature_rows(1))
-    assert [name for name, _ in dying.io.calls] == [
-        "write", "fsync", "replace"]
+    assert [name for name, _ in dying.io.calls] == ["write", "fsync"]
 
     reopened = FeatureStore(tmp_path)
     assert not [name for _, _, names in os.walk(tmp_path) for name in names]

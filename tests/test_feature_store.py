@@ -11,6 +11,7 @@ from repro.data import foods_dataset, replicate_dataset
 from repro.dataflow.context import local_context
 from repro.exceptions import CheckpointIntegrityError
 from repro.features.store import FeatureStore, dataset_fingerprint
+from tests.test_recovery import forge_wave
 
 
 @pytest.fixture
@@ -60,8 +61,8 @@ class TestStore:
 
     def test_stored_file_is_the_vcb1_buffer(self, store):
         """The file is the buffer a cached or checkpointed partition of
-        the same rows would be, then the wave footer that locates it;
-        the manifest commits its length and digest."""
+        the same rows would be, then the wave footer that commits its
+        length and digest."""
         import hashlib
         import json
 
@@ -89,38 +90,16 @@ class TestStore:
         assert not list(store.root.glob("*/*.tmp"))
 
     def test_non_vcb1_file_raises_instead_of_unpickling(self, store):
-        """A pickle where the buffer should be — even one the manifest
+        """A pickle where the buffer should be — even one the footer
         vouches for — is refused by its magic, never loaded."""
-        import json
         import pickle
-
-        from repro.recovery.store import sha256_hex
 
         store.put("alexnet", "conv5", "fp1", _rows())
         (path,) = store.root.glob("*/*.ckpt")
-        forged = pickle.dumps(_rows())
-        path.write_bytes(forged)
-        with pytest.raises(CheckpointIntegrityError,
-                           match="alexnet__conv5__fp1"):
-            store.get("alexnet", "conv5", "fp1")
-        (meta_path,) = store.root.glob("*/manifest.json")
-        meta = json.loads(meta_path.read_text())
-        (stage,) = meta["stages"].values()
-        stage["partitions"]["0"].update(
-            nbytes=len(forged), sha256=sha256_hex(forged))
-        meta_path.write_text(json.dumps(meta))
+        forge_wave(path, {"0": pickle.dumps(_rows())})
         with pytest.raises(CheckpointIntegrityError,
                            match="not a VCB1 buffer"):
             store.get("alexnet", "conv5", "fp1")
-
-    def test_truncated_file_raises(self, store):
-        stored = store.put("alexnet", "conv5", "fp1", _rows())
-        (path,) = store.root.glob("*/*.ckpt")
-        path.write_bytes(path.read_bytes()[:stored - 7])   # into the payload
-        with pytest.raises(CheckpointIntegrityError,
-                           match="alexnet__conv5__fp1"):
-            store.get("alexnet", "conv5", "fp1")
-        assert store.hits == 0
 
     def test_one_flipped_byte_raises(self, store):
         stored = store.put("alexnet", "conv5", "fp1", _rows())
@@ -133,18 +112,21 @@ class TestStore:
             store.get("alexnet", "conv5", "fp1")
 
     def test_metadata_without_data_raises(self, store):
-        store.put("alexnet", "conv5", "fp1", _rows())
+        """The footer survives, the payload it locates does not."""
+        stored = store.put("alexnet", "conv5", "fp1", _rows())
         (path,) = store.root.glob("*/*.ckpt")
-        path.unlink()
+        path.write_bytes(path.read_bytes()[stored:])
         assert store.contains("alexnet", "conv5", "fp1")
         with pytest.raises(CheckpointIntegrityError,
                            match="alexnet__conv5__fp1"):
             store.get("alexnet", "conv5", "fp1")
 
     def test_data_without_metadata_is_a_miss(self, store):
+        """A wave whose footer carries no entry record (one the bare
+        stage API wrote) is no entry."""
         store.put("alexnet", "conv5", "fp1", _rows())
-        (meta_path,) = store.root.glob("*/manifest.json")
-        meta_path.unlink()
+        (path,) = store.root.glob("*/*.ckpt")
+        forge_wave(path, lineage=None)
         assert not store.contains("alexnet", "conv5", "fp1")
         assert store.get("alexnet", "conv5", "fp1") is None
 
@@ -175,32 +157,36 @@ class TestStore:
 
     def test_entry_under_an_older_manifest_schema_is_a_plain_miss(
             self, store):
-        """An entry committed by an older layout (its manifest parses
-        but names another schema) reads as a miss: the namespace is
-        cleared and nothing counts as a torn manifest."""
+        """An entry committed by the ``ckpt/v3`` layout (a manifest plus
+        a wave whose footer names that schema) reads as a miss: the
+        namespace is cleared and nothing counts as damage."""
         import json
 
         store.put("alexnet", "conv5", "fp1", _rows())
-        (manifest,) = store.root.glob("*/manifest.json")
-        older = json.loads(manifest.read_text())
-        older["schema"] = "ckpt/v2"
-        manifest.write_text(json.dumps(older))
+        (path,) = store.root.glob("*/*.ckpt")
+        forge_wave(path, schema="ckpt/v3")
+        (path.parent / "manifest.json").write_text(json.dumps(
+            {"schema": "ckpt/v3", "fingerprint": path.parent.name,
+             "seq": 1, "stages": {}}))
         reopened = FeatureStore(store.root)
         assert reopened.get("alexnet", "conv5", "fp1") is None
         assert reopened.misses == 1
-        assert reopened.torn_manifest_total == 0
-        assert list(manifest.parent.iterdir()) == []
+        assert reopened.corrupt_total == 0
+        assert list(path.parent.iterdir()) == []
         reopened.put("alexnet", "conv5", "fp1", _rows(3))
         assert reopened.get("alexnet", "conv5", "fp1").num_rows == 3
 
-    def test_torn_entry_manifest_still_quarantines(self, store):
-        store.put("alexnet", "conv5", "fp1", _rows())
-        (manifest,) = store.root.glob("*/manifest.json")
-        manifest.write_bytes(manifest.read_bytes()[:-9])
-        reopened = FeatureStore(store.root)
-        assert reopened.torn_manifest_total == 1
-        assert reopened.get("alexnet", "conv5", "fp1") is None
-        assert list(manifest.parent.iterdir()) == []
+    def test_truncated_file_is_a_counted_miss(self, store):
+        """A tear cuts the wave's footer, which is the entry: the reader
+        finds no entry, and the bind counts the torn file and removes
+        it. So does a ``ckpt/v2`` entry, whose waves had no footer."""
+        stored = store.put("alexnet", "conv5", "fp1", _rows())
+        (path,) = store.root.glob("*/*.ckpt")
+        path.write_bytes(path.read_bytes()[:stored - 7])   # into the payload
+        assert store.get("alexnet", "conv5", "fp1") is None
+        assert (store.hits, store.misses) == (0, 1)
+        assert store.corrupt_total == 1
+        assert list(path.parent.iterdir()) == []
 
     def test_open_reclaims_stray_tmp_files(self, store):
         stray = (store.root / "alexnet__conv5__fp1"

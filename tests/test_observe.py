@@ -310,8 +310,7 @@ def test_run_ledger_end_to_end(tmp_path, backend):
     assert parsed == json.loads(json.dumps(events, default=str))
     kinds = {e["kind"] for e in parsed}
     assert {"ledger_open", "span_start", "span_end", "stage_tasks",
-            "wave_start", "wave_end", "task_commit",
-            "run_end"} <= kinds
+            "wave_start", "wave_end", "run_end"} <= kinds
     if backend == "process":
         assert "task_fork" in kinds and "task_collect" in kinds
         forks = [e for e in parsed if e["kind"] == "task_fork"]
@@ -343,21 +342,26 @@ def test_run_ledger_end_to_end(tmp_path, backend):
     assert len(starts) == len(ends) > 0
     assert all(e["status"] == "ok" for e in ends)
     # Every stage's committed tasks equal its announced partitions.
-    commits = [e for e in parsed if e["kind"] == "task_commit"]
-    stages = [e for e in parsed if e["kind"] == "stage_tasks"]
-    assert sum(e["partitions"] for e in stages) == len(commits)
+    stages = []
+    for e in parsed:
+        if e["kind"] == "stage_tasks":
+            stages.append([e["partitions"], 0])
+        elif e["kind"] == "wave_end":
+            stages[-1][1] += e["results"]
+    assert stages and all(announced == done for announced, done in stages)
 
 
 def test_backends_emit_equivalent_wave_ledgers(tmp_path):
-    """One seeded plan, both backends: the stage/commit story in the
+    """One seeded plan, both backends: the stage/wave story in the
     ledger is identical; only the transport events differ."""
     def story(events):
         out = []
         for e in events:
             if e["kind"] == "stage_tasks":
                 out.append(("stage", e["what"], e["partitions"]))
-            elif e["kind"] == "task_commit":
-                out.append(("commit", e["what"], e["partition"]))
+            elif e["kind"] == "wave_end":
+                out.append(("wave", e["what"], e["worker"], e["results"],
+                            e["status"]))
         return out
 
     _, serial_events, _, _ = _ledgered_run(

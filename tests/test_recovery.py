@@ -1,6 +1,7 @@
 """Durable checkpoint/resume: atomic write protocol, SHA-256
-integrity verification, torn-manifest quarantine, resume-first
-recovery in the supervisor, and the hostile-store fault classes.
+integrity verification, the footer-built index and its torn waves,
+resume-first recovery in the supervisor, and the hostile-store fault
+classes.
 
 The overarching contract under test: corrupt checkpoint state is
 *never silently ingested* — every invalid entry is detected, counted,
@@ -8,6 +9,7 @@ logged, and recovered by lineage recompute, and a resumed run's
 features are bit-identical to an uninterrupted run's.
 """
 
+import hashlib
 import json
 import os
 
@@ -26,7 +28,6 @@ from repro.exceptions import (
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.retry import RecoveryLog
 from repro.recovery import (
-    MANIFEST_SCHEMA,
     CheckpointStore,
     atomic_write_bytes,
     decode_partition,
@@ -35,6 +36,7 @@ from repro.recovery import (
     run_fingerprint,
     sha256_hex,
 )
+from repro.recovery.store import WAVE_MAGIC
 
 
 def _array_partition(index, n=6, seed=0):
@@ -48,8 +50,34 @@ def _array_partition(index, n=6, seed=0):
     ))
 
 
-def _bound_store(tmp_path, fingerprint="run-a"):
-    return CheckpointStore(str(tmp_path)).bind_run(fingerprint)
+def _bound_store(tmp_path, fingerprint="run-a", recovery_log=None):
+    return CheckpointStore(str(tmp_path)).bind_run(
+        fingerprint, recovery_log=recovery_log)
+
+
+def forge_wave(path, payloads=(), **changes):
+    """Put ``payloads`` (partition key -> bytes) in place of wave file
+    ``path``'s own, apply ``changes`` to its footer, and re-sign the
+    footer to vouch for the result: a forgery only the checks past the
+    footer's digest can catch."""
+    data = path.read_bytes()
+    length = int.from_bytes(data[-12:-4], "little")
+    footer = json.loads(data[-44 - length:-44])
+    footer.update(changes)
+    body, offset = [], 0
+    for key, entry in sorted(footer["partitions"].items(),
+                             key=lambda item: item[1]["offset"]):
+        blob = dict(payloads).get(
+            key, data[entry["offset"]:entry["offset"] + entry["nbytes"]])
+        entry.update(offset=offset, nbytes=len(blob),
+                     sha256=sha256_hex(blob))
+        body.append(blob)
+        offset += len(blob)
+    sealed = json.dumps(footer, sort_keys=True,
+                        separators=(",", ":")).encode("utf-8")
+    path.write_bytes(b"".join([
+        *body, sealed, hashlib.sha256(sealed).digest(),
+        len(sealed).to_bytes(8, "little"), WAVE_MAGIC]))
 
 
 # ---------------------------------------------------------------------
@@ -128,20 +156,10 @@ def test_decode_rejects_non_vcb1_payload():
 def test_restore_drops_digest_valid_non_vcb1_payload(tmp_path):
     """A payload whose digest and length verify but which is not a
     VCB1 buffer is dropped as corrupt, never unpickled."""
-    import hashlib
-    import json
-
     store = _bound_store(tmp_path)
     store.put_partition("stage", [_array_partition(0)])
     store.commit_stage("stage")
-    run_dir = tmp_path / "run-a"
-    payload = _pickled_rows()
-    manifest = json.loads((run_dir / "manifest.json").read_text())
-    entry = manifest["stages"]["stage"]["partitions"]["0"]
-    (run_dir / entry["file"]).write_bytes(payload)
-    entry.update(sha256=hashlib.sha256(payload).hexdigest(),
-                 nbytes=len(payload), num_rows=2)
-    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+    forge_wave(tmp_path / "run-a" / "stage__1.ckpt", {"0": _pickled_rows()})
 
     reopened = _bound_store(tmp_path)
     log = RecoveryLog()
@@ -158,11 +176,10 @@ def test_put_restore_round_trip(tmp_path):
     parts = [_array_partition(i) for i in range(3)]
     store.put_partition("infer:image->conv5", parts[:2])
     store.put_partition("infer:image->conv5", parts[2:])
-    store.commit_stage("infer:image->conv5", lineage=("map", "t_img"))
-    assert store.stage_complete("infer:image->conv5")
+    store.commit_stage("infer:image->conv5")
     assert store.valid_partition_count() == 3
     assert store.checkpoint_bytes > 0
-    # One never-reused file per wave; the manifest locates each
+    # One never-reused file per wave; its footer locates each
     # partition inside it.
     run_dir = tmp_path / "run-a"
     entries = store.stage_entries("infer:image->conv5")
@@ -232,7 +249,7 @@ def test_run_fingerprint_covers_the_micro_batch():
 
 
 # ---------------------------------------------------------------------
-# integrity: corruption, missing files, torn manifests
+# integrity: corruption, missing files, torn waves
 # ---------------------------------------------------------------------
 def _corrupt_file(path, offset):
     with open(path, "rb+") as handle:
@@ -257,10 +274,9 @@ def test_corrupt_payload_is_detected_and_dropped(tmp_path):
     events = log.of("checkpoint_invalid")
     assert len(events) == 1
     assert events[0]["partition"] == 1 and events[0]["kind"] == "corrupt"
-    # The bad entry is dropped from the manifest: the caller recomputes
+    # The bad entry is dropped from the index: the caller recomputes
     # it, and a later restore does not see it again.
     assert reopened.valid_partition_count() == 2
-    assert not reopened.stage_complete("stage")
 
 
 def test_missing_payload_detected_with_cause_chain(tmp_path):
@@ -270,7 +286,8 @@ def test_missing_payload_detected_with_cause_chain(tmp_path):
     run_dir = tmp_path / "run-a"
     os.remove(run_dir / store.stage_entries("stage")["0"]["file"])
 
-    reopened = _bound_store(tmp_path)
+    # The file went after the bind that indexed it.
+    reopened = store
     with pytest.raises(CheckpointIntegrityError) as excinfo:
         reopened._verify_and_load(
             "stage", 0, reopened.stage_entries("stage")["0"]
@@ -287,53 +304,53 @@ def test_missing_payload_detected_with_cause_chain(tmp_path):
 
 
 def test_truncated_payload_is_torn_write(tmp_path):
+    """A tear cuts the wave file's footer: the next bind removes the
+    file, counts it corrupt and logs it, and only that wave's
+    partitions are lost; the other waves restore."""
     store = _bound_store(tmp_path)
     store.put_partition("stage", [_array_partition(0), _array_partition(1)])
+    store.put_partition("stage", [_array_partition(2)])
     store.commit_stage("stage")
     run_dir = tmp_path / "run-a"
     entry = store.stage_entries("stage")["1"]
     victim = run_dir / entry["file"]
     with open(victim, "rb+") as handle:
         handle.truncate(entry["offset"] + entry["nbytes"] - 1)
-    reopened = _bound_store(tmp_path)
-    # The tear cut the footer and the last payload's tail: the
-    # partition before it still verifies, the one it cut does not.
-    assert sorted(reopened.restore_stage("stage")) == [0]
+    log = RecoveryLog()
+    reopened = _bound_store(tmp_path, recovery_log=log)
     assert reopened.corrupt_total == 1
+    (event,) = log.of("checkpoint_invalid")
+    assert event["kind"] == "corrupt" and "stage__1.ckpt" in event["error"]
+    assert os.listdir(run_dir) == ["stage__2.ckpt"]
+    restored = reopened.restore_stage("stage")
+    assert sorted(restored) == [2]
+    assert np.array_equal(restored[2].block().column("x"),
+                          _array_partition(2).block().column("x"))
 
 
-def test_torn_manifest_quarantines_run(tmp_path):
+def test_files_of_another_layout_are_cleared_uncounted(tmp_path):
+    """A run namespace never holds another layout's files (its
+    fingerprint hashes the schema), but should one appear — a
+    ``ckpt/v3`` manifest, a wave whose footer names another schema —
+    the bind removes it without counting damage."""
     store = _bound_store(tmp_path)
     store.put_partition("stage", [_array_partition(0)])
-    store.commit_stage("stage")
-    manifest = tmp_path / "run-a" / "manifest.json"
-    size = os.path.getsize(manifest)
-    with open(manifest, "rb+") as handle:
-        handle.truncate(size // 2)
-
-    reopened = _bound_store(tmp_path)
-    assert reopened.torn_manifest_total == 1
-    # Nothing in the namespace is trusted after a torn manifest:
-    # recovery falls back to full recompute.
-    assert reopened.valid_partition_count() == 0
-    assert reopened.restore_stage("stage") == {}
-    assert os.listdir(tmp_path / "run-a") == []
-
-
-def test_wrong_fingerprint_manifest_is_structural_tear(tmp_path):
+    store.put_partition("stage", [_array_partition(1)])
     run_dir = tmp_path / "run-a"
-    run_dir.mkdir()
+    forge_wave(run_dir / "stage__2.ckpt", schema="ckpt/v3")
     (run_dir / "manifest.json").write_text(json.dumps(
-        {"schema": MANIFEST_SCHEMA, "fingerprint": "other", "seq": 0,
-         "stages": {}}
-    ))
-    store = _bound_store(tmp_path)
-    assert store.torn_manifest_total == 1
+        {"schema": "ckpt/v3", "fingerprint": "run-a", "seq": 2,
+         "stages": {}}))
+    reopened = _bound_store(tmp_path)
+    assert reopened.corrupt_total == 0
+    assert os.listdir(run_dir) == ["stage__1.ckpt"]
+    assert sorted(reopened.restore_stage("stage")) == [0]
 
 
 def test_v1_directory_is_quarantined(tmp_path):
     """A directory written by the per-partition ``ckpt/v1`` layout
-    fails the structural check: nothing in it is read, all of it goes."""
+    holds no wave footer: nothing in it is read, all of it goes, and
+    its payload file counts as a torn wave."""
     run_dir = tmp_path / "run-a"
     run_dir.mkdir()
     (run_dir / "stage__p0.ckpt").write_bytes(b"VCB1 something")
@@ -346,53 +363,59 @@ def test_v1_directory_is_quarantined(tmp_path):
                              }}}},
     }))
     store = _bound_store(tmp_path)
-    assert store.torn_manifest_total == 1
+    assert store.corrupt_total == 1
     assert store.valid_partition_count() == 0
     assert os.listdir(run_dir) == []
 
 
 def test_bind_run_reclaims_orphan_wave_files(tmp_path):
     """A wave file whose footer does not parse is invisible to restore
-    and removed at the next bind; referenced files stay."""
+    and removed (and counted) at the next bind; valid waves stay."""
     store = _bound_store(tmp_path)
     store.put_partition("stage", [_array_partition(0)])
     store.commit_stage("stage")
     run_dir = tmp_path / "run-a"
-    (run_dir / "stage__2.ckpt").write_bytes(b"payload without a commit")
+    (run_dir / "stage__2.ckpt").write_bytes(b"payload without a footer")
     reopened = _bound_store(tmp_path)
-    assert sorted(os.listdir(run_dir)) == ["manifest.json", "stage__1.ckpt"]
+    assert sorted(os.listdir(run_dir)) == ["stage__1.ckpt"]
+    assert reopened.corrupt_total == 1
     assert sorted(reopened.restore_stage("stage")) == [0]
     # The next wave takes a fresh sequence number.
     reopened.put_partition("stage", [_array_partition(1)])
     assert reopened.stage_entries("stage")["1"]["file"] == "stage__2.ckpt"
 
 
-def test_bind_run_adopts_waves_newer_than_the_manifest(tmp_path):
-    """A wave renamed after the last manifest write is committed: the
-    next bind adopts it from its footer (its stage not complete). A
-    wave whose footer fails its digest is removed instead."""
+def test_bind_run_indexes_waves_from_their_footers(tmp_path):
+    """The index is the footers': the latest ``seq`` wins per stage and
+    partition, a wave whose footer fails its digest is removed, and a
+    wave that later ones fully superseded is dropped — at the next
+    bind, or when its stage commits."""
     store = _bound_store(tmp_path)
     store.put_partition("stage", [_array_partition(0)])
-    store.commit_stage("stage")
     store.put_partition("stage", [_array_partition(1), _array_partition(2)])
     store.put_partition("stage", [_array_partition(3)])
+    store.put_partition("stage", [_array_partition(0, seed=5)])
     run_dir = tmp_path / "run-a"
     _corrupt_file(str(run_dir / "stage__3.ckpt"),
                   os.path.getsize(run_dir / "stage__3.ckpt") - 50)
 
     reopened = _bound_store(tmp_path)
-    assert sorted(os.listdir(run_dir)) == [
-        "manifest.json", "stage__1.ckpt", "stage__2.ckpt"]
-    assert not reopened.stage_complete("stage")
+    assert sorted(os.listdir(run_dir)) == ["stage__2.ckpt", "stage__4.ckpt"]
+    assert reopened.corrupt_total == 1
     restored = reopened.restore_stage("stage")
     assert sorted(restored) == [0, 1, 2]
+    want = {0: _array_partition(0, seed=5), 1: _array_partition(1),
+            2: _array_partition(2)}
     for index, partition in restored.items():
         assert np.array_equal(partition.block().column("x"),
-                              _array_partition(index).block().column("x"))
-    reopened.put_partition("stage", [_array_partition(3)])
+                              want[index].block().column("x"))
+    reopened.put_partition("stage", [_array_partition(1),
+                                     _array_partition(2),
+                                     _array_partition(3)])
+    assert len(os.listdir(run_dir)) == 3
     reopened.commit_stage("stage")
+    assert sorted(os.listdir(run_dir)) == ["stage__4.ckpt", "stage__5.ckpt"]
     final = _bound_store(tmp_path)
-    assert final.stage_complete("stage")
     assert sorted(final.restore_stage("stage")) == [0, 1, 2, 3]
 
 
@@ -417,32 +440,41 @@ def test_injected_corruption_fault_detected_on_restore(tmp_path):
 
 
 def test_injected_missing_fault(tmp_path):
-    plan = FaultPlan().checkpoint_missing(stage="stage", partition=1)
+    """A missing rule deletes the whole wave file; a corrupt rule on a
+    wave-mate then has no file to damage and does not fire."""
+    plan = (FaultPlan().checkpoint_missing(stage="stage", partition=0)
+            .checkpoint_corrupt(stage="stage", partition=1))
     injector = FaultInjector(plan, seed=3)
     store = CheckpointStore(str(tmp_path), fault_injector=injector)
     store.bind_run("run-a")
     store.put_partition("stage", [_array_partition(0), _array_partition(1)])
     store.put_partition("stage", [_array_partition(2)])
     store.commit_stage("stage")
-    reopened = _bound_store(tmp_path)
-    restored = reopened.restore_stage("stage")
-    # The rule deleted partition 1's wave file: its wave-mate is
+    assert injector.injected["checkpoint-missing"] == 1
+    assert injector.injected["checkpoint-corrupt"] == 0
+    restored = store.restore_stage("stage")
+    # The rule deleted partition 0's wave file: its wave-mate is
     # missing with it, the other wave is intact.
     assert sorted(restored) == [2]
-    assert reopened.missing_total == 2
+    assert store.missing_total == 2
+    # No footer names the deleted wave any more: a new bind indexes
+    # only what is there, and the run recomputes the rest.
+    assert _bound_store(tmp_path).stage_entries("stage").keys() == {"2"}
 
 
-def test_injected_torn_manifest_fault(tmp_path):
+def test_injected_torn_wave_fault(tmp_path):
     plan = FaultPlan().checkpoint_torn()
-    injector = FaultInjector(plan, seed=3)
+    log = RecoveryLog()
+    injector = FaultInjector(plan, seed=3, recovery_log=log)
     store = CheckpointStore(str(tmp_path), fault_injector=injector)
     store.bind_run("run-a")
-    store.put_partition("stage", [_array_partition(0)])
-    assert injector.injected["checkpoint-torn"] == 0
-    store.commit_stage("stage")
+    store.put_partition("stage", [_array_partition(0), _array_partition(1)])
+    store.put_partition("stage", [_array_partition(2)])
+    assert injector.injected["checkpoint-torn"] == 1
+    assert "truncated wave file" in log.of("checkpoint_fault")[0]["detail"]
     reopened = _bound_store(tmp_path)
-    assert reopened.torn_manifest_total == 1
-    assert reopened.valid_partition_count() == 0
+    assert reopened.corrupt_total == 1
+    assert sorted(reopened.restore_stage("stage")) == [2]
 
 
 # ---------------------------------------------------------------------
@@ -570,6 +602,53 @@ def test_corrupted_checkpoint_recovered_by_recompute(tmp_path, baseline):
     assert store.restore_total == 13
 
 
+def test_torn_wave_file_costs_only_its_partitions_on_resume(
+        tmp_path, baseline):
+    """A cold run with one of its four wave files torn by hand: the
+    resume removes that file, recomputes its 7 partitions only,
+    restores the other three waves, and is bit-identical."""
+    _make_vista().run(checkpoint_store=CheckpointStore(str(tmp_path)))
+    (run_dir,) = [p for p in tmp_path.iterdir() if p.is_dir()]
+    waves = sorted(run_dir.iterdir())
+    assert len(waves) == 4
+    waves[0].write_bytes(waves[0].read_bytes()[:-9])
+    store = CheckpointStore(str(tmp_path))
+    result = _make_vista().run(checkpoint_store=store)
+    _assert_bit_identical(result, baseline)
+    assert store.corrupt_total == 1
+    assert store.restore_total == 21 and store.recompute_total == 7
+    assert result.metrics["checkpoint_corrupt_total"] == 1
+    # The three intact waves, and the one that recomputed the torn one.
+    left = set(run_dir.iterdir())
+    assert len(left) == 4 and set(waves[1:]) < left
+
+
+def test_injected_torn_wave_recovered_by_resume(tmp_path, baseline):
+    """The seeded ``checkpoint-torn`` fault tears the first wave file of
+    the first INFER stage; the crash that follows resumes, the bind
+    logs the torn wave as ``checkpoint_invalid``, its wave-mate
+    restores, and the features are bit-identical."""
+    fault_plan = (
+        FaultPlan()
+        .checkpoint_torn(stage="infer:image")
+        .worker_loss(worker=None, wave=5)
+        .worker_loss(worker=None, wave=6)
+    )
+    store = CheckpointStore(str(tmp_path))
+    result = _make_vista().run_resilient(
+        fault_plan=fault_plan, seed=7, checkpoint_store=store,
+    )
+    _assert_bit_identical(result, baseline)
+    log = result.metrics["recovery_log"]
+    (fault,) = [e for e in log if e["event"] == "checkpoint_fault"]
+    assert fault["kind"] == "checkpoint-torn"
+    (invalid,) = [e for e in log if e["event"] == "checkpoint_invalid"]
+    assert invalid["kind"] == "corrupt" and "__1.ckpt" in invalid["error"]
+    assert store.corrupt_total == 1
+    (restore,) = [e for e in log if e["event"] == "checkpoint_restore"]
+    assert restore["partitions"] == list(range(1, 14, 2))
+
+
 def test_resume_stalls_fall_back_to_degradation_ladder(tmp_path):
     """_should_resume: progress-gated. No store -> never; a bound
     store resumes only while the valid-partition count grows."""
@@ -650,18 +729,14 @@ def _spy_checkpointed_maps(monkeypatch):
 
 def _stored_payloads(root):
     """``(stage, partition key, entry, payload)`` of every partition
-    the manifest under ``root`` commits."""
-    (manifest_path,) = [
-        os.path.join(dirpath, "manifest.json")
-        for dirpath, _, names in os.walk(root) if "manifest.json" in names
-    ]
-    with open(manifest_path) as handle:
-        manifest = json.load(handle)
-    for stage_id, stage in sorted(manifest["stages"].items()):
-        for key, entry in sorted(stage["partitions"].items()):
-            path = os.path.join(os.path.dirname(manifest_path),
-                                entry["file"])
-            with open(path, "rb") as handle:
+    the wave files of the one run namespace under ``root`` commit."""
+    (run_dir,) = [path for path in os.listdir(root)
+                  if os.path.isdir(os.path.join(root, path))]
+    store = CheckpointStore(root).bind_run(run_dir)
+    for stage_id in store.stages():
+        for key, entry in sorted(store.stage_entries(stage_id).items()):
+            with open(os.path.join(root, run_dir, entry["file"]),
+                      "rb") as handle:
                 handle.seek(entry["offset"])
                 yield stage_id, key, entry, handle.read(entry["nbytes"])
 
@@ -733,13 +808,7 @@ def test_stored_ids_that_disagree_with_the_input_are_recomputed(
     ).to_buffer()
     assert len(forged) == len(payload) and forged != payload
     (run_dir,) = [p for p in tmp_path.iterdir() if p.is_dir()]
-    with open(run_dir / entry["file"], "rb+") as handle:
-        handle.seek(entry["offset"])
-        handle.write(forged)
-    manifest = json.loads((run_dir / "manifest.json").read_text())
-    manifest["stages"][stage_id]["partitions"][key]["sha256"] = (
-        sha256_hex(forged))
-    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+    forge_wave(run_dir / entry["file"], {key: forged})
 
     log = RecoveryLog()
     resumed, store = _plan_run(tmp_path, plan_name, log=log)

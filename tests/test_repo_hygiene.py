@@ -121,6 +121,17 @@ def test_envelope_schema_is_gone_from_src():
     assert not hits
 
 
+def test_no_checkpoint_manifest_in_src():
+    """The wave files are the store: their footers are the only index,
+    so nothing under ``src/`` writes or names a ``manifest.json``."""
+    hits = [
+        path for path in glob.glob(
+            os.path.join(REPO_ROOT, "src", "**", "*.py"), recursive=True)
+        if "manifest.json" in _read(path)
+    ]
+    assert not hits
+
+
 def test_every_committed_rule_metric_resolves_on_a_record(tmp_path):
     """A rule whose path matches nothing is skipped, silently — so a
     typo in ``slo/default.yaml`` would be a gate that never fires."""
@@ -293,8 +304,8 @@ def test_no_compressor_under_dataflow_or_features():
 
 
 def test_one_module_owns_the_durable_store_format():
-    """``recovery/store.py`` owns the durable format: payload files, the
-    manifest, digests and atomic writes. The feature store is a keying
+    """``recovery/store.py`` owns the durable format: wave files, their
+    footers, digests and atomic writes. The feature store is a keying
     over it and encodes, hashes and writes nothing itself."""
     store = _read("src/repro/features/store.py")
     imported = set()
