@@ -101,6 +101,20 @@ class TestStore:
                            match="not a VCB1 buffer"):
             store.get("alexnet", "conv5", "fp1")
 
+    def test_truncated_file_raises(self, store):
+        """The payload loses its last bytes under an intact footer: the
+        footer still names the entry, and its digest refuses the short
+        payload."""
+        stored = store.put("alexnet", "conv5", "fp1", _rows())
+        (path,) = store.root.glob("*/*.ckpt")
+        data = path.read_bytes()
+        path.write_bytes(data[:stored - 7] + data[stored:])  # into the payload
+        assert store.contains("alexnet", "conv5", "fp1")
+        with pytest.raises(CheckpointIntegrityError,
+                           match="alexnet__conv5__fp1"):
+            store.get("alexnet", "conv5", "fp1")
+        assert store.hits == 0
+
     def test_one_flipped_byte_raises(self, store):
         stored = store.put("alexnet", "conv5", "fp1", _rows())
         (path,) = store.root.glob("*/*.ckpt")
@@ -186,6 +200,18 @@ class TestStore:
         assert store.get("alexnet", "conv5", "fp1") is None
         assert (store.hits, store.misses) == (0, 1)
         assert store.corrupt_total == 1
+        assert list(path.parent.iterdir()) == []
+
+    def test_torn_entry_manifest_still_quarantines(self, store):
+        """An entry's manifest is its wave's footer. Torn, it takes the
+        entry with it, though the payload is whole: a reopened store
+        counts the tear, removes the file and misses."""
+        store.put("alexnet", "conv5", "fp1", _rows())
+        (path,) = store.root.glob("*/*.ckpt")
+        path.write_bytes(path.read_bytes()[:-9])
+        reopened = FeatureStore(store.root)
+        assert reopened.get("alexnet", "conv5", "fp1") is None
+        assert reopened.corrupt_total == 1
         assert list(path.parent.iterdir()) == []
 
     def test_open_reclaims_stray_tmp_files(self, store):

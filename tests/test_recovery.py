@@ -303,6 +303,24 @@ def test_missing_payload_detected_with_cause_chain(tmp_path):
     assert log.of("checkpoint_invalid")[0]["cause"] == "FileNotFoundError"
 
 
+def test_torn_manifest_quarantines_run(tmp_path):
+    """A wave's footer is its manifest. Torn, it takes the wave with
+    it, though the payload is whole: the next bind counts the file
+    corrupt and removes it, and nothing of it restores."""
+    store = _bound_store(tmp_path)
+    store.put_partition("stage", [_array_partition(0)])
+    store.commit_stage("stage")
+    (wave,) = (tmp_path / "run-a").iterdir()
+    with open(wave, "rb+") as handle:
+        handle.truncate(os.path.getsize(wave) - 9)
+
+    reopened = _bound_store(tmp_path)
+    assert reopened.corrupt_total == 1
+    assert reopened.valid_partition_count() == 0
+    assert reopened.restore_stage("stage") == {}
+    assert os.listdir(tmp_path / "run-a") == []
+
+
 def test_truncated_payload_is_torn_write(tmp_path):
     """A tear cuts the wave file's footer: the next bind removes the
     file, counts it corrupt and logs it, and only that wave's
