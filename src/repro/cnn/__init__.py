@@ -10,9 +10,10 @@ DenseNet) is a chain whose blocks are composite TensorOps (footnote 1).
 
 The :mod:`repro.cnn.zoo` subpackage provides the paper's model roster
 (AlexNet, VGG16, ResNet50) in two profiles: ``full`` (the real
-architectures, used for shape/FLOP/size metadata that drives the
-optimizer and cost model) and ``mini`` (scaled-down analogues with the
-same layer structure, fast enough to execute end-to-end in tests) —
+architectures, used for the shape/FLOP/size metadata of the
+paper-scale planner and cost model views) and ``mini`` (scaled-down
+analogues with the same layer structure, fast enough to execute
+end-to-end in tests) —
 plus a mini DenseNet outside the roster. Every built model carries the
 :class:`ModelStats` of the network that runs as ``cnn.stats``.
 """

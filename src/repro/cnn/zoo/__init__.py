@@ -1,11 +1,11 @@
 """Model zoo: AlexNet, VGG16, ResNet50 in full and mini profiles.
 
 ``build_model(name, profile)`` returns an executable
-:class:`repro.cnn.network.CNN`; ``get_model_stats(name)`` returns the
-full-profile statistics the optimizer consumes (always the real
-architecture, regardless of which profile executes). The executable
-model's own statistics are its ``cnn.stats``. ``densenet`` holds a mini
-DenseNet outside the roster (``build_densenet_mini``).
+:class:`repro.cnn.network.CNN`, whose own statistics, ``cnn.stats``,
+are what ``Vista`` plans a run with; ``get_model_stats(name)`` returns
+the full-profile statistics of the real architecture that the
+paper-scale planner and cost model views price. ``densenet`` holds a
+mini DenseNet outside the roster (``build_densenet_mini``).
 """
 
 from __future__ import annotations

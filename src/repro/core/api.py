@@ -10,7 +10,7 @@ explored layer.
 
 from __future__ import annotations
 
-from repro.cnn.zoo import build_model, get_model_stats
+from repro.cnn.zoo import build_model
 from repro.core.config import (
     DEFAULT_CORE_MEMORY,
     DEFAULT_OS_RESERVED,
@@ -53,8 +53,11 @@ class Vista:
                  model_profile="mini", plan=STAGED, model_seed=0,
                  exec_backend=None):
         self.model_name = model_name
-        self.model_stats = get_model_stats(model_name)
-        self.layers = self.model_stats.top_feature_layers(num_layers)
+        #: The executable CNN, built once: every run of this instance
+        #: executes it, and Algorithm 1 prices its ``cnn.stats``.
+        self.cnn = build_model(model_name, profile=model_profile,
+                               seed=model_seed)
+        self.layers = self.cnn.top_feature_layers(num_layers)
         self.dataset = dataset
         self.resources = resources
         self.downstream_fn = downstream_fn
@@ -68,15 +71,16 @@ class Vista:
         #: "process", or a Backend instance); ``backend`` above is the
         #: memory-budget model.
         self.exec_backend = exec_backend
-        self.model_profile = model_profile
         self.plan = plan
         self.dataset_stats = DatasetStats.from_dataset(self.dataset)
-        #: The planner's input, built once: roster statistics, the
-        #: explored layers, and the dataset's measured statistics.
+        #: The planner's input, built once: the executable CNN's
+        #: statistics, the explored layers, and the dataset's measured
+        #: statistics. Every planning reader of this instance —
+        #: :meth:`optimize`, :meth:`explain`, :meth:`sizing`, rung 4 of
+        #: the resilient ladder — prices this one record.
         self.workload = Workload(
-            self.model_stats, self.layers, self.dataset_stats
+            self.cnn.stats, self.layers, self.dataset_stats
         )
-        self.model_seed = model_seed
         self._config = None
 
     # ------------------------------------------------------------------
@@ -149,11 +153,8 @@ class Vista:
                 num_partitions=config.num_partitions,
             )
         context = context or self.build_context(config)
-        cnn = build_model(
-            self.model_name, profile=self.model_profile, seed=self.model_seed
-        )
         executor = FeatureTransferExecutor(
-            context, cnn, self.dataset, self.layers, config,
+            context, self.cnn, self.dataset, self.layers, config,
             downstream_fn=self.downstream_fn, feature_store=feature_store,
             tracer=tracer, metrics=metrics,
             checkpoint_store=checkpoint_store, ledger=ledger,
@@ -168,24 +169,17 @@ class Vista:
 
         ``what_if`` (a dict of :data:`repro.explain.whatif.PIN_KEYS`
         pins) attaches a priced what-if report for a pinned
-        configuration, including the engine-exact mini-scale peak
-        predictions for this instance's executable CNN and dataset.
+        configuration, including the engine-exact peak predictions for
+        this instance's executable CNN and dataset.
         Returns an :class:`~repro.explain.ExplainResult`; render it
         with :func:`repro.report.render_explain`.
         """
         from repro.explain import explain as explain_fn
 
-        executable = None
-        if what_if is not None:
-            cnn = build_model(
-                self.model_name, profile=self.model_profile,
-                seed=self.model_seed,
-            )
-            executable = Workload(cnn.stats, self.layers, self.dataset_stats)
         return explain_fn(
             self.workload, self.resources, downstream=self.downstream_spec,
             backend=self.backend, what_if_pins=what_if,
-            executable=executable,
+            executable=self.workload,
         )
 
     def run_resilient(self, plan=None, premat_layer=None, fault_plan=None,

@@ -147,8 +147,6 @@ class ResilientRunner:
         :class:`WorkloadCrash`, or the last crash once
         ``max_attempts`` is exhausted).
         """
-        from repro.cnn.zoo import build_model
-
         vista = self.vista
         recovery = self.recovery_log
         tracer = self.tracer
@@ -158,10 +156,6 @@ class ResilientRunner:
             metrics=metrics if metrics.enabled else None,
         )
         plan = plan or vista.plan
-        cnn = build_model(
-            vista.model_name, profile=vista.model_profile,
-            seed=vista.model_seed,
-        )
         attempt = 0
         while True:
             attempt += 1
@@ -172,7 +166,7 @@ class ResilientRunner:
                 policy=self.retry_policy, recovery_log=recovery,
             )
             executor = FeatureTransferExecutor(
-                context, cnn, vista.dataset, vista.layers, config,
+                context, vista.cnn, vista.dataset, vista.layers, config,
                 downstream_fn=vista.downstream_fn,
                 feature_store=feature_store,
                 tracer=tracer if tracer.enabled else None,
@@ -204,7 +198,7 @@ class ResilientRunner:
                     # partitions and recomputes only the rest. Fresh
                     # workers also model replacement machines, which is
                     # why even ClusterExhausted is resumable here.
-                    restorable = self.checkpoint_store.valid_partition_count()
+                    restorable = self._resume_watermark
                     recovery.record(
                         "resume", attempt=attempt,
                         crash=type(crash).__name__,
@@ -292,7 +286,7 @@ class ResilientRunner:
                 return config_from_candidate(candidate)
         raise NoFeasiblePlan(
             f"no cpu in [1, {cpu - 1}] satisfies the memory constraints "
-            f"for {vista.model_stats.name} on "
+            f"for {vista.model_name} on "
             f"{vista.resources.system_memory_bytes} B nodes; "
             "provision machines with more memory"
         )

@@ -9,11 +9,14 @@ and the predicted runtime breakdown from
 :mod:`repro.costmodel.runtime` — the under-the-hood cost model wired
 into a user-facing question.
 
-Two prediction scales coexist deliberately (see DESIGN.md's
-substitution table): feasibility and runtime are priced at *paper*
-scale from the roster statistics, while ``predicted_run_peak_bytes``
-(present when an executable workload is supplied) predicts the *mini*
-run's waterline peaks via :mod:`repro.explain.peaks`.
+A report is priced at the scale of the workload it is handed.
+``Vista.explain`` hands it the executable CNN's ``cnn.stats``, the
+model Algorithm 1 plans and the run executes, so the verdict, the
+runtime and ``predicted_run_peak_bytes`` (the engine replay of
+:mod:`repro.explain.peaks`, present when an executable workload is
+supplied) all describe the run that would execute. ``repro explain``
+hands it the roster's paper-scale statistics, which prices the
+configuration for the paper's cluster and has no run peaks.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ class WhatIfReport:
     candidate: object             # CandidateRecord at the priced cpu
     feasible: bool
     verdict: str                  # VERDICT_FEASIBLE or a failure code
-    predicted_peak_bytes: dict    # paper-scale per-worker, per region
+    predicted_peak_bytes: dict    # per worker, per region
     runtime: object               # costmodel RuntimeReport
     predicted_run_peak_bytes: dict | None = None   # mini-scale
     notes: list = field(default_factory=list)

@@ -50,8 +50,10 @@ class Stage:
                 or span_name.startswith(self.matcher + ":"))
 
     def to_dict(self):
+        # Six significant digits: an executable mini's inference steps
+        # price at microseconds, which six decimals would zero.
         return {"key": self.key, "matcher": self.matcher,
-                "predicted_s": round(self.predicted_s, 6)}
+                "predicted_s": float(f"{self.predicted_s:.6g}")}
 
     def __repr__(self):
         state = "done" if self.done else "pending"

@@ -412,12 +412,23 @@ class CheckpointStore:
     # introspection
     # ------------------------------------------------------------------
     def valid_partition_count(self):
-        """Indexed partitions of the bound run — the resume-first
-        policy's progress measure (payloads are verified lazily at
-        restore time)."""
+        """Indexed partitions whose wave file is still on disk with a
+        footer that verifies — what the next :meth:`bind_run` indexes,
+        less the entries a restore already rejected. The resume-first
+        policy's progress measure: a wave torn or deleted after it
+        landed counts nothing (payloads are verified lazily at restore
+        time)."""
         self._require_bound()
-        return sum(len(stage["partitions"])
-                   for stage in self._stages.values())
+        intact = set()
+        for name in self.io.listdir(self._run_dir):
+            try:
+                if self._read_footer(name) is not None:
+                    intact.add(name)
+            except CheckpointIntegrityError:
+                pass
+        return sum(entry["file"] in intact
+                   for stage in self._stages.values()
+                   for entry in stage["partitions"].values())
 
     def stages(self):
         self._require_bound()

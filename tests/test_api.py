@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro import Vista, default_resources
-from repro.core.config import DatasetStats
-from repro.core.plans import LAZY, STAGED
+from repro.core.config import DatasetStats, Resources
+from repro.core.plans import ALL_PLANS, LAZY, STAGED
 from repro.data import foods_dataset
 from repro.exceptions import InvalidLayerError
+from repro.memory.model import GB
 
 
 @pytest.fixture(scope="module")
@@ -139,3 +140,34 @@ def test_premat_with_feature_store_via_api(tmp_path, dataset, resources):
     )
     assert second.metrics["premat_store_hit"] is True
     assert second.metrics["premat_flops"] == 0
+
+
+@pytest.fixture(scope="module")
+def foods_128():
+    return foods_dataset(num_records=128)
+
+
+@pytest.mark.parametrize("plan", ["staged", "eager", "lazy"])
+@pytest.mark.parametrize("model", ["alexnet", "vgg16", "resnet50"])
+def test_planned_budgets_hold_at_mini_scale(model, plan, foods_128):
+    """Algorithm 1 prices the CNN that runs, so its budgets are the
+    run's: on the end-to-end benchmark's worker (1 node, 3 cores,
+    32 GB) every roster mini completes each materialization without a
+    degradation rung, no region peaks past its budget, and DL's budget
+    is exactly ``cpu`` replicas of the mini."""
+    resources = Resources(
+        num_nodes=1, system_memory_bytes=32 * GB, cores_per_node=3
+    )
+    vista = Vista(model, 3, foods_128, resources,
+                  downstream_fn=lambda features, labels: {})
+    result = vista.run_resilient(plan=ALL_PLANS[plan])
+    assert result.metrics["recovery_attempts"] == 1
+    assert not [event for event in result.metrics["recovery_log"]
+                if event["event"] in ("degrade", "resume")]
+    peaks = result.metrics["region_peak_bytes"]
+    budgets = result.metrics["region_budget_bytes"]
+    over = {region: (peak, budgets[region])
+            for region, peak in peaks.items() if peak > budgets[region]}
+    assert not over
+    assert budgets["dl"] == (
+        vista._config.cpu * vista.cnn.stats.runtime_mem_bytes)

@@ -89,30 +89,56 @@ class TestLedger:
     def test_winner_matches_vista_run_config(self):
         """The ledger's CHOSEN row is the configuration ``run``
         executes — cross-checked against the ``optimizer_decision``
-        the run itself records in its ledger."""
-        vista = Vista(
-            model_name="alexnet", num_layers=2,
-            dataset=foods_dataset(num_records=24),
-            resources=default_resources(num_nodes=2),
-            downstream_fn=lambda f, l: {},
+        the run itself records in its ledger — and every one of them is
+        Algorithm 1 over the executable model's ``cnn.stats``. At 24
+        records the roster's paper-scale statistics plan the same
+        config; for four layers over 2,048 Foods records on the
+        end-to-end benchmark's worker they plan ``np`` 8 where the model
+        that runs plans 2."""
+        from repro.core.config import Resources
+        from repro.core.optimizer import (
+            config_from_candidate,
+            evaluate_candidate,
+            optimize,
         )
-        ledger = RunLedger()
-        vista.run(ledger=ledger)
-        chosen = vista.explain().chosen
-        config = vista._config
-        assert (chosen.cpu, chosen.num_partitions) == (
-            config.cpu, config.num_partitions
-        )
-        assert (chosen.join, chosen.persistence) == (
-            config.join, config.persistence
-        )
-        (decision,) = ledger.of("optimizer_decision")
-        assert (decision["cpu"], decision["num_partitions"]) == (
-            chosen.cpu, chosen.num_partitions
-        )
-        assert (decision["join"], decision["persistence"]) == (
-            chosen.join, chosen.persistence
-        )
+        from repro.core.resilient import ResilientRunner
+
+        cases = [
+            (2, 24, default_resources(num_nodes=2), None),
+            (4, 2048, Resources(num_nodes=1, system_memory_bytes=32 * GB,
+                                cores_per_node=3), (2, 8)),
+        ]
+        for num_layers, records, resources, disagreement in cases:
+            vista = Vista(
+                model_name="alexnet", num_layers=num_layers,
+                dataset=foods_dataset(num_records=records),
+                resources=resources, downstream_fn=lambda f, l: {},
+            )
+            executable = Workload(
+                vista.cnn.stats, vista.layers, vista.dataset_stats)
+            expected = optimize(executable, resources)
+            roster = optimize(
+                Workload(get_model_stats("alexnet"), vista.layers,
+                         vista.dataset_stats),
+                resources,
+            )
+            if disagreement is not None:
+                assert (expected.num_partitions,
+                        roster.num_partitions) == disagreement
+            ledger = RunLedger()
+            vista.run(ledger=ledger)
+            chosen = vista.explain().chosen
+            assert config_from_candidate(chosen) == expected
+            assert vista._config == expected
+            (decision,) = ledger.of("optimizer_decision")
+            assert (decision["cpu"], decision["num_partitions"],
+                    decision["join"], decision["persistence"]) == (
+                expected.cpu, expected.num_partitions, expected.join,
+                expected.persistence,
+            )
+            lowered = ResilientRunner(vista)._optimize_below(expected.cpu)
+            assert lowered == config_from_candidate(evaluate_candidate(
+                executable, resources, lowered.cpu))
 
     def test_infeasible_workload_has_no_winner(self):
         result = _explain(

@@ -67,17 +67,23 @@ class TestLocalContext:
 
 class TestVistaOnGpuResources:
     def test_gpu_constraint_respected_in_api(self):
+        """Eq. 15 binds on the model that runs: a GPU that holds three
+        VGG16-mini replicas, but not a fourth, caps ``cpu`` below the
+        7 the cores alone allow."""
+        from repro.cnn import build_model
+
         dataset = foods_dataset(num_records=24)
+        stats = build_model("vgg16").stats
+        gpu_bytes = 3 * stats.gpu_mem_bytes
         resources = Resources(
             num_nodes=1, system_memory_bytes=32 * GB, cores_per_node=8,
-            gpu_memory_bytes=12 * GB,
+            gpu_memory_bytes=gpu_bytes,
         )
         vista = Vista("vgg16", 2, dataset, resources)
         config = vista.optimize()
-        from repro.cnn import get_model_stats
-
-        stats = get_model_stats("vgg16")
-        assert config.cpu * stats.gpu_mem_bytes < 12 * GB
+        assert vista.workload.model_stats is vista.cnn.stats
+        assert config.cpu * stats.gpu_mem_bytes < gpu_bytes
+        assert config.cpu == 2
 
     def test_infeasible_resources_raise(self):
         dataset = foods_dataset(num_records=24)

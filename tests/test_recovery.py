@@ -667,6 +667,28 @@ def test_injected_torn_wave_recovered_by_resume(tmp_path, baseline):
     assert restore["partitions"] == list(range(1, 14, 2))
 
 
+def test_resume_counts_only_what_the_next_bind_indexes(tmp_path):
+    """The resume decision's ``restorable_partitions`` counts the waves
+    whose footers verify on disk, not the store's in-memory index: of
+    the two waves that landed before the crash, the torn one counts
+    nothing, and the resume restores exactly the 7 it counted."""
+    fault_plan = (
+        FaultPlan()
+        .checkpoint_torn(stage="infer:image")
+        .worker_loss(worker=None, wave=5)
+        .worker_loss(worker=None, wave=6)
+    )
+    result = _make_vista().run_resilient(
+        fault_plan=fault_plan, seed=7,
+        checkpoint_store=CheckpointStore(str(tmp_path)),
+    )
+    log = result.metrics["recovery_log"]
+    (resume,) = [e for e in log if e["event"] == "resume"]
+    (restore,) = [e for e in log if e["event"] == "checkpoint_restore"]
+    assert resume["restorable_partitions"] == 7
+    assert len(restore["partitions"]) == 7
+
+
 def test_resume_stalls_fall_back_to_degradation_ladder(tmp_path):
     """_should_resume: progress-gated. No store -> never; a bound
     store resumes only while the valid-partition count grows."""

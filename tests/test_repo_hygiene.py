@@ -257,6 +257,27 @@ def test_model_stats_has_one_constructor():
     assert sites == ["src/repro/cnn/zoo/roster.py"]
 
 
+def test_a_run_builds_its_cnn_once():
+    """``Vista.__init__`` builds the executable CNN that its planner
+    prices and every run executes; nothing else under ``src/repro``
+    calls ``build_model``, so no run path builds a second copy."""
+    sites = []
+    for path in _src_files("**", "*.py"):
+        tree = ast.parse(_read(path))
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            sites += [
+                f"{os.path.relpath(path, REPO_ROOT)}:{function.name}"
+                for node in ast.walk(function)
+                if isinstance(node, ast.Call) and "build_model" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None),
+                )
+            ]
+    assert sites == ["src/repro/core/api.py:__init__"]
+
+
 # ---------------------------------------------------------------------
 # one description of a plan's shape
 # ---------------------------------------------------------------------
