@@ -51,27 +51,28 @@ def _pad_hw_batch(batch, padding, value=0.0):
 
 def _im2col_batch(batch, kernel, stride, out_h, out_w):
     """Extract (N*out_h*out_w, kernel*kernel*C) patches from a whole
-    (N, H, W, C) batch at once."""
+    (N, H, W, C) batch at once.
+
+    In NHWC one kernel row of a window (``kernel`` pixels of ``C``
+    channels) is one contiguous run of the batch, so the gather is an
+    (N, out_h, out_w, kernel) array of such runs, each one ``void``
+    element: the copy moves whole kernel rows, not single floats."""
     n, h, w, c = batch.shape
     if kernel == 1:
         # A 1x1 patch is the pixel itself: a reshape (of a strided
         # slice for the ResNet shortcut), no window gather.
         return batch[:, ::stride, ::stride].reshape(n * out_h * out_w, c)
-    strides = batch.strides
-    windows = np.lib.stride_tricks.as_strided(
-        batch,
-        shape=(n, out_h, out_w, kernel, kernel, c),
-        strides=(
-            strides[0],
-            strides[1] * stride,
-            strides[2] * stride,
-            strides[1],
-            strides[2],
-            strides[3],
-        ),
-        writeable=False,
+    batch = np.ascontiguousarray(batch)
+    s_n, s_h, s_w, _ = batch.strides
+    rows = np.ndarray(
+        (n, out_h, out_w, kernel),
+        dtype=np.dtype((np.void, kernel * s_w)),
+        buffer=batch,
+        strides=(s_n, s_h * stride, s_w * stride, s_h),
     )
-    return windows.reshape(n * out_h * out_w, kernel * kernel * c)
+    return rows.copy().view(np.float32).reshape(
+        n * out_h * out_w, kernel * kernel * c
+    )
 
 
 class _BatchKernelOp(TensorOp):
@@ -229,16 +230,20 @@ class LocalResponseNorm(TensorOp):
     per-image and the batched path: ``squares @ band``, where
     ``band[i, j]`` is ``alpha`` for ``|i - j| <= depth_radius`` and 0
     elsewhere. A non-finite square therefore reaches every channel of
-    its pixel (``inf * 0``), not only its window.
+    its pixel (``inf * 0``), not only its window. The exponent is
+    AlexNet's :attr:`BETA`, and ``d ** 0.75`` runs as
+    ``sqrt(d * sqrt(d))``: two correctly rounded roots and a product,
+    where ``powf`` costs several times a root.
     """
 
-    def __init__(self, shape, depth_radius=2, bias=2.0, alpha=1e-4, beta=0.75,
+    BETA = 0.75
+
+    def __init__(self, shape, depth_radius=2, bias=2.0, alpha=1e-4,
                  name="lrn"):
         super().__init__(shape, shape, name=name)
         self.depth_radius = depth_radius
         self.bias = bias
         self.alpha = alpha
-        self.beta = beta
         channel = np.arange(shape[-1])
         in_window = abs(channel[:, None] - channel) <= depth_radius
         self._band = in_window * np.float32(alpha)
@@ -247,8 +252,13 @@ class LocalResponseNorm(TensorOp):
         tensor = tensor.astype(np.float32, copy=False)
         denom = np.square(tensor).reshape(-1, tensor.shape[-1]) @ self._band
         denom += self.bias
-        np.power(denom, self.beta, out=denom)
-        return tensor / denom.reshape(tensor.shape)
+        # The inner root's buffer becomes the output: no allocation
+        # beyond the quotient's own.
+        out = np.sqrt(denom)
+        denom *= out
+        np.sqrt(denom, out=denom)
+        return np.divide(tensor, denom.reshape(tensor.shape),
+                         out=out.reshape(tensor.shape))
 
     def apply(self, tensor):
         return self._normalize(tensor)

@@ -17,12 +17,13 @@ import numpy as np
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    exp_z = np.exp(z[~positive])
-    out[~positive] = exp_z / (1.0 + exp_z)
-    return out
+    """``1 / (1 + e^-z)`` for ``z >= 0`` and ``e^z / (1 + e^z)`` below,
+    so no ``exp`` overflows. Both sides share ``e = exp(-|z|)``, taken
+    as ``exp(min(z, -z))`` so that a NaN keeps its sign, and
+    ``np.where`` picks one side per element."""
+    e = np.exp(np.minimum(z, -z))
+    denom = 1.0 + e
+    return np.where(z >= 0, 1.0 / denom, e / denom)
 
 
 class LogisticRegression:

@@ -155,8 +155,13 @@ def grid_max_pool(tensor, grid=2):
 
 
 def grid_max_pool_batch(batch, grid=2):
-    """Batched :func:`grid_max_pool` over an (N, H, W, C) stack; the
-    grid cells are vectorized over the whole batch axis.
+    """Batched :func:`grid_max_pool` over an (N, H, W, C) stack, with
+    the same grid edges: each row band's maximum is a running
+    ``np.maximum`` over its rows into an (N, grid, W, C) buffer, each
+    cell's a running maximum over its band's columns, so every pass is
+    a long contiguous stretch. A one-pixel band is a copy. A maximum
+    rounds nothing, so the order is free, except in which zero a cell
+    holding both -0.0 and 0.0 keeps.
 
     Degenerate inputs smaller than the grid are returned unchanged,
     matching the per-image behaviour.
@@ -168,14 +173,22 @@ def grid_max_pool_batch(batch, grid=2):
     num, height, width, channels = batch.shape
     if height < grid or width < grid:
         return batch
+    bands = np.empty((num, grid, width, channels), dtype=batch.dtype)
     out = np.empty((num, grid, grid, channels), dtype=batch.dtype)
-    row_edges = np.linspace(0, height, grid + 1, dtype=int)
-    col_edges = np.linspace(0, width, grid + 1, dtype=int)
-    for i in range(grid):
-        for j in range(grid):
-            block = batch[
-                :, row_edges[i]:row_edges[i + 1],
-                col_edges[j]:col_edges[j + 1], :,
-            ]
-            out[:, i, j, :] = block.max(axis=(1, 2))
+    _running_max(batch, bands, np.linspace(0, height, grid + 1, dtype=int),
+                 axis=1)
+    _running_max(bands, out, np.linspace(0, width, grid + 1, dtype=int),
+                 axis=2)
     return out
+
+
+def _running_max(source, out, edges, axis):
+    """``out``'s index ``i`` along ``axis`` is the maximum of
+    ``source``'s slices ``edges[i]:edges[i + 1]`` along that axis."""
+    lead = (slice(None),) * axis
+    for i in range(len(edges) - 1):
+        cell = out[lead + (i,)]
+        first, stop = edges[i], edges[i + 1]
+        np.copyto(cell, source[lead + (first,)])
+        for k in range(first + 1, stop):
+            np.maximum(cell, source[lead + (k,)], out=cell)

@@ -82,6 +82,75 @@ def test_grid_max_pool_batch_matches_per_image():
     np.testing.assert_array_equal(batched, stacked)
 
 
+def retired_grid_max_pool_batch(batch, grid=2):
+    """The per-cell batched grid pool the running-maximum kernel
+    replaced: one ``.max(axis=(1, 2))`` per grid cell."""
+    num, height, width, channels = batch.shape
+    if height < grid or width < grid:
+        return batch
+    out = np.empty((num, grid, grid, channels), dtype=batch.dtype)
+    row_edges = np.linspace(0, height, grid + 1, dtype=int)
+    col_edges = np.linspace(0, width, grid + 1, dtype=int)
+    for i in range(grid):
+        for j in range(grid):
+            block = batch[
+                :, row_edges[i]:row_edges[i + 1],
+                col_edges[j]:col_edges[j + 1], :,
+            ]
+            out[:, i, j, :] = block.max(axis=(1, 2))
+    return out
+
+
+def _grid_input(shape, layout, seed):
+    rng = np.random.default_rng(seed)
+    n, h, w, c = shape
+    if layout == "sliced":
+        parent = rng.normal(size=(n, h, 2 * w, c + 3)).astype(np.float32)
+        batch = parent[:, :, ::2, 1:1 + c]
+        assert not batch.flags.c_contiguous
+        return batch
+    batch = rng.normal(size=shape).astype(np.float32)
+    if layout == "signed-zeros":
+        batch[rng.random(shape) < 0.5] = -0.0
+        batch[rng.random(shape) < 0.5] = 0.0
+    if layout == "non-finite":
+        batch.flat[::7] = np.inf
+        batch.flat[::11] = -np.inf
+        batch.flat[::13] = np.nan
+    if layout == "read-only":
+        batch.flags.writeable = False
+    return batch
+
+
+@pytest.mark.parametrize("layout", [
+    "contiguous", "sliced", "read-only", "non-finite", "signed-zeros",
+])
+@pytest.mark.parametrize("grid", [1, 2, 3])
+@pytest.mark.parametrize("shape", [
+    # the feature tensors the benchmark's workloads pool
+    (5, 4, 4, 8), (5, 4, 4, 32), (5, 2, 2, 64),
+    # odd sizes, uneven bands, one-pixel bands, a batch of one
+    (3, 5, 7, 3), (1, 7, 5, 2), (4, 3, 9, 1),
+    # smaller than the grid: passed through
+    (2, 1, 4, 3), (2, 4, 1, 3),
+])
+def test_grid_max_pool_batch_keeps_the_per_cell_bits(shape, grid, layout):
+    batch = _grid_input(shape, layout, seed=sum(shape) + grid)
+    got = grid_max_pool_batch(batch, grid=grid)
+    want = retired_grid_max_pool_batch(batch, grid=grid)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if layout == "signed-zeros":
+        # Of equal values np.maximum keeps its second operand, so which
+        # zero a cell holding both -0.0 and 0.0 keeps follows the order
+        # of the maxima. No zoo feature holds a -0.0: every one pooled
+        # comes out of a ReLU, np.maximum(x, 0.0).
+        assert np.array_equal(got, want)
+    else:
+        assert got.tobytes() == want.tobytes()
+    if shape[1] < grid or shape[2] < grid:
+        assert got is batch
+
+
 def test_pool_feature_tensor_batch_matches_per_image():
     rng = np.random.default_rng(4)
     conv = rng.normal(size=(5, 6, 6, 3)).astype(np.float32)

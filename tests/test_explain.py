@@ -15,7 +15,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.cnn import build_model, get_model_stats
 from repro.core.api import Vista, default_resources
-from repro.core.config import DatasetStats, VistaConfig, Workload
+from repro.core.config import DatasetStats, Resources, VistaConfig, Workload
 from repro.core.executor import FeatureTransferExecutor
 from repro.core.plans import ALL_PLANS
 from repro.costmodel.params import PEAK_PREDICTION_BAND
@@ -216,6 +216,29 @@ class TestWhatIf:
         assert result.what_if is not None
         assert result.what_if.pins == {"cpu": 4}
         assert "what-if:" in render_explain(result)
+
+    def test_what_if_peaks_are_labelled_by_the_scale_they_price(self):
+        """``Vista.explain`` prices the CNN it runs, so its what-if
+        peaks say so; ``repro explain``'s roster report stays paper
+        scale."""
+        vista = Vista("alexnet", 4, foods_dataset(2048), Resources(
+            num_nodes=1, system_memory_bytes=32 * GB, cores_per_node=3,
+        ))
+        result = vista.explain(what_if={"plan": "eager"})
+        report = result.what_if
+        assert report.predicted_run_peak_bytes
+        lines = render_explain(result).splitlines()
+        assert ("  predicted per-region peaks (executable workload, "
+                "per worker):") in lines
+        assert not [line for line in lines if "paper scale" in line]
+        # Algorithm 1's terms for the mini CNN: tens of MB of User
+        # memory and a DL region of a few replicas of a 5 MiB model,
+        # nowhere near the paper-scale AlexNet's 2 GiB.
+        assert report.predicted_peak_bytes["dl"] < 64 * 2**20
+
+        paper = render_explain(_explain(what_if_pins={"plan": "eager"}))
+        assert ("  predicted per-region peaks (paper scale, per worker):"
+                in paper.splitlines())
 
 
 # ----------------------------------------------------------------------

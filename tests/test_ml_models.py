@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.ml.logistic import _sigmoid
 from repro.ml import (
     DecisionTreeClassifier,
     LogisticRegression,
@@ -24,6 +25,33 @@ def _separable(n=200, d=5, seed=0, noise=0.3):
     features[:, 0] += 2.0 * (2 * labels - 1)
     features[:, 1] += noise * rng.normal(size=n)
     return features, labels
+
+
+def retired_sigmoid(z):
+    """The masked sigmoid ``_sigmoid`` replaced: boolean gathers of
+    each sign's margins, scattered back."""
+    out = np.empty_like(z)
+    positive = z >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
+    exp_z = np.exp(z[~positive])
+    out[~positive] = exp_z / (1.0 + exp_z)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_keeps_the_masked_forms_bits(dtype):
+    edges = np.array(
+        [0.0, -0.0, 100.0, -100.0, np.inf, -np.inf, np.nan, -np.nan,
+         1e-30, -1e-30, 88.7, -88.7, 103.9, -103.9, 745.0, -745.0],
+        dtype=dtype,
+    )
+    # the float32 cast drops a NaN's sign; set it on the bits
+    edges[7] = np.copysign(edges[7], -1.0)
+    draws = np.random.default_rng(0).normal(0.0, 30.0, 4096).astype(dtype)
+    for z in (edges, draws, draws[::3], edges[:0]):
+        got = _sigmoid(z)
+        assert got.dtype == z.dtype
+        assert got.tobytes() == retired_sigmoid(z).tobytes()
 
 
 class TestLogisticRegression:

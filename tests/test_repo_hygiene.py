@@ -427,3 +427,31 @@ def test_metric_samples_are_read_through_the_one_grouping(path, reader):
     assert reader in text
     assert not re.search(r"""[!=]=\s*["']metric["']""", text)
     assert not re.search(r"""["']value["']""", text)
+
+
+# ---------------------------------------------------------------------
+# the CNN kernels
+# ---------------------------------------------------------------------
+def test_lrn_has_one_exponent():
+    """LRN's ``d ** 0.75`` is two square roots and a product, exact for
+    AlexNet's 0.75 only, so the exponent is the class constant
+    ``BETA``: no constructor argument can ask for another."""
+    import inspect
+
+    from repro.cnn.layers import LocalResponseNorm
+
+    params = inspect.signature(LocalResponseNorm.__init__).parameters
+    assert "beta" not in params
+    assert LocalResponseNorm.BETA == 0.75
+
+
+def test_the_conv_gather_builds_no_strided_window_view():
+    """The im2col gather copies whole kernel rows out of an
+    ``np.ndarray`` of ``void`` runs; nothing under ``cnn/`` builds a
+    window view with ``as_strided``."""
+    hits = [
+        os.path.relpath(path, REPO_ROOT)
+        for path in _src_files("cnn", "**", "*.py")
+        if "as_strided" in _read(path)
+    ]
+    assert not hits
