@@ -65,6 +65,12 @@ def _add_workload_args(parser):
     parser.add_argument("--nodes", type=int, default=8)
     parser.add_argument("--memory-gb", type=float, default=32.0)
     parser.add_argument("--cores", type=int, default=8)
+
+
+def _add_planner_args(parser):
+    """Workload flags plus ``--gpu-gb``: only the paper-scale planner
+    views price a GPU (Eq. 15); the executing engine has none."""
+    _add_workload_args(parser)
     parser.add_argument("--gpu-gb", type=float, default=0.0)
 
 
@@ -719,12 +725,12 @@ def build_parser():
     sub.add_parser("models", help="show the CNN roster")
 
     plan = sub.add_parser("plan", help="run the Vista optimizer")
-    _add_workload_args(plan)
+    _add_planner_args(plan)
 
     estimate = sub.add_parser(
         "estimate", help="paper-scale runtime/crash prediction"
     )
-    _add_workload_args(estimate)
+    _add_planner_args(estimate)
     estimate.add_argument(
         "--approach", default="vista",
         choices=["lazy-1", "lazy-5", "lazy-7", "eager", "vista"],
@@ -773,7 +779,7 @@ def build_parser():
         help="EXPLAIN the optimizer's plan choice (full Algorithm 1 "
              "candidate ledger), optionally with a pinned what-if",
     )
-    _add_workload_args(explain)
+    _add_planner_args(explain)
     explain.add_argument(
         "--backend", default="spark", choices=["spark", "ignite"]
     )

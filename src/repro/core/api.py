@@ -19,7 +19,7 @@ from repro.core.config import (
     Resources,
     Workload,
 )
-from repro.core.executor import FeatureTransferExecutor
+from repro.core.executor import FeatureTransferExecutor, record_decision
 from repro.core.optimizer import optimize
 from repro.core.plans import STAGED
 from repro.dataflow.context import ClusterContext
@@ -50,13 +50,11 @@ class Vista:
 
     def __init__(self, model_name, num_layers, dataset, resources,
                  downstream_fn=None, downstream_spec=None, backend="spark",
-                 model_profile="mini", plan=STAGED, model_seed=0,
-                 exec_backend=None):
+                 plan=STAGED, model_seed=0, exec_backend=None):
         self.model_name = model_name
         #: The executable CNN, built once: every run of this instance
         #: executes it, and Algorithm 1 prices its ``cnn.stats``.
-        self.cnn = build_model(model_name, profile=model_profile,
-                               seed=model_seed)
+        self.cnn = build_model(model_name, seed=model_seed)
         self.layers = self.cnn.top_feature_layers(num_layers)
         self.dataset = dataset
         self.resources = resources
@@ -145,13 +143,7 @@ class Vista:
         config = self._config or self.optimize(
             tracer=tracer, metrics=metrics
         )
-        if ledger is not None and ledger.enabled:
-            ledger.emit(
-                "optimizer_decision", plan=(plan or self.plan).label,
-                cpu=config.cpu, join=config.join,
-                persistence=config.persistence,
-                num_partitions=config.num_partitions,
-            )
+        record_decision(ledger, plan or self.plan, config)
         context = context or self.build_context(config)
         executor = FeatureTransferExecutor(
             context, self.cnn, self.dataset, self.layers, config,

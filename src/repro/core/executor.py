@@ -29,16 +29,12 @@ from repro.dataflow.columnar import ColumnarBlock, pack_column
 from repro.dataflow.executor import charge_model_replicas
 from repro.dataflow.joins import join as physical_join
 from repro.dataflow.table import DistributedTable
-from repro.features.pooling import (
-    pool_feature_tensor,
-    pool_feature_tensor_batch,
-    pool_feature_tensors,
-)
+from repro.features.pooling import pool_feature_tensor_batch
 from repro.memory.model import Region
 from repro.ml.lanes import lanes
 from repro.ml.logistic import LogisticRegression
 from repro.ml.metrics import f1_score
-from repro.tensor.tensorlist import TensorList
+from repro.tensor.tensorlist import TensorList, map_shape_groups
 
 
 #: FLOPs an ``INFER`` step must spend per byte of tensor it returns to
@@ -60,6 +56,17 @@ def dispatches(cnn, step):
     )
     flops = cnn.flops_between(step.from_layer or 0, step.outputs[-1][0])
     return flops >= DISPATCH_FLOPS_PER_BYTE * out_bytes
+
+
+def record_decision(ledger, plan, config):
+    """Algorithm 1's choice for one attempt — its ``plan`` and
+    ``config`` — as the run ledger's ``optimizer_decision`` event."""
+    if ledger is not None and ledger.enabled:
+        ledger.emit(
+            "optimizer_decision", plan=plan.label, cpu=config.cpu,
+            join=config.join, persistence=config.persistence,
+            num_partitions=config.num_partitions,
+        )
 
 
 def default_downstream(features, labels):
@@ -265,12 +272,6 @@ class FeatureTransferExecutor:
             self.cnn.stats.micro_batch_rows,
         ), recovery_log=self.context.recovery_log)
 
-    @property
-    def _batched_fallbacks(self):
-        """Singleton-group fallbacks this run (read-only view over the
-        context's task counters, where both backends accumulate)."""
-        return self.context.task_counters.get("batched_fallbacks", 0)
-
     def _op_timer_hook(self):
         """Per-operator hook for the CNN engine: a ``hook(name,
         seconds)`` callable (the engine reads the clock itself) that
@@ -416,62 +417,12 @@ class FeatureTransferExecutor:
         return out
 
     def _infer_ragged(self, values, from_layer, to_layer):
-        """Batched inference over an object column (ragged tensors or
-        TensorList members): every tensor — TensorList members included
-        — joins one flat work list, the list is grouped by exact shape,
-        and each group runs the batched kernels in micro-batches.
-        Zero-padding through conv would change the outputs, so
-        exact-shape grouping is what keeps the bit-identical-features
-        invariant; only singleton groups (nothing to batch with) fall
-        back to the per-tensor kernel, counted in
-        ``batched_fallback_total``."""
-        flat = []  # (row position, TensorList member position or None)
-        tensors = []
-        for position, value in enumerate(values):
-            if isinstance(value, TensorList):
-                for member_position, member in enumerate(value):
-                    flat.append((position, member_position))
-                    tensors.append(np.asarray(member, dtype=np.float32))
-            else:
-                flat.append((position, None))
-                tensors.append(np.asarray(value, dtype=np.float32))
-        groups = {}
-        for index, tensor in enumerate(tensors):
-            groups.setdefault(tensor.shape, []).append(index)
-        outputs = [None] * len(tensors)
-        fallbacks = 0
-        for indices in groups.values():
-            if len(indices) == 1:
-                index = indices[0]
-                outputs[index] = self.cnn.partial_forward(
-                    tensors[index], from_layer or 0, to_layer
-                )
-                fallbacks += 1
-                continue
-            batch = self._forward(
-                [tensors[i] for i in indices], from_layer, to_layer
-            )
-            for index, member in zip(indices, batch):
-                outputs[index] = member
-        if fallbacks:
-            on_driver(self._count_fallbacks, fallbacks)
-        per_row = [None] * len(values)
-        members = {}
-        for (position, member_position), output in zip(flat, outputs):
-            if member_position is None:
-                per_row[position] = output
-            else:
-                members.setdefault(position, []).append(output)
-        for position, collected in members.items():
-            per_row[position] = TensorList(collected)
-        return per_row
-
-    def _count_fallbacks(self, fallbacks):
-        counters = self.context.task_counters
-        counters["batched_fallbacks"] = (
-            counters.get("batched_fallbacks", 0) + fallbacks
+        """:meth:`_forward` over an object column (ragged tensors or
+        TensorList rows), one call per exact-shape group
+        (:func:`~repro.tensor.tensorlist.map_shape_groups`)."""
+        return map_shape_groups(
+            values, lambda batch: self._forward(batch, from_layer, to_layer)
         )
-        self.metrics_registry.counter("batched_fallback_total").inc(fallbacks)
 
     def _inference_map(self, table, step):
         """An ``INFER`` step — partial CNN inference from
@@ -483,7 +434,8 @@ class FeatureTransferExecutor:
         previous layer's ``(N, ...)`` tensors — feeds straight into the
         batched kernels, zero-copy, one micro-batch slice at a time.
         Object columns (ragged tensors, TensorLists) batch by exact
-        shape group via :meth:`_infer_ragged`.
+        shape group via :meth:`_infer_ragged`; a lone shape runs as a
+        stack of one.
         """
         field = "tensor" if step.from_layer else "image"
         to_layer = step.outputs[-1][0]
@@ -570,21 +522,10 @@ class FeatureTransferExecutor:
     def _train(self, table, step):
         """A ``TRAIN`` step: concatenate structured + pooled image
         features and hand the matrix to the downstream routine at the
-        driver."""
+        driver. An object tensor column pools by exact-shape group; a
+        TensorList row's vector is its members' pooled vectors
+        concatenated in member order."""
         layer = step.layer
-
-        def pool_one(tensor):
-            if isinstance(tensor, TensorList):
-                return np.concatenate(pool_feature_tensors(list(tensor)))
-            return pool_feature_tensor(tensor)
-
-        def pool_values(tensors):
-            """Pooled vectors for an object tensor column: plain ragged
-            tensors batch by shape group; TensorList rows concatenate
-            their members' pooled vectors."""
-            if not any(isinstance(t, TensorList) for t in tensors):
-                return pool_feature_tensors(tensors)
-            return [pool_one(t) for t in tensors]
 
         def vectorize_block(block):
             if block.num_rows == 0:
@@ -593,7 +534,12 @@ class FeatureTransferExecutor:
                 # Zero-copy: pooling reads the stored (N, ...) block.
                 pooled = pool_feature_tensor_batch(block.column("tensor"))
             else:
-                pooled = pool_values(block.column("tensor"))
+                pooled = [
+                    row.flatten_concat() if isinstance(row, TensorList)
+                    else row
+                    for row in map_shape_groups(
+                        block.column("tensor"), pool_feature_tensor_batch)
+                ]
             vectors = np.concatenate(
                 [np.asarray(block.column("features"), dtype=np.float32),
                  np.asarray(pooled, dtype=np.float32)], axis=1,
@@ -668,7 +614,6 @@ class FeatureTransferExecutor:
         region_budgets["driver"] = context.driver.capacity(Region.DRIVER)
         self.metrics.update(
             {
-                "batched_fallback_total": self._batched_fallbacks,
                 "shuffle_bytes": context.shuffle_bytes_total,
                 "spilled_bytes": context.total_spilled_bytes(),
                 "spill_read_bytes": context.total_spill_read_bytes(),

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.core.executor import FeatureTransferExecutor
+from repro.core.executor import FeatureTransferExecutor, record_decision
 from repro.core.plans import LogicalPlan, Materialization
 from repro.dataflow.joins import BROADCAST, SHUFFLE
 from repro.dataflow.partition import DESERIALIZED, SERIALIZED
@@ -159,6 +159,7 @@ class ResilientRunner:
         attempt = 0
         while True:
             attempt += 1
+            record_decision(self.ledger, plan, config)
             # Equipped before the executor attaches the recorders, so
             # they share the injector's clock and the log's sink.
             context = equip_context(

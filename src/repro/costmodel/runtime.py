@@ -148,8 +148,7 @@ def _train_partitions(workload, layer, setup, cluster):
     return max(floor, min(setup.num_partitions, by_size))
 
 
-def price_plan(workload, plan, setup, cluster, use_gpu=False,
-               train_iterations=None):
+def price_plan(workload, plan, setup, cluster, use_gpu=False):
     """Price the compiled plan without the crash check; returns
     ``(rows, breakdown, spilled_bytes)``: one ``(step, seconds)`` row
     per ``INFER`` / ``JOIN`` / ``TRAIN`` in run order, the seconds per
@@ -184,7 +183,7 @@ def price_plan(workload, plan, setup, cluster, use_gpu=False,
             n, dataset_stats.num_structured_features
             + model_stats.layer_stats(step.layer).transfer_dim,
             _train_partitions(workload, step.layer, setup, cluster),
-            cluster, setup.cpu, iterations=train_iterations,
+            cluster, setup.cpu,
         )
 
     rows = [
@@ -245,7 +244,7 @@ def price_plan(workload, plan, setup, cluster, use_gpu=False,
 
 
 def estimate_plan(workload, plan, setup, cluster, *, use_gpu=False,
-                  train_iterations=None, label=None):
+                  label=None):
     """Estimate one run of ``plan`` on the workload; returns a
     :class:`RuntimeReport`.
 
@@ -261,7 +260,6 @@ def estimate_plan(workload, plan, setup, cluster, *, use_gpu=False,
         return RuntimeReport(label=label, seconds=math.inf, crash=crash)
     _, breakdown, spilled = price_plan(
         workload, plan, setup, cluster, use_gpu=use_gpu,
-        train_iterations=train_iterations,
     )
     return RuntimeReport(
         label=label,

@@ -133,8 +133,8 @@ _LANE_LOG = ContextVar("lane_log", default=None)
 
 
 def on_driver(record, *args):
-    """Call ``record(*args)`` — a write to driver-side state: a span, a
-    metrics counter, the run's task counters. Inside a task running on
+    """Call ``record(*args)`` — a write to driver-side state: a span or
+    a metrics counter. Inside a task running on
     a :class:`ThreadBackend` lane the call is queued instead, and the
     driver makes it when it settles the task, in wave order, so those
     recorders stay single-threaded and read as a serial run left them."""
@@ -485,7 +485,7 @@ class ProcessPoolBackend(Backend):
         """Fold the worker's deltas into the driver's registries, so
         metrics and traces read the same whichever backend ran the
         wave: counters advance by the worker's increments, per-op seconds
-        add onto the current span, task counters accumulate."""
+        add onto the current span."""
         metrics = context.metrics
         if metrics.enabled:
             for (name, label_pairs), delta in meta["counters"]:
@@ -494,9 +494,6 @@ class ProcessPoolBackend(Backend):
         tracer = context.tracer
         for op_name, seconds in meta["ops"].items():
             tracer.record_op(op_name, seconds)
-        task_counters = context.task_counters
-        for key, delta in meta["task_counters"].items():
-            task_counters[key] = task_counters.get(key, 0) + delta
 
 
 # ----------------------------------------------------------------------
@@ -532,8 +529,6 @@ def _run_task(context, task_fn, partition):
     before_counters = metrics.counter_totals() if live else {}
     tracer = context.tracer
     before_ops = tracer.op_seconds()
-    task_counters = context.task_counters
-    before_tasks = dict(task_counters)
 
     meta = {"status": "ok", "kind": "pickle"}
     payload = b""
@@ -559,11 +554,6 @@ def _run_task(context, task_fn, partition):
         name: seconds - before_ops.get(name, 0)
         for name, seconds in tracer.op_seconds().items()
         if seconds != before_ops.get(name, 0)
-    }
-    meta["task_counters"] = {
-        key: value - before_tasks.get(key, 0)
-        for key, value in task_counters.items()
-        if value != before_tasks.get(key, 0)
     }
     return meta, payload
 

@@ -88,10 +88,7 @@ class ClusterContext:
         self.fault_injector = None
         self.retry_policy = None
         self.recovery_log = None
-        #: Per-run engine state, reset by :meth:`reset_metrics`. It
-        #: lives here so a forked worker of the process backend can
-        #: diff it around a task and ship the deltas back.
-        self.task_counters = {}
+        #: Per-run engine state, reset by :meth:`reset_metrics`.
         self.shuffle_bytes_total = 0
 
     def attach_tracer(self, tracer):
@@ -223,7 +220,6 @@ class ClusterContext:
             worker.tasks_run = 0
             worker.task_failures = 0
             worker.accountant.reset_peaks()
-        self.task_counters = {}
         self.shuffle_bytes_total = 0
 
     def __repr__(self):
@@ -233,10 +229,11 @@ class ClusterContext:
         )
 
 
-def local_context(system_gb=4, heap_gb=2, num_nodes=2, cores_per_node=4,
+def local_context(system_gb=4, num_nodes=2, cores_per_node=4,
                   cpu=None, backend="spark", storage_gb=None,
                   exec_backend=None):
-    """Convenience constructor for small test/example clusters.
+    """Convenience constructor for small test/example clusters, each
+    worker a 2 GB heap.
 
     ``backend`` picks the memory-budget *model* (spark/ignite);
     ``exec_backend`` picks the physical wave executor
@@ -248,7 +245,7 @@ def local_context(system_gb=4, heap_gb=2, num_nodes=2, cores_per_node=4,
     from repro.memory.ignite import ignite_memory_budget
 
     system = int(system_gb * GB)
-    heap = int(heap_gb * GB)
+    heap = 2 * GB
     if backend == "spark":
         budget = spark_memory_budget(
             system, heap, os_reserved_bytes=int(0.25 * GB)

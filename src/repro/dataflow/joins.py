@@ -127,8 +127,7 @@ def _hash_join(probe_block, probe_key, build_block, build_key):
     return ColumnarBlock(columns, len(probe_idx))
 
 
-def shuffle_hash_join(left, right, num_partitions=None, name=None,
-                      core_alpha=1.0):
+def shuffle_hash_join(left, right, num_partitions=None, name=None):
     """Distributed shuffle-hash join of two tables on their keys.
 
     ``num_partitions`` is the number of shuffle blocks (``np`` in
@@ -166,11 +165,10 @@ def shuffle_hash_join(left, right, num_partitions=None, name=None,
 
         def charge(probe_partition, joined):
             build_partition = build_parts.get(probe_partition.index)
-            build_bytes = (
+            return (
                 build_partition.memory_bytes()
                 if build_partition is not None else 0
             )
-            return int(core_alpha * build_bytes)
 
         outputs = run_partition_tasks(
             left.context, probe.partitions, task, region=Region.CORE,

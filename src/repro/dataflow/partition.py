@@ -84,11 +84,6 @@ class Partition:
         self.serialized_blob()
         self._block = None
 
-    def drop_blob(self):
-        """Keep only the deserialized payload."""
-        self.block()
-        self._blob = None
-
     def memory_bytes(self, persistence=DESERIALIZED):
         """In-memory footprint under a persistence format: the blob
         length when serialized, the block's exact

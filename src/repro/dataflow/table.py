@@ -19,8 +19,8 @@ from repro.memory.model import Region
 class DistributedTable:
     """A partitioned table with a designated key field. Partitions
     hold columnar blocks; row dicts appear only at the user boundary —
-    :meth:`from_rows` in, :meth:`map_partitions` / :meth:`map_rows` /
-    :meth:`collect` / :meth:`to_rows_sorted` out.
+    :meth:`from_rows` in, :meth:`map_partitions` / :meth:`collect` /
+    :meth:`to_rows_sorted` out.
 
     ``lineage`` records how the table was derived — ``(op, *parent
     table names)`` — mirroring RDD lineage: because operators are
@@ -85,21 +85,9 @@ class DistributedTable:
     def memory_bytes(self, persistence=DESERIALIZED):
         return sum(p.memory_bytes(persistence) for p in self.partitions)
 
-    def max_partition_bytes(self, persistence=DESERIALIZED):
-        if not self.partitions:
-            return 0
-        return max(p.memory_bytes(persistence) for p in self.partitions)
-
     # ------------------------------------------------------------------
     # operators
     # ------------------------------------------------------------------
-    def map_rows(self, fn, name=None, user_alpha=1.0):
-        """Apply ``fn(row) -> row`` per record (a per-row UDF)."""
-        return self.map_partitions(
-            lambda rows: [fn(row) for row in rows], name=name,
-            user_alpha=user_alpha,
-        )
-
     def map_partitions(self, fn, name=None, user_alpha=1.0):
         """Apply ``fn(rows) -> rows`` per partition (a MapPartitions
         UDF): :meth:`map_blocks` with row views on the way in and the
@@ -224,20 +212,6 @@ class DistributedTable:
                     index, ColumnarBlock(columns, block.num_rows))
             kept[index] = partition
         return kept
-
-    def project(self, fields, name=None):
-        """Keep only ``fields`` (the key is always kept)."""
-        keep = list(dict.fromkeys([self.key, *fields]))
-
-        def slim(row):
-            return {field: row[field] for field in keep if field in row}
-
-        return self.map_rows(slim, name=name)
-
-    def filter_rows(self, predicate, name=None):
-        return self.map_partitions(
-            lambda rows: [row for row in rows if predicate(row)], name=name
-        )
 
     def repartition_by_key(self, num_partitions, name=None):
         """Hash-partition rows on the key into ``num_partitions``

@@ -37,29 +37,10 @@ def pool_feature_tensor(tensor, grid=POOL_GRID):
 
 
 def pool_feature_tensor_batch(batch, grid=POOL_GRID):
-    """Batched :func:`pool_feature_tensor` over an (N, ...) stack of
-    same-shape feature tensors; returns an (N, transfer_dim) matrix."""
+    """Batched :func:`pool_feature_tensor` over an (N, ...) stack or list
+    of same-shape feature tensors; returns an (N, transfer_dim) matrix."""
     batch = np.asarray(batch)
     if batch.ndim == 4:
         batch = grid_max_pool_batch(batch, grid=grid)
     return batch.reshape(batch.shape[0], -1)
 
-
-def pool_feature_tensors(tensors, grid=POOL_GRID):
-    """Pool a ragged sequence of feature tensors (an object column):
-    tensors are grouped by exact shape and each group runs through the
-    batched kernel once, so mixed-shape partitions still batch instead
-    of falling back to one kernel call per row. Returns a list of 1-d
-    vectors in input order (lengths may differ across shapes)."""
-    tensors = [np.asarray(t) for t in tensors]
-    groups = {}
-    for position, tensor in enumerate(tensors):
-        groups.setdefault(tensor.shape, []).append(position)
-    out = [None] * len(tensors)
-    for positions in groups.values():
-        batch = pool_feature_tensor_batch(
-            np.stack([tensors[p] for p in positions]), grid=grid
-        )
-        for position, vector in zip(positions, batch):
-            out[position] = vector
-    return out

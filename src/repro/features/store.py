@@ -23,12 +23,12 @@ from repro.dataflow.partition import Partition
 from repro.recovery.store import CheckpointStore, reclaim_tmp_files
 
 
-def dataset_fingerprint(dataset, sample_size=16):
+def dataset_fingerprint(dataset):
     """Stable fingerprint of a multimodal dataset: record count, ids,
-    and a deterministic sample of image bytes."""
+    and the bytes of a deterministic sample of 16 images."""
     ids = dataset.t_img.column("id")
     crc = zlib.crc32(ids.tobytes())
-    step = max(1, len(ids) // sample_size)
+    step = max(1, len(ids) // 16)
     for image in dataset.t_img.column("image")[::step]:
         crc = zlib.crc32(np.ascontiguousarray(image).tobytes(), crc)
     return f"{len(ids)}-{crc:08x}"

@@ -12,9 +12,12 @@ from __future__ import annotations
 from repro.memory.model import GB, MemoryBudget
 
 
+#: The share of the heap attributed to User Memory, the rest to Core.
+USER_CORE_SPLIT = 0.6
+
+
 def ignite_memory_budget(system_bytes, heap_bytes, storage_bytes,
-                         os_reserved_bytes=3 * GB, user_core_split=0.6,
-                         driver_bytes=8 * GB):
+                         os_reserved_bytes=3 * GB):
     """Budget for an Ignite worker.
 
     The heap is split between the (unified) User and Core roles with a
@@ -22,7 +25,7 @@ def ignite_memory_budget(system_bytes, heap_bytes, storage_bytes,
     overflows to the right crash scenario; ``storage_bytes`` is the
     static off-heap data region.
     """
-    user = int(heap_bytes * user_core_split)
+    user = int(heap_bytes * USER_CORE_SPLIT)
     core = heap_bytes - user
     dl = max(
         0, system_bytes - os_reserved_bytes - heap_bytes - storage_bytes
@@ -34,6 +37,5 @@ def ignite_memory_budget(system_bytes, heap_bytes, storage_bytes,
         core_bytes=core,
         storage_bytes=storage_bytes,
         dl_bytes=dl,
-        driver_bytes=driver_bytes,
         storage_elastic=False,
     )

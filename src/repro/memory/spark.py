@@ -16,18 +16,15 @@ DEFAULT_USER_FRACTION = 0.4
 DEFAULT_STORAGE_SHARE = 0.5  # protected storage fraction of unified region
 
 
-def spark_memory_budget(system_bytes, heap_bytes, os_reserved_bytes=3 * GB,
-                        user_fraction=DEFAULT_USER_FRACTION,
-                        storage_share=DEFAULT_STORAGE_SHARE,
-                        driver_bytes=8 * GB):
+def spark_memory_budget(system_bytes, heap_bytes, os_reserved_bytes=3 * GB):
     """Budget for a Spark worker with a given JVM heap.
 
     Everything outside heap + OS reserve is available to the DL system
     (TensorFlow in the paper, our numpy engine here).
     """
-    user = int(heap_bytes * user_fraction)
+    user = int(heap_bytes * DEFAULT_USER_FRACTION)
     unified = heap_bytes - user
-    storage = int(unified * storage_share)
+    storage = int(unified * DEFAULT_STORAGE_SHARE)
     core = unified - storage
     dl = max(0, system_bytes - os_reserved_bytes - heap_bytes)
     return MemoryBudget(
@@ -37,14 +34,12 @@ def spark_memory_budget(system_bytes, heap_bytes, os_reserved_bytes=3 * GB,
         core_bytes=core,
         storage_bytes=storage,
         dl_bytes=dl,
-        driver_bytes=driver_bytes,
         storage_elastic=True,
     )
 
 
 def spark_budget_from_regions(system_bytes, user_bytes, core_bytes,
-                              storage_bytes, os_reserved_bytes=3 * GB,
-                              driver_bytes=8 * GB):
+                              storage_bytes, os_reserved_bytes=3 * GB):
     """Budget with explicitly apportioned regions — what Vista does
     after the optimizer picks ``mem_user``/``mem_core``/``mem_storage``
     (Table 1B); DL gets the remainder of System Memory."""
@@ -60,6 +55,5 @@ def spark_budget_from_regions(system_bytes, user_bytes, core_bytes,
         core_bytes=core_bytes,
         storage_bytes=storage_bytes,
         dl_bytes=dl,
-        driver_bytes=driver_bytes,
         storage_elastic=True,
     )

@@ -121,7 +121,7 @@ def _what_if_lines(report):
     return lines
 
 
-def render_explain(result, show_rejections=True):
+def render_explain(result):
     """Render an :class:`~repro.explain.ExplainResult` as text."""
     lines = [
         f"### EXPLAIN — {result.model} x {len(result.layers)} layers "
@@ -145,7 +145,7 @@ def render_explain(result, show_rejections=True):
     )
     lines.extend(_candidate_table(result.candidates))
     rejected = result.rejected()
-    if show_rejections and rejected:
+    if rejected:
         lines.append("")
         lines.append("rejections:")
         for candidate in rejected:

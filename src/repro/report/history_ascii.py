@@ -168,7 +168,7 @@ def _delta_bar(delta, scale, width):
     return f"{left:>{half}s}|{right:<{half}s}"
 
 
-def render_history_diff(diff, width=24, max_rows=None):
+def render_history_diff(diff, width=24):
     """The span-aligned flamegraph diff, target-run span order."""
     lines = [
         f"### history diff {diff.get('base_id', '?')} -> "
@@ -198,12 +198,11 @@ def render_history_diff(diff, width=24, max_rows=None):
         (abs(row["d_self_s"]) for row in rows
          if row.get("d_self_s") is not None), default=0.0,
     )
-    shown = rows if max_rows is None else rows[:max_rows]
     lines.append(
         f"  {'span':<34s} {'base':>8s} {'target':>8s} {'d_self':>8s} "
         f"{'shrink':>{width // 2}s}|{'grow':<{width // 2}s}"
     )
-    for row in shown:
+    for row in rows:
         indent = "  " * (row.get("target") or row.get("base")
                          or {"depth": 0}).get("depth", 0)
         name = row["path"].rsplit("/", 1)[-1]
@@ -231,8 +230,6 @@ def render_history_diff(diff, width=24, max_rows=None):
                 f"{_fmt_seconds(base_cell.get('self_s'))} {'—':>8s} "
                 f"{'':>8s} {'VANISHED':<{width + 1}s}"
             )
-    if max_rows is not None and len(rows) > max_rows:
-        lines.append(f"  … {len(rows) - max_rows} more span(s)")
     for entry in (diff.get("metric_deltas") or [])[:8]:
         lines.append(
             f"  metric {entry['metric']}: {entry['base']} -> "

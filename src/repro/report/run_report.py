@@ -166,7 +166,7 @@ def _predicted_for(block, region):
     return series_peak(found[0]) if found else None
 
 
-def render_waterlines(source, width=60, height=8, include_storage=True):
+def render_waterlines(source, width=60, height=8):
     """All non-flat occupancy waterlines in a metrics block, grouped
     per region per worker."""
     block = metrics_block(source)
@@ -185,18 +185,16 @@ def render_waterlines(source, width=60, height=8, include_storage=True):
             predicted=_predicted_for(block, labels.get("region")),
             ticks=ticks, width=width, height=height,
         ))
-    if include_storage:
-        for series in find_series(block, "storage_cached_bytes"):
-            if not (series_peak(series) or 0):
-                continue
-            labels = series.get("labels", {})
-            charts.append(render_waterline(
-                series,
-                capacity=_capacity_for(block, labels.get("worker"),
-                                       "storage"),
-                predicted=_predicted_for(block, "storage"),
-                ticks=ticks, width=width, height=height,
-            ))
+    for series in find_series(block, "storage_cached_bytes"):
+        if not (series_peak(series) or 0):
+            continue
+        labels = series.get("labels", {})
+        charts.append(render_waterline(
+            series,
+            capacity=_capacity_for(block, labels.get("worker"), "storage"),
+            predicted=_predicted_for(block, "storage"),
+            ticks=ticks, width=width, height=height,
+        ))
     if not charts:
         return "(all occupancy series flat at zero)"
     return "\n\n".join(charts)

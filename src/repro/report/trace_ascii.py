@@ -82,7 +82,7 @@ def _dict_attr_lines(name, value, indent):
     return [f"{indent}~ {name}: {body}"]
 
 
-def render_trace(trace, width=30, show_events=True):
+def render_trace(trace, width=30):
     """Render span records as a flame-style ASCII summary.
 
     ``trace`` is a :class:`~repro.trace.Tracer` or the span records its
@@ -134,18 +134,17 @@ def render_trace(trace, width=30, show_events=True):
         for key, value in span["attrs"].items():
             if isinstance(value, dict):
                 lines.extend(_dict_attr_lines(key, value, detail_indent))
-        if show_events:
-            for event in span["events"]:
-                fields = " ".join(
-                    f"{k}={_fmt_value(k, v)}"
-                    for k, v in event.items()
-                    if k not in ("event", "sim_time_s")
-                )
-                lines.append(
-                    f"{detail_indent}* {event.get('event', '?')} "
-                    f"@sim={event.get('sim_time_s', 0.0):.3f}s"
-                    + (f" {fields}" if fields else "")
-                )
+        for event in span["events"]:
+            fields = " ".join(
+                f"{k}={_fmt_value(k, v)}"
+                for k, v in event.items()
+                if k not in ("event", "sim_time_s")
+            )
+            lines.append(
+                f"{detail_indent}* {event.get('event', '?')} "
+                f"@sim={event.get('sim_time_s', 0.0):.3f}s"
+                + (f" {fields}" if fields else "")
+            )
 
     op_lines = _op_summary(trace)
     if op_lines:

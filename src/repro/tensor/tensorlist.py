@@ -73,3 +73,31 @@ class TensorList:
 
     def __repr__(self):
         return f"TensorList(shapes={self.shapes()})"
+
+
+def map_shape_groups(values, batch_fn):
+    """Apply a batched kernel to an object column — ragged tensors and
+    TensorList rows — once per exact-shape group.
+
+    Every tensor, TensorList members included, joins one flat work
+    list; each group of same-shape tensors (a lone one too, as a stack
+    of one) goes to ``batch_fn(tensors) -> (n, ...)`` in one call.
+    Returns one result per row in input order, a TensorList row's
+    member results rewrapped as a TensorList. Padding to a common shape
+    would change the outputs, so groups are by exact shape."""
+    rows = [list(v) if isinstance(v, TensorList) else [v] for v in values]
+    tensors = [np.asarray(tensor) for row in rows for tensor in row]
+    groups = {}
+    for index, tensor in enumerate(tensors):
+        groups.setdefault(tensor.shape, []).append(index)
+    outputs = [None] * len(tensors)
+    for indices in groups.values():
+        batch = batch_fn([tensors[index] for index in indices])
+        for index, output in zip(indices, batch):
+            outputs[index] = output
+    results = iter(outputs)
+    return [
+        TensorList([next(results) for _ in row])
+        if isinstance(value, TensorList) else next(results)
+        for value, row in zip(values, rows)
+    ]

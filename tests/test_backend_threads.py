@@ -224,8 +224,8 @@ def test_features_recovered_from_a_killed_lane_are_bit_identical():
 # ---------------------------------------------------------------------
 def _one_image_each(dataset):
     """Each record keeps one image of its TensorList: a record alone in
-    its partition is then a singleton shape group (a counted fallback),
-    two records of a partition batch together."""
+    its partition is then a one-tensor shape group, two records of a
+    partition batch together."""
     images = [
         TensorList(list(images)[:1])
         for images in dataset.t_img.column("image")
@@ -261,18 +261,17 @@ def _recorded_run(backend):
     )
     totals = {
         name: sum(series.total for series in registry.instruments(name))
-        for name in ("tasks_total", "batched_fallback_total")
+        for name in ("tasks_total",)
     }
     matrices = {layer: r.downstream["matrix"]
                 for layer, r in result.layer_results.items()}
-    return (op_keys, totals, result.metrics["batched_fallback_total"],
-            matrices)
+    return op_keys, totals, matrices
 
 
 def test_lane_records_match_serial_under_fast_thread_switching():
-    """Op timings, fallback counts and task counts recorded on four
-    lanes switched every microsecond land on the driver's span and
-    counters exactly as a serial run leaves them."""
+    """Op timings and task counts recorded on four lanes switched every
+    microsecond land on the driver's span and counters exactly as a
+    serial run leaves them."""
     serial = _recorded_run("serial")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -280,10 +279,9 @@ def test_lane_records_match_serial_under_fast_thread_switching():
         lanes = _recorded_run("threads")
     finally:
         sys.setswitchinterval(interval)
-    assert serial[2] > 0   # the ragged column did fall back
-    assert lanes[:3] == serial[:3]
-    for layer in serial[3]:
-        assert np.array_equal(lanes[3][layer], serial[3][layer])
+    assert lanes[:2] == serial[:2]
+    for layer in serial[2]:
+        assert np.array_equal(lanes[2][layer], serial[2][layer])
 
 
 # ---------------------------------------------------------------------

@@ -108,3 +108,16 @@ def test_layers_flag(capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "x 2 layers" in out
+
+
+@pytest.mark.parametrize("command", [
+    ["run"], ["resume", "--checkpoint-dir", "unused"],
+])
+def test_executing_commands_refuse_gpu_gb(command, capsys):
+    """The engine runs on no GPU: ``--gpu-gb`` belongs to the planner
+    views (plan, estimate, explain), and ``run``/``resume`` reject it
+    at argument parsing."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, "--gpu-gb", "1"])
+    assert exit_info.value.code == 2
+    assert "--gpu-gb" in capsys.readouterr().err

@@ -533,9 +533,10 @@ def test_pack_column_classification():
 
 
 # ----------------------------------------------------------------------
-# ragged batching + fallback metric
+# ragged batching: one shape-grouped path, no per-tensor kernel
 # ----------------------------------------------------------------------
-def _ragged_executor(dataset, metrics=None, num_partitions=2):
+def _ragged_executor(dataset, metrics=None, num_partitions=2,
+                     layers=("fc7",), downstream_fn=None):
     from repro.cnn import build_model
     from repro.core.config import VistaConfig
     from repro.core.executor import FeatureTransferExecutor
@@ -544,37 +545,115 @@ def _ragged_executor(dataset, metrics=None, num_partitions=2):
     model = build_model("alexnet", profile="mini")
     ctx = local_context(num_nodes=2, cores_per_node=4, cpu=2)
     return FeatureTransferExecutor(
-        ctx, model, dataset, ["fc7"], VistaConfig(
+        ctx, model, dataset, list(layers), VistaConfig(
             cpu=2, num_partitions=num_partitions,
             mem_storage_bytes=10**9, mem_user_bytes=10**9,
             mem_dl_bytes=10**9, join="shuffle",
             persistence="deserialized",
         ),
-        downstream_fn=lambda f, l: {}, metrics=metrics,
+        downstream_fn=downstream_fn or (lambda f, l: {}), metrics=metrics,
     )
 
 
-def test_tensorlist_dataset_batches_without_fallbacks():
-    """TensorList members all share the image shape, so every member
-    joins one shape group and the fallback counter stays at zero."""
-    from repro.core.plans import LAZY
-    from repro.data.synthetic import generate_dataset
-    from repro.metrics import MetricsRegistry
+def _refuse_per_tensor_kernels(monkeypatch):
+    """Make the per-tensor kernels raise wherever the engine could reach
+    them: ``CNN.partial_forward``, and ``pool_feature_tensor`` in the
+    pooling module and (were it imported again) the executor's."""
+    from repro.cnn.network import CNN
+    from repro.core import executor
+    from repro.features import pooling
 
-    dataset = generate_dataset(
-        "ragged", num_records=12, num_structured_features=16,
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine called a per-tensor kernel")
+
+    monkeypatch.setattr(CNN, "partial_forward", refuse)
+    monkeypatch.setattr(pooling, "pool_feature_tensor", refuse)
+    monkeypatch.setattr(executor, "pool_feature_tensor", refuse,
+                        raising=False)
+
+
+def _per_tensor_oracle(model, dataset, layer):
+    """Each record's train vector from the per-tensor kernels: its
+    structured features, then every image's pooled ``layer`` output in
+    member order."""
+    from repro.features.pooling import pool_feature_tensor
+
+    rows = []
+    for features, cell in zip(dataset.t_str.column("features"),
+                              dataset.t_img.column("image")):
+        members = cell if isinstance(cell, TensorList) else [cell]
+        rows.append(np.concatenate([features] + [
+            pool_feature_tensor(model.partial_forward(image, 0, layer))
+            for image in members
+        ]).astype(np.float32))
+    return np.stack(rows)
+
+
+def test_tensorlist_dataset_batches_without_fallbacks(monkeypatch):
+    """TensorList rows alone in their partitions — one-tensor shape
+    groups, one row a plain tensor — run Staged and Lazy with the
+    per-tensor kernels refusing every call, and train on exactly the
+    per-tensor oracle's vectors."""
+    import dataclasses
+
+    from repro.core.plans import LAZY, STAGED
+    from repro.data.synthetic import generate_dataset
+
+    base = generate_dataset(
+        "ragged", num_records=5, num_structured_features=16,
         images_per_record=2, seed=9,
     )
-    registry = MetricsRegistry()
-    result = _ragged_executor(dataset, metrics=registry).run(LAZY)
-    assert result.metrics["batched_fallback_total"] == 0
-    counters = registry.instruments("batched_fallback_total")
-    assert sum(c.total for c in counters) == 0
+    # One image each: records 1-3 sit alone in partitions 1-3, and
+    # partition 0 holds record 0's TensorList beside record 4's tensor.
+    images = [TensorList(list(cell)[:1])
+              for cell in base.t_img.column("image")]
+    images[4] = images[4][0]
+    ids = base.t_img.column("id")
+    dataset = dataclasses.replace(
+        base, t_img=ColumnarBlock({"id": ids, "image": images}, len(ids)),
+    )
+    layers = ("fc7", "fc8")
+    executor = _ragged_executor(dataset, num_partitions=4, layers=layers)
+    oracle = {layer: _per_tensor_oracle(executor.cnn, dataset, layer)
+              for layer in layers}
+    _refuse_per_tensor_kernels(monkeypatch)
+    for plan in (STAGED, LAZY):
+        result = _ragged_executor(
+            dataset, num_partitions=4, layers=layers,
+            downstream_fn=lambda f, l: {"matrix": f.copy()},
+        ).run(plan)
+        for layer in layers:
+            np.testing.assert_array_equal(
+                result.layer_results[layer].downstream["matrix"],
+                oracle[layer],
+            )
 
 
-def test_singleton_shape_group_counts_as_fallback():
-    """A shape with nothing to batch against runs per-tensor and is
-    counted in ``batched_fallback_total``."""
+def test_train_vector_of_a_tensorlist_row_concatenates_its_members():
+    """TRAIN pools a TensorList row member by member through the
+    batched kernel and concatenates the vectors in member order: the
+    per-member ``pool_feature_tensor`` oracle, bit for bit."""
+    from repro.core.plans import STAGED
+    from repro.data.synthetic import generate_dataset
+
+    dataset = generate_dataset(
+        "multi", num_records=6, num_structured_features=16,
+        images_per_record=3, seed=5,
+    )
+    executor = _ragged_executor(
+        dataset, num_partitions=2,
+        downstream_fn=lambda f, l: {"matrix": f.copy()},
+    )
+    oracle = _per_tensor_oracle(executor.cnn, dataset, "fc7")
+    result = executor.run(STAGED)
+    np.testing.assert_array_equal(
+        result.layer_results["fc7"].downstream["matrix"], oracle
+    )
+
+
+def test_lone_shape_tensor_runs_the_batched_path(monkeypatch):
+    """A shape with nothing to batch against runs the batched kernels
+    as a stack of one, bit-identical to ``CNN.partial_forward``."""
     from repro.data import foods_dataset
 
     executor = _ragged_executor(foods_dataset(num_records=4))
@@ -582,11 +661,10 @@ def test_singleton_shape_group_counts_as_fallback():
     rng = np.random.default_rng(3)
     shape = model.input_shape
     lone = rng.normal(size=shape).astype(np.float32)
+    expected = model.partial_forward(lone, 0, "fc7")
+    _refuse_per_tensor_kernels(monkeypatch)
     outputs = executor._infer_ragged([lone], None, "fc7")
-    assert executor._batched_fallbacks == 1
-    np.testing.assert_array_equal(
-        outputs[0], model.partial_forward(lone, 0, "fc7")
-    )
+    np.testing.assert_array_equal(outputs[0], expected)
 
 
 def test_infer_ragged_matches_per_tensor_path():

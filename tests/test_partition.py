@@ -57,13 +57,6 @@ def test_serialize_count_tracks_conversions():
     assert part.serialize_count == 1
 
 
-def test_drop_blob():
-    part = Partition.from_rows(0, _rows())
-    part.serialized_blob()
-    part.drop_blob()
-    assert part.memory_bytes(DESERIALIZED) > 0
-
-
 def test_memory_bytes_deserialized_exact_for_columnar():
     rows = _rows(4)
     part = Partition.from_rows(0, rows)

@@ -455,3 +455,22 @@ def test_the_conv_gather_builds_no_strided_window_view():
         if "as_strided" in _read(path)
     ]
     assert not hits
+
+
+# ---------------------------------------------------------------------
+# the engine runs the batched kernels only
+# ---------------------------------------------------------------------
+def test_the_executor_calls_no_per_tensor_kernel():
+    """Every column, ragged and TensorList ones included, runs through
+    ``partial_forward_batch`` and ``pool_feature_tensor_batch``; the
+    per-tensor kernels stay as the public single-image API and the
+    oracles the tests compare against, and nothing counts a fallback."""
+    executor = _read("src/repro/core/executor.py")
+    for kernel in ("partial_forward(", "pool_feature_tensor("):
+        assert kernel not in executor, kernel
+    hits = [
+        os.path.relpath(path, REPO_ROOT)
+        for path in _src_files("**", "*.py")
+        if "batched_fallback" in _read(path)
+    ]
+    assert not hits

@@ -292,3 +292,48 @@ def test_recovery_log_structure(baseline):
     stamps = [e["sim_time_s"] for e in events]
     assert stamps == sorted(stamps), "simulated time must be monotone"
     assert result.metrics["sim_time_s"] >= stamps[-1]
+
+
+# ---------------------------------------------------------------------
+# the run ledger's optimizer decision
+# ---------------------------------------------------------------------
+def _ledgered(tmp_path, name, run):
+    """Run ``run(ledger)`` against a file-backed ledger; returns the
+    file's ``runsum/v1`` summary and its parsed events."""
+    from repro.observe import RunLedger, read_ledger, summarize_ledger
+
+    ledger = RunLedger(str(tmp_path / f"{name}.jsonl"))
+    try:
+        run(ledger)
+    finally:
+        ledger.close()
+    events, problems = read_ledger(ledger.path)
+    return summarize_ledger(events, problems), events
+
+
+def test_resilient_ledger_knobs_equal_the_plain_twins(tmp_path):
+    """``run_resilient`` records Algorithm 1's choice as ``Vista.run``
+    does, so the summary's knobs (what ``exact-plan-choice`` reads)
+    match the plain twin's."""
+    plain, _ = _ledgered(tmp_path, "plain",
+                         lambda ledger: _make_vista().run(ledger=ledger))
+    resilient, _ = _ledgered(
+        tmp_path, "resilient",
+        lambda ledger: _make_vista().run_resilient(ledger=ledger),
+    )
+    assert set(plain["knobs"]) == {
+        "plan", "cpu", "join", "persistence", "num_partitions"}
+    assert resilient["knobs"] == plain["knobs"]
+
+
+def test_degraded_run_records_one_decision_per_attempt(tmp_path):
+    """Each attempt records the plan and configuration it runs: the
+    broadcast join that crashed, then the shuffle join that recovered."""
+    plan = FaultPlan().task_oom(partition=0, attempt=None, times=4)
+    results = []
+    _, events = _ledgered(tmp_path, "degraded", lambda ledger: results.append(
+        _make_vista().run_resilient(fault_plan=plan, seed=0, ledger=ledger)))
+    decisions = [e for e in events if e["kind"] == "optimizer_decision"]
+    assert len(decisions) == results[0].metrics["recovery_attempts"] == 2
+    assert [d["join"] for d in decisions] == ["broadcast", "shuffle"]
+    assert {d["plan"] for d in decisions} == {"staged/aj"}

@@ -29,31 +29,12 @@ def test_from_rows_clamps_partitions_to_rows(ctx):
     assert table.num_partitions == 3
 
 
-def test_map_rows_transforms_each_record(ctx):
-    table = _table(ctx)
-    doubled = table.map_rows(lambda r: {"id": r["id"], "x2": r["x"] * 2})
-    row = doubled.to_rows_sorted()[5]
-    np.testing.assert_array_equal(row["x2"], np.full(8, 10.0))
-
-
 def test_map_partitions_can_filter(ctx):
     table = _table(ctx)
     evens = table.map_partitions(
         lambda rows: [r for r in rows if r["id"] % 2 == 0]
     )
     assert evens.num_rows() == 20
-
-
-def test_filter_rows(ctx):
-    table = _table(ctx)
-    assert table.filter_rows(lambda r: r["id"] < 10).num_rows() == 10
-
-
-def test_project_keeps_key(ctx):
-    table = _table(ctx)
-    slim = table.project(["label"])
-    row = slim.to_rows_sorted()[0]
-    assert set(row) == {"id", "label"}
 
 
 def test_repartition_by_key_preserves_rows(ctx):
@@ -167,8 +148,3 @@ def test_collect_crash_leaves_nothing_charged_on_the_driver():
     with pytest.raises(DriverMemoryExceeded):
         _table(ctx).collect_block()
     assert ctx.driver.used(Region.DRIVER) == 0
-
-
-def test_max_partition_bytes(ctx):
-    table = _table(ctx)
-    assert table.max_partition_bytes() >= table.memory_bytes() // 8
