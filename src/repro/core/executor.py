@@ -416,14 +416,6 @@ class FeatureTransferExecutor:
             )
         return out
 
-    def _infer_ragged(self, values, from_layer, to_layer):
-        """:meth:`_forward` over an object column (ragged tensors or
-        TensorList rows), one call per exact-shape group
-        (:func:`~repro.tensor.tensorlist.map_shape_groups`)."""
-        return map_shape_groups(
-            values, lambda batch: self._forward(batch, from_layer, to_layer)
-        )
-
     def _inference_map(self, table, step):
         """An ``INFER`` step — partial CNN inference from
         ``step.from_layer`` through every layer of ``step.outputs`` —
@@ -434,8 +426,8 @@ class FeatureTransferExecutor:
         previous layer's ``(N, ...)`` tensors — feeds straight into the
         batched kernels, zero-copy, one micro-batch slice at a time.
         Object columns (ragged tensors, TensorLists) batch by exact
-        shape group via :meth:`_infer_ragged`; a lone shape runs as a
-        stack of one.
+        shape group (:func:`~repro.tensor.tensorlist.map_shape_groups`);
+        a lone shape runs as a stack of one.
         """
         field = "tensor" if step.from_layer else "image"
         to_layer = step.outputs[-1][0]
@@ -452,8 +444,9 @@ class FeatureTransferExecutor:
                 if isinstance(current, np.ndarray):
                     current = self._forward(current, previous, layer)
                 else:
-                    current = pack_column(self._infer_ragged(
-                        current, previous, layer
+                    current = pack_column(map_shape_groups(
+                        current, lambda batch: self._forward(
+                            batch, previous, layer)
                     ))
                 columns[column] = current
                 previous = layer
@@ -615,13 +608,12 @@ class FeatureTransferExecutor:
         self.metrics.update(
             {
                 "shuffle_bytes": context.shuffle_bytes_total,
-                "spilled_bytes": context.total_spilled_bytes(),
-                "spill_read_bytes": context.total_spill_read_bytes(),
+                "spilled_bytes": sum(
+                    w.storage.spilled_bytes_total for w in context.workers),
+                "spill_read_bytes": sum(
+                    w.storage.spill_read_bytes_total for w in context.workers),
                 "tasks_run": sum(w.tasks_run for w in context.workers),
-                "storage_peak_bytes": max(
-                    (w.storage.peak_bytes for w in context.workers),
-                    default=0,
-                ),
+                "storage_peak_bytes": region_peaks["storage"],
                 "region_peak_bytes": region_peaks,
                 "region_budget_bytes": region_budgets,
             }

@@ -391,11 +391,7 @@ class ColumnarBlock:
         fresh read-only arrays. Raises :class:`ValueError` — before
         any column is built — unless ``data`` is exactly as long as
         its header says, and on any column kind it does not know."""
-        if data[:4] != MAGIC:
-            raise ValueError("not a columnar buffer (bad magic)")
-        header_len = int.from_bytes(data[4:8], "little")
-        header = json.loads(bytes(data[8:8 + header_len]))
-        offset = 8 + header_len
+        header, offset = buffer_header(data)
         if offset + sum(spec["len"] for spec in header["cols"]) != len(data):
             raise ValueError("buffer is not the length its header says")
         view = memoryview(data)
@@ -427,6 +423,15 @@ class ColumnarBlock:
             for name, column in self._columns.items()
         }
         return f"<ColumnarBlock {self._num_rows} rows: {kinds}>"
+
+
+def buffer_header(data):
+    """A VCB1 buffer's decoded JSON header (``"n"`` is its row count)
+    and the offset of its first column buffer."""
+    if data[:4] != MAGIC:
+        raise ValueError("not a columnar buffer (bad magic)")
+    header_len = int.from_bytes(data[4:8], "little")
+    return json.loads(bytes(data[8:8 + header_len])), 8 + header_len
 
 
 def is_columnar_buffer(data):

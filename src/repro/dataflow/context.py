@@ -202,21 +202,11 @@ class ClusterContext:
         self._next_table_id += 1
         return f"{prefix}_{self._next_table_id}"
 
-    def total_spilled_bytes(self):
-        return sum(w.storage.spilled_bytes_total for w in self.workers)
-
-    def total_spill_read_bytes(self):
-        return sum(w.storage.spill_read_bytes_total for w in self.workers)
-
     def reset_metrics(self):
         # Metric counters only: a lost worker (excluded_workers) stays
         # lost across runs on the same context.
         for worker in self.workers:
-            worker.storage.spilled_bytes_total = 0
-            worker.storage.spill_read_bytes_total = 0
-            worker.storage.eviction_count = 0
-            worker.storage.hit_count = 0
-            worker.storage.miss_count = 0
+            worker.storage.reset_counters()
             worker.tasks_run = 0
             worker.task_failures = 0
             worker.accountant.reset_peaks()

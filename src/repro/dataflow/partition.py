@@ -1,39 +1,27 @@
 """Data partitions with deserialized and serialized representations.
 
-Section 4.2.3: the persistence format for in-memory intermediate data
-is either *deserialized* (live objects; fast, large) or *serialized*
-(one byte buffer; smaller, pays translation CPU). Partitions support
-both, report their size under each, and count how many times they were
-converted so benchmarks can attribute serialization overhead.
-
-The deserialized payload is a
-:class:`~repro.dataflow.columnar.ColumnarBlock` — one contiguous array
-per column, which batched inference, pooling, and vectorized joins
-consume zero-copy, and whose ``memory_bytes`` is *exact* (real buffer
-sizes). The serialized payload is that block's single-buffer VCB1
-encoding and nothing else: smaller by the zeros ReLU leaves in feature
-tensors (Appendix A), never more than a header larger, and with no
-compressor on the way — deflate cost ~30 MB/s to find 7 % in dense
-float mantissas (EXPERIMENTS.md). ``rows()`` is the row-dict view
-per-row UDFs and ``collect`` read.
+Section 4.2.3: in-memory intermediate data persists either
+*deserialized* (live objects; fast, large) or *serialized* (one byte
+buffer; smaller, pays translation CPU). The deserialized payload is a
+:class:`~repro.dataflow.columnar.ColumnarBlock`, consumed zero-copy and
+sized exactly; the serialized payload is its single-buffer VCB1
+encoding, smaller by the zeros ReLU leaves in feature tensors (Appendix
+A) and with no compressor on the way (EXPERIMENTS.md).
 """
 
 from __future__ import annotations
 
-from repro.dataflow.columnar import ColumnarBlock
+from repro.dataflow.columnar import ColumnarBlock, buffer_header
 
 DESERIALIZED = "deserialized"
 SERIALIZED = "serialized"
 
 
 class Partition:
-    """One partition of a distributed table.
-
-    Holds a columnar block, its VCB1 blob, or both (a blob with a
-    decoded cache). ``block()`` returns the block, decoding the
-    blob if that is all we hold; ``rows()`` materializes row views of
-    it.
-    """
+    """One partition of a distributed table: a columnar block
+    (deserialized), or only its VCB1 blob (serialized), which every
+    ``block()`` call decodes afresh — the decoded block lives as long as
+    its reader holds it, never in the partition."""
 
     def __init__(self, index, block=None, blob=None):
         if block is None and blob is None:
@@ -55,16 +43,23 @@ class Partition:
     def from_block(cls, index, block):
         return cls(index, block=block)
 
+    @property
+    def serialized(self):
+        """True iff the partition holds only its blob."""
+        return self._block is None
+
     def __len__(self):
-        return self.block().num_rows
+        if self._block is None:
+            return buffer_header(self._blob)[0]["n"]
+        return self._block.num_rows
 
     def block(self):
-        """The columnar payload. Decodes the blob on demand (counted
-        as one deserialization)."""
-        if self._block is None:
-            self._block = ColumnarBlock.from_buffer(self._blob)
-            self.deserialize_count += 1
-        return self._block
+        """The columnar payload. A serialized partition decodes its
+        blob (counted as one deserialization) and keeps nothing."""
+        if self._block is not None:
+            return self._block
+        self.deserialize_count += 1
+        return ColumnarBlock.from_buffer(self._blob)
 
     def rows(self):
         """Row dicts — a fresh row view of the block per call."""
@@ -94,9 +89,32 @@ class Partition:
         return self.block().nbytes
 
     def __repr__(self):
-        state = []
-        if self._block is not None:
-            state.append(f"{self._block.num_rows} rows")
-        if self._blob is not None:
-            state.append(f"{len(self._blob)}B blob")
-        return f"<Partition {self.index}: {', '.join(state)}>"
+        form = "blob" if self._block is None else "block"
+        return f"<Partition {self.index}: {len(self)} rows, {form}>"
+
+
+class StoredPartition:
+    """A cached table's partition: its key and the Storage region that
+    holds it. Every read is a ``StorageManager.get``."""
+
+    __slots__ = ("index", "key", "storage", "num_rows", "nbytes")
+
+    def __init__(self, partition, key, storage):
+        self.index = partition.index
+        self.key = key
+        self.storage = storage
+        self.num_rows = len(partition)
+        self.nbytes = partition.block().nbytes
+
+    def block(self):
+        partition = self.storage.get(self.key)
+        if partition is None:
+            raise LookupError(f"partition {self.key} is not cached")
+        return partition.block()
+
+    def __len__(self):
+        return self.num_rows
+
+    def memory_bytes(self):
+        """The deserialized bytes, counted when it was cached."""
+        return self.nbytes

@@ -1,9 +1,9 @@
 """DistributedTable: the engine's table abstraction.
 
 A table is a list of :class:`Partition` objects placed on the simulated
-workers of a :class:`ClusterContext`. Operators are eager (each returns
-a fully materialized new table), which keeps memory accounting exact —
-the workload the paper studies materializes its intermediates anyway.
+workers of a :class:`ClusterContext` (once cached, their Storage keys).
+Operators are eager (each returns a fully materialized new table), which
+keeps memory accounting exact — as the paper's workload does anyway.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dataflow.columnar import ColumnarBlock
-from repro.dataflow.partition import DESERIALIZED, Partition
+from repro.dataflow.partition import DESERIALIZED, Partition, StoredPartition
 from repro.dataflow.executor import run_partition_tasks
 from repro.memory.model import Region
 
@@ -82,8 +82,8 @@ class DistributedTable:
     def num_rows(self):
         return sum(len(p) for p in self.partitions)
 
-    def memory_bytes(self, persistence=DESERIALIZED):
-        return sum(p.memory_bytes(persistence) for p in self.partitions)
+    def memory_bytes(self):
+        return sum(p.memory_bytes() for p in self.partitions)
 
     # ------------------------------------------------------------------
     # operators
@@ -191,10 +191,11 @@ class DistributedTable:
         zero-copy views of the input, where the UDF wrote them (key,
         carried, computed). A partition whose stored keys are not its
         input's, row for row, is rejected and left to recompute."""
-        inputs = {p.index: p.block() for p in self.partitions}
+        inputs = {p.index: p for p in self.partitions}
         kept = {}
         for index, partition in restored.items():
-            block, source = partition.block(), inputs.get(index)
+            block = partition.block()
+            source = inputs[index].block() if index in inputs else None
             if source is None or block.num_rows != source.num_rows or (
                     block.num_rows and not np.array_equal(
                         block.column(self.key), source.column(self.key))):
@@ -250,33 +251,33 @@ class DistributedTable:
             )
 
     def cache(self, persistence=DESERIALIZED):
-        """Persist every partition in its worker's Storage region."""
+        """Hand every partition to its worker's Storage region, keeping
+        only its key: every later read is a ``StorageManager.get``."""
         tracer = self.context.tracer
         with tracer.span(f"cache:{self.name}", table=self.name,
                          persistence=persistence) as sp:
-            for partition in self.partitions:
-                if persistence != DESERIALIZED:
-                    partition.drop_rows()
-                worker = self.context.worker_for(partition.index)
-                worker.storage.cache(
-                    (self.name, partition.index), partition, persistence
+            charged = 0
+            for position, partition in enumerate(self.partitions):
+                stored = StoredPartition(
+                    partition, (self.name, partition.index),
+                    self.context.worker_for(partition.index).storage,
                 )
+                charged += stored.storage.cache(stored.key, partition,
+                                                persistence)
+                self.partitions[position] = stored
             if tracer.enabled:
-                sp.add("bytes", self.memory_bytes(persistence))
+                sp.add("bytes", charged)
                 sp.add("partitions", self.num_partitions)
         return self
 
     def unpersist(self):
-        """Drop every partition from whichever worker's Storage region
-        holds it. Not ``worker_for``: a worker blacklisted since
-        ``cache()`` no longer owns the partition's index (and with all
-        of them gone ``worker_for`` raises), yet its region still
-        carries the charge."""
+        """Drop every cached partition from the region that admitted
+        it, even a worker blacklisted since ``cache()``."""
         tracer = self.context.tracer
         tracer.event("unpersist", table=self.name)
         for partition in self.partitions:
-            for worker in self.context.workers:
-                worker.storage.evict((self.name, partition.index))
+            if isinstance(partition, StoredPartition):
+                partition.storage.evict(partition.key)
         return self
 
     def collect_block(self):

@@ -12,10 +12,9 @@ spans close and estimating time-to-completion.
 The ETA is *online-calibrated*: raw cost-model seconds are paper-scale
 absolutes that can drift far from a mini-scale container run (the
 end-to-end benchmark reports ``costmodel.predicted_over_observed`` in
-the hundreds), but the *relative* stage
-weights track the workload shape. So the ETA scales the predicted
-remaining seconds by the observed/predicted ratio over the stages
-already finished::
+the hundreds), and the error differs per stage kind. So a pending
+stage is priced from the finished stages of its kind (a new kind at
+the mean finished stage)::
 
     eta = (observed_done / predicted_done) × predicted_remaining
 
@@ -310,11 +309,13 @@ class ProgressState:
 
     def eta_s(self):
         """Estimated remaining seconds: each unfinished stage priced
-        by its kind's fitted online model (affine or ratio, see
-        :meth:`_bucket_models`; global ratio as fallback), scaled by
-        the run's wall-vs-span inflation."""
+        by its kind's fitted online model (:meth:`_bucket_models`) — or,
+        for a kind none of whose stages finished, at the mean finished
+        stage (its prediction before any) — scaled by the run's
+        wall-vs-span inflation."""
         models = self._bucket_models()
-        fallback = self.calibration_ratio()
+        observed = [stage.observed_s or 0.0
+                    for stage in self.plan.stages if stage.done]
         remaining = 0.0
         current = self.next_stage()
         for stage in self.plan.stages:
@@ -322,7 +323,8 @@ class ProgressState:
                 continue
             model = models.get(self._bucket(stage))
             if model is None:
-                estimate = stage.predicted_s * fallback
+                estimate = (sum(observed) / len(observed) if observed
+                            else stage.predicted_s)
             elif model[0] == "affine":
                 estimate = max(
                     0.0, model[1] + model[2] * stage.predicted_s

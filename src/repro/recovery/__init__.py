@@ -1,7 +1,7 @@
 """Durable checkpoint/resume for long materialization runs.
 
-See :mod:`repro.recovery.store` for the wave-file layout and its
-integrity checks; DESIGN.md §4i for the resume protocol.
+See :mod:`repro.recovery.store` for the store over the wave-file layout
+and its integrity checks; DESIGN.md §4i for the resume protocol.
 """
 
 from repro.recovery.store import (

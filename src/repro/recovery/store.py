@@ -4,26 +4,21 @@ A feature-transfer run is a sequence of materialized stages (partial
 CNN inference tables, ``f̂_l`` prefixes). The vectorized train tables
 are a pool + concat of those and are rebuilt on resume, not stored.
 This module makes stage outputs *durable artifacts* (DeepLens's
-materialized-view stance, SystemML's lineage-backed intermediates) and
-is the only one that knows their format. A namespace is a run
-fingerprint, or one :class:`~repro.features.store.FeatureStore` entry,
-and its wave files are the whole store: no side index names them.
+materialized-view stance, SystemML's lineage-backed intermediates). A
+namespace is a run fingerprint, or one
+:class:`~repro.features.store.FeatureStore` entry, and its wave files
+are the whole store: no side index names them.
 
 Layout
 ------
-The unit of durability is the committed task wave: one file,
-``<stage>__<seq>.ckpt``, holding the wave's VCB1 payloads, then a JSON
-footer (the stage, the wave's ``seq``, the lineage it was given, and
-each partition's ``{offset, nbytes, sha256, num_rows}``), the footer's
-SHA-256 and length, and :data:`WAVE_MAGIC`. It is written by
-:func:`repro.atomic_io.atomic_write_bytes` (tmp + fsync + rename), and
-its rename is the wave's commit point.
-:meth:`CheckpointStore.bind_run` indexes a namespace from its footers,
-the latest ``seq`` winning per stage and partition. It removes stray
-``*.tmp`` files, files that are no wave of this layout, and waves that
-later ones fully superseded; a wave whose footer fails its digest (a
-torn or damaged file) is removed and counted as corrupt, so only its
-partitions are recomputed.
+One wave file (:mod:`repro.wavefile`) per committed task wave,
+``<stage>__<seq>.ckpt``, its footer carrying the stage, ``seq`` and
+lineage; :func:`repro.atomic_io.atomic_write_bytes` writes it (tmp +
+fsync + rename), and the rename commits the wave.
+:meth:`CheckpointStore.bind_run` indexes a namespace from its footers
+(latest ``seq`` wins) and removes stray ``*.tmp`` files, non-waves and
+fully superseded waves; a wave whose footer fails its digest is removed
+and counted as corrupt, so only its partitions are recomputed.
 
 Integrity
 ---------
@@ -40,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 import os
 import re
@@ -50,14 +44,9 @@ from repro.dataflow.columnar import ColumnarBlock, is_columnar_buffer
 from repro.dataflow.partition import Partition
 from repro.exceptions import CheckpointIntegrityError
 from repro.metrics import NULL_METRICS
-
-#: Wave-footer schema tag; part of the run fingerprint, so a run
-#: namespace written in another layout is never opened.
-CHECKPOINT_SCHEMA = "ckpt/v4"
-#: A wave file ends with its footer's SHA-256 (32 bytes), its length
-#: (8 bytes, little-endian) and this tag.
-WAVE_MAGIC = b"CKW1"
-_TRAILER = 32 + 8 + len(WAVE_MAGIC)
+from repro.wavefile import (
+    CHECKPOINT_SCHEMA, encode_wave, read_footer, sha256_hex,
+)
 
 _UNSAFE = re.compile(r"[^A-Za-z0-9_.-]+")
 
@@ -68,20 +57,11 @@ def _safe(name):
     return _UNSAFE.sub("-", str(name)).strip("-")
 
 
-def sha256_hex(data):
-    return hashlib.sha256(data).hexdigest()
-
-
 def _integrity_error(stage_id, index, problem):
     return CheckpointIntegrityError(
         f"stage {stage_id!r} partition {index}: {problem}",
         stage=str(stage_id), partition=index,
     )
-
-
-def _json_bytes(value):
-    return json.dumps(
-        value, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def run_fingerprint(model_name, model_seed, layers, dataset_fp, plan_label,
@@ -214,20 +194,7 @@ class CheckpointStore:
         digest."""
         if not name.endswith(".ckpt"):
             return None
-        with open(os.path.join(self._run_dir, name), "rb") as handle:
-            end = handle.seek(0, os.SEEK_END) - _TRAILER
-            handle.seek(max(0, end))
-            trailer = handle.read()
-            length = int.from_bytes(trailer[-12:-4], "little")
-            footer = b""
-            if trailer.endswith(WAVE_MAGIC) and length <= end:
-                handle.seek(end - length)
-                footer = handle.read(length)
-        if hashlib.sha256(footer).digest() != trailer[:32]:
-            raise CheckpointIntegrityError(
-                f"wave file {name}: footer fails its digest (torn write)")
-        footer = json.loads(footer)
-        return footer if footer["schema"] == CHECKPOINT_SCHEMA else None
+        return read_footer(os.path.join(self._run_dir, name))
 
     def _adopt(self, filename, footer):
         """Index a committed wave: its entries supersede the stage's
@@ -279,29 +246,11 @@ class CheckpointStore:
         filename = f"{_safe(stage_id)}__{self._seq}.ckpt"
         path = os.path.join(self._run_dir, filename)
         payloads = [encode_partition(partition) for partition in partitions]
-        offsets = itertools.accumulate(map(len, payloads), initial=0)
-        footer = {
-            "schema": CHECKPOINT_SCHEMA, "seq": self._seq,
-            "stage": str(stage_id), "lineage": lineage,
-            "partitions": {
-                str(partition.index): {
-                    "offset": offset, "nbytes": len(payload),
-                    "sha256": sha256_hex(payload),
-                    "num_rows": len(partition),
-                }
-                for partition, payload, offset in zip(partitions, payloads,
-                                                      offsets)
-            },
-        }
-        footer_bytes = _json_bytes(footer)
-        nbytes = atomic_write_bytes(
-            path,
-            b"".join([*payloads, footer_bytes,
-                      hashlib.sha256(footer_bytes).digest(),
-                      len(footer_bytes).to_bytes(8, "little"), WAVE_MAGIC]),
-            fsync=self.fsync, io=self.io,
-        )
-        self._adopt(filename, json.loads(footer_bytes))
+        data, footer = encode_wave(partitions, payloads, seq=self._seq,
+                                   stage=str(stage_id), lineage=lineage)
+        nbytes = atomic_write_bytes(path, data, fsync=self.fsync,
+                                    io=self.io)
+        self._adopt(filename, footer)
         if self.fault_injector is not None:
             self.fault_injector.on_checkpoint_write(
                 stage_id, path, footer["partitions"])

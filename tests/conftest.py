@@ -1,6 +1,7 @@
 """Shared fixtures: mini models, small datasets, and local contexts."""
 
 import os
+import tempfile
 import threading
 
 import numpy as np
@@ -27,11 +28,13 @@ def no_leaks(tmp_path, monkeypatch):
     """After every test, pass or fail: no child process left (live or
     zombie), no thread left (a model's training lanes included), the
     same open fds as before, nothing of ours in /dev/shm,
-    no ``*.tmp`` from an unfinished atomic write under the test's own
-    ``tmp_path``, and — once a ``FeatureTransferExecutor.run`` has
-    returned or raised — no partition still charged to a worker's
-    Storage region and no byte still charged to any accountant region
-    of a worker or the driver."""
+    no ``*.tmp`` from an unfinished atomic write, no ``*.spill`` file and
+    no ``vista-spill-*`` directory under the test's own ``tmp_path``
+    (which stands in for the system temp directory), and — once a
+    ``FeatureTransferExecutor.run`` has returned or raised — no
+    partition still charged to a worker's Storage region and no byte
+    still charged to any accountant region of a worker or the driver."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     fds_before = _open_fds()
     threads_before = set(threading.enumerate())
     still_cached = []
@@ -74,8 +77,10 @@ def no_leaks(tmp_path, monkeypatch):
         ]
     assert not [
         os.path.join(folder, name)
-        for folder, _, names in os.walk(tmp_path)
-        for name in names if name.endswith(".tmp")
+        for folder, folders, names in os.walk(tmp_path)
+        for name in names + folders
+        if name.endswith((".tmp", ".spill"))
+        or name.startswith("vista-spill-")
     ]
 
 

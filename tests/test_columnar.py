@@ -652,37 +652,67 @@ def test_train_vector_of_a_tensorlist_row_concatenates_its_members():
 
 
 def test_lone_shape_tensor_runs_the_batched_path(monkeypatch):
-    """A shape with nothing to batch against runs the batched kernels
-    as a stack of one, bit-identical to ``CNN.partial_forward``."""
+    """An object image column whose partitions hold one tensor each — a
+    shape with nothing to batch against — runs the batched kernels as a
+    stack of one, and trains on the per-tensor oracle's vectors bit for
+    bit."""
+    import dataclasses
+
+    from repro.core.plans import STAGED
     from repro.data import foods_dataset
 
-    executor = _ragged_executor(foods_dataset(num_records=4))
-    model = executor.cnn
-    rng = np.random.default_rng(3)
-    shape = model.input_shape
-    lone = rng.normal(size=shape).astype(np.float32)
-    expected = model.partial_forward(lone, 0, "fc7")
+    base = foods_dataset(num_records=3)
+    ids = base.t_img.column("id")
+    images = list(base.t_img.column("image"))
+    dataset = dataclasses.replace(
+        base, t_img=ColumnarBlock({"id": ids, "image": images}, len(ids)),
+    )
+    executor = _ragged_executor(
+        dataset, num_partitions=3,
+        downstream_fn=lambda f, l: {"matrix": f.copy()},
+    )
+    oracle = _per_tensor_oracle(executor.cnn, dataset, "fc7")
     _refuse_per_tensor_kernels(monkeypatch)
-    outputs = executor._infer_ragged([lone], None, "fc7")
-    np.testing.assert_array_equal(outputs[0], expected)
+    result = executor.run(STAGED)
+    np.testing.assert_array_equal(
+        result.layer_results["fc7"].downstream["matrix"], oracle
+    )
 
 
-def test_infer_ragged_matches_per_tensor_path():
-    """Shape-grouped batched inference is bit-identical to running
-    each tensor through the per-tensor kernel, TensorLists included."""
-    from repro.data import foods_dataset
+def test_infer_ragged_matches_per_tensor_path(monkeypatch):
+    """Shape-grouped batched inference is bit-identical to running each
+    tensor through the per-tensor kernel, TensorLists included: rows
+    whose members repeat other rows' images, inferred from the image
+    and then from the TensorList tensor column, under Staged and
+    Lazy."""
+    import dataclasses
 
-    executor = _ragged_executor(foods_dataset(num_records=4))
-    model = executor.cnn
-    rng = np.random.default_rng(3)
-    shape = model.input_shape
-    values = [rng.normal(size=shape).astype(np.float32) for _ in range(5)]
-    values.append(TensorList([values[0].copy(), values[1].copy()]))
-    outputs = executor._infer_ragged(values, None, "fc7")
-    for value, out in zip(values[:5], outputs[:5]):
-        np.testing.assert_array_equal(
-            out, model.partial_forward(value, 0, "fc7")
-        )
-    assert isinstance(outputs[5], TensorList)
-    np.testing.assert_array_equal(outputs[5][0], outputs[0])
-    np.testing.assert_array_equal(outputs[5][1], outputs[1])
+    from repro.core.plans import LAZY, STAGED
+    from repro.data.synthetic import generate_dataset
+
+    base = generate_dataset(
+        "multi", num_records=6, num_structured_features=16,
+        images_per_record=2, seed=3,
+    )
+    cells = base.t_img.column("image")
+    images = [TensorList([cells[i][0].copy(), cells[(i + 1) % 6][0].copy()])
+              for i in range(6)]
+    ids = base.t_img.column("id")
+    dataset = dataclasses.replace(
+        base, t_img=ColumnarBlock({"id": ids, "image": images}, len(ids)),
+    )
+    layers = ("fc7", "fc8")
+    executor = _ragged_executor(
+        dataset, num_partitions=2, layers=layers,
+        downstream_fn=lambda f, l: {"matrix": f.copy()},
+    )
+    oracle = {layer: _per_tensor_oracle(executor.cnn, dataset, layer)
+              for layer in layers}
+    _refuse_per_tensor_kernels(monkeypatch)
+    for plan in (STAGED, LAZY):
+        result = executor.run(plan)
+        for layer in layers:
+            np.testing.assert_array_equal(
+                result.layer_results[layer].downstream["matrix"],
+                oracle[layer],
+            )

@@ -17,6 +17,7 @@ nothing else restores; stray ``*.tmp`` files are gone; and the run can
 carry on from there.
 """
 
+import mmap
 import os
 
 import numpy as np
@@ -437,3 +438,123 @@ def test_feature_store_reopen_reclaims_an_uncommitted_payload(tmp_path):
     assert not reopened.contains(*FEATURE_KEY)
     assert reopened.entries() == []
     assert reopened.total_bytes() == 0
+
+
+# ----------------------------------------------------------------------
+# Storage spill files: killed mid-spill and mid-re-read
+# ----------------------------------------------------------------------
+class Counted:
+    """Stands in for ``call`` and "kills the process" at its
+    ``kill_after``-th use, after writing ``written`` of the bytes it was
+    given (a spill file's ``write_all``: 0, half, all); ``mmap.mmap``
+    with ``written`` None."""
+
+    def __init__(self, call, kill_after=None, written=None):
+        self.call = call
+        self.calls = 0
+        self.kill_after = kill_after
+        self.written = written
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls != self.kill_after:
+            return self.call(*args, **kwargs)
+        if self.written is not None:
+            fd, data = args
+            os.write(fd, bytes(data[:int(len(data) * self.written)]))
+        raise Killed()
+
+
+_SPILL_CACHE = {}
+
+
+def _spill_run(spill_dir, squeeze=True):
+    """Eager over AlexNet-mini, serialized, on one worker whose Storage
+    holds one partition: its cache spills, and each of its three
+    projections re-reads the spill files."""
+    from repro.cnn import build_model
+    from repro.core.config import VistaConfig
+    from repro.core.executor import FeatureTransferExecutor
+    from repro.core.plans import ALL_PLANS
+    from repro.dataflow.context import local_context
+    from tests.test_plan_equivalence_prop import admissions
+
+    if not _SPILL_CACHE:
+        _SPILL_CACHE.update(
+            model=build_model("alexnet", profile="mini"),
+            dataset=foods_dataset(num_records=64),
+        )
+    model = _SPILL_CACHE["model"]
+    ctx = local_context(num_nodes=1, cores_per_node=2, cpu=2,
+                        exec_backend="serial")
+    storage = ctx.workers[0].storage
+    storage.spill_dir = str(spill_dir)
+    if squeeze:
+        if "squeezed" not in _SPILL_CACHE:
+            with admissions() as charged:
+                _spill_run(spill_dir, squeeze=False)
+            _SPILL_CACHE["squeezed"] = max(charged)
+        storage.capacity_bytes = _SPILL_CACHE["squeezed"]
+    executor = FeatureTransferExecutor(
+        ctx, model, _SPILL_CACHE["dataset"], model.feature_layers[-3:],
+        VistaConfig(cpu=2, num_partitions=4, mem_storage_bytes=10**9,
+                    mem_user_bytes=10**9, mem_dl_bytes=10**9,
+                    join="shuffle", persistence="serialized"),
+        downstream_fn=_downstream,
+    )
+    return executor.run(ALL_PLANS["eager"])
+
+
+def test_spill_kill_points_exist(tmp_path, monkeypatch):
+    """The squeezed run writes more than one spill file and re-reads
+    more than three times, so the kills below land where they say."""
+    from repro.dataflow import storage
+
+    writes = Counted(storage.write_all)
+    reads = Counted(mmap.mmap)
+    monkeypatch.setattr(storage, "write_all", writes)
+    monkeypatch.setattr(mmap, "mmap", reads)
+    _spill_run(tmp_path)
+    assert writes.calls >= 2 and reads.calls >= 3
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("kill", [
+    ("write", 1, 0.0), ("write", 1, 0.5), ("write", 2, 1.0),
+    ("mmap", 1, None), ("mmap", 3, None),
+], ids=["spill-opened", "spill-half-written", "spill-written-unclosed",
+        "first-re-read", "third-re-read"])
+def test_a_run_killed_mid_spill_or_mid_re_read_leaves_nothing(
+        tmp_path, monkeypatch, kill):
+    """Killed with a spill file just created, half written or written
+    but not closed, or at a spill re-read, the run raises and its
+    unwinding removes every spill file it made. The next run in the same
+    ``spill_dir`` never reads a file it did not write — a planted wave
+    file of other rows stays unread and untouched — trains on the
+    unkilled run's exact matrices, and leaves nothing of its own."""
+    from repro.dataflow import storage
+
+    spill_dir = tmp_path / "spill"
+    spill_dir.mkdir()
+    plain = _spill_run(spill_dir, squeeze=False)
+    call, kill_after, written = kill
+    module, name = (storage, "write_all") if call == "write" else (
+        mmap, "mmap")
+    with monkeypatch.context() as patch:
+        patch.setattr(module, name, Counted(getattr(module, name),
+                                            kill_after, written))
+        with pytest.raises(Killed):
+            _spill_run(spill_dir)
+    assert os.listdir(spill_dir) == []
+
+    decoy = spill_dir / "decoy.spill"
+    decoy.write_bytes(_partition(7).block().to_buffer())
+    resumed = _spill_run(spill_dir)
+    assert resumed.metrics["spill_read_bytes"] > 0
+    assert os.listdir(spill_dir) == ["decoy.spill"]
+    decoy.unlink()
+    for layer, expected in plain.layer_results.items():
+        assert np.array_equal(
+            resumed.layer_results[layer].downstream["matrix"],
+            expected.downstream["matrix"],
+        ), layer

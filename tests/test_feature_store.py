@@ -67,7 +67,7 @@ class TestStore:
         import json
 
         from repro.dataflow.columnar import ColumnarBlock
-        from repro.recovery.store import WAVE_MAGIC
+        from repro.wavefile import WAVE_MAGIC
 
         rows = _rows()
         stored = store.put("alexnet", "conv5", "fp1", rows)

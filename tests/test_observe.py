@@ -585,6 +585,30 @@ def test_eta_affine_calibration_handles_flat_observed_costs():
     assert 0.025 <= eta <= 0.1, f"eta {eta:.4f}s not near the flat 0.05s"
 
 
+def test_eta_prices_an_unseen_kind_from_observed_walls():
+    """A sub-second run whose train stages the cost model prices at
+    21.5 s each: after the read and the first inference stage finished
+    in milliseconds, and before any train stage did, the ETA stays
+    under a second — not 21.5 s scaled by the ratio the read and the
+    inference stage learned."""
+    stages = [{"key": "read", "matcher": "read", "predicted_s": 0.005}]
+    for layer in ("conv5", "fc6", "fc7"):
+        stages += [
+            {"key": f"inference:{layer}", "matcher": f"inference:{layer}",
+             "predicted_s": 0.01},
+            {"key": f"train:{layer}", "matcher": f"train:{layer}",
+             "predicted_s": 21.5},
+        ]
+    state = ProgressState(StagePlan.from_list(stages))
+    wall = 0.0
+    for name in ("read", "inference:conv5"):
+        wall += 0.004
+        state.on_event({"kind": "span_end", "name": name,
+                        "span_s": 0.004, "wall_s": wall})
+    eta = state.eta_s()
+    assert 0.0 < eta < 1.0, f"eta {eta:.2f}s for a sub-second run"
+
+
 # ---------------------------------------------------------------------
 # worker_kill chaos: the ledger records the loss as it happens
 # ---------------------------------------------------------------------

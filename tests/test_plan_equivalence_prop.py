@@ -19,6 +19,7 @@ The seed list is fixed so CI runs an exact, reproducible matrix; add
 seeds to widen coverage.
 """
 
+import dataclasses
 import os
 import random
 import threading
@@ -32,7 +33,9 @@ from repro.core.config import VistaConfig
 from repro.core.executor import FeatureTransferExecutor, default_downstream
 from repro.core.plans import ALL_PLANS
 from repro.data import foods_dataset
+from repro.data.synthetic import generate_dataset
 from repro.dataflow.context import local_context
+from repro.dataflow.storage import StorageManager
 from repro.features.pooling import pool_feature_tensor
 from repro.observe.ledger import RunLedger
 
@@ -93,9 +96,15 @@ def _downstream(features, labels):
 
 
 def _run_plan(model, dataset, layers, config, plan, downstream_fn=None,
-              checkpoint_store=None, exec_backend=None, ledger=None):
-    ctx = local_context(num_nodes=2, cores_per_node=4, cpu=config.cpu,
-                        exec_backend=exec_backend)
+              checkpoint_store=None, exec_backend=None, ledger=None,
+              num_nodes=2, storage_bytes=None):
+    """One run on a fresh local context; ``storage_bytes`` resizes
+    every worker's Storage region."""
+    ctx = local_context(num_nodes=num_nodes, cores_per_node=4,
+                        cpu=config.cpu, exec_backend=exec_backend)
+    if storage_bytes is not None:
+        for worker in ctx.workers:
+            worker.storage.capacity_bytes = storage_bytes
     executor = FeatureTransferExecutor(
         ctx, model, dataset, list(layers), config,
         downstream_fn=downstream_fn or _downstream,
@@ -219,6 +228,65 @@ def test_backends_bit_identical(seed):
                     f"seed {seed}: plan {name} wire-format bytes per row "
                     f"diverged between serial and {backend} on {layer}"
                 )
+
+
+@contextmanager
+def admissions():
+    """The bytes of every ``StorageManager.cache`` admission inside the
+    block, in order."""
+    charged = []
+    cache = StorageManager.cache
+
+    def spy(self, *args, **kwargs):
+        charged.append(cache(self, *args, **kwargs))
+        return charged[-1]
+
+    StorageManager.cache = spy
+    try:
+        yield charged
+    finally:
+        StorageManager.cache = cache
+
+
+@pytest.mark.parametrize("seed", SEEDS[:2])
+def test_squeezed_storage_is_bit_identical(seed):
+    """The Storage region is the one holder of a cached partition, so
+    squeezing it moves partitions to spill files and back without
+    moving a feature bit. On one worker whose region holds one
+    partition (the largest a roomy run admitted), every plan on serial
+    and thread lanes, deserialized and serialized, trains on exactly
+    the roomy run's matrices, and every plan that caches spills and
+    reads its spill files back. Odd seeds run a TensorList dataset
+    (two images per record)."""
+    model_name, model, layers, dataset, config = workload_from_seed(seed)
+    if seed % 2:
+        dataset = generate_dataset(
+            "multi", num_records=dataset.t_img.num_rows,
+            num_structured_features=16, images_per_record=2, seed=seed,
+        )
+    for persistence in ("deserialized", "serialized"):
+        cell = dataclasses.replace(config, persistence=persistence)
+        for backend in ("serial", "threads"):
+            for name, plan in ALL_PLANS.items():
+                where = (f"seed {seed} ({model_name}, {persistence}, "
+                         f"{backend}, np={cell.num_partitions}): {name}")
+                with admissions() as charged:
+                    roomy = _run_plan(model, dataset, layers, cell, plan,
+                                      exec_backend=backend, num_nodes=1)
+                if not charged:
+                    continue  # a Lazy plan caches nothing
+                squeezed = _run_plan(
+                    model, dataset, layers, cell, plan,
+                    exec_backend=backend, num_nodes=1,
+                    storage_bytes=max(charged),
+                )
+                assert squeezed.metrics["spilled_bytes"] > 0, where
+                assert squeezed.metrics["spill_read_bytes"] > 0, where
+                for layer, expected in roomy.layer_results.items():
+                    got = squeezed.layer_results[layer].downstream
+                    assert np.array_equal(
+                        got["matrix"], expected.downstream["matrix"]
+                    ), f"{where} diverged bitwise on layer {layer}"
 
 
 def _single_image_oracle(model, dataset, layer):

@@ -113,6 +113,7 @@ def test_storage_conservation(sizes, capacity):
         total, storage.used_bytes
     )
     assert storage.used_bytes >= 0
+    storage.clear()  # its spill files go with it
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=50),

@@ -36,7 +36,7 @@ from repro.recovery import (
     run_fingerprint,
     sha256_hex,
 )
-from repro.recovery.store import WAVE_MAGIC
+from repro.wavefile import WAVE_MAGIC
 
 
 def _array_partition(index, n=6, seed=0):
@@ -749,8 +749,9 @@ def _plan_run(root, plan_name, num_records=24, num_partitions=4,
 
 
 def _spy_checkpointed_maps(monkeypatch):
-    """``(input table, output table, checkpoint)`` of every
-    checkpointed ``map_blocks`` call."""
+    """``(input blocks, output blocks, checkpoint)`` of every
+    checkpointed ``map_blocks`` call, read as it returns: a table
+    cached later is only readable while it is cached."""
     from repro.dataflow.table import DistributedTable
 
     calls = []
@@ -760,7 +761,8 @@ def _spy_checkpointed_maps(monkeypatch):
         out = original(self, block_fn, *args, checkpoint=checkpoint,
                        **kwargs)
         if checkpoint is not None:
-            calls.append((self, out, checkpoint))
+            calls.append(([p.block() for p in self.partitions],
+                          [p.block() for p in out.partitions], checkpoint))
         return out
 
     monkeypatch.setattr(DistributedTable, "map_blocks", spy)
@@ -808,11 +810,10 @@ def test_restored_stage_carries_its_input_columns_by_reference(
     assert store.recompute_total == 0
     _assert_bit_identical(resumed, plain)
     assert calls
-    for table, out, (_, stage_id, carried) in calls:
+    for sources, blocks, (_, stage_id, carried) in calls:
         assert stage_id.endswith("+aj") == CARRY_PLANS[plan_name]
         assert bool(carried) == CARRY_PLANS[plan_name]
-        for source, partition in zip(table.partitions, out.partitions):
-            block, source = partition.block(), source.block()
+        for source, block in zip(sources, blocks):
             if not block.num_rows:
                 continue
             names = block.column_names

@@ -325,9 +325,9 @@ def test_no_compressor_under_dataflow_or_features():
 
 
 def test_one_module_owns_the_durable_store_format():
-    """``recovery/store.py`` owns the durable format: wave files, their
-    footers, digests and atomic writes. The feature store is a keying
-    over it and encodes, hashes and writes nothing itself."""
+    """``recovery/store.py`` owns the durable store over the wave-file
+    layout: footers, digests and atomic writes. The feature store is a
+    keying over it and encodes, hashes and writes nothing itself."""
     store = _read("src/repro/features/store.py")
     imported = set()
     for node in ast.walk(ast.parse(store)):
@@ -474,3 +474,81 @@ def test_the_executor_calls_no_per_tensor_kernel():
         if "batched_fallback" in _read(path)
     ]
     assert not hits
+
+
+# ---------------------------------------------------------------------
+# one partition store: a cached partition lives only in its region
+# ---------------------------------------------------------------------
+def test_a_cached_partition_is_read_only_through_storage_get():
+    """Nothing in ``dataflow/`` or ``core/`` reads a cached partition
+    except through ``StorageManager.get``. Statically, no module there
+    but ``dataflow/storage.py`` touches a region's entries. On a
+    spilling engine run (Eager, serialized, one worker whose Storage
+    holds one partition), once ``cache()`` returns the table holds
+    ``StoredPartition`` keys only and every evicted partition is gone
+    from the heap, so what reads the table afterwards reads through the
+    region — whose hit and spill-read counters end above zero."""
+    import gc
+    import weakref
+
+    from repro.cnn import build_model
+    from repro.core.config import VistaConfig
+    from repro.core.executor import FeatureTransferExecutor
+    from repro.core.plans import ALL_PLANS
+    from repro.data import foods_dataset
+    from repro.dataflow.context import local_context
+    from repro.dataflow.partition import StoredPartition
+    from repro.dataflow.table import DistributedTable
+    from tests.test_plan_equivalence_prop import admissions
+
+    hits = [
+        os.path.relpath(path, REPO_ROOT)
+        for package in ("dataflow", "core")
+        for path in _src_files(package, "*.py")
+        if not path.endswith(os.path.join("dataflow", "storage.py"))
+        and re.search(r"\._(cached|spilled)\b", _read(path))
+    ]
+    assert not hits
+
+    model = build_model("alexnet", profile="mini")
+    dataset = foods_dataset(num_records=64)
+    config = VistaConfig(
+        cpu=2, num_partitions=4, mem_storage_bytes=10**9,
+        mem_user_bytes=10**9, mem_dl_bytes=10**9, join="shuffle",
+        persistence="serialized",
+    )
+
+    def run(storage_bytes=None):
+        ctx = local_context(num_nodes=1, cores_per_node=2, cpu=2)
+        if storage_bytes is not None:
+            ctx.workers[0].storage.capacity_bytes = storage_bytes
+        executor = FeatureTransferExecutor(
+            ctx, model, dataset, model.feature_layers[-3:], config,
+            downstream_fn=lambda features, labels: {},
+        )
+        return ctx, executor.run(ALL_PLANS["eager"])
+
+    with admissions() as charged:
+        run()
+    evicted = []
+    cache = DistributedTable.cache
+
+    def checked_cache(self, persistence):
+        held = [weakref.ref(partition) for partition in self.partitions]
+        cache(self, persistence)
+        assert all(isinstance(p, StoredPartition) for p in self.partitions)
+        (worker,) = self.context.workers
+        gc.collect()
+        evicted.extend(
+            ref() is None for ref, stored in zip(held, self.partitions)
+            if stored.key in worker.storage.spilled_keys())
+        return self
+
+    DistributedTable.cache = checked_cache
+    try:
+        ctx, result = run(storage_bytes=max(charged))
+    finally:
+        DistributedTable.cache = cache
+    assert evicted and all(evicted)
+    assert ctx.workers[0].storage.hit_count > 0
+    assert result.metrics["spill_read_bytes"] > 0
