@@ -341,7 +341,7 @@ def cmd_run(args):
         resources=resources,
         exec_backend=getattr(args, "backend", None),
     )
-    config = vista.optimize(tracer=tracer, metrics=metrics_registry)
+    config = vista.optimize(tracer=tracer)
     print(f"optimizer: {config.describe()}")
     context = vista.build_context(config)
     if getattr(args, "inject_straggler", None):

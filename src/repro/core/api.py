@@ -82,11 +82,11 @@ class Vista:
         self._config = None
 
     # ------------------------------------------------------------------
-    def optimize(self, tracer=None, metrics=None):
+    def optimize(self, tracer=None):
         """Run Algorithm 1; returns the chosen :class:`VistaConfig`."""
         self._config = optimize(
             self.workload, self.resources, downstream=self.downstream_spec,
-            backend=self.backend, tracer=tracer, metrics=metrics,
+            backend=self.backend, tracer=tracer,
         )
         return self._config
 
@@ -140,9 +140,7 @@ class Vista:
         :class:`~repro.core.executor.WorkloadResult` with one trained
         downstream model per explored feature layer.
         """
-        config = self._config or self.optimize(
-            tracer=tracer, metrics=metrics
-        )
+        config = self._config or self.optimize(tracer=tracer)
         record_decision(ledger, plan or self.plan, config)
         context = context or self.build_context(config)
         executor = FeatureTransferExecutor(
@@ -161,8 +159,7 @@ class Vista:
 
         ``what_if`` (a dict of :data:`repro.explain.whatif.PIN_KEYS`
         pins) attaches a priced what-if report for a pinned
-        configuration, including the engine-exact peak predictions for
-        this instance's executable CNN and dataset.
+        configuration of this instance's executable CNN and dataset.
         Returns an :class:`~repro.explain.ExplainResult`; render it
         with :func:`repro.report.render_explain`.
         """
@@ -171,7 +168,6 @@ class Vista:
         return explain_fn(
             self.workload, self.resources, downstream=self.downstream_spec,
             backend=self.backend, what_if_pins=what_if,
-            executable=self.workload,
         )
 
     def run_resilient(self, plan=None, premat_layer=None, fault_plan=None,

@@ -18,12 +18,14 @@ this invariant.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
 
-from repro.core.config import DEFAULT_ALPHA, DatasetStats, Workload
+from repro.core.config import DatasetStats, Workload
 from repro.core.plans import SOURCE, Op, compile_plan, infer_step
+from repro.costmodel.runtime import walk_plan
 from repro.dataflow.backend import SERIAL_BACKEND, on_driver
 from repro.dataflow.columnar import ColumnarBlock, pack_column
 from repro.dataflow.executor import charge_model_replicas
@@ -144,7 +146,8 @@ class FeatureTransferExecutor:
     model_mem_bytes:
         Per-replica DL memory charge; defaults to the executable
         model's own ``cnn.stats.runtime_mem_bytes`` (its weights plus
-        one micro-batch of kernel working set).
+        one micro-batch of kernel working set). The predicted DL peak
+        prices the default.
 
     Inference runs in micro-batches of ``cnn.stats.micro_batch_rows``
     rows (:func:`~repro.cnn.shapes.micro_batch_rows`), whatever the
@@ -216,6 +219,7 @@ class FeatureTransferExecutor:
         self._measured_table_bytes = {}
         self.context.reset_metrics()
         config = self.config
+        self._predict_peaks(plan, premat_layer)
         self._bind_checkpoints(plan)
         previous_timer = self.cnn.op_timer
         op_hook = self._op_timer_hook()
@@ -249,6 +253,30 @@ class FeatureTransferExecutor:
             plan.label, layer_results, dict(self.metrics), trace=trace,
             metrics_registry=registry,
         )
+
+    @cached_property
+    def workload(self):
+        """The planner's record of this run: the executable CNN's
+        statistics, the layers and the dataset's statistics."""
+        return Workload(self.cnn.stats, self.layers,
+                        DatasetStats.from_dataset(self.dataset))
+
+    def _predict_peaks(self, plan, premat_layer):
+        """With metrics on, the plan walk's prediction of every region's
+        peak for this run, as ``predicted_peak_bytes`` gauges the run
+        report scores the observed waterlines against. The walk takes
+        the config with the context's ``cpu`` and node count, which the
+        engine's waves and replicas follow."""
+        metrics = self.metrics_registry
+        if not metrics.enabled:
+            return
+        context = self.context
+        peaks = walk_plan(
+            replace(self.workload, base_layer=premat_layer), plan,
+            (replace(self.config, cpu=context.cpu), context.num_nodes),
+        ).region_peaks
+        for region, nbytes in peaks.items():
+            metrics.gauge("predicted_peak_bytes", region=region).set(nbytes)
 
     def _bind_checkpoints(self, plan):
         """Bind the checkpoint store (if any) to this run's identity.
@@ -295,10 +323,7 @@ class FeatureTransferExecutor:
         """Eq. 16 estimates (from the executable CNN's shapes) next to
         the traced actual bytes of each layer's train table — the
         paper's Figure 15 validation, per run."""
-        estimates = Workload(
-            self.cnn.stats, self.layers,
-            DatasetStats.from_dataset(self.dataset),
-        ).sizes.intermediate_table_bytes
+        estimates = self.workload.sizes.intermediate_table_bytes
         return {
             layer: {
                 "estimated_bytes": estimates[layer],
@@ -462,7 +487,6 @@ class FeatureTransferExecutor:
             try:
                 result = table.map_blocks(
                     infer_block, name=step.writes,
-                    user_alpha=DEFAULT_ALPHA,
                     checkpoint=(
                         (store, step.stage_id, step.keep)
                         if store is not None else None
@@ -509,7 +533,7 @@ class FeatureTransferExecutor:
                 block.num_rows,
             )
 
-        return table.map_blocks(project_block, user_alpha=DEFAULT_ALPHA,
+        return table.map_blocks(project_block,
                                 backend=self._backend_for(step))
 
     def _train(self, table, step):
@@ -556,8 +580,7 @@ class FeatureTransferExecutor:
                 sp.add("rows", table.num_rows())
                 sp.add("bytes_in", measured)
             vectors = table.map_blocks(
-                vectorize_block, user_alpha=DEFAULT_ALPHA,
-                backend=self._backend_for(step),
+                vectorize_block, backend=self._backend_for(step),
             )
             features, labels = self._collect_train_matrix(vectors)
             # M trains on the run's cores, as MLlib / Horovod would.

@@ -49,7 +49,6 @@ from repro.core.sizing import static_storage_need
 from repro.dataflow.joins import BROADCAST, SHUFFLE
 from repro.dataflow.partition import DESERIALIZED, SERIALIZED
 from repro.exceptions import NoFeasiblePlan
-from repro.metrics import NULL_METRICS
 from repro.trace import NULL_TRACER
 
 
@@ -306,7 +305,7 @@ def _search_upper(resources):
 
 
 def optimize(workload, resources, downstream=None, backend="spark",
-             tracer=None, metrics=None):
+             tracer=None):
     """Run Algorithm 1 on a :class:`~repro.core.config.Workload` and
     return a :class:`VistaConfig`.
 
@@ -324,19 +323,11 @@ def optimize(workload, resources, downstream=None, backend="spark",
     under an ``optimize`` span recording the chosen configuration, how
     many ``cpu`` candidates were rejected, and the Eq. 16 size
     estimates the decision rested on — so traces can be checked against
-    what the executor actually measured.
-
-    With a ``metrics`` registry, the chosen configuration's per-region
-    requirements (Eqs. 10-11 and the storage working set) are published
-    as ``predicted_peak_bytes`` gauges, so a metrics-enabled run
-    records the optimizer's prediction next to the observed occupancy
-    peaks and estimate error becomes a first-class metric. (The chosen
-    knobs travel as themselves: the ``optimize`` span's ``chosen`` attr
-    and the run ledger's ``optimizer_decision`` event, which the
+    what the executor actually measured. (The chosen knobs also travel
+    as the run ledger's ``optimizer_decision`` event, which the
     ``exact-plan-choice`` SLO rule compares between twin runs.)
     """
     tracer = tracer if tracer is not None else NULL_TRACER
-    metrics = metrics if metrics is not None else NULL_METRICS
     model_stats = workload.model_stats
     sizing = workload.sizes
     with tracer.span("optimize", backend=backend,
@@ -362,35 +353,12 @@ def optimize(workload, resources, downstream=None, backend="spark",
                 "mem_user_bytes": config.mem_user_bytes,
                 "mem_dl_bytes": config.mem_dl_bytes,
             })
-            _record_predictions(metrics, config, workload, resources)
             return config
         raise NoFeasiblePlan(
             f"no cpu in [1, {_search_upper(resources)}] satisfies the "
             f"memory constraints for {model_stats.name} on "
             f"{resources.system_memory_bytes} B nodes; "
             "provision machines with more memory"
-        )
-
-
-def _record_predictions(metrics, config, workload, resources):
-    """Publish the optimizer's per-worker peak predictions: Eq. 10
-    (User), Eq. 11 (DL), and the Staged plan's two-consecutive-
-    intermediates storage working set, so reports can score predicted
-    vs observed occupancy."""
-    if not metrics.enabled:
-        return
-    storage_need = static_storage_need(
-        workload.sizes.s_double, config.persistence,
-        workload.model_stats.serialized_ratio,
-    )
-    predictions = {
-        "user": config.mem_user_bytes,
-        "dl": config.mem_dl_bytes,
-        "storage": storage_need // max(1, resources.num_nodes),
-    }
-    for region, nbytes in predictions.items():
-        metrics.gauge("predicted_peak_bytes", region=region).set(
-            int(nbytes)
         )
 
 

@@ -17,9 +17,8 @@ Section 5.3 labels join placement from the inference side: "AJ"
 
 :func:`compile_plan` turns either choice into the ordered operator
 list (join, (partial) inference, cache/unpersist, project, train) that
-the executor runs, the peak predictor simulates, the cost model prices
-and the progress monitor expects — the only place a plan's shape is
-written down.
+the executor runs and the cost model's plan walk prices and predicts
+the memory peaks of — the only place a plan's shape is written down.
 """
 
 from __future__ import annotations
@@ -161,9 +160,10 @@ def infer_step(reads, from_layer, layer, keep=()):
 def compile_plan(plan, layers, source_layer=None):
     """Figure 5 as data: the ordered :class:`Step` tuple ``plan`` runs
     for ``layers``, starting inference at ``source_layer`` (None = raw
-    images). The executor, the peak predictor, the cost model
-    (:func:`repro.costmodel.runtime.walk_plan`) and the progress monitor
-    all walk this one list."""
+    images). The executor runs this one list, and
+    :func:`repro.costmodel.runtime.walk_plan` is its one reader: for
+    the cost, the crash check, the progress monitor and every predicted
+    region peak."""
     layers = list(layers)
     after_join = plan.join_placement is JoinPlacement.AFTER_JOIN
     # Inference after the join carries T_str's columns through.

@@ -153,7 +153,6 @@ class ResilientRunner:
         metrics = self.metrics
         config = vista._config or vista.optimize(
             tracer=tracer if tracer.enabled else None,
-            metrics=metrics if metrics.enabled else None,
         )
         plan = plan or vista.plan
         attempt = 0

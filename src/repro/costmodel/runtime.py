@@ -4,10 +4,11 @@ A plan is priced by walking the step list
 :func:`~repro.core.plans.compile_plan` compiles for it — the list the
 executor runs — so the cost model holds no second description of a
 plan's shape. :func:`walk_plan` sizes every step (FLOPs of an
-``INFER``, operand bytes of a ``JOIN``, Eq. 16 bytes of a ``CACHE``);
-:func:`price_plan` turns the walk into seconds with the compute, I/O,
-and scheduling terms; :func:`estimate_plan` applies crash detection
-first. Each takes the :class:`~repro.core.config.Workload` record
+``INFER``, operand bytes of a ``JOIN``, Eq. 16 bytes of a ``CACHE``)
+and, given a configuration, predicts the per-region peaks the engine's
+charges for those steps reach; :func:`price_plan` turns the walk into
+seconds with the compute, I/O, and scheduling terms;
+:func:`estimate_plan` applies crash detection first. Each takes the :class:`~repro.core.config.Workload` record
 first. Runtime *shapes* — which plan wins, by what factor, where spills
 and crossovers appear — derive from the same mechanisms the paper
 argues from; the absolute constants are calibrated to the paper's
@@ -25,6 +26,16 @@ from repro.core.sizing import table_bytes
 from repro.costmodel import io_cost, params
 from repro.costmodel.cnn_cost import inference_seconds
 from repro.costmodel.crashes import detect_crash
+from repro.dataflow.joins import BROADCAST
+from repro.dataflow.partition import SERIALIZED
+
+#: The regions a run charges, as the executor reports their peaks.
+REGIONS = ("user", "core", "dl", "storage", "driver")
+
+#: An upper bound on one column's entry in a VCB1 blob's JSON header
+#: (:meth:`~repro.dataflow.columnar.ColumnarBlock.to_buffer`): 60
+#: bytes of keys and quoting, then a name, a byte length and a shape.
+BLOB_COLUMN_BYTES = 128
 
 
 @dataclass
@@ -70,13 +81,15 @@ class PlanWalk:
     reads of T_img (or the base table), and its Storage working set —
     the peak bytes cached at once with T_str counted once (Eq. 6), the
     largest single cached table, and the most reads of one cached
-    table."""
+    table. ``region_peaks`` is the per-worker peak of each of
+    :data:`REGIONS` when the walk was given a configuration."""
 
     rows: tuple
     source_reads: int
     peak_bytes: int
     largest_table_bytes: int
     max_cached_reads: int
+    region_peaks: dict = None
 
     def cached_bytes(self, static_storage):
         """The plan's cached working set. On static (memory-only)
@@ -85,46 +98,173 @@ class PlanWalk:
         return self.largest_table_bytes if static_storage else self.peak_bytes
 
 
-def walk_plan(workload, plan):
+def _deal(num_rows, num_partitions):
+    """Rows per partition when row ``i`` lands in partition ``i % np``:
+    ``DistributedTable.from_block``'s round-robin, and the hash shuffle
+    of the datasets' consecutive integer ids (``hash(i) == i``)."""
+    return [(num_rows - index + num_partitions - 1) // num_partitions
+            for index in range(num_partitions)]
+
+
+class _Charges:
+    """The charges the engine makes for a run of ``config`` on
+    ``num_nodes`` workers, and each region's running peak on the
+    fullest worker.
+
+    Partition ``i`` runs on worker ``i % num_nodes``, ``cpu`` tasks a
+    wave, and a wave's charges are held together. A table is its
+    per-partition row counts and one columnar row size: int64 scalar
+    columns and raw float32 tensors, as
+    :attr:`~repro.dataflow.columnar.ColumnarBlock.nbytes` counts them.
+    """
+
+    def __init__(self, workload, config, num_nodes):
+        data = workload.dataset_stats
+        n = data.num_records
+        self.nodes, self.cpu = max(1, num_nodes), max(1, config.cpu)
+        self.broadcast = config.join == BROADCAST
+        self.serialized = config.persistence == SERIALIZED
+        self.hashed = _deal(n, max(1, config.num_partitions))
+        # T_str {id, features, label} and the source share one layout.
+        self.source_counts = _deal(n, max(1, min(config.num_partitions, n)))
+        self.tstr_row = _tstr_row_bytes(data)
+        self.tstr_bytes = n * self.tstr_row
+        self.peaks = dict.fromkeys(REGIONS, 0)
+        self.peaks["dl"] = self.cpu * workload.model_stats.runtime_mem_bytes
+
+    def hold(self, region, nbytes):
+        self.peaks[region] = max(self.peaks[region], int(nbytes))
+
+    def _wave(self, values):
+        """The largest wave of per-partition charges one worker holds."""
+        return max((
+            sum(share[start:start + self.cpu])
+            for share in (values[w::self.nodes] for w in range(self.nodes))
+            for start in range(0, len(share), self.cpu)
+        ), default=0)
+
+    def map(self, counts, width):
+        """``map_blocks``: each task's output, times alpha, in User."""
+        self.hold("user", self._wave(
+            [int(DEFAULT_ALPHA * count * width) for count in counts]
+        ))
+
+    def join(self, counts, width):
+        """T_str joined with the table (every id matches); returns the
+        output's row counts."""
+        tstr_smaller = self.tstr_bytes <= sum(counts) * width
+        out_width = width + self.tstr_row - 8
+        if self.broadcast:
+            # The smaller side is collected at the driver and held next
+            # to the output wave; the output keeps the big side's layout.
+            small, big = (
+                (self.tstr_bytes, counts) if tstr_smaller
+                else (sum(counts) * width, self.source_counts)
+            )
+            self.hold("driver", small)
+            self.hold("user", small + self._wave(
+                [count * out_width for count in big]
+            ))
+            return big
+        # Shuffle-hash: both sides rehashed to np buckets, the smaller
+        # side's co-located block built in Core per probe.
+        build = self.tstr_row if tstr_smaller else width
+        self.hold("core", self._wave(
+            [count * build for count in self.hashed]
+        ))
+        return self.hashed
+
+    def store(self, tables):
+        """Every cached ``(layers, width, counts)`` table resident at
+        once. A serialized partition is its rows' bytes plus the VCB1
+        magic, length and JSON header, :data:`BLOB_COLUMN_BYTES` for
+        each column (id, features, label, one per layer); a column that
+        goes sparse only makes the blob smaller."""
+        self.hold("storage", max(
+            sum(count * width + self.serialized * (
+                8 + BLOB_COLUMN_BYTES * (3 + len(layers)))
+                for layers, width, counts in tables
+                for count in counts[w::self.nodes])
+            for w in range(self.nodes)
+        ))
+
+
+def _tstr_row_bytes(dataset_stats):
+    """Columnar bytes of one T_str row: int64 id and label, float32
+    features."""
+    return 16 + 4 * dataset_stats.num_structured_features
+
+
+def walk_plan(workload, plan, run=None):
     """One pass over the workload's ``compile_plan(plan, layers,
-    base_layer)``, tracking which feature layers each table slot holds;
-    returns a :class:`PlanWalk`."""
+    base_layer)``, tracking the feature layers and columnar row size of
+    each table slot; returns a :class:`PlanWalk`.
+
+    With ``run = (config, num_nodes)`` — a
+    :class:`~repro.core.config.VistaConfig` and a worker count — the
+    pass also replays the engine's charges for that run as
+    ``region_peaks``."""
+    charges = None if run is None else _Charges(workload, *run)
     model_stats = workload.model_stats
     dataset_stats = workload.dataset_stats
     n = dataset_stats.num_records
     tstr = dataset_stats.structured_table_bytes()
-    holds = {SOURCE: ()}  # slot -> feature layers its table holds
-    cached = {}           # slot -> the CACHE row that holds it
+    tstr_row = _tstr_row_bytes(dataset_stats)
+    base = workload.base_layer
+    # slot -> (feature layers, row bytes, per-partition row counts when
+    # charging a run) of its table: the source is {id, image}, or the
+    # {id, tensor} base table the run's first map wave materializes.
+    holds = {SOURCE: ((), 8 + (
+        model_stats.materialized_bytes(base) if base
+        else dataset_stats.avg_image_bytes
+    ), charges and charges.source_counts)}
+    if charges and base:
+        charges.map(charges.source_counts, holds[SOURCE][1])
+    cached = {}  # slot -> the CACHE row that holds it
     rows = []
     source_reads = peak = 0
-    for step in compile_plan(plan, workload.layers, workload.base_layer):
-        held = holds[step.reads]
+    for step in compile_plan(plan, workload.layers, base):
+        held, width, counts = holds[step.reads]
         row = WalkRow(step)
-        if step.op is Op.INFER:
+        if step.op is Op.INFER:  # {id[, features, label], tensors}
             if not held:  # T_img or the base table, joined or not
                 source_reads += 1
             row.flops = model_stats.flops_between(
                 step.from_layer, step.outputs[-1][0]
             )
             held = tuple(layer for layer, _ in step.outputs)
+            width = (tstr_row if step.keep else 8) + sum(
+                map(model_stats.materialized_bytes, held))
         elif step.op is Op.JOIN:
             row.operand_bytes = tstr + (n * sum(
                 model_stats.materialized_bytes(layer) for layer in held
             ) if held else dataset_stats.image_table_bytes())
+            if charges:
+                counts = charges.join(counts, width)
+            width += tstr_row - 8
         elif step.op is Op.CACHE:
             row.table_bytes = table_bytes(workload, held)
             cached[step.reads] = row
             peak = max(peak, sum(
                 r.table_bytes for r in cached.values()
             ) - (len(cached) - 1) * tstr)
+            if charges:
+                charges.store([holds[slot] for slot in cached])
         elif step.op is Op.UNPERSIST:
             del cached[step.reads]
-        elif step.op is Op.PROJECT:
+        elif step.op is Op.PROJECT:  # {id, features, label, tensor}
             held = (step.layer,)
+            width = tstr_row + model_stats.materialized_bytes(step.layer)
+        else:  # TRAIN: {id, label, x} vectors, collected at the driver
+            width = tstr_row + model_stats.transfer_bytes(step.layer)
+            if charges:
+                charges.hold("driver", sum(counts) * width)
+        if charges and step.op in (Op.INFER, Op.PROJECT, Op.TRAIN):
+            charges.map(counts, width)
         if step.op is not Op.CACHE and step.reads in cached:
             cached[step.reads].cached_reads += 1
         if step.writes:
-            holds[step.writes] = held
+            holds[step.writes] = (held, width, counts)
         rows.append(row)
     return PlanWalk(
         rows=tuple(rows),
@@ -132,6 +272,7 @@ def walk_plan(workload, plan):
         peak_bytes=peak,
         largest_table_bytes=max(row.table_bytes for row in rows),
         max_cached_reads=max(row.cached_reads for row in rows),
+        region_peaks=None if charges is None else charges.peaks,
     )
 
 

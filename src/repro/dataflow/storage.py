@@ -160,10 +160,12 @@ class StorageManager:
         except BaseException:
             self._forget_spill(key)
             raise
-        self.spilled_bytes_total += nbytes
-        self.tracer.add("storage_spill_bytes", nbytes)
-        self.tracer.event("spill", key=str(key), bytes=nbytes)
-        self._count("spill_bytes", nbytes)
+        # The meters count disk bytes; the region moves by the charge.
+        written = len(data)
+        self.spilled_bytes_total += written
+        self.tracer.add("storage_spill_bytes", written)
+        self.tracer.event("spill", key=str(key), bytes=written)
+        self._count("spill_bytes", written)
 
     def _forget_spill(self, key):
         """Remove ``key``'s spill file, and the temp directory with the
@@ -206,8 +208,8 @@ class StorageManager:
             partition = Partition(index, blob=payload) if serialized else \
                 Partition(index, block=ColumnarBlock.from_buffer(payload))
             self.hit_count += 1
-            self.spill_read_bytes_total += nbytes
-            on_driver(self._record_read, key, nbytes)
+            self.spill_read_bytes_total += len(mapped)
+            on_driver(self._record_read, key, len(mapped))
             if (os.getpid() == self._pid
                     and self.used_bytes + nbytes <= self.capacity_bytes):
                 self._forget_spill(key)

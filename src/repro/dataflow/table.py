@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.config import DEFAULT_ALPHA
 from repro.dataflow.columnar import ColumnarBlock
 from repro.dataflow.partition import DESERIALIZED, Partition, StoredPartition
 from repro.dataflow.executor import run_partition_tasks
@@ -88,17 +89,17 @@ class DistributedTable:
     # ------------------------------------------------------------------
     # operators
     # ------------------------------------------------------------------
-    def map_partitions(self, fn, name=None, user_alpha=1.0):
+    def map_partitions(self, fn, name=None):
         """Apply ``fn(rows) -> rows`` per partition (a MapPartitions
         UDF): :meth:`map_blocks` with row views on the way in and the
         returned rows packed into a block on the way out."""
         return self.map_blocks(
             lambda block: ColumnarBlock.from_rows(fn(block.to_rows())),
-            name=name, user_alpha=user_alpha,
+            name=name,
         )
 
-    def map_blocks(self, block_fn, name=None, user_alpha=1.0,
-                   checkpoint=None, backend=None):
+    def map_blocks(self, block_fn, name=None, checkpoint=None,
+                   backend=None):
         """Apply ``block_fn(block) -> block`` per partition — the
         zero-copy batched path: the UDF reads the stored column arrays
         in place and returns a new
@@ -106,7 +107,7 @@ class DistributedTable:
 
         The output block of each concurrently running task is charged
         to the worker's User Memory — its exact buffer bytes times
-        ``user_alpha``, the paper's JVM-object fudge factor — for the
+        ``DEFAULT_ALPHA``, the paper's JVM-object fudge factor — for the
         duration of the task wave.
 
         ``checkpoint=(store, stage_id[, carried])`` makes the stage
@@ -128,7 +129,7 @@ class DistributedTable:
             return block_fn(partition.block())
 
         def charge(partition, out):
-            return int(user_alpha * out.nbytes)
+            return int(DEFAULT_ALPHA * out.nbytes)
 
         recovery = self.context.recovery_log
         tracer = self.context.tracer

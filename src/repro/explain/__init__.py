@@ -2,8 +2,8 @@
 
 The observability face of the optimizer and cost model: ``explain``
 exposes Algorithm 1's full candidate ledger, ``what_if`` prices pinned
-configurations, and ``predict_workload_peaks`` predicts an executable
-run's per-region memory waterline peaks.
+configurations, and ``predict_workload_peaks`` reads a run's
+per-region memory peaks off the cost model's plan walk.
 """
 
 from repro.explain.ledger import ExplainResult, explain

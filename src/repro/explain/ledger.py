@@ -72,7 +72,7 @@ class ExplainResult:
 
 
 def explain(workload, resources, downstream=None, backend="spark",
-            what_if_pins=None, executable=None):
+            what_if_pins=None):
     """Run Algorithm 1's search on a :class:`~repro.core.config
     .Workload`, keeping the full candidate ledger.
 
@@ -84,8 +84,7 @@ def explain(workload, resources, downstream=None, backend="spark",
     ``chosen``.
 
     Passing ``what_if_pins`` attaches a :class:`~repro.explain.whatif
-    .WhatIfReport` for that pinned configuration (with mini-scale run
-    peaks when an ``executable`` workload is supplied).
+    .WhatIfReport` for that pinned configuration.
     """
     candidates = []
     chosen = None
@@ -100,7 +99,7 @@ def explain(workload, resources, downstream=None, backend="spark",
     if what_if_pins is not None:
         report = what_if(
             workload, resources, pins=what_if_pins, downstream=downstream,
-            backend=backend, executable=executable,
+            backend=backend,
         )
     return ExplainResult(
         model=workload.model_stats.name,

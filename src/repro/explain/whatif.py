@@ -4,19 +4,13 @@ Algorithm 1 answers "what should run"; what-if answers "what would
 happen if I ran *this*": pin ``cpu``, the logical plan, the physical
 join, the persistence format, or the User/Storage memory fractions,
 and get back the feasibility verdict (the optimizer's own Eq. 9-15
-terms plus the cost model's crash check), predicted per-region peaks,
-and the predicted runtime breakdown from
-:mod:`repro.costmodel.runtime` — the under-the-hood cost model wired
-into a user-facing question.
+terms plus the cost model's crash check), and the one plan walk's
+predicted per-region peaks and runtime breakdown
+(:mod:`repro.costmodel.runtime`).
 
-A report is priced at the scale of the workload it is handed.
-``Vista.explain`` hands it the executable CNN's ``cnn.stats``, the
-model Algorithm 1 plans and the run executes, so the verdict, the
-runtime and ``predicted_run_peak_bytes`` (the engine replay of
-:mod:`repro.explain.peaks`, present when an executable workload is
-supplied) all describe the run that would execute. ``repro explain``
-hands it the roster's paper-scale statistics, which prices the
-configuration for the paper's cluster and has no run peaks.
+A report prices the workload it is handed: ``Vista.explain`` hands it
+the executable CNN's ``cnn.stats``, ``repro explain`` the roster's
+paper-scale statistics.
 """
 
 from __future__ import annotations
@@ -30,11 +24,9 @@ from repro.core.optimizer import (
     evaluate_candidate,
 )
 from repro.core.plans import LogicalPlan, STAGED, plan_by_name
-from repro.core.sizing import static_storage_need
 from repro.costmodel import params
 from repro.costmodel.crashes import vista_setup
-from repro.costmodel.runtime import estimate_plan, walk_plan
-from repro.dataflow.joins import BROADCAST
+from repro.costmodel.runtime import estimate_plan
 from repro.dataflow.partition import DESERIALIZED, SERIALIZED
 from repro.explain.peaks import predict_workload_peaks
 
@@ -62,7 +54,6 @@ class WhatIfReport:
     verdict: str                  # VERDICT_FEASIBLE or a failure code
     predicted_peak_bytes: dict    # per worker, per region
     runtime: object               # costmodel RuntimeReport
-    predicted_run_peak_bytes: dict | None = None   # mini-scale
     notes: list = field(default_factory=list)
 
     def to_dict(self):
@@ -74,10 +65,6 @@ class WhatIfReport:
             "feasible": self.feasible,
             "verdict": self.verdict,
             "predicted_peak_bytes": dict(self.predicted_peak_bytes),
-            "predicted_run_peak_bytes": (
-                dict(self.predicted_run_peak_bytes)
-                if self.predicted_run_peak_bytes is not None else None
-            ),
             "runtime": {
                 "seconds": self.runtime.seconds,
                 "crash": self.runtime.crash,
@@ -109,7 +96,7 @@ def _resolve_plan(pin):
 
 
 def what_if(workload, resources, pins, downstream=None, backend="spark",
-            cluster=None, executable=None):
+            cluster=None):
     """Price a pinned configuration; returns a :class:`WhatIfReport`.
 
     ``pins`` maps any subset of :data:`PIN_KEYS` to a value. Unpinned
@@ -117,13 +104,9 @@ def what_if(workload, resources, pins, downstream=None, backend="spark",
     feasible candidate; when nothing is feasible, the ``cpu = 1``
     candidate so the report still shows the failing terms). Memory
     fractions apportion the worker memory left after the OS, DL, and
-    Core reservations between User and Storage.
-
-    With an ``executable`` workload (the same layers over an executable
-    CNN's ``cnn.stats`` and the mini dataset's statistics), the report
-    also carries ``predicted_run_peak_bytes`` — the engine-exact
-    mini-scale waterline prediction of :func:`repro.explain.peaks
-    .predict_workload_peaks` for the pinned configuration.
+    Core reservations between User and Storage. The predicted peaks
+    are :func:`~repro.explain.peaks.predict_workload_peaks` for the
+    resulting configuration.
     """
     pins = dict(pins or {})
     unknown = sorted(set(pins) - set(PIN_KEYS))
@@ -131,8 +114,6 @@ def what_if(workload, resources, pins, downstream=None, backend="spark",
         raise ValueError(
             f"unknown what-if pins {unknown}; valid pins: {list(PIN_KEYS)}"
         )
-    model_stats = workload.model_stats
-    dataset_stats = workload.dataset_stats
     sizing = workload.sizes
     plan = _resolve_plan(pins.get("plan"))
     notes = []
@@ -235,37 +216,6 @@ def what_if(workload, resources, pins, downstream=None, backend="spark",
         reasons.append(crash)
     verdict = reasons[0] if reasons else VERDICT_FEASIBLE
 
-    # ------------------------------------------------------------------
-    # predictions
-    # ------------------------------------------------------------------
-    working_set = walk_plan(workload, plan).cached_bytes(
-        static_storage=backend == "ignite"
-    )
-    storage_peak = static_storage_need(
-        working_set, persistence, model_stats.serialized_ratio,
-    ) // max(1, resources.num_nodes)
-    max_dim = max(
-        model_stats.layer_stats(layer).transfer_dim
-        for layer in workload.layers
-    )
-    vector_table_bytes = dataset_stats.num_records * (
-        32 + 4 * (dataset_stats.num_structured_features + max_dim)
-    )
-    predicted_peaks = {
-        "user": candidate.mem_user_bytes,
-        "dl": candidate.mem_dl_bytes,
-        "core": candidate.mem_core_bytes,
-        "storage": int(storage_peak),
-        "driver": int(max(
-            sizing.structured_table_bytes if join == BROADCAST else 0,
-            vector_table_bytes,
-        )),
-    }
-    run_peaks = None
-    if executable is not None:
-        run_peaks = predict_workload_peaks(
-            executable, config, plan, resources.num_nodes
-        )
     return WhatIfReport(
         pins=pins,
         plan=plan.label,
@@ -273,8 +223,9 @@ def what_if(workload, resources, pins, downstream=None, backend="spark",
         candidate=candidate,
         feasible=verdict == VERDICT_FEASIBLE,
         verdict=verdict,
-        predicted_peak_bytes=predicted_peaks,
+        predicted_peak_bytes=predict_workload_peaks(
+            workload, config, plan, resources.num_nodes
+        ),
         runtime=runtime,
-        predicted_run_peak_bytes=run_peaks,
         notes=notes,
     )

@@ -99,17 +99,9 @@ def _what_if_lines(report):
     ]
     for note in report.notes:
         lines.append(f"    note: {note}")
-    # Run peaks come only with an executable workload, and then the
-    # whole report priced that workload, not the paper-scale roster.
-    scale = ("executable workload" if report.predicted_run_peak_bytes
-             else "paper scale")
-    lines.append(f"  predicted per-region peaks ({scale}, per worker):")
+    lines.append("  predicted per-region peaks (per worker):")
     for region, nbytes in report.predicted_peak_bytes.items():
         lines.append(f"    {region:8s} {_human(nbytes)}")
-    if report.predicted_run_peak_bytes:
-        lines.append("  predicted run peaks (executable mini workload):")
-        for region, nbytes in report.predicted_run_peak_bytes.items():
-            lines.append(f"    {region:8s} {_human(nbytes)}")
     runtime = report.runtime
     crash = f" (crash: {runtime.crash})" if runtime.crash else ""
     lines.append(

@@ -6,7 +6,7 @@ Consumes the ``metrics/v1`` block produced by
 
 - **Waterlines** — per-region, per-worker occupancy timelines as ASCII
   charts with the Algorithm 1 budget (= crash threshold) and the
-  optimizer's predicted peak drawn in, so one glance shows how close a
+  plan walk's predicted peak drawn in, so one glance shows how close a
   run sailed to each Section 4.1 cliff.
 - **Crash attribution** — when a run crashed, the ``crash_total``
   counters plus the offending region's last gauge sample name the
@@ -298,7 +298,7 @@ def render_crash_report(source, width=60, height=8):
 # predicted vs observed
 # ----------------------------------------------------------------------
 def predicted_vs_observed(source):
-    """Optimizer prediction vs observed peak per region, as rows of
+    """Predicted vs observed peak per region, as rows of
     ``(region, predicted, observed, ratio)``."""
     block = metrics_block(source)
     if not block:

@@ -9,6 +9,7 @@ for all six plans."""
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.core.plans import ALL_PLANS
 from repro.costmodel.params import PEAK_PREDICTION_BAND
 from repro.data import foods_dataset
 from repro.dataflow.context import ClusterContext
+from repro.dataflow.partition import DESERIALIZED, SERIALIZED
 from repro.explain import (
     explain,
     peak_ratios,
@@ -35,7 +37,7 @@ from repro.explain.whatif import (
 from repro.memory.model import GB, MemoryBudget
 from repro.metrics import MetricsRegistry
 from repro.observe import RunLedger, evaluate_slo, load_rules
-from repro.report import render_explain
+from repro.report import predicted_vs_observed, render_explain
 
 DEFAULT_RULES = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -217,28 +219,26 @@ class TestWhatIf:
         assert result.what_if.pins == {"cpu": 4}
         assert "what-if:" in render_explain(result)
 
-    def test_what_if_peaks_are_labelled_by_the_scale_they_price(self):
-        """``Vista.explain`` prices the CNN it runs, so its what-if
-        peaks say so; ``repro explain``'s roster report stays paper
-        scale."""
-        vista = Vista("alexnet", 4, foods_dataset(2048), Resources(
+    def test_what_if_and_the_run_report_print_one_prediction(self):
+        """``Vista.explain``'s what-if peaks for a plan are the
+        ``predicted_peak_bytes`` gauges a metrics-enabled run of that
+        plan sets: one walk, one scale, one answer."""
+        vista = Vista("alexnet", 4, foods_dataset(256), Resources(
             num_nodes=1, system_memory_bytes=32 * GB, cores_per_node=3,
-        ))
+        ), downstream_fn=lambda features, labels: {})
         result = vista.explain(what_if={"plan": "eager"})
         report = result.what_if
-        assert report.predicted_run_peak_bytes
+        registry = MetricsRegistry()
+        vista.run(plan=ALL_PLANS["eager"], metrics=registry)
+        gauges = {region: predicted for region, predicted, _, _
+                  in predicted_vs_observed(registry)}
+        assert report.predicted_peak_bytes == gauges
+        assert report.predicted_peak_bytes == predict_workload_peaks(
+            vista.workload, report.config, ALL_PLANS["eager"], 1
+        )
         lines = render_explain(result).splitlines()
-        assert ("  predicted per-region peaks (executable workload, "
-                "per worker):") in lines
-        assert not [line for line in lines if "paper scale" in line]
-        # Algorithm 1's terms for the mini CNN: tens of MB of User
-        # memory and a DL region of a few replicas of a 5 MiB model,
-        # nowhere near the paper-scale AlexNet's 2 GiB.
-        assert report.predicted_peak_bytes["dl"] < 64 * 2**20
-
-        paper = render_explain(_explain(what_if_pins={"plan": "eager"}))
-        assert ("  predicted per-region peaks (paper scale, per worker):"
-                in paper.splitlines())
+        assert "  predicted per-region peaks (per worker):" in lines
+        assert not [line for line in lines if "scale" in line]
 
 
 # ----------------------------------------------------------------------
@@ -259,13 +259,18 @@ def _mini_workload(records=24):
     return cnn, dataset, config, budget
 
 
+#: The roster minis, each with the layers Vista explores of it.
+ROSTER_MINIS = (("alexnet", 4), ("vgg16", 3), ("resnet50", 3))
+
+
 class TestPeakPrediction:
-    @pytest.mark.parametrize("plan_name", sorted(ALL_PLANS))
-    def test_predicted_peaks_within_band(self, plan_name):
-        """Engine-exact peak prediction: for every plan the predicted
-        per-region peak sits inside PEAK_PREDICTION_BAND of the
-        observed waterline peak."""
+    def _check_band(self, plan_name, premat_layer=None, join="shuffle",
+                    persistence=DESERIALIZED):
+        """Engine-exact peak prediction: the predicted per-region peak
+        sits inside PEAK_PREDICTION_BAND of the observed waterline
+        peak, for every region the run touched."""
         cnn, dataset, config, budget = _mini_workload()
+        config = replace(config, join=join, persistence=persistence)
         registry = MetricsRegistry()
         context = ClusterContext(
             budget, num_nodes=2, cores_per_node=4, cpu=config.cpu
@@ -274,10 +279,10 @@ class TestPeakPrediction:
             context, cnn, dataset, ["fc7", "fc8"], config,
             downstream_fn=lambda f, l: {}, metrics=registry,
         )
-        result = executor.run(ALL_PLANS[plan_name])
+        result = executor.run(ALL_PLANS[plan_name], premat_layer)
         predicted = predict_workload_peaks(
             Workload(cnn.stats, ["fc7", "fc8"],
-                     DatasetStats.from_dataset(dataset)),
+                     DatasetStats.from_dataset(dataset), premat_layer),
             config, ALL_PLANS[plan_name], 2,
         )
         ratios = peak_ratios(
@@ -288,9 +293,58 @@ class TestPeakPrediction:
         for region, ratio in ratios.items():
             if ratio is None:
                 continue
-            assert low <= ratio <= high, (plan_name, region, ratio)
+            # A serialized blob loses the zeros of its sparse columns,
+            # which shapes do not tell: that prediction is only over.
+            top = high if persistence == DESERIALIZED or region != "storage" \
+                else float("inf")
+            assert low <= ratio <= top, (plan_name, region, ratio)
             checked += 1
         assert checked >= 3, f"{plan_name}: too few regions observed"
+
+    @pytest.mark.parametrize("plan_name", sorted(ALL_PLANS))
+    def test_predicted_peaks_within_band(self, plan_name):
+        self._check_band(plan_name)
+
+    @pytest.mark.parametrize("plan_name", sorted(ALL_PLANS))
+    def test_serialized_peaks_within_band(self, plan_name):
+        """A serialized partition is priced at its rows' bytes plus a
+        header allowance: exact or over, every other region in band."""
+        self._check_band(plan_name, persistence=SERIALIZED)
+
+    @pytest.mark.parametrize("join", ["broadcast", "shuffle"])
+    @pytest.mark.parametrize("plan_name", sorted(ALL_PLANS))
+    def test_premat_peaks_within_band(self, plan_name, join):
+        """A pre-materialized source is the base layer's table, made
+        from the images inside the run: a join before inference
+        operates on its rows, not on the images'."""
+        self._check_band(plan_name, premat_layer="conv5", join=join)
+
+    @pytest.mark.parametrize("model, num_layers, plan_name, premat", [
+        *((model, num_layers, plan_name, None)
+          for model, num_layers in ROSTER_MINIS
+          for plan_name in sorted(ALL_PLANS)),
+        *(("alexnet", 3, plan_name, "conv5")
+          for plan_name in ("eager-reordered", "lazy-reordered", "staged")),
+    ])
+    def test_the_run_report_scores_the_walk_within_band(
+            self, model, num_layers, plan_name, premat):
+        """A metrics-enabled ``Vista.run``: the run report's predicted
+        peak of every region the run touched sits inside
+        PEAK_PREDICTION_BAND of its observed waterline peak."""
+        vista = Vista(model, num_layers, foods_dataset(256), Resources(
+            num_nodes=1, system_memory_bytes=32 * GB, cores_per_node=3,
+        ), downstream_fn=lambda features, labels: {})
+        registry = MetricsRegistry()
+        vista.run(plan=ALL_PLANS[plan_name], premat_layer=premat,
+                  metrics=registry)
+        rows = predicted_vs_observed(registry)
+        assert {region for region, _, _, _ in rows} == {
+            "user", "core", "dl", "storage", "driver"}
+        low, high = PEAK_PREDICTION_BAND
+        for region, predicted, observed, _ in rows:
+            if observed:
+                assert low <= predicted / observed <= high, (
+                    region, predicted, observed)
 
 
 class TestPlanChoiceGate:

@@ -369,17 +369,55 @@ def test_the_statistics_triple_travels_as_one_workload():
 
 def test_no_planner_knob_shadows_a_table_1c_constant():
     """Table 1(C)'s parameters and alpha are ``core/config.py``'s
-    ``DEFAULT_*`` constants; no planner or observer function takes one
-    as a parameter. (The dataflow layer's ``map_blocks(user_alpha=)``
-    is an engine knob with two values in use, and is not checked.)"""
+    ``DEFAULT_*`` constants; no planner, engine or observer function
+    takes one as a parameter."""
     knobs = {"alpha", "user_alpha", "defaults", "sizing"}
     hits = sorted(
         f"{where}({', '.join(sorted(names & knobs))})"
-        for package in ("core", "costmodel", "explain", "observe")
+        for package in ("core", "costmodel", "dataflow", "explain",
+                        "observe")
         for where, names in _defs(package, "**", "*.py")
         if names & knobs
     )
     assert not hits
+
+
+def _callers(test):
+    """``path:function`` of every function under ``src/repro`` holding
+    a call node for which ``test(call)`` holds."""
+    for path in _src_files("**", "*.py"):
+        for node in ast.walk(ast.parse(_read(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and any(isinstance(call, ast.Call) and test(call)
+                            for call in ast.walk(node)):
+                yield f"{os.path.relpath(path, REPO_ROOT)}:{node.name}"
+
+
+def _calls(name):
+    return lambda call: (getattr(call.func, "id", None)
+                         or getattr(call.func, "attr", None)) == name
+
+
+def test_one_walk_reads_a_compiled_plan():
+    """The executor runs the step list and ``walk_plan`` is its one
+    reader: the cost, the crash check and every predicted region peak
+    (what-if, explain, the run report's gauges) come from that walk.
+    ``static_storage_need`` serves the optimizer's Ignite constraint
+    and the cost model's crash check only."""
+    assert sorted(set(_callers(_calls("compile_plan")))) == [
+        "src/repro/core/executor.py:run",
+        "src/repro/costmodel/runtime.py:walk_plan",
+    ]
+    assert sorted(set(_callers(lambda call: _calls("gauge")(call)
+                               and call.args
+                               and getattr(call.args[0], "value", None)
+                               == "predicted_peak_bytes"))) == [
+        "src/repro/core/executor.py:_predict_peaks",
+    ]
+    assert sorted(set(_callers(_calls("static_storage_need")))) == [
+        "src/repro/core/optimizer.py:evaluate_candidate",
+        "src/repro/costmodel/crashes.py:detect_crash",
+    ]
 
 
 # ---------------------------------------------------------------------

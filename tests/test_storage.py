@@ -148,8 +148,8 @@ def test_recache_after_eviction_supersedes_spilled_copy(regions):
 
 def test_oversized_partition_goes_straight_to_disk(tmp_path, regions):
     """A partition larger than the region left after evicting
-    everything is never admitted: it lands spilled (metered, file
-    written), ``get`` re-reads it without admitting it, ``evict``
+    everything is never admitted: it lands spilled (file written, its
+    bytes metered), ``get`` re-reads it without admitting it, ``evict``
     removes the file — and occupancy never passes the capacity."""
     storage = regions(800, spill_dir=str(tmp_path))
     small, big = _partition(0, 400), _partition(1, 1200)
@@ -159,13 +159,18 @@ def test_oversized_partition_goes_straight_to_disk(tmp_path, regions):
     storage.cache("big", big)  # evicts small, still does not fit
     assert storage.used_bytes == 0 and storage.cached_keys() == []
     assert sorted(storage.spilled_keys()) == ["big", "small"]
-    assert storage.spilled_bytes_total == small_bytes + big_bytes
     assert storage.eviction_count == 1  # big was never resident
-    assert len(os.listdir(tmp_path)) == 2
+    file_bytes = {
+        read_footer(path)["key"]: os.path.getsize(path)
+        for path in (os.path.join(tmp_path, name)
+                     for name in os.listdir(tmp_path))
+    }
+    assert sorted(file_bytes) == ["big", "small"]
+    assert storage.spilled_bytes_total == sum(file_bytes.values())
 
     read = storage.get("big")
     assert np.array_equal(read.block().column("x"), big.block().column("x"))
-    assert storage.spill_read_bytes_total == big_bytes
+    assert storage.spill_read_bytes_total == file_bytes["big"]
     assert "big" in storage.spilled_keys() and len(os.listdir(tmp_path)) == 2
     assert storage.peak_bytes == small_bytes <= storage.capacity_bytes
 
@@ -399,28 +404,17 @@ def test_a_forked_worker_only_reads_its_region(tmp_path, regions):
 # ---------------------------------------------------------------------
 # engine runs: a spilling run holds no more than its regions account
 # ---------------------------------------------------------------------
-@pytest.mark.parametrize("persistence", [DESERIALIZED, SERIALIZED])
-@pytest.mark.parametrize(
-    "plan_name", ["eager", "eager-reordered", "staged", "staged-bj"])
-def test_a_spilling_run_allocates_no_more_than_its_regions_account(
-        plan_name, persistence):
-    """A squeezed cell: AlexNet-mini over 210 Foods records in two
-    partitions (one 105-row micro-batch each), on one worker whose
-    Storage holds one partition. The run spills and reads back, and its
-    tracemalloc peak — model and dataset built before tracing starts —
-    stays within the sum of every region's accounted peak: an evicted
-    partition or a decoded serialized block kept on the heap is memory
-    no region pays for."""
-    import tracemalloc
-
+def _alexnet_cell(plan_name, persistence):
+    """``run(storage_bytes=None) -> (context, result)`` for one cell:
+    AlexNet-mini over 210 Foods records in two partitions (one 105-row
+    micro-batch each) on one worker, its Storage capped at
+    ``storage_bytes`` when given."""
     from repro.cnn import build_model
     from repro.core.config import VistaConfig
     from repro.core.executor import FeatureTransferExecutor
     from repro.core.plans import ALL_PLANS
     from repro.data import foods_dataset
     from repro.dataflow.context import local_context
-    from repro.memory.model import Region
-    from tests.test_plan_equivalence_prop import admissions
 
     model = build_model("alexnet", profile="mini")
     dataset = foods_dataset(num_records=210)
@@ -441,6 +435,26 @@ def test_a_spilling_run_allocates_no_more_than_its_regions_account(
         )
         return ctx, executor.run(ALL_PLANS[plan_name])
 
+    return run
+
+
+@pytest.mark.parametrize("persistence", [DESERIALIZED, SERIALIZED])
+@pytest.mark.parametrize(
+    "plan_name", ["eager", "eager-reordered", "staged", "staged-bj"])
+def test_a_spilling_run_allocates_no_more_than_its_regions_account(
+        plan_name, persistence):
+    """A squeezed cell (:func:`_alexnet_cell` with a Storage region
+    that holds one partition). The run spills and reads back, and its
+    tracemalloc peak — model and dataset built before tracing starts —
+    stays within the sum of every region's accounted peak: an evicted
+    partition or a decoded serialized block kept on the heap is memory
+    no region pays for."""
+    import tracemalloc
+
+    from repro.memory.model import Region
+    from tests.test_plan_equivalence_prop import admissions
+
+    run = _alexnet_cell(plan_name, persistence)
     with admissions() as charged:
         run()
     tracemalloc.start()
@@ -456,3 +470,30 @@ def test_a_spilling_run_allocates_no_more_than_its_regions_account(
     )
     assert result.metrics["spill_read_bytes"] > 0
     assert peak <= accounted, f"traced {peak} B, accounted {accounted} B"
+
+
+def test_spill_meters_count_the_wave_file_bytes(monkeypatch):
+    """The squeezed Eager cell, deserialized: its evicted partition is
+    charged 87,360 B, but the wave file holds the sparse VCB1 payload
+    plus a footer. The spill meters count the file — the bytes written,
+    and the mapped length of every read back — not the charge."""
+    from tests.test_plan_equivalence_prop import admissions
+
+    written = []
+    write_all = storage_module.write_all
+
+    def counting_write_all(fd, data):
+        written.append(len(data))
+        return write_all(fd, data)
+
+    run = _alexnet_cell("eager", DESERIALIZED)
+    with admissions() as charged:
+        run()
+    assert max(charged) == 87_360
+    monkeypatch.setattr(storage_module, "write_all", counting_write_all)
+    _, result = run(storage_bytes=max(charged))
+    (file_bytes,) = written
+    assert file_bytes != 87_360
+    assert result.metrics["spilled_bytes"] == file_bytes
+    reads = result.metrics["spill_read_bytes"]
+    assert reads > 0 and reads % file_bytes == 0
